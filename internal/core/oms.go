@@ -11,6 +11,19 @@
 // on the path. Complexity: O(m*l + n*sum a_i) time (Theorem 2), O(n + k)
 // memory (Theorem 1) — the only per-node state is the final leaf id, from
 // which all super-blocks follow (leaf ranges).
+//
+// The walk reads u's adjacency once. The leaf ids of its assigned
+// neighbours go into a per-worker scratch list, and every level scans
+// that list and narrows it, in place and in order, to the neighbours
+// inside the child it descends into: the edge work is m plus the
+// survivors summed over the scored levels, never more than the m*l of
+// Theorem 2 and close to m where neighbours scatter over the tree. The
+// scratch is O(max degree) per worker, the order of the adjacency buffer
+// every stream source holds already, so Theorem 1 stands. A sequential
+// run is bit-identical to one that rescans the adjacency at every level
+// (same gain sums in the same order, same tie-breaks; a test oracle keeps
+// that walk and checks it). With Threads > 1 the list is one snapshot of
+// the racily read neighbour assignments of §3.4.
 package core
 
 import (
@@ -119,10 +132,16 @@ type OMS struct {
 	scratchPool sync.Pool
 }
 
-// levelScratch is per-worker gain accumulation across one subproblem's
-// children (fanout-sized, cleared per level).
+// levelScratch is one worker's state for the node it is assigning: the
+// gain accumulated per child of the current subproblem (fanout-sized,
+// cleared per level) and the assigned neighbours still inside it — leaf
+// id and, on weighted streams only, edge weight, in adjacency order (grown
+// to the largest degree seen).
 type levelScratch struct {
-	gain []float64
+	gain     []float64
+	leaf     []int32
+	wt       []float64
+	weighted bool
 }
 
 // New prepares an OMS run over the given multi-section tree for a stream
@@ -349,16 +368,17 @@ func (o *OMS) RestreamPassesParallel(src stream.Source, extraPasses, threads int
 
 // unassignAtomic removes u's weight from its current path with atomic
 // load updates (the parallel restream counterpart of unassign; only u's
-// owning worker calls it, so the parts slot itself is single-writer).
+// owning worker calls it, so the parts slot itself is single-writer). It
+// retracts leaf first: a block must never show room its children do not
+// have yet, or a concurrent walker reserved into it finds every child
+// full and falls back to the forced increment, past the child's capacity.
 func (o *OMS) unassignAtomic(u int32, vwgt int32) {
 	leaf := atomic.LoadInt32(&o.parts[u])
 	if leaf < 0 {
 		return
 	}
 	t := o.Tree
-	v := t.Root
-	for !t.IsLeaf(v) {
-		v = t.ChildContaining(v, leaf)
+	for v := t.LeafNode[leaf]; v != t.Root; v = t.Parent[v] {
 		atomic.AddInt64(&o.loads[v], -int64(vwgt))
 	}
 	atomic.StoreInt32(&o.parts[u], -1)
@@ -372,9 +392,7 @@ func (o *OMS) unassign(u int32, vwgt int32) {
 		return
 	}
 	t := o.Tree
-	v := t.Root
-	for !t.IsLeaf(v) {
-		v = t.ChildContaining(v, leaf)
+	for v := t.LeafNode[leaf]; v != t.Root; v = t.Parent[v] {
 		o.loads[v] -= int64(vwgt)
 	}
 	o.parts[u] = -1
@@ -392,20 +410,40 @@ func (o *OMS) assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32)
 	o.assignWith(o.scratch[worker], u, vwgt, adj, ewgt)
 }
 
-// assignWith is assign with the gain scratch passed explicitly (the
-// pool-backed AssignNode path has no worker index).
+// assignWith is assign with the scratch passed explicitly (the pool-backed
+// AssignNode path has no worker index).
+//
+// gather reads the adjacency once; every scored level then calls narrow,
+// which scans only the neighbours still inside the block being split:
+// edge work m + sum of survivors <= m*l, scratch O(max degree) per
+// worker. The list keeps adjacency order, so gains are summed in the
+// order a rescan of adj would sum them and a sequential run is
+// bit-identical to one. Under parallel streaming the gather is one
+// snapshot of §3.4's racy neighbour reads: a neighbour another worker
+// places later is not seen further down either. Hashed levels are the
+// bottom ones of every path and read no neighbours, so the list is
+// neither built nor narrowed there.
 func (o *OMS) assignWith(sc *levelScratch, u int32, vwgt int32, adj []int32, ewgt []int32) {
 	t := o.Tree
 	v := t.Root
 	w := int64(vwgt)
 	for !t.IsLeaf(v) {
 		first, count := t.Children(v)
+		hashed := t.Depth[v] >= o.hashDepth || o.cfg.Scorer == ScorerHashing
+		if !hashed {
+			if v == t.Root {
+				o.gather(sc, adj, ewgt)
+			}
+			narrow(t, sc, v)
+		}
 		var chosen int32
 		for attempt := 0; ; attempt++ {
-			if t.Depth[v] >= o.hashDepth || o.cfg.Scorer == ScorerHashing {
+			// A failed reserve rescores against the loads as they are
+			// now; the gains stand.
+			if hashed {
 				chosen = o.hashChild(u, v, first, count, w)
 			} else {
-				chosen = o.scoreChild(sc, u, v, first, count, w, adj, ewgt)
+				chosen = o.scoreChild(sc.gain[:count], first, w)
 			}
 			if o.reserve(chosen, w) {
 				break
@@ -421,6 +459,70 @@ func (o *OMS) assignWith(sc *levelScratch, u int32, vwgt int32, adj []int32, ewg
 		v = chosen
 	}
 	atomic.StoreInt32(&o.parts[u], t.LeafID(v))
+}
+
+// gather fills the scratch with the leaf id of every assigned neighbour,
+// in adjacency order, and with the edge weights beside them when the
+// stream has any.
+func (o *OMS) gather(sc *levelScratch, adj []int32, ewgt []int32) {
+	if cap(sc.leaf) < len(adj) {
+		sc.leaf = make([]int32, len(adj)+len(adj)/2)
+	}
+	if ewgt != nil && len(sc.wt) < len(adj) {
+		sc.wt = make([]float64, cap(sc.leaf))
+	}
+	leaf, wt := sc.leaf[:len(adj)], sc.wt
+	k := uint32(o.Tree.K)
+	n := 0
+	for i, nb := range adj {
+		p := atomic.LoadInt32(&o.parts[nb])
+		if uint32(p) >= k { // unassigned (-1)
+			continue
+		}
+		leaf[n] = p
+		if ewgt != nil {
+			wt[n] = float64(ewgt[i])
+		}
+		n++
+	}
+	sc.leaf = leaf[:n]
+	sc.weighted = ewgt != nil
+}
+
+// narrow keeps, in order, the gathered neighbours inside tree block v and
+// sums their edge weights per child of v into sc.gain.
+func narrow(t *hierarchy.Tree, sc *levelScratch, v int32) {
+	first, count := t.Children(v)
+	gain := sc.gain[:count]
+	for i := range gain {
+		gain[i] = 0
+	}
+	kl := t.KL[v]
+	width := uint32(t.KR[v] - kl)
+	shift := t.ChildShift[v]
+	leaf, wt := sc.leaf, sc.wt
+	n := 0
+	for i, p := range leaf {
+		off := uint32(p - kl)
+		if off > width {
+			continue
+		}
+		var c int32
+		if shift >= 0 {
+			c = int32(off >> uint8(shift))
+		} else {
+			c = t.ChildContaining(v, p) - first
+		}
+		if sc.weighted {
+			gain[c] += wt[i]
+			wt[n] = wt[i]
+		} else {
+			gain[c]++
+		}
+		leaf[n] = p
+		n++
+	}
+	sc.leaf = leaf[:n]
 }
 
 // maxReserveAttempts bounds rescoring under CAS contention before
@@ -441,27 +543,11 @@ func (o *OMS) reserve(c int32, w int64) bool {
 	}
 }
 
-// scoreChild scores the children of v with the configured objective and
-// returns the best feasible child (ties to the lighter block).
-func (o *OMS) scoreChild(sc *levelScratch, u, v, first, count int32, w int64, adj []int32, ewgt []int32) int32 {
-	t := o.Tree
-	gain := sc.gain[:count]
-	for i := range gain {
-		gain[i] = 0
-	}
-	kl, kr := t.KL[v], t.KR[v]
-	for i, nb := range adj {
-		p := atomic.LoadInt32(&o.parts[nb])
-		if p < kl || p > kr { // includes unassigned (-1)
-			continue
-		}
-		c := t.ChildContaining(v, p)
-		if ewgt != nil {
-			gain[c-first] += float64(ewgt[i])
-		} else {
-			gain[c-first]++
-		}
-	}
+// scoreChild scores the count = len(gain) children from first with the
+// configured objective and returns the best feasible one (ties to the
+// lighter block).
+func (o *OMS) scoreChild(gain []float64, first int32, w int64) int32 {
+	count := int32(len(gain))
 	best := int32(-1)
 	bestScore := 0.0
 	var bestLoad int64

@@ -222,19 +222,80 @@ func TestBuildArtificialProperty(t *testing.T) {
 	}
 }
 
+// lookupTrees are the shapes of core's oracle table plus the edge cases of
+// the child lookup: k = 1, more children than leaves per child, fewer
+// leaves than the base.
+func lookupTrees() map[string]*Tree {
+	return map[string]*Tree{
+		"art-k4096b4": BuildArtificial(4096, 4), // shift at every level
+		"art-k100b4":  BuildArtificial(100, 4),  // search: heterogeneous spans
+		"art-k37b3":   BuildArtificial(37, 3),   // search, ragged depth
+		"art-k1":      BuildArtificial(1, 4),    // the root is the only leaf
+		"art-k5b8":    BuildArtificial(5, 8),    // fewer leaves than the base
+		"art-k24b8":   BuildArtificial(24, 8),   // division: 8 children of span 3
+		// Binary search over 2048 ragged children (952 of span 2, then
+		// 1096 of span 1): Options.Base has no cap.
+		"art-k3000b2048": BuildArtificial(3000, 2048),
+		"spec4:16:8":     FromSpec(MustSpec("4:16:8")),
+		"spec4:16:2":     FromSpec(MustSpec("4:16:2")),
+		"spec3:5:7":      FromSpec(MustSpec("3:5:7")), // division: spans 15 and 3
+		"spec2:16":       FromSpec(MustSpec("2:16")),  // fanout 16 over span 2
+		"spec16":         FromSpec(MustSpec("16")),
+	}
+}
+
 func TestChildContaining(t *testing.T) {
-	for _, tr := range []*Tree{FromSpec(MustSpec("4:16:2")), BuildArtificial(100, 4), BuildArtificial(37, 3)} {
+	for name, tr := range lookupTrees() {
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// Descending for every leaf asks every internal node about every
+		// leaf it covers: the first and the last of each child included.
 		for leaf := int32(0); leaf < tr.K; leaf++ {
 			v := tr.Root
 			for !tr.IsLeaf(v) {
 				c := tr.ChildContaining(v, leaf)
-				if tr.KL[c] > leaf || tr.KR[c] < leaf {
-					t.Fatalf("ChildContaining(%d, %d) = %d covering [%d,%d]", v, leaf, c, tr.KL[c], tr.KR[c])
+				if tr.Parent[c] != v || tr.KL[c] > leaf || tr.KR[c] < leaf {
+					t.Fatalf("%s: ChildContaining(%d, %d) = %d, child of %d covering [%d,%d]", name, v, leaf, c, tr.Parent[c], tr.KL[c], tr.KR[c])
 				}
 				v = c
 			}
 			if tr.LeafID(v) != leaf {
-				t.Fatalf("descended to leaf %d, want %d", tr.LeafID(v), leaf)
+				t.Fatalf("%s: descended to leaf %d, want %d", name, tr.LeafID(v), leaf)
+			}
+		}
+	}
+}
+
+func TestChildShiftOnlyWherePowerOfTwoSpan(t *testing.T) {
+	shifted := 0
+	for name, tr := range lookupTrees() {
+		if len(tr.ChildShift) != int(tr.NumNodes()) {
+			t.Fatalf("%s: %d shifts for %d nodes", name, len(tr.ChildShift), tr.NumNodes())
+		}
+		for v := int32(0); v < tr.NumNodes(); v++ {
+			want := int8(-1)
+			for s := int8(0); s < 31; s++ {
+				if tr.ChildSpan[v] == 1<<s {
+					want = s
+				}
+			}
+			if tr.ChildShift[v] != want {
+				t.Fatalf("%s: node %d span %d has shift %d, want %d", name, v, tr.ChildSpan[v], tr.ChildShift[v], want)
+			}
+			if want >= 0 {
+				shifted++
+			}
+		}
+	}
+	if shifted == 0 {
+		t.Fatal("no tree took the shift path")
+	}
+	// The trees the shift is for take it at every internal node.
+	for _, tr := range []*Tree{BuildArtificial(4096, 4), FromSpec(MustSpec("4:16:8"))} {
+		for v := int32(0); v < tr.NumNodes(); v++ {
+			if !tr.IsLeaf(v) && tr.ChildShift[v] < 0 {
+				t.Fatalf("k=%d: internal node %d has no shift", tr.K, v)
 			}
 		}
 	}
@@ -292,4 +353,15 @@ func TestTrivialK1Tree(t *testing.T) {
 	if !tr.IsLeaf(tr.Root) || tr.MaxDepth != 0 {
 		t.Fatal("k=1 tree should be a single leaf")
 	}
+}
+
+// BenchmarkChildContainingWideRaggedRoot prices the lookup no ledger
+// workload reaches: 2048 heterogeneous children under one node.
+func BenchmarkChildContainingWideRaggedRoot(b *testing.B) {
+	tr := BuildArtificial(3000, 2048)
+	var sink int32
+	for i := 0; i < b.N; i++ {
+		sink += tr.ChildContaining(tr.Root, int32(i*7919)%tr.K)
+	}
+	_ = sink
 }

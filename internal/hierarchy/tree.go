@@ -2,7 +2,7 @@ package hierarchy
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // Tree is the multi-section tree: the hierarchy of partitioning
@@ -21,9 +21,14 @@ type Tree struct {
 	KL, KR      []int32 // covered leaf range, inclusive
 	Depth       []int32
 	// ChildSpan[v] > 0 means every child of v covers exactly ChildSpan[v]
-	// leaves, enabling O(1) child lookup; 0 means heterogeneous children
-	// (binary search).
+	// leaves; 0 means heterogeneous children (Algorithm 2's near-equal
+	// splits) or a leaf.
 	ChildSpan []int32
+	// ChildShift[v] >= 0 means ChildSpan[v] == 1<<ChildShift[v], so the
+	// child index of a leaf is a subtract and a shift: every level of a
+	// base-4 tree over a power-of-four k and of 4:16:8. -1 everywhere
+	// else (ChildSpan 0 or not a power of two).
+	ChildShift []int8
 
 	Root      int32
 	K         int32
@@ -160,7 +165,12 @@ func (t *Tree) addNode(parent, kl, kr, depth int32) int32 {
 func (t *Tree) finish() {
 	t.Root = 0
 	t.LeafNode = make([]int32, t.K)
+	t.ChildShift = make([]int8, t.NumNodes())
 	for v := int32(0); v < t.NumNodes(); v++ {
+		t.ChildShift[v] = -1
+		if span := t.ChildSpan[v]; span > 0 && span&(span-1) == 0 {
+			t.ChildShift[v] = int8(bits.TrailingZeros32(uint32(span)))
+		}
 		if t.NumChildren[v] == 0 {
 			t.LeafNode[t.KL[v]] = v
 		}
@@ -190,18 +200,30 @@ func (t *Tree) Children(v int32) (first, count int32) {
 	return t.FirstChild[v], t.NumChildren[v]
 }
 
-// ChildContaining returns the child of v whose leaf range contains leaf.
-// O(1) for uniform children, O(log fanout) otherwise.
+// ChildContaining returns the child of v whose leaf range contains leaf,
+// which must lie in v's own range. A shift where the children's span is
+// a power of two, one division where it is uniform otherwise, and a
+// binary search of the contiguous children's KL for Algorithm 2's
+// heterogeneous splits: O(log base) there, whatever base the caller set.
 func (t *Tree) ChildContaining(v, leaf int32) int32 {
-	first, count := t.FirstChild[v], t.NumChildren[v]
+	first := t.FirstChild[v]
+	if s := t.ChildShift[v]; s >= 0 {
+		return first + (leaf-t.KL[v])>>uint8(s)
+	}
 	if span := t.ChildSpan[v]; span > 0 {
 		return first + (leaf-t.KL[v])/span
 	}
-	// Binary search over KL of the contiguous children.
-	idx := sort.Search(int(count), func(i int) bool {
-		return t.KL[first+int32(i)] > leaf
-	}) - 1
-	return first + int32(idx)
+	// The last child c in [lo, hi] with KL[c] <= leaf.
+	lo, hi := first, first+t.NumChildren[v]-1
+	for lo < hi {
+		mid := lo + (hi-lo+1)>>1
+		if t.KL[mid] <= leaf {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
 }
 
 // PathToLeaf appends the internal nodes on the root-to-leaf path for the
@@ -244,6 +266,9 @@ func (t *Tree) Validate() error {
 		first, count := t.Children(v)
 		if count < 2 {
 			return fmt.Errorf("hierarchy: internal node %d has %d children", v, count)
+		}
+		if s := t.ChildShift[v]; s >= 0 && t.ChildSpan[v] != 1<<s {
+			return fmt.Errorf("hierarchy: node %d claims shift %d for child span %d", v, s, t.ChildSpan[v])
 		}
 		pos := t.KL[v]
 		for c := first; c < first+count; c++ {

@@ -332,6 +332,11 @@ func (s *Session) run(j job) {
 		var err error
 		var assignDur, walDur time.Duration
 		var assignStart, walStart time.Time
+		// stamp is the clock read that closed the previous push; it opens
+		// the next one unless a WAL append ran in between (then it is
+		// zeroed and the clock is read again): one read per node.
+		var stamp time.Time
+		var edges, records int64
 		for _, nd := range j.nodes {
 			w := nd.W
 			if w == 0 {
@@ -342,9 +347,13 @@ func (s *Session) run(j job) {
 			if traced && assignStart.IsZero() {
 				assignStart = time.Now()
 			}
-			t0 := s.now()
+			t0 := stamp
+			if t0.IsZero() {
+				t0 = s.now()
+			}
 			b, err = s.eng.Push(nd.U, w, nd.Adj, nd.EW)
-			assignDur += s.now().Sub(t0)
+			stamp = s.now()
+			assignDur += stamp.Sub(t0)
 			if err != nil {
 				s.m.pushErrors.Inc()
 				break
@@ -377,13 +386,16 @@ func (s *Session) run(j job) {
 					err = s.walFailure("append", lerr, tid)
 					break
 				}
-				s.m.walRecords.Inc()
+				records++
 				s.sinceSnap++
+				stamp = time.Time{}
 			}
 			blocks = append(blocks, b)
-			s.m.nodesIngested.Inc()
-			s.m.edgesIngested.Add(int64(len(nd.Adj)))
+			edges += int64(len(nd.Adj))
 		}
+		s.m.nodesIngested.Add(int64(len(blocks)))
+		s.m.edgesIngested.Add(edges)
+		s.m.walRecords.Add(records)
 		if err == nil {
 			if lerr := s.maybeLogStats(); lerr != nil {
 				err = s.walFailure("append", lerr, tid)
