@@ -118,7 +118,7 @@ func TestShippedFrameCorruptionNackAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := int32(0); u < 32; u++ {
-		if err := log.AppendNode(u, 1, nil, nil); err != nil {
+		if err := log.AppendNodeFrame(wire.AppendNodeFrame(nil, u, 1, nil, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}

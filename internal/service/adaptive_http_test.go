@@ -63,15 +63,15 @@ func TestAdaptiveGrowthChargesNodeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := s.Ingest(ctx, mgr.Pool(), []PushNode{{U: 500, Adj: []int32{10}}}); err != nil {
+	if _, err := s.Ingest(ctx, mgr.Pool(), framed(PushNode{U: 500, Adj: []int32{10}})); err != nil {
 		t.Fatalf("growth within budget rejected: %v", err)
 	}
-	if _, err := s.Ingest(ctx, mgr.Pool(), []PushNode{{U: 5000, Adj: nil}}); !errors.Is(err, ErrLimit) {
+	if _, err := s.Ingest(ctx, mgr.Pool(), framed(PushNode{U: 5000})); !errors.Is(err, ErrLimit) {
 		t.Fatalf("growth beyond budget: err %v, want ErrLimit", err)
 	}
 	// The rejected chunk must not have grown the engine or leaked
 	// budget: a second session claiming the remainder still fits.
-	if _, err := s.Ingest(ctx, mgr.Pool(), []PushNode{{U: 400, Adj: nil}}); err != nil {
+	if _, err := s.Ingest(ctx, mgr.Pool(), framed(PushNode{U: 400})); err != nil {
 		t.Fatalf("in-budget ingest after a rejected one: %v", err)
 	}
 	s2, err := mgr.Create(CreateSpec{N: 400, M: 10, K: 2})
@@ -112,7 +112,7 @@ func TestAdaptiveChargeAccountingRace(t *testing.T) {
 					u := int32(c*16 + i)
 					nodes[i] = PushNode{U: u * 7, Adj: []int32{u * 11}}
 				}
-				if _, err := s.Ingest(ctx, mgr.Pool(), nodes); err != nil {
+				if _, err := s.Ingest(ctx, mgr.Pool(), framed(nodes...)); err != nil {
 					return // gone mid-stream: expected
 				}
 			}
@@ -148,7 +148,7 @@ func TestAdaptiveContinuationRefineStaysBalanced(t *testing.T) {
 	for u := int32(0); u < g.NumNodes(); u++ {
 		chunk = append(chunk, PushNode{U: u, Adj: g.Neighbors(u)})
 		if len(chunk) == 256 || u == g.NumNodes()-1 {
-			if _, err := s.Ingest(ctx, mgr.Pool(), chunk); err != nil {
+			if _, err := s.Ingest(ctx, mgr.Pool(), framed(chunk...)); err != nil {
 				t.Fatal(err)
 			}
 			chunk = nil

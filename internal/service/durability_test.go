@@ -1,39 +1,45 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"oms"
+	"oms/internal/wire"
 )
 
 // faultLog is a SessionLog with switchable failures, for exercising the
-// wal-fault handling without a disk.
+// wal-fault handling without a disk. It holds the log's side of the
+// frame contract: a node without a whole, checksummed frame is refused.
 type faultLog struct {
 	failAppend bool
 	failFlush  bool
 	failSeal   bool
+	frames     [][]byte // every node frame appended, copied
 	appended   int
 	batches    int
+	flushes    int
 	sealed     bool
 }
 
 var errDisk = errors.New("boom: disk fault")
 
-func (l *faultLog) AppendNode(u, w int32, adj, ew []int32) error {
-	if l.failAppend {
-		return errDisk
-	}
-	l.appended++
-	return nil
-}
-
 func (l *faultLog) AppendNodeFrame(frame []byte) error {
 	if l.failAppend {
 		return errDisk
 	}
+	if _, err := wire.VerifyFrame(frame); err != nil {
+		return fmt.Errorf("node frame: %w", err)
+	}
+	l.frames = append(l.frames, bytes.Clone(frame))
 	l.appended++
 	return nil
 }
@@ -42,7 +48,11 @@ func (l *faultLog) AppendBatch(nodes []PushNode, blocks []int32) error {
 	if l.failAppend {
 		return errDisk
 	}
-	l.appended += len(nodes)
+	for i := range nodes {
+		if err := l.AppendNodeFrame(nodes[i].Frame); err != nil {
+			return err
+		}
+	}
 	l.batches++
 	return nil
 }
@@ -55,6 +65,7 @@ func (l *faultLog) AppendStats(st oms.EstimatorState) error {
 }
 
 func (l *faultLog) Flush() error {
+	l.flushes++
 	if l.failFlush {
 		return errDisk
 	}
@@ -149,7 +160,7 @@ func TestFlushFaultFailsChunkEvenAfterRejection(t *testing.T) {
 	}
 	// Node 0 is accepted (and logged), node 99 rejected; the flush
 	// fault must still surface and void the chunk's acks.
-	nodes := []PushNode{{U: 0, Adj: []int32{1}}, {U: 99}}
+	nodes := framed(PushNode{U: 0, Adj: []int32{1}}, PushNode{U: 99})
 	blocks, err := s.Ingest(context.Background(), mgr.Pool(), nodes)
 	if !errors.Is(err, ErrDurability) {
 		t.Fatalf("ingest with flush fault: %v, want ErrDurability", err)
@@ -159,6 +170,165 @@ func TestFlushFaultFailsChunkEvenAfterRejection(t *testing.T) {
 	}
 	if fl.appended != 1 {
 		t.Fatalf("logged %d records, want 1 (the accepted prefix)", fl.appended)
+	}
+}
+
+// TestIngestLogsExactlyWhatItAcks holds the two routes to one rule on
+// the corners where their old bodies differed: a job appends a record
+// for exactly the nodes it freshly assigned and acknowledges, and a job
+// that appended nothing touches neither the log nor the disk.
+func TestIngestLogsExactlyWhatItAcks(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name        string
+		batch       bool
+		nodes       []PushNode
+		wantErr     bool
+		acked       int // assignments returned
+		appended    int // node records logged
+		wantFlushes int
+	}{
+		// Node 2 is out of range: /nodes keeps the prefix before it...
+		{name: "nodes/rejection-mid-chunk", nodes: framed(PushNode{U: 0, Adj: []int32{1}}, PushNode{U: 1, Adj: []int32{0}}, PushNode{U: 99}, PushNode{U: 3}),
+			wantErr: true, acked: 2, appended: 2, wantFlushes: 1},
+		// ...and /batch, admitted atomically, applies and logs nothing.
+		{name: "batch/rejected", batch: true, nodes: framed(PushNode{U: 0, Adj: []int32{1}}, PushNode{U: 99}),
+			wantErr: true},
+		{name: "nodes/accepted", nodes: pathNodes(4), acked: 4, appended: 4, wantFlushes: 1},
+		{name: "batch/accepted", batch: true, nodes: pathNodes(4), acked: 4, appended: 4, wantFlushes: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fl := &faultLog{}
+			mgr := testManager(t, Config{Store: &faultStore{log: fl}})
+			s, err := mgr.Create(pathSpec(4, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			push := s.Ingest
+			if tc.batch {
+				push = s.IngestBatch
+			}
+			blocks, err := push(ctx, mgr.Pool(), tc.nodes)
+			if (err != nil) != tc.wantErr || len(blocks) != tc.acked {
+				t.Fatalf("acked %d assignments, err %v; want %d, error=%v", len(blocks), err, tc.acked, tc.wantErr)
+			}
+			if fl.appended != tc.appended || fl.flushes != tc.wantFlushes {
+				t.Fatalf("logged %d records in %d flushes, want %d in %d", fl.appended, fl.flushes, tc.appended, tc.wantFlushes)
+			}
+			for i, fr := range fl.frames {
+				if !bytes.Equal(fr, tc.nodes[i].Frame) {
+					t.Fatalf("record %d is not node %d's request frame", i, tc.nodes[i].U)
+				}
+			}
+			if tc.wantErr {
+				return
+			}
+			// A client that lost the reply retries the same nodes: the
+			// same assignments come back and nothing new is logged or
+			// flushed, on either route.
+			for _, retry := range []func(context.Context, *Pool, []PushNode) ([]int32, error){s.Ingest, s.IngestBatch} {
+				again, err := retry(ctx, mgr.Pool(), tc.nodes)
+				if err != nil || !slices.Equal(again, blocks) {
+					t.Fatalf("duplicate retry: %v, %v; want %v", again, err, blocks)
+				}
+			}
+			if fl.appended != tc.appended || fl.flushes != tc.wantFlushes {
+				t.Fatalf("duplicate retries grew the log to %d records, %d flushes", fl.appended, fl.flushes)
+			}
+		})
+	}
+}
+
+// TestCancelledRequestKeepsItsNodes: a request whose context ends while
+// its job is still queued returns at once, but the worker runs the job
+// later — so the request's chunk and decode arena must not go back to
+// the ingest pool, where the next request would overwrite the adjacency
+// the worker is about to push (an irrevocable wrong assignment) and the
+// frame bytes it is about to log (another request's record, or a torn
+// one that cuts every later record off at recovery).
+func TestCancelledRequestKeepsItsNodes(t *testing.T) {
+	victim := []PushNode{{U: 40, Adj: []int32{41, 42, 43}}, {U: 41, Adj: []int32{40, 50}}}
+	bodies := map[string]func([]PushNode) (string, []byte){
+		"wire": func(nodes []PushNode) (string, []byte) {
+			var b []byte
+			for _, nd := range nodes {
+				b = wire.AppendNodeFrame(b, nd.U, 1, nd.Adj, nil)
+			}
+			return wire.MediaType, b
+		},
+		"ndjson": func(nodes []PushNode) (string, []byte) {
+			var b bytes.Buffer
+			enc := json.NewEncoder(&b)
+			for _, nd := range nodes {
+				_ = enc.Encode(nd)
+			}
+			return "application/x-ndjson", b.Bytes()
+		},
+	}
+	for format, body := range bodies {
+		t.Run(format, func(t *testing.T) {
+			fl := &faultLog{}
+			mgr := testManager(t, Config{Store: &faultStore{log: fl}})
+			s, err := mgr.Create(CreateSpec{N: 64, M: 63, K: 2, Record: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			post := func(ctx context.Context, mgr *Manager, id string, nodes []PushNode) {
+				ct, b := body(nodes)
+				req := httptest.NewRequest("POST", "/v1/sessions/"+id+"/nodes", bytes.NewReader(b)).WithContext(ctx)
+				req.Header.Set("Content-Type", ct)
+				NewServer(mgr).ServeHTTP(httptest.NewRecorder(), req)
+			}
+
+			// Pin the session as "scheduled" so no worker picks its job up,
+			// and give up on the request while the job sits in the queue.
+			s.scheduled.Store(true)
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			post(ctx, mgr, s.ID, victim)
+			cancel()
+
+			// Other requests run to completion over the ingest pool in the
+			// meantime, with other nodes in their arenas.
+			other := testManager(t, Config{})
+			for i := 0; i < 8; i++ {
+				o, err := other.Create(pathSpec(64, 2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				post(context.Background(), other, o.ID, pathNodes(64))
+			}
+
+			// Now the worker gets to the abandoned job.
+			mgr.Pool().submit(s)
+			sum, err := s.Finish(context.Background(), mgr.Pool())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.Assigned != int32(len(victim)) {
+				t.Fatalf("assigned %d nodes, want the request's %d", sum.Assigned, len(victim))
+			}
+			i := 0
+			_ = s.eng.Source().ForEach(func(u, _ int32, adj, _ []int32) {
+				if u != victim[i].U || !slices.Equal(adj, victim[i].Adj) {
+					t.Errorf("engine was pushed node %d with adjacency %v, want %d %v", u, adj, victim[i].U, victim[i].Adj)
+				}
+				i++
+			})
+			if len(fl.frames) != len(victim) {
+				t.Fatalf("logged %d records, want %d", len(fl.frames), len(victim))
+			}
+			var arena wire.Arena
+			for i, fr := range fl.frames {
+				payload, err := wire.VerifyFrame(fr)
+				if err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+				nd, err := wire.DecodeNodeInto(&arena, payload)
+				if err != nil || nd.U != victim[i].U || !slices.Equal(nd.Adj, victim[i].Adj) {
+					t.Fatalf("record %d holds node %d %v (%v), want %d %v", i, nd.U, nd.Adj, err, victim[i].U, victim[i].Adj)
+				}
+			}
+		})
 	}
 }
 

@@ -25,10 +25,11 @@ const ingestChunkSize = 256
 // assignments still stream back while the client uploads.
 const batchChunkSize = 4096
 
-// chunkByteBudget cuts a chunk or batch early once its raw NDJSON
-// exceeds this many bytes: line counts alone would let a stream of
-// maxNodeLine-sized adjacency lists buffer gigabytes per request
-// before the first flush. Batches cut by bytes also stay orders of
+// chunkByteBudget cuts a chunk or batch early once its nodes' wire
+// frames exceed this many bytes (both request formats are charged the
+// frame, so both cut at the same node): node counts alone would let a
+// stream of maxNodeLine-sized adjacency lists buffer gigabytes per
+// request before the first flush. Batches cut by bytes also stay orders of
 // magnitude below the WAL's single-frame bound, preserving the
 // one-frame-per-batch group commit.
 const chunkByteBudget = 8 << 20

@@ -122,26 +122,14 @@ func (rp *wireReplier) errLine(msg string) {
 	_, _ = rp.w.Write(rp.fr)
 }
 
-// wireIngest is the pooled per-request state of a binary ingest: the
-// frame reader (with its decode arena), the chunk being assembled, and
-// the reply scratch. Pooling it makes the steady-state binary push path
-// allocation-free — the buffers warm up to the request's working set
-// and are reused by the next request.
-type wireIngest struct {
-	rd  *wire.Reader
-	rep wireReplier
-}
-
-var wireIngestPool = sync.Pool{
-	New: func() any {
-		return &wireIngest{rd: wire.NewReader(nil)}
-	},
-}
-
-// ingestState is the format-independent half of an ingest request:
-// chunk assembly, the flush-to-session protocol, and error reporting in
-// the negotiated reply format.
-type ingestState struct {
+// ingestReq is the pooled per-request state of an ingest, either
+// format: the frame reader whose arena hosts every node's frame and
+// decoded adjacency (a binary request's verbatim, an NDJSON line's as
+// the shim encodes it), the chunk being assembled, the reply scratch,
+// and the flush-to-session protocol. Pooling it makes the steady-state
+// binary push path allocation-free — the buffers warm up to a request's
+// working set and the next request reuses them.
+type ingestReq struct {
 	mgr   *Manager
 	s     *Session
 	batch bool
@@ -150,66 +138,147 @@ type ingestState struct {
 	r     *http.Request
 	rep   replier
 
+	rd   *wire.Reader
+	wrep wireReplier
+	// line is the NDJSON scanner's initial buffer, allocated by the
+	// first NDJSON request this state serves.
+	line []byte
+
 	chunk      []PushNode
 	chunkBytes int
 	wrote      bool
 }
 
+var ingestPool = sync.Pool{
+	New: func() any { return &ingestReq{rd: wire.NewReader(nil)} },
+}
+
+// release returns the state to the pool — unless the request's context
+// has ended: the session job of an abandoned request may still be queued
+// or running (see ingestJob), reading the chunk and the arena behind it,
+// so those are left to the worker and the garbage collector. Pooling
+// them would hand the next request memory a worker is about to push to
+// the engine and append to the log.
+func (q *ingestReq) release() {
+	if q.r.Context().Err() != nil {
+		return
+	}
+	q.rd.Reset(nil)
+	// Keep the buffers, drop everything that names the request.
+	bufs := ingestReq{rd: q.rd, wrep: q.wrep, line: q.line, chunk: q.chunk[:0]}
+	bufs.wrep.w = nil
+	*q = bufs
+	ingestPool.Put(q)
+}
+
 // flush hands the assembled chunk to the session and streams the
-// assignments back; it reports whether ingest may continue.
-func (st *ingestState) flush() bool {
-	if len(st.chunk) == 0 {
+// assignments back; it reports whether ingest may continue. It blocks
+// until the worker has consumed every frame and adjacency slice of the
+// chunk, so on success the arena is free to host the next one.
+func (q *ingestReq) flush() bool {
+	if len(q.chunk) == 0 {
 		return true
 	}
 	var blocks []int32
 	var err error
-	if st.batch {
-		blocks, err = st.s.IngestBatch(st.r.Context(), st.mgr.Pool(), st.chunk)
+	if q.batch {
+		blocks, err = q.s.IngestBatch(q.r.Context(), q.mgr.Pool(), q.chunk)
 	} else {
-		blocks, err = st.s.Ingest(st.r.Context(), st.mgr.Pool(), st.chunk)
+		blocks, err = q.s.Ingest(q.r.Context(), q.mgr.Pool(), q.chunk)
 	}
-	if err != nil && !st.wrote && len(blocks) == 0 {
+	if err != nil && !q.wrote && len(blocks) == 0 {
 		// Nothing committed yet: report the rejection as a distinct
 		// status (finished -> 409, out-of-range -> 422, edge budget
 		// -> 413) instead of a 200 with an in-stream error record.
-		writeError(st.w, statusOf(err), err)
+		writeError(q.w, statusOf(err), err)
 		return false
 	}
 	if len(blocks) > 0 {
-		st.rep.assignments(st.chunk, blocks)
-		st.wrote = true
+		q.rep.assignments(q.chunk, blocks)
+		q.wrote = true
 	}
 	if err != nil {
-		st.rep.errLine(err.Error())
+		q.rep.errLine(err.Error())
 		return false
 	}
-	st.chunk = st.chunk[:0]
-	st.chunkBytes = 0
-	_ = st.rc.Flush()
+	q.chunk = q.chunk[:0]
+	q.chunkBytes = 0
+	q.rd.Arena.Reset()
+	_ = q.rc.Flush()
 	return true
 }
 
 // fail reports an ingest-side (parse or read) failure: as a proper
 // error status while nothing has been written, in-band afterwards.
-func (st *ingestState) fail(err error) {
-	if !st.wrote {
-		writeError(st.w, statusOf(err), err)
+func (q *ingestReq) fail(err error) {
+	if !q.wrote {
+		writeError(q.w, statusOf(err), err)
 		return
 	}
-	st.rep.errLine(err.Error())
+	q.rep.errLine(err.Error())
+}
+
+// nextFrame is the binary format's step: one frame, validated once (CRC
+// + record decode into the arena), yielded with its verbatim bytes.
+func (q *ingestReq) nextFrame() (PushNode, error) {
+	nd, frame, err := q.rd.NextNode()
+	switch {
+	case err == nil:
+		return PushNode{U: nd.U, W: nd.W, Adj: nd.Adj, EW: nd.EW, Frame: frame}, nil
+	case err == io.EOF:
+		return PushNode{}, io.EOF
+	case errors.Is(err, wire.ErrMalformed):
+		return PushNode{}, fmt.Errorf("%w (at node %d of the request)", err, len(q.chunk))
+	}
+	return PushNode{}, fmt.Errorf("read body: %w", err)
+}
+
+// nextLine is the NDJSON shim's step: one line, decoded once and
+// immediately encoded into the arena as its canonical wire frame —
+// exactly as a binary client would have sent the node (zero weight is
+// one, an empty edge-weight list is none) — so the log bytes are
+// identical no matter which format carried the stream.
+func (q *ingestReq) nextLine(sc *bufio.Scanner) (PushNode, error) {
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		var nd PushNode
+		if err := json.Unmarshal(line, &nd); err != nil {
+			return PushNode{}, fmt.Errorf("bad node line %.120q: %v", line, err)
+		}
+		w := nd.W
+		if w == 0 {
+			w = 1
+		}
+		if len(nd.EW) == 0 {
+			nd.EW = nil
+		}
+		a := &q.rd.Arena
+		from := len(a.Raw)
+		a.Raw = wire.AppendNodeFrame(a.Raw, nd.U, w, nd.Adj, nd.EW)
+		nd.Frame = a.Raw[from:len(a.Raw):len(a.Raw)]
+		return nd, nil
+	}
+	if err := sc.Err(); err != nil {
+		return PushNode{}, fmt.Errorf("read body: %v", err)
+	}
+	return PushNode{}, io.EOF
 }
 
 // ingest streams the request body into the session in chunks and
 // streams the per-node assignments back after each chunk — the client
 // sees its nodes' permanent blocks while it is still uploading the rest
 // of the graph. The body is either wire v2 binary frames
-// (Content-Type: application/x-oms-frame) or NDJSON PushNode lines;
-// both feed one decode-validate-log path, and the reply format follows
-// the request format unless Accept overrides it. Full-duplex mode keeps
-// the request body readable after the first response flush (without it,
-// HTTP/1.x servers cut the body off once headers go out); clients
-// uploading very large streams in a single POST must read the response
-// concurrently, as curl and browsers do.
+// (Content-Type: application/x-oms-frame) or NDJSON PushNode lines; a
+// per-format step turns either into framed nodes for the one chunking
+// loop below, and the reply format follows the request format unless
+// Accept overrides it. Full-duplex mode keeps the request body readable
+// after the first response flush (without it, HTTP/1.x servers cut the
+// body off once headers go out); clients uploading very large streams
+// in a single POST must read the response concurrently, as curl and
+// browsers do.
 //
 // With batch set (the /batch endpoint) the chunks are larger atomic
 // batches instead: each is assigned across the session's parallel
@@ -221,133 +290,57 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 		writeError(w, statusOf(err), err)
 		return
 	}
-	st := &ingestState{
-		mgr: mgr, s: s, batch: batch,
-		w: w, rc: http.NewResponseController(w), r: r,
+	q := ingestPool.Get().(*ingestReq)
+	defer q.release()
+	q.mgr, q.s, q.batch = mgr, s, batch
+	q.w, q.rc, q.r = w, http.NewResponseController(w), r
+	_ = q.rc.EnableFullDuplex() // best effort; HTTP/2 is duplex already
+
+	if acceptBinary(r, binReq) {
+		q.wrep.w = w
+		q.rep = &q.wrep
+		w.Header().Set("Content-Type", wire.MediaType)
+	} else {
+		q.rep = &jsonReplier{enc: json.NewEncoder(w)}
+		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	_ = st.rc.EnableFullDuplex() // best effort; HTTP/2 is duplex already
+
+	next := q.nextFrame
 	if binReq {
-		ingestWire(st, acceptBinary(r, true))
+		q.rd.Reset(r.Body)
+		q.rd.MaxPayload = maxNodeLine
 	} else {
-		ingestNDJSON(st, acceptBinary(r, false))
-	}
-}
-
-// ingestWire is the binary ingest loop: validated once per frame (CRC +
-// record decode into the pooled arena), pushed to the engine from the
-// arena's buffers, and logged from the verbatim frame bytes — zero
-// heap allocations per node once the pooled buffers are warm.
-func ingestWire(st *ingestState, binReply bool) {
-	wi := wireIngestPool.Get().(*wireIngest)
-	defer func() {
-		wi.rd.Reset(nil)
-		wireIngestPool.Put(wi)
-	}()
-	wi.rd.Reset(st.r.Body)
-	wi.rd.MaxPayload = maxNodeLine
-
-	if binReply {
-		wi.rep.w = st.w
-		st.rep = &wi.rep
-		st.w.Header().Set("Content-Type", wire.MediaType)
-	} else {
-		st.rep = &jsonReplier{enc: json.NewEncoder(st.w)}
-		st.w.Header().Set("Content-Type", "application/x-ndjson")
+		if q.line == nil {
+			q.line = make([]byte, 64<<10)
+		}
+		sc := bufio.NewScanner(r.Body)
+		sc.Buffer(q.line, maxNodeLine)
+		next = func() (PushNode, error) { return q.nextLine(sc) }
 	}
 
 	chunkSize := ingestChunkSize
-	if st.batch {
+	if batch {
 		chunkSize = batchChunkSize
 	}
-	if cap(st.chunk) < chunkSize {
-		st.chunk = make([]PushNode, 0, chunkSize)
+	if cap(q.chunk) < chunkSize {
+		q.chunk = make([]PushNode, 0, chunkSize)
 	}
 	for {
-		nd, frame, err := wi.rd.NextNode()
+		nd, err := next()
 		if err == io.EOF {
-			break
+			q.flush()
+			return
 		}
 		if err != nil {
-			if errors.Is(err, wire.ErrMalformed) {
-				st.fail(fmt.Errorf("%w (at node %d of the request)", err, len(st.chunk)))
-			} else {
-				st.fail(fmt.Errorf("read body: %w", err))
-			}
+			q.fail(err)
 			return
 		}
-		st.chunk = append(st.chunk, PushNode{U: nd.U, W: nd.W, Adj: nd.Adj, EW: nd.EW, Frame: frame})
-		st.chunkBytes += len(frame)
-		if len(st.chunk) >= chunkSize || st.chunkBytes >= chunkByteBudget {
-			if !st.flush() {
+		q.chunk = append(q.chunk, nd)
+		q.chunkBytes += len(nd.Frame)
+		if len(q.chunk) >= chunkSize || q.chunkBytes >= chunkByteBudget {
+			if !q.flush() {
 				return
 			}
-			// The flush blocked until the worker consumed every frame
-			// and adjacency slice, so the arena can host the next chunk.
-			wi.rd.Arena.Reset()
 		}
 	}
-	if st.flush() {
-		wi.rd.Arena.Reset()
-	}
-}
-
-// ingestNDJSON is the JSON ingest shim: each line is decoded once and
-// immediately re-encoded as its canonical wire frame, so the WAL append
-// path is the same verbatim-frame path binary ingest uses — the log
-// bytes are identical no matter which format carried the stream.
-func ingestNDJSON(st *ingestState, binReply bool) {
-	if binReply {
-		st.rep = &wireReplier{w: st.w}
-		st.w.Header().Set("Content-Type", wire.MediaType)
-	} else {
-		st.rep = &jsonReplier{enc: json.NewEncoder(st.w)}
-		st.w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-
-	chunkSize := ingestChunkSize
-	if st.batch {
-		chunkSize = batchChunkSize
-	}
-	sc := bufio.NewScanner(st.r.Body)
-	sc.Buffer(make([]byte, 64<<10), maxNodeLine)
-	st.chunk = make([]PushNode, 0, chunkSize)
-	var frames []byte
-
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var nd PushNode
-		if err := json.Unmarshal(line, &nd); err != nil {
-			st.fail(fmt.Errorf("bad node line %.120q: %v", line, err))
-			return
-		}
-		// Canonicalize exactly as a binary client would encode the same
-		// node (zero weight is one, an empty edge-weight list is none),
-		// so both formats log byte-identical records.
-		w := nd.W
-		if w == 0 {
-			w = 1
-		}
-		if len(nd.EW) == 0 {
-			nd.EW = nil
-		}
-		from := len(frames)
-		frames = wire.AppendNodeFrame(frames, nd.U, w, nd.Adj, nd.EW)
-		nd.Frame = frames[from:len(frames):len(frames)]
-		st.chunk = append(st.chunk, nd)
-		st.chunkBytes += len(line)
-		if len(st.chunk) >= chunkSize || st.chunkBytes >= chunkByteBudget {
-			if !st.flush() {
-				return
-			}
-			frames = frames[:0]
-		}
-	}
-	if err := sc.Err(); err != nil {
-		st.fail(fmt.Errorf("read body: %v", err))
-		return
-	}
-	st.flush()
 }

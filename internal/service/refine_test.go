@@ -320,7 +320,6 @@ type blockingStore struct {
 
 type nullLog struct{}
 
-func (nullLog) AppendNode(u, w int32, adj, ew []int32) error       { return nil }
 func (nullLog) AppendNodeFrame(frame []byte) error                 { return nil }
 func (nullLog) AppendBatch(nodes []PushNode, blocks []int32) error { return nil }
 func (nullLog) AppendStats(st oms.EstimatorState) error            { return nil }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"oms/internal/wire"
 )
 
 // fakeClock is a settable Config.Now.
@@ -41,6 +43,18 @@ func pathSpec(n int32, k int32) CreateSpec {
 	return CreateSpec{N: n, M: int64(n) - 1, K: k}
 }
 
+// framed gives hand-built nodes what every node reaching a session has:
+// the canonical wire frame the ingest boundary validated (zero weight
+// encodes as one), which is the node's log record. It is the one
+// framing helper of this package's tests.
+func framed(nodes ...PushNode) []PushNode {
+	for i := range nodes {
+		nd := &nodes[i]
+		nd.Frame = wire.AppendNodeFrame(nil, nd.U, max(nd.W, 1), nd.Adj, nd.EW)
+	}
+	return nodes
+}
+
 // pathNodes is an n-node path graph as push chunks.
 func pathNodes(n int32) []PushNode {
 	out := make([]PushNode, n)
@@ -54,7 +68,7 @@ func pathNodes(n int32) []PushNode {
 		}
 		out[u] = PushNode{U: u, Adj: adj}
 	}
-	return out
+	return framed(out...)
 }
 
 func TestManagerLifecycle(t *testing.T) {
@@ -187,12 +201,12 @@ func TestBackpressureBlocksAndCounts(t *testing.T) {
 	// Pin the session as "scheduled" so no worker drains it: the queue
 	// (depth 1) fills after one job and the next enqueue must block.
 	s.scheduled.Store(true)
-	if err := s.enqueue(context.Background(), mgr.Pool(), job{kind: jobChunk, done: make(chan jobResult, 1)}); err != nil {
+	if err := s.enqueue(context.Background(), mgr.Pool(), job{kind: jobIngest, done: make(chan jobResult, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	err = s.enqueue(ctx, mgr.Pool(), job{kind: jobChunk, done: make(chan jobResult, 1)})
+	err = s.enqueue(ctx, mgr.Pool(), job{kind: jobIngest, done: make(chan jobResult, 1)})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("full-queue enqueue: %v, want deadline exceeded", err)
 	}
@@ -258,7 +272,7 @@ func TestChurnDoesNotWedgePool(t *testing.T) {
 				u := int32(c)
 				// Errors are fine (duplicate pushes after delete races);
 				// the property under test is that nothing wedges.
-				_, _ = s.Ingest(context.Background(), mgr.Pool(), []PushNode{{U: u}})
+				_, _ = s.Ingest(context.Background(), mgr.Pool(), framed(PushNode{U: u}))
 			}(c)
 		}
 		wg.Wait()
@@ -277,7 +291,7 @@ func TestCloseFailsOutQueuedJobs(t *testing.T) {
 	// Pin the session so no worker drains its queue, then strand a job.
 	s.scheduled.Store(true)
 	done := make(chan jobResult, 1)
-	if err := s.enqueue(context.Background(), mgr.Pool(), job{kind: jobChunk, done: done}); err != nil {
+	if err := s.enqueue(context.Background(), mgr.Pool(), job{kind: jobIngest, done: done}); err != nil {
 		t.Fatal(err)
 	}
 	mgr.Close() // idempotent; testManager's cleanup closes again

@@ -20,12 +20,12 @@ type PushNode struct {
 	W   int32   `json:"w,omitempty"`
 	Adj []int32 `json:"adj"`
 	EW  []int32 `json:"ew,omitempty"`
-	// Frame, when set, is the node's canonical wire v2 frame exactly as
-	// it was validated at the ingest boundary (both the binary path and
-	// the NDJSON shim fill it). The WAL appends it verbatim — the bytes
-	// the client sent are the bytes the log holds, no re-marshal. The
-	// slice may alias a per-request arena: it is valid only until the
-	// ingest job is acknowledged.
+	// Frame is the node's canonical wire v2 frame exactly as it was
+	// validated at the ingest boundary (the binary path yields the
+	// request's bytes, the NDJSON shim encodes them). It is the node's
+	// log record: the WAL appends it verbatim — no re-marshal — and
+	// refuses a node that comes without one. The slice may alias a
+	// per-request arena: it is valid only until the ingest job has run.
 	Frame []byte `json:"-"`
 }
 
@@ -33,19 +33,19 @@ type PushNode struct {
 type jobKind int
 
 const (
-	jobChunk jobKind = iota
-	jobBatch
+	jobIngest jobKind = iota
 	jobFinish
 )
 
-// job is one queued unit of session work. Chunks and batches carry
-// nodes; a finish job seals the session after every chunk queued before
-// it, so "finish happens after all acknowledged ingest" holds by queue
-// order. A batch differs from a chunk in execution, not queueing: the
-// owning worker fans it out over the session engine's parallel
-// assignment workers and group-commits it as one WAL frame.
+// job is one queued unit of session work. An ingest job carries the
+// nodes of one /nodes chunk or one /batch; a finish job seals the
+// session after every ingest job queued before it, so "finish happens
+// after all acknowledged ingest" holds by queue order. The two routes
+// share one body (runIngest) and differ in two steps of it: how the
+// nodes are admitted to the engine and what shape their log record has.
 type job struct {
 	kind  jobKind
+	batch bool // ingest only: the /batch route
 	nodes []PushNode
 	done  chan jobResult
 	// at is the enqueue instant; the worker observes dequeue-at minus
@@ -258,7 +258,7 @@ func (s *Session) failPending() {
 // error is non-nil if any node in the chunk was rejected; assignments of
 // the nodes before the offending one are still returned.
 func (s *Session) Ingest(ctx context.Context, p *Pool, nodes []PushNode) ([]int32, error) {
-	return s.ingestJob(ctx, p, jobChunk, nodes)
+	return s.ingestJob(ctx, p, false, nodes)
 }
 
 // IngestBatch queues one parallel batch and waits for its per-node
@@ -267,12 +267,17 @@ func (s *Session) Ingest(ctx context.Context, p *Pool, nodes []PushNode) ([]int3
 // parallel workers; its durable record is one group-committed WAL
 // frame.
 func (s *Session) IngestBatch(ctx context.Context, p *Pool, nodes []PushNode) ([]int32, error) {
-	return s.ingestJob(ctx, p, jobBatch, nodes)
+	return s.ingestJob(ctx, p, true, nodes)
 }
 
-func (s *Session) ingestJob(ctx context.Context, p *Pool, kind jobKind, nodes []PushNode) ([]int32, error) {
+// ingestJob queues one ingest job and waits for its outcome or for ctx,
+// whichever comes first. When ctx ends first the job may still be
+// queued or running: the worker owns nodes — and everything their Adj,
+// EW and Frame slices alias — until it has run the job, so the caller
+// must not reuse or pool that memory after a context error.
+func (s *Session) ingestJob(ctx context.Context, p *Pool, batch bool, nodes []PushNode) ([]int32, error) {
 	done := make(chan jobResult, 1)
-	j := job{kind: kind, nodes: nodes, done: done}
+	j := job{kind: jobIngest, batch: batch, nodes: nodes, done: done}
 	if j.tr = trace.FromContext(ctx); j.tr != nil {
 		j.wallAt = time.Now()
 	}
@@ -311,276 +316,247 @@ func (s *Session) Finish(ctx context.Context, p *Pool) (*Summary, error) {
 // run executes one queued job on the worker that currently owns the
 // session. All engine access happens here, serialized by the pool.
 func (s *Session) run(j job) {
-	// traced gates every span-side clock read: the untraced path pays
-	// nothing beyond the nil checks.
-	traced := j.tr != nil
+	// A nil j.tr is the sampled-out path: every span-side clock read
+	// below is gated on it, so untraced jobs pay only the nil checks.
 	tid := j.tr.TraceIDString()
 	if !j.at.IsZero() {
 		s.m.queueWait.ObserveExemplar(s.now().Sub(j.at), tid)
 	}
-	if traced && !j.wallAt.IsZero() {
+	if j.tr != nil && !j.wallAt.IsZero() {
 		j.tr.Span("queue", j.tr.Root(), j.wallAt, time.Since(j.wallAt))
 	}
 	switch j.kind {
-	case jobChunk:
-		if err := s.chargeGrowth(j.nodes); err != nil {
-			s.m.pushErrors.Inc()
-			j.done <- jobResult{err: err}
-			return
-		}
-		blocks := make([]int32, 0, len(j.nodes))
-		var err error
-		var assignDur, walDur time.Duration
-		var assignStart, walStart time.Time
-		// stamp is the clock read that closed the previous push; it opens
-		// the next one unless a WAL append ran in between (then it is
-		// zeroed and the clock is read again): one read per node.
-		var stamp time.Time
-		var edges, records int64
-		for _, nd := range j.nodes {
-			w := nd.W
-			if w == 0 {
-				w = 1
-			}
-			before := s.eng.Assigned()
-			var b int32
-			if traced && assignStart.IsZero() {
-				assignStart = time.Now()
-			}
-			t0 := stamp
-			if t0.IsZero() {
-				t0 = s.now()
-			}
-			b, err = s.eng.Push(nd.U, w, nd.Adj, nd.EW)
-			stamp = s.now()
-			assignDur += stamp.Sub(t0)
-			if err != nil {
-				s.m.pushErrors.Inc()
-				break
-			}
-			// Log before acking, but only fresh assignments: an
-			// idempotent re-push of an already-assigned node changed no
-			// state, and replay is idempotent anyway, so duplicates
-			// would only bloat the log.
-			if s.log != nil && s.eng.Assigned() > before {
-				var wt time.Time
-				if traced {
-					wt = time.Now()
-					if walStart.IsZero() {
-						walStart = wt
-					}
-				}
-				var lerr error
-				if nd.Frame != nil {
-					// The validated request bytes are the log record:
-					// append them verbatim instead of re-encoding the
-					// adjacency the decoder just walked.
-					lerr = s.log.AppendNodeFrame(nd.Frame)
-				} else {
-					lerr = s.log.AppendNode(nd.U, w, nd.Adj, nd.EW)
-				}
-				if traced {
-					walDur += time.Since(wt)
-				}
-				if lerr != nil {
-					err = s.walFailure("append", lerr, tid)
-					break
-				}
-				records++
-				s.sinceSnap++
-				stamp = time.Time{}
-			}
-			blocks = append(blocks, b)
-			edges += int64(len(nd.Adj))
-		}
-		s.m.nodesIngested.Add(int64(len(blocks)))
-		s.m.edgesIngested.Add(edges)
-		s.m.walRecords.Add(records)
-		if err == nil {
-			if lerr := s.maybeLogStats(); lerr != nil {
-				err = s.walFailure("append", lerr, tid)
-				blocks = nil
-			}
-		}
-		if s.log != nil {
-			// One write-through per chunk — even a chunk that ends in a
-			// rejection, whose earlier nodes were accepted and are about
-			// to be acknowledged: after any ack a process crash loses
-			// nothing, an OS crash at most the batched-fsync window.
-			var ft time.Time
-			if traced {
-				ft = time.Now()
-			}
-			lerr := s.log.Flush()
-			if traced {
-				fd := time.Since(ft)
-				j.tr.Span("wal.fsync", j.tr.Root(), ft, fd)
-				s.m.walFsync.AttachExemplar(fd, tid)
-			}
-			if lerr != nil {
-				err = s.walFailure("flush", lerr, tid)
-				blocks = nil
-			}
-		}
-		if err == nil {
-			s.snapshotSpan(j)
-		}
-		s.settleGrowth()
-		s.m.chunksIngested.Inc()
-		s.m.assign.ObserveExemplar(assignDur, tid)
-		if traced {
-			if !assignStart.IsZero() {
-				j.tr.Span("assign", j.tr.Root(), assignStart, assignDur)
-			}
-			if !walStart.IsZero() {
-				j.tr.Span("wal.append", j.tr.Root(), walStart, walDur)
-				s.m.walAppend.AttachExemplar(walDur, tid)
-			}
-		}
-		j.done <- jobResult{blocks: blocks, err: err}
-	case jobBatch:
-		j.done <- s.runBatch(j)
+	case jobIngest:
+		j.done <- s.runIngest(j, tid)
 	case jobFinish:
-		if s.finished.Load() {
-			// Retry-safe like ingest: a client that lost the finish
-			// response gets the stored summary back.
-			j.done <- jobResult{result: s.result}
-			return
-		}
-		res, err := s.eng.Finish()
-		if err != nil {
-			j.done <- jobResult{err: err}
-			return
-		}
-		if s.log != nil {
-			// Seal before acking the summary, so a restart rebuilds the
-			// sealed result instead of offering an unsealed resume. A
-			// seal failure must not ack a finish the store cannot
-			// reproduce — it kills the session like any WAL fault.
-			if lerr := s.log.Seal(); lerr != nil {
-				j.done <- jobResult{err: s.walFailure("seal", lerr, tid)}
-				return
-			}
-		}
-		// Persisted adaptive sessions reconcile the partition over the
-		// sealed log: one sequential retract-and-reassign pass under
-		// the now-exact capacities (Record sessions already ran it
-		// inside Finish, over their in-memory buffer). Deterministic
-		// given the sealed log, so recovery reproduces the same result.
-		if s.eng.Adaptive() && !s.spec.Record && s.replay != nil {
-			src, rerr := s.replay()
-			if rerr != nil {
-				j.done <- jobResult{err: s.walFailure("replay", rerr, tid)}
-				return
-			}
-			if res, err = s.eng.ReconcilePass(src); err != nil {
-				j.done <- jobResult{err: s.walFailure("reconcile", err, tid)}
-				return
-			}
-		}
-		s.result = res
-		s.summary = s.summarize(res)
-		s.finished.Store(true)
-		s.m.sessionsFinished.Inc()
-		fields := map[string]any{
-			"session":     s.ID,
-			"k":           s.summary.K,
-			"assigned":    s.summary.Assigned,
-			"lifetime_ms": s.now().Sub(s.Created).Milliseconds(),
-		}
-		if s.summary.EdgeCut != nil {
-			fields["edge_cut"] = *s.summary.EdgeCut
-		}
-		if tid != "" {
-			fields["trace_id"] = tid
-		}
-		s.ev.Emit(telemetry.EventSessionSealed, fields)
-		j.done <- jobResult{result: res}
+		j.done <- s.runFinish(tid)
 	}
 }
 
-// runBatch executes one batch job on the owning worker: normalize
-// weights, fan the batch out over the engine's parallel assignment
-// workers, then group-commit it to the WAL as a single frame carrying
-// the assigned blocks — logged before the ack, like every push.
-func (s *Session) runBatch(j job) jobResult {
-	nodes := j.nodes
-	traced := j.tr != nil
-	tid := j.tr.TraceIDString()
-	if err := s.chargeGrowth(nodes); err != nil {
+// runFinish seals the session: engine finish, the durable seal, and for
+// persisted adaptive sessions the reconcile pass over the sealed log.
+func (s *Session) runFinish(tid string) jobResult {
+	if s.finished.Load() {
+		// Retry-safe like ingest: a client that lost the finish
+		// response gets the stored summary back.
+		return jobResult{result: s.result}
+	}
+	res, err := s.eng.Finish()
+	if err != nil {
+		return jobResult{err: err}
+	}
+	if s.log != nil {
+		// Seal before acking the summary, so a restart rebuilds the
+		// sealed result instead of offering an unsealed resume. A
+		// seal failure must not ack a finish the store cannot
+		// reproduce — it kills the session like any WAL fault.
+		if lerr := s.log.Seal(); lerr != nil {
+			return jobResult{err: s.walFailure("seal", lerr, tid)}
+		}
+	}
+	// Persisted adaptive sessions reconcile the partition over the
+	// sealed log: one sequential retract-and-reassign pass under
+	// the now-exact capacities (Record sessions already ran it
+	// inside Finish, over their in-memory buffer). Deterministic
+	// given the sealed log, so recovery reproduces the same result.
+	if s.eng.Adaptive() && !s.spec.Record && s.replay != nil {
+		src, rerr := s.replay()
+		if rerr != nil {
+			return jobResult{err: s.walFailure("replay", rerr, tid)}
+		}
+		if res, err = s.eng.ReconcilePass(src); err != nil {
+			return jobResult{err: s.walFailure("reconcile", err, tid)}
+		}
+	}
+	s.result = res
+	s.summary = s.summarize(res)
+	s.finished.Store(true)
+	s.m.sessionsFinished.Inc()
+	fields := map[string]any{
+		"session":     s.ID,
+		"k":           s.summary.K,
+		"assigned":    s.summary.Assigned,
+		"lifetime_ms": s.now().Sub(s.Created).Milliseconds(),
+	}
+	if s.summary.EdgeCut != nil {
+		fields["edge_cut"] = *s.summary.EdgeCut
+	}
+	if tid != "" {
+		fields["trace_id"] = tid
+	}
+	s.ev.Emit(telemetry.EventSessionSealed, fields)
+	return jobResult{result: res}
+}
+
+// admitted is what one ingest job did to the engine — a value local to
+// the job, not session state.
+type admitted struct {
+	// blocks are the assignments to acknowledge, aligned with the job's
+	// nodes: all of them, or on /nodes the prefix before a rejection.
+	blocks []int32
+	// fresh counts the nodes this job assigned for the first time. An
+	// idempotent re-push changed no state, and replay is idempotent
+	// anyway, so only fresh assignments are worth a log record.
+	fresh int
+	// freshAt indexes those nodes on /nodes, whose frames are the log
+	// records; /batch logs the group whole and needs only the count.
+	freshAt []int32
+	// err is the engine's rejection, if any.
+	err error
+}
+
+// admitEach is the /nodes admission: sequential pushes that stop at the
+// first rejection, keeping the accepted prefix.
+func (s *Session) admitEach(nodes []PushNode) (a admitted) {
+	// One allocation backs both the acknowledged blocks and the fresh
+	// indices; each half can hold every node of the job.
+	both := make([]int32, 2*len(nodes))
+	a.blocks, a.freshAt = both[:0:len(nodes)], both[len(nodes):len(nodes)]
+	for i := range nodes {
+		nd := &nodes[i]
+		w := nd.W
+		if w == 0 {
+			w = 1
+		}
+		before := s.eng.Assigned()
+		b, err := s.eng.Push(nd.U, w, nd.Adj, nd.EW)
+		if err != nil {
+			a.err = err
+			break
+		}
+		if s.eng.Assigned() > before {
+			a.freshAt = append(a.freshAt, int32(i))
+		}
+		a.blocks = append(a.blocks, b)
+	}
+	a.fresh = len(a.freshAt)
+	return a
+}
+
+// admitBatch is the /batch admission: the whole batch or none of it,
+// fanned out over the engine's parallel assignment workers.
+func (s *Session) admitBatch(nodes []PushNode) (a admitted) {
+	batch := make([]oms.Node, len(nodes))
+	for i := range nodes {
+		batch[i] = oms.Node{U: nodes[i].U, W: nodes[i].W, Adj: nodes[i].Adj, EW: nodes[i].EW}
+	}
+	before := s.eng.Assigned()
+	a.blocks, a.err = s.eng.PushBatch(batch)
+	a.fresh = int(s.eng.Assigned() - before)
+	return a
+}
+
+// appendRecords logs what the job freshly assigned, in the route's
+// record shape: on /nodes the request's own validated frames, verbatim;
+// on /batch one group frame carrying every node with its block.
+func (s *Session) appendRecords(j job, a admitted) error {
+	if j.batch {
+		return s.log.AppendBatch(j.nodes, a.blocks)
+	}
+	for _, i := range a.freshAt {
+		if err := s.log.AppendNodeFrame(j.nodes[i].Frame); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runIngest executes one ingest job on the owning worker: reserve the
+// growth, admit the nodes to the engine, log what that freshly assigned,
+// and only then acknowledge. The whole job is assigned before anything
+// is appended — the ack is at job end, so log-before-ack holds either
+// way — which makes engine time and log time one interval each.
+func (s *Session) runIngest(j job, tid string) jobResult {
+	if err := s.chargeGrowth(j.nodes); err != nil {
 		s.m.pushErrors.Inc()
 		return jobResult{err: err}
 	}
 	defer s.settleGrowth()
-	batch := make([]oms.Node, len(nodes))
-	for i := range nodes {
-		if nodes[i].W == 0 {
-			nodes[i].W = 1
-		}
-		batch[i] = oms.Node{U: nodes[i].U, W: nodes[i].W, Adj: nodes[i].Adj, EW: nodes[i].EW}
-	}
-	before := s.eng.Assigned()
-	var at time.Time
-	if traced {
-		at = time.Now()
+	var wall time.Time
+	if j.tr != nil {
+		wall = time.Now()
 	}
 	t0 := s.now()
-	blocks, err := s.eng.PushBatch(batch)
-	assignDur := s.now().Sub(t0)
-	s.m.assign.ObserveExemplar(assignDur, tid)
-	if traced {
-		j.tr.Span("assign", j.tr.Root(), at, time.Since(at))
+	var a admitted
+	if j.batch {
+		a = s.admitBatch(j.nodes)
+	} else {
+		a = s.admitEach(j.nodes)
+	}
+	s.m.assign.ObserveExemplar(s.now().Sub(t0), tid)
+	if j.tr != nil {
+		j.tr.Span("assign", j.tr.Root(), wall, time.Since(wall))
+	}
+	if a.err != nil {
+		s.m.pushErrors.Inc()
+	}
+	if s.log != nil {
+		if err := s.logIngest(j, a, tid); err != nil {
+			return jobResult{err: err}
+		}
+	}
+	var edges int64
+	for i := range a.blocks {
+		edges += int64(len(j.nodes[i].Adj))
+	}
+	s.m.nodesIngested.Add(int64(len(a.blocks)))
+	s.m.edgesIngested.Add(edges)
+	if j.batch {
+		s.m.batchesIngested.Inc()
+	} else {
+		s.m.chunksIngested.Inc()
+	}
+	return jobResult{blocks: a.blocks, err: a.err}
+}
+
+// logIngest is the durable half of an ingest job: append the fresh
+// records and, when the estimator advanced, its stats revision; then one
+// write-through and a checkpoint check. A job that appended nothing — a
+// rejected batch, a pure-duplicate retry — touches neither the log nor
+// the disk. A job that ends in a rejection after an accepted prefix
+// flushes like any other: the prefix is about to be acknowledged, and
+// after any ack a process crash loses nothing, an OS crash at most the
+// batched-fsync window. Any failure here kills the session.
+func (s *Session) logIngest(j job, a admitted, tid string) error {
+	var wall time.Time
+	if j.tr != nil {
+		wall = time.Now()
+	}
+	wrote := a.fresh > 0
+	var err error
+	if wrote {
+		err = s.appendRecords(j, a)
+	}
+	if err == nil && a.err == nil {
+		var stats bool
+		stats, err = s.maybeLogStats()
+		wrote = wrote || stats
 	}
 	if err != nil {
-		// Batches are atomic: a rejection applied nothing and logged
-		// nothing, so there is nothing to flush either.
-		s.m.pushErrors.Inc()
-		return jobResult{err: err}
+		return s.walFailure("append", err, tid)
 	}
-	fresh := int(s.eng.Assigned() - before)
-	if s.log != nil && fresh > 0 {
-		// One frame, one flush for the whole group. A batch with no
-		// fresh assignments (an idempotent client retry) skips the log
-		// entirely — replaying it would change nothing.
-		var wt time.Time
-		if traced {
-			wt = time.Now()
-		}
-		lerr := s.log.AppendBatch(nodes, blocks)
-		if lerr == nil {
-			lerr = s.maybeLogStats()
-		}
-		if traced {
-			wd := time.Since(wt)
-			j.tr.Span("wal.append", j.tr.Root(), wt, wd)
-			s.m.walAppend.AttachExemplar(wd, tid)
-		}
-		if lerr != nil {
-			return jobResult{err: s.walFailure("append", lerr, tid)}
-		}
-		var ft time.Time
-		if traced {
-			ft = time.Now()
-		}
-		lerr = s.log.Flush()
-		if traced {
-			fd := time.Since(ft)
-			j.tr.Span("wal.fsync", j.tr.Root(), ft, fd)
-			s.m.walFsync.AttachExemplar(fd, tid)
-		}
-		if lerr != nil {
-			return jobResult{err: s.walFailure("flush", lerr, tid)}
-		}
-		s.m.walRecords.Add(int64(fresh))
-		s.sinceSnap += fresh
-		s.snapshotSpan(j)
+	if !wrote {
+		return nil
 	}
-	for i := range nodes {
-		s.m.edgesIngested.Add(int64(len(nodes[i].Adj)))
+	s.m.walRecords.Add(int64(a.fresh))
+	s.sinceSnap += a.fresh
+	if j.tr != nil {
+		d := time.Since(wall)
+		j.tr.Span("wal.append", j.tr.Root(), wall, d)
+		s.m.walAppend.AttachExemplar(d, tid)
+		wall = time.Now()
 	}
-	s.m.nodesIngested.Add(int64(len(nodes)))
-	s.m.batchesIngested.Inc()
-	return jobResult{blocks: blocks}
+	err = s.log.Flush()
+	if j.tr != nil {
+		d := time.Since(wall)
+		j.tr.Span("wal.fsync", j.tr.Root(), wall, d)
+		s.m.walFsync.AttachExemplar(d, tid)
+	}
+	if err != nil {
+		return s.walFailure("flush", err, tid)
+	}
+	s.snapshotSpan(j)
+	return nil
 }
 
 // chargeGrowth reserves the coverage a chunk or batch is about to add
@@ -662,27 +638,24 @@ func (s *Session) settleGrowth() {
 }
 
 // maybeLogStats appends a durable stats-revision record when the
-// adaptive estimator advanced since the last one (no-op for declared
-// sessions, whose revision stays 0). Owning worker only, like every
-// log append.
-func (s *Session) maybeLogStats() error {
-	if s.log == nil {
-		return nil
-	}
+// adaptive estimator advanced since the last one, reporting whether it
+// did (never for declared sessions, whose revision stays 0). Owning
+// worker only, like every log append.
+func (s *Session) maybeLogStats() (bool, error) {
 	rev := s.eng.StatsRevision()
 	if rev == s.lastStatsRev {
-		return nil
+		return false, nil
 	}
 	st, ok := s.eng.EstimatorSnapshot()
 	if !ok {
-		return nil
+		return false, nil
 	}
 	if err := s.log.AppendStats(st); err != nil {
-		return err
+		return false, err
 	}
 	s.lastStatsRev = rev
 	s.m.statsRevisions.Inc()
-	return nil
+	return true, nil
 }
 
 // maybeSnapshot checkpoints the engine when enough fresh records have

@@ -47,34 +47,33 @@ type Store interface {
 	ReplaySource(id string) (oms.Source, error)
 }
 
-// RecordAppender is the transport-agnostic append surface of a session
-// log: the exact sequence of records a session acknowledges, in order,
-// with Flush as the durability barrier the ack waits on. It is the
-// interface a log *decorator* implements to fan an append stream out
-// beyond the local disk — the cluster's replication wrapper, for one,
-// forwards the flushed byte range of the underlying WAL file to a
-// network follower after every Flush. Decorators compose because
-// nothing here names a file: the contract is "records in, durable
-// records out", whatever the transport.
-type RecordAppender interface {
-	// AppendNode logs one accepted push. The record must be durable
-	// against a process crash (written to the OS) once the following
-	// Flush returns; fsync durability is batched per the store's sync
-	// interval.
-	AppendNode(u, w int32, adj, ew []int32) error
-	// AppendNodeFrame logs one accepted push from its already-encoded
-	// wire frame (header + payload, as validated at the HTTP boundary),
-	// verbatim — the zero-copy half of the log-before-ack path. The
-	// frame must be a valid wire.TypeNode frame; implementations may
-	// append it without re-verifying. Durability semantics match
-	// AppendNode.
+// SessionLog is one session's durable record log: the exact sequence
+// of records the session acknowledges, in order, with Flush as the
+// durability barrier the ack waits on; the checkpoint, seal and release
+// that bound its life; and the side-store of refined result versions.
+// All calls are made from the single worker that owns the session, so
+// implementations need only guard against concurrent Close from the
+// manager. Nothing here names a file — the contract is "records in,
+// durable records out" — so a decorator embeds the whole interface and
+// overrides what it changes: the cluster's replication wrapper forwards
+// the flushed byte range of the underlying WAL file to a follower after
+// every Flush and Seal.
+type SessionLog interface {
+	// AppendNodeFrame logs one push accepted on /nodes from its wire
+	// frame (header + payload, as validated at the ingest boundary),
+	// verbatim. The frame must be a valid wire.TypeNode frame;
+	// implementations may append it without re-verifying, and must
+	// reject a missing one rather than write an empty record. The record
+	// must be durable against a process crash (written to the OS) once
+	// the following Flush returns; fsync durability is batched per the
+	// store's sync interval.
 	AppendNodeFrame(frame []byte) error
-	// AppendBatch group-commits one accepted ingest batch together with
-	// the blocks the engine assigned: one frame (one checksum) for the
-	// whole group, so recovery resurrects the batch all-or-nothing and
-	// replays the recorded assignments verbatim — parallel batch
-	// assignment is not deterministic, so the decisions themselves are
-	// what must survive. Weights arrive normalized (no zeros).
+	// AppendBatch group-commits one accepted /batch together with the
+	// blocks the engine assigned: one frame (one checksum) over the
+	// nodes' verbatim payloads, so recovery resurrects the batch
+	// all-or-nothing and replays the recorded assignments verbatim —
+	// parallel batch assignment is not deterministic, so the decisions
+	// themselves are what must survive. Every node carries its Frame.
 	AppendBatch(nodes []PushNode, blocks []int32) error
 	// AppendStats logs one stats-revision record of an adaptive session:
 	// the estimator state in force after every record appended so far.
@@ -83,57 +82,36 @@ type RecordAppender interface {
 	// adaptation trajectory.
 	AppendStats(st oms.EstimatorState) error
 	// Flush writes buffered records through to the operating system;
-	// the service calls it once per acknowledged chunk, and it is the
-	// point a replicating decorator propagates (and, in wait-for-
-	// follower mode, waits on) the new durable prefix.
+	// the service calls it once per acknowledged job that appended, and
+	// it is the point a replicating decorator propagates (and, in wait-
+	// for-follower mode, waits on) the new durable prefix.
 	Flush() error
-}
 
-// LogControl is a session log's lifecycle surface: the checkpoint that
-// bounds replay, the seal that ends the record stream, and release.
-// Decorators forward all three; Seal in particular must reach a replica
-// (a sealed log is what lets a promoted follower finish the session).
-type LogControl interface {
 	// Snapshot atomically persists a checkpoint covering every record
 	// appended so far, so recovery replays only the tail after it.
 	// Checkpoints are local derived state — a replica rebuilds its own
 	// from the shipped records, so decorators need not forward them.
 	Snapshot(st oms.SessionState) error
 	// Seal marks the session finished and forces the log to stable
-	// storage. A sealed log rejects further appends.
+	// storage. A sealed log rejects further appends. A decorator must
+	// carry the seal to a replica (a sealed log is what lets a promoted
+	// follower finish the session).
 	Seal() error
 	// Close releases the log without removing its files.
 	Close() error
-}
 
-// VersionStore persists refined result versions alongside a session
-// log. Versions are whole-file, CRC-protected artifacts outside the
-// record stream; replication does not ship them (a promoted follower
-// re-refines if asked).
-type VersionStore interface {
 	// SaveVersion durably persists one refined result version, atomically
 	// (write-rename like a checkpoint): after a crash either the whole
 	// version is back or none of it is — a torn version must never be
-	// served. Versions are keyed by v.Version; saving is allowed on a
-	// sealed log (refinement only runs after Finish).
+	// served. Versions are whole-file, CRC-protected artifacts outside
+	// the record stream, keyed by v.Version; saving is allowed on a
+	// sealed log (refinement only runs after Finish), and replication
+	// does not ship them (a promoted follower re-refines if asked).
 	SaveVersion(v RefinedVersion) error
 	// LoadVersion reads one previously saved version back, whole (CRC
 	// verified). The session serves cold versions through it after
 	// pruning their assignment from memory.
 	LoadVersion(version int32) (RefinedVersion, error)
-}
-
-// SessionLog is one session's durable record log: the append stream,
-// its lifecycle, and the version side-store. All calls are made from
-// the single worker that owns the session, so implementations need only
-// guard against concurrent Close from the manager. The interface is a
-// composition so a decorator (replication, instrumentation) can be
-// written against the narrow surface it actually changes and embed the
-// rest.
-type SessionLog interface {
-	RecordAppender
-	LogControl
-	VersionStore
 }
 
 // RecoveredSession is one persisted session as reported by

@@ -161,14 +161,16 @@ func TestTraceEndToEnd(t *testing.T) {
 		}
 		stages[name] = sp
 	}
-	// The lifecycle is ordered: a chunk waits in the queue, is assigned,
-	// then logged; the fsync covers the append's flush.
-	if stages["assign"].Start.Before(stages["queue"].Start) ||
-		stages["wal.append"].Start.Before(stages["assign"].Start) ||
-		stages["wal.fsync"].Start.Before(stages["wal.append"].Start) {
-		t.Errorf("stage starts not monotone: queue=%s assign=%s append=%s fsync=%s",
-			stages["queue"].Start, stages["assign"].Start,
-			stages["wal.append"].Start, stages["wal.fsync"].Start)
+	// The lifecycle is ordered: a chunk waits in the queue, is assigned
+	// whole, then logged, then flushed — each stage starts after the one
+	// before it has ended.
+	order := []string{"queue", "assign", "wal.append", "wal.fsync"}
+	for i := 1; i < len(order); i++ {
+		prev, next := stages[order[i-1]], stages[order[i]]
+		if next.Start.Before(prev.Start.Add(prev.Dur)) {
+			t.Errorf("stage %q starts %s, before %q (%s + %s) has ended",
+				order[i], next.Start, order[i-1], prev.Start, prev.Dur)
+		}
 	}
 
 	// The same tree must come back over HTTP.

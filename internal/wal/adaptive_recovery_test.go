@@ -72,7 +72,7 @@ func TestAdaptiveRecoveryResumesByteIdentical(t *testing.T) {
 		hi := min(lo+64, len(recs))
 		nodes := make([]service.PushNode, 0, hi-lo)
 		for _, r := range recs[lo:hi] {
-			nodes = append(nodes, service.PushNode{U: r.u, W: r.w, Adj: r.adj, EW: r.ew})
+			nodes = append(nodes, framed(r.u, r.w, r.adj, r.ew))
 		}
 		got, err := s2.Ingest(context.Background(), mgr2.Pool(), nodes)
 		if err != nil {

@@ -6,41 +6,115 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"oms"
 	"oms/internal/service"
+	"oms/internal/wire"
 )
 
-// frame wraps a payload in the log's length+CRC header, exactly as
-// writeFrame does.
-func frame(payload []byte) []byte {
-	var out []byte
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
+// seedLog writes a healthy little log through the product encoders —
+// two node frames, a batch frame, a stats frame, a seal: every live
+// record kind — and returns its bytes plus the offset each frame ends at.
+func seedLog(tb testing.TB) (log []byte, ends []int64) {
+	tb.Helper()
+	st, err := Open(tb.TempDir(), Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	slg, err := st.Create("seed", spec(8, 8))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lg := slg.(*Log)
+	for _, step := range []func() error{
+		func() error { return lg.AppendNodeFrame(framed(0, 1, []int32{1, 2}, nil).Frame) },
+		func() error { return lg.AppendNodeFrame(framed(1, 2, []int32{0}, []int32{3}).Frame) },
+		func() error {
+			return lg.AppendBatch([]service.PushNode{
+				framed(2, 1, []int32{0, 1}, nil),
+				framed(3, 1, nil, nil),
+			}, []int32{0, 1})
+		},
+		func() error {
+			return lg.AppendStats(oms.EstimatorState{
+				SeenNodes: 4, SeenNodeWeight: 5, SeenAdj: 5, SeenEdgeWeight: 7,
+				NextRatchet: 6, Revision: 3,
+				Est: oms.StreamStats{N: 8, M: 4, TotalNodeWeight: 10, TotalEdgeWeight: 7},
+			})
+		},
+		lg.Seal,
+	} {
+		if err := step(); err != nil {
+			tb.Fatal(err)
+		}
+		if err := lg.Flush(); err != nil {
+			tb.Fatal(err)
+		}
+		ends = append(ends, lg.Flushed())
+	}
+	if err := lg.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	log, err = os.ReadFile(st.LogPath("seed"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return log, ends
 }
 
-// seedLog builds a healthy little log: node frames, a batch frame, a
-// stats frame, a seal.
-func seedLog() []byte {
-	var log []byte
-	log = append(log, frame(appendNodePayload(nil, 0, 1, []int32{1, 2}, nil))...)
-	log = append(log, frame(appendNodePayload(nil, 1, 2, []int32{0}, []int32{3}))...)
-	batch := []byte{recBatch}
-	batch = binary.LittleEndian.AppendUint32(batch, 2)
-	batch = binary.LittleEndian.AppendUint32(batch, 0) // block of node 2
-	batch = appendNodeBody(batch, 2, 1, []int32{0, 1}, nil)
-	batch = binary.LittleEndian.AppendUint32(batch, 1) // block of node 3
-	batch = appendNodeBody(batch, 3, 1, nil, nil)
-	log = append(log, frame(batch)...)
-	log = append(log, frame(appendStatsPayload(nil, oms.EstimatorState{
-		SeenNodes: 4, SeenNodeWeight: 5, SeenAdj: 5, SeenEdgeWeight: 7,
-		NextRatchet: 6, Revision: 3,
-		Est: oms.StreamStats{N: 8, M: 4, TotalNodeWeight: 10, TotalEdgeWeight: 7},
-	}))...)
-	log = append(log, frame([]byte{recSeal})...)
-	return log
+// retiredTypeLog is a healthy unsealed prefix (the seed's two node
+// frames), then a frame whose CRC is valid but whose type byte is the
+// retired typ, then one more healthy node frame: a scan must end at the
+// retired frame — it is not a record — and never reach the node behind.
+func retiredTypeLog(tb testing.TB, typ byte) (log []byte, validEnd int64) {
+	good, ends := seedLog(tb)
+	log = append(log, good[:ends[1]]...)
+	log = wire.AppendFrame(log, []byte{typ, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	log = append(log, framed(4, 1, []int32{0}, nil).Frame...)
+	return log, ends[1]
+}
+
+// logScanSeeds are the committed inputs of the two log fuzzers, by
+// corpus file name.
+func logScanSeeds(tb testing.TB) map[string][]byte {
+	good, _ := seedLog(tb)
+	corrupt := bytes.Clone(good)
+	corrupt[10] ^= 0x40 // flip a payload bit: CRC must catch it
+	type1, _ := retiredTypeLog(tb, 1)
+	type3, _ := retiredTypeLog(tb, 3)
+	return map[string][]byte{
+		"healthy-sealed": good,
+		"torn-tail":      good[:len(good)-3], // torn mid-frame
+		"crc-flip":       corrupt,
+		"retired-type-1": type1,
+		"retired-type-3": type3,
+		// A batch declaring 2^28 nodes and carrying none.
+		"huge-count": wire.AppendFrame(nil, []byte{wire.TypeBatch, 0x80, 0x80, 0x80, 0x80, 0x01}),
+	}
+}
+
+// TestWriteSeedCorpus regenerates the committed fuzz seed corpora when
+// OMS_WRITE_CORPUS=1, like the wire package's: the files mirror the
+// f.Add seeds so CI fuzz jobs start from logs in the live codec even
+// with an empty build cache.
+func TestWriteSeedCorpus(t *testing.T) {
+	if os.Getenv("OMS_WRITE_CORPUS") == "" {
+		t.Skip("set OMS_WRITE_CORPUS=1 to regenerate testdata/fuzz")
+	}
+	for name, data := range logScanSeeds(t) {
+		for _, fuzzer := range []string{"FuzzLogScan", "FuzzRecoverSession"} {
+			dir := filepath.Join("testdata", "fuzz", fuzzer)
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // FuzzLogScan feeds arbitrary bytes to the WAL recovery scanner and
@@ -49,16 +123,11 @@ func seedLog() []byte {
 // surviving prefix must re-scan to the identical result and replay
 // exactly the counted records.
 func FuzzLogScan(f *testing.F) {
-	good := seedLog()
-	f.Add(good)
-	f.Add(good[:len(good)-3]) // torn mid-frame
-	f.Add([]byte{})           // empty log
+	for _, seed := range logScanSeeds(f) {
+		f.Add(seed)
+	}
+	f.Add([]byte{}) // empty log
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	corrupt := append([]byte(nil), good...)
-	corrupt[10] ^= 0x40 // flip a payload bit: CRC must catch it
-	f.Add(corrupt)
-	huge := frame([]byte{recBatch, 0xff, 0xff, 0xff, 0xff}) // count 2^32-1, no entries
-	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -168,7 +237,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 // panic and every recovered session's replay must succeed over the
 // truncated log.
 func FuzzRecoverSession(f *testing.F) {
-	f.Add(seedLog())
+	for _, seed := range logScanSeeds(f) {
+		f.Add(seed)
+	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x7f}, 100))
 

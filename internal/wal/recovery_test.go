@@ -20,7 +20,7 @@ func ingestAll(t *testing.T, mgr *service.Manager, s *service.Session, recs []pu
 		hi := min(lo+chunk, len(recs))
 		nodes := make([]service.PushNode, 0, hi-lo)
 		for _, r := range recs[lo:hi] {
-			nodes = append(nodes, service.PushNode{U: r.u, W: r.w, Adj: r.adj, EW: r.ew})
+			nodes = append(nodes, framed(r.u, r.w, r.adj, r.ew))
 		}
 		if _, err := s.Ingest(context.Background(), mgr.Pool(), nodes); err != nil {
 			t.Fatal(err)
@@ -248,7 +248,7 @@ func TestBatchRecoveryPreservesAckedAssignments(t *testing.T) {
 		hi := min(lo+batch, cut)
 		nodes := make([]service.PushNode, 0, hi-lo)
 		for _, r := range recs[lo:hi] {
-			nodes = append(nodes, service.PushNode{U: r.u, W: r.w, Adj: r.adj, EW: r.ew})
+			nodes = append(nodes, framed(r.u, r.w, r.adj, r.ew))
 		}
 		blocks, err := s.IngestBatch(context.Background(), mgr.Pool(), nodes)
 		if err != nil {
@@ -280,7 +280,7 @@ func TestBatchRecoveryPreservesAckedAssignments(t *testing.T) {
 		hi := min(lo+batch, len(recs))
 		nodes := make([]service.PushNode, 0, hi-lo)
 		for _, r := range recs[lo:hi] {
-			nodes = append(nodes, service.PushNode{U: r.u, W: r.w, Adj: r.adj, EW: r.ew})
+			nodes = append(nodes, framed(r.u, r.w, r.adj, r.ew))
 		}
 		if _, err := s2.IngestBatch(context.Background(), mgr2.Pool(), nodes); err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"oms"
@@ -148,8 +149,9 @@ func (r *ReplaySource) ForEachParallel(threads int, fn stream.ParallelVisitor) e
 		if seen(u) {
 			return nil
 		}
-		// replayLog already hands out per-record copies; keep them.
-		cur = append(cur, rec{u: u, w: w, adj: adj, ew: ew})
+		// replayLog's slices alias its decode arena and die with the
+		// record; a worker reads them later, so each record gets copies.
+		cur = append(cur, rec{u: u, w: w, adj: slices.Clone(adj), ew: slices.Clone(ew)})
 		if len(cur) >= batchRecords {
 			ch <- cur
 			cur = make([]rec, 0, batchRecords)

@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"oms/internal/service"
@@ -21,7 +22,7 @@ func TestReplaySourceMatchesIngestedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if err := lg.AppendNode(r.u, r.w, r.adj, r.ew); err != nil {
+		if err := lg.AppendNodeFrame(framed(r.u, r.w, r.adj, r.ew).Frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,10 +66,16 @@ func TestReplaySourceMatchesIngestedStream(t *testing.T) {
 		}
 	}
 
-	// The parallel walk covers every record exactly once.
+	// The parallel walk covers every record exactly once, and hands each
+	// worker the record's own adjacency: a worker reads it long after the
+	// producer's decode arena has moved on to later records.
 	var mu = make([]int32, 500)
-	err = src.ForEachParallel(4, func(_ int, u int32, _ int32, _ []int32, _ []int32) {
+	var wrong atomic.Int32
+	err = src.ForEachParallel(4, func(_ int, u int32, _ int32, adj []int32, _ []int32) {
 		mu[u]++
+		if !equalI32(adj, recs[u].adj) {
+			wrong.Add(1)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +84,9 @@ func TestReplaySourceMatchesIngestedStream(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("parallel replay visited node %d %d times", u, c)
 		}
+	}
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("parallel replay handed %d nodes another record's adjacency", n)
 	}
 
 	if err := lg.Close(); err != nil {
@@ -99,18 +109,18 @@ func TestReplaySourceCoversBatchFrames(t *testing.T) {
 	// a later per-node record repeats node 0: replay must collapse both
 	// to their first occurrence, like the engine's own push semantics.
 	nodes := []service.PushNode{
-		{U: 0, W: 1, Adj: []int32{1}},
-		{U: 1, W: 1, Adj: []int32{0, 2}},
-		{U: 1, W: 1, Adj: []int32{0, 2}},
-		{U: 2, W: 1, Adj: []int32{1}},
+		framed(0, 1, []int32{1}, nil),
+		framed(1, 1, []int32{0, 2}, nil),
+		framed(1, 1, []int32{0, 2}, nil),
+		framed(2, 1, []int32{1}, nil),
 	}
 	if err := lg.AppendBatch(nodes, []int32{0, 0, 0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := lg.AppendNode(3, 1, []int32{2}, nil); err != nil {
+	if err := lg.AppendNodeFrame(framed(3, 1, []int32{2}, nil).Frame); err != nil {
 		t.Fatal(err)
 	}
-	if err := lg.AppendNode(0, 1, []int32{1}, nil); err != nil {
+	if err := lg.AppendNodeFrame(framed(0, 1, []int32{1}, nil).Frame); err != nil {
 		t.Fatal(err)
 	}
 	if err := lg.Seal(); err != nil {
@@ -165,7 +175,7 @@ func TestVersionRoundTripAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if err := lg.AppendNode(r.u, r.w, r.adj, r.ew); err != nil {
+		if err := lg.AppendNodeFrame(framed(r.u, r.w, r.adj, r.ew).Frame); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -58,22 +57,8 @@ func (st *Store) OpenReplica(id string, spec []byte) (*ReplicaLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, sealed, validEnd, err := scanLog(f)
+	_, sealed, validEnd, err := openValidated(f)
 	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if fi, err := f.Stat(); err == nil && fi.Size() > validEnd {
-		if err := f.Truncate(validEnd); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -100,6 +85,7 @@ func (r *ReplicaLog) Append(payload, frame []byte) error {
 	if r.sealed {
 		return fmt.Errorf("wal: append to sealed replica")
 	}
+	r.arena.Reset()
 	_, seal, ok := validateRecord(&r.arena, payload)
 	if !ok {
 		return fmt.Errorf("wal: shipped frame is not a valid log record")

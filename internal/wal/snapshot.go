@@ -11,12 +11,8 @@ import (
 )
 
 // snapMagic begins every snapshot file; bump the trailing digit on
-// incompatible format changes. Version 2 appends an optional adaptive
-// estimator block after the scalar header; version-1 files (no block)
-// are still read.
+// incompatible format changes.
 var snapMagic = [8]byte{'O', 'M', 'S', 'S', 'N', 'A', 'P', '2'}
-
-var snapMagicV1 = [8]byte{'O', 'M', 'S', 'S', 'N', 'A', 'P', '1'}
 
 const snapName = "snap"
 
@@ -60,8 +56,7 @@ func encodeSnapshot(count int64, st oms.SessionState) []byte {
 	return buf
 }
 
-// decodeSnapshot parses a snapshot file's contents (current or v1
-// format).
+// decodeSnapshot parses a snapshot file's contents.
 func decodeSnapshot(b []byte) (count int64, st oms.SessionState, err error) {
 	fail := func() (int64, oms.SessionState, error) {
 		return 0, oms.SessionState{}, fmt.Errorf("wal: corrupt snapshot")
@@ -69,9 +64,7 @@ func decodeSnapshot(b []byte) (count int64, st oms.SessionState, err error) {
 	if len(b) < len(snapMagic)+4 {
 		return fail()
 	}
-	magic := [8]byte(b[:8])
-	v1 := magic == snapMagicV1
-	if !v1 && magic != snapMagic {
+	if [8]byte(b[:8]) != snapMagic {
 		return fail()
 	}
 	sum := binary.LittleEndian.Uint32(b[8:])
@@ -84,23 +77,19 @@ func decodeSnapshot(b []byte) (count int64, st oms.SessionState, err error) {
 	}
 	count = int64(binary.LittleEndian.Uint64(body[0:]))
 	st.EdgesSeen = int64(binary.LittleEndian.Uint64(body[8:]))
-	rest := body[16:]
-	if !v1 {
-		// The estimator block sits between the scalars and the loads.
-		flag := rest[0]
-		rest = rest[1:]
-		switch flag {
-		case 0:
-		case 1:
-			est, err := decodeEstimatorFields(rest)
-			if err != nil {
-				return fail()
-			}
-			st.Estimator = &est
-			rest = rest[estimatorFieldsLen:]
-		default:
+	// The estimator block sits between the scalars and the loads.
+	rest := body[17:]
+	switch body[16] {
+	case 0:
+	case 1:
+		est, err := decodeEstimatorFields(rest)
+		if err != nil {
 			return fail()
 		}
+		st.Estimator = &est
+		rest = rest[estimatorFieldsLen:]
+	default:
+		return fail()
 	}
 	if len(rest) < 4 {
 		return fail()

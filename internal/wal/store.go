@@ -191,24 +191,8 @@ func (st *Store) recoverOne(id string) (service.RecoveredSession, error) {
 	if err != nil {
 		return rec, err
 	}
-	nodes, sealed, validEnd, err := scanLog(f)
+	nodes, sealed, validEnd, err := openValidated(f)
 	if err != nil {
-		f.Close()
-		return rec, err
-	}
-	if fi, err := f.Stat(); err == nil && fi.Size() > validEnd {
-		// Torn tail: the crash interrupted a frame write. Everything
-		// before it checksums clean; cut the log there.
-		if err := f.Truncate(validEnd); err != nil {
-			f.Close()
-			return rec, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return rec, err
-		}
-	}
-	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
 		f.Close()
 		return rec, err
 	}
@@ -270,74 +254,77 @@ func scanLog(f *os.File) (nodes int64, sealed bool, validEnd int64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, false, 0, err
 	}
-	r := bufio.NewReaderSize(f, 256<<10)
-	var arena wire.Arena
+	rd := wire.NewReader(f)
 	for {
-		payload, size, err := readFrame(r)
-		if err == io.EOF || err == errTornFrame {
-			return nodes, sealed, validEnd, nil
+		rd.Arena.Reset()
+		payload, frame, err := rd.NextFrame()
+		if err == io.EOF || errors.Is(err, wire.ErrMalformed) {
+			return nodes, false, validEnd, nil
 		}
 		if err != nil {
 			return 0, false, 0, err
 		}
-		n, seal, ok := validateRecord(&arena, payload)
+		n, seal, ok := validateRecord(&rd.Arena, payload)
 		if !ok {
-			return nodes, sealed, validEnd, nil
+			return nodes, false, validEnd, nil
 		}
 		nodes += n
+		validEnd += int64(len(frame))
 		if seal {
 			// Nothing may follow a seal; stop at it either way.
-			return nodes, true, validEnd + size, nil
+			return nodes, true, validEnd, nil
 		}
-		validEnd += size
 	}
+}
+
+// openValidated scans f like scanLog, truncates whatever follows the
+// valid prefix (a torn tail: the crash interrupted a frame write, and
+// everything before it checksums clean), and leaves f positioned at the
+// validated end, ready for appends. Recovery and a replica reopening its
+// copy share it, so both keep exactly the same whole-frame prefix.
+func openValidated(f *os.File) (nodes int64, sealed bool, validEnd int64, err error) {
+	if nodes, sealed, validEnd, err = scanLog(f); err != nil {
+		return 0, false, 0, err
+	}
+	if fi, err := f.Stat(); err == nil && fi.Size() > validEnd {
+		if err := f.Truncate(validEnd); err != nil {
+			return 0, false, 0, err
+		}
+		if err := f.Sync(); err != nil {
+			return 0, false, 0, err
+		}
+	}
+	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
+		return 0, false, 0, err
+	}
+	return nodes, sealed, validEnd, nil
 }
 
 // validateRecord decodes one frame payload just far enough to prove it
 // is a well-formed log record, returning the node records it carries
 // and whether it is the terminal seal. ok=false means the payload is
-// not a valid record — a torn tail during a recovery scan, or a corrupt
-// shipped frame at a replica.
+// not a valid record — a torn tail during a recovery scan, a corrupt
+// shipped frame at a replica, or a type byte that is not a log record
+// (the retired 1 and 3 included). Decoding appends to arena.Ints; the
+// caller resets the arena between records.
 func validateRecord(arena *wire.Arena, payload []byte) (nodes int64, seal, ok bool) {
 	switch payload[0] {
-	case recNode:
-		if _, _, _, _, err := decodeNodePayload(payload[1:]); err != nil {
-			return 0, false, false
-		}
-		return 1, false, true
 	case wire.TypeNode:
-		arena.Reset()
-		if _, err := wire.DecodeNodeInto(arena, payload); err != nil {
-			return 0, false, false
-		}
-		return 1, false, true
-	case recBatch:
-		entries, err := decodeBatchPayload(payload[1:])
-		if err != nil {
-			return 0, false, false
-		}
-		return int64(len(entries)), false, true
+		_, err := wire.DecodeNodeInto(arena, payload)
+		return 1, false, err == nil
 	case wire.TypeBatch:
-		arena.Reset()
-		count := int64(0)
 		err := wire.ForEachBatchNode(arena, payload, func(wire.Node, int32) error {
-			count++
+			nodes++
 			return nil
 		})
-		if err != nil {
-			return 0, false, false
-		}
-		return count, false, true
-	case recStats:
-		if _, err := decodeStatsPayload(payload[1:]); err != nil {
-			return 0, false, false
-		}
-		return 0, false, true
-	case recSeal:
-		return 0, true, true
-	default:
-		return 0, false, false
+		return nodes, false, err == nil
+	case wire.TypeStats:
+		_, err := decodeStatsPayload(payload)
+		return 0, false, err == nil
+	case wire.TypeSeal:
+		return 0, true, len(payload) == 1
 	}
+	return 0, false, false
 }
 
 // replayLog streams the log's node records in append order, skipping
@@ -346,7 +333,8 @@ func validateRecord(arena *wire.Arena, payload []byte) (nodes int64, seal, ok bo
 // with block -1 (re-derive the assignment); batch frames carry the
 // recorded assignment, replayed verbatim. The skip count is per node
 // record, so a snapshot boundary inside a batch frame skips exactly the
-// covered sub-records.
+// covered sub-records. The adjacency slices handed to fn alias the
+// reader's arena: they are valid until fn returns.
 //
 // Stats-revision frames past the skipped prefix are handed to the
 // optional stats callback (nil ignores them): applying the recorded
@@ -360,11 +348,11 @@ func replayLog(path string, skip, total int64, fn func(u, w int32, adj, ew []int
 		return err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 256<<10)
-	var arena wire.Arena
+	rd := wire.NewReader(f)
 	seen := int64(0)
 	for seen < total {
-		payload, _, err := readFrame(r)
+		rd.Arena.Reset()
+		payload, _, err := rd.NextFrame()
 		if err != nil {
 			if err == io.EOF {
 				return fmt.Errorf("wal: log ends after %d of %d records", seen, total)
@@ -372,61 +360,32 @@ func replayLog(path string, skip, total int64, fn func(u, w int32, adj, ew []int
 			return err
 		}
 		switch payload[0] {
-		case recStats:
+		case wire.TypeStats:
 			if stats == nil || seen < skip {
 				continue
 			}
-			st, err := decodeStatsPayload(payload[1:])
+			st, err := decodeStatsPayload(payload)
 			if err != nil {
 				return err
 			}
 			if err := stats(st); err != nil {
 				return err
 			}
-		case recNode:
-			seen++
-			if seen <= skip {
-				// Snapshot-covered prefix: count the frame, skip the
-				// per-record decode allocations.
-				continue
-			}
-			u, w, adj, ew, err := decodeNodePayload(payload[1:])
-			if err != nil {
-				return err
-			}
-			if err := fn(u, w, adj, ew, -1); err != nil {
-				return err
-			}
 		case wire.TypeNode:
 			seen++
 			if seen <= skip {
+				// Snapshot-covered prefix: count the frame, skip the decode.
 				continue
 			}
-			arena.Reset()
-			nd, err := wire.DecodeNodeInto(&arena, payload)
+			nd, err := wire.DecodeNodeInto(&rd.Arena, payload)
 			if err != nil {
 				return err
 			}
 			if err := fn(nd.U, nd.W, nd.Adj, nd.EW, -1); err != nil {
 				return err
 			}
-		case recBatch:
-			entries, err := decodeBatchPayload(payload[1:])
-			if err != nil {
-				return err
-			}
-			for _, e := range entries {
-				seen++
-				if seen <= skip {
-					continue
-				}
-				if err := fn(e.u, e.w, e.adj, e.ew, e.block); err != nil {
-					return err
-				}
-			}
 		case wire.TypeBatch:
-			arena.Reset()
-			err := wire.ForEachBatchNode(&arena, payload, func(nd wire.Node, block int32) error {
+			err := wire.ForEachBatchNode(&rd.Arena, payload, func(nd wire.Node, block int32) error {
 				seen++
 				if seen <= skip {
 					return nil

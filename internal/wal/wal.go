@@ -10,12 +10,19 @@
 // replaying the log through the engine reproduces every load counter
 // and assignment bit-identically. Durability is then cheap:
 //
-//   - log.wal — length-prefixed binary frames, one per accepted push,
-//     each protected by a CRC32. Appends are buffered; the service
-//     flushes to the OS once per acknowledged chunk, and fsync is
-//     batched on a configurable interval, so a process crash loses
-//     nothing acknowledged and an OS crash loses at most the sync
-//     window.
+//   - log.wal — internal/wire frames (length + CRC32 + payload) of four
+//     record types from wire's one type table: the verbatim TypeNode
+//     frame of every push accepted on /nodes, one TypeBatch group frame
+//     per /batch (nodes plus the blocks the engine assigned — parallel
+//     assignment is racy, so the decisions are the durable fact, and
+//     one CRC makes the group all-or-nothing), a TypeStats estimator
+//     checkpoint whenever an adaptive session's projection advanced,
+//     and a terminal TypeSeal. The log frames bytes with wire's own
+//     reader and frame sealer; any other type byte ends a scan like a
+//     torn tail. Appends are buffered; the service flushes to the OS
+//     once per acknowledged chunk, and fsync is batched on a
+//     configurable interval, so a process crash loses nothing
+//     acknowledged and an OS crash loses at most the sync window.
 //   - snap — an atomically replaced checkpoint of the engine state
 //     (tree loads + assignment vector, O(n + k) by Theorem 1) covering
 //     a durable prefix of the log, so recovery replays only the tail.
@@ -33,8 +40,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 	"time"
@@ -44,191 +49,10 @@ import (
 	"oms/internal/wire"
 )
 
-// Record types discriminating log frames. recNode and recBatch are the
-// legacy v1 encodings (fixed-width little-endian fields), still decoded
-// so logs written before the wire v2 codec recover; every new write
-// uses the wire package's varint records (wire.TypeNode,
-// wire.TypeBatch), which are byte-identical to what the binary ingest
-// API carries — a validated request frame appends verbatim.
-const (
-	recNode = 1 // one accepted push: u, vwgt, adjacency, edge weights
-	recSeal = 2 // the session finished; nothing follows
-	// recBatch is one group-committed ingest batch: every node of the
-	// batch plus the block the engine assigned it. The assignment is
-	// recorded because parallel batch assignment is not deterministic —
-	// replay applies the logged decisions instead of re-deriving them,
-	// so recovered sessions match what clients were acknowledged even
-	// for racy parallel runs. One frame per batch means one CRC over
-	// the whole group: a crash mid-batch tears the single frame and the
-	// whole batch vanishes together, never a prefix of it.
-	recBatch = 3
-	// recStats is one stats-revision checkpoint of an adaptive (open-
-	// ended) session: the estimator state in force after the preceding
-	// records. Ratcheting is a deterministic function of the record
-	// sequence, so replay would re-derive the same state anyway — the
-	// frame pins it, resynchronizing recovery even if estimator
-	// internals drift between binary versions, and making divergence a
-	// loud recovery failure instead of silently different partitions.
-	recStats = 4
-)
-
-// maxFramePayload bounds one frame's payload during recovery scans; a
-// larger declared length is treated as corruption. It comfortably
-// exceeds any node the service accepts (the HTTP layer caps one node
-// line at 16 MiB of JSON). The WAL and the wire protocol share one
-// frame format, so the bounds must agree.
-const maxFramePayload = wire.MaxFramePayload
-
-// frameHeaderSize is the per-frame overhead: payload length + CRC32,
-// both little-endian uint32.
-const frameHeaderSize = wire.FrameHeaderSize
-
-var errTornFrame = errors.New("wal: torn or corrupt frame")
-
-// appendNodeBody encodes the shared node-record body (everything after
-// the type byte): u, w, degree, edge-weight flag, adjacency, weights.
-func appendNodeBody(buf []byte, u, w int32, adj, ew []int32) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(u))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(w))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(adj)))
-	if ew != nil {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	for _, v := range adj {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-	}
-	for _, v := range ew {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-	}
-	return buf
-}
-
-// appendNodePayload encodes one node record payload into buf.
-func appendNodePayload(buf []byte, u, w int32, adj, ew []int32) []byte {
-	buf = append(buf, recNode)
-	return appendNodeBody(buf, u, w, adj, ew)
-}
-
-// decodeNodeBody parses one node body from the front of p, returning
-// how many bytes it consumed (batch payloads concatenate several).
-func decodeNodeBody(p []byte) (u, w int32, adj, ew []int32, size int, err error) {
-	if len(p) < 13 {
-		return 0, 0, nil, nil, 0, errTornFrame
-	}
-	u = int32(binary.LittleEndian.Uint32(p[0:]))
-	w = int32(binary.LittleEndian.Uint32(p[4:]))
-	deg := int64(binary.LittleEndian.Uint32(p[8:]))
-	hasEW := p[12] == 1
-	want := int64(13) + 4*deg
-	if hasEW {
-		want += 4 * deg
-	}
-	if int64(len(p)) < want {
-		return 0, 0, nil, nil, 0, errTornFrame
-	}
-	adj = make([]int32, deg)
-	for i := range adj {
-		adj[i] = int32(binary.LittleEndian.Uint32(p[13+4*i:]))
-	}
-	if hasEW {
-		ew = make([]int32, deg)
-		off := 13 + 4*int(deg)
-		for i := range ew {
-			ew[i] = int32(binary.LittleEndian.Uint32(p[off+4*i:]))
-		}
-	}
-	return u, w, adj, ew, int(want), nil
-}
-
-// decodeNodePayload is the inverse of appendNodePayload, minus the type
-// byte already consumed by the caller.
-func decodeNodePayload(p []byte) (u, w int32, adj, ew []int32, err error) {
-	u, w, adj, ew, size, err := decodeNodeBody(p)
-	if err != nil {
-		return 0, 0, nil, nil, err
-	}
-	if size != len(p) {
-		return 0, 0, nil, nil, errTornFrame
-	}
-	return u, w, adj, ew, nil
-}
-
-// batchEntry is one decoded sub-record of a batch frame.
-type batchEntry struct {
-	u, w  int32
-	adj   []int32
-	ew    []int32
-	block int32
-}
-
-// decodeBatchPayload parses a batch frame payload (after the type
-// byte): count, then per node a block id followed by the node body.
-func decodeBatchPayload(p []byte) ([]batchEntry, error) {
-	if len(p) < 4 {
-		return nil, errTornFrame
-	}
-	count := int(binary.LittleEndian.Uint32(p[0:]))
-	p = p[4:]
-	// Pre-size from the payload actually present, not the declared
-	// count: each entry needs at least 17 bytes (block + node header),
-	// so a corrupt count cannot provoke an unbounded allocation before
-	// the per-entry decode fails it.
-	capHint := min(count, len(p)/17)
-	out := make([]batchEntry, 0, capHint)
-	for i := 0; i < count; i++ {
-		if len(p) < 4 {
-			return nil, errTornFrame
-		}
-		block := int32(binary.LittleEndian.Uint32(p[0:]))
-		u, w, adj, ew, size, err := decodeNodeBody(p[4:])
-		if err != nil {
-			return nil, err
-		}
-		p = p[4+size:]
-		out = append(out, batchEntry{u: u, w: w, adj: adj, ew: ew, block: block})
-	}
-	if len(p) != 0 {
-		return nil, errTornFrame
-	}
-	return out, nil
-}
-
-// readFrame reads one frame from r, returning its payload and total
-// encoded size. io.EOF means a clean end exactly at a frame boundary;
-// errTornFrame means a short read or checksum mismatch (the crash's
-// bytes); any other error is a real I/O fault that must NOT be treated
-// as a torn tail — truncating on it would destroy durable records.
-func readFrame(r *bufio.Reader) (payload []byte, size int64, err error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		switch err {
-		case io.EOF:
-			return nil, 0, io.EOF
-		case io.ErrUnexpectedEOF:
-			return nil, 0, errTornFrame
-		default:
-			return nil, 0, err
-		}
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:])
-	sum := binary.LittleEndian.Uint32(hdr[4:])
-	if n == 0 || n > maxFramePayload {
-		return nil, 0, errTornFrame
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, 0, errTornFrame
-		}
-		return nil, 0, err
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, 0, errTornFrame
-	}
-	return payload, frameHeaderSize + int64(n), nil
-}
+// errFrameless reports a node that reached the log without its validated
+// wire frame. Every product path frames a node at the ingest boundary;
+// the log never re-encodes one, and never writes an empty record.
+var errFrameless = errors.New("wal: node without its wire frame")
 
 // Log is one session's append-only record log, implementing the
 // service's SessionLog. Appends buffer in memory; Flush writes through
@@ -240,7 +64,7 @@ type Log struct {
 	f      *os.File
 	w      *bufio.Writer
 	dir    string // session directory, owns snap + spec.json
-	buf    []byte // frame scratch
+	buf    []byte // the one frame scratch: header hole, then payload
 	nodes  int64  // node records in the log
 	sealed bool
 	closed bool
@@ -267,26 +91,37 @@ type Log struct {
 	syncTimer *time.Timer
 }
 
-// AppendNode buffers one node record. The record reaches the OS at the
-// next Flush and stable storage at the next batched fsync (or Seal /
-// Snapshot / Close, which all force one).
-func (l *Log) AppendNode(u, w int32, adj, ew []int32) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// appendable reports why the log takes no more records, if it does not;
+// callers hold mu.
+func (l *Log) appendable() error {
 	switch {
 	case l.closed:
 		return fmt.Errorf("wal: append to closed log")
 	case l.sealed:
 		return fmt.Errorf("wal: append to sealed log")
 	}
-	t0 := time.Now()
-	l.buf = wire.AppendNodePayload(l.buf[:0], u, w, adj, ew)
-	if err := l.writeFrame(l.buf); err != nil {
+	return nil
+}
+
+// write buffers whole frames. They reach the OS at the next Flush and
+// stable storage at the next batched fsync (or Seal / Snapshot / Close,
+// which all force one). Callers hold mu.
+func (l *Log) write(frames []byte) error {
+	if _, err := l.w.Write(frames); err != nil {
 		return err
 	}
-	l.observeAppend(t0)
-	l.nodes++
+	l.dirty = true
+	l.size += int64(len(frames))
 	return nil
+}
+
+// writeRecord seals the frame built in the scratch — wire.BeginFrame's
+// header hole, then the payload — and buffers it: records the log
+// encodes itself are framed in place, by the same function that frames
+// a request. Callers hold mu.
+func (l *Log) writeRecord() error {
+	wire.EndFrame(l.buf, 0)
+	return l.write(l.buf)
 }
 
 // AppendNodeFrame buffers one node record from its already-encoded wire
@@ -296,20 +131,18 @@ func (l *Log) AppendNode(u, w int32, adj, ew []int32) error {
 // engine accepts the push), so nothing is re-checked or re-encoded
 // here: this is the zero-copy half of log-before-ack.
 func (l *Log) AppendNodeFrame(frame []byte) error {
+	if len(frame) <= wire.FrameHeaderSize {
+		return errFrameless
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	switch {
-	case l.closed:
-		return fmt.Errorf("wal: append to closed log")
-	case l.sealed:
-		return fmt.Errorf("wal: append to sealed log")
-	}
-	t0 := time.Now()
-	if _, err := l.w.Write(frame); err != nil {
+	if err := l.appendable(); err != nil {
 		return err
 	}
-	l.dirty = true
-	l.size += int64(len(frame))
+	t0 := time.Now()
+	if err := l.write(frame); err != nil {
+		return err
+	}
 	l.observeAppend(t0)
 	l.nodes++
 	return nil
@@ -333,11 +166,12 @@ func (l *Log) syncFile() error {
 	return err
 }
 
-// AppendBatch buffers one ingest batch as a group-committed frame: all
-// nodes plus their assigned blocks under a single CRC, so recovery sees
-// the batch all-or-nothing (a crash mid-write tears the one frame and
-// drops the whole group — never a prefix). The recorded assignments
-// make replay exact even though parallel batch assignment is racy.
+// AppendBatch buffers one ingest batch as a group-committed frame: the
+// assigned blocks, then every node's validated payload copied verbatim
+// out of its request frame, under a single CRC — so recovery sees the
+// batch all-or-nothing (a crash mid-write tears the one frame and drops
+// the whole group, never a prefix). The recorded assignments make
+// replay exact even though parallel batch assignment is racy.
 //
 // The all-or-nothing guarantee requires exactly one frame, so a batch
 // whose encoding would exceed the recovery scan's frame bound is an
@@ -352,50 +186,29 @@ func (l *Log) AppendBatch(nodes []service.PushNode, blocks []int32) error {
 	if len(nodes) == 0 {
 		return nil
 	}
-	// Cheap lower bound on the encoded size (varints are at least one
-	// byte per field and per adjacency entry): a batch that cannot fit
-	// the frame bound is rejected before encoding a quarter-gigabyte
-	// payload just to measure it.
-	minSize := int64(2) + int64(len(nodes))
+	body := 0
 	for i := range nodes {
-		if f := nodes[i].Frame; f != nil {
-			minSize += int64(len(f) - frameHeaderSize)
-			continue
+		if len(nodes[i].Frame) <= wire.FrameHeaderSize {
+			return errFrameless
 		}
-		minSize += 4 + int64(len(nodes[i].Adj)) + int64(len(nodes[i].EW))
-	}
-	if minSize > maxFramePayload {
-		return fmt.Errorf("wal: batch encodes to at least %d bytes, over the %d frame bound (split the batch)", minSize, maxFramePayload)
+		body += len(nodes[i].Frame) - wire.FrameHeaderSize
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	switch {
-	case l.closed:
-		return fmt.Errorf("wal: append to closed log")
-	case l.sealed:
-		return fmt.Errorf("wal: append to sealed log")
+	if err := l.appendable(); err != nil {
+		return err
 	}
 	t0 := time.Now()
-	payload := wire.AppendBatchHeader(l.buf[:0], blocks)
+	l.buf = wire.AppendBatchHeader(wire.BeginFrame(l.buf[:0]), blocks)
+	// The frames are already encoded, so the group's size is known
+	// before a byte of it is copied.
+	if size := len(l.buf) - wire.FrameHeaderSize + body; size > wire.MaxFramePayload {
+		return fmt.Errorf("wal: batch encodes to %d bytes, over the %d frame bound (split the batch)", size, wire.MaxFramePayload)
+	}
 	for i := range nodes {
-		nd := nodes[i]
-		if nd.Frame != nil {
-			// The request's validated node payload, copied verbatim out
-			// of its frame — the group record is the only new encoding.
-			payload = append(payload, nd.Frame[frameHeaderSize:]...)
-			continue
-		}
-		w := nd.W
-		if w == 0 {
-			w = 1
-		}
-		payload = wire.AppendNodePayload(payload, nd.U, w, nd.Adj, nd.EW)
+		l.buf = append(l.buf, nodes[i].Frame[wire.FrameHeaderSize:]...)
 	}
-	l.buf = payload
-	if len(payload) > maxFramePayload {
-		return fmt.Errorf("wal: batch encodes to %d bytes, over the %d frame bound (split the batch)", len(payload), maxFramePayload)
-	}
-	if err := l.writeFrame(payload); err != nil {
+	if err := l.writeRecord(); err != nil {
 		return err
 	}
 	l.observeAppend(t0)
@@ -404,12 +217,9 @@ func (l *Log) AppendBatch(nodes []service.PushNode, blocks []int32) error {
 }
 
 // estimatorFieldsLen is the fixed encoded size of an estimator-state
-// block: ten little-endian int64 fields. Stats frames and snapshots
+// block: ten little-endian int64 fields. Stats records and snapshots
 // share the encoding through the two helpers below.
 const estimatorFieldsLen = 10 * 8
-
-// statsPayloadLen is the fixed encoded size of a stats frame payload.
-const statsPayloadLen = 1 + estimatorFieldsLen
 
 // appendEstimatorFields encodes the estimator state block.
 func appendEstimatorFields(buf []byte, st oms.EstimatorState) []byte {
@@ -424,10 +234,10 @@ func appendEstimatorFields(buf []byte, st oms.EstimatorState) []byte {
 }
 
 // decodeEstimatorFields is the inverse of appendEstimatorFields over
-// exactly estimatorFieldsLen bytes.
+// the first estimatorFieldsLen bytes of p.
 func decodeEstimatorFields(p []byte) (oms.EstimatorState, error) {
 	if len(p) < estimatorFieldsLen {
-		return oms.EstimatorState{}, errTornFrame
+		return oms.EstimatorState{}, wire.ErrMalformed
 	}
 	f := make([]int64, 10)
 	for i := range f {
@@ -440,23 +250,24 @@ func decodeEstimatorFields(p []byte) (oms.EstimatorState, error) {
 	st.Est.N = int32(f[6])
 	st.Est.M, st.Est.TotalNodeWeight, st.Est.TotalEdgeWeight = f[7], f[8], f[9]
 	if st.SeenNodes < 0 || st.SeenNodeWeight < 0 || st.Revision < 0 || st.Est.N < 0 {
-		return oms.EstimatorState{}, errTornFrame
+		return oms.EstimatorState{}, wire.ErrMalformed
 	}
 	return st, nil
 }
 
-// appendStatsPayload encodes one estimator-state record.
+// appendStatsPayload encodes one stats-revision record: the type byte,
+// then the estimator block.
 func appendStatsPayload(buf []byte, st oms.EstimatorState) []byte {
-	return appendEstimatorFields(append(buf, recStats), st)
+	return appendEstimatorFields(append(buf, wire.TypeStats), st)
 }
 
-// decodeStatsPayload is the inverse of appendStatsPayload, minus the
-// type byte already consumed by the caller.
-func decodeStatsPayload(p []byte) (oms.EstimatorState, error) {
-	if len(p) != statsPayloadLen-1 {
-		return oms.EstimatorState{}, errTornFrame
+// decodeStatsPayload is the inverse of appendStatsPayload (type byte
+// included); the estimator block must fill the payload exactly.
+func decodeStatsPayload(payload []byte) (oms.EstimatorState, error) {
+	if len(payload) != 1+estimatorFieldsLen {
+		return oms.EstimatorState{}, wire.ErrMalformed
 	}
-	return decodeEstimatorFields(p)
+	return decodeEstimatorFields(payload[1:])
 }
 
 // AppendStats buffers one stats-revision record: the adaptive
@@ -465,30 +276,11 @@ func decodeStatsPayload(p []byte) (oms.EstimatorState, error) {
 func (l *Log) AppendStats(st oms.EstimatorState) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	switch {
-	case l.closed:
-		return fmt.Errorf("wal: append to closed log")
-	case l.sealed:
-		return fmt.Errorf("wal: append to sealed log")
-	}
-	l.buf = appendStatsPayload(l.buf[:0], st)
-	return l.writeFrame(l.buf)
-}
-
-// writeFrame frames payload into the buffered writer; callers hold mu.
-func (l *Log) writeFrame(payload []byte) error {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := l.w.Write(hdr[:]); err != nil {
+	if err := l.appendable(); err != nil {
 		return err
 	}
-	if _, err := l.w.Write(payload); err != nil {
-		return err
-	}
-	l.dirty = true
-	l.size += frameHeaderSize + int64(len(payload))
-	return nil
+	l.buf = appendStatsPayload(wire.BeginFrame(l.buf[:0]), st)
+	return l.writeRecord()
 }
 
 // Flush writes buffered records through to the operating system and
@@ -570,7 +362,8 @@ func (l *Log) Seal() error {
 	case l.sealed:
 		return nil
 	}
-	if err := l.writeFrame([]byte{recSeal}); err != nil {
+	l.buf = append(wire.BeginFrame(l.buf[:0]), wire.TypeSeal)
+	if err := l.writeRecord(); err != nil {
 		return err
 	}
 	if err := l.flushLocked(true); err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"oms"
 	"oms/internal/service"
+	"oms/internal/wire"
 )
 
 // testGraph returns a deterministic small graph as push records.
@@ -33,6 +34,22 @@ func testStream(t *testing.T, n int32) ([]pushRec, oms.SessionConfig) {
 		K:     8,
 	}
 	return recs, cfg
+}
+
+// framed hand-builds a node the way the ingest boundary delivers one:
+// with the canonical wire frame (zero weight is one, an empty edge-
+// weight list is none) that the log appends verbatim. It is the one
+// framing helper of this package's tests.
+func framed(u, w int32, adj, ew []int32) service.PushNode {
+	nd := service.PushNode{U: u, W: w, Adj: adj, EW: ew}
+	if w == 0 {
+		w = 1
+	}
+	if len(ew) == 0 {
+		ew = nil
+	}
+	nd.Frame = wire.AppendNodeFrame(nil, u, w, adj, ew)
+	return nd
 }
 
 func openStore(t *testing.T, dir string) *Store {
@@ -58,7 +75,7 @@ func TestLogRoundTripSealed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if err := lg.AppendNode(r.u, r.w, r.adj, r.ew); err != nil {
+		if err := lg.AppendNodeFrame(framed(r.u, r.w, r.adj, r.ew).Frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,7 +85,7 @@ func TestLogRoundTripSealed(t *testing.T) {
 	if err := lg.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if err := lg.AppendNode(0, 1, nil, nil); err == nil {
+	if err := lg.AppendNodeFrame(framed(0, 1, nil, nil).Frame); err == nil {
 		t.Fatal("append after seal succeeded")
 	}
 	if err := lg.Close(); err != nil {
@@ -104,73 +121,203 @@ func TestLogRoundTripSealed(t *testing.T) {
 	rec.Log.Close()
 }
 
-func TestTornTailTruncatedAndResumable(t *testing.T) {
-	dir := t.TempDir()
-	st := openStore(t, dir)
-	recs, _ := testStream(t, 1000)
-
-	lg, err := st.Create("s1-00000001", spec(1000, 0))
-	if err != nil {
-		t.Fatal(err)
+// TestCrashPointsKeepWholeFramePrefix enumerates the crash points of one
+// log holding every live record kind, written by the product encoders:
+// it is cut at every frame boundary, one byte either side of each, and
+// inside each frame. Whatever the cut, recovery (RecoverSession) and a
+// replica reopening the same bytes (OpenReplica) keep exactly the whole
+// frames before it — same node count, same offset, the file truncated
+// there, sealed only when the seal itself survived; a group-committed
+// batch comes back whole or not at all. The recovered log then resumes
+// appending at the cut, and the replica takes the rest of the owner's
+// frames — after refusing payloads that are not log records without
+// touching its file — and is adopted and recovered like a local log.
+func TestCrashPointsKeepWholeFramePrefix(t *testing.T) {
+	const id = "s1-0000c4a5"
+	full, ends := seedLog(t)
+	nodesAt := []int64{1, 2, 4, 4, 4} // two nodes, a batch of two, stats, seal
+	cuts := map[int64]bool{0: true}
+	prev := int64(0)
+	for _, e := range ends {
+		for _, c := range []int64{prev + 1, (prev + e) / 2, e - 1, e} {
+			cuts[c] = true
+		}
+		prev = e
 	}
-	half := len(recs) / 2
-	for _, r := range recs[:half] {
-		if err := lg.AppendNode(r.u, r.w, r.adj, r.ew); err != nil {
+	invalid := [][]byte{
+		{1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, // retired fixed-width node record
+		{3, 0, 0, 0, 0},           // retired fixed-width batch record
+		{wire.TypeNode, 9},        // node record cut short
+		{wire.TypeStats, 1, 2, 3}, // stats record of the wrong size
+		{wire.TypeSeal, 0},        // seal with a body
+		{wire.TypeAssign, 0},      // a reply, not a log record
+	}
+
+	for cut := range cuts {
+		whole := 0 // frames that survive the cut
+		for whole < len(ends) && ends[whole] <= cut {
+			whole++
+		}
+		var wantOff, wantNodes int64
+		if whole > 0 {
+			wantOff, wantNodes = ends[whole-1], nodesAt[whole-1]
+		}
+		wantSealed := whole == len(ends)
+		fileSize := func(st *Store) int64 {
+			t.Helper()
+			fi, err := os.Stat(st.LogPath(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fi.Size()
+		}
+
+		// The owner's side: crash, recover, resume.
+		st := openStore(t, t.TempDir())
+		lg, err := st.Create(id, spec(8, 8))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := lg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulate a torn frame: append a plausible header and a partial
-	// payload that the crash cut short.
-	logPath := filepath.Join(dir, sessionsDir, "s1-00000001", logName)
-	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, recNode, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	got, err := st.Recover()
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if len(got) != 1 || got[0].Sealed {
-		t.Fatalf("recovered %+v", got)
-	}
-	n := 0
-	if err := got[0].Replay(func(u, w int32, adj, ew []int32, block int32) error { n++; return nil }, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n != half {
-		t.Fatalf("replayed %d records, want the valid prefix %d", n, half)
-	}
-
-	// The reopened log must append cleanly at the truncation point.
-	for _, r := range recs[half:] {
-		if err := got[0].Log.AppendNode(r.u, r.w, r.adj, r.ew); err != nil {
+		lg.Close()
+		if err := os.WriteFile(st.LogPath(id), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
+		rec, err := st.RecoverSession(id)
+		if err != nil {
+			t.Fatalf("cut %d: recover: %v", cut, err)
+		}
+		rl := rec.Log.(*Log)
+		if rec.Sealed != wantSealed || rl.Sealed() != wantSealed || rl.Nodes() != wantNodes || rl.Flushed() != wantOff || fileSize(st) != wantOff {
+			t.Fatalf("cut %d: recovered sealed=%v nodes=%d offset=%d file=%d, want %v %d %d %d",
+				cut, rec.Sealed, rl.Nodes(), rl.Flushed(), fileSize(st), wantSealed, wantNodes, wantOff, wantOff)
+		}
+		replayed := int64(0)
+		if err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { replayed++; return nil }, nil); err != nil {
+			t.Fatalf("cut %d: replay: %v", cut, err)
+		}
+		if replayed != wantNodes {
+			t.Fatalf("cut %d: replayed %d records, want %d", cut, replayed, wantNodes)
+		}
+		if err := rl.AppendNodeFrame(framed(7, 1, []int32{0}, nil).Frame); (err != nil) != wantSealed {
+			t.Fatalf("cut %d: append to the recovered log (sealed=%v): %v", cut, wantSealed, err)
+		}
+		if err := rl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := st.Recover(); err != nil || len(again) != 1 {
+			t.Fatalf("cut %d: second recovery: %d sessions, %v", cut, len(again), err)
+		} else {
+			wantAgain := wantNodes
+			if !wantSealed {
+				wantAgain++ // the log resumed cleanly at the truncation point
+			}
+			if got := again[0].Log.(*Log).Nodes(); got != wantAgain {
+				t.Fatalf("cut %d: %d records after resuming, want %d", cut, got, wantAgain)
+			}
+			again[0].Log.Close()
+		}
+
+		// The follower's side: the same bytes as a replica's copy.
+		specBytes, err := st.ReadSpecBytes(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rst := openStore(t, t.TempDir())
+		if err := os.MkdirAll(rst.SessionDir(id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(rst.LogPath(id), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := rst.OpenReplica(id, specBytes)
+		if err != nil {
+			t.Fatalf("cut %d: open replica: %v", cut, err)
+		}
+		if rep.Offset() != wantOff || rep.Sealed() != wantSealed || fileSize(rst) != wantOff {
+			t.Fatalf("cut %d: replica offset=%d sealed=%v file=%d, want %d %v %d",
+				cut, rep.Offset(), rep.Sealed(), fileSize(rst), wantOff, wantSealed, wantOff)
+		}
+		for _, payload := range invalid {
+			if err := rep.Append(payload, wire.AppendFrame(nil, payload)); err == nil {
+				t.Fatalf("cut %d: replica accepted payload % x", cut, payload)
+			}
+			if rep.Offset() != wantOff || fileSize(rst) != wantOff {
+				t.Fatalf("cut %d: rejected payload % x moved the replica to offset %d, file %d", cut, payload, rep.Offset(), fileSize(rst))
+			}
+		}
+		for i, off := whole, wantOff; i < len(ends); i, off = i+1, ends[i] {
+			frame := full[off:ends[i]]
+			if err := rep.Append(frame[wire.FrameHeaderSize:], frame); err != nil {
+				t.Fatalf("cut %d: ship frame %d: %v", cut, i, err)
+			}
+		}
+		if rep.Offset() != int64(len(full)) || !rep.Sealed() {
+			t.Fatalf("cut %d: caught-up replica at offset %d sealed=%v", cut, rep.Offset(), rep.Sealed())
+		}
+		if err := rep.Append([]byte{wire.TypeSeal}, wire.AppendFrame(nil, []byte{wire.TypeSeal})); err == nil {
+			t.Fatalf("cut %d: sealed replica accepted another frame", cut)
+		}
+		if err := rep.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if ids, err := rst.ReplicaIDs(); err != nil || len(ids) != 1 || ids[0] != id {
+			t.Fatalf("cut %d: replica ids %v, %v", cut, ids, err)
+		}
+
+		// Promotion: the shipped copy moves into a primary store and
+		// recovers like a log that store wrote itself.
+		pst := openStore(t, t.TempDir())
+		if err := pst.AdoptFrom(rst, id); err != nil {
+			t.Fatalf("cut %d: adopt: %v", cut, err)
+		}
+		got, err := pst.RecoverSession(id)
+		if err != nil {
+			t.Fatalf("cut %d: recover adopted: %v", cut, err)
+		}
+		if !got.Sealed || got.Log.(*Log).Nodes() != nodesAt[len(nodesAt)-1] {
+			t.Fatalf("cut %d: adopted log sealed=%v nodes=%d", cut, got.Sealed, got.Log.(*Log).Nodes())
+		}
+		got.Log.Close()
+		if raw, err := os.ReadFile(pst.LogPath(id)); err != nil || !bytes.Equal(raw, full) {
+			t.Fatalf("cut %d: adopted log differs from the owner's (%v)", cut, err)
+		}
 	}
-	if err := got[0].Log.Close(); err != nil {
-		t.Fatal(err)
+
+	// Two more ways a scan ends mid-file, whole frames behind the bad one
+	// notwithstanding: a payload bit flipped under an intact header (the
+	// checksum catches it), and a frame whose checksum is right but whose
+	// type byte is retired — not a record, so the node behind it is never
+	// replayed.
+	flipped := bytes.Clone(full)
+	flipped[ends[1]+wire.FrameHeaderSize+2] ^= 0x10 // inside the batch frame
+	type1, off1 := retiredTypeLog(t, 1)
+	type3, off3 := retiredTypeLog(t, 3)
+	for _, tc := range []struct {
+		data    []byte
+		wantOff int64
+	}{{flipped, ends[1]}, {type1, off1}, {type3, off3}} {
+		data, wantOff := tc.data, tc.wantOff
+		st := openStore(t, t.TempDir())
+		lg, err := st.Create(id, spec(8, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lg.Close()
+		if err := os.WriteFile(st.LogPath(id), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := st.RecoverSession(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rl := rec.Log.(*Log); rl.Nodes() != 2 || rl.Flushed() != wantOff || rec.Sealed {
+			t.Fatalf("scan kept nodes=%d offset=%d sealed=%v, want 2 %d false", rl.Nodes(), rl.Flushed(), rec.Sealed, wantOff)
+		}
+		rec.Log.Close()
 	}
-	again, err := st.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n = 0
-	if err := again[0].Replay(func(u, w int32, adj, ew []int32, block int32) error { n++; return nil }, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n != len(recs) {
-		t.Fatalf("after resume replayed %d records, want %d", n, len(recs))
-	}
-	again[0].Log.Close()
 }
 
 func TestSnapshotBoundsReplayToTail(t *testing.T) {
@@ -191,7 +338,7 @@ func TestSnapshotBoundsReplayToTail(t *testing.T) {
 		if _, err := eng.Push(r.u, r.w, r.adj, r.ew); err != nil {
 			t.Fatal(err)
 		}
-		if err := lg.AppendNode(r.u, r.w, r.adj, r.ew); err != nil {
+		if err := lg.AppendNodeFrame(framed(r.u, r.w, r.adj, r.ew).Frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,7 +349,7 @@ func TestSnapshotBoundsReplayToTail(t *testing.T) {
 		if _, err := eng.Push(r.u, r.w, r.adj, r.ew); err != nil {
 			t.Fatal(err)
 		}
-		if err := lg.AppendNode(r.u, r.w, r.adj, r.ew); err != nil {
+		if err := lg.AppendNodeFrame(framed(r.u, r.w, r.adj, r.ew).Frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,7 +408,7 @@ func TestCorruptSnapshotIgnored(t *testing.T) {
 		if _, err := eng.Push(r.u, r.w, r.adj, r.ew); err != nil {
 			t.Fatal(err)
 		}
-		if err := lg.AppendNode(r.u, r.w, r.adj, r.ew); err != nil {
+		if err := lg.AppendNodeFrame(framed(r.u, r.w, r.adj, r.ew).Frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,13 +458,13 @@ func TestIdleTailFsyncTimer(t *testing.T) {
 	lg := slg.(*Log)
 	// Burn the in-interval sync budget, then leave a dirty tail behind
 	// a deferred-sync flush and go idle.
-	if err := lg.AppendNode(0, 1, nil, nil); err != nil {
+	if err := lg.AppendNodeFrame(framed(0, 1, nil, nil).Frame); err != nil {
 		t.Fatal(err)
 	}
 	if err := lg.Flush(); err != nil { // fsyncs (first sync was at open)
 		t.Fatal(err)
 	}
-	if err := lg.AppendNode(1, 1, []int32{0}, nil); err != nil {
+	if err := lg.AppendNodeFrame(framed(1, 1, []int32{0}, nil).Frame); err != nil {
 		t.Fatal(err)
 	}
 	if err := lg.Flush(); err != nil { // within the interval: sync deferred
@@ -445,7 +592,7 @@ func batchOf(recs []pushRec) ([]service.PushNode, []int32) {
 	nodes := make([]service.PushNode, len(recs))
 	blocks := make([]int32, len(recs))
 	for i, r := range recs {
-		nodes[i] = service.PushNode{U: r.u, W: r.w, Adj: r.adj, EW: r.ew}
+		nodes[i] = framed(r.u, r.w, r.adj, r.ew)
 		blocks[i] = r.u % 8
 	}
 	return nodes, blocks
@@ -464,14 +611,14 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 	}
 	// One per-node frame, then a batch frame, then another per-node
 	// frame: replay must see all three in order with the right blocks.
-	if err := lg.AppendNode(recs[0].u, recs[0].w, recs[0].adj, recs[0].ew); err != nil {
+	if err := lg.AppendNodeFrame(framed(recs[0].u, recs[0].w, recs[0].adj, recs[0].ew).Frame); err != nil {
 		t.Fatal(err)
 	}
 	nodes, blocks := batchOf(recs[1:400])
 	if err := lg.AppendBatch(nodes, blocks); err != nil {
 		t.Fatal(err)
 	}
-	if err := lg.AppendNode(recs[400].u, recs[400].w, recs[400].adj, recs[400].ew); err != nil {
+	if err := lg.AppendNodeFrame(framed(recs[400].u, recs[400].w, recs[400].adj, recs[400].ew).Frame); err != nil {
 		t.Fatal(err)
 	}
 	if err := lg.Close(); err != nil {
@@ -513,77 +660,6 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 	got[0].Log.Close()
 }
 
-// TestTornBatchFrameDropsWholeGroup is the group-commit crash test: a
-// crash mid-batch tears the single frame, and recovery must resurrect
-// none of the batch — never a prefix of it — while keeping everything
-// committed before the batch.
-func TestTornBatchFrameDropsWholeGroup(t *testing.T) {
-	dir := t.TempDir()
-	st := openStore(t, dir)
-	recs, _ := testStream(t, 400)
-
-	lg, err := st.Create("s1-0000cccc", spec(400, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A durable prefix: one committed batch.
-	nodes, blocks := batchOf(recs[:100])
-	if err := lg.AppendBatch(nodes, blocks); err != nil {
-		t.Fatal(err)
-	}
-	// A second batch that the crash will cut short.
-	nodes2, blocks2 := batchOf(recs[100:300])
-	if err := lg.AppendBatch(nodes2, blocks2); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	logPath := filepath.Join(dir, sessionsDir, "s1-0000cccc", logName)
-	full, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The durable prefix is the first frame: header + payload length.
-	firstFrame := int64(frameHeaderSize) + int64(binary.LittleEndian.Uint32(full[0:]))
-	if firstFrame <= 0 || firstFrame >= int64(len(full)) {
-		t.Fatalf("unexpected frame layout: first frame %d of %d bytes", firstFrame, len(full))
-	}
-
-	// Tear the second batch's frame at representative points: just
-	// after its header, mid-payload, and one byte short of complete.
-	// Every cut must recover to exactly the first batch.
-	for _, cutAt := range []int64{firstFrame + frameHeaderSize, (firstFrame + int64(len(full))) / 2, int64(len(full)) - 1} {
-		if err := os.WriteFile(logPath, full[:cutAt], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := st.Recover()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 {
-			t.Fatalf("recovered %d sessions, want 1", len(got))
-		}
-		n := 0
-		if err := got[0].Replay(func(u, w int32, adj, ew []int32, block int32) error { n++; return nil }, nil); err != nil {
-			t.Fatal(err)
-		}
-		got[0].Log.Close()
-		if n != 100 {
-			t.Fatalf("cut at %d: replayed %d records, want exactly the 100 of the committed batch", cutAt, n)
-		}
-		// Recovery truncated the torn frame back to the durable prefix.
-		fi, err := os.Stat(logPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Size() != firstFrame {
-			t.Fatalf("cut at %d: log is %d bytes after recovery, want the durable prefix %d", cutAt, fi.Size(), firstFrame)
-		}
-	}
-}
-
 // TestOversizedBatchRejectedNotSplit: a batch that cannot fit one frame
 // is an error — the group-commit guarantee forbids silently splitting
 // it into independently-torn frames.
@@ -596,19 +672,30 @@ func TestOversizedBatchRejectedNotSplit(t *testing.T) {
 	}
 	lg := slog.(*Log)
 	defer lg.Close()
-	// 300 nodes sharing one 1M-entry adjacency slice: even at one byte
-	// per varint delta the frame exceeds the bound, and the size
-	// pre-check rejects it without encoding anything.
-	bigAdj := make([]int32, 1<<20)
+	// 300 nodes sharing one frame of a 1M-entry adjacency: even at one
+	// byte per varint delta the group exceeds the bound, and the size
+	// check rejects it before copying anything.
+	big := framed(0, 1, make([]int32, 1<<20), nil)
 	nodes := make([]service.PushNode, 300)
 	blocks := make([]int32, 300)
 	for i := range nodes {
-		nodes[i] = service.PushNode{U: int32(i), W: 1, Adj: bigAdj}
+		nodes[i] = big
 	}
 	if err := lg.AppendBatch(nodes, blocks); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
-	if got := lg.Nodes(); got != 0 {
-		t.Fatalf("rejected batch logged %d nodes", got)
+	// A node that reaches the log without its frame is refused the same
+	// way: the log re-encodes nothing and never writes an empty record.
+	if err := lg.AppendNodeFrame(nil); err == nil {
+		t.Fatal("frameless node accepted")
+	}
+	if err := lg.AppendBatch([]service.PushNode{big, {U: 1, W: 1}}, []int32{0, 1}); err == nil {
+		t.Fatal("batch with a frameless node accepted")
+	}
+	if err := lg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if lg.Nodes() != 0 || lg.Flushed() != 0 {
+		t.Fatalf("rejected appends logged %d nodes, %d bytes", lg.Nodes(), lg.Flushed())
 	}
 }

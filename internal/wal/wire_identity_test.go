@@ -16,8 +16,9 @@ import (
 	"oms/internal/wire"
 )
 
-// postAll posts one request body to the session and drains the reply.
-func postAll(t *testing.T, url, ct string, body []byte) {
+// postAll posts one request body to the session and returns the reply,
+// asked for as NDJSON whatever the request format.
+func postAll(t *testing.T, url, ct string, body []byte) []byte {
 	t.Helper()
 	req, err := http.NewRequest("POST", url, bytes.NewReader(body))
 	if err != nil {
@@ -26,6 +27,7 @@ func postAll(t *testing.T, url, ct string, body []byte) {
 	if ct != "" {
 		req.Header.Set("Content-Type", ct)
 	}
+	req.Header.Set("Accept", "application/x-ndjson")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -38,6 +40,7 @@ func postAll(t *testing.T, url, ct string, body []byte) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST %s: status %d (body %.200s)", url, resp.StatusCode, out)
 	}
+	return out
 }
 
 // TestIngestFormatsLogByteIdentical: the same stream pushed once as
@@ -46,6 +49,9 @@ func postAll(t *testing.T, url, ct string, body []byte) {
 // canonical frame, so the format a client picked is unrecoverable from
 // (and irrelevant to) the durable log. Covers both ingest routes and
 // the canonicalization corners (zero weight, explicit edge weights).
+// The assignments streamed back are the same too — across formats, and
+// across routes: at one thread a batch is bit-identical to the same
+// sequence of pushes, so /nodes and /batch differ only in record shape.
 func TestIngestFormatsLogByteIdentical(t *testing.T) {
 	recs, cfg := testStream(t, 400)
 	for i := range recs {
@@ -62,6 +68,7 @@ func TestIngestFormatsLogByteIdentical(t *testing.T) {
 		}
 	}
 
+	var first []byte // the assignments the first run streamed back
 	for _, route := range []string{"nodes", "batch"} {
 		t.Run(route, func(t *testing.T) {
 			logs := map[string][]byte{}
@@ -106,8 +113,13 @@ func TestIngestFormatsLogByteIdentical(t *testing.T) {
 					}
 					ct = wire.MediaType
 				}
-				postAll(t, fmt.Sprintf("%s/v1/sessions/%s/%s", srv.URL, s.ID, route), ct, body)
+				reply := postAll(t, fmt.Sprintf("%s/v1/sessions/%s/%s", srv.URL, s.ID, route), ct, body)
 				postAll(t, fmt.Sprintf("%s/v1/sessions/%s/finish", srv.URL, s.ID), "application/json", nil)
+				if first == nil {
+					first = reply
+				} else if !bytes.Equal(reply, first) {
+					t.Fatalf("%s over %s streamed back different assignments than the first run", format, route)
+				}
 
 				raw, err := os.ReadFile(filepath.Join(dir, "sessions", s.ID, logName))
 				if err != nil {

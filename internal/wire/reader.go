@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"io"
 )
 
@@ -104,7 +103,6 @@ func (rd *Reader) NextFrame() (payload, frame []byte, err error) {
 	}
 	hdr := rd.in[rd.lo : rd.lo+FrameHeaderSize]
 	n := binary.LittleEndian.Uint32(hdr[0:])
-	sum := binary.LittleEndian.Uint32(hdr[4:])
 	maxPayload := rd.MaxPayload
 	if maxPayload <= 0 {
 		maxPayload = MaxFramePayload
@@ -131,9 +129,8 @@ func (rd *Reader) NextFrame() (payload, frame []byte, err error) {
 	rd.Arena.Raw = append(rd.Arena.Raw, rd.in[rd.lo:rd.lo+total]...)
 	rd.lo += total
 	frame = rd.Arena.Raw[base : base+total : base+total]
-	payload = frame[FrameHeaderSize:]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, nil, ErrMalformed
+	if payload, err = VerifyFrame(frame); err != nil {
+		return nil, nil, err
 	}
 	return payload, frame, nil
 }

@@ -1,8 +1,8 @@
 // Package wire is omsd's v2 binary record codec: the one encoding a
 // node record ever has. An ingest request body, the WAL record on disk,
-// and (in the future cluster mode) the replication stream all carry the
-// same bytes — a request is validated once at the HTTP boundary and
-// appended to the log verbatim, never re-marshaled.
+// and the cluster's replication stream all carry the same bytes — a
+// request is validated once at the HTTP boundary and appended to the
+// log verbatim, never re-marshaled.
 //
 // # Frame layout
 //
@@ -13,9 +13,10 @@
 //	| uint32 LE      | uint32 LE      | length bytes           |
 //	+----------------+----------------+------------------------+
 //
-// The first payload byte discriminates the record type; the type space
-// is shared with the WAL's legacy records (1–4), so a frame is
-// meaningful wherever it lands.
+// The first payload byte discriminates the record type. The constants
+// below are the whole type space — requests, replies, stream files and
+// the WAL draw from the one table, so a frame is meaningful wherever it
+// lands.
 //
 // # Node records (TypeNode)
 //
@@ -50,10 +51,18 @@ import (
 // MediaType is the HTTP content type of a v2 frame stream.
 const MediaType = "application/x-oms-frame"
 
-// Record types. 1–4 are the WAL's legacy records (node, seal, batch,
-// stats); wire starts at 5 so a type byte is unambiguous in either
-// context.
+// Record types. 1 and 3 are retired and never reused: they were the
+// fixed-width node and batch records of a log format that was never
+// deployed, and a frame carrying either is not a record — a log scan
+// ends at it like at any torn tail.
 const (
+	// TypeSeal is the WAL's terminal record: the session finished and
+	// nothing follows. The type byte is the whole payload.
+	TypeSeal = 2
+	// TypeStats is one WAL stats-revision record of an adaptive session:
+	// the estimator state in force after the records before it (the
+	// fixed-width body is the WAL's, shared with its checkpoints).
+	TypeStats = 4
 	// TypeNode is one node record: the ingest request unit and the WAL
 	// per-push record.
 	TypeNode = 5
@@ -130,26 +139,36 @@ func AppendNodePayload(buf []byte, u, w int32, adj, ew []int32) []byte {
 	return buf
 }
 
+// BeginFrame opens a frame at the end of buf: it appends the hole the
+// header will occupy. The caller appends the payload behind it and
+// closes the frame with EndFrame — one pass, no second buffer.
+func BeginFrame(buf []byte) []byte {
+	return append(buf, make([]byte, FrameHeaderSize)...)
+}
+
+// EndFrame closes the frame BeginFrame opened at buf[start]: everything
+// behind the hole is the payload, and its length and CRC are back-
+// filled in place. Every frame this codebase writes is sealed here.
+func EndFrame(buf []byte, start int) {
+	payload := buf[start+FrameHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+}
+
 // AppendFrame appends a complete frame (header + payload) around the
 // given payload bytes.
 func AppendFrame(buf, payload []byte) []byte {
-	var hdr [FrameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	start := len(buf)
+	buf = append(BeginFrame(buf), payload...)
+	EndFrame(buf, start)
+	return buf
 }
 
 // AppendNodeFrame appends one node record as a complete frame.
 func AppendNodeFrame(buf []byte, u, w int32, adj, ew []int32) []byte {
-	// Encode the payload after a hole for the header, then back-fill:
-	// one pass, no second buffer.
 	start := len(buf)
-	buf = append(buf, make([]byte, FrameHeaderSize)...)
-	buf = AppendNodePayload(buf, u, w, adj, ew)
-	payload := buf[start+FrameHeaderSize:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	buf = AppendNodePayload(BeginFrame(buf), u, w, adj, ew)
+	EndFrame(buf, start)
 	return buf
 }
 
