@@ -86,7 +86,10 @@ func TestAdaptiveSessionPartitionsWithoutDeclaredStats(t *testing.T) {
 	}
 
 	// Retained (Record): the optimistic projection plus the finish-time
-	// reconcile pass lands near the declared result on both metrics.
+	// reconcile pass lands near the declared result on both metrics —
+	// the cut within 10% (+16 edges of jitter room; this seeded stream
+	// reads 4910 against 4536, 1.08x), the loads within the declared
+	// epsilon itself.
 	ret, err := oms.NewSession(oms.SessionConfig{K: k, Options: oms.Options{Epsilon: eps}, Adaptive: true, Record: true})
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +100,8 @@ func TestAdaptiveSessionPartitionsWithoutDeclaredStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkLoads(retRes.Parts, int64(math.Ceil((1+eps)*avg))+1, "retained adaptive")
-	if c := retRes.EdgeCut(g); float64(c) > 1.25*float64(declCut)+100 {
-		t.Fatalf("retained adaptive cut %d, want within 25%% of declared %d", c, declCut)
+	if c := retRes.EdgeCut(g); float64(c) > 1.10*float64(declCut)+16 {
+		t.Fatalf("retained adaptive cut %d, want within 10%% of declared %d", c, declCut)
 	}
 
 	info, ok := adpt.AdaptiveInfo()

@@ -1,5 +1,8 @@
 // Command omsbench regenerates the tables and figures of the paper's
-// evaluation on synthetic Table 1 stand-ins.
+// evaluation on synthetic Table 1 stand-ins. It is a reproduction tool,
+// not a performance ledger: its timing columns describe the host it ran
+// on and nothing gates them. Performance claims are measured by
+// benchmark/run.sh and declared in BENCHMARK.json.
 //
 // Experiments:
 //
@@ -10,7 +13,7 @@
 //	tuning   the four parameter-tuning ablations of §4
 //	memory   the memory-requirements paragraph of §4.1
 //	order    stream-order sensitivity ablation (extension)
-//	all      everything above
+//	all      everything above (table2 and fig3 share one thread sweep)
 //
 // Examples:
 //
@@ -22,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -31,24 +35,34 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and streams passed in, so the tests
+// can drive it; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("omsbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp     = flag.String("exp", "fig2", "experiment: table1 | fig2 | table2 | fig3 | tuning | memory | order | all")
-		scale   = flag.Float64("scale", 0.05, "instance scale (1.0 = paper sizes)")
-		reps    = flag.Int("reps", 3, "repetitions per measurement (paper: 10)")
-		rsFlag  = flag.String("rs", "16,32,64,128", "hierarchy sweep: r values for S=4:16:r (k=64r)")
-		thFlag  = flag.String("threads", "", "thread sweep for table2/fig3 (default 1,2,4,... up to GOMAXPROCS)")
-		insFlag = flag.String("instances", "", "comma-separated instance subset (default all of Table 1)")
-		k       = flag.Int("k", 8192, "block count for table2/fig3/memory")
-		intmap  = flag.Bool("intmap", false, "include the sequential offline mapper (IntMap role) in fig2")
-		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
-		jsonOut = flag.String("json", "", "write a machine-readable perf snapshot (edge cut, nodes/s, peak RSS) to this file and exit")
-		bthFlag = flag.String("batch-threads", "", "session-thread sweep of the -json batch-ingest scenario (default 1,2,4,8)")
-		bsize   = flag.Int("batch-size", 0, "nodes per PushBatch in the -json batch-ingest scenario (default 1024)")
-		rpFlag  = flag.String("refine-passes", "", "cumulative-pass sweep of the -json refinement scenario (default 1,2,3)")
-		seed    = flag.Uint64("seed", 1, "base seed")
-		quiet   = flag.Bool("q", false, "suppress progress lines")
+		exp     = fs.String("exp", "fig2", "experiment: table1 | fig2 | table2 | fig3 | tuning | memory | order | all")
+		scale   = fs.Float64("scale", 0.05, "instance scale (1.0 = paper sizes)")
+		reps    = fs.Int("reps", 3, "repetitions per measurement (paper: 10)")
+		rsFlag  = fs.String("rs", "16,32,64,128", "hierarchy sweep: r values for S=4:16:r (k=64r)")
+		thFlag  = fs.String("threads", "", "thread sweep for table2/fig3 (default 1,2,4,... up to GOMAXPROCS)")
+		insFlag = fs.String("instances", "", "comma-separated instance subset (default all of Table 1)")
+		k       = fs.Int("k", 8192, "block count for table2/fig3/memory")
+		intmap  = fs.Bool("intmap", false, "include the sequential offline mapper (IntMap role) in fig2")
+		csvDir  = fs.String("csv", "", "also write each table as CSV into this directory")
+		seed    = fs.Uint64("seed", 1, "base seed")
+		quiet   = fs.Bool("q", false, "suppress progress lines")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "omsbench:", err)
+		return 1
+	}
 
 	cfg := bench.Config{
 		Scale:         *scale,
@@ -60,7 +74,7 @@ func main() {
 		for _, s := range strings.Split(*rsFlag, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || v < 1 {
-				fatal(fmt.Errorf("bad -rs entry %q", s))
+				return fail(fmt.Errorf("bad -rs entry %q", s))
 			}
 			cfg.Rs = append(cfg.Rs, int32(v))
 		}
@@ -69,7 +83,7 @@ func main() {
 		for _, s := range strings.Split(*thFlag, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || v < 1 {
-				fatal(fmt.Errorf("bad -threads entry %q", s))
+				return fail(fmt.Errorf("bad -threads entry %q", s))
 			}
 			cfg.ThreadSweep = append(cfg.ThreadSweep, v)
 		}
@@ -81,133 +95,106 @@ func main() {
 		}
 		ins, err := bench.Subset(names)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		cfg.Instances = ins
 	}
-	progress := os.Stderr
-	if *quiet {
-		progress = nil
+	// internal/bench skips its progress lines on a nil io.Writer, so
+	// -q must leave the interface itself nil.
+	var progress io.Writer
+	if !*quiet {
+		progress = stderr
 	}
 
-	if *bthFlag != "" {
-		for _, s := range strings.Split(*bthFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 {
-				fatal(fmt.Errorf("bad -batch-threads entry %q", s))
-			}
-			cfg.BatchThreads = append(cfg.BatchThreads, v)
-		}
-	}
-	cfg.BatchSize = *bsize
-	if *rpFlag != "" {
-		for _, s := range strings.Split(*rpFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 {
-				fatal(fmt.Errorf("bad -refine-passes entry %q", s))
-			}
-			cfg.RefinePassSweep = append(cfg.RefinePassSweep, v)
-		}
-	}
-
-	// -json is the perf-trajectory mode: one fixed suite, machine-
-	// readable output (BENCH_oms.json), nothing else.
-	if *jsonOut != "" {
-		snap, err := bench.RunPerfSnapshot(cfg, int32(*k), progressWriter(progress))
-		if err != nil {
-			fatal(err)
-		}
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	var tables []*bench.Table
-	run := func(name string) {
-		switch name {
-		case "table1":
-			tables = append(tables, instanceTable(cfg))
-		case "fig2":
-			s, err := bench.RunStateOfTheArt(cfg, progressWriter(progress))
-			if err != nil {
-				fatal(err)
-			}
-			tables = append(tables, s.Fig2a(), s.Fig2b(), s.Fig2c(), s.Fig2d(), s.Fig2e(), s.Fig2f())
-		case "table2", "fig3":
-			scfg := cfg
-			if scfg.Instances == nil {
-				scfg.Instances = bench.ScalabilitySet()
-			}
-			res, err := bench.RunScalability(scfg, int32(*k), progressWriter(progress))
-			if err != nil {
-				fatal(err)
-			}
-			if name == "table2" {
-				tables = append(tables, res.Table2())
-			} else {
-				for _, gname := range res.Fig3Graphs() {
-					su, rt := res.Fig3(gname)
-					tables = append(tables, su, rt)
-				}
-			}
-		case "tuning":
-			ts, err := bench.RunTuning(cfg, progressWriter(progress))
-			if err != nil {
-				fatal(err)
-			}
-			tables = append(tables, ts...)
-		case "memory":
-			t, err := bench.RunMemory(cfg, progressWriter(progress))
-			if err != nil {
-				fatal(err)
-			}
-			tables = append(tables, t)
-		case "order":
-			t, err := bench.RunStreamOrder(cfg, progressWriter(progress))
-			if err != nil {
-				fatal(err)
-			}
-			tables = append(tables, t)
-		default:
-			fatal(fmt.Errorf("unknown experiment %q", name))
-		}
-	}
-
+	names := []string{*exp}
 	if *exp == "all" {
-		for _, name := range []string{"table1", "fig2", "table2", "fig3", "tuning", "memory", "order"} {
-			run(name)
-		}
-	} else {
-		run(*exp)
+		names = []string{"table1", "fig2", "table2", "fig3", "tuning", "memory", "order"}
+	}
+	tables, err := experiments(names, cfg, int32(*k), progress)
+	if err != nil {
+		return fail(err)
 	}
 
 	for _, t := range tables {
-		t.Format(os.Stdout)
+		t.Format(stdout)
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		for _, t := range tables {
 			name := sanitize(t.Title) + ".csv"
 			f, err := os.Create(filepath.Join(*csvDir, name))
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			t.CSV(f)
 			if err := f.Close(); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 	}
+	return 0
+}
+
+// experiments runs the named experiments in order and returns their
+// tables. table2 and fig3 are two views of one thread sweep, which runs
+// at most once however many of them are named.
+func experiments(names []string, cfg bench.Config, k int32, progress io.Writer) ([]*bench.Table, error) {
+	var tables []*bench.Table
+	var sweep *bench.ScalabilityResult
+	for _, name := range names {
+		switch name {
+		case "table1":
+			tables = append(tables, instanceTable(cfg))
+		case "fig2":
+			s, err := bench.RunStateOfTheArt(cfg, progress)
+			if err != nil {
+				return nil, err
+			}
+			tables = append(tables, s.Fig2a(), s.Fig2b(), s.Fig2c(), s.Fig2d(), s.Fig2e(), s.Fig2f())
+		case "table2", "fig3":
+			if sweep == nil {
+				scfg := cfg
+				if scfg.Instances == nil {
+					scfg.Instances = bench.ScalabilitySet()
+				}
+				var err error
+				if sweep, err = bench.RunScalability(scfg, k, progress); err != nil {
+					return nil, err
+				}
+			}
+			if name == "table2" {
+				tables = append(tables, sweep.Table2())
+			} else {
+				for _, gname := range sweep.Fig3Graphs() {
+					su, rt := sweep.Fig3(gname)
+					tables = append(tables, su, rt)
+				}
+			}
+		case "tuning":
+			ts, err := bench.RunTuning(cfg, progress)
+			if err != nil {
+				return nil, err
+			}
+			tables = append(tables, ts...)
+		case "memory":
+			t, err := bench.RunMemory(cfg, progress)
+			if err != nil {
+				return nil, err
+			}
+			tables = append(tables, t)
+		case "order":
+			t, err := bench.RunStreamOrder(cfg, progress)
+			if err != nil {
+				return nil, err
+			}
+			tables = append(tables, t)
+		default:
+			return nil, fmt.Errorf("unknown experiment %q", name)
+		}
+	}
+	return tables, nil
 }
 
 func instanceTable(cfg bench.Config) *bench.Table {
@@ -239,13 +226,6 @@ func cfgScale(cfg bench.Config) float64 {
 	return cfg.Scale
 }
 
-func progressWriter(f *os.File) *os.File {
-	if f == nil {
-		return nil
-	}
-	return f
-}
-
 func sanitize(s string) string {
 	s = strings.ToLower(s)
 	keep := func(r rune) rune {
@@ -261,9 +241,4 @@ func sanitize(s string) string {
 		out = strings.ReplaceAll(out, "--", "-")
 	}
 	return strings.Trim(out, "-")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "omsbench:", err)
-	os.Exit(1)
 }

@@ -27,7 +27,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -38,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"oms/internal/bench"
 	"oms/internal/load"
 	"oms/internal/slo"
 )
@@ -62,7 +60,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, client *h
 		thresholds = fs.String("thresholds", "", "override the profile's THRESHOLDS (push_p99_ms<5,... grammar)")
 		waitReady  = fs.Duration("wait-ready", 15*time.Second, "poll /v1/readyz with backoff up to this long before loading (0 = skip)")
 		waitOnly   = fs.Bool("wait-only", false, "only wait for readiness, then exit (the CI boot gate)")
-		benchJSON  = fs.String("bench-json", "", "merge this run as the load_results section of the given bench snapshot")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -122,7 +119,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, client *h
 		fmt.Fprintln(stderr, "omsload:", err)
 		return 2
 	}
-	sum, code := load.Run(ctx, load.Config{
+	_, code := load.Run(ctx, load.Config{
 		Profile: p,
 		URL:     *url,
 		Targets: targetList,
@@ -131,58 +128,5 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, client *h
 		Stdout:  stdout,
 		Stderr:  stderr,
 	})
-	if sum != nil && *benchJSON != "" {
-		if err := mergeBench(*benchJSON, sum); err != nil {
-			fmt.Fprintln(stderr, "omsload:", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "omsload: load_results written to %s\n", *benchJSON)
-	}
 	return code
-}
-
-// mergeBench writes the run as the snapshot's load_results section,
-// preserving every other section of an existing snapshot file (the
-// committed BENCH_oms.json carries the offline suites too).
-func mergeBench(path string, sum *load.Summary) error {
-	snap := &bench.PerfSnapshot{Schema: "oms-bench/v1"}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, snap); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	sec := &bench.LoadSection{
-		Profile:     sum.Profile,
-		URL:         sum.URL,
-		DurationSec: sum.DurationSec,
-		AchievedRPS: sum.AchievedRPS,
-		Partial:     sum.Partial,
-	}
-	for _, c := range load.Classes {
-		cs, ok := sum.Classes[string(c)]
-		if !ok {
-			continue
-		}
-		sec.Classes = append(sec.Classes, bench.LoadPerf{
-			Class:    string(c),
-			Requests: cs.Requests,
-			Errors:   cs.Errors,
-			Rejected: cs.Rejected,
-			P50Ms:    cs.P50Ms,
-			P95Ms:    cs.P95Ms,
-			P99Ms:    cs.P99Ms,
-		})
-	}
-	snap.Load = sec
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
@@ -14,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"oms/internal/bench"
 	"oms/internal/service"
 )
 
@@ -109,44 +107,4 @@ func TestBadFlags(t *testing.T) {
 	if code, _, _ := runLoad(t, "-thresholds", "push_p99_ms"); code != 2 {
 		t.Fatal("malformed -thresholds must exit 2")
 	}
-}
-
-// TestBenchMerge: -bench-json must graft load_results onto an existing
-// snapshot without disturbing its other sections.
-func TestBenchMerge(t *testing.T) {
-	url := newOmsd(t)
-	dir := t.TempDir()
-	benchPath := filepath.Join(dir, "BENCH.json")
-	seed := []byte(`{"schema":"oms-bench/v1","go_version":"gox","results":[{"instance":"keep_me","n":1,"algorithm":"oms","runtime_sec":0.5}]}`)
-	if err := os.WriteFile(benchPath, seed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	code, _, _ := runLoad(t, loadArgs(url, dir, "-bench-json", benchPath)...)
-	if code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	raw, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap bench.PerfSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Load == nil || len(snap.Load.Classes) == 0 {
-		t.Fatalf("snapshot has no load_results: %s", raw)
-	}
-	if snap.Load.Profile != "default" || snap.Load.AchievedRPS <= 0 {
-		t.Fatalf("load_results header %+v", snap.Load)
-	}
-	if len(snap.Results) != 1 || snap.Results[0].Instance != "keep_me" {
-		t.Fatalf("merge clobbered existing rows: %s", raw)
-	}
-	for _, c := range snap.Load.Classes {
-		if c.Class == "push" && c.Requests > 0 && c.P99Ms > 0 {
-			return
-		}
-	}
-	t.Fatalf("no populated push class in load_results: %+v", snap.Load.Classes)
 }

@@ -37,17 +37,6 @@ type Config struct {
 	// Dist is the level-distance string; "" means the paper's 1:10:100.
 	Dist string
 	Seed uint64
-	// BatchThreads is the session-thread sweep of the perf snapshot's
-	// batch-ingest scenario; nil means {1, 2, 4, 8}.
-	BatchThreads []int
-	// BatchSize is the nodes-per-PushBatch of that scenario; 0 means
-	// 1024.
-	BatchSize int
-	// RefinePassSweep is the pass counts of the perf snapshot's
-	// quality-vs-passes refinement scenario; nil means {1, 2, 3}. Each
-	// snapshot row reports the edge cut after that many cumulative
-	// restream passes over the one-pass result.
-	RefinePassSweep []int
 }
 
 func (c Config) withDefaults() Config {

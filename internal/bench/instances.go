@@ -174,21 +174,6 @@ func Subset(names []string) ([]Instance, error) {
 	return out, nil
 }
 
-// SmallTestSet returns a fast, family-diverse subset used by unit tests
-// and the default quick harness runs.
-func SmallTestSet() []Instance {
-	names := []string{"Dubcova1", "hcircuit", "coAuthorsDBLP", "web-Google", "italy-osm", "Ljournal-2008"}
-	out := make([]Instance, 0, len(names))
-	for _, n := range names {
-		ins, err := ByName(n)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, ins)
-	}
-	return out
-}
-
 // SortedNames returns all registered instance names, sorted.
 func SortedNames() []string {
 	names := make([]string, len(Table1))

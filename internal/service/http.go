@@ -103,8 +103,9 @@ func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter 
 // incoming W3C traceparent, makes the head-sampling decision, opens
 // the request's root span, and observes the route histogram (with a
 // trace-id exemplar when sampled). The sampled-out path wraps nothing
-// and allocates nothing beyond the unavoidable clock reads — recorded
-// tracing must stay invisible to benchgate's alloc floor.
+// and allocates nothing beyond the unavoidable clock reads — the
+// recorder's share of that is held at exactly zero by
+// TestSampledOutRequestAllocatesNothing in internal/trace.
 func withTrace(rec *trace.Recorder, name string, hist *Histogram, inner http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()

@@ -1,6 +1,10 @@
 package stream
 
-import "fmt"
+import (
+	"fmt"
+
+	"oms/internal/util"
+)
 
 // Buffer is the push-source adapter: a Source populated one node at a
 // time by Append instead of pulled from a graph or file. It backs the
@@ -82,7 +86,7 @@ func (b *Buffer) ForEach(fn Visitor) error {
 // ForEachParallel implements Source: workers replay disjoint contiguous
 // arrival ranges concurrently.
 func (b *Buffer) ForEachParallel(threads int, fn ParallelVisitor) error {
-	parallelFor(len(b.ids), threads, func(worker, lo, hi int) {
+	util.ParallelFor(len(b.ids), threads, func(worker, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			u, w, adj, ewgt := b.node(i)
 			fn(worker, u, w, adj, ewgt)

@@ -8,12 +8,6 @@ import (
 	"oms/internal/util"
 )
 
-// parallelFor is re-exported here to keep this package's dependencies
-// one-directional (stream -> util).
-func parallelFor(n, threads int, body func(worker, lo, hi int)) {
-	util.ParallelFor(n, threads, body)
-}
-
 // Disk streams a METIS file without ever materializing the graph: memory
 // usage is O(max degree) for the sequential pass and O(batch) for the
 // parallel pass. This is the configuration of the paper's memory

@@ -5,7 +5,10 @@
 // split across shared-memory workers (§3.4).
 package stream
 
-import "oms/internal/graph"
+import (
+	"oms/internal/graph"
+	"oms/internal/util"
+)
 
 // Stats carries the global quantities a one-pass partitioner must know
 // before streaming: they size the balance constraint Lmax and Fennel's
@@ -69,7 +72,7 @@ func (m *Memory) ForEach(fn Visitor) error {
 func (m *Memory) ForEachParallel(threads int, fn ParallelVisitor) error {
 	g := m.G
 	n := int(g.NumNodes())
-	parallelFor(n, threads, func(worker, lo, hi int) {
+	util.ParallelFor(n, threads, func(worker, lo, hi int) {
 		for u := int32(lo); u < int32(hi); u++ {
 			fn(worker, u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u))
 		}

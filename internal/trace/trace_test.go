@@ -158,6 +158,26 @@ func TestNilFastPath(t *testing.T) {
 	}
 }
 
+// TestSampledOutRequestAllocatesNothing: every request on every route
+// walks this path, so a request the head sampler passes over (explicit-
+// only mode, no traceparent) must not allocate — not in the declined
+// Start, not in the stage spans on the nil Active, not in Finish.
+func TestSampledOutRequestAllocatesNothing(t *testing.T) {
+	r := NewRecorder(Options{SampleEvery: -1})
+	t0 := time.Now()
+	allocs := testing.AllocsPerRun(1000, func() {
+		a := r.Start(Context{}, false, "POST /v1/sessions/{id}/nodes", t0)
+		a.Span("queue", a.Root(), t0, time.Microsecond)
+		a.Span("assign", a.Root(), t0, 10*time.Microsecond)
+		a.Span("wal.append", a.Root(), t0, 5*time.Microsecond)
+		a.Span("wal.fsync", a.Root(), t0, 2*time.Microsecond)
+		a.Finish(200, "")
+	})
+	if allocs != 0 {
+		t.Fatalf("sampled-out request allocates %v times, want 0", allocs)
+	}
+}
+
 func TestSpanTreeAndGet(t *testing.T) {
 	r := NewRecorder(Options{SampleEvery: 1})
 	parent := NewContext(true)
