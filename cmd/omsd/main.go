@@ -105,9 +105,8 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	fs := flag.NewFlagSet("omsd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	maxSessions := fs.Int("max-sessions", 1024, "concurrent session cap")
-	queueDepth := fs.Int("queue-depth", 32, "ingest chunks buffered per session before backpressure")
 	ttl := fs.Duration("ttl", 5*time.Minute, "idle session eviction TTL")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "session jobs running at once, each on its request's goroutine (0 = GOMAXPROCS)")
 	sessionThreads := fs.Int("session-threads", 1, "default parallel assignment width for batch ingest (POST .../batch); clients override per session with \"threads\"")
 	maxNodes := fs.Int("max-nodes", 1<<26, "per-session declared node cap")
 	maxTotalNodes := fs.Int64("max-total-nodes", 1<<28, "aggregate declared node budget across live sessions")
@@ -238,7 +237,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 
 	mgr := service.NewManager(service.Config{
 		MaxSessions:    *maxSessions,
-		QueueDepth:     *queueDepth,
 		SessionTTL:     *ttl,
 		Workers:        *workers,
 		MaxNodes:       int32(*maxNodes),

@@ -90,9 +90,23 @@ func (l *faultLog) LoadVersion(version int32) (RefinedVersion, error) {
 
 func (l *faultLog) Close() error { return nil }
 
-// faultStore hands every session the same faultLog.
+// parkLog is a faultLog whose Flush reports on parked and then waits
+// for release to close: a job stalled on a slow disk, holding its slot.
+type parkLog struct {
+	faultLog
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (l *parkLog) Flush() error {
+	l.parked <- struct{}{}
+	<-l.release
+	return l.faultLog.Flush()
+}
+
+// faultStore hands every session the same log.
 type faultStore struct {
-	log *faultLog
+	log SessionLog
 	// barrier, when set, blocks Create until it has been entered by
 	// two callers (forcing two creates into the post-persist admission
 	// race).
@@ -240,12 +254,11 @@ func TestIngestLogsExactlyWhatItAcks(t *testing.T) {
 }
 
 // TestCancelledRequestKeepsItsNodes: a request whose context ends while
-// its job is still queued returns at once, but the worker runs the job
-// later — so the request's chunk and decode arena must not go back to
-// the ingest pool, where the next request would overwrite the adjacency
-// the worker is about to push (an irrevocable wrong assignment) and the
-// frame bytes it is about to log (another request's record, or a torn
-// one that cuts every later record off at recovery).
+// its job waits for the session's turn returns at once and its job never
+// runs — nothing assigned, nothing logged — so its chunk and decode
+// arena can go straight back to the ingest pool. Posted again, the same
+// nodes are assigned and logged verbatim, even after other requests
+// have reused the pooled state.
 func TestCancelledRequestKeepsItsNodes(t *testing.T) {
 	victim := []PushNode{{U: 40, Adj: []int32{41, 42, 43}}, {U: 41, Adj: []int32{40, 50}}}
 	bodies := map[string]func([]PushNode) (string, []byte){
@@ -280,9 +293,9 @@ func TestCancelledRequestKeepsItsNodes(t *testing.T) {
 				NewServer(mgr).ServeHTTP(httptest.NewRecorder(), req)
 			}
 
-			// Pin the session as "scheduled" so no worker picks its job up,
-			// and give up on the request while the job sits in the queue.
-			s.scheduled.Store(true)
+			// Hold the session's turn, and give up on the request while its
+			// job waits for it.
+			s.turn <- struct{}{}
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 			post(ctx, mgr, s.ID, victim)
 			cancel()
@@ -298,8 +311,11 @@ func TestCancelledRequestKeepsItsNodes(t *testing.T) {
 				post(context.Background(), other, o.ID, pathNodes(64))
 			}
 
-			// Now the worker gets to the abandoned job.
-			mgr.Pool().submit(s)
+			<-s.turn
+			if got := s.eng.Assigned(); got != 0 || len(fl.frames) != 0 {
+				t.Fatalf("the cancelled request assigned %d nodes and logged %d records, want none", got, len(fl.frames))
+			}
+			post(context.Background(), mgr, s.ID, victim)
 			sum, err := s.Finish(context.Background(), mgr.Pool())
 			if err != nil {
 				t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 )
 
 // ingestChunkSize is how many NDJSON nodes the server groups into one
-// queued job; assignments stream back to the client after each chunk.
+// session job; assignments stream back to the client after each chunk.
 const ingestChunkSize = 256
 
 // batchChunkSize is how many NDJSON nodes the batch endpoint groups

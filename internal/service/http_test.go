@@ -212,7 +212,7 @@ func TestEndToEndParity(t *testing.T) {
 // reference: per-session loads and alphas never leak across sessions.
 func TestConcurrentSessionsIsolated(t *testing.T) {
 	const sessions = 10
-	_, srv := newTestServer(t, Config{Workers: 4, QueueDepth: 2})
+	_, srv := newTestServer(t, Config{Workers: 4})
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
 		wg.Add(1)

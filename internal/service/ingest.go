@@ -153,16 +153,10 @@ var ingestPool = sync.Pool{
 	New: func() any { return &ingestReq{rd: wire.NewReader(nil)} },
 }
 
-// release returns the state to the pool — unless the request's context
-// has ended: the session job of an abandoned request may still be queued
-// or running (see ingestJob), reading the chunk and the arena behind it,
-// so those are left to the worker and the garbage collector. Pooling
-// them would hand the next request memory a worker is about to push to
-// the engine and append to the log.
+// release returns the state to the pool. Every session job of the
+// request has run or never will by now (see ingestJob), so nothing still
+// reads the chunk or the arena behind it.
 func (q *ingestReq) release() {
-	if q.r.Context().Err() != nil {
-		return
-	}
 	q.rd.Reset(nil)
 	// Keep the buffers, drop everything that names the request.
 	bufs := ingestReq{rd: q.rd, wrep: q.wrep, line: q.line, chunk: q.chunk[:0]}
@@ -171,10 +165,10 @@ func (q *ingestReq) release() {
 	ingestPool.Put(q)
 }
 
-// flush hands the assembled chunk to the session and streams the
-// assignments back; it reports whether ingest may continue. It blocks
-// until the worker has consumed every frame and adjacency slice of the
-// chunk, so on success the arena is free to host the next one.
+// flush runs the assembled chunk as a session job and streams the
+// assignments back; it reports whether ingest may continue. The job has
+// consumed every frame and adjacency slice of the chunk by the time it
+// returns, so the arena is free to host the next one.
 func (q *ingestReq) flush() bool {
 	if len(q.chunk) == 0 {
 		return true

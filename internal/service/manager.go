@@ -182,12 +182,11 @@ func (cs CreateSpec) sessionConfig() (oms.SessionConfig, error) {
 // defaults noted per field.
 type Config struct {
 	MaxSessions int           // concurrent session cap; default 1024
-	QueueDepth  int           // chunks buffered per session before backpressure; default 32
 	SessionTTL  time.Duration // idle-eviction TTL; default 5m
 	// MaxSessionTTL caps a client's ttl_seconds override so sessions
 	// cannot opt out of eviction and pin the node budget; default 1h.
 	MaxSessionTTL time.Duration
-	Workers       int // pool size; default GOMAXPROCS
+	Workers       int // session jobs running at once; default GOMAXPROCS
 	// MaxNodes caps the declared n of one session; default 1<<26. The
 	// per-session arrays are sized by the client's declared n before any
 	// node arrives, so an uncapped n would let a single create request
@@ -248,9 +247,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 1024
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 32
-	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = 5 * time.Minute
 	}
@@ -303,7 +299,7 @@ type sessionShard struct {
 
 // Manager owns the live sessions: creation against a session cap,
 // lookup, deletion, and TTL eviction of idle sessions via a janitor
-// goroutine. It also owns the worker pool and the counter registry.
+// goroutine. It also owns the job pool and the counter registry.
 //
 // The session index is sharded: Get — the hot path every ingest,
 // status, and finish request takes — locks only the id's stripe (read
@@ -311,8 +307,8 @@ type sessionShard struct {
 // longer serializes on one manager-wide mutex. Admission accounting
 // (session count, aggregate node budget, id sequence) stays under mu.
 // Lock discipline: mu and shard locks are never held together except
-// in restoreSession (mu, then shard) — no path acquires mu while
-// holding a shard lock, so that order cannot deadlock.
+// in register (mu, then shard) — no path acquires mu while holding a
+// shard lock, so that order cannot deadlock.
 type Manager struct {
 	cfg     Config
 	reg     *Registry
@@ -398,7 +394,7 @@ func (mg *Manager) eachSession(fn func(*Session)) {
 	}
 }
 
-// NewManager starts the subsystem: the worker pool and the eviction
+// NewManager starts the subsystem: the job pool and the eviction
 // janitor. Close releases both.
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
@@ -441,18 +437,9 @@ func NewManager(cfg Config) *Manager {
 	for i := range mgr.shards {
 		mgr.shards[i].m = make(map[string]*Session)
 	}
-	// Backlog visibility: queued-but-undrained jobs across all session
-	// queues, and sessions waiting for a worker turn. Evaluated at
-	// scrape time — a stored gauge would go stale between updates and
-	// cost an atomic on every enqueue/dequeue.
-	reg.GaugeFunc("omsd_queue_backlog", "ingest/finish jobs queued across all live sessions, not yet picked up by a worker", func() int64 {
-		var n int64
-		mgr.eachSession(func(s *Session) { n += int64(len(s.jobs)) })
-		return n
-	})
-	reg.GaugeFunc("omsd_pool_runqueue", "sessions queued for a worker scheduling turn", func() int64 {
-		return int64(mgr.pool.Backlog())
-	})
+	// Backlog visibility, counted only by jobs that actually wait.
+	reg.GaugeFunc("omsd_queue_backlog", "ingest/finish jobs waiting for their session's turn or a pool slot", mgr.pool.backlog.Load)
+	reg.GaugeFunc("omsd_pool_runqueue", "ingest/finish jobs holding their session's turn and waiting for a pool slot", mgr.pool.runqueue.Load)
 	go mgr.janitor()
 	return mgr
 }
@@ -472,13 +459,13 @@ func (mg *Manager) Registry() *Registry { return mg.reg }
 // trace API is nil-safe).
 func (mg *Manager) Tracer() *trace.Recorder { return mg.tracer }
 
-// Pool exposes the worker pool sessions are driven by.
+// Pool exposes the pool that bounds how many session jobs run at once.
 func (mg *Manager) Pool() *Pool { return mg.pool }
 
-// Close stops the janitor and the worker pool, then fails out any job
-// still queued on a session so its enqueuer unblocks with an error.
-// In-flight HTTP requests should be drained first (http.Server.Shutdown
-// does this in omsd). Close is idempotent.
+// Close stops the janitor and the pool: a job still waiting for its
+// session's turn or a slot fails with ErrGone, and Close returns once the
+// running ones have finished. In-flight HTTP requests should be drained
+// first (http.Server.Shutdown does this in omsd). Close is idempotent.
 func (mg *Manager) Close() { mg.closeOnce.Do(mg.close) }
 
 func (mg *Manager) close() {
@@ -490,13 +477,12 @@ func (mg *Manager) close() {
 	// may re-request them).
 	mg.refiner.Close()
 	var victims []*Session
-	mg.eachSession(func(s *Session) { victims = append(victims, s) })
-	for _, s := range victims {
-		s.closed.Store(true) // reject enqueues before the workers stop
-	}
+	mg.eachSession(func(s *Session) {
+		s.closed.Store(true) // reject new jobs before the pool closes
+		victims = append(victims, s)
+	})
 	mg.pool.Close()
 	for _, s := range victims {
-		s.failPending()
 		// Shutdown is not deletion: sync and release the log, keep the
 		// files — the next process recovers these sessions.
 		s.closeLog()
@@ -600,68 +586,36 @@ func (mg *Manager) Create(spec CreateSpec) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		eng:       eng,
-		spec:      spec,
-		jobs:      make(chan job, mg.cfg.QueueDepth),
-		m:         mg.m,
-		ev:        mg.ev,
-		now:       mg.cfg.Now,
-		snapEvery: mg.cfg.SnapshotEvery,
-		nodeCap:   mg.cfg.MaxNodes,
-		reserve:   mg.reserveNodes,
-		release:   mg.releaseNodes,
-	}
-	s.charged.Store(int64(spec.N))
-	now := mg.cfg.Now()
-	s.Created = now
-	s.touch(now)
 
 	mg.mu.Lock()
 	mg.seq++
-	s.ID = fmt.Sprintf("s%d-%08x", mg.seq, randTag())
+	id := fmt.Sprintf("s%d-%08x", mg.seq, randTag())
 	if cv := mg.cfg.Cluster; cv != nil {
 		// Rejection-sample the random tag until the ring places the id
 		// on this node, so every session is born on its owner and
 		// routing stays a pure function of the id. Expected tries ≈ the
 		// node count; the cap only matters on pathological rings, where
 		// a non-owned id still works and merely routes through 307s.
-		for try := 0; try < 64 && !cv.OwnsID(s.ID); try++ {
-			s.ID = fmt.Sprintf("s%d-%08x", mg.seq, randTag())
+		for try := 0; try < 64 && !cv.OwnsID(id); try++ {
+			id = fmt.Sprintf("s%d-%08x", mg.seq, randTag())
 		}
 	}
 	mg.mu.Unlock()
 
 	// Attach the durable log before the session becomes visible, so no
 	// ingest can ever be acknowledged without reaching it.
+	var lg SessionLog
 	if mg.cfg.Store != nil {
-		lg, err := mg.cfg.Store.Create(s.ID, spec)
-		if err != nil {
+		if lg, err = mg.cfg.Store.Create(id, spec); err != nil {
 			return nil, fmt.Errorf("service: persist session: %w", err)
 		}
-		s.log = lg
-		s.replay = func() (oms.Source, error) { return mg.cfg.Store.ReplaySource(s.ID) }
 	}
-
-	mg.mu.Lock()
-	if err := mg.admit(int64(spec.N)); err != nil {
-		mg.mu.Unlock()
+	s := mg.newSession(id, spec, eng, lg)
+	if err := mg.register(s); err != nil {
 		mg.dropPersisted(s)
 		return nil, err
 	}
-	mg.nSessions++
-	mg.liveNodes += int64(spec.N)
-	mg.mu.Unlock()
-
-	// The id is fresh, so no lookup can race this insert; visibility
-	// starts here, after the accounting committed.
-	sh := mg.shardFor(s.ID)
-	sh.mu.Lock()
-	sh.m[s.ID] = s
-	sh.mu.Unlock()
-
 	mg.m.sessionsCreated.Inc()
-	mg.m.sessionsActive.Inc()
 	if spec.Adaptive {
 		mg.m.adaptiveSessions.Inc()
 	}
@@ -673,6 +627,61 @@ func (mg *Manager) Create(spec CreateSpec) (*Session, error) {
 	}
 	mg.ev.Emit(telemetry.EventSessionCreated, fields)
 	return s, nil
+}
+
+// newSession wires a session around its engine and log (nil without a
+// store): the manager's metrics, clock, store and node budget. Its
+// initial charge against the budget is the declared n or, for an
+// adaptive engine that already grew past it (a recovered one), its
+// coverage — the footprint exists the moment the engine does.
+func (mg *Manager) newSession(id string, spec CreateSpec, eng *oms.Session, lg SessionLog) *Session {
+	now := mg.cfg.Now()
+	s := &Session{
+		ID:        id,
+		Created:   now,
+		eng:       eng,
+		spec:      spec,
+		turn:      make(chan struct{}, 1),
+		log:       lg,
+		snapEvery: mg.cfg.SnapshotEvery,
+		store:     mg.cfg.Store,
+		nodeCap:   mg.cfg.MaxNodes,
+		reserve:   mg.reserveNodes,
+		release:   mg.releaseNodes,
+		m:         mg.m,
+		ev:        mg.ev,
+		now:       mg.cfg.Now,
+	}
+	charge := int64(spec.N)
+	if c := int64(eng.Coverage()); eng.Adaptive() && c > charge {
+		charge = c
+	}
+	s.charged.Store(charge)
+	s.touch(now)
+	return s
+}
+
+// register makes a built session visible under its id, charging its
+// footprint against the admission caps; it changes nothing when a cap
+// is reached or the id is taken.
+func (mg *Manager) register(s *Session) error {
+	charge := s.charged.Load()
+	mg.mu.Lock()
+	defer mg.mu.Unlock()
+	if err := mg.admit(charge); err != nil {
+		return err
+	}
+	sh := mg.shardFor(s.ID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, exists := sh.m[s.ID]; exists {
+		return fmt.Errorf("duplicate session id")
+	}
+	sh.m[s.ID] = s
+	mg.nSessions++
+	mg.liveNodes += charge
+	mg.m.sessionsActive.Inc()
+	return nil
 }
 
 // dropPersisted releases and garbage-collects a session's durable
@@ -755,86 +764,32 @@ func (mg *Manager) restoreSession(rec RecoveredSession) error {
 	if err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}
-	s := &Session{
-		ID:           rec.ID,
-		eng:          eng,
-		spec:         rec.Spec,
-		jobs:         make(chan job, mg.cfg.QueueDepth),
-		m:            mg.m,
-		ev:           mg.ev,
-		now:          mg.cfg.Now,
-		log:          rec.Log,
-		snapEvery:    mg.cfg.SnapshotEvery,
-		lastStatsRev: eng.StatsRevision(),
-		nodeCap:      mg.cfg.MaxNodes,
-		reserve:      mg.reserveNodes,
-		release:      mg.releaseNodes,
-	}
-	// Recovered adaptive sessions re-admit at the coverage they already
-	// grew to, not the hint — the footprint exists the moment replay
-	// finishes.
-	charge := int64(rec.Spec.N)
-	if c := int64(eng.Coverage()); eng.Adaptive() && c > charge {
-		charge = c
-	}
-	s.charged.Store(charge)
-	s.replay = func() (oms.Source, error) { return mg.cfg.Store.ReplaySource(s.ID) }
-	now := mg.cfg.Now()
-	s.Created = now
-	s.touch(now)
+	s := mg.newSession(rec.ID, rec.Spec, eng, rec.Log)
+	// Resume the stats-revision log where the replayed trajectory ends.
+	s.lastStatsRev = eng.StatsRevision()
 	if rec.Sealed {
-		res, err := eng.Finish()
-		if err != nil {
+		if err := s.seal(false, ""); err != nil {
 			return err
 		}
-		// Persisted adaptive sessions reproduce the finish-time
-		// reconcile pass over the sealed log — deterministic, so the
-		// recovered result matches the one acknowledged before the
-		// crash byte for byte.
-		if eng.Adaptive() && !rec.Spec.Record {
-			src, rerr := s.replay()
-			if rerr != nil {
-				return fmt.Errorf("reconcile replay: %w", rerr)
-			}
-			if res, err = eng.ReconcilePass(src); err != nil {
-				return fmt.Errorf("reconcile pass: %w", err)
-			}
-		}
-		s.result = res
-		s.summary = s.summarize(res)
-		s.finished.Store(true)
 		// Refined versions survived on their own durability (whole-file
 		// CRC; torn ones were dropped by the store) — the session keeps
 		// its best completed version across the crash.
 		s.restoreVersions(rec.Versions)
 	}
 
-	mg.mu.Lock()
-	if err := mg.admit(charge); err != nil {
-		mg.mu.Unlock()
+	if err := mg.register(s); err != nil {
 		return err
 	}
-	sh := mg.shardFor(rec.ID)
-	sh.mu.Lock()
-	if _, exists := sh.m[rec.ID]; exists {
-		sh.mu.Unlock()
-		mg.mu.Unlock()
-		return fmt.Errorf("duplicate session id")
-	}
-	sh.m[rec.ID] = s
-	sh.mu.Unlock()
-	mg.nSessions++
-	mg.liveNodes += charge
 	// Keep new ids unique: never reuse a recovered session's sequence
 	// number.
 	var seq uint64
-	if _, err := fmt.Sscanf(rec.ID, "s%d-", &seq); err == nil && seq > mg.seq {
-		mg.seq = seq
+	if _, err := fmt.Sscanf(rec.ID, "s%d-", &seq); err == nil {
+		mg.mu.Lock()
+		mg.seq = max(mg.seq, seq)
+		mg.mu.Unlock()
 	}
-	mg.mu.Unlock()
 
 	mg.m.sessionsRecovered.Inc()
-	mg.m.sessionsActive.Inc()
 	mg.ev.Emit(telemetry.EventSessionRecovered, map[string]any{
 		"session": s.ID, "assigned": eng.Assigned(), "sealed": rec.Sealed,
 	})
@@ -880,24 +835,40 @@ func (mg *Manager) Delete(id string) error {
 		}
 		return errNotFound(id)
 	}
-	// Closed before the charge swap (the charged-nodes protocol): an
-	// in-flight ingest job that charged concurrently re-checks closed
-	// and releases its own addition, so the budget is returned exactly
-	// once however the race lands.
+	mg.retire(s, false)
+	return nil
+}
+
+// retire is the tail of a removal whose caller took the session out of
+// its shard: close it before the charge swap (the charged-nodes
+// protocol: an in-flight ingest job that charged concurrently re-checks
+// closed and releases its own addition, so the budget is returned
+// exactly once however the race lands), return its budget, tombstone its
+// id, cancel its refinement, garbage-collect its durable state (sealed
+// or not — deletion and eviction both mean the client is done with the
+// stream), then count and report the removal.
+func (mg *Manager) retire(s *Session, evicted bool) {
 	s.closed.Store(true)
 	mg.mu.Lock()
 	mg.nSessions--
 	mg.liveNodes -= s.charged.Swap(0)
-	mg.addTombstone(id)
+	mg.addTombstone(s.ID)
 	mg.mu.Unlock()
-	mg.refiner.Drop(id)
+	mg.refiner.Drop(s.ID)
 	mg.dropPersisted(s)
-	mg.m.sessionsDeleted.Inc()
 	mg.m.sessionsActive.Add(-1)
+	now := mg.cfg.Now()
+	if evicted {
+		mg.m.sessionsEvicted.Inc()
+		mg.ev.Emit(telemetry.EventSessionEvicted, map[string]any{
+			"session": s.ID, "idle_ms": now.Sub(s.idleSince()).Milliseconds(),
+		})
+		return
+	}
+	mg.m.sessionsDeleted.Inc()
 	mg.ev.Emit(telemetry.EventSessionDeleted, map[string]any{
-		"session": id, "lifetime_ms": mg.cfg.Now().Sub(s.Created).Milliseconds(),
+		"session": s.ID, "lifetime_ms": now.Sub(s.Created).Milliseconds(),
 	})
-	return nil
 }
 
 // SessionInfo is one row of the session listing.
@@ -949,7 +920,6 @@ func (mg *Manager) ttlOf(s *Session) time.Duration {
 func (mg *Manager) EvictIdle() int {
 	now := mg.cfg.Now()
 	var victims []*Session
-	var victimNodes int64
 	for i := range mg.shards {
 		sh := &mg.shards[i]
 		sh.mu.Lock()
@@ -966,34 +936,12 @@ func (mg *Manager) EvictIdle() int {
 				continue
 			}
 			delete(sh.m, id)
-			// Closed before the charge swap, like Delete: the
-			// charged-nodes protocol keeps racing ingest jobs from
-			// double-releasing or leaking budget.
-			s.closed.Store(true)
 			victims = append(victims, s)
-			victimNodes += s.charged.Swap(0)
 		}
 		sh.mu.Unlock()
 	}
-	if len(victims) > 0 {
-		mg.mu.Lock()
-		mg.nSessions -= len(victims)
-		mg.liveNodes -= victimNodes
-		for _, s := range victims {
-			mg.addTombstone(s.ID)
-		}
-		mg.mu.Unlock()
-	}
 	for _, s := range victims {
-		mg.refiner.Drop(s.ID)
-		// Eviction means the client abandoned the stream; the persisted
-		// log (sealed or not) is garbage-collected with the session.
-		mg.dropPersisted(s)
-		mg.m.sessionsEvicted.Inc()
-		mg.m.sessionsActive.Add(-1)
-		mg.ev.Emit(telemetry.EventSessionEvicted, map[string]any{
-			"session": s.ID, "idle_ms": now.Sub(s.idleSince()).Milliseconds(),
-		})
+		mg.retire(s, true)
 	}
 	return len(victims)
 }
@@ -1054,20 +1002,14 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 		threads = maxSessionThreads
 	}
 
-	// The replay source: the durable log when the server persists
-	// sessions, else the session's own record buffer.
-	var src oms.Source
-	if mg.cfg.Store != nil {
-		src, err = mg.cfg.Store.ReplaySource(id)
-		if err != nil {
-			// A log the store cannot read back is a server-side fault
-			// (500), not a malformed request.
-			return RefineInfo{}, fmt.Errorf("%w: open replay of session %s: %w", ErrDurability, id, err)
-		}
-	} else if rec := s.eng.Source(); rec != nil {
-		src = rec
-	} else {
-		return RefineInfo{}, fmt.Errorf("%w: %s", ErrNoStream, id)
+	src, err := s.stream()
+	switch {
+	case errors.Is(err, ErrNoStream):
+		return RefineInfo{}, err
+	case err != nil:
+		// A log the store cannot read back is a server-side fault (500),
+		// not a malformed request.
+		return RefineInfo{}, fmt.Errorf("%w: open replay of session %s: %w", ErrDurability, id, err)
 	}
 
 	// engineConfig, not the bare spec: the replica must carry the same
@@ -1079,7 +1021,7 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 	}
 	cfg.Options.Threads = threads
 	// The finished engine is immutable (every mutation path checks
-	// finished first), so exporting its state needs no queue trip.
+	// finished first), so exporting its state needs no session job.
 	state := s.eng.ExportState()
 
 	// A sampled submit opens a second trace record under the request's

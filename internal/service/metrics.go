@@ -1,6 +1,7 @@
 // Package service turns the streaming partitioner into a serving system:
-// long-lived push sessions with TTL eviction, bounded ingest queues with
-// backpressure, a worker pool multiplexing many concurrent sessions, an
+// long-lived push sessions with TTL eviction, per-session turns that
+// run each session's jobs in arrival order on the requests' own
+// goroutines, a pool bounding how many jobs run at once, an
 // operational counter registry, and the HTTP surface the omsd daemon
 // mounts. The paper's algorithm assigns each node its permanent block the
 // moment it arrives; this package is the machinery that lets remote
@@ -267,8 +268,8 @@ type serviceMetrics struct {
 	refineVersions *Counter
 
 	// Per-stage latency histograms: where a push's time goes between
-	// the HTTP ack and the engine. queueWait is enqueue→dequeue time on
-	// the session queue (backpressure made visible as a distribution),
+	// the HTTP ack and the engine. queueWait is arrival→start time of a
+	// job, turn plus slot (backpressure made visible as a distribution),
 	// assign the engine time of one chunk or batch, walAppend/walFsync
 	// the durable-log encode+write and fsync stall (observed inside
 	// internal/wal via the store hooks; the series exist even without a
@@ -291,7 +292,7 @@ func newServiceMetrics(r *Registry) *serviceMetrics {
 		chunksIngested:   r.Counter("omsd_chunks_ingested_total", "ingest chunks processed across all sessions"),
 		batchesIngested:  r.Counter("omsd_batches_ingested_total", "parallel ingest batches processed across all sessions"),
 		pushErrors:       r.Counter("omsd_push_errors_total", "rejected node pushes (range, weights, budget, after-finish)"),
-		backpressure:     r.Counter("omsd_backpressure_waits_total", "ingest enqueues that blocked on a full session queue"),
+		backpressure:     r.Counter("omsd_backpressure_waits_total", "ingest/finish jobs that found their session busy and waited for its turn"),
 		adaptiveSessions: r.Counter("omsd_adaptive_sessions_total", "open-ended (adaptive) push sessions opened"),
 		statsRevisions:   r.Counter("omsd_stats_revisions_total", "adaptive stats-revision records logged across all sessions"),
 
@@ -307,7 +308,7 @@ func newServiceMetrics(r *Registry) *serviceMetrics {
 		refinePasses:   r.Counter("omsd_refine_passes_total", "restream passes completed across all refinement jobs"),
 		refineVersions: r.Counter("omsd_refine_versions_total", "refined result versions published"),
 
-		queueWait: r.Histogram("omsd_queue_wait_seconds", "time an ingest/finish job waits on the session queue before a worker picks it up"),
+		queueWait: r.Histogram("omsd_queue_wait_seconds", "time from an ingest/finish job's arrival to its start: its session's turn plus a pool slot"),
 		assign:    r.Histogram("omsd_assign_seconds", "engine assignment time of one ingest chunk or batch"),
 		walAppend: r.Histogram(WALAppendHistogram, "WAL record encode+write time per append"),
 		walFsync:  r.Histogram(WALFsyncHistogram, "WAL fsync stall per forced or batched sync"),

@@ -1,113 +1,38 @@
 package service
 
-import "sync"
+import "sync/atomic"
 
-// Pool multiplexes many sessions over a fixed set of workers. A session
-// enters the run queue when work lands on its empty queue; a worker pops
-// it, drains up to batchQuantum jobs, and either parks it (queue empty)
-// or re-submits it to the tail so long-streaming sessions cannot starve
-// the others. The scheduled flag guarantees a session is held by at most
-// one worker at a time, which is what makes per-session assignment
-// deterministic without any lock around the engine.
-//
-// The run queue is an unbounded slice guarded by a condition variable
-// rather than a sized channel: each session occupies at most one entry
-// (the scheduled flag), but sessions removed from the manager by delete
-// or eviction can still hold entries while replacements are created, so
-// no live-session count bounds it — and submit must never block, because
-// workers re-submit mid-turn and a blocked worker would wedge the pool.
+// Pool bounds how many session jobs run at once. A job runs on the
+// goroutine that submitted it (the request's own): it first takes its
+// session's turn, then one of the pool's slots. slots is a counting
+// channel, and a channel queues its blocked senders in arrival order, so
+// jobs waiting for a slot start first-come first-served across sessions.
 type Pool struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*Session
-	closed bool
-	wg     sync.WaitGroup
+	slots chan struct{}
+	// quit is closed by Close: a job still waiting for a turn or a slot
+	// fails instead of starting.
+	quit chan struct{}
+	// backlog counts jobs waiting for a turn or a slot; runqueue those
+	// among them that hold their session's turn and wait for a slot (the
+	// omsd_queue_backlog and omsd_pool_runqueue gauges). A job that finds
+	// both free at once is never counted.
+	backlog  atomic.Int64
+	runqueue atomic.Int64
 }
 
-// batchQuantum bounds how many jobs one scheduling turn may drain before
-// the session yields the worker (fairness across sessions).
-const batchQuantum = 8
-
-// NewPool starts workers goroutines draining the run queue.
+// NewPool returns a pool that runs at most workers jobs at a time.
 func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{}
-	p.cond = sync.NewCond(&p.mu)
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
+	return &Pool{slots: make(chan struct{}, workers), quit: make(chan struct{})}
 }
 
-// Backlog reports how many sessions are waiting for a scheduling turn
-// (the /metrics omsd_pool_runqueue gauge).
-func (p *Pool) Backlog() int {
-	p.mu.Lock()
-	n := len(p.queue)
-	p.mu.Unlock()
-	return n
-}
-
-// submit queues a session for a worker; it never blocks.
-func (p *Pool) submit(s *Session) {
-	p.mu.Lock()
-	if !p.closed {
-		p.queue = append(p.queue, s)
-		p.cond.Signal()
-	}
-	p.mu.Unlock()
-}
-
-// Close stops the workers after their current scheduling turn. Jobs
-// still queued on session queues are not drained here; Manager.Close
-// fails them out after the workers stop.
+// Close refuses new jobs and waits for the running ones to finish: it
+// takes every slot and never gives them back. Call it once.
 func (p *Pool) Close() {
-	p.mu.Lock()
-	p.closed = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	p.wg.Wait()
-}
-
-func (p *Pool) worker() {
-	defer p.wg.Done()
-	for {
-		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
-			p.cond.Wait()
-		}
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
-		s := p.queue[0]
-		p.queue = p.queue[1:]
-		p.mu.Unlock()
-		p.turn(s)
+	close(p.quit)
+	for range cap(p.slots) {
+		p.slots <- struct{}{}
 	}
-}
-
-// turn is one scheduling turn: drain up to batchQuantum jobs, then park
-// or re-submit. The park/re-check dance closes the race where a producer
-// enqueues between our empty read and the flag store: whoever loses the
-// CompareAndSwap leaves rescheduling to the winner.
-func (p *Pool) turn(s *Session) {
-	for done := 0; done < batchQuantum; done++ {
-		select {
-		case j := <-s.jobs:
-			s.run(j)
-		default:
-			s.scheduled.Store(false)
-			if len(s.jobs) > 0 && s.scheduled.CompareAndSwap(false, true) {
-				p.submit(s)
-			}
-			return
-		}
-	}
-	// Quantum exhausted with work possibly remaining: keep the flag and
-	// rejoin the tail.
-	p.submit(s)
 }

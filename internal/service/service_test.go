@@ -3,6 +3,9 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -192,36 +195,147 @@ func TestTTLOverrideClamped(t *testing.T) {
 	}
 }
 
+// waitGauge polls the registry until the named gauge reads want.
+func waitGauge(t *testing.T, mgr *Manager, name string, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for mgr.Registry().Snapshot()[name] != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, want %d", name, mgr.Registry().Snapshot()[name], want)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 func TestBackpressureBlocksAndCounts(t *testing.T) {
-	mgr := testManager(t, Config{QueueDepth: 1, Workers: 1})
+	mgr := testManager(t, Config{Workers: 1})
 	s, err := mgr.Create(pathSpec(8, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pin the session as "scheduled" so no worker drains it: the queue
-	// (depth 1) fills after one job and the next enqueue must block.
-	s.scheduled.Store(true)
-	if err := s.enqueue(context.Background(), mgr.Pool(), job{kind: jobIngest, done: make(chan jobResult, 1)}); err != nil {
-		t.Fatal(err)
-	}
+	// Hold the session's turn as a running job would: the next job must
+	// wait for it, and gives up when its context ends.
+	s.turn <- struct{}{}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	err = s.enqueue(ctx, mgr.Pool(), job{kind: jobIngest, done: make(chan jobResult, 1)})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("full-queue enqueue: %v, want deadline exceeded", err)
+	if _, err := s.Ingest(ctx, mgr.Pool(), pathNodes(2)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("ingest into a busy session: %v, want deadline exceeded", err)
 	}
 	if got := mgr.Registry().Snapshot()["omsd_backpressure_waits_total"]; got != 1 {
 		t.Fatalf("backpressure counter %d, want 1", got)
 	}
-	// Hand the still-scheduled session to the pool; the queued job must
-	// drain and subsequent ingest flows normally.
-	mgr.Pool().submit(s)
+	if got := s.eng.Assigned(); got != 0 {
+		t.Fatalf("the abandoned job assigned %d nodes", got)
+	}
+	// Release the turn; ingest flows normally again.
+	<-s.turn
 	blocks, err := s.Ingest(context.Background(), mgr.Pool(), pathNodes(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(blocks) != 2 {
-		t.Fatalf("drained %d assignments, want 2", len(blocks))
+		t.Fatalf("got %d assignments, want 2", len(blocks))
+	}
+}
+
+// parkedInWait counts goroutines blocked in the select of Session.wait:
+// a goroutine shows as parked only once its send has joined the
+// channel's queue of blocked senders.
+func parkedInWait() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[select") && strings.Contains(g, "service.(*Session).wait(") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestJobsRunInArrivalOrder: jobs that queue behind a busy session run
+// in the order they arrived, which a Record session's source shows.
+func TestJobsRunInArrivalOrder(t *testing.T) {
+	const jobs = 16
+	mgr := testManager(t, Config{})
+	spec := pathSpec(jobs, 2)
+	spec.Record = true
+	s, err := mgr.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.turn <- struct{}{}
+	var want []int32
+	errc := make(chan error, jobs)
+	for i := int32(0); i < jobs; i++ {
+		u := (7 * i) % jobs // not in id order
+		want = append(want, u)
+		go func() {
+			_, err := s.Ingest(context.Background(), mgr.Pool(), framed(PushNode{U: u}))
+			errc <- err
+		}()
+		// Start the next job only once this one is parked in the turn's
+		// queue (the backlog gauge counts a job just before it joins).
+		for deadline := time.Now().Add(5 * time.Second); parkedInWait() != int(i+1); {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d never parked waiting for the turn", i)
+			}
+			runtime.Gosched()
+		}
+	}
+	waitGauge(t, mgr, "omsd_queue_backlog", jobs)
+	<-s.turn
+	for range jobs {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []int32
+	_ = s.eng.Source().ForEach(func(u, _ int32, _, _ []int32) { got = append(got, u) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("session ingested %v, want arrival order %v", got, want)
+	}
+}
+
+// TestPoolBoundsRunningJobs: with one slot, a job parked inside its
+// session's log makes another session's job wait for the slot, counted
+// in the run queue until the parked job finishes.
+func TestPoolBoundsRunningJobs(t *testing.T) {
+	pl := &parkLog{parked: make(chan struct{}, 2), release: make(chan struct{})}
+	mgr := testManager(t, Config{Workers: 1, Store: &faultStore{log: pl}})
+	ctx := context.Background()
+	a, err := mgr.Create(pathSpec(8, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mgr.Create(pathSpec(8, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 2)
+	go func() {
+		_, err := a.Ingest(ctx, mgr.Pool(), pathNodes(8))
+		errc <- err
+	}()
+	<-pl.parked // a's job holds the only slot
+	go func() {
+		_, err := b.Ingest(ctx, mgr.Pool(), pathNodes(8))
+		errc <- err
+	}()
+	waitGauge(t, mgr, "omsd_pool_runqueue", 1)
+	snap := mgr.Registry().Snapshot()
+	if snap["omsd_pool_runqueue"] != 1 || snap["omsd_queue_backlog"] != 1 || b.eng.Assigned() != 0 {
+		t.Fatalf("runqueue %d, backlog %d, b assigned %d while a holds the slot; want 1, 1, 0",
+			snap["omsd_pool_runqueue"], snap["omsd_queue_backlog"], b.eng.Assigned())
+	}
+	close(pl.release)
+	for range 2 {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := mgr.Registry().Snapshot()["omsd_pool_runqueue"]; got != 0 || b.eng.Assigned() != 8 {
+		t.Fatalf("after release: runqueue %d, b assigned %d; want 0 and 8", got, b.eng.Assigned())
 	}
 }
 
@@ -252,20 +366,19 @@ func TestNodeCapRejectsHugeDeclarations(t *testing.T) {
 	}
 }
 
-// TestChurnDoesNotWedgePool reproduces the delete/create churn that
-// deadlocked a bounded run queue: a single worker mid-quantum on one
-// session while clients delete it and create replacements.
+// TestChurnDoesNotWedgePool: a single slot busy with one session's
+// jobs while clients delete the session and create replacements must
+// not wedge the pool.
 func TestChurnDoesNotWedgePool(t *testing.T) {
-	mgr := testManager(t, Config{Workers: 1, MaxSessions: 1, QueueDepth: 16})
+	mgr := testManager(t, Config{Workers: 1, MaxSessions: 1})
 	for round := 0; round < 50; round++ {
 		s, err := mgr.Create(pathSpec(64, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// More jobs than one batchQuantum so the worker re-submits
-		// mid-drain while the session churns underneath it.
+		// Several jobs queue on the session while it churns.
 		var wg sync.WaitGroup
-		for c := 0; c < batchQuantum+4; c++ {
+		for c := 0; c < 12; c++ {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
@@ -283,22 +396,24 @@ func TestChurnDoesNotWedgePool(t *testing.T) {
 }
 
 func TestCloseFailsOutQueuedJobs(t *testing.T) {
-	mgr := testManager(t, Config{Workers: 1, QueueDepth: 4})
+	mgr := testManager(t, Config{Workers: 1})
 	s, err := mgr.Create(pathSpec(8, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pin the session so no worker drains its queue, then strand a job.
-	s.scheduled.Store(true)
-	done := make(chan jobResult, 1)
-	if err := s.enqueue(context.Background(), mgr.Pool(), job{kind: jobIngest, done: done}); err != nil {
-		t.Fatal(err)
-	}
+	// Hold the session's turn, then strand a job waiting for it.
+	s.turn <- struct{}{}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.Ingest(context.Background(), mgr.Pool(), pathNodes(2))
+		errc <- err
+	}()
+	waitGauge(t, mgr, "omsd_queue_backlog", 1)
 	mgr.Close() // idempotent; testManager's cleanup closes again
 	select {
-	case r := <-done:
-		if !errors.Is(r.err, ErrGone) {
-			t.Fatalf("stranded job failed with %v, want ErrGone", r.err)
+	case err := <-errc:
+		if !errors.Is(err, ErrGone) {
+			t.Fatalf("stranded job failed with %v, want ErrGone", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("stranded job never failed out")

@@ -29,50 +29,27 @@ type PushNode struct {
 	Frame []byte `json:"-"`
 }
 
-// jobKind discriminates the work items flowing through a session queue.
-type jobKind int
-
-const (
-	jobIngest jobKind = iota
-	jobFinish
-)
-
-// job is one queued unit of session work. An ingest job carries the
-// nodes of one /nodes chunk or one /batch; a finish job seals the
-// session after every ingest job queued before it, so "finish happens
-// after all acknowledged ingest" holds by queue order. The two routes
-// share one body (runIngest) and differ in two steps of it: how the
-// nodes are admitted to the engine and what shape their log record has.
+// job is one running unit of session work, as begin hands it over: the
+// submitting request's in-flight trace (nil on the sampled-out path —
+// every use is nil-safe) and its id, plus, for an ingest job, the nodes
+// of one /nodes chunk or one /batch. The two routes share one body
+// (runIngest) and differ in two steps of it: how the nodes are admitted
+// to the engine and what shape their log record has. Spans use the wall
+// clock, not s.now: an injected test clock would break span containment,
+// and traces describe real time anyway.
 type job struct {
-	kind  jobKind
-	batch bool // ingest only: the /batch route
+	tr    *trace.Active
+	tid   string
+	batch bool // the /batch route
 	nodes []PushNode
-	done  chan jobResult
-	// at is the enqueue instant; the worker observes dequeue-at minus
-	// at into the queue-wait histogram (backpressure as a distribution,
-	// not just a stall counter).
-	at time.Time
-	// tr is the submitting request's in-flight trace (nil on the
-	// sampled-out path — every use is nil-safe), and wallAt the real-
-	// clock enqueue instant its queue-wait span starts at. Spans use the
-	// wall clock, not s.now: an injected test clock would break span
-	// containment, and traces describe real time anyway.
-	tr     *trace.Active
-	wallAt time.Time
 }
 
-// jobResult carries a processed job's outcome back to the enqueuer.
-type jobResult struct {
-	blocks []int32     // per chunk node, aligned with job.nodes
-	result *oms.Result // finish only
-	err    error
-}
-
-// Session is one live push stream: the engine (an oms.Session), a
-// bounded ingest queue, and the scheduling state the worker pool uses to
-// serialize all engine access. Exactly one worker drains a session at a
-// time, so assignments are deterministic in ingest order even with many
-// sessions multiplexed over the pool.
+// Session is one live push stream: the engine (an oms.Session) and the
+// turn that serializes all engine access. A session's jobs run one at a
+// time in arrival order, each on its caller's goroutine, so assignments
+// are deterministic in ingest order even with many sessions sharing the
+// pool — and "finish happens after all acknowledged ingest" holds by
+// arrival order.
 type Session struct {
 	ID      string
 	Created time.Time
@@ -80,13 +57,14 @@ type Session struct {
 	eng  *oms.Session
 	spec CreateSpec
 
-	jobs      chan job
-	scheduled atomic.Bool // true while queued for or held by a worker
-	closed    atomic.Bool // evicted or deleted; rejects new work
+	// turn holds one token while a job of the session waits for a slot
+	// or runs; a channel queues blocked senders in arrival order.
+	turn      chan struct{}
+	closed    atomic.Bool // evicted, deleted or faulted; rejects new work
 	lastTouch atomic.Int64
 
 	// log is the session's durable record log, nil when the manager has
-	// no store. The owning worker appends each accepted push before the
+	// no store. The running job appends each accepted push before the
 	// chunk is acknowledged and checkpoints engine state every
 	// snapEvery fresh records (never for Record sessions, whose replay
 	// buffer a checkpoint cannot restore).
@@ -94,26 +72,24 @@ type Session struct {
 	snapEvery int
 	sinceSnap int // fresh records since the last checkpoint
 	// lastStatsRev is the estimator revision last logged as a durable
-	// stats-revision record (adaptive sessions only; owning worker
-	// only).
+	// stats-revision record (adaptive sessions only; running job only).
 	lastStatsRev int64
-	// replay opens a read-only stream over the session's durable log;
-	// nil without a store. The finish path of adaptive sessions uses it
-	// for the reconcile pass.
-	replay func() (oms.Source, error)
+	// store is the manager's store, nil without one; stream reads the
+	// session's durable log back through it.
+	store Store
 
 	// Adaptive growth accounting: charged is the node footprint this
 	// session holds against the manager's aggregate budget (the
 	// declared/hinted n at creation, ratcheted up with observed
 	// coverage); reserve/release move the shared budget. charged is
-	// atomic because removal paths read it off-worker.
+	// atomic because removal paths read it outside the session's turn.
 	charged atomic.Int64
 	nodeCap int32
 	reserve func(int64) error
 	release func(int64)
 
 	finished atomic.Bool
-	result   *oms.Result // set by the worker executing the finish job
+	result   *oms.Result // set by the job that seals the session
 	summary  *Summary
 
 	// verMu guards the refinement state below. Versions are append-only
@@ -178,39 +154,80 @@ func (s *Session) Result() (*oms.Result, error) {
 	return s.result, nil
 }
 
-// enqueue hands a job to the session queue, blocking for backpressure
-// when the queue is full, and wakes the pool if the session is idle.
-// Every enqueue refreshes the TTL, so a session stays alive while a
-// long single-request upload is actively delivering chunks.
-func (s *Session) enqueue(ctx context.Context, p *Pool, j job) error {
+// begin starts one job of the session on the caller's goroutine: it
+// takes the session's turn, then one of the pool's slots, each in
+// arrival order. A job whose ctx ends, or whose pool closes, while it
+// waits never starts, and one whose session died meanwhile fails with
+// ErrGone. On success the caller runs the job to completion, whatever
+// happens to ctx, and then calls end. Every job refreshes the TTL, so a
+// session stays alive while a long single-request upload is actively
+// delivering chunks.
+func (s *Session) begin(ctx context.Context, p *Pool) (job, error) {
 	if s.closed.Load() {
-		return errGone(s.ID)
+		return job{}, errGone(s.ID)
 	}
-	j.at = s.now()
-	s.touch(j.at)
+	at := s.now()
+	s.touch(at)
+	j := job{tr: trace.FromContext(ctx)}
+	var wallAt time.Time
+	if j.tr != nil {
+		wallAt = time.Now()
+	}
 	select {
-	case s.jobs <- j:
+	case s.turn <- struct{}{}:
 	default:
-		// Full queue: count the backpressure stall, then block until the
-		// workers drain a slot or the client gives up.
+		// The session is busy: count the backpressure stall, then queue
+		// behind its earlier jobs.
 		s.m.backpressure.Inc()
-		select {
-		case s.jobs <- j:
-		case <-ctx.Done():
-			return ctx.Err()
+		if err := s.wait(ctx, p, s.turn, false); err != nil {
+			return job{}, err
 		}
 	}
-	if s.scheduled.CompareAndSwap(false, true) {
-		p.submit(s)
+	select {
+	case p.slots <- struct{}{}:
+	default:
+		if err := s.wait(ctx, p, p.slots, true); err != nil {
+			<-s.turn
+			return job{}, err
+		}
 	}
 	if s.closed.Load() {
-		// Manager.Close may have drained the queue between our closed
-		// check and the send landing; fail out whatever is queued
-		// (possibly our own job) so no enqueuer is stranded. Seeing
-		// closed==false above guarantees the send preceded the drain.
-		s.failPending()
+		s.end(p)
+		return job{}, errGone(s.ID)
 	}
-	return nil
+	// The queue wait runs from arrival to job start: turn plus slot.
+	j.tid = j.tr.TraceIDString()
+	s.m.queueWait.ObserveExemplar(s.now().Sub(at), j.tid)
+	if j.tr != nil {
+		j.tr.Span("queue", j.tr.Root(), wallAt, time.Since(wallAt))
+	}
+	return j, nil
+}
+
+// wait blocks until ch — the session's turn or a pool slot — takes the
+// job's token, counting the job in the pool's backlog (and, waiting for
+// a slot, in its run queue) meanwhile.
+func (s *Session) wait(ctx context.Context, p *Pool, ch chan<- struct{}, slot bool) error {
+	p.backlog.Add(1)
+	defer p.backlog.Add(-1)
+	if slot {
+		p.runqueue.Add(1)
+		defer p.runqueue.Add(-1)
+	}
+	select {
+	case ch <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-p.quit:
+		return errGone(s.ID)
+	}
+}
+
+// end releases a started job's slot and then its session's turn.
+func (s *Session) end(p *Pool) {
+	<-p.slots
+	<-s.turn
 }
 
 // walFailure handles an unrecoverable durability fault: a push the
@@ -240,152 +257,121 @@ func (s *Session) closeLog() {
 	}
 }
 
-// failPending drains the session queue and fails every job out. Jobs
-// race one receiver each (a worker or this drain), so each is run or
-// failed exactly once.
-func (s *Session) failPending() {
-	for {
-		select {
-		case j := <-s.jobs:
-			j.done <- jobResult{err: errGone(s.ID)}
-		default:
-			return
-		}
-	}
-}
-
-// Ingest queues one chunk and waits for its per-node assignments. The
-// error is non-nil if any node in the chunk was rejected; assignments of
-// the nodes before the offending one are still returned.
+// Ingest runs one chunk as a job of the session and returns its
+// per-node assignments. The error is non-nil if any node in the chunk
+// was rejected; assignments of the nodes before the offending one are
+// still returned.
 func (s *Session) Ingest(ctx context.Context, p *Pool, nodes []PushNode) ([]int32, error) {
 	return s.ingestJob(ctx, p, false, nodes)
 }
 
-// IngestBatch queues one parallel batch and waits for its per-node
-// assignments. Unlike Ingest, the batch is admitted atomically (a
-// rejection applies nothing) and assigned across the session engine's
-// parallel workers; its durable record is one group-committed WAL
-// frame.
+// IngestBatch runs one parallel batch as a job of the session and
+// returns its per-node assignments. Unlike Ingest, the batch is admitted
+// atomically (a rejection applies nothing) and assigned across the
+// session engine's parallel workers; its durable record is one
+// group-committed WAL frame.
 func (s *Session) IngestBatch(ctx context.Context, p *Pool, nodes []PushNode) ([]int32, error) {
 	return s.ingestJob(ctx, p, true, nodes)
 }
 
-// ingestJob queues one ingest job and waits for its outcome or for ctx,
-// whichever comes first. When ctx ends first the job may still be
-// queued or running: the worker owns nodes — and everything their Adj,
-// EW and Frame slices alias — until it has run the job, so the caller
-// must not reuse or pool that memory after a context error.
+// ingestJob runs one ingest job on the caller's goroutine. It returns
+// only once the job has run or is known never to run, so nodes — and
+// everything their Adj, EW and Frame slices alias — are the caller's
+// again as soon as it returns, error or not.
 func (s *Session) ingestJob(ctx context.Context, p *Pool, batch bool, nodes []PushNode) ([]int32, error) {
-	done := make(chan jobResult, 1)
-	j := job{kind: jobIngest, batch: batch, nodes: nodes, done: done}
-	if j.tr = trace.FromContext(ctx); j.tr != nil {
-		j.wallAt = time.Now()
-	}
-	if err := s.enqueue(ctx, p, j); err != nil {
+	j, err := s.begin(ctx, p)
+	if err != nil {
 		return nil, err
 	}
-	select {
-	case r := <-done:
-		return r.blocks, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	defer s.end(p)
+	j.batch, j.nodes = batch, nodes
+	return s.runIngest(j)
 }
 
-// Finish queues the sealing job and waits for the summary.
+// Finish runs the sealing job and returns the summary. Retry-safe like
+// ingest: a client that lost the finish response gets the stored
+// summary back.
 func (s *Session) Finish(ctx context.Context, p *Pool) (*Summary, error) {
-	done := make(chan jobResult, 1)
-	j := job{kind: jobFinish, done: done}
-	if j.tr = trace.FromContext(ctx); j.tr != nil {
-		j.wallAt = time.Now()
-	}
-	if err := s.enqueue(ctx, p, j); err != nil {
+	j, err := s.begin(ctx, p)
+	if err != nil {
 		return nil, err
 	}
-	select {
-	case r := <-done:
-		if r.err != nil {
-			return nil, r.err
+	defer s.end(p)
+	if !s.finished.Load() {
+		if err := s.seal(true, j.tid); err != nil {
+			return nil, err
 		}
-		return s.summary, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+		s.m.sessionsFinished.Inc()
+		fields := map[string]any{
+			"session":     s.ID,
+			"k":           s.summary.K,
+			"assigned":    s.summary.Assigned,
+			"lifetime_ms": s.now().Sub(s.Created).Milliseconds(),
+		}
+		if s.summary.EdgeCut != nil {
+			fields["edge_cut"] = *s.summary.EdgeCut
+		}
+		if j.tid != "" {
+			fields["trace_id"] = j.tid
+		}
+		s.ev.Emit(telemetry.EventSessionSealed, fields)
 	}
+	return s.summary, nil
 }
 
-// run executes one queued job on the worker that currently owns the
-// session. All engine access happens here, serialized by the pool.
-func (s *Session) run(j job) {
-	// A nil j.tr is the sampled-out path: every span-side clock read
-	// below is gated on it, so untraced jobs pay only the nil checks.
-	tid := j.tr.TraceIDString()
-	if !j.at.IsZero() {
-		s.m.queueWait.ObserveExemplar(s.now().Sub(j.at), tid)
-	}
-	if j.tr != nil && !j.wallAt.IsZero() {
-		j.tr.Span("queue", j.tr.Root(), j.wallAt, time.Since(j.wallAt))
-	}
-	switch j.kind {
-	case jobIngest:
-		j.done <- s.runIngest(j, tid)
-	case jobFinish:
-		j.done <- s.runFinish(tid)
-	}
-}
-
-// runFinish seals the session: engine finish, the durable seal, and for
-// persisted adaptive sessions the reconcile pass over the sealed log.
-func (s *Session) runFinish(tid string) jobResult {
-	if s.finished.Load() {
-		// Retry-safe like ingest: a client that lost the finish
-		// response gets the stored summary back.
-		return jobResult{result: s.result}
+// seal finishes the engine and stores the sealed result and summary.
+// Persisted adaptive sessions reconcile the partition over the sealed
+// log first: one sequential retract-and-reassign pass under the
+// now-exact capacities (Record sessions already ran it inside Finish,
+// over their in-memory buffer). The pass is deterministic given the
+// log, so recovery — which seals again from the replayed engine —
+// reproduces the acknowledged result byte for byte. A live finish
+// (live) also seals the log, before the summary is acked, so a restart
+// rebuilds the sealed result instead of offering an unsealed resume;
+// there a log failure kills the session like any WAL fault, since the
+// store could not reproduce the finish.
+func (s *Session) seal(live bool, tid string) error {
+	fail := func(op string, err error) error {
+		if live {
+			return s.walFailure(op, err, tid)
+		}
+		return fmt.Errorf("seal %s: %w", op, err)
 	}
 	res, err := s.eng.Finish()
 	if err != nil {
-		return jobResult{err: err}
+		return err
 	}
-	if s.log != nil {
-		// Seal before acking the summary, so a restart rebuilds the
-		// sealed result instead of offering an unsealed resume. A
-		// seal failure must not ack a finish the store cannot
-		// reproduce — it kills the session like any WAL fault.
-		if lerr := s.log.Seal(); lerr != nil {
-			return jobResult{err: s.walFailure("seal", lerr, tid)}
+	if live && s.log != nil {
+		if err := s.log.Seal(); err != nil {
+			return fail("seal", err)
 		}
 	}
-	// Persisted adaptive sessions reconcile the partition over the
-	// sealed log: one sequential retract-and-reassign pass under
-	// the now-exact capacities (Record sessions already ran it
-	// inside Finish, over their in-memory buffer). Deterministic
-	// given the sealed log, so recovery reproduces the same result.
-	if s.eng.Adaptive() && !s.spec.Record && s.replay != nil {
-		src, rerr := s.replay()
-		if rerr != nil {
-			return jobResult{err: s.walFailure("replay", rerr, tid)}
+	if s.eng.Adaptive() && !s.spec.Record && s.store != nil {
+		src, err := s.stream()
+		if err != nil {
+			return fail("replay", err)
 		}
 		if res, err = s.eng.ReconcilePass(src); err != nil {
-			return jobResult{err: s.walFailure("reconcile", err, tid)}
+			return fail("reconcile", err)
 		}
 	}
 	s.result = res
 	s.summary = s.summarize(res)
 	s.finished.Store(true)
-	s.m.sessionsFinished.Inc()
-	fields := map[string]any{
-		"session":     s.ID,
-		"k":           s.summary.K,
-		"assigned":    s.summary.Assigned,
-		"lifetime_ms": s.now().Sub(s.Created).Milliseconds(),
+	return nil
+}
+
+// stream opens the session's replayable stream: the durable log when the
+// server persists sessions, else the session's own record buffer.
+// ErrNoStream reports that neither was kept.
+func (s *Session) stream() (oms.Source, error) {
+	if s.store != nil {
+		return s.store.ReplaySource(s.ID)
 	}
-	if s.summary.EdgeCut != nil {
-		fields["edge_cut"] = *s.summary.EdgeCut
+	if src := s.eng.Source(); src != nil {
+		return src, nil
 	}
-	if tid != "" {
-		fields["trace_id"] = tid
-	}
-	s.ev.Emit(telemetry.EventSessionSealed, fields)
-	return jobResult{result: res}
+	return nil, fmt.Errorf("%w: %s", ErrNoStream, s.ID)
 }
 
 // admitted is what one ingest job did to the engine — a value local to
@@ -461,15 +447,15 @@ func (s *Session) appendRecords(j job, a admitted) error {
 	return nil
 }
 
-// runIngest executes one ingest job on the owning worker: reserve the
-// growth, admit the nodes to the engine, log what that freshly assigned,
-// and only then acknowledge. The whole job is assigned before anything
-// is appended — the ack is at job end, so log-before-ack holds either
-// way — which makes engine time and log time one interval each.
-func (s *Session) runIngest(j job, tid string) jobResult {
+// runIngest executes one started ingest job: reserve the growth, admit
+// the nodes to the engine, log what that freshly assigned, and only then
+// acknowledge. The whole job is assigned before anything is appended —
+// the ack is at job end, so log-before-ack holds either way — which
+// makes engine time and log time one interval each.
+func (s *Session) runIngest(j job) ([]int32, error) {
 	if err := s.chargeGrowth(j.nodes); err != nil {
 		s.m.pushErrors.Inc()
-		return jobResult{err: err}
+		return nil, err
 	}
 	defer s.settleGrowth()
 	var wall time.Time
@@ -483,7 +469,7 @@ func (s *Session) runIngest(j job, tid string) jobResult {
 	} else {
 		a = s.admitEach(j.nodes)
 	}
-	s.m.assign.ObserveExemplar(s.now().Sub(t0), tid)
+	s.m.assign.ObserveExemplar(s.now().Sub(t0), j.tid)
 	if j.tr != nil {
 		j.tr.Span("assign", j.tr.Root(), wall, time.Since(wall))
 	}
@@ -491,8 +477,8 @@ func (s *Session) runIngest(j job, tid string) jobResult {
 		s.m.pushErrors.Inc()
 	}
 	if s.log != nil {
-		if err := s.logIngest(j, a, tid); err != nil {
-			return jobResult{err: err}
+		if err := s.logIngest(j, a); err != nil {
+			return nil, err
 		}
 	}
 	var edges int64
@@ -506,7 +492,7 @@ func (s *Session) runIngest(j job, tid string) jobResult {
 	} else {
 		s.m.chunksIngested.Inc()
 	}
-	return jobResult{blocks: a.blocks, err: a.err}
+	return a.blocks, a.err
 }
 
 // logIngest is the durable half of an ingest job: append the fresh
@@ -517,7 +503,7 @@ func (s *Session) runIngest(j job, tid string) jobResult {
 // flushes like any other: the prefix is about to be acknowledged, and
 // after any ack a process crash loses nothing, an OS crash at most the
 // batched-fsync window. Any failure here kills the session.
-func (s *Session) logIngest(j job, a admitted, tid string) error {
+func (s *Session) logIngest(j job, a admitted) error {
 	var wall time.Time
 	if j.tr != nil {
 		wall = time.Now()
@@ -533,7 +519,7 @@ func (s *Session) logIngest(j job, a admitted, tid string) error {
 		wrote = wrote || stats
 	}
 	if err != nil {
-		return s.walFailure("append", err, tid)
+		return s.walFailure("append", err, j.tid)
 	}
 	if !wrote {
 		return nil
@@ -543,17 +529,17 @@ func (s *Session) logIngest(j job, a admitted, tid string) error {
 	if j.tr != nil {
 		d := time.Since(wall)
 		j.tr.Span("wal.append", j.tr.Root(), wall, d)
-		s.m.walAppend.AttachExemplar(d, tid)
+		s.m.walAppend.AttachExemplar(d, j.tid)
 		wall = time.Now()
 	}
 	err = s.log.Flush()
 	if j.tr != nil {
 		d := time.Since(wall)
 		j.tr.Span("wal.fsync", j.tr.Root(), wall, d)
-		s.m.walFsync.AttachExemplar(d, tid)
+		s.m.walFsync.AttachExemplar(d, j.tid)
 	}
 	if err != nil {
-		return s.walFailure("flush", err, tid)
+		return s.walFailure("flush", err, j.tid)
 	}
 	s.snapshotSpan(j)
 	return nil
@@ -566,10 +552,10 @@ func (s *Session) logIngest(j job, a admitted, tid string) error {
 // applies nothing — the whole job fails with the budget error. No-op
 // for declared sessions, whose footprint was admitted up front.
 // Charged-nodes protocol: charged is this session's contribution to
-// the manager's liveNodes. The owning worker moves it up (chargeGrowth)
+// the manager's liveNodes. The running job moves it up (chargeGrowth)
 // and down (settleGrowth); removal (Delete/EvictIdle) swaps it to zero
 // and subtracts exactly what it took. Removal sets closed *before* the
-// swap, and the worker re-checks closed *after* its add and settles by
+// swap, and the job re-checks closed *after* its add and settles by
 // compare-and-swap, so every reserved node is subtracted exactly once
 // no matter how a removal interleaves with an in-flight job.
 func (s *Session) chargeGrowth(nodes []PushNode) error {
@@ -615,7 +601,7 @@ func (s *Session) chargeGrowth(nodes []PushNode) error {
 // tail of the job never grew the engine), never dropping below the
 // admission-time charge (the hinted n). CAS against the removal swap:
 // if a concurrent Delete/eviction zeroed the charge, there is nothing
-// left for the worker to release.
+// left for the job to release.
 func (s *Session) settleGrowth() {
 	if s.release == nil || !s.eng.Adaptive() {
 		return
@@ -639,8 +625,8 @@ func (s *Session) settleGrowth() {
 
 // maybeLogStats appends a durable stats-revision record when the
 // adaptive estimator advanced since the last one, reporting whether it
-// did (never for declared sessions, whose revision stays 0). Owning
-// worker only, like every log append.
+// did (never for declared sessions, whose revision stays 0). Running
+// job only, like every log append.
 func (s *Session) maybeLogStats() (bool, error) {
 	rev := s.eng.StatsRevision()
 	if rev == s.lastStatsRev {

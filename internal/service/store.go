@@ -51,7 +51,7 @@ type Store interface {
 // of records the session acknowledges, in order, with Flush as the
 // durability barrier the ack waits on; the checkpoint, seal and release
 // that bound its life; and the side-store of refined result versions.
-// All calls are made from the single worker that owns the session, so
+// All calls are made from the job holding the session's turn, so
 // implementations need only guard against concurrent Close from the
 // manager. Nothing here names a file — the contract is "records in,
 // durable records out" — so a decorator embeds the whole interface and

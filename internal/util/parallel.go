@@ -44,55 +44,3 @@ func ParallelFor(n, threads int, body func(worker, lo, hi int)) {
 	}
 	wg.Wait()
 }
-
-// ParallelForChunked is like ParallelFor but hands out fixed-size chunks
-// dynamically from a shared counter, which balances load when per-item cost
-// is skewed (e.g. power-law degree graphs). chunk <= 0 picks a default.
-func ParallelForChunked(n, threads, chunk int, body func(worker, lo, hi int)) {
-	threads = Threads(threads)
-	if n <= 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = (n + threads*8 - 1) / (threads * 8)
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	if threads <= 1 {
-		body(0, 0, n)
-		return
-	}
-	var next int64
-	var mu sync.Mutex
-	take := func() (int, int, bool) {
-		mu.Lock()
-		lo := int(next)
-		if lo >= n {
-			mu.Unlock()
-			return 0, 0, false
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		next = int64(hi)
-		mu.Unlock()
-		return lo, hi, true
-	}
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for w := 0; w < threads; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				lo, hi, ok := take()
-				if !ok {
-					return
-				}
-				body(w, lo, hi)
-			}
-		}(w)
-	}
-	wg.Wait()
-}

@@ -229,25 +229,6 @@ func TestParallelForCoversRange(t *testing.T) {
 	}
 }
 
-func TestParallelForChunkedCoversRange(t *testing.T) {
-	for _, threads := range []int{1, 4} {
-		for _, chunk := range []int{0, 1, 7, 64} {
-			const n = 513
-			var mark = make([]int32, n)
-			ParallelForChunked(n, threads, chunk, func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&mark[i], 1)
-				}
-			})
-			for i, v := range mark {
-				if v != 1 {
-					t.Fatalf("threads=%d chunk=%d: index %d visited %d times", threads, chunk, i, v)
-				}
-			}
-		}
-	}
-}
-
 func TestParallelForSingleThreadInline(t *testing.T) {
 	// With one thread the body must run on the caller goroutine so that
 	// sequential algorithms remain deterministic; verify via plain (non

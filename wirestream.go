@@ -112,8 +112,9 @@ func (s *WireSource) ForEach(fn stream.Visitor) error {
 }
 
 // ForEachParallel implements Source. Frame decoding is inherently
-// sequential (frames are self-delimiting), so the pass runs on one
-// worker; the engine's batch path re-parallelizes downstream.
+// sequential (frames are self-delimiting), so the whole pass runs on
+// worker 0 whatever threads asks for: oms.Partition and oms.Map with
+// Threads > 1 over a wire file assign on one worker.
 func (s *WireSource) ForEachParallel(threads int, fn stream.ParallelVisitor) error {
 	return s.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) {
 		fn(0, u, vwgt, adj, ewgt)
