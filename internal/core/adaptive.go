@@ -106,18 +106,19 @@ func (o *OMS) readapt() {
 	o.applyStats(est)
 }
 
-// applyStats derives caps and alphas from the given stats and the
-// current lmax.
+// applyStats derives every block's cap and alpha from the given stats
+// and the current lmax.
 func (o *OMS) applyStats(st stream.Stats) {
 	lmax := o.lmax.Load()
 	alphaRoot := onepass.Alpha(o.Tree.K, st.TotalEdgeWeight, st.N)
-	for v := int32(0); v < o.Tree.NumNodes(); v++ {
-		t := o.Tree.LeafCount(v)
-		o.caps[v] = int64(t) * lmax
+	for v := range o.blk {
+		b := &o.blk[v]
+		t := o.Tree.LeafCount(int32(v))
+		b.cap = int64(t) * lmax
 		if o.cfg.VanillaAlpha {
-			o.alphas[v] = alphaRoot
+			b.alpha = alphaRoot
 		} else {
-			o.alphas[v] = alphaRoot / math.Sqrt(float64(t))
+			b.alpha = alphaRoot / math.Sqrt(float64(t))
 		}
 	}
 }

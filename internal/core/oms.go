@@ -24,6 +24,16 @@
 // (same gain sums in the same order, same tie-breaks; a test oracle keeps
 // that walk and checks it). With Threads > 1 the list is one snapshot of
 // the racily read neighbour assignments of §3.4.
+//
+// Every tree block has one 48-byte record (block): its load, capacity and
+// adapted alpha, plus the walk's read-only view of its children (first,
+// count, leaf range, child shift, scored-or-hashed). The children of a
+// block are contiguous in the tree, so scoring a level reads count
+// adjacent records, and the chosen child's record, already in cache,
+// tells the walk how to split the next level. The record holds nothing
+// derived from the loads but the load itself: capacities and alphas are
+// rewritten only when the stream stats are (re)applied. It is O(k), so
+// Theorem 1 stands.
 package core
 
 import (
@@ -97,8 +107,8 @@ type Config struct {
 	AdaptiveHeadroom float64
 }
 
-// OMS is one streaming run's state: the multi-section tree, one load and
-// one capacity per tree block (O(k) by Lemma 1), and the per-node leaf
+// OMS is one streaming run's state: the multi-section tree, one block
+// record per tree block (O(k) by Lemma 1), and the per-node leaf
 // assignment (O(n)).
 type OMS struct {
 	Tree *hierarchy.Tree
@@ -106,13 +116,10 @@ type OMS struct {
 
 	// lmax is atomic because adaptive runs ratchet it mid-stream while
 	// monitoring readers poll LmaxValue; declared runs set it once.
-	lmax      atomic.Int64
-	loads     []int64   // per tree node, atomically updated
-	caps      []int64   // t(v) * Lmax (§3.3 heterogeneous capacities)
-	alphas    []float64 // per tree node: adapted alpha/sqrt(t(v))
-	gamma     float64
-	hashDepth int32 // tree depths >= hashDepth score children by hashing
-	parts     []int32
+	lmax  atomic.Int64
+	blk   []block // per tree node, indexed like the tree
+	gamma float64
+	parts []int32
 
 	// est estimates the stream stats of an open-ended run online; nil
 	// for declared runs. Mutations (ObserveAdaptive, ImportEstimator,
@@ -132,11 +139,33 @@ type OMS struct {
 	scratchPool sync.Pool
 }
 
+// block is one tree block's record. load is the only field the walk
+// writes: atomically, except in sequential restream passes, which is why
+// it is a plain int64 (their retraction needs no locked instruction).
+// cap and alpha change only when applyStats runs; the rest is a copy of
+// the tree's shape, fixed in New. A level of the walk reads the parent's
+// record for first..scored and its children's adjacent records for load,
+// cap and alpha.
+type block struct {
+	load  int64   // charged node weight
+	cap   int64   // t(v) * Lmax (§3.3 heterogeneous capacities)
+	alpha float64 // adapted alpha / sqrt(t(v)), or the flat alpha
+	first int32   // first child; the children are blk[first : first+count]
+	count int32   // number of children, 0 for a leaf
+	kl    int32   // first leaf covered (the leaf id of a leaf)
+	width uint32  // KR - KL: a leaf p is inside iff uint32(p-kl) <= width
+	shift int8    // child index of leaf p is (p-kl)>>shift; -1: ChildContaining
+	// scored: the children are scored by the objective, not hashed
+	// (above the HashLayers bottom layers, and the scorer is not Hashing).
+	scored bool
+}
+
 // levelScratch is one worker's state for the node it is assigning: the
 // gain accumulated per child of the current subproblem (fanout-sized,
 // cleared per level) and the assigned neighbours still inside it — leaf
 // id and, on weighted streams only, edge weight, in adjacency order (grown
-// to the largest degree seen).
+// to the largest degree seen). Together with the child records of the
+// block being split it is all one level of the walk touches.
 type levelScratch struct {
 	gain     []float64
 	leaf     []int32
@@ -161,12 +190,20 @@ func New(tree *hierarchy.Tree, st stream.Stats, cfg Config) (*OMS, error) {
 		Tree:  tree,
 		cfg:   cfg,
 		gamma: gamma,
+		blk:   make([]block, tree.NumNodes()),
 		parts: make([]int32, st.N),
 	}
-	n := tree.NumNodes()
-	o.loads = make([]int64, n)
-	o.caps = make([]int64, n)
-	o.alphas = make([]float64, n)
+	// Decisions at depth d partition one layer-(MaxDepth-d) subproblem;
+	// the bottom HashLayers layers hash (depth >= MaxDepth - HashLayers).
+	hashDepth := tree.MaxDepth - int32(cfg.HashLayers)
+	for v := range o.blk {
+		b := &o.blk[v]
+		b.first, b.count = tree.Children(int32(v))
+		b.kl = tree.KL[v]
+		b.width = uint32(tree.KR[v] - tree.KL[v])
+		b.shift = tree.ChildShift[v]
+		b.scored = tree.Depth[v] < hashDepth && cfg.Scorer != ScorerHashing
+	}
 	if cfg.Adaptive {
 		// st carries optional hints; the estimator floors its
 		// projections at them and the initial thresholds derive from
@@ -181,9 +218,6 @@ func New(tree *hierarchy.Tree, st stream.Stats, cfg Config) (*OMS, error) {
 		// per-layer alpha_i = alpha / sqrt(prod_{r<i} a_r).
 		o.applyStats(st)
 	}
-	// Decisions at depth d partition one layer-(MaxDepth-d) subproblem;
-	// the bottom HashLayers layers hash (depth >= MaxDepth - HashLayers).
-	o.hashDepth = tree.MaxDepth - int32(cfg.HashLayers)
 	for i := range o.parts {
 		o.parts[i] = -1
 	}
@@ -226,15 +260,15 @@ func (o *OMS) K() int32 { return o.Tree.K }
 // TreeLoads returns a snapshot of the per-tree-block loads (for tests and
 // diagnostics).
 func (o *OMS) TreeLoads() []int64 {
-	out := make([]int64, len(o.loads))
-	for i := range o.loads {
-		out[i] = atomic.LoadInt64(&o.loads[i])
+	out := make([]int64, len(o.blk))
+	for i := range o.blk {
+		out[i] = atomic.LoadInt64(&o.blk[i].load)
 	}
 	return out
 }
 
 // AlphaOf exposes the adapted alpha of tree block v (tuning experiment).
-func (o *OMS) AlphaOf(v int32) float64 { return o.alphas[v] }
+func (o *OMS) AlphaOf(v int32) float64 { return o.blk[v].alpha }
 
 // AssignNode runs the per-node body of Algorithm 1 for one arriving node
 // and returns its permanent block: the incremental push-based entry into
@@ -281,7 +315,7 @@ func (o *OMS) ForceAssign(u int32, vwgt int32, leaf int32) {
 	v := t.Root
 	for !t.IsLeaf(v) {
 		v = t.ChildContaining(v, leaf)
-		atomic.AddInt64(&o.loads[v], int64(vwgt))
+		atomic.AddInt64(&o.blk[v].load, int64(vwgt))
 	}
 	atomic.StoreInt32(&o.parts[u], leaf)
 }
@@ -379,7 +413,7 @@ func (o *OMS) unassignAtomic(u int32, vwgt int32) {
 	}
 	t := o.Tree
 	for v := t.LeafNode[leaf]; v != t.Root; v = t.Parent[v] {
-		atomic.AddInt64(&o.loads[v], -int64(vwgt))
+		atomic.AddInt64(&o.blk[v].load, -int64(vwgt))
 	}
 	atomic.StoreInt32(&o.parts[u], -1)
 }
@@ -393,7 +427,7 @@ func (o *OMS) unassign(u int32, vwgt int32) {
 	}
 	t := o.Tree
 	for v := t.LeafNode[leaf]; v != t.Root; v = t.Parent[v] {
-		o.loads[v] -= int64(vwgt)
+		o.blk[v].load -= int64(vwgt)
 	}
 	o.parts[u] = -1
 }
@@ -423,27 +457,29 @@ func (o *OMS) assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32)
 // places later is not seen further down either. Hashed levels are the
 // bottom ones of every path and read no neighbours, so the list is
 // neither built nor narrowed there.
+//
+// Each level reads the record of the block being split and the adjacent
+// records of its children; the chosen child's record then describes the
+// next level.
 func (o *OMS) assignWith(sc *levelScratch, u int32, vwgt int32, adj []int32, ewgt []int32) {
-	t := o.Tree
-	v := t.Root
+	v := o.Tree.Root
+	b := &o.blk[v]
 	w := int64(vwgt)
-	for !t.IsLeaf(v) {
-		first, count := t.Children(v)
-		hashed := t.Depth[v] >= o.hashDepth || o.cfg.Scorer == ScorerHashing
-		if !hashed {
-			if v == t.Root {
-				o.gather(sc, adj, ewgt)
-			}
-			narrow(t, sc, v)
+	if b.scored {
+		o.gather(sc, adj, ewgt)
+	}
+	for b.count > 0 {
+		if b.scored {
+			o.narrow(sc, v)
 		}
 		var chosen int32
 		for attempt := 0; ; attempt++ {
 			// A failed reserve rescores against the loads as they are
 			// now; the gains stand.
-			if hashed {
-				chosen = o.hashChild(u, v, first, count, w)
+			if b.scored {
+				chosen = o.scoreChild(sc.gain[:b.count], b.first, w)
 			} else {
-				chosen = o.scoreChild(sc.gain[:count], first, w)
+				chosen = o.hashChild(u, v, b.first, b.count, w)
 			}
 			if o.reserve(chosen, w) {
 				break
@@ -452,13 +488,14 @@ func (o *OMS) assignWith(sc *levelScratch, u int32, vwgt int32, adj []int32, ewg
 				// Heavily weighted nodes can fragment so that no single
 				// child fits; fall back to the paper's unsynchronized
 				// increment rather than stall.
-				atomic.AddInt64(&o.loads[chosen], w)
+				atomic.AddInt64(&o.blk[chosen].load, w)
 				break
 			}
 		}
 		v = chosen
+		b = &o.blk[v]
 	}
-	atomic.StoreInt32(&o.parts[u], t.LeafID(v))
+	atomic.StoreInt32(&o.parts[u], b.kl)
 }
 
 // gather fills the scratch with the leaf id of every assigned neighbour,
@@ -490,28 +527,45 @@ func (o *OMS) gather(sc *levelScratch, adj []int32, ewgt []int32) {
 }
 
 // narrow keeps, in order, the gathered neighbours inside tree block v and
-// sums their edge weights per child of v into sc.gain.
-func narrow(t *hierarchy.Tree, sc *levelScratch, v int32) {
-	first, count := t.Children(v)
-	gain := sc.gain[:count]
+// sums their edge weights per child of v into sc.gain. An unweighted
+// stream over a power-of-two child span (every level of a base-4 tree
+// over a power-of-four k, and of 4:16:8) takes a loop of subtract,
+// compare, shift and count; weighted streams and other spans take the
+// general one.
+func (o *OMS) narrow(sc *levelScratch, v int32) {
+	b := &o.blk[v]
+	gain := sc.gain[:b.count]
 	for i := range gain {
 		gain[i] = 0
 	}
-	kl := t.KL[v]
-	width := uint32(t.KR[v] - kl)
-	shift := t.ChildShift[v]
-	leaf, wt := sc.leaf, sc.wt
+	kl, width := b.kl, b.width
+	leaf := sc.leaf
 	n := 0
+	if !sc.weighted && b.shift >= 0 {
+		shift := uint8(b.shift)
+		for _, p := range leaf {
+			off := uint32(p - kl)
+			if off > width {
+				continue
+			}
+			gain[off>>shift]++
+			leaf[n] = p
+			n++
+		}
+		sc.leaf = leaf[:n]
+		return
+	}
+	wt := sc.wt
 	for i, p := range leaf {
 		off := uint32(p - kl)
 		if off > width {
 			continue
 		}
 		var c int32
-		if shift >= 0 {
-			c = int32(off >> uint8(shift))
+		if b.shift >= 0 {
+			c = int32(off >> uint8(b.shift))
 		} else {
-			c = t.ChildContaining(v, p) - first
+			c = o.Tree.ChildContaining(v, p) - b.first
 		}
 		if sc.weighted {
 			gain[c] += wt[i]
@@ -532,12 +586,13 @@ const maxReserveAttempts = 8
 
 // reserve atomically charges w to block c iff the capacity allows it.
 func (o *OMS) reserve(c int32, w int64) bool {
+	b := &o.blk[c]
 	for {
-		cur := atomic.LoadInt64(&o.loads[c])
-		if cur+w > o.caps[c] {
+		cur := atomic.LoadInt64(&b.load)
+		if cur+w > b.cap {
 			return false
 		}
-		if atomic.CompareAndSwapInt64(&o.loads[c], cur, cur+w) {
+		if atomic.CompareAndSwapInt64(&b.load, cur, cur+w) {
 			return true
 		}
 	}
@@ -545,34 +600,51 @@ func (o *OMS) reserve(c int32, w int64) bool {
 
 // scoreChild scores the count = len(gain) children from first with the
 // configured objective and returns the best feasible one (ties to the
-// lighter block).
+// lighter block). The objective is chosen once per call. The default,
+// Fennel with gamma 1.5, evaluates onepass.FennelScore's expression
+// inline; LDG and other gammas call onepass per child.
 func (o *OMS) scoreChild(gain []float64, first int32, w int64) int32 {
-	count := int32(len(gain))
-	best := int32(-1)
+	kids := o.blk[first : first+int32(len(gain))]
+	gain = gain[:len(kids)] // one length: no bounds checks on gain[i]
+	best := -1
 	bestScore := 0.0
 	var bestLoad int64
-	ldg := o.cfg.Scorer == ScorerLDG
-	for i := int32(0); i < count; i++ {
-		c := first + i
-		load := atomic.LoadInt64(&o.loads[c])
-		var score float64
-		var ok bool
-		if ldg {
-			score, ok = onepass.LDGScore(gain[i], load, w, o.caps[c])
-		} else {
-			score, ok = onepass.FennelScore(gain[i], load, w, o.caps[c], o.alphas[c], o.gamma)
+	if o.cfg.Scorer != ScorerLDG && o.gamma == 1.5 {
+		for i := range kids {
+			c := &kids[i]
+			load := atomic.LoadInt64(&c.load)
+			if load+w > c.cap {
+				continue
+			}
+			score := gain[i] - c.alpha*1.5*math.Sqrt(float64(load))
+			if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
+				best, bestScore, bestLoad = i, score, load
+			}
 		}
-		if !ok {
-			continue
-		}
-		if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
-			best, bestScore, bestLoad = c, score, load
+	} else {
+		ldg := o.cfg.Scorer == ScorerLDG
+		for i := range kids {
+			c := &kids[i]
+			load := atomic.LoadInt64(&c.load)
+			var score float64
+			var ok bool
+			if ldg {
+				score, ok = onepass.LDGScore(gain[i], load, w, c.cap)
+			} else {
+				score, ok = onepass.FennelScore(gain[i], load, w, c.cap, c.alpha, o.gamma)
+			}
+			if !ok {
+				continue
+			}
+			if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
+				best, bestScore, bestLoad = i, score, load
+			}
 		}
 	}
 	if best < 0 {
-		best = o.leastRelativeLoad(first, count)
+		return o.leastRelativeLoad(first, int32(len(kids)))
 	}
-	return best
+	return first + int32(best)
 }
 
 // hashChild places u by hashing, probing siblings when the target is at
@@ -582,7 +654,7 @@ func (o *OMS) hashChild(u, v, first, count int32, w int64) int32 {
 	h := int32(util.HashMod(uint64(u), o.cfg.Seed^uint64(v)*0x9e3779b97f4a7c15, int(count)))
 	for probe := int32(0); probe < count; probe++ {
 		c := first + (h+probe)%count
-		if atomic.LoadInt64(&o.loads[c])+w <= o.caps[c] {
+		if atomic.LoadInt64(&o.blk[c].load)+w <= o.blk[c].cap {
 			return c
 		}
 	}
@@ -597,7 +669,7 @@ func (o *OMS) leastRelativeLoad(first, count int32) int32 {
 	bestRatio := math.Inf(1)
 	for i := int32(0); i < count; i++ {
 		c := first + i
-		r := float64(atomic.LoadInt64(&o.loads[c])) / float64(o.caps[c])
+		r := float64(atomic.LoadInt64(&o.blk[c].load)) / float64(o.blk[c].cap)
 		if r < bestRatio {
 			best, bestRatio = c, r
 		}

@@ -18,19 +18,23 @@ import (
 // node's neighbours once. At every level it re-reads parts for the whole
 // adjacency, range-checks each neighbour against the block being split and
 // looks its child up by comparing leaf ranges — independent of gather,
-// narrow, ChildShift and ChildContaining. Sequentially the two walks must
-// agree to the last bit.
+// narrow, ChildShift and ChildContaining. It scores every child through
+// onepass.FennelScore/LDGScore, so it also holds the walk's inlined
+// Fennel arm to them, and it derives the hashed levels from the config,
+// not from the block records. Sequentially the two walks must agree to
+// the last bit.
 
 func (o *OMS) rescanAssign(u int32, vwgt int32, adj []int32, ewgt []int32) {
 	t := o.Tree
 	v := t.Root
 	w := int64(vwgt)
 	gain := make([]float64, t.MaxFanout)
+	hashDepth := t.MaxDepth - int32(o.cfg.HashLayers)
 	for !t.IsLeaf(v) {
 		first, count := t.Children(v)
 		var chosen int32
 		for attempt := 0; ; attempt++ {
-			if t.Depth[v] >= o.hashDepth || o.cfg.Scorer == ScorerHashing {
+			if t.Depth[v] >= hashDepth || o.cfg.Scorer == ScorerHashing {
 				chosen = o.hashChild(u, v, first, count, w)
 			} else {
 				chosen = o.rescanScoreChild(gain, v, first, count, w, adj, ewgt)
@@ -39,7 +43,7 @@ func (o *OMS) rescanAssign(u int32, vwgt int32, adj []int32, ewgt []int32) {
 				break
 			}
 			if attempt >= maxReserveAttempts {
-				atomic.AddInt64(&o.loads[chosen], w)
+				atomic.AddInt64(&o.blk[chosen].load, w)
 				break
 			}
 		}
@@ -75,13 +79,13 @@ func (o *OMS) rescanScoreChild(gain []float64, v, first, count int32, w int64, a
 	var bestLoad int64
 	for i := int32(0); i < count; i++ {
 		c := first + i
-		load := atomic.LoadInt64(&o.loads[c])
+		load := atomic.LoadInt64(&o.blk[c].load)
 		var score float64
 		var ok bool
 		if o.cfg.Scorer == ScorerLDG {
-			score, ok = onepass.LDGScore(gain[i], load, w, o.caps[c])
+			score, ok = onepass.LDGScore(gain[i], load, w, o.blk[c].cap)
 		} else {
-			score, ok = onepass.FennelScore(gain[i], load, w, o.caps[c], o.alphas[c], o.gamma)
+			score, ok = onepass.FennelScore(gain[i], load, w, o.blk[c].cap, o.blk[c].alpha, o.gamma)
 		}
 		if !ok {
 			continue
@@ -120,6 +124,16 @@ func weighted(g *graph.Graph) *graph.Graph {
 		}
 	}
 	return b.Finish()
+}
+
+// nodeWeighted returns g with node weights 1..5 and unit edge weights, so
+// the stream hands the walk ewgt == nil.
+func nodeWeighted(g *graph.Graph) *graph.Graph {
+	vw := make([]int32, g.NumNodes())
+	for u := range vw {
+		vw[u] = 1 + int32(u)%5
+	}
+	return &graph.Graph{Xadj: g.Xadj, Adjncy: g.Adjncy, VWgt: vw}
 }
 
 // requireSameState fails unless both runs hold the same assignment of
@@ -183,6 +197,7 @@ func TestWalkMatchesRescanOracle(t *testing.T) {
 	rgg := gen.RandomGeometric(6000, 0.55, 41)
 	rmat := gen.RMAT(4096, 30000, gen.SocialRMAT, 42)
 	heavy := weighted(rgg)
+	nodeHeavy := nodeWeighted(rgg)
 	configs := []struct {
 		name   string
 		g      *graph.Graph
@@ -197,7 +212,8 @@ func TestWalkMatchesRescanOracle(t *testing.T) {
 		{"vanilla-alpha", rmat, Config{Epsilon: 0.03, VanillaAlpha: true}, 0},
 		{"gamma2", rgg, Config{Epsilon: 0.03, Gamma: 2}, 0},
 		{"weighted", heavy, Config{Epsilon: 0.10}, 0},
-		{"weighted-tight", heavy, Config{Epsilon: 0}, 0}, // failed reserves, forced placements
+		{"weighted-tight", heavy, Config{Epsilon: 0}, 0},          // failed reserves, forced placements
+		{"node-weighted-tight", nodeHeavy, Config{Epsilon: 0}, 0}, // the same through the unweighted narrow
 		{"restream2", rgg, Config{Epsilon: 0.03}, 2},
 		{"restream2-weighted", heavy, Config{Epsilon: 0.10, HashLayers: 1}, 2},
 	}
@@ -290,8 +306,8 @@ func TestParallelWalkKeepsCapsAndOwnScratch(t *testing.T) {
 				}
 				var placed int64
 				for v, l := range o.TreeLoads() {
-					if l > o.caps[v] {
-						t.Fatalf("%s: tree block %d holds %d > %d", stage, v, l, o.caps[v])
+					if l > o.blk[v].cap {
+						t.Fatalf("%s: tree block %d holds %d > %d", stage, v, l, o.blk[v].cap)
 					}
 					if tree.IsLeaf(int32(v)) {
 						placed += l

@@ -13,10 +13,7 @@ import (
 // checkpoint. Callers must hold the same serialization AssignNode
 // requires; both slices are fresh copies.
 func (o *OMS) ExportState() (loads []int64, parts []int32) {
-	loads = make([]int64, len(o.loads))
-	for i := range o.loads {
-		loads[i] = atomic.LoadInt64(&o.loads[i])
-	}
+	loads = o.TreeLoads()
 	// Adaptive runs export only the covered prefix: the growth slack
 	// past it is all -1 by construction, and trimming keeps exports
 	// independent of the amortization schedule.
@@ -30,8 +27,8 @@ func (o *OMS) ExportState() (loads []int64, parts []int32) {
 // AssignNode calls after an import continue bit-identically to the run
 // the state was exported from.
 func (o *OMS) ImportState(loads []int64, parts []int32) error {
-	if len(loads) != len(o.loads) {
-		return fmt.Errorf("core: import has %d tree-block loads, this tree has %d", len(loads), len(o.loads))
+	if len(loads) != len(o.blk) {
+		return fmt.Errorf("core: import has %d tree-block loads, this tree has %d", len(loads), len(o.blk))
 	}
 	if o.est != nil {
 		// Adaptive runs size the assignment vector by what has arrived;
@@ -50,7 +47,7 @@ func (o *OMS) ImportState(loads []int64, parts []int32) error {
 		}
 	}
 	for i := range loads {
-		atomic.StoreInt64(&o.loads[i], loads[i])
+		atomic.StoreInt64(&o.blk[i].load, loads[i])
 	}
 	copy(o.parts, parts)
 	return nil

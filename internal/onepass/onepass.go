@@ -8,8 +8,11 @@
 // loads, racy-but-benign neighbor reads).
 //
 // The scoring functions are exported separately (FennelScore, LDGScore)
-// because the online recursive multi-section in internal/core applies the
-// same mathematics to multi-section tree blocks.
+// because the online recursive multi-section in internal/core scores
+// multi-section tree blocks with them. Its default arm, Fennel with gamma
+// 1.5, evaluates FennelScore's expression inline rather than calling it;
+// core's oracle test scores through FennelScore and holds the two equal
+// to the last bit.
 package onepass
 
 import (

@@ -239,6 +239,7 @@ func (st *Store) newLog(f *os.File, dir string) *Log {
 		dir:       dir,
 		syncEvery: st.opt.SyncInterval,
 		lastSync:  time.Now(),
+		fsync:     f.Sync,
 		obsAppend: st.opt.ObserveAppend,
 		obsFsync:  st.opt.ObserveFsync,
 	}

@@ -22,7 +22,9 @@
 //     torn tail. Appends are buffered; the service flushes to the OS
 //     once per acknowledged chunk, and fsync is batched on a
 //     configurable interval, so a process crash loses nothing
-//     acknowledged and an OS crash loses at most the sync window.
+//     acknowledged and an OS crash loses at most the sync window. A
+//     failed fsync is never retried: the log returns it from every
+//     later call, and the service kills the session.
 //   - snap — an atomically replaced checkpoint of the engine state
 //     (tree loads + assignment vector, O(n + k) by Theorem 1) covering
 //     a durable prefix of the log, so recovery replays only the tail.
@@ -81,6 +83,14 @@ type Log struct {
 	syncEvery time.Duration
 	dirty     bool // bytes possibly not yet fsynced
 	lastSync  time.Time
+	// fsync syncs f (a seam: tests inject disk faults).
+	fsync func() error
+	// syncErr is the first failed fsync. A failed fsync is never retried:
+	// after failed writeback the kernel may have dropped the dirty pages,
+	// so a later fsync can succeed over records that never reached the
+	// disk. The log is dead from then on: appends, Flush, Seal, Snapshot
+	// and Close all return syncErr.
+	syncErr error
 	// obsAppend/obsFsync observe append and fsync latencies into the
 	// daemon's histograms; nil when the store is not instrumented.
 	obsAppend func(time.Duration)
@@ -95,6 +105,8 @@ type Log struct {
 // callers hold mu.
 func (l *Log) appendable() error {
 	switch {
+	case l.syncErr != nil:
+		return l.syncErr
 	case l.closed:
 		return fmt.Errorf("wal: append to closed log")
 	case l.sealed:
@@ -156,14 +168,19 @@ func (l *Log) observeAppend(t0 time.Time) {
 	}
 }
 
-// syncFile fsyncs the log file, timing the stall; callers hold mu.
+// syncFile fsyncs the log file, timing the stall, and records a failure
+// in syncErr; callers hold mu and never call it once syncErr is set.
 func (l *Log) syncFile() error {
 	t0 := time.Now()
-	err := l.f.Sync()
+	err := l.fsync()
 	if l.obsFsync != nil {
 		l.obsFsync(time.Since(t0))
 	}
-	return err
+	if err != nil {
+		l.syncErr = fmt.Errorf("wal: fsync failed, log is dead: %w", err)
+		return l.syncErr
+	}
+	return nil
 }
 
 // AppendBatch buffers one ingest batch as a group-committed frame: the
@@ -296,8 +313,12 @@ func (l *Log) Flush() error {
 }
 
 // flushLocked empties the buffer and fsyncs when due or forced; when
-// the fsync is deferred it arms the idle-tail timer instead.
+// the fsync is deferred it arms the idle-tail timer instead. After a
+// failed fsync it only reports that failure.
 func (l *Log) flushLocked(force bool) error {
+	if l.syncErr != nil {
+		return l.syncErr
+	}
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
@@ -332,12 +353,13 @@ func (l *Log) flushLocked(force bool) error {
 // right after a deferred-sync Flush would keep acknowledged records
 // un-fsynced until the next chunk arrives, making the documented
 // "-wal-sync window" unbounded in wall-clock time. Errors here are left
-// for the next Flush/Seal/Close to surface.
+// for the next Flush/Seal/Close to surface: a write error stays in the
+// buffered writer, a failed fsync in syncErr.
 func (l *Log) timedSync() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.syncTimer = nil
-	if l.closed || !l.dirty {
+	if l.closed || !l.dirty || l.syncErr != nil {
 		return
 	}
 	if err := l.w.Flush(); err != nil {

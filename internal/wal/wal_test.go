@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -484,6 +485,74 @@ func TestIdleTailFsyncTimer(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	lg.Close()
+}
+
+// TestFailedFsyncKillsLog: a deferred fsync that fails surfaces on the
+// next Flush and from every later call, and is never retried — after
+// failed writeback a retried fsync can succeed over pages the kernel
+// already dropped, losing acknowledged records without an error.
+func TestFailedFsyncKillsLog(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slg, err := st.Create("s5-00000005", spec(10, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg := slg.(*Log)
+	errDisk := errors.New("injected EIO")
+	syncs := 0
+	lg.mu.Lock()
+	lg.fsync = func() error {
+		syncs++
+		if syncs == 1 {
+			return errDisk
+		}
+		return nil // what a retry after dropped writeback reports
+	}
+	lg.mu.Unlock()
+
+	if err := lg.AppendNodeFrame(framed(0, 1, nil, nil).Frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Flush(); err != nil { // inside the interval: sync deferred
+		t.Fatal(err)
+	}
+	if syncs != 0 {
+		t.Fatalf("%d fsyncs inside the interval, want 0", syncs)
+	}
+	lg.timedSync() // the idle-tail timer fires; its fsync fails
+	if syncs != 1 {
+		t.Fatalf("%d fsyncs after the timer, want 1", syncs)
+	}
+	if err := lg.Flush(); !errors.Is(err, errDisk) {
+		t.Fatalf("Flush after a failed deferred fsync = %v, want %v", err, errDisk)
+	}
+	if err := lg.AppendNodeFrame(framed(1, 1, []int32{0}, nil).Frame); !errors.Is(err, errDisk) {
+		t.Fatalf("append after a failed fsync = %v, want %v", err, errDisk)
+	}
+	if err := lg.AppendBatch([]service.PushNode{framed(2, 1, nil, nil)}, []int32{0}); !errors.Is(err, errDisk) {
+		t.Fatalf("batch append after a failed fsync = %v, want %v", err, errDisk)
+	}
+	if err := lg.Flush(); !errors.Is(err, errDisk) {
+		t.Fatalf("second Flush = %v, want %v", err, errDisk)
+	}
+	if err := lg.Snapshot(oms.SessionState{}); !errors.Is(err, errDisk) {
+		t.Fatalf("Snapshot = %v, want %v", err, errDisk)
+	}
+	if err := lg.Seal(); !errors.Is(err, errDisk) {
+		t.Fatalf("Seal = %v, want %v", err, errDisk)
+	}
+	if err := lg.Close(); !errors.Is(err, errDisk) {
+		t.Fatalf("Close = %v, want %v", err, errDisk)
+	}
+	if syncs != 1 {
+		t.Fatalf("the failed fsync was retried: %d fsyncs", syncs)
+	}
+	if n := lg.Nodes(); n != 1 {
+		t.Fatalf("log counts %d node records, want the 1 appended before the failure", n)
+	}
 }
 
 func TestPartialCreateLeavesNoGhostSession(t *testing.T) {
