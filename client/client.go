@@ -6,6 +6,13 @@
 // whose Code matches the API's stable error classes, so callers branch
 // with errors.Is(err, client.ErrGone) instead of matching status codes
 // by hand.
+//
+// Push and PushBatch run on pooled per-request state: the reply reader
+// and its arena, the decode scratch, the NDJSON line buffer and the
+// encode scratch are reused across requests, so a steady push allocates
+// its request, one exact-size copy of the encoded body (net/http may
+// read a body after Do returns and rewinds it to follow a redirect, so
+// it never gets the scratch) and the returned assignments.
 package client
 
 import (

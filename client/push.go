@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 
 	"oms/internal/wire"
 )
@@ -42,6 +43,74 @@ func (c *Client) PushBatch(ctx context.Context, id string, nodes []Node) ([]Assi
 	return c.ingest(ctx, id, "batch", nodes)
 }
 
+// maxPooledScratch caps what a push state may keep when it goes back to
+// the pool: one huge push must not pin its buffers for the process's
+// lifetime.
+const maxPooledScratch = 1 << 20
+
+// pushState is the pooled per-request state of a push, either format:
+// the reply reader (read-ahead buffer and arena), one assign frame's
+// decoded pairs, the NDJSON reply scanner's initial line buffer and the
+// request encode scratch. Each buffer is allocated by the first request
+// that needs it and reused by the next, so a steady push allocates only
+// its request, one exact-size copy of the body and the []Assignment it
+// returns. Nothing handed to the caller or to net/http aliases the state.
+type pushState struct {
+	rd     *wire.Reader // nil until the first binary reply
+	us, bs []int32
+	line   []byte
+	body   bodyBuf
+}
+
+// bodyBuf is the encode scratch as an io.Writer for the NDJSON encoder.
+type bodyBuf []byte
+
+func (b *bodyBuf) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
+var pushPool = sync.Pool{New: func() any { return new(pushState) }}
+
+// release returns the state to the pool, holding no response and no
+// buffer that grew past maxPooledScratch.
+func (s *pushState) release() {
+	if s.rd != nil {
+		s.rd.Reset(nil)
+		if cap(s.rd.Arena.Raw) > maxPooledScratch {
+			s.rd = nil
+		}
+	}
+	if cap(s.body) > maxPooledScratch {
+		s.body = nil
+	}
+	if 4*cap(s.us) > maxPooledScratch {
+		s.us, s.bs = nil, nil
+	}
+	pushPool.Put(s)
+}
+
+// encode renders nodes in the request format into the scratch and
+// returns one exact-size copy of it. net/http gets the copy, never the
+// scratch: the Transport may still read a body after Do returns, and a
+// 307 wrong_node redirect rewinds it through GetBody.
+func (s *pushState) encode(binary bool, nodes []Node) ([]byte, error) {
+	s.body = s.body[:0]
+	if binary {
+		for _, nd := range nodes {
+			s.body = appendCanonicalFrame(s.body, nd)
+		}
+	} else {
+		enc := json.NewEncoder(&s.body)
+		for _, nd := range nodes {
+			if err := enc.Encode(nd); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return append(make([]byte, 0, len(s.body)), s.body...), nil
+}
+
 // ingest encodes the nodes once and streams them to the session's
 // node. In cluster mode the request is routed to the owner and retried
 // through failover — but only on failures that provably never delivered
@@ -50,28 +119,20 @@ func (c *Client) PushBatch(ctx context.Context, id string, nodes []Node) ([]Assi
 // replay would re-assign nodes, so mid-stream breaks surface to the
 // caller, who resumes from the session's authoritative assigned count.
 func (c *Client) ingest(ctx context.Context, id, route string, nodes []Node) ([]Assignment, error) {
-	var body bytes.Buffer
-	var ct string
+	s := pushPool.Get().(*pushState)
+	defer s.release()
+	ct := "application/x-ndjson"
 	if c.binary {
 		ct = wire.MediaType
-		buf := body.AvailableBuffer()
-		for _, nd := range nodes {
-			buf = appendCanonicalFrame(buf, nd)
-		}
-		body.Write(buf)
-	} else {
-		ct = "application/x-ndjson"
-		enc := json.NewEncoder(&body)
-		for _, nd := range nodes {
-			if err := enc.Encode(nd); err != nil {
-				return nil, err
-			}
-		}
+	}
+	body, err := s.encode(c.binary, nodes)
+	if err != nil {
+		return nil, err
 	}
 	var out []Assignment
-	err := c.route(ctx, id, true, func(base string) error {
+	err = c.route(ctx, id, true, func(base string) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			fmt.Sprintf("%s/v1/sessions/%s/%s", base, id, route), bytes.NewReader(body.Bytes()))
+			fmt.Sprintf("%s/v1/sessions/%s/%s", base, id, route), bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
@@ -87,9 +148,9 @@ func (c *Client) ingest(ctx context.Context, id, route string, nodes []Node) ([]
 			return apiError(resp)
 		}
 		if c.binary {
-			out, err = readWireAssignments(resp.Body, len(nodes))
+			out, err = s.readWireAssignments(resp.Body, len(nodes))
 		} else {
-			out, err = readJSONAssignments(resp.Body, len(nodes))
+			out, err = s.readJSONAssignments(resp.Body, len(nodes))
 		}
 		return err
 	})
@@ -114,13 +175,19 @@ func appendCanonicalFrame(buf []byte, nd Node) []byte {
 
 // readWireAssignments drains a binary reply stream: TypeAssign frames
 // carry assignments, a TypeError frame ends the stream with an in-band
-// error (the assignments before it stand).
-func readWireAssignments(r io.Reader, hint int) ([]Assignment, error) {
+// error (the assignments before it stand). Frames land in the state's
+// pooled reader and pairs in its us/bs scratch; the returned slice is
+// built by value and the error message is a copy, so neither aliases
+// the state once it is recycled.
+func (s *pushState) readWireAssignments(r io.Reader, hint int) ([]Assignment, error) {
 	out := make([]Assignment, 0, hint)
-	rd := wire.NewReader(r)
-	var us, bs []int32
+	if s.rd == nil {
+		s.rd = wire.NewReader(r)
+	} else {
+		s.rd.Reset(r)
+	}
 	for {
-		payload, _, err := rd.NextFrame()
+		payload, _, err := s.rd.NextFrame()
 		if err == io.EOF {
 			return out, nil
 		}
@@ -129,12 +196,12 @@ func readWireAssignments(r io.Reader, hint int) ([]Assignment, error) {
 		}
 		switch payload[0] {
 		case wire.TypeAssign:
-			us, bs, err = wire.DecodeAssignPayload(payload, us[:0], bs[:0])
+			s.us, s.bs, err = wire.DecodeAssignPayload(payload, s.us[:0], s.bs[:0])
 			if err != nil {
 				return out, err
 			}
-			for i := range us {
-				out = append(out, Assignment{U: us[i], B: bs[i]})
+			for i, u := range s.us {
+				out = append(out, Assignment{U: u, B: s.bs[i]})
 			}
 		case wire.TypeError:
 			msg, err := wire.DecodeErrorPayload(payload)
@@ -145,16 +212,20 @@ func readWireAssignments(r io.Reader, hint int) ([]Assignment, error) {
 		default:
 			return out, fmt.Errorf("oms: unexpected reply frame type %d", payload[0])
 		}
-		rd.Arena.Reset()
+		s.rd.Arena.Reset()
 	}
 }
 
 // readJSONAssignments drains an NDJSON reply stream; a line with an
-// "error" field ends the stream with an in-band error.
-func readJSONAssignments(r io.Reader, hint int) ([]Assignment, error) {
+// "error" field ends the stream with an in-band error. The scanner
+// starts on the state's pooled line buffer.
+func (s *pushState) readJSONAssignments(r io.Reader, hint int) ([]Assignment, error) {
 	out := make([]Assignment, 0, hint)
+	if s.line == nil {
+		s.line = make([]byte, 64<<10)
+	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
+	sc.Buffer(s.line, 16<<20)
 	for sc.Scan() {
 		if len(sc.Bytes()) == 0 {
 			continue

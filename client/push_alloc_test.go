@@ -1,0 +1,105 @@
+//go:build !race
+
+// Under the race detector sync.Pool drops entries at random, so the
+// pooled push state is rebuilt on most pushes: an allocation floor would
+// measure the detector, not the client.
+
+package client
+
+import (
+	"bytes"
+	"context"
+	"runtime"
+	"testing"
+
+	"oms/internal/wire"
+)
+
+// pathGraph is an n-node path graph stream.
+func pathGraph(n int32) []Node {
+	nodes := make([]Node, n)
+	for u := range n {
+		var adj []int32
+		if u > 0 {
+			adj = append(adj, u-1)
+		}
+		if u+1 < n {
+			adj = append(adj, u+1)
+		}
+		nodes[u] = Node{U: u, Adj: adj}
+	}
+	return nodes
+}
+
+// TestReadWireAssignmentsAllocatesOnlyItsResult: once the state's
+// reader and scratch are warm, decoding a 64-assignment reply allocates
+// exactly the returned slice.
+func TestReadWireAssignmentsAllocatesOnlyItsResult(t *testing.T) {
+	us, bs := make([]int32, 64), make([]int32, 64)
+	for i := range us {
+		us[i], bs[i] = int32(1000+i), int32(i%7)
+	}
+	reply := wire.AppendFrame(nil, wire.AppendAssignPayload(nil, us, bs))
+	var s pushState
+	br := bytes.NewReader(reply)
+	var got []Assignment
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		br.Reset(reply)
+		got, err = s.readWireAssignments(br, len(us))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 1 {
+		t.Fatalf("readWireAssignments: %.1f allocs per call, want exactly 1 (the result)", allocs)
+	}
+	if len(got) != len(us) {
+		t.Fatalf("decoded %d assignments, want %d", len(got), len(us))
+	}
+	for i, a := range got {
+		if a.U != us[i] || a.B != bs[i] {
+			t.Fatalf("assignment %d = %+v, want {%d %d}", i, a, us[i], bs[i])
+		}
+	}
+}
+
+// TestBinaryPushHeapFloor: a steady 64-node binary push round trip —
+// client and in-process server together — allocates at most 32 KiB. A
+// reply reader built per push would alone cost 128 KiB: its 64 KiB
+// read-ahead buffer and 64 KiB arena.
+func TestBinaryPushHeapFloor(t *testing.T) {
+	url := testServer(t)
+	ctx := context.Background()
+	c := New(url, WithBinary(true))
+	const chunk, warm, pushes = 64, 16, 256
+	n := int32(chunk * (warm + pushes))
+	created, err := c.Create(ctx, Spec{N: n, M: int64(n - 1), K: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := pathGraph(n)
+	push := func(i int) {
+		as, err := c.Push(ctx, created.ID, nodes[i*chunk:(i+1)*chunk])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(as) != chunk {
+			t.Fatalf("push %d: %d assignments, want %d", i, len(as), chunk)
+		}
+	}
+	for i := range warm {
+		push(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warm; i < warm+pushes; i++ {
+		push(i)
+	}
+	runtime.ReadMemStats(&after)
+	perPush := float64(after.TotalAlloc-before.TotalAlloc) / pushes
+	t.Logf("%.0f B allocated per 64-node binary push", perPush)
+	if perPush > 32<<10 {
+		t.Fatalf("%.0f B allocated per push, want <= %d", perPush, 32<<10)
+	}
+}

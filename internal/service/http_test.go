@@ -310,6 +310,48 @@ func TestSentinelStatusCodes(t *testing.T) {
 	}
 }
 
+// TestRequestBinaryMediaTypes pins the ingest format decision for every
+// class of Content-Type: the exact frame type (the fast path), the frame
+// type with parameters or in another case (through the parser), the
+// NDJSON-ish list, text/*, and 415 for the rest.
+func TestRequestBinaryMediaTypes(t *testing.T) {
+	for _, tc := range []struct {
+		ct          string
+		binary, bad bool
+	}{
+		{"", false, false},
+		{"application/x-oms-frame", true, false},
+		{"application/x-oms-frame; charset=binary", true, false},
+		{"application/x-oms-frame ; v=2", true, false},
+		{"Application/X-OMS-Frame", true, false},
+		{"application/x-ndjson", false, false},
+		{"application/jsonlines", false, false},
+		{"application/json", false, false},
+		{"application/json; charset=utf-8", false, false},
+		{"application/octet-stream", false, false},
+		{"application/x-www-form-urlencoded", false, false},
+		{"APPLICATION/X-NDJSON", false, false},
+		{"text/plain", false, false},
+		{"Text/CSV; charset=utf-8", false, false},
+		{"image/png", false, true},
+		{"application/x-oms-framex", false, true},
+		{"application/x-oms-frame;;", false, true},
+		{"not a media type", false, true},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/sessions/x/nodes", nil)
+		if tc.ct != "" {
+			r.Header.Set("Content-Type", tc.ct)
+		}
+		binary, err := requestBinary(r)
+		if binary != tc.binary || (err != nil) != tc.bad {
+			t.Errorf("%q: binary=%v err=%v, want binary=%v bad=%v", tc.ct, binary, err, tc.binary, tc.bad)
+		}
+		if tc.bad && statusOf(err) != http.StatusUnsupportedMediaType {
+			t.Errorf("%q: status %d, want 415", tc.ct, statusOf(err))
+		}
+	}
+}
+
 func TestHTTPErrorPaths(t *testing.T) {
 	_, srv := newTestServer(t, Config{})
 	// Unknown session.

@@ -22,10 +22,15 @@ var ErrUnsupportedMedia = errors.New("service: unsupported media type")
 // Content-Type: the binary frame protocol for wire.MediaType, NDJSON
 // for the JSON-ish types (plus the types generic tools send when the
 // caller sets none — curl posts x-www-form-urlencoded by default), and
-// an ErrUnsupportedMedia for anything genuinely alien.
+// an ErrUnsupportedMedia for anything genuinely alien. The exact frame
+// type every binary client sends skips mime.ParseMediaType, which
+// allocates a parameter map per call.
 func requestBinary(r *http.Request) (bool, error) {
 	ct := r.Header.Get("Content-Type")
-	if ct == "" {
+	switch ct {
+	case wire.MediaType:
+		return true, nil
+	case "":
 		return false, nil
 	}
 	mt, _, err := mime.ParseMediaType(ct)
