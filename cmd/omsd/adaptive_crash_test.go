@@ -111,7 +111,7 @@ func TestAdaptiveCrashRecoveryE2E(t *testing.T) {
 
 	// First daemon: open the open-ended session (just "k"), deliver
 	// 60%, die.
-	base, stop := startDaemon(t, "-data-dir", dataDir, "-wal-sync", "0", "-snapshot-every", "500")
+	base, stop := startDaemon(t, "-data-dir", dataDir, "-wal-sync", "0")
 	resp, err := http.Post(base+"/v1/sessions", "application/json",
 		strings.NewReader(fmt.Sprintf(`{"k":%d}`, k)))
 	if err != nil {

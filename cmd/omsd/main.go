@@ -16,10 +16,11 @@
 //	curl -s -X POST localhost:8080/v1/sessions/$ID/finish
 //
 // With -data-dir the daemon is durable: every accepted push is logged
-// to a per-session WAL before it is acknowledged, engine state is
-// checkpointed periodically, and a restarted daemon rebuilds sealed
-// sessions' results and resumes unsealed sessions at the exact next
-// node (GET /v1/sessions/{id} reports "assigned", where to resume).
+// to a per-session WAL before it is acknowledged, the log is all that
+// is written, and a restarted daemon replays each log in full to
+// rebuild sealed sessions' results and resume unsealed sessions at the
+// exact next node (GET /v1/sessions/{id} reports "assigned", where to
+// resume); /v1/readyz answers 503 until that replay is done.
 //
 // POST /v1/sessions/{id}/batch is the high-throughput ingest path: the
 // same NDJSON lines, grouped into large atomic batches that are
@@ -113,7 +114,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	dataDir := fs.String("data-dir", "", "session durability directory; empty keeps sessions in memory only")
 	walSync := fs.Duration("wal-sync", 100*time.Millisecond, "batched WAL fsync interval (0 = fsync every chunk)")
-	snapshotEvery := fs.Int("snapshot-every", 4096, "checkpoint a session's engine state every this many logged nodes")
 	refineWorkers := fs.Int("refine-workers", 1, "background refinement workers (finished sessions restreamed concurrently)")
 	refinePasses := fs.Int("refine-passes", 1, "default restream passes when POST .../refine omits \"passes\"")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this side address (empty = off; keep it off the public listener)")
@@ -243,7 +243,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		MaxTotalNodes:  *maxTotalNodes,
 		SessionThreads: *sessionThreads,
 		Store:          store,
-		SnapshotEvery:  *snapshotEvery,
 		RefineWorkers:  *refineWorkers,
 		RefinePasses:   *refinePasses,
 		Registry:       reg,

@@ -176,7 +176,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 	}
 
 	// First daemon: create the session, deliver 60% of the stream, die.
-	base, stop := startDaemon(t, "-data-dir", dataDir, "-wal-sync", "0", "-snapshot-every", "700")
+	base, stop := startDaemon(t, "-data-dir", dataDir, "-wal-sync", "0")
 	resp, err := http.Post(base+"/v1/sessions", "application/json",
 		strings.NewReader(fmt.Sprintf(`{"n":%d,"m":%d,"k":%d}`, n, m, k)))
 	if err != nil {

@@ -206,13 +206,17 @@ func (n *Node) serveReplicaStream(w http.ResponseWriter, r *http.Request, id str
 			}
 			// Torn or corrupt frame on the wire: whatever is on disk up
 			// to Offset is intact — nack it so the owner resends from
-			// there on a fresh connection.
+			// there on a fresh connection. The owner counts a nacked
+			// offset as durable, so a replica whose sync failed sends
+			// none: the stream just closes, and the owner resumes from
+			// the last offset it was acked.
 			if n.nacks != nil {
 				n.nacks.Inc()
 			}
-			rl.Sync()
-			sendCtl(repNack, rl.Offset())
-			n.cfg.Logf("cluster: replica %s: corrupt frame (%v), nacked at %d", id, err, rl.Offset())
+			if rl.Sync() == nil {
+				sendCtl(repNack, rl.Offset())
+			}
+			n.cfg.Logf("cluster: replica %s: corrupt frame (%v), offset %d", id, err, rl.Offset())
 			return
 		}
 		rs.mu.Lock()
@@ -221,10 +225,11 @@ func (n *Node) serveReplicaStream(w http.ResponseWriter, r *http.Request, id str
 			return
 		}
 		if err := rl.Append(payload, frame); err != nil {
-			rl.Sync()
-			sendCtl(repNack, rl.Offset())
+			if rl.Sync() == nil {
+				sendCtl(repNack, rl.Offset())
+			}
 			rs.mu.Unlock()
-			n.cfg.Logf("cluster: replica %s: %v, nacked at %d", id, err, rl.Offset())
+			n.cfg.Logf("cluster: replica %s: %v, offset %d", id, err, rl.Offset())
 			return
 		}
 		rs.mu.Unlock()

@@ -25,8 +25,8 @@ func (o *OMS) NumParts() int32 { return int32(len(o.parts)) }
 // Coverage returns how many leading entries of the assignment vector
 // are meaningful: the declared n for declared runs, one past the
 // highest node or neighbor id observed for adaptive ones (the vector
-// itself over-allocates to amortize growth). Results and checkpoints
-// trim to it.
+// itself over-allocates to amortize growth). Results and exported
+// state trim to it.
 func (o *OMS) Coverage() int32 {
 	if o.est == nil {
 		return int32(len(o.parts))

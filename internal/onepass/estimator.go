@@ -9,9 +9,9 @@ import (
 
 // EstimatorState is the exportable mutable state of an Estimator: the
 // running observed totals, the ratchet trigger, and the projection
-// currently in force. It is what checkpoints persist so a recovered
-// open-ended session re-adapts exactly where the crashed one would
-// have.
+// currently in force. The WAL logs it as stats-revision records so a
+// recovered open-ended session re-adapts exactly where the crashed one
+// would have.
 type EstimatorState struct {
 	SeenNodes      int64 // nodes observed so far
 	SeenNodeWeight int64 // summed node weight observed

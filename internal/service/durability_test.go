@@ -72,8 +72,6 @@ func (l *faultLog) Flush() error {
 	return nil
 }
 
-func (l *faultLog) Snapshot(st oms.SessionState) error { return nil }
-
 func (l *faultLog) Seal() error {
 	if l.failSeal {
 		return errDisk

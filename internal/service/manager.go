@@ -209,10 +209,6 @@ type Config struct {
 	// seals the log, deletion and TTL eviction garbage-collect it, and
 	// RecoverSessions rebuilds every stored session after a restart.
 	Store Store
-	// SnapshotEvery checkpoints a session's engine state after this
-	// many logged records, bounding recovery replay to the tail;
-	// default 4096. Ignored without a Store.
-	SnapshotEvery int
 	// RefineWorkers sizes the background refinement pool: how many
 	// finished sessions may restream concurrently; default 1. Refinement
 	// runs strictly off the ingest hot path — its workers only ever
@@ -267,9 +263,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JanitorPeriod <= 0 {
 		c.JanitorPeriod = time.Second
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 4096
 	}
 	if c.RefineWorkers <= 0 {
 		c.RefineWorkers = 1
@@ -637,20 +630,19 @@ func (mg *Manager) Create(spec CreateSpec) (*Session, error) {
 func (mg *Manager) newSession(id string, spec CreateSpec, eng *oms.Session, lg SessionLog) *Session {
 	now := mg.cfg.Now()
 	s := &Session{
-		ID:        id,
-		Created:   now,
-		eng:       eng,
-		spec:      spec,
-		turn:      make(chan struct{}, 1),
-		log:       lg,
-		snapEvery: mg.cfg.SnapshotEvery,
-		store:     mg.cfg.Store,
-		nodeCap:   mg.cfg.MaxNodes,
-		reserve:   mg.reserveNodes,
-		release:   mg.releaseNodes,
-		m:         mg.m,
-		ev:        mg.ev,
-		now:       mg.cfg.Now,
+		ID:      id,
+		Created: now,
+		eng:     eng,
+		spec:    spec,
+		turn:    make(chan struct{}, 1),
+		log:     lg,
+		store:   mg.cfg.Store,
+		nodeCap: mg.cfg.MaxNodes,
+		reserve: mg.reserveNodes,
+		release: mg.releaseNodes,
+		m:       mg.m,
+		ev:      mg.ev,
+		now:     mg.cfg.Now,
 	}
 	charge := int64(spec.N)
 	if c := int64(eng.Coverage()); eng.Adaptive() && c > charge {
@@ -695,13 +687,13 @@ func (mg *Manager) dropPersisted(s *Session) {
 
 // RecoverSessions rebuilds every session the configured store holds:
 // sealed sessions get their original result back (replay, then the
-// stored Finish), unsealed sessions resume at the exact next node —
-// engine state is restored from the newest checkpoint and the log tail
-// is replayed through the same deterministic per-node walk, so resumed
-// assignments are bit-identical to an uninterrupted run. Call it once,
-// after NewManager and before serving. It returns how many sessions
-// came back; the error joins per-session recovery failures and is
-// advisory when the count is nonzero.
+// stored Finish), unsealed sessions resume at the exact next node — the
+// whole log is replayed through the same deterministic per-node walk,
+// so resumed assignments are bit-identical to an uninterrupted run.
+// Replay is linear in the logged nodes. Call it once, after NewManager
+// and before serving. It returns how many sessions came back; the error
+// joins per-session recovery failures and is advisory when the count is
+// nonzero.
 func (mg *Manager) RecoverSessions() (int, error) {
 	if mg.cfg.Store == nil {
 		return 0, nil
@@ -738,11 +730,6 @@ func (mg *Manager) restoreSession(rec RecoveredSession) error {
 	eng, err := oms.NewSession(cfg)
 	if err != nil {
 		return err
-	}
-	if rec.Snapshot != nil && !rec.Spec.Record {
-		if err := eng.RestoreState(*rec.Snapshot); err != nil {
-			return fmt.Errorf("restore checkpoint: %w", err)
-		}
 	}
 	err = rec.Replay(func(u, w int32, adj, ew []int32, block int32) error {
 		// Batch records carry the assignment acknowledged at ingest

@@ -324,7 +324,6 @@ func (nullLog) AppendNodeFrame(frame []byte) error                 { return nil 
 func (nullLog) AppendBatch(nodes []PushNode, blocks []int32) error { return nil }
 func (nullLog) AppendStats(st oms.EstimatorState) error            { return nil }
 func (nullLog) Flush() error                                       { return nil }
-func (nullLog) Snapshot(st oms.SessionState) error                 { return nil }
 func (nullLog) Seal() error                                        { return nil }
 func (nullLog) SaveVersion(v RefinedVersion) error                 { return nil }
 func (nullLog) LoadVersion(version int32) (RefinedVersion, error) {

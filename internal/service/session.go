@@ -65,12 +65,8 @@ type Session struct {
 
 	// log is the session's durable record log, nil when the manager has
 	// no store. The running job appends each accepted push before the
-	// chunk is acknowledged and checkpoints engine state every
-	// snapEvery fresh records (never for Record sessions, whose replay
-	// buffer a checkpoint cannot restore).
-	log       SessionLog
-	snapEvery int
-	sinceSnap int // fresh records since the last checkpoint
+	// chunk is acknowledged.
+	log SessionLog
 	// lastStatsRev is the estimator revision last logged as a durable
 	// stats-revision record (adaptive sessions only; running job only).
 	lastStatsRev int64
@@ -497,12 +493,12 @@ func (s *Session) runIngest(j job) ([]int32, error) {
 
 // logIngest is the durable half of an ingest job: append the fresh
 // records and, when the estimator advanced, its stats revision; then one
-// write-through and a checkpoint check. A job that appended nothing — a
-// rejected batch, a pure-duplicate retry — touches neither the log nor
-// the disk. A job that ends in a rejection after an accepted prefix
-// flushes like any other: the prefix is about to be acknowledged, and
-// after any ack a process crash loses nothing, an OS crash at most the
-// batched-fsync window. Any failure here kills the session.
+// write-through. A job that appended nothing — a rejected batch, a
+// pure-duplicate retry — touches neither the log nor the disk. A job
+// that ends in a rejection after an accepted prefix flushes like any
+// other: the prefix is about to be acknowledged, and after any ack a
+// process crash loses nothing, an OS crash at most the batched-fsync
+// window. Any failure here kills the session.
 func (s *Session) logIngest(j job, a admitted) error {
 	var wall time.Time
 	if j.tr != nil {
@@ -525,7 +521,6 @@ func (s *Session) logIngest(j job, a admitted) error {
 		return nil
 	}
 	s.m.walRecords.Add(int64(a.fresh))
-	s.sinceSnap += a.fresh
 	if j.tr != nil {
 		d := time.Since(wall)
 		j.tr.Span("wal.append", j.tr.Root(), wall, d)
@@ -541,7 +536,6 @@ func (s *Session) logIngest(j job, a admitted) error {
 	if err != nil {
 		return s.walFailure("flush", err, j.tid)
 	}
-	s.snapshotSpan(j)
 	return nil
 }
 
@@ -642,36 +636,6 @@ func (s *Session) maybeLogStats() (bool, error) {
 	s.lastStatsRev = rev
 	s.m.statsRevisions.Inc()
 	return true, nil
-}
-
-// maybeSnapshot checkpoints the engine when enough fresh records have
-// accumulated since the last checkpoint, reporting whether it wrote
-// one. Failures are non-fatal: replay covers the gap. Record sessions
-// never checkpoint (their replay buffer cannot be restored from one).
-func (s *Session) maybeSnapshot() bool {
-	if s.log == nil || s.snapEvery <= 0 || s.sinceSnap < s.snapEvery || s.spec.Record {
-		return false
-	}
-	if serr := s.log.Snapshot(s.eng.ExportState()); serr != nil {
-		s.m.walErrors.Inc()
-		return false
-	}
-	s.m.walSnapshots.Inc()
-	s.sinceSnap = 0
-	return true
-}
-
-// snapshotSpan runs maybeSnapshot, recording a checkpoint span on the
-// job's trace when one was actually written.
-func (s *Session) snapshotSpan(j job) {
-	if j.tr == nil {
-		s.maybeSnapshot()
-		return
-	}
-	t0 := time.Now()
-	if s.maybeSnapshot() {
-		j.tr.Span("checkpoint", j.tr.Root(), t0, time.Since(t0))
-	}
 }
 
 // ErrNoVersion reports a result version that does not exist (never

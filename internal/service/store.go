@@ -49,8 +49,9 @@ type Store interface {
 
 // SessionLog is one session's durable record log: the exact sequence
 // of records the session acknowledges, in order, with Flush as the
-// durability barrier the ack waits on; the checkpoint, seal and release
-// that bound its life; and the side-store of refined result versions.
+// durability barrier the ack waits on; the seal and release that bound
+// its life; and the side-store of refined result versions. The log is
+// the session's only durable state — recovery replays it in full.
 // All calls are made from the job holding the session's turn, so
 // implementations need only guard against concurrent Close from the
 // manager. Nothing here names a file — the contract is "records in,
@@ -87,11 +88,6 @@ type SessionLog interface {
 	// for-follower mode, waits on) the new durable prefix.
 	Flush() error
 
-	// Snapshot atomically persists a checkpoint covering every record
-	// appended so far, so recovery replays only the tail after it.
-	// Checkpoints are local derived state — a replica rebuilds its own
-	// from the shipped records, so decorators need not forward them.
-	Snapshot(st oms.SessionState) error
 	// Seal marks the session finished and forces the log to stable
 	// storage. A sealed log rejects further appends. A decorator must
 	// carry the seal to a replica (a sealed log is what lets a promoted
@@ -101,12 +97,12 @@ type SessionLog interface {
 	Close() error
 
 	// SaveVersion durably persists one refined result version, atomically
-	// (write-rename like a checkpoint): after a crash either the whole
-	// version is back or none of it is — a torn version must never be
-	// served. Versions are whole-file, CRC-protected artifacts outside
-	// the record stream, keyed by v.Version; saving is allowed on a
-	// sealed log (refinement only runs after Finish), and replication
-	// does not ship them (a promoted follower re-refines if asked).
+	// (write, then rename): after a crash either the whole version is
+	// back or none of it is — a torn version must never be served.
+	// Versions are whole-file, CRC-protected artifacts outside the record
+	// stream, keyed by v.Version; saving is allowed on a sealed log
+	// (refinement only runs after Finish), and replication does not ship
+	// them (a promoted follower re-refines if asked).
 	SaveVersion(v RefinedVersion) error
 	// LoadVersion reads one previously saved version back, whole (CRC
 	// verified). The session serves cold versions through it after
@@ -115,25 +111,20 @@ type SessionLog interface {
 }
 
 // RecoveredSession is one persisted session as reported by
-// Store.Recover: its identity and spec, whether it was sealed, the
-// newest checkpoint (nil if none was taken), a one-shot replay of the
-// records the checkpoint does not cover, and the log handle reopened
-// for further appends.
+// Store.Recover: its identity and spec, whether it was sealed, a
+// one-shot replay of its whole log, and the log handle reopened for
+// further appends.
 type RecoveredSession struct {
 	ID     string
 	Spec   CreateSpec
 	Sealed bool
-	// Snapshot is the newest durable checkpoint; replay starts after
-	// the records it covers. Nil means replay the whole log.
-	Snapshot *oms.SessionState
-	// Replay streams the logged records not covered by Snapshot, in
-	// append order. block is the assignment recorded at ingest time for
-	// group-committed batch records, or -1 for per-node records (whose
-	// deterministic sequential walk is re-derived instead). Logged
-	// stats-revision records past the snapshot point are handed to
-	// stats (may be nil), which recovery uses to pin an adaptive
-	// session's estimator trajectory. It may be called once, before the
-	// session goes live.
+	// Replay streams every logged record in append order. block is the
+	// assignment recorded at ingest time for group-committed batch
+	// records, or -1 for per-node records (whose deterministic
+	// sequential walk is re-derived instead). Logged stats-revision
+	// records are handed to stats (may be nil), which recovery uses to
+	// pin an adaptive session's estimator trajectory. It may be called
+	// once, before the session goes live.
 	Replay func(fn func(u, w int32, adj, ew []int32, block int32) error, stats func(st oms.EstimatorState) error) error
 	// Log continues the session's durable log (appends fail on sealed
 	// logs). Never nil for a returned session.

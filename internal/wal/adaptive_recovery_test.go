@@ -28,8 +28,8 @@ func adaptiveTwin(t *testing.T) *oms.Session {
 
 // TestAdaptiveRecoveryResumesByteIdentical is the adaptive durability
 // acceptance at the store level: an open-ended session crashes
-// mid-stream, recovery restores the estimator trajectory (snapshot +
-// stats-revision frames), and every subsequent assignment matches an
+// mid-stream, recovery restores the estimator trajectory (whole-log
+// replay, pinned by its stats-revision frames), and every subsequent assignment matches an
 // uncrashed twin bit for bit — through the finish-time reconcile pass
 // over the sealed log.
 func TestAdaptiveRecoveryResumesByteIdentical(t *testing.T) {
@@ -39,7 +39,7 @@ func TestAdaptiveRecoveryResumesByteIdentical(t *testing.T) {
 	twin := adaptiveTwin(t)
 
 	st := openStore(t, dir)
-	mgr := service.NewManager(service.Config{Store: st, SnapshotEvery: 512})
+	mgr := service.NewManager(service.Config{Store: st})
 	s, err := mgr.Create(adaptiveSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestAdaptiveRecoveryResumesByteIdentical(t *testing.T) {
 	mgr.Close() // crash: logs flushed, nothing removed
 
 	st2 := openStore(t, dir)
-	mgr2 := service.NewManager(service.Config{Store: st2, SnapshotEvery: 512})
+	mgr2 := service.NewManager(service.Config{Store: st2})
 	defer mgr2.Close()
 	if n, err := mgr2.RecoverSessions(); err != nil || n != 1 {
 		t.Fatalf("recovered %d sessions (err %v), want 1", n, err)
@@ -130,7 +130,7 @@ func TestAdaptiveSealedRecoveryReproducesResult(t *testing.T) {
 	recs, _ := testStream(t, 2000)
 
 	st := openStore(t, dir)
-	mgr := service.NewManager(service.Config{Store: st, SnapshotEvery: 256})
+	mgr := service.NewManager(service.Config{Store: st})
 	s, err := mgr.Create(adaptiveSpec())
 	if err != nil {
 		t.Fatal(err)

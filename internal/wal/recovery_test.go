@@ -1,12 +1,16 @@
 // Manager-level durability tests: they live in package wal (not
 // service) because service's internal tests cannot import wal without a
-// cycle, and exercise the full Store wiring — log on push, snapshot,
-// seal on finish, recover after a simulated crash.
+// cycle, and exercise the full Store wiring — log on push, seal on
+// finish, recover by replaying the whole log after a simulated crash.
 package wal
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"slices"
 	"testing"
+	"time"
 
 	"oms"
 	"oms/internal/service"
@@ -53,10 +57,10 @@ func TestManagerRecoveryResumesByteIdentical(t *testing.T) {
 	recs, cfg := testStream(t, 3000)
 	want := uninterrupted(t, cfg, recs)
 
-	// First process: ingest 60% of the stream with a tight snapshot
-	// cadence, then crash (Close flushes logs but removes nothing).
+	// First process: ingest 60% of the stream, then crash (Close flushes
+	// logs but removes nothing).
 	st := openStore(t, dir)
-	mgr := service.NewManager(service.Config{Store: st, SnapshotEvery: 500})
+	mgr := service.NewManager(service.Config{Store: st})
 	s, err := mgr.Create(spec(cfg.Stats.N, cfg.Stats.M))
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +72,7 @@ func TestManagerRecoveryResumesByteIdentical(t *testing.T) {
 
 	// Second process: recover, resume at the exact next node, finish.
 	st2 := openStore(t, dir)
-	mgr2 := service.NewManager(service.Config{Store: st2, SnapshotEvery: 500})
+	mgr2 := service.NewManager(service.Config{Store: st2})
 	defer mgr2.Close()
 	n, err := mgr2.RecoverSessions()
 	if err != nil {
@@ -176,10 +180,9 @@ func TestRecordSessionRecoversByFullReplay(t *testing.T) {
 	want := uninterrupted(t, cfg, recs)
 
 	st := openStore(t, dir)
-	// SnapshotEvery low on purpose: Record sessions must skip
-	// checkpoints (their replay buffer cannot be restored from one) and
-	// still recover by replaying the whole log.
-	mgr := service.NewManager(service.Config{Store: st, SnapshotEvery: 100})
+	// The recovered session must rebuild its server-side stream copy
+	// from the replayed log, not just its assignments.
+	mgr := service.NewManager(service.Config{Store: st})
 	sp := spec(cfg.Stats.N, cfg.Stats.M)
 	sp.Record = true
 	s, err := mgr.Create(sp)
@@ -224,16 +227,13 @@ func TestRecordSessionRecoversByFullReplay(t *testing.T) {
 // parallel session, process killed, recovered — every assignment the
 // first process acknowledged must come back verbatim (the WAL's batch
 // frames record the decisions, because parallel assignment would not
-// replay deterministically), and snapshots mixed with batch frames must
-// not double-count.
+// replay deterministically).
 func TestBatchRecoveryPreservesAckedAssignments(t *testing.T) {
 	dir := t.TempDir()
 	recs, cfg := testStream(t, 3000)
 
 	st := openStore(t, dir)
-	// SnapshotEvery below the batch size, so a checkpoint lands between
-	// group-committed frames and recovery replays only the tail.
-	mgr := service.NewManager(service.Config{Store: st, SnapshotEvery: 300})
+	mgr := service.NewManager(service.Config{Store: st})
 	sp := spec(cfg.Stats.N, cfg.Stats.M)
 	sp.Threads = 4
 	s, err := mgr.Create(sp)
@@ -261,7 +261,7 @@ func TestBatchRecoveryPreservesAckedAssignments(t *testing.T) {
 	mgr.Close()
 
 	st2 := openStore(t, dir)
-	mgr2 := service.NewManager(service.Config{Store: st2, SnapshotEvery: 300})
+	mgr2 := service.NewManager(service.Config{Store: st2})
 	defer mgr2.Close()
 	n, err := mgr2.RecoverSessions()
 	if err != nil {
@@ -304,5 +304,108 @@ func TestBatchRecoveryPreservesAckedAssignments(t *testing.T) {
 		if res.Parts[u] != b {
 			t.Fatalf("node %d recovered as %d, client was acknowledged %d", u, res.Parts[u], b)
 		}
+	}
+}
+
+// TestIngestWritesOnlyTheLog: the log is a session's only durable state.
+// A session ingested in 64-node chunks, fsynced chunk by chunk, then
+// finished, leaves exactly its spec and its log on disk — no file beside
+// the log appears or grows during ingest — and the retired checkpoint
+// counter stays registered at 0.
+func TestIngestWritesOnlyTheLog(t *testing.T) {
+	recs, cfg := testStream(t, 1<<14)
+	st := openStore(t, t.TempDir()) // SyncInterval 0: fsync every chunk
+	mgr := service.NewManager(service.Config{Store: st})
+	defer mgr.Close()
+	s, err := mgr.Create(spec(cfg.Stats.N, cfg.Stats.M))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := func() map[string]int64 {
+		t.Helper()
+		entries, err := os.ReadDir(st.SessionDir(s.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]int64, len(entries))
+		for _, e := range entries {
+			fi, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = fi.Size()
+		}
+		return out
+	}
+	created := sizes()
+	for lo := 0; lo < len(recs); lo += 64 {
+		ingestAll(t, mgr, s, recs[lo:min(lo+64, len(recs))])
+		for name, size := range sizes() {
+			if was, ok := created[name]; name != logName && (!ok || size != was) {
+				t.Fatalf("after %d nodes: %s is %d bytes, was %d at create", min(lo+64, len(recs)), name, size, was)
+			}
+		}
+	}
+	if _, err := s.Finish(context.Background(), mgr.Pool()); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for name := range sizes() {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	if !slices.Equal(names, []string{logName, specName}) {
+		t.Fatalf("session directory holds %v, want only %s and %s", names, logName, specName)
+	}
+	if v, ok := mgr.Registry().Snapshot()["omsd_wal_snapshots_total"]; !ok || v != 0 {
+		t.Fatalf("omsd_wal_snapshots_total = %d (registered %v), want 0", v, ok)
+	}
+}
+
+// BenchmarkRecoverSession measures recovery of one unsealed RGG session
+// logged in 64-node chunks: a fresh manager over the store replays the
+// whole log, reported per logged node.
+func BenchmarkRecoverSession(b *testing.B) {
+	for _, logN := range []int{17, 20} {
+		b.Run(fmt.Sprintf("rgg-2^%d", logN), func(b *testing.B) {
+			g := oms.GenRGG2D(int32(1)<<logN, 1)
+			dir := b.TempDir()
+			st, err := Open(dir, Options{SyncInterval: 100 * time.Millisecond})
+			if err != nil {
+				b.Fatal(err)
+			}
+			mgr := service.NewManager(service.Config{Store: st})
+			s, err := mgr.Create(service.CreateSpec{N: g.NumNodes(), M: g.NumEdges(), K: 8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			chunk := make([]service.PushNode, 0, 64)
+			for u := range g.NumNodes() {
+				chunk = append(chunk, framed(u, 1, g.Neighbors(u), nil))
+				if len(chunk) == cap(chunk) || u == g.NumNodes()-1 {
+					if _, err := s.Ingest(context.Background(), mgr.Pool(), chunk); err != nil {
+						b.Fatal(err)
+					}
+					chunk = chunk[:0]
+				}
+			}
+			mgr.Close()
+
+			b.ResetTimer()
+			for range b.N {
+				st, err := Open(dir, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				mgr := service.NewManager(service.Config{Store: st})
+				if n, err := mgr.RecoverSessions(); err != nil || n != 1 {
+					b.Fatalf("recovered %d sessions (err %v), want 1", n, err)
+				}
+				b.StopTimer()
+				mgr.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumNodes()), "ns/node")
+		})
 	}
 }

@@ -83,7 +83,7 @@ func (r *ReplaySource) Len() int64 { return r.nodes }
 // semantics.
 func (r *ReplaySource) ForEach(fn stream.Visitor) error {
 	seen := r.newSeen()
-	return replayLog(r.path, 0, r.nodes, func(u, w int32, adj, ew []int32, _ int32) error {
+	return replayLog(r.path, r.nodes, func(u, w int32, adj, ew []int32, _ int32) error {
 		if seen(u) {
 			return nil
 		}
@@ -145,7 +145,7 @@ func (r *ReplaySource) ForEachParallel(threads int, fn stream.ParallelVisitor) e
 	}
 	seen := r.newSeen() // the producer filters, so workers never share a node
 	cur := make([]rec, 0, batchRecords)
-	err := replayLog(r.path, 0, r.nodes, func(u, w int32, adj, ew []int32, _ int32) error {
+	err := replayLog(r.path, r.nodes, func(u, w int32, adj, ew []int32, _ int32) error {
 		if seen(u) {
 			return nil
 		}

@@ -25,6 +25,13 @@ type ReplicaLog struct {
 	arena  wire.Arena
 	size   int64 // validated byte length == next append offset
 	sealed bool
+	// fsync syncs f (a seam: tests inject disk faults).
+	fsync func() error
+	// syncErr is the first failed fsync, never retried for the reason
+	// Log.syncErr gives: a later fsync can succeed over frames the kernel
+	// already dropped. The replica is dead from then on — Append and Sync
+	// both return syncErr, so no offset past the failure is ever acked.
+	syncErr error
 }
 
 // OpenReplica opens (creating if needed) the replica log for session id
@@ -62,7 +69,7 @@ func (st *Store) OpenReplica(id string, spec []byte) (*ReplicaLog, error) {
 		f.Close()
 		return nil, err
 	}
-	return &ReplicaLog{f: f, size: validEnd, sealed: sealed}, nil
+	return &ReplicaLog{f: f, size: validEnd, sealed: sealed, fsync: f.Sync}, nil
 }
 
 // Offset returns the validated, appended byte length of the replica —
@@ -82,6 +89,9 @@ func (r *ReplicaLog) Sealed() bool { return r.sealed }
 // promotion. A rejected frame leaves the file untouched — the owner
 // re-ships from the last acked offset.
 func (r *ReplicaLog) Append(payload, frame []byte) error {
+	if r.syncErr != nil {
+		return r.syncErr
+	}
 	if r.sealed {
 		return fmt.Errorf("wal: append to sealed replica")
 	}
@@ -102,8 +112,16 @@ func (r *ReplicaLog) Append(payload, frame []byte) error {
 
 // Sync forces appended frames to stable storage; the replication
 // handler calls it before acknowledging an offset, so an acked offset
-// survives a follower crash.
-func (r *ReplicaLog) Sync() error { return r.f.Sync() }
+// survives a follower crash. After a failed fsync it only reports that
+// failure.
+func (r *ReplicaLog) Sync() error {
+	if r.syncErr == nil {
+		if err := r.fsync(); err != nil {
+			r.syncErr = fmt.Errorf("wal: replica fsync failed, replica is dead: %w", err)
+		}
+	}
+	return r.syncErr
+}
 
 // Close releases the replica log, leaving its files in place.
 func (r *ReplicaLog) Close() error { return r.f.Close() }

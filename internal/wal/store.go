@@ -20,9 +20,8 @@ import (
 type Options struct {
 	// SyncInterval batches WAL fsyncs: every acknowledged chunk is
 	// written to the OS before the ack, but fsync runs at most once per
-	// interval per session (plus forced syncs on snapshot, seal, and
-	// close). Zero or negative fsyncs on every flush — maximally
-	// durable, slowest.
+	// interval per session (plus forced syncs on seal and close). Zero or
+	// negative fsyncs on every flush — maximally durable, slowest.
 	SyncInterval time.Duration
 	// ObserveAppend and ObserveFsync, when set, receive the duration of
 	// every record encode+write and every fsync stall, across all session
@@ -36,9 +35,9 @@ type Options struct {
 // Store is the on-disk session store, implementing service.Store over a
 // data directory laid out as
 //
-//	<dir>/sessions/<id>/spec.json   creation spec (replay configuration)
-//	<dir>/sessions/<id>/log.wal     the record log
-//	<dir>/sessions/<id>/snap        newest checkpoint (atomic replace)
+//	<dir>/sessions/<id>/spec.json        creation spec (replay configuration)
+//	<dir>/sessions/<id>/log.wal          the record log, the session's only state
+//	<dir>/sessions/<id>/version-NNNNNN   refined result versions (atomic replace)
 type Store struct {
 	dir string // the sessions directory
 	opt Options
@@ -136,7 +135,7 @@ func (st *Store) Recover() ([]service.RecoveredSession, error) {
 }
 
 // SessionDir returns the directory holding one session's persisted
-// state (spec.json, log.wal, snap, versions). The replication shipper
+// state (spec.json, log.wal, refined versions). The replication shipper
 // reads log.wal out of it directly: the on-disk log is the shipping
 // source, so what a follower receives is byte-for-byte what was logged.
 func (st *Store) SessionDir(id string) string {
@@ -173,8 +172,8 @@ func (st *Store) AdoptFrom(other *Store, id string) error {
 }
 
 // recoverOne rebuilds one session directory: validate the log's frame
-// prefix, truncate any torn tail, load the newest usable snapshot, and
-// reopen the log for appends at the validated end.
+// prefix, truncate any torn tail, and reopen the log for appends at the
+// validated end. Replay covers the whole validated prefix.
 func (st *Store) recoverOne(id string) (service.RecoveredSession, error) {
 	var rec service.RecoveredSession
 	dir := filepath.Join(st.dir, id)
@@ -202,27 +201,13 @@ func (st *Store) recoverOne(id string) (service.RecoveredSession, error) {
 	l.size = validEnd
 	l.flushed = validEnd
 
-	// A snapshot claiming more records than the durable log holds (only
-	// possible under corruption: Snapshot syncs the log first) or one
-	// that fails its CRC is discarded; replay then covers everything.
-	// Record sessions always replay in full — their server-side stream
-	// copy cannot be restored from a checkpoint.
-	skip := int64(0)
-	if !env.Spec.Record {
-		snapCount, snapState, err := readSnapshot(dir)
-		if err == nil && snapCount <= nodes {
-			skip = snapCount
-			rec.Snapshot = &snapState
-		}
-	}
-
 	rec.ID = env.ID
 	rec.Spec = env.Spec
 	rec.Sealed = sealed
 	rec.Log = l
 	rec.Versions = recoverVersions(dir)
 	rec.Replay = func(fn func(u, w int32, adj, ew []int32, block int32) error, stats func(st oms.EstimatorState) error) error {
-		return replayLog(logPath, skip, nodes, fn, stats)
+		return replayLog(logPath, nodes, fn, stats)
 	}
 	if env.ID != id {
 		l.Close()
@@ -328,22 +313,18 @@ func validateRecord(arena *wire.Arena, payload []byte) (nodes int64, seal, ok bo
 	return 0, false, false
 }
 
-// replayLog streams the log's node records in append order, skipping
-// the first skip records (the snapshot-covered prefix) and stopping
+// replayLog streams the log's node records in append order, stopping
 // after total records (the validated prefix). Per-node frames replay
 // with block -1 (re-derive the assignment); batch frames carry the
-// recorded assignment, replayed verbatim. The skip count is per node
-// record, so a snapshot boundary inside a batch frame skips exactly the
-// covered sub-records. The adjacency slices handed to fn alias the
-// reader's arena: they are valid until fn returns.
+// recorded assignment, replayed verbatim. The adjacency slices handed
+// to fn alias the reader's arena: they are valid until fn returns.
 //
-// Stats-revision frames past the skipped prefix are handed to the
-// optional stats callback (nil ignores them): applying the recorded
-// estimator state makes adaptive recovery replay identically even
-// across estimator-logic changes — between frames determinism carries
-// the state, at frames the log resynchronizes it. Frames inside the
-// skipped prefix are superseded by the snapshot's own estimator state.
-func replayLog(path string, skip, total int64, fn func(u, w int32, adj, ew []int32, block int32) error, stats func(oms.EstimatorState) error) error {
+// Stats-revision frames are handed to the optional stats callback (nil
+// ignores them): applying the recorded estimator state makes adaptive
+// recovery replay identically even across estimator-logic changes —
+// between frames determinism carries the state, at frames the log
+// resynchronizes it.
+func replayLog(path string, total int64, fn func(u, w int32, adj, ew []int32, block int32) error, stats func(oms.EstimatorState) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -362,7 +343,7 @@ func replayLog(path string, skip, total int64, fn func(u, w int32, adj, ew []int
 		}
 		switch payload[0] {
 		case wire.TypeStats:
-			if stats == nil || seen < skip {
+			if stats == nil {
 				continue
 			}
 			st, err := decodeStatsPayload(payload)
@@ -374,10 +355,6 @@ func replayLog(path string, skip, total int64, fn func(u, w int32, adj, ew []int
 			}
 		case wire.TypeNode:
 			seen++
-			if seen <= skip {
-				// Snapshot-covered prefix: count the frame, skip the decode.
-				continue
-			}
 			nd, err := wire.DecodeNodeInto(&rd.Arena, payload)
 			if err != nil {
 				return err
@@ -388,9 +365,6 @@ func replayLog(path string, skip, total int64, fn func(u, w int32, adj, ew []int
 		case wire.TypeBatch:
 			err := wire.ForEachBatchNode(&rd.Arena, payload, func(nd wire.Node, block int32) error {
 				seen++
-				if seen <= skip {
-					return nil
-				}
 				return fn(nd.U, nd.W, nd.Adj, nd.EW, block)
 			})
 			if err != nil {

@@ -22,9 +22,9 @@ var verMagic = [8]byte{'O', 'M', 'S', 'V', 'E', 'R', 'S', '1'}
 func versionName(v int32) string { return fmt.Sprintf("version-%06d", v) }
 
 // SaveVersion atomically persists one refined result version next to the
-// log, with the same tmp + fsync + rename + dir-fsync dance as an engine
-// checkpoint: a crash mid-write leaves at worst a stale tmp file, never
-// a half-written version — so recovery can only ever see whole versions.
+// log, by tmp + fsync + rename + dir-fsync: a crash mid-write leaves at
+// worst a stale tmp file, never a half-written version — so recovery can
+// only ever see whole versions.
 // Version 0 is the parts-free baseline record: the one-pass result's
 // measured edge cut, persisted so "best" version selection survives a
 // crash (the assignment itself is already reproducible from the log).
@@ -176,4 +176,18 @@ func writeAtomic(dir, name string, b []byte) error {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory so renames and creates within it are
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -1,7 +1,6 @@
-// Package wal persists omsd push sessions: a per-session append-only
-// record log plus periodic engine snapshots, so a crashed or redeployed
-// daemon rebuilds every session and resumes unsealed streams at the
-// exact next node.
+// Package wal persists omsd push sessions as one append-only record log
+// each, so a crashed or redeployed daemon rebuilds every session and
+// resumes unsealed streams at the exact next node.
 //
 // The design exploits the defining property of the paper's algorithm:
 // OMS assigns each node irrevocably in one pass, deterministically for
@@ -16,7 +15,7 @@
 //     per /batch (nodes plus the blocks the engine assigned — parallel
 //     assignment is racy, so the decisions are the durable fact, and
 //     one CRC makes the group all-or-nothing), a TypeStats estimator
-//     checkpoint whenever an adaptive session's projection advanced,
+//     revision whenever an adaptive session's projection advanced,
 //     and a terminal TypeSeal. The log frames bytes with wire's own
 //     reader and frame sealer; any other type byte ends a scan like a
 //     torn tail. Appends are buffered; the service flushes to the OS
@@ -25,16 +24,15 @@
 //     acknowledged and an OS crash loses at most the sync window. A
 //     failed fsync is never retried: the log returns it from every
 //     later call, and the service kills the session.
-//   - snap — an atomically replaced checkpoint of the engine state
-//     (tree loads + assignment vector, O(n + k) by Theorem 1) covering
-//     a durable prefix of the log, so recovery replays only the tail.
 //   - spec.json — the session's creation spec, fixing the replay
 //     configuration.
 //
-// Recovery scans the log, truncates a torn tail at the first bad
-// frame, loads the newest valid snapshot, and replays the uncovered
-// suffix. Duplicate records are harmless: engine pushes are idempotent,
-// so a record logged twice replays to the same state.
+// The log is the only record of a session: no engine state is ever
+// written beside it, so ingest writes nothing but log frames. Recovery
+// scans the log, truncates a torn tail at the first bad frame, and
+// replays the whole valid prefix — linear in the logged nodes.
+// Duplicate records are harmless: engine pushes are idempotent, so a
+// record logged twice replays to the same state.
 package wal
 
 import (
@@ -65,7 +63,7 @@ type Log struct {
 	mu     sync.Mutex
 	f      *os.File
 	w      *bufio.Writer
-	dir    string // session directory, owns snap + spec.json
+	dir    string // session directory: spec.json, log.wal, refined versions
 	buf    []byte // the one frame scratch: header hole, then payload
 	nodes  int64  // node records in the log
 	sealed bool
@@ -88,8 +86,8 @@ type Log struct {
 	// syncErr is the first failed fsync. A failed fsync is never retried:
 	// after failed writeback the kernel may have dropped the dirty pages,
 	// so a later fsync can succeed over records that never reached the
-	// disk. The log is dead from then on: appends, Flush, Seal, Snapshot
-	// and Close all return syncErr.
+	// disk. The log is dead from then on: appends, Flush, Seal and Close
+	// all return syncErr.
 	syncErr error
 	// obsAppend/obsFsync observe append and fsync latencies into the
 	// daemon's histograms; nil when the store is not instrumented.
@@ -116,8 +114,8 @@ func (l *Log) appendable() error {
 }
 
 // write buffers whole frames. They reach the OS at the next Flush and
-// stable storage at the next batched fsync (or Seal / Snapshot / Close,
-// which all force one). Callers hold mu.
+// stable storage at the next batched fsync (or Seal / Close, which both
+// force one). Callers hold mu.
 func (l *Log) write(frames []byte) error {
 	if _, err := l.w.Write(frames); err != nil {
 		return err
@@ -233,13 +231,10 @@ func (l *Log) AppendBatch(nodes []service.PushNode, blocks []int32) error {
 	return nil
 }
 
-// estimatorFieldsLen is the fixed encoded size of an estimator-state
-// block: ten little-endian int64 fields. Stats records and snapshots
-// share the encoding through the two helpers below.
-const estimatorFieldsLen = 10 * 8
-
-// appendEstimatorFields encodes the estimator state block.
-func appendEstimatorFields(buf []byte, st oms.EstimatorState) []byte {
+// appendStatsPayload encodes one stats-revision record: the type byte,
+// then the estimator state as ten little-endian int64 fields.
+func appendStatsPayload(buf []byte, st oms.EstimatorState) []byte {
+	buf = append(buf, wire.TypeStats)
 	for _, v := range []int64{
 		st.SeenNodes, st.SeenNodeWeight, st.SeenAdj, st.SeenEdgeWeight,
 		st.NextRatchet, st.Revision,
@@ -250,15 +245,15 @@ func appendEstimatorFields(buf []byte, st oms.EstimatorState) []byte {
 	return buf
 }
 
-// decodeEstimatorFields is the inverse of appendEstimatorFields over
-// the first estimatorFieldsLen bytes of p.
-func decodeEstimatorFields(p []byte) (oms.EstimatorState, error) {
-	if len(p) < estimatorFieldsLen {
+// decodeStatsPayload is the inverse of appendStatsPayload (type byte
+// included); the ten fields must fill the payload exactly.
+func decodeStatsPayload(payload []byte) (oms.EstimatorState, error) {
+	var f [10]int64
+	if len(payload) != 1+8*len(f) {
 		return oms.EstimatorState{}, wire.ErrMalformed
 	}
-	f := make([]int64, 10)
 	for i := range f {
-		f[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
+		f[i] = int64(binary.LittleEndian.Uint64(payload[1+8*i:]))
 	}
 	st := oms.EstimatorState{
 		SeenNodes: f[0], SeenNodeWeight: f[1], SeenAdj: f[2], SeenEdgeWeight: f[3],
@@ -270,21 +265,6 @@ func decodeEstimatorFields(p []byte) (oms.EstimatorState, error) {
 		return oms.EstimatorState{}, wire.ErrMalformed
 	}
 	return st, nil
-}
-
-// appendStatsPayload encodes one stats-revision record: the type byte,
-// then the estimator block.
-func appendStatsPayload(buf []byte, st oms.EstimatorState) []byte {
-	return appendEstimatorFields(append(buf, wire.TypeStats), st)
-}
-
-// decodeStatsPayload is the inverse of appendStatsPayload (type byte
-// included); the estimator block must fill the payload exactly.
-func decodeStatsPayload(payload []byte) (oms.EstimatorState, error) {
-	if len(payload) != 1+estimatorFieldsLen {
-		return oms.EstimatorState{}, wire.ErrMalformed
-	}
-	return decodeEstimatorFields(payload[1:])
 }
 
 // AppendStats buffers one stats-revision record: the adaptive

@@ -2,9 +2,8 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -321,131 +320,6 @@ func TestCrashPointsKeepWholeFramePrefix(t *testing.T) {
 	}
 }
 
-func TestSnapshotBoundsReplayToTail(t *testing.T) {
-	dir := t.TempDir()
-	st := openStore(t, dir)
-	recs, cfg := testStream(t, 2000)
-
-	eng, err := oms.NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg, err := st.Create("s2-00000002", spec(cfg.Stats.N, cfg.Stats.M))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := len(recs) * 2 / 3
-	for _, r := range recs[:cut] {
-		if _, err := eng.Push(r.u, r.w, r.adj, r.ew); err != nil {
-			t.Fatal(err)
-		}
-		if err := lg.AppendNodeFrame(framed(r.u, r.w, r.adj, r.ew).Frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lg.Snapshot(eng.ExportState()); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs[cut : cut+100] {
-		if _, err := eng.Push(r.u, r.w, r.adj, r.ew); err != nil {
-			t.Fatal(err)
-		}
-		if err := lg.AppendNodeFrame(framed(r.u, r.w, r.adj, r.ew).Frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := st.Recover()
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	rec := got[0]
-	if rec.Snapshot == nil {
-		t.Fatal("no snapshot recovered")
-	}
-
-	// Restore + tail replay must land on the exact engine state, and
-	// replay must deliver only the 100 post-snapshot records.
-	eng2, err := oms.NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.RestoreState(*rec.Snapshot); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	err = rec.Replay(func(u, w int32, adj, ew []int32, block int32) error {
-		n++
-		_, err := eng2.Push(u, w, adj, ew)
-		return err
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 100 {
-		t.Fatalf("replayed %d records, want the 100-record tail", n)
-	}
-	s1, s2 := eng.ExportState(), eng2.ExportState()
-	if s1.EdgesSeen != s2.EdgesSeen || !equalI64(s1.Loads, s2.Loads) || !equalI32(s1.Parts, s2.Parts) {
-		t.Fatal("restored + replayed state differs from the live engine")
-	}
-	rec.Log.Close()
-}
-
-func TestCorruptSnapshotIgnored(t *testing.T) {
-	dir := t.TempDir()
-	st := openStore(t, dir)
-	recs, cfg := testStream(t, 1000)
-
-	eng, _ := oms.NewSession(cfg)
-	lg, err := st.Create("s3-00000003", spec(cfg.Stats.N, cfg.Stats.M))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs[:500] {
-		if _, err := eng.Push(r.u, r.w, r.adj, r.ew); err != nil {
-			t.Fatal(err)
-		}
-		if err := lg.AppendNodeFrame(framed(r.u, r.w, r.adj, r.ew).Frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lg.Snapshot(eng.ExportState()); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snapPath := filepath.Join(dir, sessionsDir, "s3-00000003", snapName)
-	b, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)-1] ^= 0xff
-	if err := os.WriteFile(snapPath, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := st.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Snapshot != nil {
-		t.Fatal("corrupt snapshot was not discarded")
-	}
-	n := 0
-	if err := got[0].Replay(func(u, w int32, adj, ew []int32, block int32) error { n++; return nil }, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n != 500 {
-		t.Fatalf("full replay delivered %d records, want 500", n)
-	}
-	got[0].Log.Close()
-}
-
 func TestIdleTailFsyncTimer(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{SyncInterval: 50 * time.Millisecond})
@@ -538,9 +412,6 @@ func TestFailedFsyncKillsLog(t *testing.T) {
 	if err := lg.Flush(); !errors.Is(err, errDisk) {
 		t.Fatalf("second Flush = %v, want %v", err, errDisk)
 	}
-	if err := lg.Snapshot(oms.SessionState{}); !errors.Is(err, errDisk) {
-		t.Fatalf("Snapshot = %v, want %v", err, errDisk)
-	}
 	if err := lg.Seal(); !errors.Is(err, errDisk) {
 		t.Fatalf("Seal = %v, want %v", err, errDisk)
 	}
@@ -552,6 +423,57 @@ func TestFailedFsyncKillsLog(t *testing.T) {
 	}
 	if n := lg.Nodes(); n != 1 {
 		t.Fatalf("log counts %d node records, want the 1 appended before the failure", n)
+	}
+}
+
+// TestFailedFsyncKillsReplica holds the replica log to the same rule: a
+// failed Sync is returned again by every later Sync and Append and is
+// never retried, so the replication handler can never ack (or nack) an
+// offset whose frames may not have reached the disk.
+func TestFailedFsyncKillsReplica(t *testing.T) {
+	const id = "s6-00000006"
+	st := openStore(t, t.TempDir())
+	specBytes, err := json.Marshal(specEnvelope{ID: id, Spec: spec(8, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := st.OpenReplica(id, specBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	errDisk := errors.New("injected EIO")
+	syncs := 0
+	rep.fsync = func() error {
+		syncs++
+		if syncs == 1 {
+			return errDisk
+		}
+		return nil // what a retry after dropped writeback reports
+	}
+	ship := func(u int32) error {
+		frame := framed(u, 1, nil, nil).Frame
+		return rep.Append(frame[wire.FrameHeaderSize:], frame)
+	}
+
+	if err := ship(0); err != nil {
+		t.Fatal(err)
+	}
+	off := rep.Offset()
+	if err := rep.Sync(); !errors.Is(err, errDisk) {
+		t.Fatalf("Sync = %v, want %v", err, errDisk)
+	}
+	if err := rep.Sync(); !errors.Is(err, errDisk) {
+		t.Fatalf("second Sync = %v, want %v", err, errDisk)
+	}
+	if err := ship(1); !errors.Is(err, errDisk) {
+		t.Fatalf("Append after a failed fsync = %v, want %v", err, errDisk)
+	}
+	if syncs != 1 {
+		t.Fatalf("the failed fsync was retried: %d fsyncs", syncs)
+	}
+	if rep.Offset() != off {
+		t.Fatalf("offset moved from %d to %d after the failed fsync", off, rep.Offset())
 	}
 }
 
@@ -601,50 +523,7 @@ func TestRemoveGarbageCollects(t *testing.T) {
 	}
 }
 
-func TestSnapshotEncodingRoundTrip(t *testing.T) {
-	st := oms.SessionState{
-		EdgesSeen: 12345,
-		Loads:     []int64{0, -3, 1 << 40, 7},
-		Parts:     []int32{-1, 0, 5, -1, 3},
-	}
-	count, got, err := decodeSnapshot(append(append(append([]byte{}, snapMagic[:]...),
-		crcBytes(encodeSnapshot(99, st))...), encodeSnapshot(99, st)...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 99 || got.EdgesSeen != st.EdgesSeen || !equalI64(got.Loads, st.Loads) || !equalI32(got.Parts, st.Parts) {
-		t.Fatalf("round trip: %d %+v", count, got)
-	}
-	// Any single-byte flip must be rejected.
-	enc := append(append(append([]byte{}, snapMagic[:]...), crcBytes(encodeSnapshot(99, st))...), encodeSnapshot(99, st)...)
-	for i := range enc {
-		bad := bytes.Clone(enc)
-		bad[i] ^= 0x01
-		if _, _, err := decodeSnapshot(bad); err == nil {
-			t.Fatalf("flip at byte %d accepted", i)
-		}
-	}
-}
-
-func crcBytes(body []byte) []byte {
-	var out [4]byte
-	binary.LittleEndian.PutUint32(out[:], crc32.ChecksumIEEE(body))
-	return out[:]
-}
-
 func equalI32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalI64(a, b []int64) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -61,7 +61,7 @@ const (
 	TypeSeal = 2
 	// TypeStats is one WAL stats-revision record of an adaptive session:
 	// the estimator state in force after the records before it (the
-	// fixed-width body is the WAL's, shared with its checkpoints).
+	// fixed-width body is the WAL's own encoding).
 	TypeStats = 4
 	// TypeNode is one node record: the ingest request unit and the WAL
 	// per-push record.
