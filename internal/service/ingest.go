@@ -170,10 +170,14 @@ func (q *ingestReq) release() {
 	ingestPool.Put(q)
 }
 
-// flush runs the assembled chunk as a session job and streams the
+// flush runs the assembled chunk as a session job and writes the
 // assignments back; it reports whether ingest may continue. The job has
 // consumed every frame and adjacency slice of the chunk by the time it
-// returns, so the arena is free to host the next one.
+// returns, so the arena is free to host the next one. Pushing the reply
+// to the client is the caller's: a mid-stream chunk is flushed at once,
+// while the chunk at body EOF is left to the handler's return, so a
+// reply that fits net/http's buffer goes out in one write with a
+// Content-Length instead of chunked encoding.
 func (q *ingestReq) flush() bool {
 	if len(q.chunk) == 0 {
 		return true
@@ -203,7 +207,6 @@ func (q *ingestReq) flush() bool {
 	q.chunk = q.chunk[:0]
 	q.chunkBytes = 0
 	q.rd.Arena.Reset()
-	_ = q.rc.Flush()
 	return true
 }
 
@@ -340,6 +343,7 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 			if !q.flush() {
 				return
 			}
+			_ = q.rc.Flush()
 		}
 	}
 }

@@ -32,6 +32,9 @@ func TestWriteSeedCorpus(t *testing.T) {
 	write("FuzzWireNode", "truncated", []byte{TypeNode})
 	write("FuzzWireNode", "overlong-varint", []byte{TypeNode, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 	write("FuzzWireNode", "junk", bytes.Repeat([]byte{0xff}, 32))
+	for name, payload := range edgeVarintPayloads {
+		write("FuzzWireNode", name, payload)
+	}
 
 	var good []byte
 	good = AppendFrame(good, AppendStreamHeaderPayload(nil, StreamHeader{N: 4, M: 3}))

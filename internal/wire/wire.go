@@ -201,8 +201,18 @@ func DecodeNodeInto(arena *Arena, payload []byte) (Node, error) {
 
 // decodeNode decodes one node record from the front of p, returning
 // the bytes consumed. Batch payloads concatenate node records, so the
-// record must be self-delimiting — this is the one decoder both paths
-// share.
+// record must be self-delimiting — this is the one decoder every node
+// consumer shares: ingest, stream files, WAL replay and the replica.
+//
+// The adjacency and edge-weight lists are the hot part of a stream, so
+// each is one tight loop: a varint whose first or second byte ends it
+// (most deltas of a local graph, most edge weights) is read inline, and
+// only longer ones go through binary.Uvarint. The arena grows once per
+// node, the loops write into it by index, and arena.Ints is extended
+// only after the whole record has decoded — a rejected record leaves
+// its length as it was. The accepted language is exactly that of
+// binary.Uvarint/Varint: the same values and consumed length for every
+// input, non-minimal varints such as 0x80 0x00 included.
 func decodeNode(arena *Arena, payload []byte) (Node, int, error) {
 	var nd Node
 	if len(payload) < 4 || payload[0] != TypeNode {
@@ -228,53 +238,76 @@ func decodeNode(arena *Arena, payload []byte) (Node, int, error) {
 	}
 	p = p[1:]
 	deg64, n := binary.Uvarint(p)
-	if n <= 0 || deg64 > uint64(len(p)-n) {
-		// Each adjacency delta is at least one byte, so a degree larger
-		// than the remaining payload cannot be honest — reject before
-		// sizing anything from it.
+	// Each adjacency delta and each edge weight is at least one byte,
+	// so lists longer than the remaining payload cannot be honest —
+	// reject before sizing anything from them.
+	if n <= 0 || deg64 > uint64(len(p)-n)>>(flags&1) {
 		return nd, 0, ErrMalformed
 	}
 	p = p[n:]
 	deg := int(deg64)
+	ints := deg << (flags & 1)
 	nd.U = int32(u)
 	nd.W = int32(w)
 	if nd.W == 0 {
 		nd.W = 1
 	}
 	base := len(arena.Ints)
-	arena.Ints = growInts(arena.Ints, deg)
+	arena.Ints = growInts(arena.Ints, ints)
+	out := arena.Ints[base : base+ints : base+ints]
+	adj := out[:deg:deg]
 	prev := int64(int32(u))
-	for i := 0; i < deg; i++ {
-		d, n := binary.Varint(p)
-		if n <= 0 {
-			arena.Ints = arena.Ints[:base]
+	for i := range adj {
+		if len(p) == 0 {
 			return nd, 0, ErrMalformed
 		}
-		p = p[n:]
-		prev += d
-		if prev < 0 || prev > math.MaxInt32 {
-			arena.Ints = arena.Ints[:base]
-			return nd, 0, ErrMalformed
-		}
-		arena.Ints = append(arena.Ints, int32(prev))
-	}
-	nd.Adj = arena.Ints[base : base+deg : base+deg]
-	if flags&1 != 0 {
-		ewBase := len(arena.Ints)
-		arena.Ints = growInts(arena.Ints, deg)
-		for i := 0; i < deg; i++ {
-			v, n, err := uvarint32(p)
-			if err != nil || int32(v) < 0 {
-				arena.Ints = arena.Ints[:base]
+		x := uint64(p[0])
+		if x < 0x80 {
+			p = p[1:]
+		} else if len(p) > 1 && p[1] < 0x80 {
+			x = x&0x7f | uint64(p[1])<<7
+			p = p[2:]
+		} else {
+			x, n = binary.Uvarint(p)
+			if n <= 0 {
 				return nd, 0, ErrMalformed
 			}
 			p = p[n:]
-			arena.Ints = append(arena.Ints, int32(v))
 		}
-		nd.EW = arena.Ints[ewBase : ewBase+deg : ewBase+deg]
-		// Re-slice Adj: the EW grow may have moved the backing array.
-		nd.Adj = arena.Ints[base : base+deg : base+deg]
+		prev += int64(x>>1) ^ -int64(x&1) // zigzag, as binary.Varint
+		if uint64(prev) > math.MaxInt32 {
+			return nd, 0, ErrMalformed
+		}
+		adj[i] = int32(prev)
 	}
+	nd.Adj = adj
+	if flags&1 != 0 {
+		ew := out[deg:]
+		for i := range ew {
+			if len(p) == 0 {
+				return nd, 0, ErrMalformed
+			}
+			x := uint64(p[0])
+			if x < 0x80 {
+				p = p[1:]
+			} else if len(p) > 1 && p[1] < 0x80 {
+				x = x&0x7f | uint64(p[1])<<7
+				p = p[2:]
+			} else {
+				x, n = binary.Uvarint(p)
+				if n <= 0 {
+					return nd, 0, ErrMalformed
+				}
+				p = p[n:]
+			}
+			if x > math.MaxInt32 {
+				return nd, 0, ErrMalformed
+			}
+			ew[i] = int32(x)
+		}
+		nd.EW = ew
+	}
+	arena.Ints = arena.Ints[:base+ints]
 	return nd, len(payload) - len(p), nil
 }
 

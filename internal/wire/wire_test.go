@@ -72,6 +72,13 @@ func TestDecodeNodeRejects(t *testing.T) {
 		"neighbor-huge":  AppendSvarint([]byte{TypeNode, 0, 1, 0, 1}, math.MaxInt32+1),
 		"u-over-int32":   append(AppendUvarint([]byte{TypeNode}, math.MaxInt32+1), 1, 0, 0),
 		"varint-10-byte": {TypeNode, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+		"ew-truncated":   {TypeNode, 0, 1, 1, 2, 2, 2, 5},
+		"ew-deg-over":    {TypeNode, 0, 1, 1, 3, 2, 2, 2, 5, 5},
+		"delta-overflow": edgeVarintPayloads["delta-overflow"],
+		"ew-overflow":    edgeVarintPayloads["ew-overflow"],
+		"delta-to-neg-1": edgeVarintPayloads["delta-to-minus-1"],
+		"delta-to-2^31":  edgeVarintPayloads["delta-to-2^31"],
+		"ew-2^31":        edgeVarintPayloads["ew-2^31"],
 	}
 	var arena Arena
 	for name, payload := range cases {
@@ -81,6 +88,35 @@ func TestDecodeNodeRejects(t *testing.T) {
 		if len(arena.Ints) != 0 {
 			t.Errorf("%s: arena not rolled back (%d ints)", name, len(arena.Ints))
 		}
+	}
+}
+
+// TestDecodeNodeVarintBoundaries pins the values read at the inline
+// fast paths' edges: the last one-byte varint, the first two-byte one,
+// and a non-minimal zero, which the decoder accepts like binary.Uvarint.
+func TestDecodeNodeVarintBoundaries(t *testing.T) {
+	cases := []struct {
+		name    string
+		adj, ew []int32
+	}{
+		{"delta-non-minimal", []int32{5}, nil},
+		{"delta-1-byte-max", []int32{100 - 64}, nil},
+		{"delta-2-byte-min", []int32{100 + 64}, nil},
+		{"ew-1-byte-max", []int32{1}, []int32{127}},
+		{"ew-2-byte-min", []int32{1}, []int32{128}},
+		{"ew-non-minimal", []int32{1}, []int32{0}},
+	}
+	var arena Arena
+	for _, tc := range cases {
+		payload := edgeVarintPayloads[tc.name]
+		nd, err := DecodeNodeInto(&arena, payload)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !equalInt32(nd.Adj, tc.adj) || !equalInt32(nd.EW, tc.ew) {
+			t.Errorf("%s: adj %v ew %v, want adj %v ew %v", tc.name, nd.Adj, nd.EW, tc.adj, tc.ew)
+		}
+		arena.Reset()
 	}
 }
 

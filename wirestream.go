@@ -63,9 +63,13 @@ func WriteWireFile(path string, g *Graph) error {
 // checksums and decodes frames into a small ring of recycled batches
 // while the caller's goroutine visits the nodes, so on two cores a pass
 // costs the slower of decode and assignment per node rather than their
-// sum. The file is input from outside the program, so every node id
-// and neighbour is checked against the header's n, and each of the n
-// nodes must appear exactly once. It implements Source.
+// sum. Assignment is the slower side: with the node decoder's inline
+// varint fast paths, oms.Map of a 2^17-node edge-weighted RMAT file
+// onto 4:16:8 ran at 1.26 M nodes/s against 0.92 M when decode bounded
+// the pass (medians of 10 alternating pairs on a 2-core x86-64 host,
+// every pair won). The file is input from outside the program, so
+// every node id and neighbour is checked against the header's n, and
+// each of the n nodes must appear exactly once. It implements Source.
 type WireSource struct {
 	Path string
 }
