@@ -128,8 +128,8 @@ func TestAdaptiveSessionPartitionsWithoutDeclaredStats(t *testing.T) {
 }
 
 // TestAdaptiveDeterministicAndBatchParity: the adaptive walk stays
-// deterministic for a fixed arrival order, and a sequential-threads
-// PushBatch is bit-identical to the same sequence of Push calls.
+// deterministic for a fixed arrival order, and PushBatch is
+// bit-identical to the same sequence of Push calls.
 func TestAdaptiveDeterministicAndBatchParity(t *testing.T) {
 	g := oms.GenRMATSocial(4000, 16000, 3)
 	cfg := oms.SessionConfig{K: 32, Adaptive: true, Options: oms.Options{Seed: 5}}

@@ -76,8 +76,10 @@ type Spec struct {
 	Epsilon         float64 `json:"epsilon,omitempty"`
 	Seed            uint64  `json:"seed,omitempty"`
 	Record          bool    `json:"record,omitempty"`
-	Threads         int     `json:"threads,omitempty"`
-	TTLSeconds      int     `json:"ttl_seconds,omitempty"`
+	// Threads is sent for older daemons; current ones accept and
+	// ignore it (a session assigns every batch in order).
+	Threads    int `json:"threads,omitempty"`
+	TTLSeconds int `json:"ttl_seconds,omitempty"`
 }
 
 // Created is the create response.
@@ -145,7 +147,9 @@ func (c *Client) Finish(ctx context.Context, id string) (Summary, error) {
 	return out, err
 }
 
-// Refine queues a background restream refinement pass.
+// Refine queues a background restream refinement pass. threads is sent
+// for older daemons; current ones accept and ignore it (passes run in
+// stream order).
 func (c *Client) Refine(ctx context.Context, id string, passes, threads int) error {
 	body := map[string]int{}
 	if passes > 0 {

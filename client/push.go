@@ -38,7 +38,7 @@ func (c *Client) Push(ctx context.Context, id string, nodes []Node) ([]Assignmen
 }
 
 // PushBatch streams nodes through POST /v1/sessions/{id}/batch — the
-// atomic, parallel-assignment ingest route.
+// atomic, group-committed ingest route.
 func (c *Client) PushBatch(ctx context.Context, id string, nodes []Node) ([]Assignment, error) {
 	return c.ingest(ctx, id, "batch", nodes)
 }

@@ -23,11 +23,9 @@
 // resume); /v1/readyz answers 503 until that replay is done.
 //
 // POST /v1/sessions/{id}/batch is the high-throughput ingest path: the
-// same NDJSON lines, grouped into large atomic batches that are
-// assigned across the session's parallel workers (create the session
-// with "threads": N, or set the -session-threads default) and
-// group-committed to the WAL as one frame each — the paper's
-// shared-memory parallel streaming (§3.4) from the wire down.
+// same NDJSON lines, grouped into large batches, each admitted as one
+// atomic group, assigned in order exactly as the same per-node pushes
+// would be, and group-committed to the WAL as one frame.
 //
 // Sessions may be open-ended: create with "n": 0 (or "adaptive": true,
 // optionally alongside rough hints in n/m/total weights) and the daemon
@@ -108,7 +106,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	maxSessions := fs.Int("max-sessions", 1024, "concurrent session cap")
 	ttl := fs.Duration("ttl", 5*time.Minute, "idle session eviction TTL")
 	workers := fs.Int("workers", 0, "session jobs running at once, each on its request's goroutine (0 = GOMAXPROCS)")
-	sessionThreads := fs.Int("session-threads", 1, "default parallel assignment width for batch ingest (POST .../batch); clients override per session with \"threads\"")
 	maxNodes := fs.Int("max-nodes", 1<<26, "per-session declared node cap")
 	maxTotalNodes := fs.Int64("max-total-nodes", 1<<28, "aggregate declared node budget across live sessions")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
@@ -236,20 +233,19 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	}
 
 	mgr := service.NewManager(service.Config{
-		MaxSessions:    *maxSessions,
-		SessionTTL:     *ttl,
-		Workers:        *workers,
-		MaxNodes:       int32(*maxNodes),
-		MaxTotalNodes:  *maxTotalNodes,
-		SessionThreads: *sessionThreads,
-		Store:          store,
-		RefineWorkers:  *refineWorkers,
-		RefinePasses:   *refinePasses,
-		Registry:       reg,
-		Events:         ev,
-		Tracer:         tracer,
-		Cluster:        clusterView,
-		Replica:        replicaHandler,
+		MaxSessions:   *maxSessions,
+		SessionTTL:    *ttl,
+		Workers:       *workers,
+		MaxNodes:      int32(*maxNodes),
+		MaxTotalNodes: *maxTotalNodes,
+		Store:         store,
+		RefineWorkers: *refineWorkers,
+		RefinePasses:  *refinePasses,
+		Registry:      reg,
+		Events:        ev,
+		Tracer:        tracer,
+		Cluster:       clusterView,
+		Replica:       replicaHandler,
 	})
 	defer mgr.Close()
 	if node != nil {

@@ -311,32 +311,62 @@ func postNDJSON(t *testing.T, url, body string) map[int32]int32 {
 }
 
 // TestBatchCrashRecoveryParity is the group-commit acceptance test: a
-// parallel batch ingest killed mid-stream must come back with exactly
-// the assignments that were acknowledged — parallel assignment is not
-// deterministic, so recovery replays the WAL's recorded decisions, not
-// the algorithm.
+// batch ingest killed mid-stream must come back with exactly the
+// assignments that were acknowledged (recovery replays the WAL's
+// recorded decisions, not the algorithm), and — because a batch is
+// assigned in order — the finished result must equal an uninterrupted
+// batch run of the same stream. The session asks for "threads": 4,
+// which is accepted and ignored.
 func TestBatchCrashRecoveryParity(t *testing.T) {
 	dataDir := t.TempDir()
 	g := oms.GenDelaunay(4000, 13)
 	n, m := g.NumNodes(), g.NumEdges()
 	const k = 8
+	createBody := fmt.Sprintf(`{"n":%d,"m":%d,"k":%d,"threads":4}`, n, m, k)
+	create := func(base string) string {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/sessions", "application/json", strings.NewReader(createBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var created struct {
+			ID string `json:"id"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
+			t.Fatal(err)
+		}
+		return created.ID
+	}
+	finishResult := func(base, id string) []int32 {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/sessions/"+id+"/finish", "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		resp, err = http.Get(base + "/v1/sessions/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var result struct {
+			Parts []int32 `json:"parts"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&result); err != nil {
+			t.Fatal(err)
+		}
+		if len(result.Parts) != int(n) {
+			t.Fatalf("result has %d parts, want %d", len(result.Parts), n)
+		}
+		return result.Parts
+	}
 
-	base, stop := startDaemon(t, "-data-dir", dataDir, "-wal-sync", "0", "-session-threads", "4")
-	resp, err := http.Post(base+"/v1/sessions", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"n":%d,"m":%d,"k":%d,"threads":4}`, n, m, k)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var created struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
+	base, stop := startDaemon(t, "-data-dir", dataDir, "-wal-sync", "0")
+	id := create(base)
 	cut := n * 3 / 5
-	acked := postNDJSON(t, base+"/v1/sessions/"+created.ID+"/batch", ndjsonNodes(t, g, 0, cut))
+	acked := postNDJSON(t, base+"/v1/sessions/"+id+"/batch", ndjsonNodes(t, g, 0, cut))
 	if len(acked) != int(cut) {
 		t.Fatalf("batch acked %d assignments, want %d", len(acked), cut)
 	}
@@ -344,9 +374,9 @@ func TestBatchCrashRecoveryParity(t *testing.T) {
 
 	// Restart: the session resumes at the batch boundary with the acked
 	// decisions intact.
-	base2, stop2 := startDaemon(t, "-data-dir", dataDir, "-wal-sync", "0", "-session-threads", "4")
+	base2, stop2 := startDaemon(t, "-data-dir", dataDir, "-wal-sync", "0")
 	defer stop2()
-	resp, err = http.Get(base2 + "/v1/sessions/" + created.ID)
+	resp, err := http.Get(base2 + "/v1/sessions/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,35 +392,20 @@ func TestBatchCrashRecoveryParity(t *testing.T) {
 		t.Fatalf("recovered session at node %d (finished=%v), want resumable at %d", status.Assigned, status.Finished, cut)
 	}
 
-	postNDJSON(t, base2+"/v1/sessions/"+created.ID+"/batch", ndjsonNodes(t, g, cut, n))
-	resp, err = http.Post(base2+"/v1/sessions/"+created.ID+"/finish", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	resp, err = http.Get(base2 + "/v1/sessions/" + created.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var result struct {
-		Parts []int32 `json:"parts"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&result); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(result.Parts) != int(n) {
-		t.Fatalf("result has %d parts, want %d", len(result.Parts), n)
-	}
+	postNDJSON(t, base2+"/v1/sessions/"+id+"/batch", ndjsonNodes(t, g, cut, n))
+	parts := finishResult(base2, id)
 	for u, b := range acked {
-		if result.Parts[u] != b {
-			t.Fatalf("node %d: recovered run reports %d, client was acknowledged %d", u, result.Parts[u], b)
+		if parts[u] != b {
+			t.Fatalf("node %d: recovered run reports %d, client was acknowledged %d", u, parts[u], b)
 		}
 	}
-	for u, b := range result.Parts {
-		if b < 0 || b >= k {
-			t.Fatalf("node %d unassigned or out of range after recovery: %d", u, b)
+
+	whole := create(base2)
+	postNDJSON(t, base2+"/v1/sessions/"+whole+"/batch", ndjsonNodes(t, g, 0, n))
+	want := finishResult(base2, whole)
+	for u := range want {
+		if parts[u] < 0 || parts[u] >= k || parts[u] != want[u] {
+			t.Fatalf("node %d: recovered run reports %d, uninterrupted run %d", u, parts[u], want[u])
 		}
 	}
 }

@@ -42,10 +42,9 @@ func (o *OMS) Coverage() int32 {
 // happened.
 //
 // Callers must serialize ObserveAdaptive with every assignment path
-// (AssignNode, AssignNodeOn, ForceAssign): re-adaptation rewrites the
-// capacities and alphas those paths read. The push session guarantees
-// this by observing during (single-threaded) batch admission, before
-// any parallel fan-out.
+// (AssignNode, ForceAssign): re-adaptation rewrites the capacities and
+// alphas those paths read. The push session guarantees this by
+// observing and assigning each node in turn, in stream order.
 func (o *OMS) ObserveAdaptive(u int32, vwgt int32, adj []int32, ewgt []int32) bool {
 	if o.est == nil {
 		return false

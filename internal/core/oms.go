@@ -39,7 +39,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"oms/internal/hierarchy"
@@ -130,13 +129,10 @@ type OMS struct {
 	// growth); serialized with assignment like est.
 	coverage int32
 
-	// scratch holds one levelScratch per configured worker: indexed
-	// access for the parallel drivers (Run, AssignNodeOn), where the
-	// caller owns a stable worker id. The pool backs the convenience
-	// path AssignNode, whose callers have no worker identity but must
-	// still never share gain accumulators.
-	scratch     []*levelScratch
-	scratchPool sync.Pool
+	// scratch holds one levelScratch per configured worker, indexed by
+	// the worker id Run's parallel driver hands out; the sequential
+	// entries (AssignNode, restream passes) walk scratch[0].
+	scratch []*levelScratch
 }
 
 // block is one tree block's record. load is the only field the walk
@@ -230,9 +226,6 @@ func New(tree *hierarchy.Tree, st stream.Stats, cfg Config) (*OMS, error) {
 			gain: make([]float64, tree.MaxFanout),
 		})
 	}
-	o.scratchPool.New = func() any {
-		return &levelScratch{gain: make([]float64, tree.MaxFanout)}
-	}
 	return o, nil
 }
 
@@ -275,41 +268,23 @@ func (o *OMS) AlphaOf(v int32) float64 { return o.blk[v].alpha }
 // the same assignment path Run drives internally. Callers stream nodes in
 // any order they like, one call per node; a sequence of AssignNode calls
 // in natural node order is bit-identical to a sequential Run over the
-// same stream. AssignNode is safe for concurrent use — each call draws
-// its own gain scratch from a pool, and loads and assignments are
-// updated atomically (the unsynchronized scheme of §3.4). Hot parallel
-// loops that already own a stable worker id should prefer AssignNodeOn,
-// which skips the pool. Calling it twice for the same node
-// double-charges the tree loads, so gate re-pushes at the call site
-// (AssignmentOf reports whether a node was already placed).
+// same stream. AssignNode walks worker 0's scratch, so it is not safe
+// for concurrent use, nor concurrent with Run: Run is the only parallel
+// driver. Calling it twice for the same node double-charges the tree
+// loads, so gate re-pushes at the call site (AssignmentOf reports
+// whether a node was already placed).
 func (o *OMS) AssignNode(u int32, vwgt int32, adj []int32, ewgt []int32) int32 {
-	sc := o.scratchPool.Get().(*levelScratch)
-	o.assignWith(sc, u, vwgt, adj, ewgt)
-	o.scratchPool.Put(sc)
-	return atomic.LoadInt32(&o.parts[u])
+	o.assign(0, u, vwgt, adj, ewgt)
+	return o.parts[u]
 }
-
-// AssignNodeOn is AssignNode for parallel streaming with per-worker
-// scratch (§3.4): worker must be a stable index in [0, Workers()), and
-// no two concurrent calls may share it. Distinct workers may call
-// concurrently — block loads are reserved with capacity-checked CAS and
-// neighbor assignments are read racily, exactly as Run's parallel path.
-func (o *OMS) AssignNodeOn(worker int, u int32, vwgt int32, adj []int32, ewgt []int32) int32 {
-	o.assign(worker, u, vwgt, adj, ewgt)
-	return atomic.LoadInt32(&o.parts[u])
-}
-
-// Workers returns how many concurrent AssignNodeOn callers the run was
-// configured for (cfg.Threads, at least 1).
-func (o *OMS) Workers() int { return len(o.scratch) }
 
 // ForceAssign places u on the given final block directly, charging its
 // weight to every tree block on the root-to-leaf path without scoring:
 // the replay entry for streams whose assignments were already decided
-// (and acknowledged) by an earlier parallel run. Parallel assignment is
-// not deterministic, so a durable log replays the recorded decision
-// itself rather than re-deriving it. The caller guards re-pushes, like
-// AssignNode.
+// (and acknowledged) by an earlier run. A durable log replays the
+// recorded decision itself rather than re-deriving it, so recovery never
+// depends on the engine version that made it. The caller guards
+// re-pushes, like AssignNode.
 func (o *OMS) ForceAssign(u int32, vwgt int32, leaf int32) {
 	t := o.Tree
 	v := t.Root
@@ -372,52 +347,6 @@ func (o *OMS) RestreamPasses(src stream.Source, extraPasses int) ([]int32, error
 	return o.parts, nil
 }
 
-// RestreamPassesParallel is RestreamPasses with the retract-and-reassign
-// loop fanned out over the per-worker scratch of §3.4: each worker owns a
-// disjoint slice of the stream, retracts its nodes' weights atomically
-// and re-scores them with the same racy-neighbor-read scheme as the
-// parallel first pass. Every node is retracted and re-placed by exactly
-// one worker per pass, so loads stay exact; neighbor assignments read
-// mid-move may be one pass stale, which is the same benign race the
-// paper accepts for parallel streaming. threads <= 1 (or a single
-// configured worker) falls back to the deterministic sequential passes.
-func (o *OMS) RestreamPassesParallel(src stream.Source, extraPasses, threads int) ([]int32, error) {
-	if threads > len(o.scratch) {
-		threads = len(o.scratch)
-	}
-	if threads <= 1 {
-		return o.RestreamPasses(src, extraPasses)
-	}
-	for p := 0; p < extraPasses; p++ {
-		err := src.ForEachParallel(threads, func(w int, u int32, vwgt int32, adj []int32, ewgt []int32) {
-			o.unassignAtomic(u, vwgt)
-			o.assign(w, u, vwgt, adj, ewgt)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return o.parts, nil
-}
-
-// unassignAtomic removes u's weight from its current path with atomic
-// load updates (the parallel restream counterpart of unassign; only u's
-// owning worker calls it, so the parts slot itself is single-writer). It
-// retracts leaf first: a block must never show room its children do not
-// have yet, or a concurrent walker reserved into it finds every child
-// full and falls back to the forced increment, past the child's capacity.
-func (o *OMS) unassignAtomic(u int32, vwgt int32) {
-	leaf := atomic.LoadInt32(&o.parts[u])
-	if leaf < 0 {
-		return
-	}
-	t := o.Tree
-	for v := t.LeafNode[leaf]; v != t.Root; v = t.Parent[v] {
-		atomic.AddInt64(&o.blk[v].load, -int64(vwgt))
-	}
-	atomic.StoreInt32(&o.parts[u], -1)
-}
-
 // unassign removes u's weight from its current path (sequential passes
 // only).
 func (o *OMS) unassign(u int32, vwgt int32) {
@@ -440,12 +369,6 @@ func (o *OMS) unassign(u int32, vwgt int32) {
 // the capacities of a block's children sum exactly to its own, a node
 // reserved into the parent always fits into some child (unit weights), so
 // rescoring on CAS failure enforces the balance constraint outright.
-func (o *OMS) assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32) {
-	o.assignWith(o.scratch[worker], u, vwgt, adj, ewgt)
-}
-
-// assignWith is assign with the scratch passed explicitly (the pool-backed
-// AssignNode path has no worker index).
 //
 // gather reads the adjacency once; every scored level then calls narrow,
 // which scans only the neighbours still inside the block being split:
@@ -461,7 +384,8 @@ func (o *OMS) assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32)
 // Each level reads the record of the block being split and the adjacent
 // records of its children; the chosen child's record then describes the
 // next level.
-func (o *OMS) assignWith(sc *levelScratch, u int32, vwgt int32, adj []int32, ewgt []int32) {
+func (o *OMS) assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32) {
+	sc := o.scratch[worker]
 	v := o.Tree.Root
 	b := &o.blk[v]
 	w := int64(vwgt)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"oms/internal/gen"
@@ -509,76 +508,6 @@ func TestWeightedNodesRespectCapacity(t *testing.T) {
 	parts := runOMS(t, g, tree, Config{Epsilon: 0.10})
 	if err := metrics.CheckBalanced(g, parts, 4, 0.10); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAssignNodeOnMatchesAssignNode(t *testing.T) {
-	// The worker-indexed entry and the pool-backed entry walk the same
-	// deterministic path when driven sequentially in stream order.
-	g := gen.ErdosRenyi(800, 4000, 3)
-	st := statsOf(t, g)
-	tree := hierarchy.BuildArtificial(16, 4)
-	a, err := New(tree, st, Config{Epsilon: 0.03, Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(tree, st, Config{Epsilon: 0.03})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Workers() != 4 || b.Workers() != 1 {
-		t.Fatalf("workers %d/%d, want 4/1", a.Workers(), b.Workers())
-	}
-	for u := int32(0); u < g.NumNodes(); u++ {
-		pa := a.AssignNodeOn(int(u)%4, u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u))
-		pb := b.AssignNode(u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u))
-		if pa != pb {
-			t.Fatalf("node %d: AssignNodeOn %d, AssignNode %d", u, pa, pb)
-		}
-	}
-}
-
-func TestConcurrentAssignNodeBalancedAndComplete(t *testing.T) {
-	// Concurrent pushes through both entries: every node lands, every
-	// tree block respects its capacity (the CAS reserve enforces the
-	// balance constraint even under contention), and the leaf loads are
-	// exactly the pushed weight.
-	g := gen.ErdosRenyi(4000, 16000, 7)
-	st := statsOf(t, g)
-	tree := hierarchy.BuildArtificial(64, 4)
-	const workers = 8
-	o, err := New(tree, st, Config{Epsilon: 0.03, Threads: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := int(g.NumNodes())
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo, hi := w*n/workers, (w+1)*n/workers
-			for u := int32(lo); u < int32(hi); u++ {
-				if w%2 == 0 {
-					o.AssignNodeOn(w, u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u))
-				} else {
-					o.AssignNode(u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	parts := o.Assignments()
-	for u, p := range parts {
-		if p < 0 || p >= o.K() {
-			t.Fatalf("node %d unassigned or out of range: %d", u, p)
-		}
-	}
-	loads := o.TreeLoads()
-	for v, l := range loads {
-		if cap := int64(tree.LeafCount(int32(v))) * o.LmaxValue(); l > cap {
-			t.Fatalf("tree block %d overloaded: %d > %d", v, l, cap)
-		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 	"oms/internal/stream"
 )
 
-// The oracle: the walk this package shipped before assignWith gathered a
+// The oracle: the walk this package shipped before assign gathered a
 // node's neighbours once. At every level it re-reads parts for the whole
 // adjacency, range-checks each neighbour against the block being split and
 // looks its child up by comparing leaf ranges — independent of gather,
@@ -282,9 +282,10 @@ func TestPropertyWalkMatchesRescanOracle(t *testing.T) {
 }
 
 // TestParallelWalkKeepsCapsAndOwnScratch is written for -race: four
-// workers stream and then restream with one scratch each (the detector
-// reports any sharing of the gathered lists), and the CAS reserve keeps
-// every tree block, leaves included, within its capacity.
+// workers stream with one scratch each (the detector reports any sharing
+// of the gathered lists), and the CAS reserve keeps every tree block,
+// leaves included, within its capacity, through the parallel pass and
+// the sequential restream passes after it.
 func TestParallelWalkKeepsCapsAndOwnScratch(t *testing.T) {
 	g := gen.RMAT(20000, 120000, gen.SocialRMAT, 44)
 	src := stream.NewMemory(g)
@@ -318,7 +319,7 @@ func TestParallelWalkKeepsCapsAndOwnScratch(t *testing.T) {
 				}
 			}
 			check("run")
-			if _, err := o.RestreamPassesParallel(src, 2, 4); err != nil {
+			if _, err := o.RestreamPasses(src, 2); err != nil {
 				t.Fatal(err)
 			}
 			check("restream")

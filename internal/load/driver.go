@@ -417,10 +417,9 @@ func (d *Driver) doCreate(ctx context.Context, adaptive bool) Outcome {
 	d.mu.Unlock()
 
 	spec := client.Spec{
-		K:       d.p.K,
-		Record:  d.p.Record,
-		Seed:    seed,
-		Threads: d.p.Threads,
+		K:      d.p.K,
+		Record: d.p.Record,
+		Seed:   seed,
 	}
 	if adaptive {
 		spec.Adaptive = true

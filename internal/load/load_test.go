@@ -38,7 +38,6 @@ func shortProfile() Profile {
 	p.Degree = 3
 	p.Window = 32
 	p.K = 4
-	p.Threads = 1
 	p.Seed = 7
 	p.MaxInflight = 64
 	p.SampleEvery = 100 * time.Millisecond

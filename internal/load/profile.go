@@ -47,7 +47,6 @@ type Profile struct {
 	Degree       int
 	Window       int32
 	K            int32
-	Threads      int
 	Record       bool
 
 	// Mix weights per schedulable class (lifecycle classes create,
@@ -90,7 +89,6 @@ func DefaultProfile() Profile {
 		Degree:       4,
 		Window:       256,
 		K:            8,
-		Threads:      2,
 		Record:       true,
 		Mix: map[Class]int{
 			ClassPush:      30,
@@ -206,10 +204,6 @@ func (p *Profile) set(key, val string) error {
 	case "K":
 		v, err := i64()
 		p.K = int32(v)
-		return err
-	case "THREADS":
-		v, err := i64()
-		p.Threads = int(v)
 		return err
 	case "RECORD":
 		b, err := strconv.ParseBool(val)

@@ -68,9 +68,8 @@ func (s State) Terminal() bool { return s >= StateDone }
 // honor ctx (checked between passes) and call pass(p) after each
 // completed pass so status reads can report progress.
 type Job struct {
-	ID      string // session id; one active job per id
-	Passes  int
-	Threads int
+	ID     string // session id; one active job per id
+	Passes int
 	// TraceID is the hex trace id of the request that submitted the job,
 	// empty when that request was not sampled. Carried through Status so
 	// a refine job's progress can be joined back to its trigger's trace.
@@ -85,7 +84,6 @@ type Status struct {
 	State      string `json:"state"`
 	Passes     int    `json:"passes"`
 	PassesDone int    `json:"passes_done"`
-	Threads    int    `json:"threads"`
 	TraceID    string `json:"trace_id,omitempty"`
 	Error      string `json:"error,omitempty"`
 }
@@ -106,7 +104,6 @@ func (t *task) status() Status {
 		State:      t.state.String(),
 		Passes:     t.job.Passes,
 		PassesDone: t.passesDone,
-		Threads:    t.job.Threads,
 		TraceID:    t.job.TraceID,
 	}
 	if t.err != nil {

@@ -29,7 +29,7 @@ func TestRunnerLifecycle(t *testing.T) {
 	r := NewRunner(2, Hooks{})
 	defer r.Close()
 
-	st, err := r.Submit(Job{ID: "a", Passes: 3, Threads: 1, Run: func(ctx context.Context, pass func(int)) error {
+	st, err := r.Submit(Job{ID: "a", Passes: 3, Run: func(ctx context.Context, pass func(int)) error {
 		for p := 1; p <= 3; p++ {
 			pass(p)
 		}

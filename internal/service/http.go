@@ -20,9 +20,9 @@ import (
 const ingestChunkSize = 256
 
 // batchChunkSize is how many NDJSON nodes the batch endpoint groups
-// into one group-committed parallel batch: large enough to amortize the
-// fan-out and the single fsync over many nodes, small enough that
-// assignments still stream back while the client uploads.
+// into one group-committed batch: large enough to amortize the job and
+// the single fsync over many nodes, small enough that assignments still
+// stream back while the client uploads.
 const batchChunkSize = 4096
 
 // chunkByteBudget cuts a chunk or batch early once its nodes' wire
@@ -44,10 +44,10 @@ const maxNodeLine = 16 << 20
 //	GET    /v1/sessions              list live sessions
 //	GET    /v1/sessions/{id}         one session's status
 //	POST   /v1/sessions/{id}/nodes   NDJSON node ingest; NDJSON assignments stream back per chunk
-//	POST   /v1/sessions/{id}/batch   NDJSON batch ingest: larger atomic groups assigned in
-//	                                 parallel (session "threads") and WAL-committed as one frame
+//	POST   /v1/sessions/{id}/batch   NDJSON batch ingest: larger atomic groups, each assigned
+//	                                 in order and WAL-committed as one frame
 //	POST   /v1/sessions/{id}/finish  seal the session, returns the summary
-//	POST   /v1/sessions/{id}/refine  queue background restream refinement (passes, threads)
+//	POST   /v1/sessions/{id}/refine  queue background restream refinement (passes)
 //	GET    /v1/sessions/{id}/refine  refinement job status and version ledger
 //	GET    /v1/sessions/{id}/result  assignment vector; ?version=N|latest|best selects a
 //	                                 published refinement (default: the one-pass result)
@@ -190,7 +190,7 @@ var ingestErrors = []string{
 func Routes() []Route {
 	return []Route{
 		{Method: "POST", Pattern: "/v1/sessions", Name: "create", handler: handleCreate,
-			Doc:     "create a push session (`n`, `m`, `k` **or** `topology`/`distances`, `scorer`, `epsilon`, `seed`, `record`, `threads`, `ttl_seconds`, ...); `n: 0` opens an adaptive session",
+			Doc:     "create a push session (`n`, `m`, `k` **or** `topology`/`distances`, `scorer`, `epsilon`, `seed`, `record`, `ttl_seconds`, ...); `n: 0` opens an adaptive session",
 			Accepts: []string{mtJSON}, Produces: []string{mtJSON},
 			Errors: []string{"bad_request", "session_limit"}},
 		{Method: "GET", Pattern: "/v1/sessions", Name: "list", handler: handleList,
@@ -204,7 +204,7 @@ func Routes() []Route {
 			Accepts: []string{mtFrame, mtNDJSON}, Produces: []string{mtFrame, mtNDJSON},
 			Errors: ingestErrors},
 		{Method: "POST", Pattern: "/v1/sessions/{id}/batch", Name: "batch", handler: handleBatch,
-			Doc:     "batch ingest: large atomic groups, assigned in parallel (`threads`), one WAL frame per group",
+			Doc:     "batch ingest: large atomic groups, each assigned in order, one WAL frame per group",
 			Accepts: []string{mtFrame, mtNDJSON}, Produces: []string{mtFrame, mtNDJSON},
 			Errors: ingestErrors},
 		{Method: "POST", Pattern: "/v1/sessions/{id}/finish", Name: "finish", handler: handleFinish,
@@ -212,7 +212,7 @@ func Routes() []Route {
 			Produces: []string{mtJSON},
 			Errors:   []string{"session_not_found", "session_gone", "durability_failure", "wrong_node"}},
 		{Method: "POST", Pattern: "/v1/sessions/{id}/refine", Name: "refine", handler: handleRefine,
-			Doc:     "queue background restream refinement (`passes`, `threads`)",
+			Doc:     "queue background restream refinement (`passes`)",
 			Accepts: []string{mtJSON}, Produces: []string{mtJSON},
 			Errors: []string{"bad_request", "session_not_found", "session_gone",
 				"session_not_finished", "stream_not_retained", "refine_active", "wrong_node"}},

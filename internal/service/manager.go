@@ -96,11 +96,9 @@ type CreateSpec struct {
 	// Record keeps the pushed stream server-side, enabling edge-cut and
 	// imbalance in the finish summary at O(n + m) extra memory.
 	Record bool `json:"record,omitempty"`
-	// Threads is the session's parallel assignment width for batch
-	// ingest (POST .../batch): batches fan out over this many engine
-	// workers with the paper's §3.4 scheme. 0 takes the server default
-	// (-session-threads); the server clamps the value to its ceiling.
-	// Sequential per-node ingest is unaffected.
+	// Threads is accepted and ignored: a session assigns every batch in
+	// order on one engine worker. It stays so that older clients and
+	// persisted specs that carry it still decode.
 	Threads int `json:"threads,omitempty"`
 	// TTLSeconds overrides the server's idle-eviction TTL.
 	TTLSeconds int `json:"ttl_seconds,omitempty"`
@@ -147,7 +145,6 @@ func (cs CreateSpec) sessionConfig() (oms.SessionConfig, error) {
 			VanillaAlpha: cs.VanillaAlpha,
 			Gamma:        cs.Gamma,
 			Seed:         cs.Seed,
-			Threads:      cs.Threads,
 		},
 		Record: cs.Record,
 	}
@@ -195,13 +192,7 @@ type Config struct {
 	// MaxTotalNodes caps the sum of declared n over all live sessions
 	// (the aggregate engine-memory budget); default 1<<28.
 	MaxTotalNodes int64
-	// SessionThreads is the default parallel assignment width sessions
-	// use for batch ingest when the client does not ask for one;
-	// default 1 (sequential, the paper's opt-in parallelism). A
-	// client's CreateSpec.Threads override is clamped to
-	// maxSessionThreads.
-	SessionThreads int
-	JanitorPeriod  time.Duration // eviction scan period; default 1s
+	JanitorPeriod time.Duration // eviction scan period; default 1s
 	// Now injects a clock for tests; default time.Now.
 	Now func() time.Time
 	// Store persists sessions across restarts (nil = in-memory only):
@@ -258,9 +249,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxTotalNodes <= 0 {
 		c.MaxTotalNodes = 1 << 28
 	}
-	if c.SessionThreads <= 0 {
-		c.SessionThreads = 1
-	}
 	if c.JanitorPeriod <= 0 {
 		c.JanitorPeriod = time.Second
 	}
@@ -279,10 +267,6 @@ func (c Config) withDefaults() Config {
 // sessionShards sizes the manager's sharded session index. A power of
 // two so the hash maps to a shard with a mask.
 const sessionShards = 32
-
-// maxSessionThreads caps a client's requested parallel assignment
-// width.
-const maxSessionThreads = 256
 
 // sessionShard is one stripe of the live-session index.
 type sessionShard struct {
@@ -552,17 +536,6 @@ func (mg *Manager) Create(spec CreateSpec) (*Session, error) {
 	if spec.N == 0 {
 		spec.Adaptive = true
 	}
-	// Normalize the batch-ingest width before the spec is used or
-	// persisted: 0 takes the server default, and the cap keeps a
-	// create request from allocating unbounded per-worker state (each
-	// worker is one fanout-sized scratch slice, so the cap is generous
-	// — more workers than cores merely oversubscribes goroutines).
-	if spec.Threads <= 0 {
-		spec.Threads = mg.cfg.SessionThreads
-	}
-	if spec.Threads > maxSessionThreads {
-		spec.Threads = maxSessionThreads
-	}
 	// Cheap pre-check before building the n-sized engine; the insert
 	// below re-checks under the same lock, so the caps still hold.
 	mg.mu.Lock()
@@ -733,8 +706,8 @@ func (mg *Manager) restoreSession(rec RecoveredSession) error {
 	}
 	err = rec.Replay(func(u, w int32, adj, ew []int32, block int32) error {
 		// Batch records carry the assignment acknowledged at ingest
-		// time (parallel batches are racy; the decision is the durable
-		// fact). Per-node records re-derive it deterministically.
+		// time, and replaying that decision keeps recovery independent
+		// of the engine version. Per-node records re-derive it.
 		if block >= 0 {
 			_, err := eng.PushAssigned(u, w, adj, ew, block)
 			return err
@@ -939,11 +912,10 @@ func (mg *Manager) EvictIdle() int {
 const maxRefinePasses = 64
 
 // RefineSpec is the POST .../refine body: how many restream passes to
-// run and with how many engine workers. Zeros take the server defaults
-// (-refine-passes; the session's own ingest thread width).
+// run; zero takes the server default (-refine-passes). Passes are
+// sequential, so a "threads" key is accepted and ignored.
 type RefineSpec struct {
-	Passes  int `json:"passes,omitempty"`
-	Threads int `json:"threads,omitempty"`
+	Passes int `json:"passes,omitempty"`
 	// TraceCtx is the submitting request's trace context, set by the
 	// HTTP layer (never parsed from the body). A sampled submit makes
 	// the background job record its passes as a second span tree under
@@ -981,13 +953,6 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 	if passes > maxRefinePasses {
 		passes = maxRefinePasses
 	}
-	threads := spec.Threads
-	if threads <= 0 {
-		threads = s.spec.Threads
-	}
-	if threads > maxSessionThreads {
-		threads = maxSessionThreads
-	}
 
 	src, err := s.stream()
 	switch {
@@ -1006,7 +971,6 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 	if err != nil {
 		return RefineInfo{}, err
 	}
-	cfg.Options.Threads = threads
 	// The finished engine is immutable (every mutation path checks
 	// finished first), so exporting its state needs no session job.
 	state := s.eng.ExportState()
@@ -1107,7 +1071,6 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 	job := refine.Job{
 		ID:      id,
 		Passes:  passes,
-		Threads: threads,
 		TraceID: ta.TraceIDString(),
 		Run: func(ctx context.Context, pass func(int)) error {
 			err := runInner(ctx, pass)

@@ -456,8 +456,7 @@ func TestCreateSpecValidation(t *testing.T) {
 }
 
 // TestBatchIngestMatchesSequential: the batch job path assigns the same
-// stream the chunk path does (sequential session, so both walks are
-// deterministic), and the batch counter moves.
+// stream the chunk path does, and the batch counter moves.
 func TestBatchIngestMatchesSequential(t *testing.T) {
 	mgr := testManager(t, Config{})
 	ctx := context.Background()
@@ -489,38 +488,6 @@ func TestBatchIngestMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchIngestParallelSession: a session created with threads > 1
-// fans batches out and still lands every node within balance.
-func TestBatchIngestParallelSession(t *testing.T) {
-	mgr := testManager(t, Config{})
-	ctx := context.Background()
-	spec := pathSpec(512, 8)
-	spec.Threads = 4
-	s, err := mgr.Create(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.eng.Workers(); got != 4 {
-		t.Fatalf("engine workers %d, want 4", got)
-	}
-	blocks, err := s.IngestBatch(ctx, mgr.Pool(), pathNodes(512))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u, b := range blocks {
-		if b < 0 || b >= 8 {
-			t.Fatalf("node %d block %d out of range", u, b)
-		}
-	}
-	sum, err := s.Finish(ctx, mgr.Pool())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Assigned != 512 {
-		t.Fatalf("assigned %d, want 512", sum.Assigned)
-	}
-}
-
 // TestBatchAtomicRejection: a batch with an invalid node applies
 // nothing — the atomic admission the WAL group frame relies on.
 func TestBatchAtomicRejection(t *testing.T) {
@@ -537,32 +504,6 @@ func TestBatchAtomicRejection(t *testing.T) {
 	}
 	if got := s.eng.Assigned(); got != 0 {
 		t.Fatalf("rejected batch assigned %d nodes", got)
-	}
-}
-
-// TestSessionThreadsClamped: the server default fills in a zero
-// request, and an absurd override is clamped to the server ceiling.
-func TestSessionThreadsClamped(t *testing.T) {
-	mgr := testManager(t, Config{SessionThreads: 2})
-	spec := pathSpec(8, 2)
-	s, err := mgr.Create(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.eng.Workers(); got != 2 {
-		t.Fatalf("default workers %d, want 2", got)
-	}
-	spec2 := pathSpec(8, 2)
-	spec2.Threads = 1 << 20
-	s2, err := mgr.Create(spec2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.eng.Workers(); got > 1<<16 {
-		t.Fatalf("workers %d not clamped", got)
-	}
-	if s2.spec.Threads != s2.eng.Workers() {
-		t.Fatalf("spec threads %d disagrees with engine workers %d", s2.spec.Threads, s2.eng.Workers())
 	}
 }
 

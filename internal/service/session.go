@@ -261,11 +261,10 @@ func (s *Session) Ingest(ctx context.Context, p *Pool, nodes []PushNode) ([]int3
 	return s.ingestJob(ctx, p, false, nodes)
 }
 
-// IngestBatch runs one parallel batch as a job of the session and
-// returns its per-node assignments. Unlike Ingest, the batch is admitted
-// atomically (a rejection applies nothing) and assigned across the
-// session engine's parallel workers; its durable record is one
-// group-committed WAL frame.
+// IngestBatch runs one batch as a job of the session and returns its
+// per-node assignments. Unlike Ingest, the batch is admitted atomically
+// (a rejection applies nothing) before it is assigned in order; its
+// durable record is one group-committed WAL frame.
 func (s *Session) IngestBatch(ctx context.Context, p *Pool, nodes []PushNode) ([]int32, error) {
 	return s.ingestJob(ctx, p, true, nodes)
 }
@@ -416,7 +415,7 @@ func (s *Session) admitEach(nodes []PushNode) (a admitted) {
 }
 
 // admitBatch is the /batch admission: the whole batch or none of it,
-// fanned out over the engine's parallel assignment workers.
+// assigned in order.
 func (s *Session) admitBatch(nodes []PushNode) (a admitted) {
 	batch := make([]oms.Node, len(nodes))
 	for i := range nodes {

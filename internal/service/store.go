@@ -72,9 +72,9 @@ type SessionLog interface {
 	// AppendBatch group-commits one accepted /batch together with the
 	// blocks the engine assigned: one frame (one checksum) over the
 	// nodes' verbatim payloads, so recovery resurrects the batch
-	// all-or-nothing and replays the recorded assignments verbatim —
-	// parallel batch assignment is not deterministic, so the decisions
-	// themselves are what must survive. Every node carries its Frame.
+	// all-or-nothing and replays the recorded assignments verbatim, so
+	// a recovered session never depends on the engine version that made
+	// them. Every node carries its Frame.
 	AppendBatch(nodes []PushNode, blocks []int32) error
 	// AppendStats logs one stats-revision record of an adaptive session:
 	// the estimator state in force after every record appended so far.

@@ -224,10 +224,10 @@ func TestRecordSessionRecoversByFullReplay(t *testing.T) {
 }
 
 // TestBatchRecoveryPreservesAckedAssignments: batches ingested by a
-// parallel session, process killed, recovered — every assignment the
-// first process acknowledged must come back verbatim (the WAL's batch
-// frames record the decisions, because parallel assignment would not
-// replay deterministically).
+// session created with "threads": 4 (accepted and ignored), process
+// killed, recovered — every assignment the first process acknowledged
+// must come back verbatim (the WAL's batch frames record the decisions,
+// and recovery replays them rather than re-scoring the stream).
 func TestBatchRecoveryPreservesAckedAssignments(t *testing.T) {
 	dir := t.TempDir()
 	recs, cfg := testStream(t, 3000)

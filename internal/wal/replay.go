@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
-	"sync"
 
 	"oms"
 	"oms/internal/service"
@@ -76,11 +74,9 @@ func (r *ReplaySource) Len() int64 { return r.nodes }
 // Duplicate records are collapsed to their first occurrence: a batch
 // that repeated a node (or a client retry overlapping earlier ingest)
 // logs the node more than once, and while engine replay is idempotent
-// against that, stream consumers like cut measurement and parallel
-// restream are not — a duplicate visited twice would double-count cut
-// edges, and two workers could retract-and-reassign the same node
-// concurrently. First-occurrence-wins is exactly the engine's own push
-// semantics.
+// against that, stream consumers like cut measurement are not — a
+// duplicate visited twice would double-count cut edges.
+// First-occurrence-wins is exactly the engine's own push semantics.
 func (r *ReplaySource) ForEach(fn stream.Visitor) error {
 	seen := r.newSeen()
 	return replayLog(r.path, r.nodes, func(u, w int32, adj, ew []int32, _ int32) error {
@@ -114,56 +110,14 @@ func (r *ReplaySource) newSeen() func(int32) bool {
 	}
 }
 
-// ForEachParallel implements stream.Source. Like the METIS disk source,
-// log parsing is inherently sequential, so a producer goroutine scans
-// the frames and hands copied batches of consecutive records to worker
-// goroutines.
+// ForEachParallel implements stream.Source. Log parsing is inherently
+// sequential and every consumer (cut measurement, restream passes) is
+// too, so the whole pass is ForEach's single in-order consumer on worker
+// 0 whatever threads asks for.
 func (r *ReplaySource) ForEachParallel(threads int, fn stream.ParallelVisitor) error {
-	if threads <= 1 {
-		return r.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) {
-			fn(0, u, vwgt, adj, ewgt)
-		})
-	}
-	type rec struct {
-		u, w int32
-		adj  []int32
-		ew   []int32
-	}
-	const batchRecords = 1024
-	ch := make(chan []rec, 2*threads)
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for w := 0; w < threads; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for batch := range ch {
-				for i := range batch {
-					fn(worker, batch[i].u, batch[i].w, batch[i].adj, batch[i].ew)
-				}
-			}
-		}(w)
-	}
-	seen := r.newSeen() // the producer filters, so workers never share a node
-	cur := make([]rec, 0, batchRecords)
-	err := replayLog(r.path, r.nodes, func(u, w int32, adj, ew []int32, _ int32) error {
-		if seen(u) {
-			return nil
-		}
-		// replayLog's slices alias its decode arena and die with the
-		// record; a worker reads them later, so each record gets copies.
-		cur = append(cur, rec{u: u, w: w, adj: slices.Clone(adj), ew: slices.Clone(ew)})
-		if len(cur) >= batchRecords {
-			ch <- cur
-			cur = make([]rec, 0, batchRecords)
-		}
-		return nil
-	}, nil)
-	if len(cur) > 0 {
-		ch <- cur
-	}
-	close(ch)
-	wg.Wait()
-	return err
+	return r.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) {
+		fn(0, u, vwgt, adj, ewgt)
+	})
 }
 
 // readSpec loads and validates a session directory's spec envelope.

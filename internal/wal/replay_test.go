@@ -3,7 +3,6 @@ package wal
 import (
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 
 	"oms/internal/service"
@@ -66,27 +65,20 @@ func TestReplaySourceMatchesIngestedStream(t *testing.T) {
 		}
 	}
 
-	// The parallel walk covers every record exactly once, and hands each
-	// worker the record's own adjacency: a worker reads it long after the
-	// producer's decode arena has moved on to later records.
-	var mu = make([]int32, 500)
-	var wrong atomic.Int32
-	err = src.ForEachParallel(4, func(_ int, u int32, _ int32, adj []int32, _ []int32) {
-		mu[u]++
-		if !equalI32(adj, recs[u].adj) {
-			wrong.Add(1)
+	// The parallel walk is the same in-order pass on worker 0, whatever
+	// thread count it is asked for.
+	i := 0
+	err = src.ForEachParallel(4, func(w int, u int32, _ int32, adj []int32, _ []int32) {
+		if w != 0 || u != recs[i].u || !equalI32(adj, recs[i].adj) {
+			t.Fatalf("parallel replay record %d: worker %d node %d, want worker 0 node %d", i, w, u, recs[i].u)
 		}
+		i++
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u, c := range mu {
-		if c != 1 {
-			t.Fatalf("parallel replay visited node %d %d times", u, c)
-		}
-	}
-	if n := wrong.Load(); n != 0 {
-		t.Fatalf("parallel replay handed %d nodes another record's adjacency", n)
+	if i != len(recs) {
+		t.Fatalf("parallel replay visited %d records, want %d", i, len(recs))
 	}
 
 	if err := lg.Close(); err != nil {
@@ -147,8 +139,7 @@ func TestReplaySourceCoversBatchFrames(t *testing.T) {
 			}
 		}
 	}
-	// The parallel walk dedups at the producer, so no node reaches two
-	// workers.
+	// The parallel walk dedups like ForEach.
 	counts := make([]int32, 6)
 	if err := src.ForEachParallel(3, func(_ int, u int32, _ int32, _ []int32, _ []int32) {
 		counts[u]++

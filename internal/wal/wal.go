@@ -186,7 +186,7 @@ func (l *Log) syncFile() error {
 // out of its request frame, under a single CRC — so recovery sees the
 // batch all-or-nothing (a crash mid-write tears the one frame and drops
 // the whole group, never a prefix). The recorded assignments make
-// replay exact even though parallel batch assignment is racy.
+// replay exact whatever engine version replays them.
 //
 // The all-or-nothing guarantee requires exactly one frame, so a batch
 // whose encoding would exceed the recovery scan's frame bound is an

@@ -110,7 +110,8 @@ type Options struct {
 	// Gamma is the Fennel exponent; 0 means the paper's 1.5.
 	Gamma float64
 	// Threads parallelizes the streaming loop vertex-centrically (§3.4);
-	// values <= 1 run sequentially and deterministically.
+	// values <= 1 run sequentially and deterministically. Push sessions
+	// ignore it: they always assign in stream order.
 	Threads int
 	// Seed randomizes hashing and tie-breaking.
 	Seed uint64

@@ -10,7 +10,6 @@ import (
 	"oms/internal/hierarchy"
 	"oms/internal/onepass"
 	"oms/internal/stream"
-	"oms/internal/util"
 )
 
 // Sentinel errors returned (possibly wrapped) by Session operations, so
@@ -113,13 +112,15 @@ type Node struct {
 // block immediately — the paper's "on the fly" assignment surfaced as an
 // incremental API. A sequence of Push calls in natural node order
 // computes bit-identical assignments to Partition/Map over the same
-// stream and options. PushBatch hands a whole buffered slice of arrivals
-// to the engine at once and, with Options.Threads > 1, assigns them with
-// the paper's shared-memory parallel scheme (§3.4).
+// stream and options. PushBatch admits a whole buffered slice of
+// arrivals as one atomic group and assigns it in order, bit-identical to
+// the same Push calls. A session always assigns on one engine worker:
+// Options.Threads parallelizes Partition and Map (§3.4) and is ignored
+// here.
 //
 // A Session is not safe for concurrent use; serialize access (the omsd
 // service multiplexes many sessions over a worker pool with exactly this
-// discipline). The concurrency inside PushBatch is the session's own.
+// discipline).
 type Session struct {
 	o   *core.OMS
 	buf *stream.Buffer
@@ -152,6 +153,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		return nil, fmt.Errorf("oms: negative declared stats %+v", cfg.Stats)
 	}
 	ccfg := opt.coreConfig()
+	ccfg.Threads = 1 // sessions assign in stream order on one scratch
 	if cfg.Adaptive {
 		// Stats are hints: zeros simply leave the estimator to its
 		// observations, and a hinted N does not default the weights (a
@@ -274,33 +276,19 @@ func (s *Session) validateNode(u int32, vwgt int32, adj []int32, ewgt []int32) e
 	return nil
 }
 
-// Workers returns how many parallel assignment workers the session's
-// engine was configured for (Options.Threads, at least 1) — the fan-out
-// PushBatch uses.
-func (s *Session) Workers() int { return s.o.Workers() }
-
 // PushBatch streams a buffered slice of arrivals at once: the batched
 // counterpart of Push, and the entry the omsd batch endpoint drives. A
 // zero Node.W means weight 1, like the wire API. The returned blocks
 // align with nodes.
 //
-// With Options.Threads > 1 the batch is fanned out over the engine's
-// per-worker assignment state and assigned concurrently with the
-// paper's §3.4 scheme: block loads are reserved with capacity-checked
-// CAS (so the balance constraint Lmax still holds exactly for
-// unit-weight streams) and neighbor assignments are read racily, so a
-// neighbor assigned by another worker mid-batch may or may not
-// contribute gain. Quality stays within the paper's parallel-streaming
-// envelope but assignments are not deterministic across runs; with
-// Threads <= 1 PushBatch is bit-identical to the same sequence of Push
-// calls.
-//
-// Unlike a chunk of Push calls, a batch is admitted atomically: every
-// node is validated (and the edge budget checked) before any node is
-// assigned, so a rejected batch changes no session state. Nodes already
-// assigned — and re-occurrences within the batch — are idempotent: they
-// contribute their existing (or first) assignment and are neither
-// re-charged nor re-recorded.
+// A batch is one atomic group assigned in order: every node is
+// validated (and the edge budget checked) before any node is assigned,
+// so a rejected batch changes no session state, and the admitted nodes
+// then go through the engine one by one in batch order, so the result
+// is bit-identical to the same sequence of Push calls whatever
+// Options.Threads says. Nodes already assigned — and re-occurrences
+// within the batch — are idempotent: they contribute their existing (or
+// first) assignment and are neither re-charged nor re-recorded.
 func (s *Session) PushBatch(nodes []Node) ([]int32, error) {
 	if s.finished {
 		return nil, fmt.Errorf("%w: push after Finish", ErrSessionFinished)
@@ -336,48 +324,18 @@ func (s *Session) PushBatch(nodes []Node) ([]int32, error) {
 	}
 	s.edgesSeen += freshEdges
 
-	// Adaptive observation: ratchets rewrite the capacities and alphas
-	// the assignment reads, so with parallel workers every observation
-	// lands here, during single-threaded admission, before the fan-out
-	// (observation order is batch order — the same order a WAL replay
-	// of this batch observes, so recovered estimator state matches).
-	// With one worker the batch instead interleaves observe/assign per
-	// node below, preserving the documented bit-parity with the same
-	// sequence of Push calls.
-	interleave := s.adaptive && s.o.Workers() == 1
-	if s.adaptive && !interleave {
-		for _, i := range fresh {
-			nd := &nodes[i]
-			s.o.ObserveAdaptive(nd.U, nd.W, nd.Adj, nd.EW)
-		}
-	}
-
-	// Assignment pass: contiguous chunks of the fresh list per worker,
-	// each on its own engine scratch.
-	if interleave {
-		for _, i := range fresh {
-			nd := &nodes[i]
-			s.o.ObserveAdaptive(nd.U, nd.W, nd.Adj, nd.EW)
-			s.o.AssignNodeOn(0, nd.U, nd.W, nd.Adj, nd.EW)
-		}
-	} else {
-		util.ParallelFor(len(fresh), s.o.Workers(), func(worker, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				nd := &nodes[fresh[j]]
-				s.o.AssignNodeOn(worker, nd.U, nd.W, nd.Adj, nd.EW)
-			}
-		})
-	}
-	s.assigned.Add(int32(len(fresh)))
-
-	// Record pass: fresh nodes in batch order (arrival order), exactly
-	// what a sequence of Push calls would have recorded.
-	if s.buf != nil {
-		for _, i := range fresh {
-			nd := &nodes[i]
+	// Assignment pass: observe, assign and record each fresh node in
+	// batch order, exactly as Push does.
+	for _, i := range fresh {
+		nd := &nodes[i]
+		s.o.ObserveAdaptive(nd.U, nd.W, nd.Adj, nd.EW)
+		s.o.AssignNode(nd.U, nd.W, nd.Adj, nd.EW)
+		if s.buf != nil {
 			s.buf.Append(nd.U, nd.W, nd.Adj, nd.EW)
 		}
 	}
+	s.assigned.Add(int32(len(fresh)))
+
 	blocks := make([]int32, len(nodes))
 	for i := range nodes {
 		blocks[i] = s.o.AssignmentOf(nodes[i].U)
@@ -388,8 +346,9 @@ func (s *Session) PushBatch(nodes []Node) ([]int32, error) {
 // PushAssigned replays one node whose block was already decided and
 // acknowledged by an earlier run of this stream: it charges the node's
 // weight down the recorded root-to-leaf path without re-scoring. This
-// is the durable-log replay entry — parallel batch assignment is not
-// deterministic, so recovery replays the logged decisions themselves
+// is the durable-log replay entry: recovery replays the logged
+// decisions themselves, so a recovered daemon reproduces its acks even
+// if a newer engine version would score the stream differently
 // (per-node frames without a recorded block go through Push instead).
 // Like Push it is idempotent on already-assigned nodes.
 func (s *Session) PushAssigned(u int32, vwgt int32, adj []int32, ewgt []int32, block int32) (int32, error) {
@@ -520,14 +479,13 @@ func (s *Session) Restream(passes int) (*Result, error) {
 // refinement service replays a session's write-ahead log through here).
 // Unlike Restream it requires neither Record nor a prior Finish: the
 // canonical caller is a fresh engine rebuilt from the finished session's
-// exported state, which is never itself finished. Passes run with the
-// session's configured Options.Threads workers; one thread (the default)
-// keeps them sequential and deterministic.
+// exported state, which is never itself finished. Passes are sequential
+// and deterministic for a fixed src order.
 func (s *Session) RestreamFrom(src Source, passes int) (*Result, error) {
 	if passes < 0 {
 		return nil, fmt.Errorf("oms: negative restream passes %d", passes)
 	}
-	parts, err := s.o.RestreamPassesParallel(src, passes, s.o.Workers())
+	parts, err := s.o.RestreamPasses(src, passes)
 	if err != nil {
 		return nil, err
 	}

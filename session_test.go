@@ -1,6 +1,8 @@
 package oms_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -250,37 +252,62 @@ func batchWhole(t *testing.T, s *oms.Session, g *oms.Graph, bs int) []int32 {
 	return out
 }
 
-// TestPushBatchSequentialParity: with Threads <= 1, PushBatch at any
-// batch size is bit-identical to the same stream of Push calls.
+// TestPushBatchSequentialParity: PushBatch at any batch size and any
+// Options.Threads is bit-identical to the same stream of Push calls — the
+// returned blocks, the engine state, and the finished result — on a
+// declared session and on an adaptive Record session, whose Finish adds
+// the reconcile pass.
 func TestPushBatchSequentialParity(t *testing.T) {
 	g := oms.GenDelaunay(3000, 17)
 	st := oms.StreamStats{
 		N: g.NumNodes(), M: g.NumEdges(),
 		TotalNodeWeight: g.TotalNodeWeight(), TotalEdgeWeight: g.TotalEdgeWeight(),
 	}
-	ref, err := oms.NewSession(oms.SessionConfig{Stats: st, K: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := pushWhole(t, ref, g)
-	for _, bs := range []int{1, 64, 0} {
-		s, err := oms.NewSession(oms.SessionConfig{Stats: st, K: 32})
+	for name, base := range map[string]oms.SessionConfig{
+		"declared":        {Stats: st, K: 32},
+		"adaptive-record": {K: 32, Adaptive: true, Record: true},
+	} {
+		ref, err := oms.NewSession(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := batchWhole(t, s, g, bs)
-		for u := range want {
-			if got[u] != want[u] {
-				t.Fatalf("batch size %d: node %d got %d, sequential Push got %d", bs, u, got[u], want[u])
+		want := pushWhole(t, ref, g)
+		wantState := ref.ExportState()
+		wantRes, err := ref.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range []int{1, 2, 4} {
+			for _, bs := range []int{1, 64, 0} {
+				cfg := base
+				cfg.Options.Threads = threads
+				s, err := oms.NewSession(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at := fmt.Sprintf("%s, threads %d, batch size %d", name, threads, bs)
+				if got := batchWhole(t, s, g, bs); !slices.Equal(got, want) {
+					t.Fatalf("%s: batch blocks differ from sequential Push", at)
+				}
+				gotState := s.ExportState()
+				if !slices.Equal(gotState.Loads, wantState.Loads) || !slices.Equal(gotState.Parts, wantState.Parts) {
+					t.Fatalf("%s: engine state differs from sequential Push", at)
+				}
+				res, err := s.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(res.Parts, wantRes.Parts) || res.Lmax != wantRes.Lmax {
+					t.Fatalf("%s: finished result differs from sequential Push", at)
+				}
 			}
 		}
 	}
 }
 
-// TestPushBatchParallelQuality: parallel batches assign every node,
-// keep every block within the balance constraint (the §3.4 overshoot is
-// closed by the CAS reserve for unit weights), and land an edge cut in
-// the same regime as the sequential stream.
+// TestPushBatchParallelQuality: batches on a session asked for Threads 4
+// assign every node, keep every block within the balance constraint, and
+// land an edge cut in the same regime as the sequential stream.
 func TestPushBatchParallelQuality(t *testing.T) {
 	g := oms.GenDelaunay(6000, 23)
 	st := oms.StreamStats{
@@ -302,9 +329,6 @@ func TestPushBatchParallelQuality(t *testing.T) {
 		s, err := oms.NewSession(oms.SessionConfig{Stats: st, K: 32, Options: oms.Options{Threads: 4}})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if s.Workers() != 4 {
-			t.Fatalf("workers %d, want 4", s.Workers())
 		}
 		batchWhole(t, s, g, bs)
 		res, err := s.Finish()
@@ -375,13 +399,13 @@ func TestPushAssignedReplaysExactly(t *testing.T) {
 		N: g.NumNodes(), M: g.NumEdges(),
 		TotalNodeWeight: g.TotalNodeWeight(), TotalEdgeWeight: g.TotalEdgeWeight(),
 	}
-	orig, err := oms.NewSession(oms.SessionConfig{Stats: st, K: 16, Options: oms.Options{Threads: 2}})
+	orig, err := oms.NewSession(oms.SessionConfig{Stats: st, K: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	blocks := batchWhole(t, orig, g, 256)
 
-	replay, err := oms.NewSession(oms.SessionConfig{Stats: st, K: 16, Options: oms.Options{Threads: 2}})
+	replay, err := oms.NewSession(oms.SessionConfig{Stats: st, K: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

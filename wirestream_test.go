@@ -51,9 +51,6 @@ func TestWireStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// raceBuild is set by race_test.go when the race detector is compiled in.
-var raceBuild bool
-
 // TestIngestLoopsStayAllocationFree: the three per-node ingest loops —
 // a plain Session.Push stream, omsd's binary route in miniature
 // (wire.Reader.NextNode → Session.Push → Arena.Reset), and a
@@ -64,9 +61,6 @@ var raceBuild bool
 // batch ring, which are allocated per pass) amortised over the stream;
 // an allocation per node in any loop reads about 1.
 func TestIngestLoopsStayAllocationFree(t *testing.T) {
-	if raceBuild {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
 	g := GenRMATSocial(20000, 160000, 7)
 	n := g.NumNodes()
 	var stream bytes.Buffer
