@@ -12,7 +12,10 @@
 // encode scratch are reused across requests, so a steady push allocates
 // its request, one exact-size copy of the encoded body (net/http may
 // read a body after Do returns and rewinds it to follow a redirect, so
-// it never gets the scratch) and the returned assignments.
+// it never gets the scratch) and the returned assignments. In NDJSON the
+// node lines are written and the assignment lines parsed by hand, with
+// the bytes encoding/json would write; a reply line outside that
+// canonical form is decoded by encoding/json.
 package client
 
 import (

@@ -59,15 +59,7 @@ type pushState struct {
 	rd     *wire.Reader // nil until the first binary reply
 	us, bs []int32
 	line   []byte
-	body   bodyBuf
-}
-
-// bodyBuf is the encode scratch as an io.Writer for the NDJSON encoder.
-type bodyBuf []byte
-
-func (b *bodyBuf) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
+	body   []byte
 }
 
 var pushPool = sync.Pool{New: func() any { return new(pushState) }}
@@ -91,24 +83,21 @@ func (s *pushState) release() {
 }
 
 // encode renders nodes in the request format into the scratch and
-// returns one exact-size copy of it. net/http gets the copy, never the
-// scratch: the Transport may still read a body after Do returns, and a
-// 307 wrong_node redirect rewinds it through GetBody.
-func (s *pushState) encode(binary bool, nodes []Node) ([]byte, error) {
+// returns one exact-size copy of it. An NDJSON line is written by hand
+// (wire.AppendNodeLine), byte for byte what json.Encoder writes for a
+// Node. net/http gets the copy, never the scratch: the Transport may
+// still read a body after Do returns, and a 307 wrong_node redirect
+// rewinds it through GetBody.
+func (s *pushState) encode(binary bool, nodes []Node) []byte {
 	s.body = s.body[:0]
-	if binary {
-		for _, nd := range nodes {
+	for _, nd := range nodes {
+		if binary {
 			s.body = appendCanonicalFrame(s.body, nd)
-		}
-	} else {
-		enc := json.NewEncoder(&s.body)
-		for _, nd := range nodes {
-			if err := enc.Encode(nd); err != nil {
-				return nil, err
-			}
+		} else {
+			s.body = wire.AppendNodeLine(s.body, nd.U, nd.W, nd.Adj, nd.EW)
 		}
 	}
-	return append(make([]byte, 0, len(s.body)), s.body...), nil
+	return append(make([]byte, 0, len(s.body)), s.body...)
 }
 
 // ingest encodes the nodes once and streams them to the session's
@@ -125,12 +114,9 @@ func (c *Client) ingest(ctx context.Context, id, route string, nodes []Node) ([]
 	if c.binary {
 		ct = wire.MediaType
 	}
-	body, err := s.encode(c.binary, nodes)
-	if err != nil {
-		return nil, err
-	}
+	body := s.encode(c.binary, nodes)
 	var out []Assignment
-	err = c.route(ctx, id, true, func(base string) error {
+	err := c.route(ctx, id, true, func(base string) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 			fmt.Sprintf("%s/v1/sessions/%s/%s", base, id, route), bytes.NewReader(body))
 		if err != nil {
@@ -218,7 +204,9 @@ func (s *pushState) readWireAssignments(r io.Reader, hint int) ([]Assignment, er
 
 // readJSONAssignments drains an NDJSON reply stream; a line with an
 // "error" field ends the stream with an in-band error. The scanner
-// starts on the state's pooled line buffer.
+// starts on the state's pooled line buffer. An assignment line of the
+// canonical subset (wire.ParseAssignLine; every line omsd writes) is
+// parsed by hand, any other line by json.Unmarshal.
 func (s *pushState) readJSONAssignments(r io.Reader, hint int) ([]Assignment, error) {
 	out := make([]Assignment, 0, hint)
 	if s.line == nil {
@@ -228,6 +216,10 @@ func (s *pushState) readJSONAssignments(r io.Reader, hint int) ([]Assignment, er
 	sc.Buffer(s.line, 16<<20)
 	for sc.Scan() {
 		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		if u, b, ok := wire.ParseAssignLine(sc.Bytes()); ok {
+			out = append(out, Assignment{U: u, B: b})
 			continue
 		}
 		var line struct {

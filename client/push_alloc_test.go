@@ -64,14 +64,14 @@ func TestReadWireAssignmentsAllocatesOnlyItsResult(t *testing.T) {
 	}
 }
 
-// TestBinaryPushHeapFloor: a steady 64-node binary push round trip —
-// client and in-process server together — allocates at most 32 KiB. A
-// reply reader built per push would alone cost 128 KiB: its 64 KiB
-// read-ahead buffer and 64 KiB arena.
-func TestBinaryPushHeapFloor(t *testing.T) {
+// steadyPushBytes is the heap a steady 64-node push round trip
+// allocates, client and in-process server together, averaged over 256
+// pushes after 16 warm-up pushes.
+func steadyPushBytes(t *testing.T, opts ...Option) float64 {
+	t.Helper()
 	url := testServer(t)
 	ctx := context.Background()
-	c := New(url, WithBinary(true))
+	c := New(url, opts...)
 	const chunk, warm, pushes = 64, 16, 256
 	n := int32(chunk * (warm + pushes))
 	created, err := c.Create(ctx, Spec{N: n, M: int64(n - 1), K: 16})
@@ -97,9 +97,30 @@ func TestBinaryPushHeapFloor(t *testing.T) {
 		push(i)
 	}
 	runtime.ReadMemStats(&after)
-	perPush := float64(after.TotalAlloc-before.TotalAlloc) / pushes
+	return float64(after.TotalAlloc-before.TotalAlloc) / pushes
+}
+
+// TestBinaryPushHeapFloor: a steady 64-node binary push round trip —
+// client and in-process server together — allocates at most 32 KiB. A
+// reply reader built per push would alone cost 128 KiB: its 64 KiB
+// read-ahead buffer and 64 KiB arena.
+func TestBinaryPushHeapFloor(t *testing.T) {
+	perPush := steadyPushBytes(t, WithBinary(true))
 	t.Logf("%.0f B allocated per 64-node binary push", perPush)
 	if perPush > 32<<10 {
 		t.Fatalf("%.0f B allocated per push, want <= %d", perPush, 32<<10)
+	}
+}
+
+// TestNDJSONPushHeapFloor: the same round trip in NDJSON allocates at
+// most 16 KiB — about 11 KiB against the binary push's 10 KiB. Both
+// sides write and parse canonical lines by hand; with encoding/json
+// writing the request lines, decoding them on the server and decoding
+// the reply lines, a push allocated about 50 KiB.
+func TestNDJSONPushHeapFloor(t *testing.T) {
+	perPush := steadyPushBytes(t)
+	t.Logf("%.0f B allocated per 64-node NDJSON push", perPush)
+	if perPush > 16<<10 {
+		t.Fatalf("%.0f B allocated per push, want <= %d", perPush, 16<<10)
 	}
 }

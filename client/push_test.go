@@ -112,7 +112,7 @@ func TestConcurrentPushesMatchSequential(t *testing.T) {
 // without any buffer that grew past maxPooledScratch, and keeps the
 // ones that did not.
 func TestReleaseDropsOversizedScratch(t *testing.T) {
-	big := pushState{rd: wire.NewReader(nil), body: make(bodyBuf, 0, maxPooledScratch+1)}
+	big := pushState{rd: wire.NewReader(nil), body: make([]byte, 0, maxPooledScratch+1)}
 	big.us, big.bs = make([]int32, 0, maxPooledScratch/4+1), make([]int32, 0, maxPooledScratch/4+1)
 	big.rd.Arena.Raw = make([]byte, 0, maxPooledScratch+1)
 	big.release()
@@ -122,10 +122,7 @@ func TestReleaseDropsOversizedScratch(t *testing.T) {
 	}
 
 	small := pushState{rd: wire.NewReader(nil)}
-	body, err := small.encode(true, pathNodes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := small.encode(true, pathNodes())
 	small.release()
 	if cap(small.body) < len(body) || small.rd == nil {
 		t.Fatalf("warm scratch dropped: body %d, reader %v", cap(small.body), small.rd != nil)

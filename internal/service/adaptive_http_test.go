@@ -41,7 +41,10 @@ func drainAssignments(t *testing.T, resp *http.Response, want int) {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var a Assignment
+		var a struct {
+			U int32 `json:"u"`
+			B int32 `json:"b"`
+		}
 		if err := json.Unmarshal(sc.Bytes(), &a); err != nil {
 			t.Fatalf("bad assignment line %q: %v", sc.Bytes(), err)
 		}

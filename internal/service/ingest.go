@@ -63,12 +63,6 @@ func acceptBinary(r *http.Request, def bool) bool {
 	return def
 }
 
-// Assignment is one NDJSON response line of the ingest stream.
-type Assignment struct {
-	U int32 `json:"u"`
-	B int32 `json:"b"`
-}
-
 // ingestError is the terminal NDJSON line after a rejected node.
 type ingestError struct {
 	Error string `json:"error"`
@@ -83,19 +77,28 @@ type replier interface {
 	errLine(msg string)
 }
 
-// jsonReplier streams NDJSON assignment lines.
+// jsonReplier streams NDJSON assignment lines: a chunk's lines are
+// written by hand (wire.AppendAssignLine, the bytes json.Encoder would
+// write) into a scratch reused across chunks and go out in one Write.
+// The rare terminal error line keeps json.Encoder for its escaping.
 type jsonReplier struct {
-	enc *json.Encoder
+	w   io.Writer
+	buf []byte
 }
 
 func (rp *jsonReplier) assignments(chunk []PushNode, blocks []int32) {
-	for i, b := range blocks {
-		_ = rp.enc.Encode(Assignment{U: chunk[i].U, B: b})
+	if len(blocks) == 0 {
+		return
 	}
+	rp.buf = rp.buf[:0]
+	for i, b := range blocks {
+		rp.buf = wire.AppendAssignLine(rp.buf, chunk[i].U, b)
+	}
+	_, _ = rp.w.Write(rp.buf)
 }
 
 func (rp *jsonReplier) errLine(msg string) {
-	_ = rp.enc.Encode(ingestError{Error: msg})
+	_ = json.NewEncoder(rp.w).Encode(ingestError{Error: msg})
 }
 
 // wireReplier streams binary frames: one TypeAssign frame per chunk,
@@ -130,10 +133,11 @@ func (rp *wireReplier) errLine(msg string) {
 // ingestReq is the pooled per-request state of an ingest, either
 // format: the frame reader whose arena hosts every node's frame and
 // decoded adjacency (a binary request's verbatim, an NDJSON line's as
-// the shim encodes it), the chunk being assembled, the reply scratch,
-// and the flush-to-session protocol. Pooling it makes the steady-state
-// binary push path allocation-free — the buffers warm up to a request's
-// working set and the next request reuses them.
+// the shim encodes it), the chunk being assembled, the reply scratch of
+// either format, and the flush-to-session protocol. Pooling it makes
+// the steady-state push path allocation-free in both formats — the
+// buffers warm up to a request's working set and the next request
+// reuses them.
 type ingestReq struct {
 	mgr   *Manager
 	s     *Session
@@ -145,6 +149,7 @@ type ingestReq struct {
 
 	rd   *wire.Reader
 	wrep wireReplier
+	jrep jsonReplier
 	// line is the NDJSON scanner's initial buffer, allocated by the
 	// first NDJSON request this state serves.
 	line []byte
@@ -164,8 +169,8 @@ var ingestPool = sync.Pool{
 func (q *ingestReq) release() {
 	q.rd.Reset(nil)
 	// Keep the buffers, drop everything that names the request.
-	bufs := ingestReq{rd: q.rd, wrep: q.wrep, line: q.line, chunk: q.chunk[:0]}
-	bufs.wrep.w = nil
+	bufs := ingestReq{rd: q.rd, wrep: q.wrep, jrep: q.jrep, line: q.line, chunk: q.chunk[:0]}
+	bufs.wrep.w, bufs.jrep.w = nil, nil
 	*q = bufs
 	ingestPool.Put(q)
 }
@@ -239,16 +244,27 @@ func (q *ingestReq) nextFrame() (PushNode, error) {
 // immediately encoded into the arena as its canonical wire frame —
 // exactly as a binary client would have sent the node (zero weight is
 // one, an empty edge-weight list is none) — so the log bytes are
-// identical no matter which format carried the stream.
+// identical no matter which format carried the stream. A line of the
+// canonical subset (see wire.ParseNodeLine; every line this repo's
+// client writes) is parsed by hand into the arena, as a binary frame is
+// decoded; any other line goes through json.Unmarshal, which decides
+// what is accepted and what its error says.
 func (q *ingestReq) nextLine(sc *bufio.Scanner) (PushNode, error) {
+	a := &q.rd.Arena
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var nd PushNode
-		if err := json.Unmarshal(line, &nd); err != nil {
-			return PushNode{}, fmt.Errorf("bad node line %.120q: %v", line, err)
+		wn, ok := wire.ParseNodeLine(line, a)
+		nd := PushNode{U: wn.U, W: wn.W, Adj: wn.Adj, EW: wn.EW}
+		if !ok {
+			// Declared here, so only a fallback line pays its escape.
+			var fb PushNode
+			if err := json.Unmarshal(line, &fb); err != nil {
+				return PushNode{}, fmt.Errorf("bad node line %.120q: %v", line, err)
+			}
+			nd = fb
 		}
 		w := nd.W
 		if w == 0 {
@@ -257,7 +273,6 @@ func (q *ingestReq) nextLine(sc *bufio.Scanner) (PushNode, error) {
 		if len(nd.EW) == 0 {
 			nd.EW = nil
 		}
-		a := &q.rd.Arena
 		from := len(a.Raw)
 		a.Raw = wire.AppendNodeFrame(a.Raw, nd.U, w, nd.Adj, nd.EW)
 		nd.Frame = a.Raw[from:len(a.Raw):len(a.Raw)]
@@ -303,7 +318,8 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 		q.rep = &q.wrep
 		w.Header().Set("Content-Type", wire.MediaType)
 	} else {
-		q.rep = &jsonReplier{enc: json.NewEncoder(w)}
+		q.jrep.w = w
+		q.rep = &q.jrep
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 

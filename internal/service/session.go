@@ -14,7 +14,11 @@ import (
 )
 
 // PushNode is one node of an ingest chunk: id, weight (0 means 1), the
-// adjacency list, and optional parallel edge weights.
+// adjacency list, and optional parallel edge weights. Its JSON tags are
+// the NDJSON node line's; the shim decodes a line through them only
+// when it is outside the canonical subset wire.ParseNodeLine reads by
+// hand. Adj and EW may alias a per-request arena, as Frame does: the
+// binary decoder and the hand parser both put them there.
 type PushNode struct {
 	U   int32   `json:"u"`
 	W   int32   `json:"w,omitempty"`

@@ -134,3 +134,108 @@ func TestIngestFormatsLogByteIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestIngestNonCanonicalLinesMatchUnmarshal: the NDJSON shim parses
+// canonical lines by hand and leaves every other line to
+// encoding/json, so a line outside the canonical subset must get
+// exactly the answer json.Unmarshal gives. Each line stands between
+// two canonical ones, so a refused line sits mid-chunk. Where
+// json.Unmarshal refuses the line the request answers 400 bad_request
+// with its error text; where it accepts, the request answers with the
+// status and reply bytes of a binary request carrying the decoded node,
+// and leaves a byte-identical log.wal.
+func TestIngestNonCanonicalLinesMatchUnmarshal(t *testing.T) {
+	const before, after = `{"u":0,"adj":[1]}`, `{"u":2,"adj":[1,3]}`
+	lines := []string{
+		`{"u":1,"adj":[0,2]}`,
+		" \t{ \"u\" : 1 ,\"adj\":[ 0 ,2 ] }\t",
+		`{"adj":[0,2],"u":1}`,
+		`{"u":1,"w":3,"adj":[0,2],"ew":[4,5]}`,
+		`{"u":1,"w":0,"adj":[0,2],"ew":[]}`,
+		`{"u":1,"adj":[-0,2]}`,
+		`{"u":1,"adj":null}`,
+		`{"U":1,"adj":[0,2]}`,
+		`{"u":1,"adj":[0,2],"x":{"y":[1,2]}}`,
+		`{"u":3,"adj":[0,2],"u":1}`,
+		`{"\u0075":1,"adj":[0,2]}`,
+		`{"u":1,"w":null,"adj":[0,2]}`,
+		`{"u":9,"adj":[0]}`,
+		`{"u":1e0,"adj":[0,2]}`,
+		`{"u":1.5,"adj":[0,2]}`,
+		`{"u":01,"adj":[0,2]}`,
+		`{"u":1,"adj":[0,2147483648]}`,
+		`{"u":1,`,
+		`{"u":1,"adj":[0,2,]}`,
+		`{"u":1,"adj":[0,2]} x`,
+		`null`,
+	}
+	// post runs one request against a fresh WAL-backed server and
+	// returns the status, the reply and the session's log bytes.
+	post := func(t *testing.T, route, ct string, body []byte) (int, []byte, []byte) {
+		dir := t.TempDir()
+		mgr := service.NewManager(service.Config{Store: openStore(t, dir)})
+		srv := httptest.NewServer(service.NewServer(mgr))
+		defer srv.Close()
+		s, err := mgr.Create(spec(4, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest("POST", fmt.Sprintf("%s/v1/sessions/%s/%s", srv.URL, s.ID, route), bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", ct)
+		req.Header.Set("Accept", "application/x-ndjson")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, "sessions", s.ID, logName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, reply, raw
+	}
+	for _, route := range []string{"nodes", "batch"} {
+		for i, line := range lines {
+			t.Run(fmt.Sprintf("%s/%d", route, i), func(t *testing.T) {
+				status, reply, log := post(t, route, "application/x-ndjson", []byte(before+"\n"+line+"\n"+after+"\n"))
+				var nd service.PushNode
+				if err := json.Unmarshal([]byte(line), &nd); err != nil {
+					want := fmt.Sprintf("bad node line %.120q: %v", line, err)
+					var eb struct {
+						Error string `json:"error"`
+						Code  string `json:"code"`
+					}
+					if jerr := json.Unmarshal(reply, &eb); jerr != nil || status != http.StatusBadRequest ||
+						eb.Code != "bad_request" || eb.Error != want {
+						t.Fatalf("%q: status %d, reply %s; want 400 bad_request %q", line, status, reply, want)
+					}
+					return
+				}
+				w := nd.W
+				if w == 0 {
+					w = 1
+				}
+				if len(nd.EW) == 0 {
+					nd.EW = nil
+				}
+				body := wire.AppendNodeFrame(nil, 0, 1, []int32{1}, nil)
+				body = wire.AppendNodeFrame(body, nd.U, w, nd.Adj, nd.EW)
+				body = wire.AppendNodeFrame(body, 2, 1, []int32{1, 3}, nil)
+				wantStatus, wantReply, wantLog := post(t, route, wire.MediaType, body)
+				if status != wantStatus || !bytes.Equal(reply, wantReply) {
+					t.Fatalf("%q: status %d, reply %q; the binary request: %d, %q", line, status, reply, wantStatus, wantReply)
+				}
+				if !bytes.Equal(log, wantLog) {
+					t.Fatalf("%q: log.wal differs from the binary request's (%d vs %d bytes)", line, len(log), len(wantLog))
+				}
+			})
+		}
+	}
+}

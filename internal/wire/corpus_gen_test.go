@@ -47,4 +47,11 @@ func TestWriteSeedCorpus(t *testing.T) {
 	write("FuzzWireFrames", "crc-corrupt", corrupt)
 	write("FuzzWireFrames", "oversized-len", []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	write("FuzzWireFrames", "short-header", bytes.Repeat([]byte{0x01}, 9))
+
+	for name, line := range nodeLineSeeds {
+		write("FuzzNodeLine", name, []byte(line))
+	}
+	for name, line := range assignLineSeeds {
+		write("FuzzAssignLine", name, []byte(line))
+	}
 }
