@@ -122,7 +122,9 @@ func TestShippedFrameCorruptionNackAndResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := log.Flush(); err != nil {
+	// Close, not just Flush: an open log's file runs on into its zero
+	// tail, and only a closed one ends at its last record.
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	want := readLog(t, n1.store, id)

@@ -77,7 +77,7 @@ func retiredTypeLog(tb testing.TB, typ byte) (log []byte, validEnd int64) {
 // logScanSeeds are the committed inputs of the two log fuzzers, by
 // corpus file name.
 func logScanSeeds(tb testing.TB) map[string][]byte {
-	good, _ := seedLog(tb)
+	good, ends := seedLog(tb)
 	corrupt := bytes.Clone(good)
 	corrupt[10] ^= 0x40 // flip a payload bit: CRC must catch it
 	type1, _ := retiredTypeLog(tb, 1)
@@ -85,6 +85,10 @@ func logScanSeeds(tb testing.TB) map[string][]byte {
 	return map[string][]byte{
 		"healthy-sealed": good,
 		"torn-tail":      good[:len(good)-3], // torn mid-frame
+		// A crashed live log: records, then the zero tail it ran on into —
+		// after whole frames, and after a frame torn mid-payload.
+		"zero-tail":      append(bytes.Clone(good[:ends[2]]), make([]byte, 256)...),
+		"torn-zero-tail": append(bytes.Clone(good[:ends[2]-5]), make([]byte, 256)...),
 		"crc-flip":       corrupt,
 		"retired-type-1": type1,
 		"retired-type-3": type3,

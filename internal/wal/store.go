@@ -200,6 +200,7 @@ func (st *Store) recoverOne(id string) (service.RecoveredSession, error) {
 	l.sealed = sealed
 	l.size = validEnd
 	l.flushed = validEnd
+	l.extent = validEnd // openValidated cut any zero tail
 
 	rec.ID = env.ID
 	rec.Spec = env.Spec
@@ -224,7 +225,8 @@ func (st *Store) newLog(f *os.File, dir string) *Log {
 		dir:       dir,
 		syncEvery: st.opt.SyncInterval,
 		lastSync:  time.Now(),
-		fsync:     f.Sync,
+		fsync:     datasync(f),
+		writeAt:   f.WriteAt,
 		obsAppend: st.opt.ObserveAppend,
 		obsFsync:  st.opt.ObserveFsync,
 	}

@@ -24,6 +24,16 @@
 //     acknowledged and an OS crash loses at most the sync window. A
 //     failed fsync is never retried: the log returns it from every
 //     later call, and the service kills the session.
+//   - a zero tail — the log file runs ahead of its last record with
+//     zeros: a flush that crosses the zero-filled extent writes zeros
+//     past the new end (as many bytes as the log holds, at least 64 KiB
+//     and at most 256 KiB). Every later flush overwrites blocks the file
+//     already owns at an unchanged size, so the sync is fdatasync
+//     (fsync off Linux) and flushes data without committing the file
+//     system's journal. Seal and Close truncate the tail, so a sealed or
+//     closed log holds its records and nothing else; a crashed log's
+//     tail is zeros, which no frame header accepts, so recovery cuts it
+//     like any torn tail.
 //   - spec.json — the session's creation spec, fixing the replay
 //     configuration.
 //
@@ -77,17 +87,23 @@ type Log struct {
 	// updated only after a successful buffer flush.
 	size    int64
 	flushed int64
+	// extent is where the file's zero tail ends: the records, then zeros
+	// up to extent. Zeros are only ever written at or past flushed, with
+	// the buffer empty, so they never overwrite a record.
+	extent int64
 
 	syncEvery time.Duration
 	dirty     bool // bytes possibly not yet fsynced
 	lastSync  time.Time
-	// fsync syncs f (a seam: tests inject disk faults).
-	fsync func() error
-	// syncErr is the first failed fsync. A failed fsync is never retried:
-	// after failed writeback the kernel may have dropped the dirty pages,
-	// so a later fsync can succeed over records that never reached the
-	// disk. The log is dead from then on: appends, Flush, Seal and Close
-	// all return syncErr.
+	// fsync syncs f's data (fdatasync on Linux) and writeAt writes the
+	// zero tail (seams: tests inject disk faults).
+	fsync   func() error
+	writeAt func(b []byte, off int64) (int, error)
+	// syncErr is the first failed fsync, zero fill or tail truncation. A
+	// failed fsync is never retried: after failed writeback the kernel
+	// may have dropped the dirty pages, so a later fsync can succeed over
+	// records that never reached the disk. The log is dead from then on:
+	// appends, Flush, Seal and Close all return syncErr.
 	syncErr error
 	// obsAppend/obsFsync observe append and fsync latencies into the
 	// daemon's histograms; nil when the store is not instrumented.
@@ -175,9 +191,41 @@ func (l *Log) syncFile() error {
 		l.obsFsync(time.Since(t0))
 	}
 	if err != nil {
-		l.syncErr = fmt.Errorf("wal: fsync failed, log is dead: %w", err)
-		return l.syncErr
+		return l.kill("fsync", err)
 	}
+	return nil
+}
+
+// kill records the disk failure that ends the log in syncErr and
+// returns it; callers hold mu.
+func (l *Log) kill(op string, err error) error {
+	l.syncErr = fmt.Errorf("wal: %s failed, log is dead: %w", op, err)
+	return l.syncErr
+}
+
+// Bounds of one zero-tail extension, and the zeros it is written from.
+const (
+	minExtend = 64 << 10
+	maxExtend = 256 << 10
+)
+
+var zeroBlock [minExtend]byte
+
+// extend zero-fills the file from the flushed end for as many bytes as
+// the log holds, clamped to [minExtend, maxExtend]: flushes up to there
+// overwrite allocated blocks at an unchanged size. The next sync makes
+// the new size and blocks durable with the data. Callers hold mu, with
+// the buffer empty.
+func (l *Log) extend() error {
+	end := l.flushed + min(max(l.flushed, minExtend), maxExtend)
+	for off := l.flushed; off < end; {
+		n := min(end-off, int64(len(zeroBlock)))
+		if _, err := l.writeAt(zeroBlock[:n], off); err != nil {
+			return l.kill("zero fill", err)
+		}
+		off += n
+	}
+	l.extent = end
 	return nil
 }
 
@@ -293,8 +341,10 @@ func (l *Log) Flush() error {
 }
 
 // flushLocked empties the buffer and fsyncs when due or forced; when
-// the fsync is deferred it arms the idle-tail timer instead. After a
-// failed fsync it only reports that failure.
+// the fsync is deferred it arms the idle-tail timer instead. A flush
+// that ran past the zero tail extends it, unless it is forced: only
+// Seal and Close force one, and they cut the tail next. After a failed
+// fsync it only reports that failure.
 func (l *Log) flushLocked(force bool) error {
 	if l.syncErr != nil {
 		return l.syncErr
@@ -303,6 +353,11 @@ func (l *Log) flushLocked(force bool) error {
 		return err
 	}
 	l.flushed = l.size
+	if !force && l.flushed > l.extent {
+		if err := l.extend(); err != nil {
+			return err
+		}
+	}
 	if !l.dirty {
 		return nil
 	}
@@ -325,6 +380,20 @@ func (l *Log) flushLocked(force bool) error {
 			d = time.Millisecond
 		}
 		l.syncTimer = time.AfterFunc(d, l.timedSync)
+	}
+	return nil
+}
+
+// cutTail truncates the zero tail after a forced flush, so the file ends
+// at the last record. The records are durable by then, and should a
+// crash undo the truncation, recovery cuts the zeros again: the
+// truncation waits for no sync of its own. Callers hold mu.
+func (l *Log) cutTail() error {
+	if l.extent > l.flushed {
+		if err := l.f.Truncate(l.flushed); err != nil {
+			return l.kill("tail truncation", err)
+		}
+		l.extent = l.flushed
 	}
 	return nil
 }
@@ -353,8 +422,8 @@ func (l *Log) timedSync() {
 	l.lastSync = time.Now()
 }
 
-// Seal appends the terminal seal record and forces the whole log to
-// stable storage; further appends fail.
+// Seal appends the terminal seal record, forces the whole log to stable
+// storage and truncates the zero tail; further appends fail.
 func (l *Log) Seal() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -371,12 +440,16 @@ func (l *Log) Seal() error {
 	if err := l.flushLocked(true); err != nil {
 		return err
 	}
+	if err := l.cutTail(); err != nil {
+		return err
+	}
 	l.sealed = true
 	return nil
 }
 
-// Close flushes, fsyncs, and releases the log, leaving its files in
-// place (Store.Remove garbage-collects them). Close is idempotent.
+// Close flushes, fsyncs, truncates the zero tail, and releases the log,
+// leaving its files in place (Store.Remove garbage-collects them). Close
+// is idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -389,6 +462,9 @@ func (l *Log) Close() error {
 		l.syncTimer = nil
 	}
 	err := l.flushLocked(true)
+	if err == nil {
+		err = l.cutTail()
+	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

@@ -82,14 +82,26 @@ func TestLogRoundTripSealed(t *testing.T) {
 	if err := lg.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	// A flushed log's file runs on into its zero tail; the seal cuts it,
+	// so a sealed log is its records and nothing else.
+	flushed := lg.(*Log).Flushed()
+	if raw, err := os.ReadFile(st.LogPath("s1-0000abcd")); err != nil || int64(len(raw)) <= flushed || len(bytes.Trim(raw[flushed:], "\x00")) != 0 {
+		t.Fatalf("flushed log of %d bytes is a %d-byte file (%v), want a zero tail after the records", flushed, len(raw), err)
+	}
 	if err := lg.Seal(); err != nil {
 		t.Fatal(err)
+	}
+	if got := fileSize(t, st, "s1-0000abcd"); got != lg.(*Log).Flushed() {
+		t.Fatalf("sealed log of %d bytes is a %d-byte file", lg.(*Log).Flushed(), got)
 	}
 	if err := lg.AppendNodeFrame(framed(0, 1, nil, nil).Frame); err == nil {
 		t.Fatal("append after seal succeeded")
 	}
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if got := fileSize(t, st, "s1-0000abcd"); got != lg.(*Log).Flushed() {
+		t.Fatalf("closed sealed log of %d bytes is a %d-byte file", lg.(*Log).Flushed(), got)
 	}
 
 	got, err := st.Recover()
@@ -132,6 +144,8 @@ func TestLogRoundTripSealed(t *testing.T) {
 // appending at the cut, and the replica takes the rest of the owner's
 // frames — after refusing payloads that are not log records without
 // touching its file — and is adopted and recovered like a local log.
+// Every cut is tried twice: bare, and followed by the zero tail a live
+// log's file runs on into, which recovery cuts like any torn tail.
 func TestCrashPointsKeepWholeFramePrefix(t *testing.T) {
 	const id = "s1-0000c4a5"
 	full, ends := seedLog(t)
@@ -153,136 +167,141 @@ func TestCrashPointsKeepWholeFramePrefix(t *testing.T) {
 		{wire.TypeAssign, 0},      // a reply, not a log record
 	}
 
-	for cut := range cuts {
-		whole := 0 // frames that survive the cut
-		for whole < len(ends) && ends[whole] <= cut {
-			whole++
-		}
-		var wantOff, wantNodes int64
-		if whole > 0 {
-			wantOff, wantNodes = ends[whole-1], nodesAt[whole-1]
-		}
-		wantSealed := whole == len(ends)
-		fileSize := func(st *Store) int64 {
-			t.Helper()
-			fi, err := os.Stat(st.LogPath(id))
+	for _, zeroTail := range []bool{false, true} {
+		for cut := range cuts {
+			// The zero-tail variant is what a crash leaves of a live log: the
+			// records up to the cut, then zeros to the extent a flush there
+			// would have reserved.
+			data, variant := full[:cut], ""
+			if zeroTail {
+				variant = "zero-tail "
+				data = append(bytes.Clone(data), make([]byte, min(max(cut, minExtend), maxExtend))...)
+			}
+			// Frames that survive the cut: those before it, and under a zero
+			// tail also one whose bytes past the cut are all zeros — its
+			// checksum then proves it holds exactly the bytes written.
+			whole := 0
+			for whole < len(ends) && (ends[whole] <= cut || zeroTail && len(bytes.Trim(full[cut:ends[whole]], "\x00")) == 0) {
+				whole++
+			}
+			var wantOff, wantNodes int64
+			if whole > 0 {
+				wantOff, wantNodes = ends[whole-1], nodesAt[whole-1]
+			}
+			wantSealed := whole == len(ends)
+
+			// The owner's side: crash, recover, resume.
+			st := openStore(t, t.TempDir())
+			lg, err := st.Create(id, spec(8, 8))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return fi.Size()
-		}
+			lg.Close()
+			if err := os.WriteFile(st.LogPath(id), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := st.RecoverSession(id)
+			if err != nil {
+				t.Fatalf("%scut %d: recover: %v", variant, cut, err)
+			}
+			rl := rec.Log.(*Log)
+			if rec.Sealed != wantSealed || rl.Sealed() != wantSealed || rl.Nodes() != wantNodes || rl.Flushed() != wantOff || fileSize(t, st, id) != wantOff {
+				t.Fatalf("%scut %d: recovered sealed=%v nodes=%d offset=%d file=%d, want %v %d %d %d",
+					variant, cut, rec.Sealed, rl.Nodes(), rl.Flushed(), fileSize(t, st, id), wantSealed, wantNodes, wantOff, wantOff)
+			}
+			replayed := int64(0)
+			if err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { replayed++; return nil }, nil); err != nil {
+				t.Fatalf("%scut %d: replay: %v", variant, cut, err)
+			}
+			if replayed != wantNodes {
+				t.Fatalf("%scut %d: replayed %d records, want %d", variant, cut, replayed, wantNodes)
+			}
+			if err := rl.AppendNodeFrame(framed(7, 1, []int32{0}, nil).Frame); (err != nil) != wantSealed {
+				t.Fatalf("%scut %d: append to the recovered log (sealed=%v): %v", variant, cut, wantSealed, err)
+			}
+			if err := rl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if again, err := st.Recover(); err != nil || len(again) != 1 {
+				t.Fatalf("%scut %d: second recovery: %d sessions, %v", variant, cut, len(again), err)
+			} else {
+				wantAgain := wantNodes
+				if !wantSealed {
+					wantAgain++ // the log resumed cleanly at the truncation point
+				}
+				if got := again[0].Log.(*Log).Nodes(); got != wantAgain {
+					t.Fatalf("%scut %d: %d records after resuming, want %d", variant, cut, got, wantAgain)
+				}
+				again[0].Log.Close()
+			}
 
-		// The owner's side: crash, recover, resume.
-		st := openStore(t, t.TempDir())
-		lg, err := st.Create(id, spec(8, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lg.Close()
-		if err := os.WriteFile(st.LogPath(id), full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rec, err := st.RecoverSession(id)
-		if err != nil {
-			t.Fatalf("cut %d: recover: %v", cut, err)
-		}
-		rl := rec.Log.(*Log)
-		if rec.Sealed != wantSealed || rl.Sealed() != wantSealed || rl.Nodes() != wantNodes || rl.Flushed() != wantOff || fileSize(st) != wantOff {
-			t.Fatalf("cut %d: recovered sealed=%v nodes=%d offset=%d file=%d, want %v %d %d %d",
-				cut, rec.Sealed, rl.Nodes(), rl.Flushed(), fileSize(st), wantSealed, wantNodes, wantOff, wantOff)
-		}
-		replayed := int64(0)
-		if err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { replayed++; return nil }, nil); err != nil {
-			t.Fatalf("cut %d: replay: %v", cut, err)
-		}
-		if replayed != wantNodes {
-			t.Fatalf("cut %d: replayed %d records, want %d", cut, replayed, wantNodes)
-		}
-		if err := rl.AppendNodeFrame(framed(7, 1, []int32{0}, nil).Frame); (err != nil) != wantSealed {
-			t.Fatalf("cut %d: append to the recovered log (sealed=%v): %v", cut, wantSealed, err)
-		}
-		if err := rl.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if again, err := st.Recover(); err != nil || len(again) != 1 {
-			t.Fatalf("cut %d: second recovery: %d sessions, %v", cut, len(again), err)
-		} else {
-			wantAgain := wantNodes
-			if !wantSealed {
-				wantAgain++ // the log resumed cleanly at the truncation point
+			// The follower's side: the same bytes as a replica's copy.
+			specBytes, err := st.ReadSpecBytes(id)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := again[0].Log.(*Log).Nodes(); got != wantAgain {
-				t.Fatalf("cut %d: %d records after resuming, want %d", cut, got, wantAgain)
+			rst := openStore(t, t.TempDir())
+			if err := os.MkdirAll(rst.SessionDir(id), 0o755); err != nil {
+				t.Fatal(err)
 			}
-			again[0].Log.Close()
-		}
+			if err := os.WriteFile(rst.LogPath(id), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := rst.OpenReplica(id, specBytes)
+			if err != nil {
+				t.Fatalf("%scut %d: open replica: %v", variant, cut, err)
+			}
+			if rep.Offset() != wantOff || rep.Sealed() != wantSealed || fileSize(t, rst, id) != wantOff {
+				t.Fatalf("%scut %d: replica offset=%d sealed=%v file=%d, want %d %v %d",
+					variant, cut, rep.Offset(), rep.Sealed(), fileSize(t, rst, id), wantOff, wantSealed, wantOff)
+			}
+			for _, payload := range invalid {
+				if err := rep.Append(payload, wire.AppendFrame(nil, payload)); err == nil {
+					t.Fatalf("%scut %d: replica accepted payload % x", variant, cut, payload)
+				}
+				if rep.Offset() != wantOff || fileSize(t, rst, id) != wantOff {
+					t.Fatalf("%scut %d: rejected payload % x moved the replica to offset %d, file %d", variant, cut, payload, rep.Offset(), fileSize(t, rst, id))
+				}
+			}
+			for i, off := whole, wantOff; i < len(ends); i, off = i+1, ends[i] {
+				frame := full[off:ends[i]]
+				if err := rep.Append(frame[wire.FrameHeaderSize:], frame); err != nil {
+					t.Fatalf("%scut %d: ship frame %d: %v", variant, cut, i, err)
+				}
+			}
+			if rep.Offset() != int64(len(full)) || !rep.Sealed() {
+				t.Fatalf("%scut %d: caught-up replica at offset %d sealed=%v", variant, cut, rep.Offset(), rep.Sealed())
+			}
+			if err := rep.Append([]byte{wire.TypeSeal}, wire.AppendFrame(nil, []byte{wire.TypeSeal})); err == nil {
+				t.Fatalf("%scut %d: sealed replica accepted another frame", variant, cut)
+			}
+			if err := rep.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if ids, err := rst.ReplicaIDs(); err != nil || len(ids) != 1 || ids[0] != id {
+				t.Fatalf("%scut %d: replica ids %v, %v", variant, cut, ids, err)
+			}
 
-		// The follower's side: the same bytes as a replica's copy.
-		specBytes, err := st.ReadSpecBytes(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rst := openStore(t, t.TempDir())
-		if err := os.MkdirAll(rst.SessionDir(id), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(rst.LogPath(id), full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := rst.OpenReplica(id, specBytes)
-		if err != nil {
-			t.Fatalf("cut %d: open replica: %v", cut, err)
-		}
-		if rep.Offset() != wantOff || rep.Sealed() != wantSealed || fileSize(rst) != wantOff {
-			t.Fatalf("cut %d: replica offset=%d sealed=%v file=%d, want %d %v %d",
-				cut, rep.Offset(), rep.Sealed(), fileSize(rst), wantOff, wantSealed, wantOff)
-		}
-		for _, payload := range invalid {
-			if err := rep.Append(payload, wire.AppendFrame(nil, payload)); err == nil {
-				t.Fatalf("cut %d: replica accepted payload % x", cut, payload)
+			// Promotion: the shipped copy moves into a primary store and
+			// recovers like a log that store wrote itself.
+			pst := openStore(t, t.TempDir())
+			if err := pst.AdoptFrom(rst, id); err != nil {
+				t.Fatalf("%scut %d: adopt: %v", variant, cut, err)
 			}
-			if rep.Offset() != wantOff || fileSize(rst) != wantOff {
-				t.Fatalf("cut %d: rejected payload % x moved the replica to offset %d, file %d", cut, payload, rep.Offset(), fileSize(rst))
+			got, err := pst.RecoverSession(id)
+			if err != nil {
+				t.Fatalf("%scut %d: recover adopted: %v", variant, cut, err)
 			}
-		}
-		for i, off := whole, wantOff; i < len(ends); i, off = i+1, ends[i] {
-			frame := full[off:ends[i]]
-			if err := rep.Append(frame[wire.FrameHeaderSize:], frame); err != nil {
-				t.Fatalf("cut %d: ship frame %d: %v", cut, i, err)
+			if !got.Sealed || got.Log.(*Log).Nodes() != nodesAt[len(nodesAt)-1] {
+				t.Fatalf("%scut %d: adopted log sealed=%v nodes=%d", variant, cut, got.Sealed, got.Log.(*Log).Nodes())
 			}
-		}
-		if rep.Offset() != int64(len(full)) || !rep.Sealed() {
-			t.Fatalf("cut %d: caught-up replica at offset %d sealed=%v", cut, rep.Offset(), rep.Sealed())
-		}
-		if err := rep.Append([]byte{wire.TypeSeal}, wire.AppendFrame(nil, []byte{wire.TypeSeal})); err == nil {
-			t.Fatalf("cut %d: sealed replica accepted another frame", cut)
-		}
-		if err := rep.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if ids, err := rst.ReplicaIDs(); err != nil || len(ids) != 1 || ids[0] != id {
-			t.Fatalf("cut %d: replica ids %v, %v", cut, ids, err)
-		}
-
-		// Promotion: the shipped copy moves into a primary store and
-		// recovers like a log that store wrote itself.
-		pst := openStore(t, t.TempDir())
-		if err := pst.AdoptFrom(rst, id); err != nil {
-			t.Fatalf("cut %d: adopt: %v", cut, err)
-		}
-		got, err := pst.RecoverSession(id)
-		if err != nil {
-			t.Fatalf("cut %d: recover adopted: %v", cut, err)
-		}
-		if !got.Sealed || got.Log.(*Log).Nodes() != nodesAt[len(nodesAt)-1] {
-			t.Fatalf("cut %d: adopted log sealed=%v nodes=%d", cut, got.Sealed, got.Log.(*Log).Nodes())
-		}
-		got.Log.Close()
-		if raw, err := os.ReadFile(pst.LogPath(id)); err != nil || !bytes.Equal(raw, full) {
-			t.Fatalf("cut %d: adopted log differs from the owner's (%v)", cut, err)
+			got.Log.Close()
+			if raw, err := os.ReadFile(pst.LogPath(id)); err != nil || !bytes.Equal(raw, full) {
+				t.Fatalf("%scut %d: adopted log differs from the owner's (%v)", variant, cut, err)
+			}
 		}
 	}
 
@@ -400,14 +419,89 @@ func TestFailedFsyncKillsLog(t *testing.T) {
 	if syncs != 1 {
 		t.Fatalf("%d fsyncs after the timer, want 1", syncs)
 	}
+	requireDead(t, lg, errDisk, 1)
+	if syncs != 1 {
+		t.Fatalf("the failed fsync was retried: %d fsyncs", syncs)
+	}
+
+	// The zero tail is held to the same rule. A zero fill that fails
+	// ends the log and is never retried...
+	slg, err = st.Create("s5-00000015", spec(10, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg = slg.(*Log)
+	fills := 0
+	lg.mu.Lock()
+	lg.writeAt = func([]byte, int64) (int, error) { fills++; return 0, errDisk }
+	lg.mu.Unlock()
+	if err := lg.AppendNodeFrame(framed(0, 1, nil, nil).Frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Flush(); !errors.Is(err, errDisk) { // the first flush extends the tail
+		t.Fatalf("Flush over a failed zero fill = %v, want %v", err, errDisk)
+	}
+	requireDead(t, lg, errDisk, 1)
+	if fills != 1 {
+		t.Fatalf("the failed zero fill was retried: %d fills", fills)
+	}
+
+	// ...and so does a failed sync of a flush that extended the tail.
+	st, err = Open(t.TempDir(), Options{}) // fsync on every flush
+	if err != nil {
+		t.Fatal(err)
+	}
+	slg, err = st.Create("s5-00000025", spec(10, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg = slg.(*Log)
+	if err := lg.AppendNodeFrame(framed(0, 1, nil, nil).Frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	syncs = 0
+	lg.mu.Lock()
+	lg.fsync = func() error {
+		syncs++
+		if syncs == 1 {
+			return errDisk
+		}
+		return nil
+	}
+	extent := lg.extent
+	lg.mu.Unlock()
+	big := framed(1, 1, make([]int32, extent), nil).Frame // runs past the tail
+	if err := lg.AppendNodeFrame(big); err != nil {
+		t.Fatal(err)
+	}
 	if err := lg.Flush(); !errors.Is(err, errDisk) {
-		t.Fatalf("Flush after a failed deferred fsync = %v, want %v", err, errDisk)
+		t.Fatalf("Flush over a failed extension sync = %v, want %v", err, errDisk)
 	}
-	if err := lg.AppendNodeFrame(framed(1, 1, []int32{0}, nil).Frame); !errors.Is(err, errDisk) {
-		t.Fatalf("append after a failed fsync = %v, want %v", err, errDisk)
+	if lg.extent <= extent {
+		t.Fatalf("the flush past the tail left it at %d, want past %d", lg.extent, extent)
 	}
-	if err := lg.AppendBatch([]service.PushNode{framed(2, 1, nil, nil)}, []int32{0}); !errors.Is(err, errDisk) {
-		t.Fatalf("batch append after a failed fsync = %v, want %v", err, errDisk)
+	requireDead(t, lg, errDisk, 2)
+	if syncs != 1 {
+		t.Fatalf("the failed extension sync was retried: %d fsyncs", syncs)
+	}
+}
+
+// requireDead holds a log killed by errDisk to its contract: every later
+// Flush, append, Seal and Close returns errDisk, and the log still
+// counts exactly the nodes appended before it died.
+func requireDead(t *testing.T, lg *Log, errDisk error, nodes int64) {
+	t.Helper()
+	if err := lg.Flush(); !errors.Is(err, errDisk) {
+		t.Fatalf("Flush after the failure = %v, want %v", err, errDisk)
+	}
+	if err := lg.AppendNodeFrame(framed(7, 1, []int32{0}, nil).Frame); !errors.Is(err, errDisk) {
+		t.Fatalf("append after the failure = %v, want %v", err, errDisk)
+	}
+	if err := lg.AppendBatch([]service.PushNode{framed(8, 1, nil, nil)}, []int32{0}); !errors.Is(err, errDisk) {
+		t.Fatalf("batch append after the failure = %v, want %v", err, errDisk)
 	}
 	if err := lg.Flush(); !errors.Is(err, errDisk) {
 		t.Fatalf("second Flush = %v, want %v", err, errDisk)
@@ -418,12 +512,105 @@ func TestFailedFsyncKillsLog(t *testing.T) {
 	if err := lg.Close(); !errors.Is(err, errDisk) {
 		t.Fatalf("Close = %v, want %v", err, errDisk)
 	}
-	if syncs != 1 {
-		t.Fatalf("the failed fsync was retried: %d fsyncs", syncs)
+	if n := lg.Nodes(); n != nodes {
+		t.Fatalf("log counts %d node records, want the %d appended before the failure", n, nodes)
 	}
-	if n := lg.Nodes(); n != 1 {
-		t.Fatalf("log counts %d node records, want the 1 appended before the failure", n)
+}
+
+// TestRecoverUnclosedLogKeepsEveryRecord: a log flushed and never closed
+// — the daemon crashed — is records, then its zero tail. Recovery cuts
+// the tail at the last record, the recovered log resumes appending
+// without zeroing a byte of what was acknowledged, and a second
+// recovery sees the appended record.
+func TestRecoverUnclosedLogKeepsEveryRecord(t *testing.T) {
+	const id = "s2-0000face"
+	st := openStore(t, t.TempDir())
+	slg, err := st.Create(id, spec(8, 8))
+	if err != nil {
+		t.Fatal(err)
 	}
+	lg := slg.(*Log)
+	for u := int32(0); u < 3; u++ {
+		if err := lg.AppendNodeFrame(framed(u, 1, []int32{(u + 1) % 3}, nil).Frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	acked := lg.Flushed()
+	raw, err := os.ReadFile(st.LogPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(raw)) <= acked {
+		t.Fatalf("flushed log of %d bytes has no zero tail (file %d bytes)", acked, len(raw))
+	}
+	prefix := raw[:acked]
+	lg.f.Close() // crash: the file is dropped as it is, tail and all
+
+	recoverLog := func() *Log {
+		t.Helper()
+		rec, err := st.RecoverSession(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.Log.(*Log)
+	}
+	rl := recoverLog()
+	if rl.Nodes() != 3 || rl.Flushed() != acked {
+		t.Fatalf("recovered %d nodes, offset %d; want 3, %d", rl.Nodes(), rl.Flushed(), acked)
+	}
+	if got := fileSize(t, st, id); got != acked {
+		t.Fatalf("recovery left a %d-byte file, want the %d valid bytes", got, acked)
+	}
+	next := framed(3, 1, []int32{0}, nil).Frame
+	if err := rl.AppendNodeFrame(next); err != nil {
+		t.Fatal(err)
+	}
+	if err := rl.Flush(); err != nil { // extends the tail again
+		t.Fatal(err)
+	}
+	raw, err = os.ReadFile(st.LogPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := acked + int64(len(next))
+	if int64(len(raw)) <= end || !bytes.Equal(raw[:acked], prefix) || !bytes.Equal(raw[acked:end], next) {
+		t.Fatalf("resumed log is not the acknowledged bytes, then the new record, then a zero tail")
+	}
+	rl.f.Close() // crash again
+
+	rl = recoverLog()
+	if rl.Nodes() != 4 || rl.Flushed() != end {
+		t.Fatalf("second recovery: %d nodes, offset %d; want 4, %d", rl.Nodes(), rl.Flushed(), end)
+	}
+	// A clean Close of the unsealed log cuts the tail it grew again.
+	if err := rl.AppendNodeFrame(framed(4, 1, []int32{0}, nil).Frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := rl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if fileSize(t, st, id) <= rl.Flushed() {
+		t.Fatal("flushed log has no zero tail")
+	}
+	if err := rl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(t, st, id); got != rl.Flushed() {
+		t.Fatalf("closed log of %d bytes is a %d-byte file", rl.Flushed(), got)
+	}
+}
+
+// fileSize is the byte length of one session's log file.
+func fileSize(t *testing.T, st *Store, id string) int64 {
+	t.Helper()
+	fi, err := os.Stat(st.LogPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }
 
 // TestFailedFsyncKillsReplica holds the replica log to the same rule: a
