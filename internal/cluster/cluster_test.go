@@ -13,6 +13,7 @@ import (
 	"oms/client"
 	"oms/internal/service"
 	"oms/internal/wal"
+	"oms/internal/wire"
 )
 
 // testNode is one in-process cluster member: stores, Node, manager, and
@@ -291,5 +292,66 @@ func TestFailoverPromotesFollower(t *testing.T) {
 	// the dead owner may re-enter the ring later: local presence wins.
 	if _, err := follower.mgr.Get(id); err != nil {
 		t.Fatalf("promoted session not locally owned: %v", err)
+	}
+}
+
+// TestFailedPromotionLeavesNoShipper: a promotion the manager rejects
+// must leave no replication shipper behind, so the lag gauge counts only
+// sessions this node serves. The shipped session declares an n above
+// this node's node cap, rejected before its replay, or above its
+// aggregate node budget, rejected after it.
+func TestFailedPromotionLeavesNoShipper(t *testing.T) {
+	dir := t.TempDir()
+	store, err := wal.Open(filepath.Join(dir, "primary"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicas, err := wal.Open(filepath.Join(dir, "replica"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A peer address nothing listens on: the shipper never connects.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + ln.Addr().String()
+	ln.Close()
+	node, err := NewNode(Config{Self: "n1", Peers: map[string]string{"n1": dead, "n2": dead}, Store: store, Replicas: replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	for _, c := range []struct {
+		id  string
+		cfg service.Config
+	}{
+		{"s1-0000dea1", service.Config{MaxNodes: 100}},
+		{"s2-0000dea2", service.Config{MaxTotalNodes: 500}},
+	} {
+		lg, err := replicas.Create(c.id, service.CreateSpec{N: 1000, M: 1, K: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.AppendNodeFrame(wire.AppendNodeFrame(nil, 0, 1, []int32{1}, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c.cfg.Store, c.cfg.JanitorPeriod = node, time.Hour
+		mgr := service.NewManager(c.cfg)
+		err = node.promoteOne(mgr, c.id)
+		mgr.Close()
+		if err == nil {
+			t.Fatalf("%s: promotion over the manager's limits succeeded", c.id)
+		}
+		node.mu.Lock()
+		_, shipping := node.shippers[c.id]
+		node.mu.Unlock()
+		if shipping || node.lagBytes() != 0 {
+			t.Fatalf("%s: rejected promotion left a shipper (%v) and %d lag bytes", c.id, shipping, node.lagBytes())
+		}
 	}
 }

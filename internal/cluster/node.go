@@ -416,8 +416,12 @@ func (n *Node) promoteOne(mgr *service.Manager, id string) error {
 	if err != nil {
 		return err
 	}
-	rec.Log = n.wrapLog(id, rec.Log)
-	return mgr.Adopt(rec)
+	n.replicateReplay(&rec)
+	if err := mgr.Adopt(rec); err != nil {
+		n.dropShipper(id, false) // Adopt closed any log its replay opened
+		return err
+	}
+	return nil
 }
 
 func (n *Node) lagBytes() int64 {

@@ -67,15 +67,29 @@ func (n *Node) Create(id string, spec service.CreateSpec) (service.SessionLog, e
 	return n.wrapLog(id, log), nil
 }
 
-// Recover implements service.Store, wrapping every recovered session's
-// log the same way Create does — a restarted owner resumes shipping
-// from whatever offset its follower reports.
+// Recover implements service.Store, wrapping the log every recovered
+// session's replay hands back the same way Create does — a restarted
+// owner resumes shipping from whatever offset its follower reports.
 func (n *Node) Recover() ([]service.RecoveredSession, error) {
 	recs, err := n.cfg.Store.Recover()
 	for i := range recs {
-		recs[i].Log = n.wrapLog(recs[i].ID, recs[i].Log)
+		n.replicateReplay(&recs[i])
 	}
 	return recs, err
+}
+
+// replicateReplay makes rec's replay wrap the log it hands back. Only a
+// log the replay produced gets a shipper, so a session rejected before
+// or during replay leaves none behind.
+func (n *Node) replicateReplay(rec *service.RecoveredSession) {
+	replay, id := rec.Replay, rec.ID
+	rec.Replay = func(fn func(u, w int32, adj, ew []int32, block int32) error, stats func(oms.EstimatorState) error) (service.SessionLog, bool, error) {
+		log, sealed, err := replay(fn, stats)
+		if err != nil {
+			return nil, false, err
+		}
+		return n.wrapLog(id, log), sealed, nil
+	}
 }
 
 // Remove implements service.Store: local GC plus propagation — the

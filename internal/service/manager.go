@@ -680,9 +680,6 @@ func (mg *Manager) RecoverSessions() (int, error) {
 	for _, rec := range recs {
 		if err := mg.restoreSession(rec); err != nil {
 			errs = append(errs, fmt.Errorf("service: recover session %s: %w", rec.ID, err))
-			if rec.Log != nil {
-				_ = rec.Log.Close()
-			}
 			continue
 		}
 		n++
@@ -691,8 +688,10 @@ func (mg *Manager) RecoverSessions() (int, error) {
 }
 
 // restoreSession replays one recovered session into a live engine and
-// registers it under its original id.
-func (mg *Manager) restoreSession(rec RecoveredSession) error {
+// registers it under its original id. It owns the log the replay hands
+// back and closes it on any later failure; a session rejected before or
+// during replay leaves its log untouched.
+func (mg *Manager) restoreSession(rec RecoveredSession) (err error) {
 	if rec.Spec.N > mg.cfg.MaxNodes {
 		return fmt.Errorf("declared n %d exceeds the server's node cap %d", rec.Spec.N, mg.cfg.MaxNodes)
 	}
@@ -704,7 +703,7 @@ func (mg *Manager) restoreSession(rec RecoveredSession) error {
 	if err != nil {
 		return err
 	}
-	err = rec.Replay(func(u, w int32, adj, ew []int32, block int32) error {
+	lg, sealed, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error {
 		// Batch records carry the assignment acknowledged at ingest
 		// time, and replaying that decision keeps recovery independent
 		// of the engine version. Per-node records re-derive it.
@@ -724,10 +723,15 @@ func (mg *Manager) restoreSession(rec RecoveredSession) error {
 	if err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}
-	s := mg.newSession(rec.ID, rec.Spec, eng, rec.Log)
+	defer func() {
+		if err != nil {
+			_ = lg.Close()
+		}
+	}()
+	s := mg.newSession(rec.ID, rec.Spec, eng, lg)
 	// Resume the stats-revision log where the replayed trajectory ends.
 	s.lastStatsRev = eng.StatsRevision()
-	if rec.Sealed {
+	if sealed {
 		if err := s.seal(false, ""); err != nil {
 			return err
 		}
@@ -751,7 +755,7 @@ func (mg *Manager) restoreSession(rec RecoveredSession) error {
 
 	mg.m.sessionsRecovered.Inc()
 	mg.ev.Emit(telemetry.EventSessionRecovered, map[string]any{
-		"session": s.ID, "assigned": eng.Assigned(), "sealed": rec.Sealed,
+		"session": s.ID, "assigned": eng.Assigned(), "sealed": sealed,
 	})
 	return nil
 }

@@ -111,24 +111,27 @@ type SessionLog interface {
 }
 
 // RecoveredSession is one persisted session as reported by
-// Store.Recover: its identity and spec, whether it was sealed, a
-// one-shot replay of its whole log, and the log handle reopened for
-// further appends.
+// Store.Recover: its identity, spec and surviving refined versions, and
+// a one-shot Replay that reads its log once and only then hands the log
+// back, so no caller can hold a log whose valid end is not yet known.
 type RecoveredSession struct {
-	ID     string
-	Spec   CreateSpec
-	Sealed bool
-	// Replay streams every logged record in append order. block is the
-	// assignment recorded at ingest time for group-committed batch
-	// records, or -1 for per-node records (whose deterministic
+	ID   string
+	Spec CreateSpec
+	// Replay streams every logged record in append order, validating
+	// each as it reads it, and stops at the first torn or invalid record.
+	// block is the assignment recorded at ingest time for group-committed
+	// batch records, or -1 for per-node records (whose deterministic
 	// sequential walk is re-derived instead). Logged stats-revision
 	// records are handed to stats (may be nil), which recovery uses to
-	// pin an adaptive session's estimator trajectory. It may be called
-	// once, before the session goes live.
-	Replay func(fn func(u, w int32, adj, ew []int32, block int32) error, stats func(st oms.EstimatorState) error) error
-	// Log continues the session's durable log (appends fail on sealed
-	// logs). Never nil for a returned session.
-	Log SessionLog
+	// pin an adaptive session's estimator trajectory.
+	//
+	// After a clean stop Replay cuts the log where the valid records end
+	// and returns it reopened for appends there (appends fail on a
+	// sealed log), with whether a seal ended it; the caller owns the log
+	// and closes it. If fn or stats fail, or the log cannot be read,
+	// Replay returns the error and leaves the log as it found it. It may
+	// be called once, before the session goes live.
+	Replay func(fn func(u, w int32, adj, ew []int32, block int32) error, stats func(st oms.EstimatorState) error) (SessionLog, bool, error)
 	// Versions are the refined result versions that survived the crash,
 	// ascending by version number, metadata only (Parts is nil; the
 	// session reloads assignments on demand through the log). Versions

@@ -119,11 +119,12 @@ func TestWriteSeedCorpus(t *testing.T) {
 	}
 }
 
-// FuzzLogScan feeds arbitrary bytes to the WAL recovery scanner and
+// FuzzLogScan feeds arbitrary bytes to the WAL's one log walker and
 // holds its contract: never panic, never allocate beyond the input's
-// proportions, and always cut a torn or corrupt tail cleanly — the
-// surviving prefix must re-scan to the identical result and replay
-// exactly the counted records.
+// proportions, and always stop cleanly at a torn or corrupt tail — the
+// visitor sees exactly the counted records, stats frames decoding
+// cleanly along the way, and the surviving prefix re-walks to the
+// identical result.
 func FuzzLogScan(f *testing.F) {
 	for _, seed := range logScanSeeds(f) {
 		f.Add(seed)
@@ -132,19 +133,16 @@ func FuzzLogScan(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "log.wal")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		fh, err := os.Open(path)
+		visited := int64(0)
+		nodes, sealed, validEnd, err := walkLog(bytes.NewReader(data), func(u, w int32, adj, ew []int32, block int32) error {
+			visited++
+			if ew != nil && len(ew) != len(adj) {
+				t.Fatalf("record with %d edge weights for %d edges", len(ew), len(adj))
+			}
+			return nil
+		}, func(st oms.EstimatorState) error { return nil })
 		if err != nil {
-			t.Fatal(err)
-		}
-		nodes, sealed, validEnd, err := scanLog(fh)
-		fh.Close()
-		if err != nil {
-			t.Fatalf("scan of a readable file errored: %v", err)
+			t.Fatalf("walk of a readable log errored: %v", err)
 		}
 		if validEnd < 0 || validEnd > int64(len(data)) {
 			t.Fatalf("validEnd %d outside [0,%d]", validEnd, len(data))
@@ -152,48 +150,27 @@ func FuzzLogScan(f *testing.F) {
 		if nodes < 0 {
 			t.Fatalf("negative node count %d", nodes)
 		}
+		if visited != nodes {
+			t.Fatalf("visitor saw %d records, walk counted %d", visited, nodes)
+		}
 
-		// Truncate-cleanly property: the valid prefix re-scans to the
-		// same verdict...
-		if err := os.WriteFile(path, data[:validEnd], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		fh, err = os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes2, sealed2, validEnd2, err := scanLog(fh)
-		fh.Close()
+		// Truncate-cleanly property: the valid prefix re-walks to the
+		// same verdict.
+		nodes2, sealed2, validEnd2, err := walkLog(bytes.NewReader(data[:validEnd]), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if nodes2 != nodes || sealed2 != sealed || validEnd2 != validEnd {
-			t.Fatalf("truncated prefix rescans to (%d,%v,%d), want (%d,%v,%d)",
+			t.Fatalf("truncated prefix re-walks to (%d,%v,%d), want (%d,%v,%d)",
 				nodes2, sealed2, validEnd2, nodes, sealed, validEnd)
-		}
-		// ...and replays exactly the counted records, stats frames
-		// decoding cleanly along the way.
-		replayed := int64(0)
-		err = replayLog(path, nodes, func(u, w int32, adj, ew []int32, block int32) error {
-			replayed++
-			if ew != nil && len(ew) != len(adj) {
-				t.Fatalf("record with %d edge weights for %d edges", len(ew), len(adj))
-			}
-			return nil
-		}, func(st oms.EstimatorState) error { return nil })
-		if err != nil {
-			t.Fatalf("replay of the validated prefix failed: %v", err)
-		}
-		if replayed != nodes {
-			t.Fatalf("replayed %d records, scan counted %d", replayed, nodes)
 		}
 	})
 }
 
 // FuzzRecoverSession drives the whole per-session recovery path —
 // spec + arbitrary log bytes — through Store.Recover: it must never
-// panic and every recovered session's replay must succeed over the
-// truncated log.
+// panic and every recovered session's replay must succeed, cutting the
+// log where its valid records end.
 func FuzzRecoverSession(f *testing.F) {
 	for _, seed := range logScanSeeds(f) {
 		f.Add(seed)
@@ -217,12 +194,12 @@ func FuzzRecoverSession(f *testing.F) {
 		}
 		recs, _ := st.Recover()
 		for _, rec := range recs {
-			err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { return nil },
+			lg, _, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { return nil },
 				func(oms.EstimatorState) error { return nil })
 			if err != nil {
 				t.Fatalf("replay of recovered session failed: %v", err)
 			}
-			rec.Log.Close()
+			lg.Close()
 		}
 	})
 }

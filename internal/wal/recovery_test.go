@@ -5,6 +5,7 @@
 package wal
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -304,6 +305,79 @@ func TestBatchRecoveryPreservesAckedAssignments(t *testing.T) {
 		if res.Parts[u] != b {
 			t.Fatalf("node %d recovered as %d, client was acknowledged %d", u, res.Parts[u], b)
 		}
+	}
+}
+
+// TestFailedRecoveryLeavesLogUntouched: recovery cuts a log only after
+// a replay that read it to a clean stop. Two crashed logs, each still
+// running on into its zero tail, fail to come back: one logs a node id
+// past its spec's n, so the engine refuses it mid-replay; the other
+// declares an n over the server's node cap, so it is rejected before
+// replay. Both files stay byte-identical, and a later, permissive
+// recovery gets every record back.
+func TestFailedRecoveryLeavesLogUntouched(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	const badID, bigID = "s1-0000bad1", "s2-0000b162"
+	for _, c := range []struct {
+		id   string
+		n    int32
+		last int32
+	}{{badID, 8, 9}, {bigID, 1000, 2}} {
+		slg, err := st.Create(c.id, spec(c.n, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lg := slg.(*Log)
+		for _, u := range []int32{0, 1, c.last} {
+			if err := lg.AppendNodeFrame(framed(u, 1, []int32{(u + 1) % 2}, nil).Frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lg.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		lg.f.Close() // crash: the zero tail stays
+	}
+	raw := map[string][]byte{}
+	for _, id := range []string{badID, bigID} {
+		b, err := os.ReadFile(st.LogPath(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[id] = b
+	}
+
+	mgr := service.NewManager(service.Config{Store: openStore(t, dir), MaxNodes: 100})
+	if n, err := mgr.RecoverSessions(); n != 0 || err == nil {
+		t.Fatalf("recovered %d sessions (err %v), want 0 and an error", n, err)
+	}
+	mgr.Close()
+	for id, want := range raw {
+		if got, err := os.ReadFile(st.LogPath(id)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: failed recovery changed its log (%d bytes, was %d; %v)", id, len(got), len(want), err)
+		}
+	}
+
+	recs, err := openStore(t, dir).Recover()
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("permissive recovery found %d sessions (%v), want 2", len(recs), err)
+	}
+	for _, rec := range recs {
+		rl, _, replayed := replayAll(t, rec)
+		if replayed != 3 || rl.Nodes() != 3 || fileSize(t, st, rec.ID) != rl.Flushed() {
+			t.Fatalf("%s: replayed %d, log holds %d nodes at offset %d of a %d-byte file; want 3 records and the zero tail cut",
+				rec.ID, replayed, rl.Nodes(), rl.Flushed(), fileSize(t, st, rec.ID))
+		}
+		rl.Close()
+	}
+	mgr2 := service.NewManager(service.Config{Store: openStore(t, dir)})
+	defer mgr2.Close()
+	if n, err := mgr2.RecoverSessions(); n != 1 {
+		t.Fatalf("recovery under the default node cap brought back %d sessions (err %v), want %s", n, err, bigID)
+	}
+	if _, err := mgr2.Get(bigID); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -17,11 +18,12 @@ import (
 // ingested, replayable as many times as a restreaming pass wants it,
 // without holding the O(n + m) stream in memory. It reads only the
 // prefix validated at open time, so a torn tail (or, defensively, bytes
-// appended later) never reaches the visitor.
+// appended later) never reaches the visitor, and a pass that cannot
+// reach that prefix's end fails.
 type ReplaySource struct {
 	path  string
 	stats stream.Stats
-	nodes int64 // validated node-record count at open time
+	end   int64 // validated byte end at open time
 }
 
 // ReplaySource opens a read-only replay of the session's log. The log
@@ -38,7 +40,7 @@ func (st *Store) ReplaySource(id string) (oms.Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes, _, _, err := scanLog(f)
+	_, _, end, err := walkLog(f, nil, nil)
 	f.Close()
 	if err != nil {
 		return nil, err
@@ -56,15 +58,12 @@ func (st *Store) ReplaySource(id string) (oms.Source, error) {
 	if stats.TotalEdgeWeight == 0 {
 		stats.TotalEdgeWeight = spec.M
 	}
-	return &ReplaySource{path: logPath, stats: stats, nodes: nodes}, nil
+	return &ReplaySource{path: logPath, stats: stats, end: end}, nil
 }
 
 // Stats implements stream.Source with the declared stream quantities
 // from the persisted session spec.
 func (r *ReplaySource) Stats() (stream.Stats, error) { return r.stats, nil }
-
-// Len returns how many node records one pass visits.
-func (r *ReplaySource) Len() int64 { return r.nodes }
 
 // ForEach implements stream.Source: one sequential pass over the logged
 // records in append order. Batch frames yield their nodes one by one;
@@ -78,14 +77,22 @@ func (r *ReplaySource) Len() int64 { return r.nodes }
 // duplicate visited twice would double-count cut edges.
 // First-occurrence-wins is exactly the engine's own push semantics.
 func (r *ReplaySource) ForEach(fn stream.Visitor) error {
+	f, err := os.Open(r.path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
 	seen := r.newSeen()
-	return replayLog(r.path, r.nodes, func(u, w int32, adj, ew []int32, _ int32) error {
-		if seen(u) {
-			return nil
+	_, _, end, err := walkLog(io.NewSectionReader(f, 0, r.end), func(u, w int32, adj, ew []int32, _ int32) error {
+		if !seen(u) {
+			fn(u, w, adj, ew)
 		}
-		fn(u, w, adj, ew)
 		return nil
 	}, nil)
+	if err == nil && end != r.end {
+		err = fmt.Errorf("wal: log ends after %d of %d validated bytes", end, r.end)
+	}
+	return err
 }
 
 // newSeen returns a first-occurrence filter for one pass. Adaptive

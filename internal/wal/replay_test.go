@@ -224,7 +224,12 @@ func TestVersionRoundTripAndRecovery(t *testing.T) {
 	if vs[0].Parts != nil {
 		t.Fatalf("recovery materialized %d parts, want metadata only", len(vs[0].Parts))
 	}
-	loaded, err := recovered[0].Log.LoadVersion(1)
+	lg, _, err = recovered[0].Replay(func(u, w int32, adj, ew []int32, block int32) error { return nil }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	loaded, err := lg.LoadVersion(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +241,7 @@ func TestVersionRoundTripAndRecovery(t *testing.T) {
 			t.Fatalf("loaded parts[%d] = %d, want 1", i, p)
 		}
 	}
-	if _, err := recovered[0].Log.LoadVersion(2); err == nil {
+	if _, err := lg.LoadVersion(2); err == nil {
 		t.Fatal("torn version 2 loaded whole")
 	}
-	recovered[0].Log.Close()
 }

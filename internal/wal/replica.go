@@ -15,15 +15,15 @@ import (
 // bytes arrive over the wire. Because the owner ships its on-disk log
 // and the follower appends exactly what it validated, the replica file
 // is byte-for-byte the owner's file up to the replicated offset — so
-// promotion is nothing but the ordinary recovery scan over a log this
+// promotion is nothing but the ordinary recovery walk over a log this
 // node happens not to have written itself.
 //
 // A ReplicaLog is driven by the single replication-stream handler that
 // owns it; it is not safe for concurrent use.
 type ReplicaLog struct {
 	f      *os.File
-	arena  wire.Arena
-	size   int64 // validated byte length == next append offset
+	rec    record // Append's decode scratch
+	size   int64  // validated byte length == next append offset
 	sealed bool
 	// fsync syncs f (a seam: tests inject disk faults).
 	fsync func() error
@@ -36,10 +36,10 @@ type ReplicaLog struct {
 
 // OpenReplica opens (creating if needed) the replica log for session id
 // inside this store, persisting spec verbatim as the session's spec.json
-// if none exists yet. The log's valid frame prefix is scanned exactly
-// like recovery does and any torn tail — a follower crash mid-append —
-// is truncated, so Offset is always a whole-frame boundary the owner
-// can resume shipping from.
+// if none exists yet. The log's valid frame prefix is walked exactly
+// like recovery walks it, with no visitor, and any torn tail — a
+// follower crash mid-append — is truncated, so Offset is always a
+// whole-frame boundary the owner can resume shipping from.
 func (st *Store) OpenReplica(id string, spec []byte) (*ReplicaLog, error) {
 	dir := filepath.Join(st.dir, id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -64,7 +64,7 @@ func (st *Store) OpenReplica(id string, spec []byte) (*ReplicaLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, sealed, validEnd, err := openValidated(f)
+	_, sealed, validEnd, err := openValidated(f, nil, nil)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -81,13 +81,13 @@ func (r *ReplicaLog) Offset() int64 { return r.size }
 // Sealed reports whether the replica holds the terminal seal record.
 func (r *ReplicaLog) Sealed() bool { return r.sealed }
 
-// Append validates one shipped frame's payload as a well-formed log
-// record and appends the verbatim frame bytes. The frame's CRC was
-// already verified by the wire reader that produced payload; this
-// second, structural check means a frame that would poison a future
-// recovery scan is rejected at the wire instead of discovered at
-// promotion. A rejected frame leaves the file untouched — the owner
-// re-ships from the last acked offset.
+// Append decodes one shipped frame's payload in full, as the recovery
+// walk decodes a record, and appends the verbatim frame bytes. The
+// frame's CRC was already verified by the wire reader that produced
+// payload; this second, structural check means a frame that would
+// poison a future recovery walk is rejected at the wire instead of
+// discovered at promotion. A rejected frame leaves the file untouched —
+// the owner re-ships from the last acked offset.
 func (r *ReplicaLog) Append(payload, frame []byte) error {
 	if r.syncErr != nil {
 		return r.syncErr
@@ -95,18 +95,14 @@ func (r *ReplicaLog) Append(payload, frame []byte) error {
 	if r.sealed {
 		return fmt.Errorf("wal: append to sealed replica")
 	}
-	r.arena.Reset()
-	_, seal, ok := validateRecord(&r.arena, payload)
-	if !ok {
+	if !r.rec.decode(payload) {
 		return fmt.Errorf("wal: shipped frame is not a valid log record")
 	}
 	if _, err := r.f.Write(frame); err != nil {
 		return err
 	}
 	r.size += int64(len(frame))
-	if seal {
-		r.sealed = true
-	}
+	r.sealed = r.rec.typ == wire.TypeSeal
 	return nil
 }
 

@@ -124,7 +124,7 @@ func (st *Store) Recover() ([]service.RecoveredSession, error) {
 		if !e.IsDir() {
 			continue
 		}
-		rec, err := st.recoverOne(e.Name())
+		rec, err := st.RecoverSession(e.Name())
 		if err != nil {
 			errs = append(errs, fmt.Errorf("wal: session %s: %w", e.Name(), err))
 			continue
@@ -148,15 +148,6 @@ func (st *Store) LogPath(id string) string {
 	return filepath.Join(st.dir, id, logName)
 }
 
-// RecoverSession rebuilds one session by id, exactly as Recover does for
-// every session. Cluster failover promotes a replicated session through
-// it: after the shipped log is moved into this store (AdoptFrom), the
-// promoting node recovers just that session and adopts it into its
-// manager — replication is recovery over the network.
-func (st *Store) RecoverSession(id string) (service.RecoveredSession, error) {
-	return st.recoverOne(id)
-}
-
 // AdoptFrom moves one session's directory out of another store (the
 // replica store a follower accumulated shipped logs in) into this one,
 // durably. The moved session is invisible to the manager until
@@ -171,50 +162,46 @@ func (st *Store) AdoptFrom(other *Store, id string) error {
 	return syncDir(other.dir)
 }
 
-// recoverOne rebuilds one session directory: validate the log's frame
-// prefix, truncate any torn tail, and reopen the log for appends at the
-// validated end. Replay covers the whole validated prefix.
-func (st *Store) recoverOne(id string) (service.RecoveredSession, error) {
-	var rec service.RecoveredSession
+// RecoverSession rebuilds one session by id, as Recover does for every
+// session: it reads the spec and refined versions, and its Replay reads
+// the log once — openValidated replays each record as it validates it
+// and cuts the log where the valid records end, and the log reopens for
+// appends there. Cluster failover promotes a replicated session through
+// it: after the shipped log is moved into this store (AdoptFrom), the
+// promoting node recovers just that session and adopts it into its
+// manager — replication is recovery over the network.
+func (st *Store) RecoverSession(id string) (service.RecoveredSession, error) {
 	dir := filepath.Join(st.dir, id)
 	env, err := readSpec(dir)
 	if err != nil {
-		return rec, err
-	}
-
-	// No O_CREATE: a session directory without its log (a failed create
-	// not yet cleaned up, or tampering) is a recovery error, not an
-	// empty session to silently resurrect.
-	logPath := filepath.Join(dir, logName)
-	f, err := os.OpenFile(logPath, os.O_RDWR, 0o644)
-	if err != nil {
-		return rec, err
-	}
-	nodes, sealed, validEnd, err := openValidated(f)
-	if err != nil {
-		f.Close()
-		return rec, err
-	}
-	l := st.newLog(f, dir)
-	l.nodes = nodes
-	l.sealed = sealed
-	l.size = validEnd
-	l.flushed = validEnd
-	l.extent = validEnd // openValidated cut any zero tail
-
-	rec.ID = env.ID
-	rec.Spec = env.Spec
-	rec.Sealed = sealed
-	rec.Log = l
-	rec.Versions = recoverVersions(dir)
-	rec.Replay = func(fn func(u, w int32, adj, ew []int32, block int32) error, stats func(st oms.EstimatorState) error) error {
-		return replayLog(logPath, nodes, fn, stats)
+		return service.RecoveredSession{}, err
 	}
 	if env.ID != id {
-		l.Close()
-		return rec, fmt.Errorf("spec names session %q", env.ID)
+		return service.RecoveredSession{}, fmt.Errorf("spec names session %q", env.ID)
 	}
-	return rec, nil
+	// A session directory without its log (a failed create not yet
+	// cleaned up, or tampering) is a recovery error, not an empty
+	// session to silently resurrect: no O_CREATE below either.
+	logPath := filepath.Join(dir, logName)
+	if _, err := os.Stat(logPath); err != nil {
+		return service.RecoveredSession{}, err
+	}
+	replay := func(fn visitNode, stats visitStats) (service.SessionLog, bool, error) {
+		f, err := os.OpenFile(logPath, os.O_RDWR, 0o644)
+		if err != nil {
+			return nil, false, err
+		}
+		nodes, sealed, validEnd, err := openValidated(f, fn, stats)
+		if err != nil {
+			f.Close()
+			return nil, false, err
+		}
+		l := st.newLog(f, dir)
+		// openValidated cut any zero tail: the file ends at validEnd.
+		l.nodes, l.sealed, l.size, l.flushed, l.extent = nodes, sealed, validEnd, validEnd, validEnd
+		return l, sealed, nil
+	}
+	return service.RecoveredSession{ID: id, Spec: env.Spec, Replay: replay, Versions: recoverVersions(dir)}, nil
 }
 
 // newLog wraps an open log file handle.
@@ -232,17 +219,30 @@ func (st *Store) newLog(f *os.File, dir string) *Log {
 	}
 }
 
-// scanLog validates the log's frame prefix from the start of f: it
-// returns the node-record count, whether a seal record terminates the
-// log, and the byte offset the valid prefix ends at. A torn or corrupt
-// frame simply ends the scan — its bytes are the crash's, not an error.
-// A real read fault is an error: truncating at it would destroy
-// durable, acknowledged records that merely failed to read this time.
-func scanLog(f *os.File) (nodes int64, sealed bool, validEnd int64, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, false, 0, err
-	}
-	rd := wire.NewReader(f)
+// visitNode receives one logged node with the block a batch record
+// carries (-1 for a per-node record); the slices are valid until it
+// returns. visitStats receives one stats record's estimator state.
+type (
+	visitNode  = func(u, w int32, adj, ew []int32, block int32) error
+	visitStats = func(oms.EstimatorState) error
+)
+
+// walkLog is the one reader of a log's records. It reads frames from r
+// in order, decodes each record in full, and only then hands its nodes
+// to fn and its estimator state to stats (either may be nil). It stops
+// cleanly at the first torn or invalid frame — its bytes are the
+// crash's, not an error — and after a seal, which nothing may follow.
+// It returns the node records walked, whether a seal ended the log, and
+// the byte offset the valid prefix ends at. A visitor's error ends the
+// walk and is returned, and so is a real read fault: truncating at it
+// would destroy acknowledged records that merely failed to read.
+//
+// Because a record is decoded whole before a visitor sees any of it, a
+// batch whose checksum holds but whose nodes do not decode applies none
+// of them and ends the valid prefix: the group stays all-or-nothing.
+func walkLog(r io.Reader, fn visitNode, stats visitStats) (nodes int64, sealed bool, validEnd int64, err error) {
+	rd := wire.NewReader(r)
+	var rec record
 	for {
 		rd.Arena.Reset()
 		payload, frame, err := rd.NextFrame()
@@ -252,26 +252,35 @@ func scanLog(f *os.File) (nodes int64, sealed bool, validEnd int64, err error) {
 		if err != nil {
 			return 0, false, 0, err
 		}
-		n, seal, ok := validateRecord(&rd.Arena, payload)
-		if !ok {
+		if !rec.decode(payload) {
 			return nodes, false, validEnd, nil
 		}
-		nodes += n
+		if rec.typ == wire.TypeStats && stats != nil {
+			err = stats(rec.stats)
+		}
+		for i := 0; err == nil && fn != nil && i < len(rec.nodes); i++ {
+			nd := &rec.nodes[i]
+			err = fn(nd.U, nd.W, nd.Adj, nd.EW, rec.blocks[i])
+		}
+		if err != nil {
+			return 0, false, 0, err
+		}
+		nodes += int64(len(rec.nodes))
 		validEnd += int64(len(frame))
-		if seal {
-			// Nothing may follow a seal; stop at it either way.
+		if rec.typ == wire.TypeSeal {
 			return nodes, true, validEnd, nil
 		}
 	}
 }
 
-// openValidated scans f like scanLog, truncates whatever follows the
-// valid prefix (a torn tail: the crash interrupted a frame write, and
-// everything before it checksums clean), and leaves f positioned at the
-// validated end, ready for appends. Recovery and a replica reopening its
-// copy share it, so both keep exactly the same whole-frame prefix.
-func openValidated(f *os.File) (nodes int64, sealed bool, validEnd int64, err error) {
-	if nodes, sealed, validEnd, err = scanLog(f); err != nil {
+// openValidated walks f from its start (walkLog, with the visitors),
+// then truncates whatever follows the valid prefix — a torn tail or the
+// zero tail of a crashed live log — and leaves f positioned at the
+// validated end, ready for appends. After a visitor error or a read
+// fault f is left as it was. Recovery and a replica reopening its copy
+// share it, so both keep exactly the same whole-frame prefix.
+func openValidated(f *os.File, fn visitNode, stats visitStats) (nodes int64, sealed bool, validEnd int64, err error) {
+	if nodes, sealed, validEnd, err = walkLog(f, fn, stats); err != nil {
 		return 0, false, 0, err
 	}
 	if fi, err := f.Stat(); err == nil && fi.Size() > validEnd {
@@ -288,93 +297,45 @@ func openValidated(f *os.File) (nodes int64, sealed bool, validEnd int64, err er
 	return nodes, sealed, validEnd, nil
 }
 
-// validateRecord decodes one frame payload just far enough to prove it
-// is a well-formed log record, returning the node records it carries
-// and whether it is the terminal seal. ok=false means the payload is
-// not a valid record — a torn tail during a recovery scan, a corrupt
-// shipped frame at a replica, or a type byte that is not a log record
-// (the retired 1 and 3 included). Decoding appends to arena.Ints; the
-// caller resets the arena between records.
-func validateRecord(arena *wire.Arena, payload []byte) (nodes int64, seal, ok bool) {
-	switch payload[0] {
-	case wire.TypeNode:
-		_, err := wire.DecodeNodeInto(arena, payload)
-		return 1, false, err == nil
-	case wire.TypeBatch:
-		err := wire.ForEachBatchNode(arena, payload, func(wire.Node, int32) error {
-			nodes++
-			return nil
-		})
-		return nodes, false, err == nil
-	case wire.TypeStats:
-		_, err := decodeStatsPayload(payload)
-		return 0, false, err == nil
-	case wire.TypeSeal:
-		return 0, true, len(payload) == 1
-	}
-	return 0, false, false
+// record is one fully decoded log record, reused from frame to frame:
+// the nodes of a node or batch record with their recorded blocks, or
+// the state of a stats record. The nodes' slices point into arena.
+type record struct {
+	typ    byte
+	nodes  []wire.Node
+	blocks []int32
+	stats  oms.EstimatorState
+	arena  wire.Arena
 }
 
-// replayLog streams the log's node records in append order, stopping
-// after total records (the validated prefix). Per-node frames replay
-// with block -1 (re-derive the assignment); batch frames carry the
-// recorded assignment, replayed verbatim. The adjacency slices handed
-// to fn alias the reader's arena: they are valid until fn returns.
-//
-// Stats-revision frames are handed to the optional stats callback (nil
-// ignores them): applying the recorded estimator state makes adaptive
-// recovery replay identically even across estimator-logic changes —
-// between frames determinism carries the state, at frames the log
-// resynchronizes it.
-func replayLog(path string, total int64, fn func(u, w int32, adj, ew []int32, block int32) error, stats func(oms.EstimatorState) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rd := wire.NewReader(f)
-	seen := int64(0)
-	for seen < total {
-		rd.Arena.Reset()
-		payload, _, err := rd.NextFrame()
+// decode decodes one frame payload in full into r and reports whether
+// it is a log record: false for a torn tail in a walk, a corrupt
+// shipped frame at a replica, or a type byte that is no log record (the
+// retired 1 and 3 included).
+func (r *record) decode(payload []byte) bool {
+	r.typ = payload[0]
+	r.nodes, r.blocks, r.arena.Ints = r.nodes[:0], r.blocks[:0], r.arena.Ints[:0]
+	switch r.typ {
+	case wire.TypeNode:
+		nd, err := wire.DecodeNodeInto(&r.arena, payload)
 		if err != nil {
-			if err == io.EOF {
-				return fmt.Errorf("wal: log ends after %d of %d records", seen, total)
-			}
-			return err
+			return false
 		}
-		switch payload[0] {
-		case wire.TypeStats:
-			if stats == nil {
-				continue
-			}
-			st, err := decodeStatsPayload(payload)
-			if err != nil {
-				return err
-			}
-			if err := stats(st); err != nil {
-				return err
-			}
-		case wire.TypeNode:
-			seen++
-			nd, err := wire.DecodeNodeInto(&rd.Arena, payload)
-			if err != nil {
-				return err
-			}
-			if err := fn(nd.U, nd.W, nd.Adj, nd.EW, -1); err != nil {
-				return err
-			}
-		case wire.TypeBatch:
-			err := wire.ForEachBatchNode(&rd.Arena, payload, func(nd wire.Node, block int32) error {
-				seen++
-				return fn(nd.U, nd.W, nd.Adj, nd.EW, block)
-			})
-			if err != nil {
-				return err
-			}
-		}
+		r.nodes, r.blocks = append(r.nodes, nd), append(r.blocks, -1)
+		return true
+	case wire.TypeBatch:
+		return wire.ForEachBatchNode(&r.arena, payload, func(nd wire.Node, block int32) error {
+			r.nodes, r.blocks = append(r.nodes, nd), append(r.blocks, block)
+			return nil
+		}) == nil
+	case wire.TypeStats:
+		var err error
+		r.stats, err = decodeStatsPayload(payload)
+		return err == nil
+	case wire.TypeSeal:
+		return len(payload) == 1
 	}
-	return nil
+	return false
 }
 
 // writeFileSync writes b to path and fsyncs the file.

@@ -12,13 +12,13 @@
 //   - log.wal — internal/wire frames (length + CRC32 + payload) of four
 //     record types from wire's one type table: the verbatim TypeNode
 //     frame of every push accepted on /nodes, one TypeBatch group frame
-//     per /batch (nodes plus the blocks the engine assigned — parallel
-//     assignment is racy, so the decisions are the durable fact, and
-//     one CRC makes the group all-or-nothing), a TypeStats estimator
-//     revision whenever an adaptive session's projection advanced,
-//     and a terminal TypeSeal. The log frames bytes with wire's own
-//     reader and frame sealer; any other type byte ends a scan like a
-//     torn tail. Appends are buffered; the service flushes to the OS
+//     per /batch (nodes plus the blocks the engine assigned — recorded
+//     so recovery replays the acknowledged decisions and never depends
+//     on the engine version, and one CRC makes the group
+//     all-or-nothing), a TypeStats estimator revision whenever an
+//     adaptive session's projection advanced, and a terminal TypeSeal.
+//     The log frames bytes with wire's own reader and frame sealer; any
+//     other type byte ends a recovery walk like a torn tail. Appends are buffered; the service flushes to the OS
 //     once per acknowledged chunk, and fsync is batched on a
 //     configurable interval, so a process crash loses nothing
 //     acknowledged and an OS crash loses at most the sync window. A
@@ -39,8 +39,9 @@
 //
 // The log is the only record of a session: no engine state is ever
 // written beside it, so ingest writes nothing but log frames. Recovery
-// scans the log, truncates a torn tail at the first bad frame, and
-// replays the whole valid prefix — linear in the logged nodes.
+// reads the log once: one walk decodes each record, replays it, and
+// stops at the first torn or invalid frame; only then is the log cut
+// there and reopened for appends — linear in the logged nodes.
 // Duplicate records are harmless: engine pushes are idempotent, so a
 // record logged twice replays to the same state.
 package wal
@@ -237,7 +238,7 @@ func (l *Log) extend() error {
 // replay exact whatever engine version replays them.
 //
 // The all-or-nothing guarantee requires exactly one frame, so a batch
-// whose encoding would exceed the recovery scan's frame bound is an
+// whose encoding would exceed the recovery walk's frame bound is an
 // error, never a silent split — the service turns that into a killed
 // session rather than a batch that could resurrect partially. The HTTP
 // layer cuts batches by bytes as well as count, so real ingest stays

@@ -112,11 +112,11 @@ func TestLogRoundTripSealed(t *testing.T) {
 		t.Fatalf("recovered %d sessions, want 1", len(got))
 	}
 	rec := got[0]
-	if rec.ID != "s1-0000abcd" || !rec.Sealed || rec.Spec.N != 1000 {
+	if rec.ID != "s1-0000abcd" || rec.Spec.N != 1000 {
 		t.Fatalf("recovered %+v", rec)
 	}
 	i := 0
-	err = rec.Replay(func(u, w int32, adj, ew []int32, block int32) error {
+	rl, sealed, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error {
 		want := recs[i]
 		if u != want.u || w != want.w || !equalI32(adj, want.adj) || !equalI32(ew, want.ew) {
 			t.Fatalf("record %d: got (%d,%d,%v,%v) want %+v", i, u, w, adj, ew, want)
@@ -127,10 +127,25 @@ func TestLogRoundTripSealed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !sealed {
+		t.Fatal("recovered log is not sealed")
+	}
 	if i != len(recs) {
 		t.Fatalf("replayed %d records, want %d", i, len(recs))
 	}
-	rec.Log.Close()
+	rl.Close()
+}
+
+// replayAll replays rec with a visitor that only counts the records,
+// and returns the reopened log, whether a seal ended it, and the count.
+func replayAll(t *testing.T, rec service.RecoveredSession) (*Log, bool, int64) {
+	t.Helper()
+	n := int64(0)
+	lg, sealed, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { n++; return nil }, nil)
+	if err != nil {
+		t.Fatalf("replay %s: %v", rec.ID, err)
+	}
+	return lg.(*Log), sealed, n
 }
 
 // TestCrashPointsKeepWholeFramePrefix enumerates the crash points of one
@@ -204,14 +219,18 @@ func TestCrashPointsKeepWholeFramePrefix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%scut %d: recover: %v", variant, cut, err)
 			}
-			rl := rec.Log.(*Log)
-			if rec.Sealed != wantSealed || rl.Sealed() != wantSealed || rl.Nodes() != wantNodes || rl.Flushed() != wantOff || fileSize(t, st, id) != wantOff {
-				t.Fatalf("%scut %d: recovered sealed=%v nodes=%d offset=%d file=%d, want %v %d %d %d",
-					variant, cut, rec.Sealed, rl.Nodes(), rl.Flushed(), fileSize(t, st, id), wantSealed, wantNodes, wantOff, wantOff)
+			if fileSize(t, st, id) != int64(len(data)) {
+				t.Fatalf("%scut %d: recovery cut the log to %d bytes before its replay", variant, cut, fileSize(t, st, id))
 			}
 			replayed := int64(0)
-			if err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { replayed++; return nil }, nil); err != nil {
+			slg, sealed, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { replayed++; return nil }, nil)
+			if err != nil {
 				t.Fatalf("%scut %d: replay: %v", variant, cut, err)
+			}
+			rl := slg.(*Log)
+			if sealed != wantSealed || rl.Sealed() != wantSealed || rl.Nodes() != wantNodes || rl.Flushed() != wantOff || fileSize(t, st, id) != wantOff {
+				t.Fatalf("%scut %d: recovered sealed=%v nodes=%d offset=%d file=%d, want %v %d %d %d",
+					variant, cut, sealed, rl.Nodes(), rl.Flushed(), fileSize(t, st, id), wantSealed, wantNodes, wantOff, wantOff)
 			}
 			if replayed != wantNodes {
 				t.Fatalf("%scut %d: replayed %d records, want %d", variant, cut, replayed, wantNodes)
@@ -229,10 +248,11 @@ func TestCrashPointsKeepWholeFramePrefix(t *testing.T) {
 				if !wantSealed {
 					wantAgain++ // the log resumed cleanly at the truncation point
 				}
-				if got := again[0].Log.(*Log).Nodes(); got != wantAgain {
-					t.Fatalf("%scut %d: %d records after resuming, want %d", variant, cut, got, wantAgain)
+				lg, _, replayed := replayAll(t, again[0])
+				if got := lg.Nodes(); got != wantAgain || replayed != wantAgain {
+					t.Fatalf("%scut %d: %d records (%d replayed) after resuming, want %d", variant, cut, got, replayed, wantAgain)
 				}
-				again[0].Log.Close()
+				lg.Close()
 			}
 
 			// The follower's side: the same bytes as a replica's copy.
@@ -295,10 +315,11 @@ func TestCrashPointsKeepWholeFramePrefix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%scut %d: recover adopted: %v", variant, cut, err)
 			}
-			if !got.Sealed || got.Log.(*Log).Nodes() != nodesAt[len(nodesAt)-1] {
-				t.Fatalf("%scut %d: adopted log sealed=%v nodes=%d", variant, cut, got.Sealed, got.Log.(*Log).Nodes())
+			alg, asealed, _ := replayAll(t, got)
+			if !asealed || alg.Nodes() != nodesAt[len(nodesAt)-1] {
+				t.Fatalf("%scut %d: adopted log sealed=%v nodes=%d", variant, cut, asealed, alg.Nodes())
 			}
-			got.Log.Close()
+			alg.Close()
 			if raw, err := os.ReadFile(pst.LogPath(id)); err != nil || !bytes.Equal(raw, full) {
 				t.Fatalf("%scut %d: adopted log differs from the owner's (%v)", variant, cut, err)
 			}
@@ -332,10 +353,71 @@ func TestCrashPointsKeepWholeFramePrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rl := rec.Log.(*Log); rl.Nodes() != 2 || rl.Flushed() != wantOff || rec.Sealed {
-			t.Fatalf("scan kept nodes=%d offset=%d sealed=%v, want 2 %d false", rl.Nodes(), rl.Flushed(), rec.Sealed, wantOff)
+		rl, sealed, _ := replayAll(t, rec)
+		if rl.Nodes() != 2 || rl.Flushed() != wantOff || sealed {
+			t.Fatalf("walk kept nodes=%d offset=%d sealed=%v, want 2 %d false", rl.Nodes(), rl.Flushed(), sealed, wantOff)
 		}
-		rec.Log.Close()
+		rl.Close()
+	}
+}
+
+// TestUndecodableBatchAppliesNone: a batch frame whose checksum holds
+// but whose second node does not decode is no record. Replay must not
+// hand the visitor its first node either — the group is all-or-nothing
+// — and recovery cuts the log in front of it, dropping the healthy
+// node frame behind. A replica refuses the same frame.
+func TestUndecodableBatchAppliesNone(t *testing.T) {
+	const id = "s1-0000ba7c"
+	st := openStore(t, t.TempDir())
+	lg, err := st.Create(id, spec(8, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg.Close()
+	var data []byte
+	for u := int32(0); u < 2; u++ {
+		data = append(data, framed(u, 1, []int32{(u + 1) % 2}, nil).Frame...)
+	}
+	wantOff := int64(len(data))
+	payload := wire.AppendBatchHeader(nil, []int32{0, 1})
+	payload = append(payload, framed(2, 1, []int32{0}, nil).Frame[wire.FrameHeaderSize:]...)
+	payload = append(payload, wire.TypeNode, 9) // a node record cut short
+	batch := wire.AppendFrame(nil, payload)
+	data = append(data, batch...)
+	data = append(data, framed(3, 1, nil, nil).Frame...)
+	if err := os.WriteFile(st.LogPath(id), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := st.RecoverSession(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var us []int32
+	slg, sealed, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error {
+		us = append(us, u)
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl := slg.(*Log)
+	defer rl.Close()
+	if len(us) != 2 || us[0] != 0 || us[1] != 1 {
+		t.Fatalf("replay visited %v, want [0 1]", us)
+	}
+	if sealed || rl.Nodes() != 2 || rl.Flushed() != wantOff || fileSize(t, st, id) != wantOff {
+		t.Fatalf("recovered sealed=%v nodes=%d offset=%d file=%d, want false 2 %d %d",
+			sealed, rl.Nodes(), rl.Flushed(), fileSize(t, st, id), wantOff, wantOff)
+	}
+
+	rep, err := st.OpenReplica("s1-0000ba7d", []byte(`{"id":"s1-0000ba7d","spec":{"n":8,"m":8,"k":8}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	if err := rep.Append(payload, batch); err == nil || rep.Offset() != 0 {
+		t.Fatalf("replica took the undecodable batch (offset %d, err %v)", rep.Offset(), err)
 	}
 }
 
@@ -555,7 +637,8 @@ func TestRecoverUnclosedLogKeepsEveryRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rec.Log.(*Log)
+		rl, _, _ := replayAll(t, rec)
+		return rl
 	}
 	rl := recoverLog()
 	if rl.Nodes() != 3 || rl.Flushed() != acked {
@@ -768,7 +851,7 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 		t.Fatalf("recovered %d sessions, want 1", len(got))
 	}
 	i := 0
-	err = got[0].Replay(func(u, w int32, adj, ew []int32, block int32) error {
+	rl, _, err := got[0].Replay(func(u, w int32, adj, ew []int32, block int32) error {
 		want := recs[i]
 		if u != want.u || w != want.w || !equalI32(adj, want.adj) {
 			t.Fatalf("record %d: got (%d,%d,%v), want %+v", i, u, w, adj, want)
@@ -792,7 +875,7 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 	if i != 401 {
 		t.Fatalf("replayed %d records, want 401", i)
 	}
-	got[0].Log.Close()
+	rl.Close()
 }
 
 // TestOversizedBatchRejectedNotSplit: a batch that cannot fit one frame
