@@ -6,13 +6,16 @@
 //
 //	omspart -graph web.metis -k 1024
 //
-// Process mapping onto a 4:16:8 machine (OMS):
+// Process mapping onto a 4:16:8 machine (OMS), loaded into memory and
+// streamed by 8 threads:
 //
-//	omspart -graph web.metis -topo 4:16:8 -dist 1:10:100 -threads 8
+//	omspart -graph web.metis -topo 4:16:8 -dist 1:10:100 -inmemory -threads 8
 //
 // Comparators: -alg fennel | ldg | hashing | multilevel | offline.
 // multilevel and offline load the whole graph into memory; the streaming
-// algorithms run from disk unless -inmemory is set.
+// algorithms run from disk unless -inmemory is set. A pass from disk
+// parses ahead on a core of its own and assigns in file order on one
+// worker whatever -threads says: use -inmemory for a parallel pass.
 package main
 
 import (
@@ -33,7 +36,7 @@ func main() {
 		distStr   = flag.String("dist", "1:10:100", "level distances d1:d2:...:dl")
 		alg       = flag.String("alg", "oms", "oms | fennel | ldg | hashing | multilevel | offline")
 		eps       = flag.Float64("eps", 0.03, "allowed imbalance")
-		threads   = flag.Int("threads", 1, "streaming worker threads")
+		threads   = flag.Int("threads", 1, "streaming worker threads; use -inmemory for a parallel pass (from disk the pass runs in file order on one worker)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		base      = flag.Int("base", 4, "artificial hierarchy base (nh-OMS)")
 		hashLay   = flag.Int("hashlayers", 0, "bottom layers solved by Hashing (hybrid OMS)")

@@ -296,22 +296,15 @@ func (o *OMS) ForceAssign(u int32, vwgt int32, leaf int32) {
 }
 
 // Run performs the single streaming pass (Algorithm 1) and returns the
-// partition vector. With cfg.Threads > 1 the node loop is parallelized in
-// the vertex-centric fashion of §3.4: block loads are incremented
-// atomically and neighbor assignments are read racily (a not-yet-visible
-// neighbor simply contributes no gain, exactly as in the paper's OpenMP
-// scheme).
+// partition vector. With cfg.Threads > 1 over a source that holds its
+// nodes (stream.Parallel), the node loop is parallelized in the
+// vertex-centric fashion of §3.4: block loads are incremented atomically
+// and neighbor assignments are read racily (a not-yet-visible neighbor
+// simply contributes no gain, exactly as in the paper's OpenMP scheme).
 func (o *OMS) Run(src stream.Source) ([]int32, error) {
-	var err error
-	if o.cfg.Threads <= 1 {
-		err = src.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) {
-			o.assign(0, u, vwgt, adj, ewgt)
-		})
-	} else {
-		err = src.ForEachParallel(o.cfg.Threads, func(w int, u int32, vwgt int32, adj []int32, ewgt []int32) {
-			o.assign(w, u, vwgt, adj, ewgt)
-		})
-	}
+	err := stream.Parallel(src, o.cfg.Threads, func(w int, u int32, vwgt int32, adj []int32, ewgt []int32) {
+		o.assign(w, u, vwgt, adj, ewgt)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ type Header struct {
 
 // ParseHeader parses the METIS header line.
 func ParseHeader(line string) (Header, error) {
-	fields := splitFields(line)
+	fields := splitFields(nil, line)
 	if len(fields) < 2 {
 		return Header{}, fmt.Errorf("graphio: header needs at least 2 fields, got %q", line)
 	}
@@ -172,6 +172,7 @@ type MetisScanner struct {
 	vwgt   int32
 	adj    []int32
 	wgt    []int32
+	fields []string // Next's scratch, reused line to line
 	err    error
 	done   bool
 }
@@ -216,7 +217,8 @@ func (s *MetisScanner) Next() bool {
 	s.adj = s.adj[:0]
 	s.wgt = s.wgt[:0]
 	s.vwgt = 1
-	fields := splitFields(line)
+	s.fields = splitFields(s.fields[:0], line)
+	fields := s.fields
 	i := 0
 	if s.header.HasNodeWeights {
 		if len(fields) == 0 {
@@ -326,10 +328,9 @@ func trimSpace(s string) string {
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
-// splitFields splits on runs of whitespace without allocating a new string
-// per call beyond the result slice.
-func splitFields(s string) []string {
-	var out []string
+// splitFields appends the whitespace-separated fields of s to out; the
+// fields share s's bytes.
+func splitFields(out []string, s string) []string {
 	i := 0
 	for i < len(s) {
 		for i < len(s) && isSpace(s[i]) {

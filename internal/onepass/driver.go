@@ -16,20 +16,13 @@ type Algorithm interface {
 	K() int32
 }
 
-// Run performs one full pass of alg over src with the given number of
-// threads (<= 1 means sequential and deterministic) and returns the
-// partition vector.
+// Run performs one full pass of alg over src with up to threads workers
+// (see stream.Parallel; <= 1 means sequential and deterministic) and
+// returns the partition vector.
 func Run(src stream.Source, alg Algorithm, threads int) ([]int32, error) {
-	var err error
-	if threads <= 1 {
-		err = src.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) {
-			alg.Assign(0, u, vwgt, adj, ewgt)
-		})
-	} else {
-		err = src.ForEachParallel(threads, func(worker int, u int32, vwgt int32, adj []int32, ewgt []int32) {
-			alg.Assign(worker, u, vwgt, adj, ewgt)
-		})
-	}
+	err := stream.Parallel(src, threads, func(worker int, u int32, vwgt int32, adj []int32, ewgt []int32) {
+		alg.Assign(worker, u, vwgt, adj, ewgt)
+	})
 	if err != nil {
 		return nil, err
 	}

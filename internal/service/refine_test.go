@@ -356,10 +356,6 @@ func (bs *blockingStore) ForEach(fn stream.Visitor) error {
 	return nil
 }
 
-func (bs *blockingStore) ForEachParallel(threads int, fn stream.ParallelVisitor) error {
-	return bs.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) { fn(0, u, vwgt, adj, ewgt) })
-}
-
 // TestEvictionSparesActiveRefinement: a session whose refine job is
 // running is not idle — the janitor must not destroy it under the job.
 func TestEvictionSparesActiveRefinement(t *testing.T) {

@@ -1,10 +1,6 @@
 package stream
 
-import (
-	"fmt"
-
-	"oms/internal/util"
-)
+import "fmt"
 
 // Buffer is the push-source adapter: a Source populated one node at a
 // time by Append instead of pulled from a graph or file. It backs the
@@ -80,17 +76,5 @@ func (b *Buffer) ForEach(fn Visitor) error {
 	for i := range b.ids {
 		fn(b.node(i))
 	}
-	return nil
-}
-
-// ForEachParallel implements Source: workers replay disjoint contiguous
-// arrival ranges concurrently.
-func (b *Buffer) ForEachParallel(threads int, fn ParallelVisitor) error {
-	util.ParallelFor(len(b.ids), threads, func(worker, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u, w, adj, ewgt := b.node(i)
-			fn(worker, u, w, adj, ewgt)
-		}
-	})
 	return nil
 }

@@ -65,7 +65,7 @@ func TestBufferParallelCoversAll(t *testing.T) {
 	buf := recordStream(t, NewMemory(g))
 	var mu sync.Mutex
 	seen := make(map[int32]bool)
-	err := buf.ForEachParallel(4, func(worker int, u int32, vwgt int32, adj []int32, ewgt []int32) {
+	err := Parallel(buf, 4, func(worker int, u int32, vwgt int32, adj []int32, ewgt []int32) {
 		mu.Lock()
 		if seen[u] {
 			t.Errorf("node %d visited twice", u)

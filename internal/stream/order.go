@@ -117,22 +117,16 @@ func (r *Reordered) Stats() (Stats, error) { return NewMemory(r.G).Stats() }
 
 // ForEach implements Source: one pass in the permuted order.
 func (r *Reordered) ForEach(fn Visitor) error {
-	g := r.G
-	for _, u := range r.Perm {
-		fn(u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u))
+	for i := range r.Perm {
+		fn(r.node(i))
 	}
 	return nil
 }
 
-// ForEachParallel implements Source: workers take contiguous chunks of
-// the permuted sequence, mirroring Memory's chunking.
-func (r *Reordered) ForEachParallel(threads int, fn ParallelVisitor) error {
-	g := r.G
-	util.ParallelFor(len(r.Perm), threads, func(worker, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u := r.Perm[i]
-			fn(worker, u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u))
-		}
-	})
-	return nil
+// Len returns the number of nodes in a pass.
+func (r *Reordered) Len() int { return len(r.Perm) }
+
+func (r *Reordered) node(i int) (int32, int32, []int32, []int32) {
+	g, u := r.G, r.Perm[i]
+	return u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u)
 }

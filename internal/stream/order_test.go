@@ -150,8 +150,8 @@ func TestReorderedParallelCoversAll(t *testing.T) {
 	r := NewReordered(g, OrderRandom, 3)
 	seen := make([]int32, g.NumNodes()) // int32 for atomic-free check via count
 	done := make(chan []int32, 4)
-	// ForEachParallel guarantees disjoint coverage; collect per worker.
-	err := r.ForEachParallel(4, func(worker int, u int32, vwgt int32, adj []int32, ewgt []int32) {
+	// Parallel guarantees disjoint coverage; collect per worker.
+	err := Parallel(r, 4, func(worker int, u int32, vwgt int32, adj []int32, ewgt []int32) {
 		seen[u]++
 	})
 	if err != nil {

@@ -73,7 +73,7 @@ func TestMemoryParallelCoversAll(t *testing.T) {
 	g := gen.ErdosRenyi(500, 1500, 3)
 	var mu sync.Mutex
 	seen := make([]int, 500)
-	err := NewMemory(g).ForEachParallel(4, func(w int, u int32, vwgt int32, adj []int32, ewgt []int32) {
+	err := Parallel(NewMemory(g), 4, func(w int, u int32, vwgt int32, adj []int32, ewgt []int32) {
 		mu.Lock()
 		seen[u]++
 		mu.Unlock()
@@ -151,7 +151,7 @@ func TestDiskParallelCoversAll(t *testing.T) {
 	var mu sync.Mutex
 	seen := make([]int, 3000)
 	degs := make([]int, 3000)
-	err := d.ForEachParallel(4, func(w int, u int32, vwgt int32, adj []int32, ewgt []int32) {
+	err := Parallel(d, 4, func(w int, u int32, vwgt int32, adj []int32, ewgt []int32) {
 		mu.Lock()
 		seen[u]++
 		degs[u] = len(adj)
@@ -174,7 +174,7 @@ func TestDiskParallelSingleThread(t *testing.T) {
 	g := gen.ErdosRenyi(100, 300, 13)
 	d := NewDisk(writeTempMetis(t, g))
 	var order []int32
-	err := d.ForEachParallel(1, func(w int, u int32, vwgt int32, adj []int32, ewgt []int32) {
+	err := Parallel(d, 1, func(w int, u int32, vwgt int32, adj []int32, ewgt []int32) {
 		order = append(order, u)
 	})
 	if err != nil {

@@ -117,16 +117,6 @@ func (r *ReplaySource) newSeen() func(int32) bool {
 	}
 }
 
-// ForEachParallel implements stream.Source. Log parsing is inherently
-// sequential and every consumer (cut measurement, restream passes) is
-// too, so the whole pass is ForEach's single in-order consumer on worker
-// 0 whatever threads asks for.
-func (r *ReplaySource) ForEachParallel(threads int, fn stream.ParallelVisitor) error {
-	return r.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) {
-		fn(0, u, vwgt, adj, ewgt)
-	})
-}
-
 // readSpec loads and validates a session directory's spec envelope.
 func readSpec(dir string) (specEnvelope, error) {
 	var env specEnvelope

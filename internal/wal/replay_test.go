@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"oms/internal/service"
+	"oms/internal/stream"
 )
 
 // TestReplaySourceMatchesIngestedStream: the replay source yields the
@@ -68,7 +69,7 @@ func TestReplaySourceMatchesIngestedStream(t *testing.T) {
 	// The parallel walk is the same in-order pass on worker 0, whatever
 	// thread count it is asked for.
 	i := 0
-	err = src.ForEachParallel(4, func(w int, u int32, _ int32, adj []int32, _ []int32) {
+	err = stream.Parallel(src, 4, func(w int, u int32, _ int32, adj []int32, _ []int32) {
 		if w != 0 || u != recs[i].u || !equalI32(adj, recs[i].adj) {
 			t.Fatalf("parallel replay record %d: worker %d node %d, want worker 0 node %d", i, w, u, recs[i].u)
 		}
@@ -141,7 +142,7 @@ func TestReplaySourceCoversBatchFrames(t *testing.T) {
 	}
 	// The parallel walk dedups like ForEach.
 	counts := make([]int32, 6)
-	if err := src.ForEachParallel(3, func(_ int, u int32, _ int32, _ []int32, _ []int32) {
+	if err := stream.Parallel(src, 3, func(_ int, u int32, _ int32, _ []int32, _ []int32) {
 		counts[u]++
 	}); err != nil {
 		t.Fatal(err)

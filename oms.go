@@ -109,9 +109,13 @@ type Options struct {
 	VanillaAlpha bool
 	// Gamma is the Fennel exponent; 0 means the paper's 1.5.
 	Gamma float64
-	// Threads parallelizes the streaming loop vertex-centrically (§3.4);
-	// values <= 1 run sequentially and deterministically. Push sessions
-	// ignore it: they always assign in stream order.
+	// Threads parallelizes the streaming loop vertex-centrically (§3.4)
+	// over a source that holds its nodes (NewMemorySource,
+	// NewOrderedSource); values <= 1 run sequentially and
+	// deterministically. A file source (NewDiskSource, NewWireSource)
+	// decodes ahead on a core of its own and assigns in file order on one
+	// worker whatever Threads says, so its result equals the sequential
+	// one. Push sessions ignore it: they always assign in stream order.
 	Threads int
 	// Seed randomizes hashing and tie-breaking.
 	Seed uint64
@@ -182,7 +186,9 @@ func (r *Result) CheckBalanced(g *Graph, eps float64) error {
 // Source is a restartable one-pass node stream: nodes arrive one at a
 // time together with their adjacency lists. Use NewMemorySource for
 // in-memory graphs or NewDiskSource to stream a METIS file from disk
-// without loading it.
+// without loading it. Options.Threads > 1 fans a pass out only over a
+// source that holds its nodes; a file source runs one in-order pass
+// with its decode ahead on a core of its own.
 type Source = stream.Source
 
 // Topology describes a hierarchical machine: a spec S = a1:a2:...:al

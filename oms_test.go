@@ -1,8 +1,11 @@
 package oms_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"oms"
@@ -119,6 +122,11 @@ func TestRestreamImproves(t *testing.T) {
 	}
 }
 
+// TestDiskSourceMatchesMemory: a graph streamed from a METIS file
+// partitions exactly like the in-memory graph, and so does an
+// edge-weighted RMAT file mapped onto 4:16:8 and partitioned at k = 64,
+// with one P and with two, sequentially and with Threads: 2, which runs
+// the file's pass in order on worker 0.
 func TestDiskSourceMatchesMemory(t *testing.T) {
 	g := oms.GenDelaunay(2000, 17)
 	dir := t.TempDir()
@@ -139,6 +147,80 @@ func TestDiskSourceMatchesMemory(t *testing.T) {
 		if mem.Parts[u] != disk.Parts[u] {
 			t.Fatalf("disk and memory streams disagree at node %d", u)
 		}
+	}
+
+	g = oms.GenRMATSocial(1<<13, 1<<16, 9825)
+	weighted := false
+	for u := int32(0); u < g.NumNodes() && !weighted; u++ {
+		weighted = len(g.EdgeWeights(u)) > 0
+	}
+	if !weighted {
+		t.Fatal("the RMAT graph carries no edge weights")
+	}
+	path = filepath.Join(dir, "rmat.metis")
+	if err := oms.WriteMetisFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	top := oms.MustTopology("4:16:8", "1:10:100")
+	wantMap, err := oms.MapGraph(g, top, oms.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPart, err := oms.PartitionGraph(g, 64, oms.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, threads := range []int{0, 2} {
+			opt := oms.Options{Threads: threads}
+			got, err := oms.Map(oms.NewDiskSource(path), top, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Parts, wantMap.Parts) {
+				t.Errorf("GOMAXPROCS %d, Threads %d: Map from the METIS file differs from memory", procs, threads)
+			}
+			got, err = oms.Partition(oms.NewDiskSource(path), 64, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Parts, wantPart.Parts) {
+				t.Errorf("GOMAXPROCS %d, Threads %d: Partition from the METIS file differs from memory", procs, threads)
+			}
+		}
+	}
+}
+
+// diskBenchResult keeps the measured call's result alive.
+var diskBenchResult *oms.Result
+
+// BenchmarkDiskSourcePartition: oms.Partition at k = 4096 of a 2^17-node
+// random geometric graph streamed from a METIS file, with one and two
+// threads. The parse bounds the pass, so both run it decoded ahead and
+// assigned in file order.
+func BenchmarkDiskSourcePartition(b *testing.B) {
+	g := oms.GenRGG2D(1<<17, 9826)
+	path := filepath.Join(b.TempDir(), "g.metis")
+	if err := oms.WriteMetisFile(path, g); err != nil {
+		b.Fatal(err)
+	}
+	n := g.NumNodes()
+	g = nil
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads-%d", threads), func(b *testing.B) {
+			src := oms.NewDiskSource(path)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := oms.Partition(src, 4096, oms.Options{Threads: threads})
+				if err != nil {
+					b.Fatal(err)
+				}
+				diskBenchResult = res
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node")
+		})
 	}
 }
 
