@@ -205,7 +205,9 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		if err != nil {
 			return err
 		}
-		replicas, err := wal.Open(filepath.Join(*dataDir, "replica"), wal.Options{SyncInterval: *walSync})
+		// No Options: a replica syncs on the follower's ack tick, not on
+		// -wal-sync.
+		replicas, err := wal.Open(filepath.Join(*dataDir, "replica"), wal.Options{})
 		if err != nil {
 			return fmt.Errorf("omsd: open replica dir: %w", err)
 		}

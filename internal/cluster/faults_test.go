@@ -193,6 +193,10 @@ func TestShippedFrameCorruptionNackAndResume(t *testing.T) {
 			break
 		}
 	}
+	// The final ack may be the acker's tick: wait for the follower to
+	// hang up, which it does only after closing the replica — frames
+	// synced, zero tail cut.
+	io.Copy(io.Discard, s2.resp.Body)
 	s2.resp.Body.Close()
 	if final != int64(len(want)) {
 		t.Fatalf("final ack %d, want %d", final, len(want))
@@ -303,11 +307,16 @@ func TestPartitionedFollowerCatchUp(t *testing.T) {
 	follower := tc.nodes["n2"]
 	cl := client.New(n1.url)
 	pushN(t, cl, id, 0, 1000)
+	// A live replica's file runs on into its zero tail, like the owner's:
+	// replicated means the owner's flushed bytes, then only zeros.
+	var before int64
 	waitFor(t, 5*time.Second, "first half replicated", func() bool {
-		fi, err := os.Stat(follower.replicas.LogPath(id))
-		return err == nil && fi.Size() > 0 && fi.Size() == logFlushed(n1, id)
+		before = logFlushed(n1, id)
+		got, err := os.ReadFile(follower.replicas.LogPath(id))
+		want := readLog(t, n1.store, id)
+		return err == nil && before > 0 && int64(len(got)) >= before &&
+			bytes.Equal(got[:before], want[:before]) && len(bytes.Trim(got[before:], "\x00")) == 0
 	})
-	before, _ := os.Stat(follower.replicas.LogPath(id))
 
 	// Partition: the follower vanishes; async ingest keeps going.
 	dir := tc.stopNode("n2")
@@ -330,8 +339,8 @@ func TestPartitionedFollowerCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Size() <= before.Size() {
-		t.Fatalf("replica did not grow across the partition: %d -> %d", before.Size(), after.Size())
+	if after.Size() <= before {
+		t.Fatalf("replica did not grow across the partition: %d -> %d", before, after.Size())
 	}
 }
 

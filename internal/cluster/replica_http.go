@@ -12,9 +12,11 @@ import (
 	"oms/internal/wire"
 )
 
-// ackEvery is the follower's ack cadence: appended frames are fsynced
-// and acknowledged at most this often (plus once at stream end), so a
-// sync-mode owner waits one tick, not one fsync per record.
+// ackEvery is the follower's ack cadence and so its sync cadence:
+// appended frames are written through, synced (fdatasync over the
+// replica's zero tail) and acknowledged at most this often (plus once
+// at stream end), so a sync-mode owner waits one tick, not one sync per
+// record.
 const ackEvery = 5 * time.Millisecond
 
 // replicaStream is one inbound replication stream's shared state. The
@@ -28,11 +30,25 @@ type replicaStream struct {
 	closed bool
 }
 
-// closeLocked detaches the stream from its file. Idempotent.
-func (rs *replicaStream) closeLocked() {
-	if !rs.closed {
-		rs.closed = true
-		rs.rl.Close()
+// closeLocked detaches the stream from its file: the replica's Close
+// writes its frames through, syncs them and cuts its zero tail. A failed
+// close means the tail may not be durable when a promotion renames the
+// file, so callers log it. Idempotent; only the first call can fail.
+func (rs *replicaStream) closeLocked() error {
+	if rs.closed {
+		return nil
+	}
+	rs.closed = true
+	return rs.rl.Close()
+}
+
+// closeStream closes rs under its lock and logs a close that failed.
+func (n *Node) closeStream(id string, rs *replicaStream) {
+	rs.mu.Lock()
+	err := rs.closeLocked()
+	rs.mu.Unlock()
+	if err != nil {
+		n.cfg.Logf("cluster: replica %s: close: %v", id, err)
 	}
 }
 
@@ -47,9 +63,7 @@ func (n *Node) closeReplicaStream(id, why string) {
 	if rs == nil {
 		return
 	}
-	rs.mu.Lock()
-	rs.closeLocked()
-	rs.mu.Unlock()
+	n.closeStream(id, rs)
 	n.cfg.Logf("cluster: replica stream %s closed (%s)", id, why)
 }
 
@@ -112,16 +126,12 @@ func (n *Node) serveReplicaStream(w http.ResponseWriter, r *http.Request, id str
 	if old := n.repl[id]; old != nil {
 		// The owner reconnected before the old connection noticed; the
 		// new stream supersedes it.
-		old.mu.Lock()
-		old.closeLocked()
-		old.mu.Unlock()
+		n.closeStream(id, old)
 	}
 	n.repl[id] = rs
 	n.mu.Unlock()
 	defer func() {
-		rs.mu.Lock()
-		rs.closeLocked()
-		rs.mu.Unlock()
+		n.closeStream(id, rs)
 		n.mu.Lock()
 		if n.repl[id] == rs {
 			delete(n.repl, id)
@@ -148,6 +158,19 @@ func (n *Node) serveReplicaStream(w http.ResponseWriter, r *http.Request, id str
 		return rc.Flush()
 	}
 
+	// endStream closes the replica before the stream's last ack or nack,
+	// so the offset it names is where the replica file ends. The owner
+	// counts a nacked offset as durable too, so a replica whose close
+	// failed sends neither, and the owner resumes from its last ack.
+	// Callers hold rs.mu.
+	endStream := func(typ byte) {
+		if err := rs.closeLocked(); err != nil {
+			n.cfg.Logf("cluster: replica %s: close: %v", id, err)
+			return
+		}
+		sendCtl(typ, rl.Offset())
+	}
+
 	rs.mu.Lock()
 	lastAck := rl.Offset()
 	err = sendCtl(repAck, lastAck)
@@ -156,8 +179,8 @@ func (n *Node) serveReplicaStream(w http.ResponseWriter, r *http.Request, id str
 		return
 	}
 
-	// The acker: every tick, fsync and acknowledge whatever arrived
-	// since the last ack. Decoupling acks from appends keeps the fsync
+	// The acker: every tick, sync and acknowledge whatever arrived
+	// since the last ack. Decoupling acks from appends keeps the sync
 	// rate bounded, and keeps a sync-mode owner from waiting on a quiet
 	// stream (the idle tick acks the tail).
 	ackDone := make(chan struct{})
@@ -198,24 +221,16 @@ func (n *Node) serveReplicaStream(w http.ResponseWriter, r *http.Request, id str
 				return
 			}
 			if errors.Is(err, io.EOF) {
-				// Clean end of stream: make the tail durable and ack it.
-				if rl.Sync() == nil {
-					sendCtl(repAck, rl.Offset())
-				}
+				endStream(repAck) // clean end of stream: ack the durable tail
 				return
 			}
-			// Torn or corrupt frame on the wire: whatever is on disk up
+			// Torn or corrupt frame on the wire: whatever was appended up
 			// to Offset is intact — nack it so the owner resends from
-			// there on a fresh connection. The owner counts a nacked
-			// offset as durable, so a replica whose sync failed sends
-			// none: the stream just closes, and the owner resumes from
-			// the last offset it was acked.
+			// there on a fresh connection.
 			if n.nacks != nil {
 				n.nacks.Inc()
 			}
-			if rl.Sync() == nil {
-				sendCtl(repNack, rl.Offset())
-			}
+			endStream(repNack)
 			n.cfg.Logf("cluster: replica %s: corrupt frame (%v), offset %d", id, err, rl.Offset())
 			return
 		}
@@ -225,9 +240,7 @@ func (n *Node) serveReplicaStream(w http.ResponseWriter, r *http.Request, id str
 			return
 		}
 		if err := rl.Append(payload, frame); err != nil {
-			if rl.Sync() == nil {
-				sendCtl(repNack, rl.Offset())
-			}
+			endStream(repNack)
 			rs.mu.Unlock()
 			n.cfg.Logf("cluster: replica %s: %v, offset %d", id, err, rl.Offset())
 			return

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"oms/internal/wire"
 )
@@ -16,30 +15,26 @@ import (
 // and the follower appends exactly what it validated, the replica file
 // is byte-for-byte the owner's file up to the replicated offset — so
 // promotion is nothing but the ordinary recovery walk over a log this
-// node happens not to have written itself.
+// node happens not to have written itself. It shares the owner's log
+// writer (logFile), so a sealed and closed replica is the owner's log
+// byte for byte.
 //
 // A ReplicaLog is driven by the single replication-stream handler that
-// owns it; it is not safe for concurrent use.
+// owns it; it is not safe for concurrent use, and takes no call after
+// Close.
 type ReplicaLog struct {
-	f      *os.File
+	logFile
 	rec    record // Append's decode scratch
-	size   int64  // validated byte length == next append offset
 	sealed bool
-	// fsync syncs f (a seam: tests inject disk faults).
-	fsync func() error
-	// syncErr is the first failed fsync, never retried for the reason
-	// Log.syncErr gives: a later fsync can succeed over frames the kernel
-	// already dropped. The replica is dead from then on — Append and Sync
-	// both return syncErr, so no offset past the failure is ever acked.
-	syncErr error
 }
 
 // OpenReplica opens (creating if needed) the replica log for session id
 // inside this store, persisting spec verbatim as the session's spec.json
 // if none exists yet. The log's valid frame prefix is walked exactly
 // like recovery walks it, with no visitor, and any torn tail — a
-// follower crash mid-append — is truncated, so Offset is always a
-// whole-frame boundary the owner can resume shipping from.
+// follower crash mid-append, or the zero tail it was appending over —
+// is truncated, so Offset is always a whole-frame boundary the owner
+// can resume shipping from.
 func (st *Store) OpenReplica(id string, spec []byte) (*ReplicaLog, error) {
 	dir := filepath.Join(st.dir, id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -69,7 +64,7 @@ func (st *Store) OpenReplica(id string, spec []byte) (*ReplicaLog, error) {
 		f.Close()
 		return nil, err
 	}
-	return &ReplicaLog{f: f, size: validEnd, sealed: sealed, fsync: f.Sync}, nil
+	return &ReplicaLog{logFile: newLogFile(f, validEnd, nil), sealed: sealed}, nil
 }
 
 // Offset returns the validated, appended byte length of the replica —
@@ -89,42 +84,35 @@ func (r *ReplicaLog) Sealed() bool { return r.sealed }
 // discovered at promotion. A rejected frame leaves the file untouched —
 // the owner re-ships from the last acked offset.
 func (r *ReplicaLog) Append(payload, frame []byte) error {
-	if r.syncErr != nil {
-		return r.syncErr
-	}
 	if r.sealed {
 		return fmt.Errorf("wal: append to sealed replica")
 	}
 	if !r.rec.decode(payload) {
 		return fmt.Errorf("wal: shipped frame is not a valid log record")
 	}
-	if _, err := r.f.Write(frame); err != nil {
+	if err := r.buffer(frame); err != nil {
 		return err
 	}
-	r.size += int64(len(frame))
 	r.sealed = r.rec.typ == wire.TypeSeal
 	return nil
 }
 
-// Sync forces appended frames to stable storage; the replication
-// handler calls it before acknowledging an offset, so an acked offset
-// survives a follower crash. After a failed fsync it only reports that
-// failure.
-func (r *ReplicaLog) Sync() error {
-	if r.syncErr == nil {
-		if err := r.fsync(); err != nil {
-			r.syncErr = fmt.Errorf("wal: replica fsync failed, replica is dead: %w", err)
-		}
-	}
-	return r.syncErr
-}
+// Sync writes appended frames through and forces them to stable
+// storage; the replication handler calls it before acknowledging an
+// offset, so an acked offset survives a follower crash. An open replica
+// runs on into its zero tail, so the sync is fdatasync; a sealed one
+// takes no more frames and grows no tail. After a failed sync or zero
+// fill it only reports that failure.
+func (r *ReplicaLog) Sync() error { return r.sync(r.sealed) }
 
-// Close releases the replica log, leaving its files in place.
-func (r *ReplicaLog) Close() error { return r.f.Close() }
+// Close writes the appended frames through, syncs them, truncates the
+// zero tail and releases the file, leaving the session's files in
+// place. A failed Close means the tail may not be durable.
+func (r *ReplicaLog) Close() error { return r.closeFile(r.sync(true)) }
 
-// ReplicaIDs lists the session ids present in this store's directory
-// without recovering them — the promotion scan walks it to decide which
-// replicas this node now owns.
+// ReplicaIDs lists the session ids present in this store's directory,
+// in name order, without recovering them — Recover walks it, and so does
+// the promotion scan to decide which replicas this node now owns.
 func (st *Store) ReplicaIDs() ([]string, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -136,8 +124,7 @@ func (st *Store) ReplicaIDs() ([]string, error) {
 			out = append(out, e.Name())
 		}
 	}
-	sort.Strings(out)
-	return out, nil
+	return out, nil // os.ReadDir sorts by name
 }
 
 // ReadSpecBytes returns one session's spec.json verbatim — the bytes

@@ -1,14 +1,12 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"oms"
@@ -97,7 +95,7 @@ func (st *Store) createIn(dir, id string, spec service.CreateSpec) (*Log, error)
 		f.Close()
 		return nil, err
 	}
-	return st.newLog(f, dir), nil
+	return st.newLog(f, dir, 0), nil
 }
 
 // Remove implements service.Store: it garbage-collects the session's
@@ -113,20 +111,16 @@ func (st *Store) Remove(id string) error {
 // rebuilds a RecoveredSession per entry. Unrecoverable sessions are
 // skipped; their errors are joined into the returned (advisory) error.
 func (st *Store) Recover() ([]service.RecoveredSession, error) {
-	entries, err := os.ReadDir(st.dir)
+	ids, err := st.ReplicaIDs()
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name() < entries[j].Name() })
 	var out []service.RecoveredSession
 	var errs []error
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		rec, err := st.RecoverSession(e.Name())
+	for _, id := range ids {
+		rec, err := st.RecoverSession(id)
 		if err != nil {
-			errs = append(errs, fmt.Errorf("wal: session %s: %w", e.Name(), err))
+			errs = append(errs, fmt.Errorf("wal: session %s: %w", id, err))
 			continue
 		}
 		out = append(out, rec)
@@ -196,26 +190,22 @@ func (st *Store) RecoverSession(id string) (service.RecoveredSession, error) {
 			f.Close()
 			return nil, false, err
 		}
-		l := st.newLog(f, dir)
-		// openValidated cut any zero tail: the file ends at validEnd.
-		l.nodes, l.sealed, l.size, l.flushed, l.extent = nodes, sealed, validEnd, validEnd, validEnd
+		l := st.newLog(f, dir, validEnd)
+		l.nodes, l.sealed = nodes, sealed
 		return l, sealed, nil
 	}
 	return service.RecoveredSession{ID: id, Spec: env.Spec, Replay: replay, Versions: recoverVersions(dir)}, nil
 }
 
-// newLog wraps an open log file handle.
-func (st *Store) newLog(f *os.File, dir string) *Log {
+// newLog wraps an open log file handle whose valid records end at end
+// (openValidated cut any zero tail).
+func (st *Store) newLog(f *os.File, dir string, end int64) *Log {
 	return &Log{
-		f:         f,
-		w:         bufio.NewWriterSize(f, 64<<10),
+		logFile:   newLogFile(f, end, st.opt.ObserveFsync),
 		dir:       dir,
 		syncEvery: st.opt.SyncInterval,
 		lastSync:  time.Now(),
-		fsync:     datasync(f),
-		writeAt:   f.WriteAt,
 		obsAppend: st.opt.ObserveAppend,
-		obsFsync:  st.opt.ObserveFsync,
 	}
 }
 
@@ -344,13 +334,12 @@ func writeFileSync(path string, b []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return err
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	return err
 }

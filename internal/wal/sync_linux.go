@@ -9,8 +9,9 @@ import (
 // metadata needed to read it back — size, blocks — but not timestamps.
 // Over the zero tail a flush changes neither size nor blocks, so the
 // sync writes the data without waiting for a file-system journal
-// commit. It reuses f's descriptor without allocating; the log calls it
-// only under its mutex, before Close.
+// commit. It reuses f's descriptor without allocating; its one caller,
+// the log writer shared by Log and ReplicaLog, syncs only while its
+// owner serializes it, and never after Close.
 func datasync(f *os.File) func() error {
 	fd := int(f.Fd())
 	return func() error {

@@ -157,19 +157,7 @@ func recoverVersions(dir string) []service.RefinedVersion {
 // writeAtomic writes b to dir/name via tmp + fsync + rename + dir-fsync.
 func writeAtomic(dir, name string, b []byte) error {
 	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFileSync(tmp, b); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {

@@ -18,12 +18,13 @@
 //     all-or-nothing), a TypeStats estimator revision whenever an
 //     adaptive session's projection advanced, and a terminal TypeSeal.
 //     The log frames bytes with wire's own reader and frame sealer; any
-//     other type byte ends a recovery walk like a torn tail. Appends are buffered; the service flushes to the OS
-//     once per acknowledged chunk, and fsync is batched on a
-//     configurable interval, so a process crash loses nothing
-//     acknowledged and an OS crash loses at most the sync window. A
-//     failed fsync is never retried: the log returns it from every
-//     later call, and the service kills the session.
+//     other type byte ends a recovery walk like a torn tail. Appends
+//     are buffered; the service flushes to the OS once per acknowledged
+//     chunk, and fsync is batched on a configurable interval, so a
+//     process crash loses nothing acknowledged and an OS crash loses at
+//     most the sync window. A failed fsync is never retried: the log
+//     returns it from every later call, and the service kills the
+//     session.
 //   - a zero tail — the log file runs ahead of its last record with
 //     zeros: a flush that crosses the zero-filled extent writes zeros
 //     past the new end (as many bytes as the log holds, at least 64 KiB
@@ -33,7 +34,10 @@
 //     system's journal. Seal and Close truncate the tail, so a sealed or
 //     closed log holds its records and nothing else; a crashed log's
 //     tail is zeros, which no frame header accepts, so recovery cuts it
-//     like any torn tail.
+//     like any torn tail. A cluster follower's replica of the log is
+//     written by the same writer (logFile), zero tail, fdatasync, tail
+//     cut and failure rule included, so a sealed or closed replica is
+//     the owner's log byte for byte.
 //   - spec.json — the session's creation spec, fixing the replay
 //     configuration.
 //
@@ -71,57 +75,29 @@ var errFrameless = errors.New("wal: node without its wire frame")
 // driven by the single worker owning its session, with Close callable
 // concurrently from the manager.
 type Log struct {
+	logFile
 	mu     sync.Mutex
-	f      *os.File
-	w      *bufio.Writer
 	dir    string // session directory: spec.json, log.wal, refined versions
 	buf    []byte // the one frame scratch: header hole, then payload
 	nodes  int64  // node records in the log
 	sealed bool
 	closed bool
 
-	// size is the byte length of the log including records still in the
-	// write buffer; flushed is the prefix written through to the OS. A
-	// replication shipper reads [shippedOffset, Flushed()) off the log
-	// file, so flushed must only ever advance to whole-frame boundaries —
-	// which it does, because appends buffer whole frames and flushed is
-	// updated only after a successful buffer flush.
-	size    int64
-	flushed int64
-	// extent is where the file's zero tail ends: the records, then zeros
-	// up to extent. Zeros are only ever written at or past flushed, with
-	// the buffer empty, so they never overwrite a record.
-	extent int64
-
 	syncEvery time.Duration
-	dirty     bool // bytes possibly not yet fsynced
 	lastSync  time.Time
-	// fsync syncs f's data (fdatasync on Linux) and writeAt writes the
-	// zero tail (seams: tests inject disk faults).
-	fsync   func() error
-	writeAt func(b []byte, off int64) (int, error)
-	// syncErr is the first failed fsync, zero fill or tail truncation. A
-	// failed fsync is never retried: after failed writeback the kernel
-	// may have dropped the dirty pages, so a later fsync can succeed over
-	// records that never reached the disk. The log is dead from then on:
-	// appends, Flush, Seal and Close all return syncErr.
-	syncErr error
-	// obsAppend/obsFsync observe append and fsync latencies into the
-	// daemon's histograms; nil when the store is not instrumented.
+	// obsAppend observes append latencies into the daemon's histogram;
+	// nil when the store is not instrumented.
 	obsAppend func(time.Duration)
-	obsFsync  func(time.Duration)
 	// syncTimer fsyncs a dirty tail the stream went idle on, so the
 	// batched-sync exposure is bounded by wall clock, not by when the
 	// next chunk happens to arrive.
 	syncTimer *time.Timer
 }
 
-// appendable reports why the log takes no more records, if it does not;
-// callers hold mu.
+// appendable reports why the log takes no more records, if it does not
+// (a dead file refuses them in buffer); callers hold mu.
 func (l *Log) appendable() error {
 	switch {
-	case l.syncErr != nil:
-		return l.syncErr
 	case l.closed:
 		return fmt.Errorf("wal: append to closed log")
 	case l.sealed:
@@ -130,25 +106,15 @@ func (l *Log) appendable() error {
 	return nil
 }
 
-// write buffers whole frames. They reach the OS at the next Flush and
-// stable storage at the next batched fsync (or Seal / Close, which both
-// force one). Callers hold mu.
-func (l *Log) write(frames []byte) error {
-	if _, err := l.w.Write(frames); err != nil {
-		return err
-	}
-	l.dirty = true
-	l.size += int64(len(frames))
-	return nil
-}
-
 // writeRecord seals the frame built in the scratch — wire.BeginFrame's
 // header hole, then the payload — and buffers it: records the log
 // encodes itself are framed in place, by the same function that frames
-// a request. Callers hold mu.
+// a request. Buffered frames reach the OS at the next Flush and stable
+// storage at the next batched fsync (or Seal / Close, which both force
+// one). Callers hold mu.
 func (l *Log) writeRecord() error {
 	wire.EndFrame(l.buf, 0)
-	return l.write(l.buf)
+	return l.buffer(l.buf)
 }
 
 // AppendNodeFrame buffers one node record from its already-encoded wire
@@ -167,7 +133,7 @@ func (l *Log) AppendNodeFrame(frame []byte) error {
 		return err
 	}
 	t0 := time.Now()
-	if err := l.write(frame); err != nil {
+	if err := l.buffer(frame); err != nil {
 		return err
 	}
 	l.observeAppend(t0)
@@ -181,53 +147,6 @@ func (l *Log) observeAppend(t0 time.Time) {
 	if l.obsAppend != nil {
 		l.obsAppend(time.Since(t0))
 	}
-}
-
-// syncFile fsyncs the log file, timing the stall, and records a failure
-// in syncErr; callers hold mu and never call it once syncErr is set.
-func (l *Log) syncFile() error {
-	t0 := time.Now()
-	err := l.fsync()
-	if l.obsFsync != nil {
-		l.obsFsync(time.Since(t0))
-	}
-	if err != nil {
-		return l.kill("fsync", err)
-	}
-	return nil
-}
-
-// kill records the disk failure that ends the log in syncErr and
-// returns it; callers hold mu.
-func (l *Log) kill(op string, err error) error {
-	l.syncErr = fmt.Errorf("wal: %s failed, log is dead: %w", op, err)
-	return l.syncErr
-}
-
-// Bounds of one zero-tail extension, and the zeros it is written from.
-const (
-	minExtend = 64 << 10
-	maxExtend = 256 << 10
-)
-
-var zeroBlock [minExtend]byte
-
-// extend zero-fills the file from the flushed end for as many bytes as
-// the log holds, clamped to [minExtend, maxExtend]: flushes up to there
-// overwrite allocated blocks at an unchanged size. The next sync makes
-// the new size and blocks durable with the data. Callers hold mu, with
-// the buffer empty.
-func (l *Log) extend() error {
-	end := l.flushed + min(max(l.flushed, minExtend), maxExtend)
-	for off := l.flushed; off < end; {
-		n := min(end-off, int64(len(zeroBlock)))
-		if _, err := l.writeAt(zeroBlock[:n], off); err != nil {
-			return l.kill("zero fill", err)
-		}
-		off += n
-	}
-	l.extent = end
-	return nil
 }
 
 // AppendBatch buffers one ingest batch as a group-committed frame: the
@@ -341,25 +260,17 @@ func (l *Log) Flush() error {
 	return l.flushLocked(false)
 }
 
-// flushLocked empties the buffer and fsyncs when due or forced; when
-// the fsync is deferred it arms the idle-tail timer instead. A flush
-// that ran past the zero tail extends it, unless it is forced: only
-// Seal and Close force one, and they cut the tail next. After a failed
-// fsync it only reports that failure.
+// flushLocked writes the buffer through and fsyncs when due or forced;
+// when the fsync is deferred it arms the idle-tail timer instead. After
+// a failed fsync it only reports that failure.
 func (l *Log) flushLocked(force bool) error {
 	if l.syncErr != nil {
 		return l.syncErr
 	}
-	if err := l.w.Flush(); err != nil {
+	if err := l.writeThrough(force); err != nil {
 		return err
 	}
-	l.flushed = l.size
-	if !force && l.flushed > l.extent {
-		if err := l.extend(); err != nil {
-			return err
-		}
-	}
-	if !l.dirty {
+	if l.synced == l.flushed {
 		return nil
 	}
 	now := time.Now()
@@ -367,7 +278,6 @@ func (l *Log) flushLocked(force bool) error {
 		if err := l.syncFile(); err != nil {
 			return err
 		}
-		l.dirty = false
 		l.lastSync = now
 		if l.syncTimer != nil {
 			l.syncTimer.Stop()
@@ -385,20 +295,6 @@ func (l *Log) flushLocked(force bool) error {
 	return nil
 }
 
-// cutTail truncates the zero tail after a forced flush, so the file ends
-// at the last record. The records are durable by then, and should a
-// crash undo the truncation, recovery cuts the zeros again: the
-// truncation waits for no sync of its own. Callers hold mu.
-func (l *Log) cutTail() error {
-	if l.extent > l.flushed {
-		if err := l.f.Truncate(l.flushed); err != nil {
-			return l.kill("tail truncation", err)
-		}
-		l.extent = l.flushed
-	}
-	return nil
-}
-
 // timedSync is the idle-tail fsync: without it, a stream that pauses
 // right after a deferred-sync Flush would keep acknowledged records
 // un-fsynced until the next chunk arrives, making the documented
@@ -409,17 +305,9 @@ func (l *Log) timedSync() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.syncTimer = nil
-	if l.closed || !l.dirty || l.syncErr != nil {
+	if l.closed || l.synced == l.size || l.sync(true) != nil {
 		return
 	}
-	if err := l.w.Flush(); err != nil {
-		return
-	}
-	l.flushed = l.size
-	if err := l.syncFile(); err != nil {
-		return
-	}
-	l.dirty = false
 	l.lastSync = time.Now()
 }
 
@@ -462,14 +350,7 @@ func (l *Log) Close() error {
 		l.syncTimer.Stop()
 		l.syncTimer = nil
 	}
-	err := l.flushLocked(true)
-	if err == nil {
-		err = l.cutTail()
-	}
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return l.closeFile(l.flushLocked(true))
 }
 
 // Sealed reports whether the log carries the terminal seal record.
@@ -495,4 +376,155 @@ func (l *Log) Flushed() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.flushed
+}
+
+// logFile is the one log file writer, shared by the owner's Log and the
+// follower's ReplicaLog: buffered whole frames, a write-through over a
+// zero tail, fdatasync, a tail cut on seal and close, and one failure
+// rule. Its owner serializes it.
+type logFile struct {
+	f *os.File
+	w *bufio.Writer
+	// size is the byte length of the log, buffered records included;
+	// flushed is the prefix written through to the OS, and synced the
+	// prefix the last sync made durable. A shipper reads [offset,
+	// Flushed()) off the file, so flushed only ever advances to
+	// whole-frame boundaries: appends buffer whole frames, and a buffer
+	// flush moves it only once it succeeds.
+	size, flushed, synced int64
+	// extent is where the file's zero tail ends: the records, then zeros
+	// up to extent. Zeros are only ever written at or past flushed, with
+	// the buffer empty, so they never overwrite a record.
+	extent int64
+	// fsync syncs f's data (fdatasync on Linux) and writeAt writes the
+	// zero tail (seams: tests inject disk faults).
+	fsync    func() error
+	writeAt  func(b []byte, off int64) (int, error)
+	obsFsync func(time.Duration) // fsync stall histogram; nil if not instrumented
+	// syncErr is the first failed fsync, zero fill or tail truncation. A
+	// failed fsync is never retried: after failed writeback the kernel
+	// may have dropped the dirty pages, so a later fsync can succeed over
+	// records that never reached the disk. The file is dead from then on:
+	// every later append, flush, sync, seal and close returns syncErr.
+	syncErr error
+}
+
+// newLogFile wraps f, positioned at end, where its valid records and the
+// file end. Create, recovery and OpenReplica all open through it.
+func newLogFile(f *os.File, end int64, obsFsync func(time.Duration)) logFile {
+	return logFile{f: f, w: bufio.NewWriterSize(f, 64<<10), size: end, flushed: end, synced: end,
+		extent: end, fsync: datasync(f), writeAt: f.WriteAt, obsFsync: obsFsync}
+}
+
+// buffer appends whole frames to the write buffer; a dead file takes
+// none.
+func (lf *logFile) buffer(frames []byte) error {
+	if lf.syncErr != nil {
+		return lf.syncErr
+	}
+	if _, err := lf.w.Write(frames); err != nil {
+		return err
+	}
+	lf.size += int64(len(frames))
+	return nil
+}
+
+// writeThrough empties the buffer into the file. A write-through that
+// ran past the zero tail extends it, unless it is forced: only a seal
+// and a close force one, and they cut the tail next.
+func (lf *logFile) writeThrough(force bool) error {
+	if err := lf.w.Flush(); err != nil {
+		return err
+	}
+	lf.flushed = lf.size
+	if !force && lf.flushed > lf.extent {
+		return lf.extend()
+	}
+	return nil
+}
+
+// sync writes the buffer through and syncs the file. After a failure it
+// only reports that failure.
+func (lf *logFile) sync(force bool) error {
+	if lf.syncErr != nil {
+		return lf.syncErr
+	}
+	if err := lf.writeThrough(force); err != nil {
+		return err
+	}
+	return lf.syncFile()
+}
+
+// syncFile fsyncs the file, timing the stall, and records a failure in
+// syncErr; callers never call it once syncErr is set.
+func (lf *logFile) syncFile() error {
+	t0 := time.Now()
+	err := lf.fsync()
+	if lf.obsFsync != nil {
+		lf.obsFsync(time.Since(t0))
+	}
+	if err != nil {
+		return lf.kill("fsync", err)
+	}
+	lf.synced = lf.flushed
+	return nil
+}
+
+// kill records the disk failure that ends the file in syncErr and
+// returns it.
+func (lf *logFile) kill(op string, err error) error {
+	lf.syncErr = fmt.Errorf("wal: %s failed, log is dead: %w", op, err)
+	return lf.syncErr
+}
+
+// Bounds of one zero-tail extension, and the zeros it is written from.
+const (
+	minExtend = 64 << 10
+	maxExtend = 256 << 10
+)
+
+var zeroBlock [minExtend]byte
+
+// extend zero-fills the file from the flushed end for as many bytes as
+// the log holds, clamped to [minExtend, maxExtend]: write-throughs up to
+// there overwrite allocated blocks at an unchanged size. The next sync
+// makes the new size and blocks durable with the data. The buffer is
+// empty.
+func (lf *logFile) extend() error {
+	end := lf.flushed + min(max(lf.flushed, minExtend), maxExtend)
+	for off := lf.flushed; off < end; {
+		n := min(end-off, int64(len(zeroBlock)))
+		if _, err := lf.writeAt(zeroBlock[:n], off); err != nil {
+			return lf.kill("zero fill", err)
+		}
+		off += n
+	}
+	lf.extent = end
+	return nil
+}
+
+// cutTail truncates the zero tail after a forced write-through and
+// sync, so the file ends at the last record. The records are durable by
+// then, and should a crash undo the truncation, recovery cuts the zeros
+// again: the truncation waits for no sync of its own.
+func (lf *logFile) cutTail() error {
+	if lf.extent > lf.flushed {
+		if err := lf.f.Truncate(lf.flushed); err != nil {
+			return lf.kill("tail truncation", err)
+		}
+		lf.extent = lf.flushed
+	}
+	return nil
+}
+
+// closeFile cuts the tail if the caller's forced sync returned err ==
+// nil, then closes f and returns the first failure.
+func (lf *logFile) closeFile(err error) error {
+	if err == nil {
+		err = lf.cutTail()
+	}
+	if cerr := lf.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

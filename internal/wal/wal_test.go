@@ -288,6 +288,22 @@ func TestCrashPointsKeepWholeFramePrefix(t *testing.T) {
 				if err := rep.Append(frame[wire.FrameHeaderSize:], frame); err != nil {
 					t.Fatalf("%scut %d: ship frame %d: %v", variant, cut, i, err)
 				}
+				if rep.Sealed() {
+					break
+				}
+				// An open replica's Sync writes its frames through over a
+				// zero tail, like the owner's: records, then zeros past
+				// Offset.
+				if err := rep.Sync(); err != nil {
+					t.Fatalf("%scut %d: sync after frame %d: %v", variant, cut, i, err)
+				}
+				raw, err := os.ReadFile(rst.LogPath(id))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if end := rep.Offset(); int64(len(raw)) <= end || !bytes.Equal(raw[:end], full[:end]) || len(bytes.Trim(raw[end:], "\x00")) != 0 {
+					t.Fatalf("%scut %d: replica synced at offset %d is a %d-byte file, not the owner's frames then a zero tail", variant, cut, end, len(raw))
+				}
 			}
 			if rep.Offset() != int64(len(full)) || !rep.Sealed() {
 				t.Fatalf("%scut %d: caught-up replica at offset %d sealed=%v", variant, cut, rep.Offset(), rep.Sealed())
@@ -300,6 +316,11 @@ func TestCrashPointsKeepWholeFramePrefix(t *testing.T) {
 			}
 			if err := rep.Close(); err != nil {
 				t.Fatal(err)
+			}
+			// Sealed and closed, the replica is the owner's sealed log byte
+			// for byte: its zero tail is cut.
+			if raw, err := os.ReadFile(rst.LogPath(id)); err != nil || !bytes.Equal(raw, full) {
+				t.Fatalf("%scut %d: closed sealed replica is %d bytes, not the owner's %d-byte log (%v)", variant, cut, len(raw), len(full), err)
 			}
 			if ids, err := rst.ReplicaIDs(); err != nil || len(ids) != 1 || ids[0] != id {
 				t.Fatalf("%scut %d: replica ids %v, %v", variant, cut, ids, err)
@@ -449,7 +470,7 @@ func TestIdleTailFsyncTimer(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		lg.mu.Lock()
-		dirty := lg.dirty
+		dirty := lg.synced < lg.size
 		lg.mu.Unlock()
 		if !dirty {
 			break
@@ -697,9 +718,10 @@ func fileSize(t *testing.T, st *Store, id string) int64 {
 }
 
 // TestFailedFsyncKillsReplica holds the replica log to the same rule: a
-// failed Sync is returned again by every later Sync and Append and is
-// never retried, so the replication handler can never ack (or nack) an
-// offset whose frames may not have reached the disk.
+// failed Sync — its fsync or its zero fill — is returned again by every
+// later Sync and Append and is never retried, so the replication
+// handler can never ack (or nack) an offset whose frames may not have
+// reached the disk.
 func TestFailedFsyncKillsReplica(t *testing.T) {
 	const id = "s6-00000006"
 	st := openStore(t, t.TempDir())
@@ -714,7 +736,7 @@ func TestFailedFsyncKillsReplica(t *testing.T) {
 	defer rep.Close()
 	errDisk := errors.New("injected EIO")
 	syncs := 0
-	rep.fsync = func() error {
+	rep.logFile.fsync = func() error {
 		syncs++
 		if syncs == 1 {
 			return errDisk
@@ -744,6 +766,41 @@ func TestFailedFsyncKillsReplica(t *testing.T) {
 	}
 	if rep.Offset() != off {
 		t.Fatalf("offset moved from %d to %d after the failed fsync", off, rep.Offset())
+	}
+
+	// The zero tail is held to the same rule: a zero fill that fails
+	// kills the replica and is never retried.
+	const id2 = "s6-00000016"
+	specBytes, err = json.Marshal(specEnvelope{ID: id2, Spec: spec(8, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = st.OpenReplica(id2, specBytes); err != nil {
+		t.Fatal(err)
+	}
+	fills := 0
+	rep.logFile.writeAt = func([]byte, int64) (int, error) { fills++; return 0, errDisk }
+	if err := ship(0); err != nil {
+		t.Fatal(err)
+	}
+	off = rep.Offset()
+	if err := rep.Sync(); !errors.Is(err, errDisk) { // the first sync extends the tail
+		t.Fatalf("Sync over a failed zero fill = %v, want %v", err, errDisk)
+	}
+	if err := rep.Sync(); !errors.Is(err, errDisk) {
+		t.Fatalf("second Sync = %v, want %v", err, errDisk)
+	}
+	if err := ship(1); !errors.Is(err, errDisk) {
+		t.Fatalf("Append after a failed zero fill = %v, want %v", err, errDisk)
+	}
+	if err := rep.Close(); !errors.Is(err, errDisk) {
+		t.Fatalf("Close after a failed zero fill = %v, want %v", err, errDisk)
+	}
+	if fills != 1 {
+		t.Fatalf("the failed zero fill was retried: %d fills", fills)
+	}
+	if rep.Offset() != off {
+		t.Fatalf("offset moved from %d to %d after the failed zero fill", off, rep.Offset())
 	}
 }
 
