@@ -2,6 +2,7 @@ package oms_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"oms"
@@ -178,10 +179,12 @@ func TestAdaptiveDeterministicAndBatchParity(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCheckpointResume: exporting mid-stream and restoring into
-// a fresh adaptive session continues bit-identically — estimator state
-// included, so later ratchets fire at the same instants.
-func TestAdaptiveCheckpointResume(t *testing.T) {
+// TestAdaptiveResumeByReplay: replaying the first third of an adaptive
+// stream with its recorded blocks through PushAssigned rebuilds the
+// engine exactly — loads, assignments, edge count and estimator, so
+// later ratchets fire at the same instants — and the suffix then
+// continues bit-identically. Recovery relies on this property.
+func TestAdaptiveResumeByReplay(t *testing.T) {
 	g := oms.GenRGG2D(5000, 11)
 	cfg := oms.SessionConfig{K: 48, Adaptive: true, Options: oms.Options{Seed: 2}}
 
@@ -189,23 +192,29 @@ func TestAdaptiveCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := g.NumNodes() / 3
-	for u := int32(0); u < cut; u++ {
-		if _, err := full.Push(u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := full.ExportState()
-	if snap.Estimator == nil {
-		t.Fatal("adaptive checkpoint lacks estimator state")
-	}
-
 	resumed, err := oms.NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.RestoreState(snap); err != nil {
-		t.Fatal(err)
+	cut := g.NumNodes() / 3
+	for u := int32(0); u < cut; u++ {
+		b, err := full.Push(u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := resumed.PushAssigned(u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fLoads, fParts, fEdges := full.EngineState()
+	rLoads, rParts, rEdges := resumed.EngineState()
+	if !slices.Equal(fLoads, rLoads) || !slices.Equal(fParts, rParts) || fEdges != rEdges {
+		t.Fatal("replayed prefix left a different engine state")
+	}
+	fi, _ := full.AdaptiveInfo()
+	ri, _ := resumed.AdaptiveInfo()
+	if fi != ri || full.Lmax() != resumed.Lmax() {
+		t.Fatalf("replayed estimator diverged: %+v (lmax %d) vs %+v (lmax %d)", fi, full.Lmax(), ri, resumed.Lmax())
 	}
 	for u := cut; u < g.NumNodes(); u++ {
 		bf, err := full.Push(u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u))
@@ -225,8 +234,8 @@ func TestAdaptiveCheckpointResume(t *testing.T) {
 	if fres.Lmax != rres.Lmax || len(fres.Parts) != len(rres.Parts) {
 		t.Fatalf("finish disagrees: lmax %d/%d parts %d/%d", fres.Lmax, rres.Lmax, len(fres.Parts), len(rres.Parts))
 	}
-	fi, _ := full.AdaptiveInfo()
-	ri, _ := resumed.AdaptiveInfo()
+	fi, _ = full.AdaptiveInfo()
+	ri, _ = resumed.AdaptiveInfo()
 	if fi.Observed != ri.Observed || fi.Revision != ri.Revision {
 		t.Fatalf("estimator state diverged: %+v vs %+v", fi, ri)
 	}
@@ -298,9 +307,9 @@ func TestAdaptiveRestreamRefines(t *testing.T) {
 		t.Fatalf("restream worsened the cut: %d -> %d", cut0, c)
 	}
 
-	// ReconcilePass is the durable-log flavor of the same repair: over
-	// an external replay of the recorded stream it must keep the result
-	// balanced and not worsen the cut either.
+	// One RestreamFrom pass after Finish is the durable-log flavor of
+	// the same repair: over an external replay of the recorded stream it
+	// must keep the result balanced and not worsen the cut either.
 	s2, err := oms.NewSession(oms.SessionConfig{K: 32, Adaptive: true, AdaptiveHeadroom: oms.RetainedAdaptiveHeadroom})
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +319,7 @@ func TestAdaptiveRestreamRefines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := s2.ReconcilePass(s.Source())
+	rp, err := s2.RestreamFrom(s.Source(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,35 +26,47 @@ type rawStream struct {
 
 func openRaw(t *testing.T, url, id string, spec []byte) *rawStream {
 	t.Helper()
-	pr, pw := io.Pipe()
-	req, err := http.NewRequest("POST", url+"/v1/replica/sessions/"+id, pr)
+	r, err := dialRaw(url, id, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+// dialRaw opens a replication stream with its spec frame and returns
+// once the follower has answered the request.
+func dialRaw(url, id string, spec []byte) (*rawStream, error) {
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest("POST", url+"/v1/replica/sessions/"+id, pr)
+	if err != nil {
+		return nil, err
+	}
 	req.Header.Set("Content-Type", wire.MediaType)
-	ch := make(chan *http.Response, 1)
+	type reply struct {
+		resp *http.Response
+		err  error
+	}
+	ch := make(chan reply, 1)
 	go func() {
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			t.Error(err)
 			pr.CloseWithError(err)
-			close(ch)
-			return
 		}
-		ch <- resp
+		ch <- reply{resp, err}
 	}()
 	if _, err := pw.Write(wire.AppendFrame(nil, append([]byte{repSpec}, spec...))); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	resp, ok := <-ch
-	if !ok {
-		t.Fatal("no response")
+	rep := <-ch
+	if rep.err != nil {
+		return nil, rep.err
 	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("replica stream refused: %s: %s", resp.Status, body)
+	if rep.resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(rep.resp.Body)
+		rep.resp.Body.Close()
+		return nil, fmt.Errorf("replica stream refused: %s: %s", rep.resp.Status, body)
 	}
-	return &rawStream{pw: pw, resp: resp, rd: wire.NewReader(resp.Body)}
+	return &rawStream{pw: pw, resp: rep.resp, rd: wire.NewReader(rep.resp.Body)}, nil
 }
 
 func (r *rawStream) readCtl(t *testing.T) (byte, int64) {
@@ -94,6 +106,40 @@ func frameBoundaries(t *testing.T, b []byte) []int64 {
 	}
 }
 
+// authorLog authors an authentic 32-node session log offline in
+// owner's primary store, bypassing owner's node so no real shipper
+// competes with the test. The id is one follower does not own, or it
+// would refuse to follow it. It returns the id, the closed log's bytes,
+// their frame-end offsets and the session's spec bytes.
+func authorLog(t *testing.T, owner, follower *testNode) (id string, log []byte, ends []int64, spec []byte) {
+	t.Helper()
+	for i := 0; ; i++ {
+		id = fmt.Sprintf("t%d-%08x", i, i)
+		if follower.node.ring.Load().Owner(id) == owner.id {
+			break
+		}
+	}
+	l, err := owner.store.Create(id, service.CreateSpec{N: 32, M: 31, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := int32(0); u < 32; u++ {
+		if err := l.AppendNodeFrame(wire.AppendNodeFrame(nil, u, 1, nil, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Close, not just Flush: an open log's file runs on into its zero
+	// tail, and only a closed one ends at its last record.
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log = readLog(t, owner.store, id)
+	if spec, err = owner.store.ReadSpecBytes(id); err != nil {
+		t.Fatal(err)
+	}
+	return id, log, frameBoundaries(t, log), spec
+}
+
 // TestShippedFrameCorruptionNackAndResume: a corrupted frame on the
 // wire is rejected by the follower's CRC check with a nack carrying its
 // durable offset, and a reconnecting owner is told — via the hello-ack
@@ -103,38 +149,9 @@ func TestShippedFrameCorruptionNackAndResume(t *testing.T) {
 	tc := startCluster(t, []string{"n1", "n2"}, Config{AckMode: "async"})
 	n1, n2 := tc.nodes["n1"], tc.nodes["n2"]
 
-	// Author an authentic session log offline in n1's primary store
-	// (bypassing n1's node so no real shipper competes with the test);
-	// the id must NOT be owned by n2, or n2 would refuse to follow it.
-	var id string
-	for i := 0; ; i++ {
-		id = fmt.Sprintf("t%d-%08x", i, i)
-		if n2.node.ring.Load().Owner(id) == "n1" {
-			break
-		}
-	}
-	log, err := n1.store.Create(id, service.CreateSpec{N: 32, M: 31, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := int32(0); u < 32; u++ {
-		if err := log.AppendNodeFrame(wire.AppendNodeFrame(nil, u, 1, nil, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Close, not just Flush: an open log's file runs on into its zero
-	// tail, and only a closed one ends at its last record.
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := readLog(t, n1.store, id)
-	ends := frameBoundaries(t, want)
+	id, want, ends, spec := authorLog(t, n1, n2)
 	if len(ends) < 6 {
 		t.Fatalf("need more frames, got %d", len(ends))
-	}
-	spec, err := n1.store.ReadSpecBytes(id)
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	// Stream 1: three good frames, then one with a flipped payload byte.
@@ -206,6 +223,84 @@ func TestShippedFrameCorruptionNackAndResume(t *testing.T) {
 	}
 	if tc.nodes["n2"].reg.Snapshot()["oms_repl_nacks_total"] == 0 {
 		t.Error("follower nack counter did not move")
+	}
+}
+
+// TestSupersedingStreamClosesTheOldFirst: an owner that reconnects
+// while its old stream still holds appended frames gets a hello-ack
+// covering every frame the old stream received — the old stream closes,
+// writing them through, before the new one walks the file — and after
+// resending from there the replica is the owner's log byte for byte.
+func TestSupersedingStreamClosesTheOldFirst(t *testing.T) {
+	tc := startCluster(t, []string{"n1", "n2"}, Config{AckMode: "async"})
+	n1, n2 := tc.nodes["n1"], tc.nodes["n2"]
+	id, want, ends, spec := authorLog(t, n1, n2)
+	held := ends[len(ends)/2]
+
+	a := openRaw(t, n2.url, id, spec)
+	defer a.close()
+	if typ, off := a.readCtl(t); typ != repAck || off != 0 {
+		t.Fatalf("hello-ack %#x @%d, want ack @0", typ, off)
+	}
+	if _, err := a.pw.Write(want[:held]); err != nil {
+		t.Fatal(err)
+	}
+	// Hold stream A's lock as soon as it has appended every frame: its
+	// acker, which would write them through within one tick, cannot
+	// while stream B connects.
+	n2.node.mu.Lock()
+	rs := n2.node.repl[id]
+	n2.node.mu.Unlock()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		rs.mu.Lock()
+		if rs.rl.Offset() == held {
+			break
+		}
+		rs.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("stream A never appended its frames")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	type dialed struct {
+		r   *rawStream
+		err error
+	}
+	ch := make(chan dialed, 1)
+	go func() {
+		r, err := dialRaw(n2.url, id, spec)
+		ch <- dialed{r, err}
+	}()
+	time.Sleep(50 * time.Millisecond) // let stream B reach its open
+	rs.mu.Unlock()
+	d := <-ch
+	if d.err != nil {
+		t.Fatal(d.err)
+	}
+	b := d.r
+	typ, off := b.readCtl(t)
+	if typ != repAck || off != held {
+		t.Fatalf("superseding hello-ack %#x @%d, want ack @%d: frames stream A received were cut", typ, off, held)
+	}
+	if _, err := b.pw.Write(want[off:]); err != nil {
+		t.Fatal(err)
+	}
+	b.pw.Close()
+	for {
+		typ, off := b.readCtl(t)
+		if typ != repAck {
+			t.Fatalf("unexpected control frame %#x", typ)
+		}
+		if off == int64(len(want)) {
+			break
+		}
+	}
+	// Wait for the follower to hang up, which it does only after
+	// closing the replica.
+	io.Copy(io.Discard, b.resp.Body)
+	b.resp.Body.Close()
+	if got, _ := os.ReadFile(n2.replicas.LogPath(id)); !bytes.Equal(got, want) {
+		t.Fatalf("replica holds %d bytes, not the owner's %d", len(got), len(want))
 	}
 }
 

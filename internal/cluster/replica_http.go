@@ -116,6 +116,12 @@ func (n *Node) serveReplicaStream(w http.ResponseWriter, r *http.Request, id str
 		replicaError(w, http.StatusBadRequest, "stream must open with a spec frame", "malformed_frame")
 		return
 	}
+	// The owner reconnected before the old connection noticed: the new
+	// stream supersedes it. The old one closes first — its buffered
+	// frames written through, its tail cut — so the open below walks a
+	// file no one else appends to, and its hello-ack covers every frame
+	// the old stream received.
+	n.closeReplicaStream(id, "superseded by a new stream")
 	rl, err := n.cfg.Replicas.OpenReplica(id, payload[1:])
 	if err != nil {
 		replicaError(w, http.StatusBadRequest, err.Error(), "bad_request")
@@ -124,8 +130,7 @@ func (n *Node) serveReplicaStream(w http.ResponseWriter, r *http.Request, id str
 	rs := &replicaStream{rl: rl}
 	n.mu.Lock()
 	if old := n.repl[id]; old != nil {
-		// The owner reconnected before the old connection noticed; the
-		// new stream supersedes it.
+		// A third stream raced in between the close and the open.
 		n.closeStream(id, old)
 	}
 	n.repl[id] = rs

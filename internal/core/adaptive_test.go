@@ -48,8 +48,8 @@ func TestAdaptiveGrowsAndRatchets(t *testing.T) {
 }
 
 // TestAdaptiveEstimatorStateRestoresThresholds: importing estimator
-// state re-derives lmax, capacities, and alphas so a restored run
-// scores exactly like the original.
+// state re-derives lmax, capacities, and alphas so a run rebuilt by
+// ForceAssign replay scores exactly like the original.
 func TestAdaptiveEstimatorStateRestoresThresholds(t *testing.T) {
 	mk := func() *OMS {
 		o, err := NewGP(16, 4, stream.Stats{}, Config{Epsilon: 0.03, Adaptive: true, AdaptiveHeadroom: 0.5})
@@ -71,11 +71,14 @@ func TestAdaptiveEstimatorStateRestoresThresholds(t *testing.T) {
 	if !ok {
 		t.Fatal("no estimator state on adaptive run")
 	}
-	loads, parts := a.ExportState()
 
+	// Observing without adjacency grows b's assignment vector but leaves
+	// its estimator short of a's edge totals: only the import restores
+	// the alphas.
 	b := mk()
-	if err := b.ImportState(loads, parts); err != nil {
-		t.Fatal(err)
+	for u := int32(0); u < 500; u++ {
+		b.ObserveAdaptive(u, 1, nil, nil)
+		b.ForceAssign(u, 1, a.AssignmentOf(u))
 	}
 	if err := b.ImportEstimator(st); err != nil {
 		t.Fatal(err)

@@ -532,8 +532,8 @@ func TestForceAssignMatchesAssignLoads(t *testing.T) {
 	for u := int32(0); u < g.NumNodes(); u++ {
 		replay.ForceAssign(u, g.NodeWeight(u), parts[u])
 	}
-	wantLoads, wantParts := orig.ExportState()
-	gotLoads, gotParts := replay.ExportState()
+	wantLoads, wantParts := orig.TreeLoads(), orig.Assignments()
+	gotLoads, gotParts := replay.TreeLoads(), replay.Assignments()
 	for i := range wantLoads {
 		if wantLoads[i] != gotLoads[i] {
 			t.Fatalf("tree block %d load %d, want %d", i, gotLoads[i], wantLoads[i])

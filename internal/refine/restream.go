@@ -17,33 +17,54 @@ type PassResult struct {
 	EdgeCut int64
 }
 
-// Restream rebuilds a partitioning engine from a finished session's
-// construction config and exported state, then drives passes additional
-// retract-and-reassign passes over src (the session's recorded stream,
-// typically a WAL replay). After each pass it measures the edge cut with
-// one more read of src and hands the result to publish; a publish error
-// aborts the remaining passes. The context is honored between passes —
-// a whole pass is the cancellation granularity, so every published
-// version is a complete one.
+// Restream builds a private refinement replica by replaying seed — the
+// assignment to refine, one block per node, -1 for nodes never assigned —
+// over src (the session's recorded stream, typically a WAL replay), then
+// drives passes retract-and-reassign passes over src. The replay charges
+// every node's weight down its recorded root-to-leaf path (PushAssigned,
+// no scoring): the O(k) tree loads are a function of assignment and
+// stream, so this rebuilds the exact state the engine that produced seed
+// held. After each pass it measures the edge cut with one more read of
+// src and hands the result to publish; a publish error aborts the
+// remaining passes. The context is honored between passes — a whole pass
+// is the cancellation granularity, so every published version is a
+// complete one.
 //
-// The refinement engine is entirely private to this call: the live
-// session's engine and served one-pass result are never touched, which
-// is what lets refinement run concurrently with result reads.
-func Restream(ctx context.Context, cfg oms.SessionConfig, state oms.SessionState, src oms.Source, passes int, publish func(PassResult) error) error {
+// The replica is entirely private to this call: the live session's
+// engine and served result are never touched, which is what lets
+// refinement run concurrently with result reads.
+func Restream(ctx context.Context, cfg oms.SessionConfig, src oms.Source, seed []int32, passes int, publish func(PassResult) error) error {
 	if passes < 1 {
 		return fmt.Errorf("refine: %d passes < 1", passes)
 	}
-	// The replica never records: RestoreState rejects Record engines
-	// (their replay buffer cannot be rebuilt from a checkpoint), and the
-	// recorded stream is exactly what src already is.
+	// The replica never records: the recorded stream is exactly what
+	// src already is.
 	cfg.Record = false
 	eng, err := oms.NewSession(cfg)
 	if err != nil {
 		return err
 	}
-	if err := eng.RestoreState(state); err != nil {
-		return fmt.Errorf("refine: restore finished state: %w", err)
+	n := int32(len(seed))
+	var perr error
+	err = src.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) {
+		if perr != nil || u < 0 || u >= n || seed[u] < 0 {
+			return
+		}
+		if _, err := eng.PushAssigned(u, vwgt, adj, ewgt, seed[u]); err != nil {
+			perr = err
+		}
+	})
+	if err == nil {
+		err = perr
 	}
+	if err != nil {
+		return fmt.Errorf("refine: replay seed assignment: %w", err)
+	}
+	// Adaptive replicas observed the whole stream just now but still
+	// carry the headroom-inflated projection; reconcile so the passes
+	// run under the exact totals, like the finished session did (no-op
+	// for declared configs).
+	eng.ReconcileStats()
 	for p := 1; p <= passes; p++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -61,42 +82,6 @@ func Restream(ctx context.Context, cfg oms.SessionConfig, state oms.SessionState
 		}
 	}
 	return nil
-}
-
-// StateFromAssignment rebuilds the streaming state an engine would hold
-// if its finished assignment were parts: one replay of src charges every
-// node's weight down its recorded root-to-leaf path (the ForceAssign
-// entry, no scoring). It is how a refinement job continues from the
-// newest published version — a version stores only the O(n) assignment,
-// and the O(k) tree loads are a function of assignment and stream.
-func StateFromAssignment(cfg oms.SessionConfig, src oms.Source, parts []int32) (oms.SessionState, error) {
-	cfg.Record = false
-	eng, err := oms.NewSession(cfg)
-	if err != nil {
-		return oms.SessionState{}, err
-	}
-	n := int32(len(parts))
-	var perr error
-	err = src.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) {
-		if perr != nil || u < 0 || u >= n || parts[u] < 0 {
-			return
-		}
-		if _, err := eng.PushAssigned(u, vwgt, adj, ewgt, parts[u]); err != nil {
-			perr = err
-		}
-	})
-	if err == nil {
-		err = perr
-	}
-	if err != nil {
-		return oms.SessionState{}, fmt.Errorf("refine: rebuild state from assignment: %w", err)
-	}
-	// Adaptive engines observed the whole stream just now but still
-	// carry the headroom-inflated projection; reconcile so the
-	// continuation restreams under the exact totals, like the session
-	// it continues from did after Finish (no-op for declared configs).
-	eng.ReconcileStats()
-	return eng.ExportState(), nil
 }
 
 // EdgeCut measures the weight of cut edges of parts with one sequential

@@ -14,15 +14,15 @@ import (
 )
 
 // finishedSession is finishedSessionOn over a small skewed RMAT graph.
-func finishedSession(t *testing.T, k int32, threads int) (oms.SessionConfig, oms.SessionState, []int32, oms.Source, *graph.Graph) {
+func finishedSession(t *testing.T, k int32, threads int) (oms.SessionConfig, []int32, oms.Source, *graph.Graph) {
 	t.Helper()
 	return finishedSessionOn(t, gen.RMAT(2048, 10000, gen.SocialRMAT, 7), k, threads)
 }
 
 // finishedSessionOn streams g through a fresh push session in natural
-// order and returns the session config, the finished engine's exported
-// state, the one-pass parts, and the replayable source.
-func finishedSessionOn(t *testing.T, g *graph.Graph, k int32, threads int) (oms.SessionConfig, oms.SessionState, []int32, oms.Source, *graph.Graph) {
+// order and returns the session config, the one-pass parts, and the
+// replayable source.
+func finishedSessionOn(t *testing.T, g *graph.Graph, k int32, threads int) (oms.SessionConfig, []int32, oms.Source, *graph.Graph) {
 	t.Helper()
 	src := stream.NewMemory(g)
 	st, err := src.Stats()
@@ -46,11 +46,11 @@ func finishedSessionOn(t *testing.T, g *graph.Graph, k int32, threads int) (oms.
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cfg, sess.ExportState(), res.Parts, src, g
+	return cfg, res.Parts, src, g
 }
 
 func TestRestreamPublishesImprovingVersions(t *testing.T) {
-	cfg, state, parts, src, g := finishedSession(t, 16, 1)
+	cfg, parts, src, g := finishedSession(t, 16, 1)
 	cut0, err := EdgeCut(src, parts)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestRestreamPublishesImprovingVersions(t *testing.T) {
 	}
 
 	var results []PassResult
-	err = Restream(context.Background(), cfg, state, src, 3, func(pr PassResult) error {
+	err = Restream(context.Background(), cfg, src, parts, 3, func(pr PassResult) error {
 		results = append(results, pr)
 		return nil
 	})
@@ -108,7 +108,7 @@ func TestRestreamParallelKeepsBalanceAndImproves(t *testing.T) {
 		{"rgg", gen.RandomGeometric(4096, 0.55, 7)},
 		{"rmat", gen.RMAT(2048, 10000, gen.SocialRMAT, 7)},
 	} {
-		cfg, state, parts, src, g := finishedSessionOn(t, c.g, 16, 4)
+		cfg, parts, src, g := finishedSessionOn(t, c.g, 16, 4)
 		cut0, err := EdgeCut(src, parts)
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +118,7 @@ func TestRestreamParallelKeepsBalanceAndImproves(t *testing.T) {
 		seq.Options.Threads = 1
 		prev := cut0
 		var seqPasses []PassResult
-		err = Restream(context.Background(), seq, state, src, 2, func(pr PassResult) error {
+		err = Restream(context.Background(), seq, src, parts, 2, func(pr PassResult) error {
 			if pr.EdgeCut > prev {
 				t.Fatalf("%s: sequential pass %d worsened the cut %d -> %d", c.name, pr.Pass, prev, pr.EdgeCut)
 			}
@@ -131,7 +131,7 @@ func TestRestreamParallelKeepsBalanceAndImproves(t *testing.T) {
 		}
 
 		var parPasses []PassResult
-		err = Restream(context.Background(), cfg, state, src, 2, func(pr PassResult) error {
+		err = Restream(context.Background(), cfg, src, parts, 2, func(pr PassResult) error {
 			parPasses = append(parPasses, pr)
 			return nil
 		})
@@ -151,10 +151,10 @@ func TestRestreamParallelKeepsBalanceAndImproves(t *testing.T) {
 }
 
 func TestRestreamHonorsContext(t *testing.T) {
-	cfg, state, _, src, _ := finishedSession(t, 8, 1)
+	cfg, parts, src, _ := finishedSession(t, 8, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	published := 0
-	err := Restream(ctx, cfg, state, src, 5, func(pr PassResult) error {
+	err := Restream(ctx, cfg, src, parts, 5, func(pr PassResult) error {
 		published++
 		cancel() // cancel after the first published pass
 		return nil
@@ -168,10 +168,10 @@ func TestRestreamHonorsContext(t *testing.T) {
 }
 
 func TestRestreamPublishErrorAborts(t *testing.T) {
-	cfg, state, _, src, _ := finishedSession(t, 8, 1)
+	cfg, parts, src, _ := finishedSession(t, 8, 1)
 	boom := errors.New("publish failed")
 	calls := 0
-	err := Restream(context.Background(), cfg, state, src, 4, func(PassResult) error {
+	err := Restream(context.Background(), cfg, src, parts, 4, func(PassResult) error {
 		calls++
 		return boom
 	})
@@ -184,20 +184,23 @@ func TestRestreamPublishErrorAborts(t *testing.T) {
 }
 
 func TestRestreamRejectsBadPasses(t *testing.T) {
-	cfg, state, _, src, _ := finishedSession(t, 8, 1)
-	if err := Restream(context.Background(), cfg, state, src, 0, func(PassResult) error { return nil }); err == nil {
+	cfg, parts, src, _ := finishedSession(t, 8, 1)
+	if err := Restream(context.Background(), cfg, src, parts, 0, func(PassResult) error { return nil }); err == nil {
 		t.Fatal("0 passes accepted")
 	}
 }
 
-// TestStateFromAssignmentReconcilesAdaptive: a continuation rebuild on
-// an adaptive config must come back with the projection reconciled to
-// the exact observed totals — otherwise the continuation restreams
-// under headroom-inflated capacities and can publish versions outside
-// the balance guarantee the session's own finish satisfied.
-func TestStateFromAssignmentReconcilesAdaptive(t *testing.T) {
+// TestRestreamSeedReconcilesAdaptive: a replica rebuilt from a seed on
+// an adaptive config must reconcile its projection to the exact observed
+// totals before its first pass. Otherwise it restreams under
+// headroom-inflated capacities and can publish versions outside the
+// balance guarantee the session's own finish satisfied. The seed is the
+// streaming-time assignment, which the inflated projection left out of
+// balance, so only a pass under the exact threshold repairs it.
+func TestRestreamSeedReconcilesAdaptive(t *testing.T) {
 	g := oms.GenDelaunay(1500, 3)
-	cfg := oms.SessionConfig{K: 8, Adaptive: true, AdaptiveHeadroom: 2, Record: true}
+	src := stream.NewMemory(g)
+	cfg := oms.SessionConfig{K: 8, Adaptive: true, AdaptiveHeadroom: 2}
 	s, err := oms.NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -211,30 +214,98 @@ func TestStateFromAssignmentReconcilesAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := StateFromAssignment(cfg, s.Source(), res.Parts)
+	// The exact declared-equivalent threshold, ceil((1+eps) n/k).
+	want := int64(float64(g.NumNodes())*1.03/8) + 1
+	maxLoad := func(parts []int32) int64 {
+		loads := make([]int64, 8)
+		for _, p := range parts {
+			loads[p]++
+		}
+		return slices.Max(loads)
+	}
+	if mx := maxLoad(res.Parts); mx <= want {
+		t.Fatalf("streaming seed max block load %d already within the reconciled lmax %d", mx, want)
+	}
+	err = Restream(context.Background(), cfg, src, res.Parts, 1, func(pr PassResult) error {
+		if mx := maxLoad(pr.Parts); mx > want {
+			t.Fatalf("first pass max block load %d above the reconciled lmax %d", mx, want)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Estimator == nil {
-		t.Fatal("adaptive rebuild exports no estimator state")
-	}
-	if st.Estimator.Est.N != g.NumNodes() || st.Estimator.Est.TotalNodeWeight != int64(g.NumNodes()) {
-		t.Fatalf("rebuild projection %+v not reconciled to the true totals (n=%d)", st.Estimator.Est, g.NumNodes())
-	}
-	// A replica restored from it carries the exact declared-equivalent
-	// threshold, so continuation passes refine under exact capacities
-	// (replicas never record, exactly as Restream builds them).
-	rcfg := cfg
-	rcfg.Record = false
-	replica, err := oms.NewSession(rcfg)
+}
+
+// TestRestreamFromOnePassParts pins the edge cuts a first refinement job
+// publishes when its replica is seeded from the finished one-pass parts,
+// across declared partitioning, process mapping, and the three adaptive
+// finishes: Record (reconcile pass over the in-memory buffer), persisted
+// (reconcile pass over an external replay, as the omsd WAL path does)
+// and unretained (no reconcile pass). The figures are those of the
+// replica restored from the finished engine's exported state, which the
+// seed replay replaced: replaying the assignment rebuilds the same loads,
+// edge count and estimator, so every pass is bit-identical.
+func TestRestreamFromOnePassParts(t *testing.T) {
+	g := gen.RMAT(1<<12, 30000, gen.SocialRMAT, 7)
+	src := stream.NewMemory(g)
+	st, err := src.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := replica.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	want := int64(float64(g.NumNodes())*1.03/8) + 1 // ceil((1+eps) n/k)
-	if replica.Lmax() != want {
-		t.Fatalf("replica lmax %d, want reconciled %d", replica.Lmax(), want)
+	opts := oms.Options{Seed: 3}
+	for _, c := range []struct {
+		name      string
+		cfg       oms.SessionConfig
+		reconcile bool // one RestreamFrom pass over src after Finish
+		cuts      []int64
+	}{
+		{"declared k16", oms.SessionConfig{Stats: st, K: 16, Options: opts}, false,
+			[]int64{20892, 20798, 20797, 20797}},
+		{"map 4:4:2", oms.SessionConfig{Stats: st, Topology: oms.MustTopology("4:4:2", "1:10:100"), Options: opts}, false,
+			[]int64{24144, 24141, 24141, 24141}},
+		{"adaptive record", oms.SessionConfig{K: 16, Adaptive: true, AdaptiveHeadroom: 2, Record: true, Options: opts}, false,
+			[]int64{24889, 24834, 24723, 24709}},
+		{"adaptive reconcile over src", oms.SessionConfig{K: 16, Adaptive: true, AdaptiveHeadroom: oms.RetainedAdaptiveHeadroom, Options: opts}, true,
+			[]int64{24889, 24834, 24723, 24709}},
+		{"adaptive default headroom", oms.SessionConfig{K: 16, Adaptive: true, Options: opts}, false,
+			[]int64{24390, 24258, 24216, 24177}},
+	} {
+		s, err := oms.NewSession(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = src.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) {
+			if _, perr := s.Push(u, vwgt, adj, ewgt); perr != nil {
+				t.Fatal(perr)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.reconcile {
+			if res, err = s.RestreamFrom(src, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cut0, err := EdgeCut(src, res.Parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []int64{cut0}
+		err = Restream(context.Background(), c.cfg, src, res.Parts, 3, func(pr PassResult) error {
+			got = append(got, pr.EdgeCut)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, c.cuts) {
+			t.Fatalf("%s: one-pass and per-pass cuts %v, want %v", c.name, got, c.cuts)
+		}
 	}
 }

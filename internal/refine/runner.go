@@ -11,8 +11,8 @@
 // The package splits in two: Runner is a bounded worker pool with a
 // per-session job state machine (queued → running → done | failed |
 // canceled), and Restream is the pass driver that rebuilds an engine
-// from a finished session's exported state and publishes one version
-// per completed pass. The service layer glues them to sessions, logs,
+// by replaying a seed assignment over the session's stream and
+// publishes one version per completed pass. The service layer glues them to sessions, logs,
 // and the HTTP surface.
 package refine
 

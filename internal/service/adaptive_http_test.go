@@ -135,8 +135,8 @@ func TestAdaptiveChargeAccountingRace(t *testing.T) {
 }
 
 // TestAdaptiveContinuationRefineStaysBalanced: a second refine job
-// seeds from the newest published version (StateFromAssignment) — on
-// adaptive sessions that rebuild must reconcile to the exact totals,
+// seeds from the newest published version (refine.Restream replays it) —
+// on adaptive sessions that rebuild must reconcile to the exact totals,
 // or the continuation restreams under headroom-inflated capacities and
 // publishes an imbalanced version.
 func TestAdaptiveContinuationRefineStaysBalanced(t *testing.T) {
@@ -181,8 +181,7 @@ func TestAdaptiveContinuationRefineStaysBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	refineWait()
-	// The continuation job: seeds from version 1 via
-	// StateFromAssignment.
+	// The continuation job: seeds from version 1.
 	if _, err := mgr.Refine(s.ID, RefineSpec{Passes: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -975,9 +975,9 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 	if err != nil {
 		return RefineInfo{}, err
 	}
-	// The finished engine is immutable (every mutation path checks
-	// finished first), so exporting its state needs no session job.
-	state := s.eng.ExportState()
+	// The finished result is immutable, so reading it needs no session
+	// job.
+	onePass := s.result.Parts
 
 	// A sampled submit opens a second trace record under the request's
 	// id: the root "refine" span covers queue wait plus all passes (it
@@ -991,7 +991,7 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 		// compare refined versions against the one-pass result even
 		// for sessions that never recorded.
 		if s.OnePassCut() == nil {
-			cut0, err := refine.EdgeCut(src, state.Parts)
+			cut0, err := refine.EdgeCut(src, onePass)
 			if err != nil {
 				return err
 			}
@@ -1008,16 +1008,16 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 			s.setOnePassCut(cut0)
 		}
 		// Refinement ratchets: a second job (or one resumed after a
-		// crash) continues from the newest published version rather
-		// than re-deriving it from the one-pass state — versions
-		// store only the assignment, so its tree loads are rebuilt
-		// with one replay of the stream. Pass numbers stay
+		// crash) seeds from the newest published version rather than
+		// from the one-pass result. Either way the replica's tree
+		// loads are rebuilt with one replay of the stream, since a
+		// version stores only the assignment. Pass numbers stay
 		// cumulative across jobs for the same reason: the ledger
 		// reads as one trajectory of restream depth.
-		start := state
+		seed := onePass
 		basePass := int32(0)
 		if latest := s.latestVersion(); latest != nil {
-			seed := latest.Parts
+			seed = latest.Parts
 			if seed == nil {
 				// Recovered versions keep only metadata in memory;
 				// the assignment reloads from its durable file.
@@ -1027,14 +1027,9 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 				}
 				seed = loaded.Parts
 			}
-			st, err := refine.StateFromAssignment(cfg, src, seed)
-			if err != nil {
-				return err
-			}
-			start = st
 			basePass = latest.Pass
 		}
-		return refine.Restream(ctx, cfg, start, src, passes, func(pr refine.PassResult) error {
+		return refine.Restream(ctx, cfg, src, seed, passes, func(pr refine.PassResult) error {
 			if s.closed.Load() {
 				// The session died under the job (delete, eviction,
 				// fault): that ends the job as canceled, not failed —

@@ -350,7 +350,7 @@ func (s *Session) seal(live bool, tid string) error {
 		if err != nil {
 			return fail("replay", err)
 		}
-		if res, err = s.eng.ReconcilePass(src); err != nil {
+		if res, err = s.eng.RestreamFrom(src, 1); err != nil {
 			return fail("reconcile", err)
 		}
 	}

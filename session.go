@@ -420,28 +420,6 @@ func (s *Session) Finish() (*Result, error) {
 	return &Result{Parts: parts, K: s.o.K(), Lmax: lmax}, nil
 }
 
-// ReconcilePass runs one sequential retract-and-reassign pass over src
-// — the same stream the session ingested, replayed from outside — with
-// the session's reconciled exact capacities: the finish-time repair of
-// an adaptive session whose stream is retained durably rather than in
-// memory (the omsd write-ahead log). Deterministic for a fixed src
-// order, so a recovered daemon reproduces the result byte-identically.
-// It requires a finished adaptive session.
-func (s *Session) ReconcilePass(src Source) (*Result, error) {
-	if !s.adaptive {
-		return nil, fmt.Errorf("oms: ReconcilePass on a declared-stats session")
-	}
-	if !s.finished {
-		return nil, fmt.Errorf("oms: ReconcilePass before Finish")
-	}
-	parts, err := s.o.RestreamPasses(src, 1)
-	if err != nil {
-		return nil, err
-	}
-	parts = parts[:s.o.Coverage()]
-	return &Result{Parts: append([]int32(nil), parts...), K: s.o.K(), Lmax: s.o.LmaxValue()}, nil
-}
-
 // Source returns the recorded replayable stream of a Record session
 // (nil otherwise): the pushed nodes in arrival order, for restreaming or
 // second-pass quality metrics.
@@ -462,25 +440,19 @@ func (s *Session) Restream(passes int) (*Result, error) {
 	if !s.finished {
 		return nil, fmt.Errorf("oms: Restream before Finish")
 	}
-	if passes < 0 {
-		return nil, fmt.Errorf("oms: negative restream passes %d", passes)
-	}
-	parts, err := s.o.RestreamPasses(s.buf, passes)
-	if err != nil {
-		return nil, err
-	}
-	parts = parts[:s.o.Coverage()]
-	return &Result{Parts: append([]int32(nil), parts...), K: s.o.K(), Lmax: s.o.LmaxValue()}, nil
+	return s.RestreamFrom(s.buf, passes)
 }
 
 // RestreamFrom improves the session's current assignment with extra
 // retract-and-reassign passes over an external recorded source — the
 // same stream the session ingested, replayed from outside (the omsd
 // refinement service replays a session's write-ahead log through here).
-// Unlike Restream it requires neither Record nor a prior Finish: the
-// canonical caller is a fresh engine rebuilt from the finished session's
-// exported state, which is never itself finished. Passes are sequential
-// and deterministic for a fixed src order.
+// Unlike Restream it requires neither Record nor a prior Finish. Its
+// callers are a finished adaptive session that persists instead of
+// records (one pass is its finish-time reconcile), and a refinement
+// replica rebuilt by replaying a seed assignment through PushAssigned,
+// which is never itself finished. Passes are sequential and
+// deterministic for a fixed src order.
 func (s *Session) RestreamFrom(src Source, passes int) (*Result, error) {
 	if passes < 0 {
 		return nil, fmt.Errorf("oms: negative restream passes %d", passes)
@@ -493,30 +465,10 @@ func (s *Session) RestreamFrom(src Source, passes int) (*Result, error) {
 	return &Result{Parts: append([]int32(nil), parts...), K: s.o.K(), Lmax: s.o.LmaxValue()}, nil
 }
 
-// SessionState is a point-in-time checkpoint of a session's mutable
-// streaming state: the engine's per-tree-block loads and per-node
-// assignments plus the session's edge-budget progress. It is exactly
-// what a restarted process needs to continue the stream at the next
-// node — O(n + k) in size, the paper's memory bound (Theorem 1). The
-// construction inputs (SessionConfig) are not included; a restore
-// target must be built from the same config.
-type SessionState struct {
-	// EdgesSeen is the consumed portion of the 2m edge budget.
-	EdgesSeen int64
-	// Loads are the per-tree-block loads, root first.
-	Loads []int64
-	// Parts are the per-node assignments; -1 for nodes not yet pushed.
-	Parts []int32
-	// Estimator is the online stats estimator of an adaptive session
-	// (nil for declared sessions): restoring it makes the resumed
-	// session ratchet exactly where the checkpointed one would have.
-	Estimator *EstimatorState
-}
-
 // EstimatorState is the exported estimator state of an adaptive
 // session: the observed running totals, the ratchet trigger, and the
-// projection in force. An alias, like StreamStats, so checkpoint and
-// WAL encoders cannot drift from the estimator's own fields.
+// projection in force. An alias, like StreamStats, so the WAL's
+// stats-revision encoder cannot drift from the estimator's own fields.
 type EstimatorState = onepass.EstimatorState
 
 // Adaptive reports whether the session estimates its stream stats
@@ -575,9 +527,9 @@ func (s *Session) StatsRevision() int64 {
 // the owning worker).
 func (s *Session) Coverage() int32 { return s.o.Coverage() }
 
-// EstimatorSnapshot exports just the estimator state of an adaptive
+// EstimatorSnapshot exports the estimator state of an adaptive
 // session (ok false on declared sessions) — the payload of a durable
-// stats-revision record, much cheaper than a full ExportState.
+// stats-revision record.
 func (s *Session) EstimatorSnapshot() (EstimatorState, bool) {
 	if est, ok := s.o.ExportEstimator(); ok {
 		return est, true
@@ -600,58 +552,3 @@ func (s *Session) ApplyEstimator(st EstimatorState) error {
 // after rebuilding an engine by replay, where the whole stream has been
 // observed but no Finish ran.
 func (s *Session) ReconcileStats() { s.o.Reconcile() }
-
-// ExportState checkpoints the session. The caller must serialize it
-// against Push/Finish like every other session call; the returned state
-// shares no memory with the session.
-func (s *Session) ExportState() SessionState {
-	loads, parts := s.o.ExportState()
-	st := SessionState{EdgesSeen: s.edgesSeen, Loads: loads, Parts: parts}
-	if est, ok := s.o.ExportEstimator(); ok {
-		st.Estimator = &est
-	}
-	return st
-}
-
-// RestoreState loads a checkpoint into a freshly created session built
-// from the same SessionConfig the checkpoint's session used. Because
-// OMS is deterministic for a fixed stream order and seed, pushing the
-// post-checkpoint suffix of the original stream afterwards yields
-// assignments bit-identical to the uninterrupted run. Restoring into a
-// session that has already accepted pushes, has finished, or records
-// its stream (Record sessions replay their full log instead) is an
-// error.
-func (s *Session) RestoreState(st SessionState) error {
-	if s.finished {
-		return fmt.Errorf("%w: restore after Finish", ErrSessionFinished)
-	}
-	if s.assigned.Load() != 0 || s.edgesSeen != 0 {
-		return fmt.Errorf("oms: restore into a session that already streamed %d nodes", s.assigned.Load())
-	}
-	if s.buf != nil {
-		return fmt.Errorf("oms: restore into a Record session (replay the recorded stream instead)")
-	}
-	if st.EdgesSeen < 0 || st.EdgesSeen > s.edgeBudget {
-		return fmt.Errorf("oms: restored edge count %d outside [0, 2m = %d]", st.EdgesSeen, s.edgeBudget)
-	}
-	if s.adaptive != (st.Estimator != nil) {
-		return fmt.Errorf("oms: checkpoint adaptive=%v, session adaptive=%v", st.Estimator != nil, s.adaptive)
-	}
-	if err := s.o.ImportState(st.Loads, st.Parts); err != nil {
-		return err
-	}
-	if st.Estimator != nil {
-		if err := s.o.ImportEstimator(*st.Estimator); err != nil {
-			return err
-		}
-	}
-	s.edgesSeen = st.EdgesSeen
-	var assigned int32
-	for _, p := range st.Parts {
-		if p >= 0 {
-			assigned++
-		}
-	}
-	s.assigned.Store(assigned)
-	return nil
-}

@@ -272,7 +272,7 @@ func TestPushBatchSequentialParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := pushWhole(t, ref, g)
-		wantState := ref.ExportState()
+		wantLoads, wantParts, _ := ref.EngineState()
 		wantRes, err := ref.Finish()
 		if err != nil {
 			t.Fatal(err)
@@ -289,8 +289,8 @@ func TestPushBatchSequentialParity(t *testing.T) {
 				if got := batchWhole(t, s, g, bs); !slices.Equal(got, want) {
 					t.Fatalf("%s: batch blocks differ from sequential Push", at)
 				}
-				gotState := s.ExportState()
-				if !slices.Equal(gotState.Loads, wantState.Loads) || !slices.Equal(gotState.Parts, wantState.Parts) {
+				gotLoads, gotParts, _ := s.EngineState()
+				if !slices.Equal(gotLoads, wantLoads) || !slices.Equal(gotParts, wantParts) {
 					t.Fatalf("%s: engine state differs from sequential Push", at)
 				}
 				res, err := s.Finish()
@@ -418,18 +418,19 @@ func TestPushAssignedReplaysExactly(t *testing.T) {
 			t.Fatalf("replay %d: got %d, want %d", u, b, blocks[u])
 		}
 	}
-	ws, rs := orig.ExportState(), replay.ExportState()
-	if ws.EdgesSeen != rs.EdgesSeen {
-		t.Fatalf("edgesSeen %d, want %d", rs.EdgesSeen, ws.EdgesSeen)
+	wLoads, wParts, wEdges := orig.EngineState()
+	rLoads, rParts, rEdges := replay.EngineState()
+	if wEdges != rEdges {
+		t.Fatalf("edgesSeen %d, want %d", rEdges, wEdges)
 	}
-	for i := range ws.Loads {
-		if ws.Loads[i] != rs.Loads[i] {
-			t.Fatalf("tree block %d load %d, want %d", i, rs.Loads[i], ws.Loads[i])
+	for i := range wLoads {
+		if wLoads[i] != rLoads[i] {
+			t.Fatalf("tree block %d load %d, want %d", i, rLoads[i], wLoads[i])
 		}
 	}
-	for u := range ws.Parts {
-		if ws.Parts[u] != rs.Parts[u] {
-			t.Fatalf("node %d part %d, want %d", u, rs.Parts[u], ws.Parts[u])
+	for u := range wParts {
+		if wParts[u] != rParts[u] {
+			t.Fatalf("node %d part %d, want %d", u, rParts[u], wParts[u])
 		}
 	}
 }
