@@ -65,7 +65,9 @@ import (
 	"time"
 
 	"oms/internal/cluster"
+	"oms/internal/promtext"
 	"oms/internal/service"
+	"oms/internal/store"
 	"oms/internal/telemetry"
 	"oms/internal/trace"
 	"oms/internal/wal"
@@ -149,7 +151,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	// The registry exists before the manager so the WAL store (created
 	// first — recovery needs it) can observe into the same histograms
 	// the manager exports, and so process-level gauges register here too.
-	reg := service.NewRegistry()
+	reg := promtext.NewRegistry()
 	reg.GaugeFunc("omsd_build_info", "constant 1; the help text carries the build's "+runtime.Version(), func() int64 { return 1 })
 	reg.GaugeFunc("omsd_goroutines", "live goroutines", func() int64 { return int64(runtime.NumGoroutine()) })
 	reg.GaugeFunc("omsd_heap_alloc_bytes", "bytes of allocated heap objects", func() int64 {
@@ -177,7 +179,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		SlowThreshold: *traceSlow,
 	})
 
-	var store service.Store
+	var sessionStore store.Store
 	var walStore *wal.Store
 	if *dataDir != "" {
 		st, err := wal.Open(*dataDir, wal.Options{
@@ -188,7 +190,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		if err != nil {
 			return fmt.Errorf("omsd: open data dir: %w", err)
 		}
-		store, walStore = st, st
+		sessionStore, walStore = st, st
 	}
 
 	// Cluster mode: the node decorates the store (WAL shipping to each
@@ -228,7 +230,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 			return fmt.Errorf("omsd: %w", err)
 		}
 		defer node.Close()
-		store, clusterView, replicaHandler = node, node, node
+		sessionStore, clusterView, replicaHandler = node, node, node
 		infof("omsd cluster mode: node %s of %d peers, %s acks", *nodeID, len(peers), *replAck)
 	} else if *clusterPeers != "" {
 		return errors.New("omsd: -cluster-peers requires -node-id")
@@ -240,7 +242,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		Workers:       *workers,
 		MaxNodes:      int32(*maxNodes),
 		MaxTotalNodes: *maxTotalNodes,
-		Store:         store,
+		Store:         sessionStore,
 		RefineWorkers: *refineWorkers,
 		RefinePasses:  *refinePasses,
 		Registry:      reg,
@@ -255,7 +257,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	}
 
 	recovered := 0
-	if store != nil {
+	if sessionStore != nil {
 		n, err := mgr.RecoverSessions()
 		if err != nil {
 			// Partial recovery is served; the skipped sessions' data

@@ -102,17 +102,17 @@ type scrape struct {
 
 // summary is the summary.json document.
 type summary struct {
-	URL        string                  `json:"url"`
-	Samples    int                     `json:"samples"`
-	IntervalMS float64                 `json:"interval_ms"`
-	Partial    bool                    `json:"partial,omitempty"`
-	Histograms map[string]histoSummary `json:"histograms"`
-	Gauges     map[string]gaugeSummary `json:"gauges"`
-	Counters   map[string]ctrSummary   `json:"counters"`
-	Exemplars  int                     `json:"exemplars"`
-	Thresholds []thresholdResult       `json:"thresholds,omitempty"`
-	Require    []requireResult         `json:"require,omitempty"`
-	OK         bool                    `json:"ok"`
+	URL        string                      `json:"url"`
+	Samples    int                         `json:"samples"`
+	IntervalMS float64                     `json:"interval_ms"`
+	Partial    bool                        `json:"partial,omitempty"`
+	Histograms map[string]promtext.Summary `json:"histograms"`
+	Gauges     map[string]gaugeSummary     `json:"gauges"`
+	Counters   map[string]ctrSummary       `json:"counters"`
+	Exemplars  int                         `json:"exemplars"`
+	Thresholds []thresholdResult           `json:"thresholds,omitempty"`
+	Require    []requireResult             `json:"require,omitempty"`
+	OK         bool                        `json:"ok"`
 }
 
 // thresholdResult is one threshold verdict, annotated — when the bound
@@ -129,14 +129,6 @@ type thresholdResult struct {
 type slowTrace struct {
 	TraceID string  `json:"trace_id"`
 	Seconds float64 `json:"seconds"`
-}
-
-type histoSummary struct {
-	Count uint64  `json:"count"`
-	Sum   float64 `json:"sum"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
 }
 
 // gaugeSummary aggregates one gauge series over the scrape sequence.
@@ -323,14 +315,14 @@ func summarize(cfg config, scrapes []scrape) (*summary, error) {
 		URL:        cfg.url,
 		Samples:    len(scrapes),
 		IntervalMS: float64(cfg.interval) / float64(time.Millisecond),
-		Histograms: map[string]histoSummary{},
+		Histograms: map[string]promtext.Summary{},
 		Gauges:     map[string]gaugeSummary{},
 		Counters:   map[string]ctrSummary{},
 		OK:         true,
 	}
 	// Histograms summarize the final scrape (cumulative state); gauges
 	// and counters aggregate the whole sequence.
-	hists := map[string]*promtext.Histogram{}
+	hists := map[string]promtext.HistogramSnapshot{}
 	for name, fam := range last.fams {
 		switch fam.Type {
 		case "histogram":
@@ -339,13 +331,7 @@ func summarize(cfg config, scrapes []scrape) (*summary, error) {
 				return nil, err
 			}
 			hists[name] = h
-			sum.Histograms[name] = histoSummary{
-				Count: h.Count,
-				Sum:   h.Sum,
-				P50:   h.Quantile(0.50),
-				P95:   h.Quantile(0.95),
-				P99:   h.Quantile(0.99),
-			}
+			sum.Histograms[name] = h.Summary()
 		case "gauge":
 			for _, s := range fam.Samples {
 				vals := seriesValues(scrapes, s.Name)
@@ -443,7 +429,7 @@ var aliases = map[string]string{
 // backlog_p95 into (metric name, statistic value) via the shared slo
 // grammar. Histograms take the quantile from their buckets; anything
 // else takes it over the per-scrape sampled values.
-func resolve(key string, hists map[string]*promtext.Histogram, scrapes []scrape) (string, float64, error) {
+func resolve(key string, hists map[string]promtext.HistogramSnapshot, scrapes []scrape) (string, float64, error) {
 	k, err := slo.ParseKey(key, aliases)
 	if err != nil {
 		return "", 0, err

@@ -16,16 +16,16 @@ import (
 	"testing"
 	"time"
 
-	"oms/internal/service"
+	"oms/internal/promtext"
 	"oms/internal/slo"
 )
 
 // syntheticServer serves a registry filled with a known workload: the
 // push histogram uniform over (0, 1ms], the fsync histogram with one
 // 20ms stall, a backlog gauge, and a counter that grows per scrape.
-func syntheticServer(t *testing.T) (*httptest.Server, *service.Registry) {
+func syntheticServer(t *testing.T) (*httptest.Server, *promtext.Registry) {
 	t.Helper()
-	reg := service.NewRegistry()
+	reg := promtext.NewRegistry()
 	push := reg.Histogram("omsd_http_push_seconds", "push latency")
 	for i := 1; i <= 1000; i++ {
 		push.Observe(time.Duration(i) * time.Microsecond)
@@ -80,7 +80,7 @@ func TestQuantilesMatchSnapshot(t *testing.T) {
 
 	// The summary's quantiles must equal the live snapshot's (the same
 	// interpolation over the same buckets, transported through text).
-	var snap service.HistogramSnapshot
+	var snap promtext.HistogramSnapshot
 	for _, h := range reg.Histograms() {
 		if h.Name() == "omsd_http_push_seconds" {
 			snap = h.Snapshot()
@@ -311,7 +311,7 @@ func TestWaitReady(t *testing.T) {
 // threshold must name that trace, and the summary must count exemplars.
 func TestExemplarSlowTraces(t *testing.T) {
 	const tid = "4bf92f3577b34da6a3ce929d0e0e4736"
-	reg := service.NewRegistry()
+	reg := promtext.NewRegistry()
 	fsync := reg.Histogram("omsd_wal_fsync_seconds", "fsync stall")
 	fsync.ObserveExemplar(20*time.Millisecond, tid)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"oms/client"
+	"oms/internal/promtext"
 	"oms/internal/service"
+	"oms/internal/store"
 	"oms/internal/wal"
 	"oms/internal/wire"
 )
@@ -28,7 +30,7 @@ type testNode struct {
 	srv      *http.Server
 	store    *wal.Store
 	replicas *wal.Store
-	reg      *service.Registry
+	reg      *promtext.Registry
 }
 
 type testCluster struct {
@@ -112,7 +114,7 @@ func (tc *testCluster) startNode(id, dir string, ln net.Listener) *testNode {
 	if err != nil {
 		tc.t.Fatal(err)
 	}
-	reg := service.NewRegistry()
+	reg := promtext.NewRegistry()
 	cfg := tc.cfg
 	cfg.Self = id
 	cfg.Peers = tc.peers
@@ -302,7 +304,7 @@ func TestFailoverPromotesFollower(t *testing.T) {
 // aggregate node budget, rejected after it.
 func TestFailedPromotionLeavesNoShipper(t *testing.T) {
 	dir := t.TempDir()
-	store, err := wal.Open(filepath.Join(dir, "primary"), wal.Options{})
+	primary, err := wal.Open(filepath.Join(dir, "primary"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +319,7 @@ func TestFailedPromotionLeavesNoShipper(t *testing.T) {
 	}
 	dead := "http://" + ln.Addr().String()
 	ln.Close()
-	node, err := NewNode(Config{Self: "n1", Peers: map[string]string{"n1": dead, "n2": dead}, Store: store, Replicas: replicas})
+	node, err := NewNode(Config{Self: "n1", Peers: map[string]string{"n1": dead, "n2": dead}, Store: primary, Replicas: replicas})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +332,7 @@ func TestFailedPromotionLeavesNoShipper(t *testing.T) {
 		{"s1-0000dea1", service.Config{MaxNodes: 100}},
 		{"s2-0000dea2", service.Config{MaxTotalNodes: 500}},
 	} {
-		lg, err := replicas.Create(c.id, service.CreateSpec{N: 1000, M: 1, K: 4})
+		lg, err := replicas.Create(c.id, store.CreateSpec{N: 1000, M: 1, K: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

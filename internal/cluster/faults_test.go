@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"oms/client"
-	"oms/internal/service"
+	"oms/internal/store"
 	"oms/internal/wire"
 )
 
@@ -119,7 +119,7 @@ func authorLog(t *testing.T, owner, follower *testNode) (id string, log []byte, 
 			break
 		}
 	}
-	l, err := owner.store.Create(id, service.CreateSpec{N: 32, M: 31, K: 2})
+	l, err := owner.store.Create(id, store.CreateSpec{N: 32, M: 31, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestStalledFollower(t *testing.T) {
 				tc.stopNode("n1")
 			})
 
-			s, err := n1.mgr.Create(service.CreateSpec{N: 4096, M: 4095, K: 4})
+			s, err := n1.mgr.Create(store.CreateSpec{N: 4096, M: 4095, K: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -394,7 +394,7 @@ func TestPartitionedFollowerCatchUp(t *testing.T) {
 	tc := startCluster(t, []string{"n1", "n2"}, Config{AckMode: "async"})
 	n1 := tc.nodes["n1"]
 
-	s, err := n1.mgr.Create(service.CreateSpec{N: 2000, M: 1999, K: 4})
+	s, err := n1.mgr.Create(store.CreateSpec{N: 2000, M: 1999, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"oms/internal/promtext"
 	"oms/internal/ring"
 	"oms/internal/service"
 	"oms/internal/trace"
@@ -49,7 +50,7 @@ type Config struct {
 	FailThreshold int
 	// Registry receives the cluster counters and gauges; Tracer, when
 	// set, records ship/ack spans for sampled replication streams.
-	Registry *service.Registry
+	Registry *promtext.Registry
 	Tracer   *trace.Recorder
 	// Logf, when set, receives one line per membership transition,
 	// promotion, and replication stream error.
@@ -61,7 +62,7 @@ type Config struct {
 // Node is one omsd process's view of the cluster: the probed member
 // ring, the shipping side of replication for sessions it owns, and the
 // receiving side for sessions it follows. It implements
-// service.ClusterView (routing), service.Store (decorating Config.Store
+// service.ClusterView (routing), store.Store (decorating Config.Store
 // with replication), and http.Handler (the /v1/replica/sessions/{id}
 // surface).
 type Node struct {
@@ -84,15 +85,15 @@ type Node struct {
 	wg     sync.WaitGroup
 
 	// metrics
-	probeFailures *service.Counter
-	transitions   *service.Counter
-	promotions    *service.Counter
-	shipBytes     *service.Counter
-	acks          *service.Counter
-	nacks         *service.Counter
-	reconnects    *service.Counter
-	syncDegraded  *service.Counter
-	replRejects   *service.Counter
+	probeFailures *promtext.Counter
+	transitions   *promtext.Counter
+	promotions    *promtext.Counter
+	shipBytes     *promtext.Counter
+	acks          *promtext.Counter
+	nacks         *promtext.Counter
+	reconnects    *promtext.Counter
+	syncDegraded  *promtext.Counter
+	replRejects   *promtext.Counter
 }
 
 // NewNode validates the configuration, seeds the ring with every peer

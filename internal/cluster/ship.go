@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"oms"
-	"oms/internal/service"
+	"oms/internal/store"
 	"oms/internal/trace"
 	"oms/internal/wire"
 )
@@ -54,12 +54,12 @@ type shippableLog interface {
 	Sealed() bool
 }
 
-// --- service.Store decoration ---
+// --- store.Store decoration ---
 
-// Create implements service.Store: the session's durable log comes from
+// Create implements store.Store: the session's durable log comes from
 // the primary store, wrapped so every flushed prefix is shipped to the
 // session's follower.
-func (n *Node) Create(id string, spec service.CreateSpec) (service.SessionLog, error) {
+func (n *Node) Create(id string, spec store.CreateSpec) (store.SessionLog, error) {
 	log, err := n.cfg.Store.Create(id, spec)
 	if err != nil {
 		return nil, err
@@ -67,10 +67,10 @@ func (n *Node) Create(id string, spec service.CreateSpec) (service.SessionLog, e
 	return n.wrapLog(id, log), nil
 }
 
-// Recover implements service.Store, wrapping the log every recovered
+// Recover implements store.Store, wrapping the log every recovered
 // session's replay hands back the same way Create does — a restarted
 // owner resumes shipping from whatever offset its follower reports.
-func (n *Node) Recover() ([]service.RecoveredSession, error) {
+func (n *Node) Recover() ([]store.RecoveredSession, error) {
 	recs, err := n.cfg.Store.Recover()
 	for i := range recs {
 		n.replicateReplay(&recs[i])
@@ -81,9 +81,9 @@ func (n *Node) Recover() ([]service.RecoveredSession, error) {
 // replicateReplay makes rec's replay wrap the log it hands back. Only a
 // log the replay produced gets a shipper, so a session rejected before
 // or during replay leaves none behind.
-func (n *Node) replicateReplay(rec *service.RecoveredSession) {
+func (n *Node) replicateReplay(rec *store.RecoveredSession) {
 	replay, id := rec.Replay, rec.ID
-	rec.Replay = func(fn func(u, w int32, adj, ew []int32, block int32) error, stats func(oms.EstimatorState) error) (service.SessionLog, bool, error) {
+	rec.Replay = func(fn func(u, w int32, adj, ew []int32, block int32) error, stats func(oms.EstimatorState) error) (store.SessionLog, bool, error) {
 		log, sealed, err := replay(fn, stats)
 		if err != nil {
 			return nil, false, err
@@ -92,7 +92,7 @@ func (n *Node) replicateReplay(rec *service.RecoveredSession) {
 	}
 }
 
-// Remove implements service.Store: local GC plus propagation — the
+// Remove implements store.Store: local GC plus propagation — the
 // follower drops its replica so a dead session cannot be promoted back
 // from the grave.
 func (n *Node) Remove(id string) error {
@@ -100,7 +100,7 @@ func (n *Node) Remove(id string) error {
 	return n.cfg.Store.Remove(id)
 }
 
-// ReplaySource implements service.Store by delegation.
+// ReplaySource implements store.Store by delegation.
 func (n *Node) ReplaySource(id string) (oms.Source, error) {
 	return n.cfg.Store.ReplaySource(id)
 }
@@ -108,7 +108,7 @@ func (n *Node) ReplaySource(id string) (oms.Source, error) {
 // wrapLog attaches a replication shipper to one session log. Logs that
 // do not expose their flushed boundary (never the wal store's) pass
 // through unwrapped.
-func (n *Node) wrapLog(id string, log service.SessionLog) service.SessionLog {
+func (n *Node) wrapLog(id string, log store.SessionLog) store.SessionLog {
 	sl, ok := log.(shippableLog)
 	if !ok {
 		return log
@@ -184,7 +184,7 @@ func (n *Node) followerOf(id string) (node, addr string) {
 // barrier) hands the newly flushed prefix to the shipper — waiting for
 // the follower's ack in sync mode, merely nudging it in async mode.
 type replicatedLog struct {
-	service.SessionLog
+	store.SessionLog
 	sh *shipper
 }
 

@@ -6,7 +6,7 @@
 // kicks, and status/result reads — over a
 // churning population of live sessions whose adjacency is generated
 // deterministically from a seed. Per-class latency lands in the same
-// lock-free service.Histogram the daemon uses, and a run emits
+// lock-free promtext.Histogram the daemon uses, and a run emits
 // samples.csv + summary.json in the omsstat shape, evaluated against
 // slo thresholds.
 package load

@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"oms/internal/service"
+	"oms/internal/promtext"
 	"oms/internal/slo"
 )
 
@@ -72,7 +72,7 @@ func Aliases() map[string]string {
 // to be rare and reported separately so they cannot mask server
 // failures nor inflate them).
 type classRec struct {
-	hist     *service.Histogram
+	hist     *promtext.Histogram
 	count    atomic.Int64
 	errors   atomic.Int64
 	rejected atomic.Int64
@@ -82,7 +82,7 @@ type classRec struct {
 // goroutines hit concurrently: one lock-free histogram observe plus
 // atomic counters.
 type Recorder struct {
-	reg     *service.Registry
+	reg     *promtext.Registry
 	classes map[Class]*classRec
 
 	Inflight atomic.Int64
@@ -91,7 +91,7 @@ type Recorder struct {
 
 // NewRecorder registers one histogram per class.
 func NewRecorder() *Recorder {
-	r := &Recorder{reg: service.NewRegistry(), classes: make(map[Class]*classRec, len(Classes))}
+	r := &Recorder{reg: promtext.NewRegistry(), classes: make(map[Class]*classRec, len(Classes))}
 	for _, c := range Classes {
 		r.classes[c] = &classRec{
 			hist: r.reg.Histogram(c.MetricName(), "client latency of "+string(c)+" ops, from intended start"),
@@ -134,36 +134,25 @@ type ClassSummary struct {
 	MeanMs   float64 `json:"mean_ms"`
 }
 
-// HistoSummary matches omsstat's per-histogram summary shape
-// (count/sum/p50/p95/p99 in seconds), so the client-side summary.json
-// cross-checks field-for-field against the server-side one.
-type HistoSummary struct {
-	Count uint64  `json:"count"`
-	Sum   float64 `json:"sum"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
 // Summary is omsload's summary.json document: the omsstat envelope
 // (histograms keyed by series name, thresholds, ok, partial) plus the
 // load-side totals and the per-class view in milliseconds.
 type Summary struct {
-	URL         string                  `json:"url"`
-	Profile     string                  `json:"profile"`
-	DurationSec float64                 `json:"duration_sec"`
-	Partial     bool                    `json:"partial,omitempty"`
-	Intended    int64                   `json:"intended_requests"`
-	Completed   int64                   `json:"completed_requests"`
-	Errors      int64                   `json:"error_requests"`
-	Rejected    int64                   `json:"rejected_requests,omitempty"`
-	Aborted     int64                   `json:"aborted_requests,omitempty"`
-	AchievedRPS float64                 `json:"achieved_rps"`
-	Sessions    SessionTotals           `json:"sessions"`
-	Histograms  map[string]HistoSummary `json:"histograms"`
-	Classes     map[string]ClassSummary `json:"classes"`
-	Thresholds  []slo.Result            `json:"thresholds,omitempty"`
-	OK          bool                    `json:"ok"`
+	URL         string                      `json:"url"`
+	Profile     string                      `json:"profile"`
+	DurationSec float64                     `json:"duration_sec"`
+	Partial     bool                        `json:"partial,omitempty"`
+	Intended    int64                       `json:"intended_requests"`
+	Completed   int64                       `json:"completed_requests"`
+	Errors      int64                       `json:"error_requests"`
+	Rejected    int64                       `json:"rejected_requests,omitempty"`
+	Aborted     int64                       `json:"aborted_requests,omitempty"`
+	AchievedRPS float64                     `json:"achieved_rps"`
+	Sessions    SessionTotals               `json:"sessions"`
+	Histograms  map[string]promtext.Summary `json:"histograms"`
+	Classes     map[string]ClassSummary     `json:"classes"`
+	Thresholds  []slo.Result                `json:"thresholds,omitempty"`
+	OK          bool                        `json:"ok"`
 }
 
 // SessionTotals is the session-churn ledger of one run.
@@ -177,10 +166,10 @@ type SessionTotals struct {
 // Summarize folds the recorder into the summary document and evaluates
 // thresholds over the client histograms. An unresolvable threshold key
 // is an error (exit 2 at the CLI, like omsstat).
-func (r *Recorder) Summarize(ths []slo.Threshold) (map[string]HistoSummary, map[string]ClassSummary, []slo.Result, bool, error) {
-	hists := make(map[string]HistoSummary, len(Classes))
+func (r *Recorder) Summarize(ths []slo.Threshold) (map[string]promtext.Summary, map[string]ClassSummary, []slo.Result, bool, error) {
+	hists := make(map[string]promtext.Summary, len(Classes))
 	classes := make(map[string]ClassSummary, len(Classes))
-	snaps := make(map[string]service.HistogramSnapshot, len(Classes))
+	snaps := make(map[string]promtext.HistogramSnapshot, len(Classes))
 	for _, c := range Classes {
 		rec := r.classes[c]
 		n := rec.count.Load()
@@ -189,20 +178,15 @@ func (r *Recorder) Summarize(ths []slo.Threshold) (map[string]HistoSummary, map[
 		}
 		s := rec.hist.Snapshot()
 		snaps[c.MetricName()] = s
-		hists[c.MetricName()] = HistoSummary{
-			Count: s.Count,
-			Sum:   s.SumSec,
-			P50:   s.Quantile(0.50),
-			P95:   s.Quantile(0.95),
-			P99:   s.Quantile(0.99),
-		}
+		row := s.Summary()
+		hists[c.MetricName()] = row
 		cs := ClassSummary{
 			Requests: n,
 			Errors:   rec.errors.Load(),
 			Rejected: rec.rejected.Load(),
-			P50Ms:    s.Quantile(0.50) * 1000,
-			P95Ms:    s.Quantile(0.95) * 1000,
-			P99Ms:    s.Quantile(0.99) * 1000,
+			P50Ms:    row.P50 * 1000,
+			P95Ms:    row.P95 * 1000,
+			P99Ms:    row.P99 * 1000,
 		}
 		if s.Count > 0 {
 			cs.MeanMs = s.SumSec / float64(s.Count) * 1000

@@ -1,4 +1,4 @@
-package service
+package promtext
 
 import (
 	"fmt"
@@ -171,17 +171,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.shards {
-		for b := range h.shards[i].counts {
-			n += h.shards[i].counts[b].Load()
-		}
-	}
-	return n
-}
-
 // BucketBounds returns the shared finite upper bounds in seconds,
 // ascending; the implicit last bucket is +Inf.
 func BucketBounds() []float64 {
@@ -224,6 +213,22 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		return lower + (upper-lower)*(rank-before)/inBucket
 	}
 	return float64(int64(1)<<histoMaxExp) / 1e9
+}
+
+// Summary is one histogram's summary.json row, in seconds: the count,
+// the sum, and three quantiles. omsstat writes it for the daemon's
+// histograms and omsload for its client-side ones.
+type Summary struct {
+	Count uint64  `json:"count"`
+	Sum   float64 `json:"sum"`
+	P50   float64 `json:"p50"`
+	P95   float64 `json:"p95"`
+	P99   float64 `json:"p99"`
+}
+
+// Summary condenses the snapshot into its summary.json row.
+func (s HistogramSnapshot) Summary() Summary {
+	return Summary{Count: s.Count, Sum: s.SumSec, P50: s.Quantile(0.50), P95: s.Quantile(0.95), P99: s.Quantile(0.99)}
 }
 
 // writeText emits the histogram in Prometheus text exposition format:
@@ -282,5 +287,5 @@ func (h *Histogram) writeExposition(w io.Writer, exemplars bool) error {
 func (h *Histogram) metricName() string { return h.name }
 
 func (h *Histogram) snapshotInto(into map[string]int64) {
-	into[h.name+"_count"] = int64(h.Count())
+	into[h.name+"_count"] = int64(h.Snapshot().Count)
 }

@@ -1,14 +1,14 @@
-// Package promtext parses the Prometheus text exposition format
-// (version 0.0.4): the /metrics wire syntax of # HELP and # TYPE
-// comment lines followed by sample lines with optional labels. It is
-// deliberately dependency-free — the service package's round-trip
-// tests and the omsstat sampler both consume it, and neither may pull
-// a client library the build does not vendor.
-//
-// The parser covers the subset a scraper needs: families keyed by
-// metric name, HELP unescaping, histogram child series (_bucket with
-// le labels, _sum, _count) attached to their family, and quantile
-// estimation over cumulative buckets.
+// Package promtext owns both ends of the Prometheus text exposition
+// format (version 0.0.4, plus OpenMetrics exemplars): the Registry of
+// counters, gauges and lock-free latency histograms that writes
+// /metrics, and the parser that reads a scrape back into families
+// keyed by metric name. Every histogram shares one bucket layout
+// (BucketBounds: power-of-two nanosecond bounds from ~1µs to ~17s,
+// then +Inf), so a parsed histogram family is the same
+// HistogramSnapshot the registry took, with the one Quantile and the
+// one Summary row. The package is dependency-free: the daemon, the
+// omsstat sampler and the omsload harness all use it, and none may
+// pull a client library the build does not vendor.
 package promtext
 
 import (
@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -303,103 +303,58 @@ func parseLabels(s string) (map[string]string, string, error) {
 	}
 }
 
-// Histogram is a family's merged cumulative-bucket view: finite upper
-// bounds ascending with their cumulative counts, plus the total count
-// and value sum.
-type Histogram struct {
-	Bounds []float64 // finite le bounds, ascending
-	Cum    []uint64  // cumulative counts aligned with Bounds
-	Count  uint64    // total observations (the +Inf cumulative)
-	Sum    float64
-}
-
-// AsHistogram assembles the family's child series into a Histogram.
-// It fails on a family that is not typed histogram or whose buckets
-// are incoherent (no +Inf, non-monotone cumulative counts).
-func (f Family) AsHistogram() (*Histogram, error) {
+// AsHistogram reads a histogram family back into the snapshot the
+// registry wrote it from. Only the registry's own layout is accepted:
+// the finite le bounds must be exactly BucketBounds(), the cumulative
+// counts must not decrease, and a +Inf bucket must close the family.
+// Count is the +Inf bucket's; _count is not consulted.
+func (f Family) AsHistogram() (HistogramSnapshot, error) {
+	var s HistogramSnapshot
 	if f.Type != "histogram" {
-		return nil, fmt.Errorf("promtext: family %s has type %q, not histogram", f.Name, f.Type)
+		return s, fmt.Errorf("promtext: family %s has type %q, not histogram", f.Name, f.Type)
 	}
-	h := &Histogram{}
-	type bkt struct {
-		le  float64
-		cum uint64
-	}
-	var bkts []bkt
-	sawInf := false
-	for _, s := range f.Samples {
-		switch s.Name {
+	bounds := BucketBounds()
+	var cum [histoAllBuckets]uint64
+	var seen [histoAllBuckets]bool
+	for _, smp := range f.Samples {
+		switch smp.Name {
 		case f.Name + "_bucket":
-			leStr, ok := s.Labels["le"]
+			leStr, ok := smp.Labels["le"]
 			if !ok {
-				return nil, fmt.Errorf("promtext: %s bucket sample without le label", f.Name)
+				return s, fmt.Errorf("promtext: %s bucket sample without le label", f.Name)
 			}
 			le, err := strconv.ParseFloat(leStr, 64)
 			if err != nil {
-				return nil, fmt.Errorf("promtext: %s bucket le %q: %w", f.Name, leStr, err)
+				return s, fmt.Errorf("promtext: %s bucket le %q: %w", f.Name, leStr, err)
 			}
-			if s.Value < 0 {
-				return nil, fmt.Errorf("promtext: %s bucket count %v negative", f.Name, s.Value)
+			if smp.Value < 0 {
+				return s, fmt.Errorf("promtext: %s bucket count %v negative", f.Name, smp.Value)
 			}
+			b := slices.Index(bounds, le)
 			if math.IsInf(le, +1) {
-				sawInf = true
-				h.Count = uint64(s.Value)
-				continue
+				b = histoAllBuckets - 1
+			} else if b < 0 {
+				return s, fmt.Errorf("promtext: histogram %s bound le=%v is not in the shared bucket layout", f.Name, le)
 			}
-			bkts = append(bkts, bkt{le: le, cum: uint64(s.Value)})
+			cum[b], seen[b] = uint64(smp.Value), true
 		case f.Name + "_sum":
-			h.Sum = s.Value
-		case f.Name + "_count":
-			if !sawInf {
-				h.Count = uint64(s.Value)
-			}
+			s.SumSec = smp.Value
 		}
 	}
-	if !sawInf {
-		return nil, fmt.Errorf("promtext: histogram %s has no +Inf bucket", f.Name)
+	if !seen[histoAllBuckets-1] {
+		return s, fmt.Errorf("promtext: histogram %s has no +Inf bucket", f.Name)
 	}
-	sort.Slice(bkts, func(i, j int) bool { return bkts[i].le < bkts[j].le })
 	var prev uint64
-	for _, b := range bkts {
-		if b.cum < prev {
-			return nil, fmt.Errorf("promtext: histogram %s cumulative counts decrease at le=%v", f.Name, b.le)
+	for b, c := range cum {
+		if !seen[b] {
+			return s, fmt.Errorf("promtext: histogram %s lacks the shared bucket le=%v", f.Name, bounds[b])
 		}
-		prev = b.cum
-		h.Bounds = append(h.Bounds, b.le)
-		h.Cum = append(h.Cum, b.cum)
-	}
-	if len(bkts) > 0 && h.Count < prev {
-		return nil, fmt.Errorf("promtext: histogram %s total %d below last finite cumulative %d", f.Name, h.Count, prev)
-	}
-	return h, nil
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) with the standard
-// Prometheus linear interpolation inside the target bucket.
-// Observations beyond the last finite bound report that bound; an
-// empty histogram reports 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.Count == 0 || q <= 0 || len(h.Bounds) == 0 {
-		return 0
-	}
-	rank := q * float64(h.Count)
-	for i, cum := range h.Cum {
-		if float64(cum) < rank {
-			continue
+		if c < prev {
+			return s, fmt.Errorf("promtext: histogram %s cumulative counts decrease at bucket %d", f.Name, b)
 		}
-		upper := h.Bounds[i]
-		lower := 0.0
-		prev := uint64(0)
-		if i > 0 {
-			lower = h.Bounds[i-1]
-			prev = h.Cum[i-1]
-		}
-		inBucket := float64(cum - prev)
-		if inBucket == 0 {
-			return upper
-		}
-		return lower + (upper-lower)*(rank-float64(prev))/inBucket
+		s.Buckets[b] = c - prev
+		prev = c
 	}
-	// Rank falls in the +Inf bucket: no upper edge to interpolate to.
-	return h.Bounds[len(h.Bounds)-1]
+	s.Count = prev
+	return s, nil
 }

@@ -1,12 +1,37 @@
 package promtext
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-const doc = `# HELP http_requests_total Requests with a\nnewline and a back\\slash.
+// layoutBuckets renders a histogram's _bucket lines in the shared
+// layout: counts[i] observations fall in bucket i of BucketBounds()
+// (index len(BucketBounds()) is +Inf), and suffix[i], if set, ends
+// bucket i's line.
+func layoutBuckets(name string, counts map[int]uint64, suffix map[int]string) string {
+	var b strings.Builder
+	bounds := BucketBounds()
+	var cum uint64
+	for i := 0; i <= len(bounds); i++ {
+		cum += counts[i]
+		le := "+Inf"
+		if i < len(bounds) {
+			le = strconv.FormatFloat(bounds[i], 'g', -1, 64)
+		}
+		fmt.Fprintf(&b, "%s_bucket{le=%q} %d%s\n", name, le, cum, suffix[i])
+	}
+	return b.String()
+}
+
+// latCounts puts 24, 9 and 67 observations in buckets 5, 6 and 7
+// (le 32.768µs, 65.536µs, 131.072µs) and 44 beyond the last bound.
+var latCounts = map[int]uint64{5: 24, 6: 9, 7: 67, len(BucketBounds()): 44}
+
+var doc = `# HELP http_requests_total Requests with a\nnewline and a back\\slash.
 # TYPE http_requests_total counter
 http_requests_total{method="post",code="200"} 1027
 http_requests_total{method="get",path="/a\"b\\c"} 3
@@ -16,11 +41,7 @@ up 1
 
 # HELP lat_seconds request latency
 # TYPE lat_seconds histogram
-lat_seconds_bucket{le="0.05"} 24
-lat_seconds_bucket{le="0.1"} 33
-lat_seconds_bucket{le="0.2"} 100
-lat_seconds_bucket{le="+Inf"} 144
-lat_seconds_sum 53.42
+` + layoutBuckets("lat_seconds", latCounts, nil) + `lat_seconds_sum 53.42
 lat_seconds_count 144
 
 untyped_sample 7 1712345678
@@ -62,22 +83,25 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Count != 144 || h.Sum != 53.42 {
+	if h.Count != 144 || h.SumSec != 53.42 {
 		t.Fatalf("histogram totals %+v", h)
 	}
-	if len(h.Bounds) != 3 || h.Bounds[2] != 0.2 || h.Cum[2] != 100 {
-		t.Fatalf("histogram buckets %+v", h)
+	for b, c := range h.Buckets {
+		if c != latCounts[b] {
+			t.Fatalf("bucket %d holds %d, want %d", b, c, latCounts[b])
+		}
 	}
-	// p50: rank 72 falls in the (0.1, 0.2] bucket, 33 before it, 67 in
-	// it: 0.1 + 0.1*(72-33)/67.
-	want := 0.1 + 0.1*(72.0-33.0)/67.0
+	// p50: rank 72 falls in bucket 7, (65.536µs, 131.072µs], 33 before
+	// it, 67 in it.
+	want := 65.536e-6 + 65.536e-6*(72.0-33.0)/67.0
 	if got := h.Quantile(0.5); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("p50 = %v, want %v", got, want)
 	}
 	// p99: rank beyond the last finite cumulative degrades to the last
 	// finite bound.
-	if got := h.Quantile(0.99); got != 0.2 {
-		t.Fatalf("p99 = %v, want last finite bound 0.2", got)
+	last := BucketBounds()[len(BucketBounds())-1]
+	if got := h.Quantile(0.99); got != last {
+		t.Fatalf("p99 = %v, want last finite bound %v", got, last)
 	}
 }
 
@@ -109,38 +133,40 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestAsHistogramErrors(t *testing.T) {
-	// Not a histogram.
-	fams, err := Parse(strings.NewReader("# TYPE g gauge\ng 1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fams[0].AsHistogram(); err == nil {
-		t.Error("AsHistogram on a gauge family did not error")
-	}
-	// Histogram without +Inf.
-	fams, err = Parse(strings.NewReader("# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_count 3\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fams[0].AsHistogram(); err == nil {
-		t.Error("AsHistogram without +Inf bucket did not error")
-	}
-	// Non-monotone cumulative counts.
-	fams, err = Parse(strings.NewReader("# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fams[0].AsHistogram(); err == nil {
-		t.Error("AsHistogram with decreasing cumulative counts did not error")
+	for _, c := range []struct{ what, doc, want string }{
+		{"a gauge family", "# TYPE g gauge\ng 1\n", "not histogram"},
+		{"no +Inf bucket", "# TYPE h histogram\n" +
+			strings.TrimSuffix(layoutBuckets("h", map[int]uint64{3: 3}, nil), "h_bucket{le=\"+Inf\"} 3\n"),
+			"no +Inf bucket"},
+		{"decreasing cumulative counts", "# TYPE h histogram\n" +
+			strings.Replace(layoutBuckets("h", map[int]uint64{3: 5}, nil), "le=\"1.6384e-05\"} 5", "le=\"1.6384e-05\"} 3", 1),
+			"decrease at bucket 4"},
+		{"a foreign layout", "# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"2\"} 5\nh_bucket{le=\"+Inf\"} 5\n",
+			"le=1 is not in the shared bucket layout"},
+		{"a missing shared bucket", "# TYPE h histogram\n" +
+			strings.Replace(layoutBuckets("h", map[int]uint64{3: 3}, nil), "h_bucket{le=\"2.048e-06\"} 0\n", "", 1),
+			"lacks the shared bucket le=2.048e-06"},
+	} {
+		fams, err := Parse(strings.NewReader(c.doc))
+		if err != nil {
+			t.Fatalf("%s: %v", c.what, err)
+		}
+		if _, err := fams[0].AsHistogram(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("AsHistogram on %s: err %v, want one naming %q", c.what, err, c.want)
+		}
 	}
 }
 
-const openMetricsDoc = `# HELP lat_seconds request latency
+// openMetricsDoc carries exemplars on bucket 16 (le 67.108864ms) and
+// on +Inf.
+var openMetricsDoc = `# HELP lat_seconds request latency
 # TYPE lat_seconds histogram
-lat_seconds_bucket{le="0.05"} 24 # {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 0.043 1712345678.500
-lat_seconds_bucket{le="0.1"} 33
-lat_seconds_bucket{le="+Inf"} 144 # {trace_id="00f067aa0ba902b700f067aa0ba902b7"} 9.1
-lat_seconds_sum 53.42
+` + layoutBuckets("lat_seconds",
+	map[int]uint64{16: 24, 17: 9, len(BucketBounds()): 111},
+	map[int]string{
+		16:                  ` # {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 0.043 1712345678.500`,
+		len(BucketBounds()): ` # {trace_id="00f067aa0ba902b700f067aa0ba902b7"} 9.1`,
+	}) + `lat_seconds_sum 53.42
 lat_seconds_count 144
 # EOF
 `
@@ -162,8 +188,8 @@ func TestParseOpenMetricsExemplars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Count != 144 || h.Sum != 53.42 {
-		t.Fatalf("histogram count/sum = %d/%v", h.Count, h.Sum)
+	if h.Count != 144 || h.SumSec != 53.42 {
+		t.Fatalf("histogram count/sum = %d/%v", h.Count, h.SumSec)
 	}
 	var got []*Exemplar
 	for _, s := range f.Samples {

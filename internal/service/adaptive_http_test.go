@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"oms/internal/store"
 	"sync"
 	"testing"
 	"time"
@@ -61,23 +62,23 @@ func drainAssignments(t *testing.T, resp *http.Response, want int) {
 // actually grown.
 func TestAdaptiveGrowthChargesNodeBudget(t *testing.T) {
 	mgr := testManager(t, Config{MaxTotalNodes: 1000})
-	s, err := mgr.Create(CreateSpec{Adaptive: true, K: 2})
+	s, err := mgr.Create(store.CreateSpec{Adaptive: true, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := s.Ingest(ctx, mgr.Pool(), framed(PushNode{U: 500, Adj: []int32{10}})); err != nil {
+	if _, err := s.Ingest(ctx, mgr.Pool(), framed(store.PushNode{U: 500, Adj: []int32{10}})); err != nil {
 		t.Fatalf("growth within budget rejected: %v", err)
 	}
-	if _, err := s.Ingest(ctx, mgr.Pool(), framed(PushNode{U: 5000})); !errors.Is(err, ErrLimit) {
+	if _, err := s.Ingest(ctx, mgr.Pool(), framed(store.PushNode{U: 5000})); !errors.Is(err, ErrLimit) {
 		t.Fatalf("growth beyond budget: err %v, want ErrLimit", err)
 	}
 	// The rejected chunk must not have grown the engine or leaked
 	// budget: a second session claiming the remainder still fits.
-	if _, err := s.Ingest(ctx, mgr.Pool(), framed(PushNode{U: 400})); err != nil {
+	if _, err := s.Ingest(ctx, mgr.Pool(), framed(store.PushNode{U: 400})); err != nil {
 		t.Fatalf("in-budget ingest after a rejected one: %v", err)
 	}
-	s2, err := mgr.Create(CreateSpec{N: 400, M: 10, K: 2})
+	s2, err := mgr.Create(store.CreateSpec{N: 400, M: 10, K: 2})
 	if err != nil {
 		t.Fatalf("declared session within the remainder rejected: %v", err)
 	}
@@ -87,7 +88,7 @@ func TestAdaptiveGrowthChargesNodeBudget(t *testing.T) {
 	if err := mgr.Delete(s.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.Create(CreateSpec{N: 600, M: 10, K: 2}); err != nil {
+	if _, err := mgr.Create(store.CreateSpec{N: 600, M: 10, K: 2}); err != nil {
 		t.Fatalf("budget not released on delete: %v", err)
 	}
 }
@@ -102,7 +103,7 @@ func TestAdaptiveChargeAccountingRace(t *testing.T) {
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for round := 0; round < 40; round++ {
-		s, err := mgr.Create(CreateSpec{Adaptive: true, K: 2})
+		s, err := mgr.Create(store.CreateSpec{Adaptive: true, K: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,10 +111,10 @@ func TestAdaptiveChargeAccountingRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for c := 0; c < 8; c++ {
-				nodes := make([]PushNode, 16)
+				nodes := make([]store.PushNode, 16)
 				for i := range nodes {
 					u := int32(c*16 + i)
-					nodes[i] = PushNode{U: u * 7, Adj: []int32{u * 11}}
+					nodes[i] = store.PushNode{U: u * 7, Adj: []int32{u * 11}}
 				}
 				if _, err := s.Ingest(ctx, mgr.Pool(), framed(nodes...)); err != nil {
 					return // gone mid-stream: expected
@@ -142,14 +143,14 @@ func TestAdaptiveChargeAccountingRace(t *testing.T) {
 func TestAdaptiveContinuationRefineStaysBalanced(t *testing.T) {
 	mgr := testManager(t, Config{RefinePasses: 1})
 	g := oms.GenDelaunay(2000, 5)
-	s, err := mgr.Create(CreateSpec{Adaptive: true, K: 16, Record: true})
+	s, err := mgr.Create(store.CreateSpec{Adaptive: true, K: 16, Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	var chunk []PushNode
+	var chunk []store.PushNode
 	for u := int32(0); u < g.NumNodes(); u++ {
-		chunk = append(chunk, PushNode{U: u, Adj: g.Neighbors(u)})
+		chunk = append(chunk, store.PushNode{U: u, Adj: g.Neighbors(u)})
 		if len(chunk) == 256 || u == g.NumNodes()-1 {
 			if _, err := s.Ingest(ctx, mgr.Pool(), framed(chunk...)); err != nil {
 				t.Fatal(err)

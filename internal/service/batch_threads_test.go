@@ -10,6 +10,7 @@ import (
 
 	"oms/internal/gen"
 	"oms/internal/service"
+	"oms/internal/store"
 	"oms/internal/wal"
 	"oms/internal/wire"
 )
@@ -29,17 +30,17 @@ func TestBatchIngestParallelSession(t *testing.T) {
 		}
 		mgr := service.NewManager(service.Config{Store: st})
 		defer mgr.Close()
-		s, err := mgr.Create(service.CreateSpec{N: g.NumNodes(), M: g.NumEdges(), K: 16, Seed: 3, Threads: threads})
+		s, err := mgr.Create(store.CreateSpec{N: g.NumNodes(), M: g.NumEdges(), K: 16, Seed: 3, Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
 		const batch = 512
 		for lo := int32(0); lo < g.NumNodes(); lo += batch {
-			nodes := make([]service.PushNode, 0, batch)
+			nodes := make([]store.PushNode, 0, batch)
 			for u := lo; u < min(lo+batch, g.NumNodes()); u++ {
 				adj := g.Neighbors(u)
-				nodes = append(nodes, service.PushNode{U: u, W: 1, Adj: adj, Frame: wire.AppendNodeFrame(nil, u, 1, adj, nil)})
+				nodes = append(nodes, store.PushNode{U: u, W: 1, Adj: adj, Frame: wire.AppendNodeFrame(nil, u, 1, adj, nil)})
 			}
 			blocks, err := s.IngestBatch(ctx, mgr.Pool(), nodes)
 			if err != nil {

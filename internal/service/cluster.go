@@ -1,5 +1,7 @@
 package service
 
+import "oms/internal/store"
+
 // ClusterView is how the service layer sees cluster mode, defined here
 // (the consumer) so internal/cluster — which already builds on this
 // package's Store and SessionLog — can implement it without an import
@@ -58,6 +60,6 @@ func (mg *Manager) AdmissionSnapshot() AdmissionInfo {
 // the session is served here exactly as if this node had always owned
 // it, because the deterministic replay reproduces the lost node's
 // engine state bit for bit.
-func (mg *Manager) Adopt(rec RecoveredSession) error {
+func (mg *Manager) Adopt(rec store.RecoveredSession) error {
 	return mg.restoreSession(rec)
 }

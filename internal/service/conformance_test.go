@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"oms/internal/store"
 	"strings"
 	"testing"
 	"time"
@@ -74,15 +75,15 @@ func newConformanceFixture(t *testing.T) *conformanceFixture {
 	mgr, srv := newTestServer(t, Config{Tracer: trace.NewRecorder(trace.Options{SampleEvery: -1})})
 	f := &conformanceFixture{srvURL: srv.URL}
 
-	mk := func(spec CreateSpec) string {
+	mk := func(spec store.CreateSpec) string {
 		s, err := mgr.Create(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s.ID
 	}
-	f.liveID = mk(CreateSpec{N: 4, M: 1, K: 2})
-	f.finishedID = mk(CreateSpec{N: 4, M: 3, K: 2})
+	f.liveID = mk(store.CreateSpec{N: 4, M: 1, K: 2})
+	f.finishedID = mk(store.CreateSpec{N: 4, M: 3, K: 2})
 	fs, err := mgr.Get(f.finishedID)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +91,7 @@ func newConformanceFixture(t *testing.T) *conformanceFixture {
 	if _, err := fs.Finish(context.Background(), mgr.Pool()); err != nil {
 		t.Fatal(err)
 	}
-	f.deletedID = mk(CreateSpec{N: 4, M: 3, K: 2})
+	f.deletedID = mk(store.CreateSpec{N: 4, M: 3, K: 2})
 	if err := mgr.Delete(f.deletedID); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"oms/internal/store"
 	"slices"
 	"sync"
 	"testing"
@@ -44,7 +45,7 @@ func (l *faultLog) AppendNodeFrame(frame []byte) error {
 	return nil
 }
 
-func (l *faultLog) AppendBatch(nodes []PushNode, blocks []int32) error {
+func (l *faultLog) AppendBatch(nodes []store.PushNode, blocks []int32) error {
 	if l.failAppend {
 		return errDisk
 	}
@@ -80,10 +81,10 @@ func (l *faultLog) Seal() error {
 	return nil
 }
 
-func (l *faultLog) SaveVersion(v RefinedVersion) error { return nil }
+func (l *faultLog) SaveVersion(v store.RefinedVersion) error { return nil }
 
-func (l *faultLog) LoadVersion(version int32) (RefinedVersion, error) {
-	return RefinedVersion{}, errDisk
+func (l *faultLog) LoadVersion(version int32) (store.RefinedVersion, error) {
+	return store.RefinedVersion{}, errDisk
 }
 
 func (l *faultLog) Close() error { return nil }
@@ -104,7 +105,7 @@ func (l *parkLog) Flush() error {
 
 // faultStore hands every session the same log.
 type faultStore struct {
-	log SessionLog
+	log store.SessionLog
 	// barrier, when set, blocks Create until it has been entered by
 	// two callers (forcing two creates into the post-persist admission
 	// race).
@@ -114,7 +115,7 @@ type faultStore struct {
 	removed []string
 }
 
-func (s *faultStore) Create(id string, spec CreateSpec) (SessionLog, error) {
+func (s *faultStore) Create(id string, spec store.CreateSpec) (store.SessionLog, error) {
 	if s.barrier != nil {
 		s.barrier.Done()
 		s.barrier.Wait()
@@ -122,7 +123,7 @@ func (s *faultStore) Create(id string, spec CreateSpec) (SessionLog, error) {
 	return s.log, nil
 }
 
-func (s *faultStore) Recover() ([]RecoveredSession, error) { return nil, nil }
+func (s *faultStore) Recover() ([]store.RecoveredSession, error) { return nil, nil }
 
 func (s *faultStore) ReplaySource(id string) (oms.Source, error) {
 	return nil, errDisk
@@ -147,7 +148,7 @@ func (s *faultStore) removedCount() int {
 func TestWALFaultKillsSession(t *testing.T) {
 	fl := &faultLog{failAppend: true}
 	mgr := testManager(t, Config{Store: &faultStore{log: fl}})
-	s, err := mgr.Create(CreateSpec{N: 4, M: 3, K: 2})
+	s, err := mgr.Create(store.CreateSpec{N: 4, M: 3, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +167,13 @@ func TestWALFaultKillsSession(t *testing.T) {
 func TestFlushFaultFailsChunkEvenAfterRejection(t *testing.T) {
 	fl := &faultLog{failFlush: true}
 	mgr := testManager(t, Config{Store: &faultStore{log: fl}})
-	s, err := mgr.Create(CreateSpec{N: 4, M: 3, K: 2})
+	s, err := mgr.Create(store.CreateSpec{N: 4, M: 3, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Node 0 is accepted (and logged), node 99 rejected; the flush
 	// fault must still surface and void the chunk's acks.
-	nodes := framed(PushNode{U: 0, Adj: []int32{1}}, PushNode{U: 99})
+	nodes := framed(store.PushNode{U: 0, Adj: []int32{1}}, store.PushNode{U: 99})
 	blocks, err := s.Ingest(context.Background(), mgr.Pool(), nodes)
 	if !errors.Is(err, ErrDurability) {
 		t.Fatalf("ingest with flush fault: %v, want ErrDurability", err)
@@ -194,17 +195,17 @@ func TestIngestLogsExactlyWhatItAcks(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		batch       bool
-		nodes       []PushNode
+		nodes       []store.PushNode
 		wantErr     bool
 		acked       int // assignments returned
 		appended    int // node records logged
 		wantFlushes int
 	}{
 		// Node 2 is out of range: /nodes keeps the prefix before it...
-		{name: "nodes/rejection-mid-chunk", nodes: framed(PushNode{U: 0, Adj: []int32{1}}, PushNode{U: 1, Adj: []int32{0}}, PushNode{U: 99}, PushNode{U: 3}),
+		{name: "nodes/rejection-mid-chunk", nodes: framed(store.PushNode{U: 0, Adj: []int32{1}}, store.PushNode{U: 1, Adj: []int32{0}}, store.PushNode{U: 99}, store.PushNode{U: 3}),
 			wantErr: true, acked: 2, appended: 2, wantFlushes: 1},
 		// ...and /batch, admitted atomically, applies and logs nothing.
-		{name: "batch/rejected", batch: true, nodes: framed(PushNode{U: 0, Adj: []int32{1}}, PushNode{U: 99}),
+		{name: "batch/rejected", batch: true, nodes: framed(store.PushNode{U: 0, Adj: []int32{1}}, store.PushNode{U: 99}),
 			wantErr: true},
 		{name: "nodes/accepted", nodes: pathNodes(4), acked: 4, appended: 4, wantFlushes: 1},
 		{name: "batch/accepted", batch: true, nodes: pathNodes(4), acked: 4, appended: 4, wantFlushes: 1},
@@ -238,7 +239,7 @@ func TestIngestLogsExactlyWhatItAcks(t *testing.T) {
 			// A client that lost the reply retries the same nodes: the
 			// same assignments come back and nothing new is logged or
 			// flushed, on either route.
-			for _, retry := range []func(context.Context, *Pool, []PushNode) ([]int32, error){s.Ingest, s.IngestBatch} {
+			for _, retry := range []func(context.Context, *Pool, []store.PushNode) ([]int32, error){s.Ingest, s.IngestBatch} {
 				again, err := retry(ctx, mgr.Pool(), tc.nodes)
 				if err != nil || !slices.Equal(again, blocks) {
 					t.Fatalf("duplicate retry: %v, %v; want %v", again, err, blocks)
@@ -258,16 +259,16 @@ func TestIngestLogsExactlyWhatItAcks(t *testing.T) {
 // nodes are assigned and logged verbatim, even after other requests
 // have reused the pooled state.
 func TestCancelledRequestKeepsItsNodes(t *testing.T) {
-	victim := []PushNode{{U: 40, Adj: []int32{41, 42, 43}}, {U: 41, Adj: []int32{40, 50}}}
-	bodies := map[string]func([]PushNode) (string, []byte){
-		"wire": func(nodes []PushNode) (string, []byte) {
+	victim := []store.PushNode{{U: 40, Adj: []int32{41, 42, 43}}, {U: 41, Adj: []int32{40, 50}}}
+	bodies := map[string]func([]store.PushNode) (string, []byte){
+		"wire": func(nodes []store.PushNode) (string, []byte) {
 			var b []byte
 			for _, nd := range nodes {
 				b = wire.AppendNodeFrame(b, nd.U, 1, nd.Adj, nil)
 			}
 			return wire.MediaType, b
 		},
-		"ndjson": func(nodes []PushNode) (string, []byte) {
+		"ndjson": func(nodes []store.PushNode) (string, []byte) {
 			var b bytes.Buffer
 			enc := json.NewEncoder(&b)
 			for _, nd := range nodes {
@@ -280,11 +281,11 @@ func TestCancelledRequestKeepsItsNodes(t *testing.T) {
 		t.Run(format, func(t *testing.T) {
 			fl := &faultLog{}
 			mgr := testManager(t, Config{Store: &faultStore{log: fl}})
-			s, err := mgr.Create(CreateSpec{N: 64, M: 63, K: 2, Record: true})
+			s, err := mgr.Create(store.CreateSpec{N: 64, M: 63, K: 2, Record: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			post := func(ctx context.Context, mgr *Manager, id string, nodes []PushNode) {
+			post := func(ctx context.Context, mgr *Manager, id string, nodes []store.PushNode) {
 				ct, b := body(nodes)
 				req := httptest.NewRequest("POST", "/v1/sessions/"+id+"/nodes", bytes.NewReader(b)).WithContext(ctx)
 				req.Header.Set("Content-Type", ct)
@@ -352,7 +353,7 @@ func TestCancelledRequestKeepsItsNodes(t *testing.T) {
 func TestSealFaultFailsFinish(t *testing.T) {
 	fl := &faultLog{failSeal: true}
 	mgr := testManager(t, Config{Store: &faultStore{log: fl}})
-	s, err := mgr.Create(CreateSpec{N: 4, M: 3, K: 2})
+	s, err := mgr.Create(store.CreateSpec{N: 4, M: 3, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +390,7 @@ func TestCreateGCsOnAdmitRollback(t *testing.T) {
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := mgr.Create(CreateSpec{N: 4, M: 3, K: 2})
+			_, err := mgr.Create(store.CreateSpec{N: 4, M: 3, K: 2})
 			errs <- err
 		}()
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"oms/internal/promtext"
+	"oms/internal/store"
 	"strings"
 	"time"
 
@@ -64,7 +66,7 @@ func NewServer(mgr *Manager) http.Handler {
 	reg := mgr.Registry()
 	for _, rt := range Routes() {
 		h := rt.handler(mgr)
-		var hist *Histogram
+		var hist *promtext.Histogram
 		if rt.Name != "" {
 			hist = reg.Histogram("omsd_http_"+rt.Name+"_seconds",
 				"request latency of "+rt.Method+" "+rt.Pattern)
@@ -106,7 +108,7 @@ func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter 
 // and allocates nothing beyond the unavoidable clock reads — the
 // recorder's share of that is held at exactly zero by
 // TestSampledOutRequestAllocatesNothing in internal/trace.
-func withTrace(rec *trace.Recorder, name string, hist *Histogram, inner http.HandlerFunc) http.HandlerFunc {
+func withTrace(rec *trace.Recorder, name string, hist *promtext.Histogram, inner http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		var a *trace.Active
@@ -260,7 +262,7 @@ func Routes() []Route {
 
 func handleCreate(mgr *Manager) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var spec CreateSpec
+		var spec store.CreateSpec
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad create body: %w", err))
 			return

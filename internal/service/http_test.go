@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"oms/internal/store"
 	"strings"
 	"sync"
 	"testing"
@@ -54,7 +55,7 @@ func ndjsonGraph(t *testing.T, g *oms.Graph, lo, hi int32) *bytes.Buffer {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for u := lo; u < hi; u++ {
-		nd := PushNode{U: u, Adj: g.Neighbors(u), EW: g.EdgeWeights(u)}
+		nd := store.PushNode{U: u, Adj: g.Neighbors(u), EW: g.EdgeWeights(u)}
 		if w := g.NodeWeight(u); w != 1 {
 			nd.W = w
 		}
@@ -114,7 +115,7 @@ type createReply struct {
 
 // driveSession streams g through a fresh session in chunked POSTs and
 // returns the streamed assignments plus the finish summary.
-func driveSession(t *testing.T, base string, g *oms.Graph, spec CreateSpec, posts int32) ([]int32, *Summary, string) {
+func driveSession(t *testing.T, base string, g *oms.Graph, spec store.CreateSpec, posts int32) ([]int32, *Summary, string) {
 	t.Helper()
 	var created createReply
 	if resp := postJSON(t, base+"/v1/sessions", spec, &created); resp.StatusCode != http.StatusCreated {
@@ -152,7 +153,7 @@ func TestEndToEndParity(t *testing.T) {
 	}
 
 	_, srv := newTestServer(t, Config{})
-	spec := CreateSpec{
+	spec := store.CreateSpec{
 		N: g.NumNodes(), M: g.NumEdges(),
 		TotalNodeWeight: g.TotalNodeWeight(), TotalEdgeWeight: g.TotalEdgeWeight(),
 		K: k, Seed: seed, Record: true,
@@ -222,7 +223,7 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 			// cross-session state leak changes some assignment.
 			g := oms.GenDelaunay(800+100*int32(i), uint64(i+1))
 			opt := oms.Options{Seed: uint64(i), Epsilon: 0.03 + 0.01*float64(i%3)}
-			spec := CreateSpec{
+			spec := store.CreateSpec{
 				N: g.NumNodes(), M: g.NumEdges(),
 				TotalNodeWeight: g.TotalNodeWeight(), TotalEdgeWeight: g.TotalEdgeWeight(),
 				K: int32(8 << (i % 3)), Seed: opt.Seed, Epsilon: opt.Epsilon,
@@ -270,21 +271,21 @@ func TestSentinelStatusCodes(t *testing.T) {
 
 	// Node outside the declared range -> 422.
 	var created createReply
-	postJSON(t, srv.URL+"/v1/sessions", CreateSpec{N: 4, M: 3, K: 2}, &created)
+	postJSON(t, srv.URL+"/v1/sessions", store.CreateSpec{N: 4, M: 3, K: 2}, &created)
 	if code := post(created.ID, `{"u":99,"adj":[]}`+"\n"); code != http.StatusUnprocessableEntity {
 		t.Fatalf("out-of-range status %d, want 422", code)
 	}
 
 	// Overrunning the declared edge budget (2m = 2) -> 413.
 	var tiny createReply
-	postJSON(t, srv.URL+"/v1/sessions", CreateSpec{N: 4, M: 1, K: 2}, &tiny)
+	postJSON(t, srv.URL+"/v1/sessions", store.CreateSpec{N: 4, M: 1, K: 2}, &tiny)
 	if code := post(tiny.ID, `{"u":0,"adj":[1,2,3]}`+"\n"); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("edge-budget status %d, want 413", code)
 	}
 
 	// Pushing into a finished session -> 409.
 	var done createReply
-	postJSON(t, srv.URL+"/v1/sessions", CreateSpec{N: 4, M: 3, K: 2}, &done)
+	postJSON(t, srv.URL+"/v1/sessions", store.CreateSpec{N: 4, M: 3, K: 2}, &done)
 	resp, err := http.Post(fmt.Sprintf("%s/v1/sessions/%s/finish", srv.URL, done.ID), "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +298,7 @@ func TestSentinelStatusCodes(t *testing.T) {
 	// A mid-stream rejection (assignments already committed) still
 	// surfaces inline as an NDJSON error line on a 200 stream.
 	var mid createReply
-	postJSON(t, srv.URL+"/v1/sessions", CreateSpec{N: 4, M: 3, K: 2}, &mid)
+	postJSON(t, srv.URL+"/v1/sessions", store.CreateSpec{N: 4, M: 3, K: 2}, &mid)
 	resp, err = http.Post(fmt.Sprintf("%s/v1/sessions/%s/nodes", srv.URL, mid.ID),
 		"application/x-ndjson", strings.NewReader(`{"u":0,"adj":[1]}`+"\n"+`{"u":99,"adj":[]}`+"\n"))
 	if err != nil {
@@ -369,7 +370,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 	// Result before finish conflicts.
 	var created createReply
-	postJSON(t, srv.URL+"/v1/sessions", CreateSpec{N: 4, M: 3, K: 2}, &created)
+	postJSON(t, srv.URL+"/v1/sessions", store.CreateSpec{N: 4, M: 3, K: 2}, &created)
 	resp, err = http.Get(fmt.Sprintf("%s/v1/sessions/%s/result", srv.URL, created.ID))
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"oms/internal/store"
 	"strings"
 	"sync"
 
@@ -72,7 +73,7 @@ type ingestError struct {
 // error) back to the ingest client in its negotiated format.
 type replier interface {
 	// assignments reports blocks[i] as the assignment of chunk[i].
-	assignments(chunk []PushNode, blocks []int32) // len(blocks) <= len(chunk)
+	assignments(chunk []store.PushNode, blocks []int32) // len(blocks) <= len(chunk)
 	// errLine terminates the stream with an in-band error record.
 	errLine(msg string)
 }
@@ -86,7 +87,7 @@ type jsonReplier struct {
 	buf []byte
 }
 
-func (rp *jsonReplier) assignments(chunk []PushNode, blocks []int32) {
+func (rp *jsonReplier) assignments(chunk []store.PushNode, blocks []int32) {
 	if len(blocks) == 0 {
 		return
 	}
@@ -111,7 +112,7 @@ type wireReplier struct {
 	fr  []byte
 }
 
-func (rp *wireReplier) assignments(chunk []PushNode, blocks []int32) {
+func (rp *wireReplier) assignments(chunk []store.PushNode, blocks []int32) {
 	if len(blocks) == 0 {
 		return
 	}
@@ -154,7 +155,7 @@ type ingestReq struct {
 	// first NDJSON request this state serves.
 	line []byte
 
-	chunk      []PushNode
+	chunk      []store.PushNode
 	chunkBytes int
 	wrote      bool
 }
@@ -227,17 +228,17 @@ func (q *ingestReq) fail(err error) {
 
 // nextFrame is the binary format's step: one frame, validated once (CRC
 // + record decode into the arena), yielded with its verbatim bytes.
-func (q *ingestReq) nextFrame() (PushNode, error) {
+func (q *ingestReq) nextFrame() (store.PushNode, error) {
 	nd, frame, err := q.rd.NextNode()
 	switch {
 	case err == nil:
-		return PushNode{U: nd.U, W: nd.W, Adj: nd.Adj, EW: nd.EW, Frame: frame}, nil
+		return store.PushNode{U: nd.U, W: nd.W, Adj: nd.Adj, EW: nd.EW, Frame: frame}, nil
 	case err == io.EOF:
-		return PushNode{}, io.EOF
+		return store.PushNode{}, io.EOF
 	case errors.Is(err, wire.ErrMalformed):
-		return PushNode{}, fmt.Errorf("%w (at node %d of the request)", err, len(q.chunk))
+		return store.PushNode{}, fmt.Errorf("%w (at node %d of the request)", err, len(q.chunk))
 	}
-	return PushNode{}, fmt.Errorf("read body: %w", err)
+	return store.PushNode{}, fmt.Errorf("read body: %w", err)
 }
 
 // nextLine is the NDJSON shim's step: one line, decoded once and
@@ -249,7 +250,7 @@ func (q *ingestReq) nextFrame() (PushNode, error) {
 // client writes) is parsed by hand into the arena, as a binary frame is
 // decoded; any other line goes through json.Unmarshal, which decides
 // what is accepted and what its error says.
-func (q *ingestReq) nextLine(sc *bufio.Scanner) (PushNode, error) {
+func (q *ingestReq) nextLine(sc *bufio.Scanner) (store.PushNode, error) {
 	a := &q.rd.Arena
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -257,12 +258,12 @@ func (q *ingestReq) nextLine(sc *bufio.Scanner) (PushNode, error) {
 			continue
 		}
 		wn, ok := wire.ParseNodeLine(line, a)
-		nd := PushNode{U: wn.U, W: wn.W, Adj: wn.Adj, EW: wn.EW}
+		nd := store.PushNode{U: wn.U, W: wn.W, Adj: wn.Adj, EW: wn.EW}
 		if !ok {
 			// Declared here, so only a fallback line pays its escape.
-			var fb PushNode
+			var fb store.PushNode
 			if err := json.Unmarshal(line, &fb); err != nil {
-				return PushNode{}, fmt.Errorf("bad node line %.120q: %v", line, err)
+				return store.PushNode{}, fmt.Errorf("bad node line %.120q: %v", line, err)
 			}
 			nd = fb
 		}
@@ -279,9 +280,9 @@ func (q *ingestReq) nextLine(sc *bufio.Scanner) (PushNode, error) {
 		return nd, nil
 	}
 	if err := sc.Err(); err != nil {
-		return PushNode{}, fmt.Errorf("read body: %v", err)
+		return store.PushNode{}, fmt.Errorf("read body: %v", err)
 	}
-	return PushNode{}, io.EOF
+	return store.PushNode{}, io.EOF
 }
 
 // ingest streams the request body into the session in chunks and
@@ -333,7 +334,7 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 		}
 		sc := bufio.NewScanner(r.Body)
 		sc.Buffer(q.line, maxNodeLine)
-		next = func() (PushNode, error) { return q.nextLine(sc) }
+		next = func() (store.PushNode, error) { return q.nextLine(sc) }
 	}
 
 	chunkSize := ingestChunkSize
@@ -341,7 +342,7 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 		chunkSize = batchChunkSize
 	}
 	if cap(q.chunk) < chunkSize {
-		q.chunk = make([]PushNode, 0, chunkSize)
+		q.chunk = make([]store.PushNode, 0, chunkSize)
 	}
 	for {
 		nd, err := next()

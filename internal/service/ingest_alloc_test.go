@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"oms/internal/store"
 	"runtime"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func TestBatchIngestStaysAllocationFree(t *testing.T) {
 		{"binary", wire.MediaType, func(lo, hi int32) []byte { return wireGraph(g, lo, hi) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := mgr.Create(CreateSpec{N: n, M: g.NumEdges(), K: 16})
+			s, err := mgr.Create(store.CreateSpec{N: n, M: g.NumEdges(), K: 16})
 			if err != nil {
 				t.Fatal(err)
 			}

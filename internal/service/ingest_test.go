@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"oms/internal/store"
 	"testing"
 	"time"
 
@@ -56,7 +57,7 @@ func TestSingleChunkReplyHasContentLength(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var created createReply
-			postJSON(t, srv.URL+"/v1/sessions", CreateSpec{N: g.NumNodes(), M: g.NumEdges(), K: 4}, &created)
+			postJSON(t, srv.URL+"/v1/sessions", store.CreateSpec{N: g.NumNodes(), M: g.NumEdges(), K: 4}, &created)
 			resp, err := http.Post(fmt.Sprintf("%s/v1/sessions/%s/nodes", srv.URL, created.ID), tc.ct, bytes.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
@@ -87,7 +88,7 @@ func TestIngestFullDuplexRepliesMidStream(t *testing.T) {
 	n := g.NumNodes()
 	_, srv := newTestServer(t, Config{})
 	var created createReply
-	postJSON(t, srv.URL+"/v1/sessions", CreateSpec{N: n, M: g.NumEdges(), K: 4}, &created)
+	postJSON(t, srv.URL+"/v1/sessions", store.CreateSpec{N: n, M: g.NumEdges(), K: 4}, &created)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()

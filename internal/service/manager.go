@@ -7,8 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"oms/internal/promtext"
+	"oms/internal/store"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,126 +56,6 @@ func errNotFound(id string) error {
 	return fmt.Errorf("%w: %s", ErrNotFound, id)
 }
 
-// CreateSpec is the session-creation declaration: the stream's global
-// stats plus the partitioning target and options, exactly the JSON body
-// of POST /v1/sessions.
-type CreateSpec struct {
-	// N and M are the declared node and edge counts of the stream. In
-	// adaptive sessions they are optional hints (lower bounds on the
-	// final totals) instead of declarations; n: 0 with no "adaptive"
-	// flag implies adaptive.
-	N int32 `json:"n"`
-	M int64 `json:"m"`
-	// Adaptive opens an open-ended session whose stream stats are
-	// estimated online: n, m, and the total weights need not be
-	// declared, Fennel's alpha and the per-block capacities re-adapt as
-	// the estimates ratchet, and finish reconciles against the true
-	// observed totals (running a reconcile pass over the write-ahead
-	// log when the server persists sessions).
-	Adaptive bool `json:"adaptive,omitempty"`
-	// AdaptiveHeadroom overrides the estimator's projection overshoot;
-	// 0 keeps the automatic default (optimistic when the stream is
-	// retained for the finish-time reconcile pass, tight otherwise).
-	AdaptiveHeadroom float64 `json:"adaptive_headroom,omitempty"`
-	// TotalNodeWeight / TotalEdgeWeight default to N (unit weights) and
-	// M when omitted.
-	TotalNodeWeight int64 `json:"total_node_weight,omitempty"`
-	TotalEdgeWeight int64 `json:"total_edge_weight,omitempty"`
-	// K asks for plain partitioning into K blocks; Topology/Distances
-	// ask for process mapping instead (mutually exclusive with K).
-	K         int32  `json:"k,omitempty"`
-	Topology  string `json:"topology,omitempty"`
-	Distances string `json:"distances,omitempty"`
-	// Scorer is "fennel" (default), "ldg", or "hashing".
-	Scorer       string  `json:"scorer,omitempty"`
-	Epsilon      float64 `json:"epsilon,omitempty"`
-	Base         int32   `json:"base,omitempty"`
-	HashLayers   int     `json:"hash_layers,omitempty"`
-	VanillaAlpha bool    `json:"vanilla_alpha,omitempty"`
-	Gamma        float64 `json:"gamma,omitempty"`
-	Seed         uint64  `json:"seed,omitempty"`
-	// Record keeps the pushed stream server-side, enabling edge-cut and
-	// imbalance in the finish summary at O(n + m) extra memory.
-	Record bool `json:"record,omitempty"`
-	// Threads is accepted and ignored: a session assigns every batch in
-	// order on one engine worker. It stays so that older clients and
-	// persisted specs that carry it still decode.
-	Threads int `json:"threads,omitempty"`
-	// TTLSeconds overrides the server's idle-eviction TTL.
-	TTLSeconds int `json:"ttl_seconds,omitempty"`
-	// TraceID is the hex trace id of the sampled create request, set by
-	// the HTTP layer (never by clients) and excluded from the persisted
-	// spec — a recovered session's creation trace is long gone.
-	TraceID string `json:"-"`
-}
-
-func parseScorer(s string) (oms.Scorer, error) {
-	switch strings.ToLower(s) {
-	case "", "fennel":
-		return oms.ScorerFennel, nil
-	case "ldg":
-		return oms.ScorerLDG, nil
-	case "hashing":
-		return oms.ScorerHashing, nil
-	default:
-		return 0, fmt.Errorf("service: unknown scorer %q (want fennel, ldg, or hashing)", s)
-	}
-}
-
-// sessionConfig translates the wire spec into an engine config.
-func (cs CreateSpec) sessionConfig() (oms.SessionConfig, error) {
-	scorer, err := parseScorer(cs.Scorer)
-	if err != nil {
-		return oms.SessionConfig{}, err
-	}
-	cfg := oms.SessionConfig{
-		Stats: oms.StreamStats{
-			N:               cs.N,
-			M:               cs.M,
-			TotalNodeWeight: cs.TotalNodeWeight,
-			TotalEdgeWeight: cs.TotalEdgeWeight,
-		},
-		K:                cs.K,
-		Adaptive:         cs.Adaptive,
-		AdaptiveHeadroom: cs.AdaptiveHeadroom,
-		Options: oms.Options{
-			Epsilon:      cs.Epsilon,
-			Scorer:       scorer,
-			Base:         cs.Base,
-			HashLayers:   cs.HashLayers,
-			VanillaAlpha: cs.VanillaAlpha,
-			Gamma:        cs.Gamma,
-			Seed:         cs.Seed,
-		},
-		Record: cs.Record,
-	}
-	if cs.Topology != "" {
-		if cs.K != 0 {
-			return oms.SessionConfig{}, fmt.Errorf("service: declare either k or a topology, not both")
-		}
-		dist := cs.Distances
-		if dist == "" {
-			// Default to the paper's geometric distances 1:10:100:...
-			parts := strings.Split(cs.Topology, ":")
-			ds := make([]string, len(parts))
-			d := int64(1)
-			for i := range parts {
-				ds[i] = fmt.Sprint(d)
-				d *= 10
-			}
-			dist = strings.Join(ds, ":")
-		}
-		top, err := oms.NewTopology(cs.Topology, dist)
-		if err != nil {
-			return oms.SessionConfig{}, err
-		}
-		cfg.Topology = top
-	} else if cs.K < 1 {
-		return oms.SessionConfig{}, fmt.Errorf("service: k %d < 1 and no topology given", cs.K)
-	}
-	return cfg, nil
-}
-
 // Config sizes the serving subsystem. The zero value selects the
 // defaults noted per field.
 type Config struct {
@@ -199,7 +80,7 @@ type Config struct {
 	// accepted pushes are logged before they are acknowledged, Finish
 	// seals the log, deletion and TTL eviction garbage-collect it, and
 	// RecoverSessions rebuilds every stored session after a restart.
-	Store Store
+	Store store.Store
 	// RefineWorkers sizes the background refinement pool: how many
 	// finished sessions may restream concurrently; default 1. Refinement
 	// runs strictly off the ingest hot path — its workers only ever
@@ -212,7 +93,7 @@ type Config struct {
 	// Injecting a registry lets the daemon register process-level
 	// gauges and wire the WAL store's latency observers onto the same
 	// registry before the manager exists.
-	Registry *Registry
+	Registry *promtext.Registry
 	// Events receives structured session-lifecycle events (created,
 	// recovered, sealed, evicted, refined, faulted); nil disables them.
 	Events *telemetry.Logger
@@ -288,7 +169,7 @@ type sessionShard struct {
 // shard lock, so that order cannot deadlock.
 type Manager struct {
 	cfg     Config
-	reg     *Registry
+	reg     *promtext.Registry
 	m       *serviceMetrics
 	ev      *telemetry.Logger
 	tracer  *trace.Recorder
@@ -377,7 +258,7 @@ func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	reg := cfg.Registry
 	if reg == nil {
-		reg = NewRegistry()
+		reg = promtext.NewRegistry()
 	}
 	mgr := &Manager{
 		cfg:         cfg,
@@ -430,7 +311,7 @@ func (mg *Manager) SetReady() { mg.ready.Store(true) }
 func (mg *Manager) Ready() bool { return mg.ready.Load() }
 
 // Registry exposes the counter registry (the /metrics endpoint).
-func (mg *Manager) Registry() *Registry { return mg.reg }
+func (mg *Manager) Registry() *promtext.Registry { return mg.reg }
 
 // Tracer exposes the span recorder (nil when tracing is disabled; every
 // trace API is nil-safe).
@@ -511,8 +392,8 @@ func (mg *Manager) releaseNodes(delta int64) {
 // pass over the write-ahead log, so streaming-time optimism costs no
 // final balance. Create and recovery both go through here, so a
 // recovered session re-adapts exactly like the live one did.
-func (mg *Manager) engineConfig(spec CreateSpec) (oms.SessionConfig, error) {
-	cfg, err := spec.sessionConfig()
+func (mg *Manager) engineConfig(spec store.CreateSpec) (oms.SessionConfig, error) {
+	cfg, err := spec.SessionConfig()
 	if err != nil {
 		return cfg, err
 	}
@@ -526,7 +407,7 @@ func (mg *Manager) engineConfig(spec CreateSpec) (oms.SessionConfig, error) {
 }
 
 // Create opens a session from the wire spec.
-func (mg *Manager) Create(spec CreateSpec) (*Session, error) {
+func (mg *Manager) Create(spec store.CreateSpec) (*Session, error) {
 	if spec.N > mg.cfg.MaxNodes {
 		return nil, fmt.Errorf("service: declared n %d exceeds the server's node cap %d", spec.N, mg.cfg.MaxNodes)
 	}
@@ -570,7 +451,7 @@ func (mg *Manager) Create(spec CreateSpec) (*Session, error) {
 
 	// Attach the durable log before the session becomes visible, so no
 	// ingest can ever be acknowledged without reaching it.
-	var lg SessionLog
+	var lg store.SessionLog
 	if mg.cfg.Store != nil {
 		if lg, err = mg.cfg.Store.Create(id, spec); err != nil {
 			return nil, fmt.Errorf("service: persist session: %w", err)
@@ -600,7 +481,7 @@ func (mg *Manager) Create(spec CreateSpec) (*Session, error) {
 // initial charge against the budget is the declared n or, for an
 // adaptive engine that already grew past it (a recovered one), its
 // coverage — the footprint exists the moment the engine does.
-func (mg *Manager) newSession(id string, spec CreateSpec, eng *oms.Session, lg SessionLog) *Session {
+func (mg *Manager) newSession(id string, spec store.CreateSpec, eng *oms.Session, lg store.SessionLog) *Session {
 	now := mg.cfg.Now()
 	s := &Session{
 		ID:      id,
@@ -691,7 +572,7 @@ func (mg *Manager) RecoverSessions() (int, error) {
 // registers it under its original id. It owns the log the replay hands
 // back and closes it on any later failure; a session rejected before or
 // during replay leaves its log untouched.
-func (mg *Manager) restoreSession(rec RecoveredSession) (err error) {
+func (mg *Manager) restoreSession(rec store.RecoveredSession) (err error) {
 	if rec.Spec.N > mg.cfg.MaxNodes {
 		return fmt.Errorf("declared n %d exceeds the server's node cap %d", rec.Spec.N, mg.cfg.MaxNodes)
 	}
@@ -1000,7 +881,7 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 			// against the one-pass result after a crash, even for
 			// sessions that never recorded.
 			if s.log != nil {
-				if err := s.log.SaveVersion(RefinedVersion{Version: 0, Pass: 0, EdgeCut: cut0}); err != nil {
+				if err := s.log.SaveVersion(store.RefinedVersion{Version: 0, Pass: 0, EdgeCut: cut0}); err != nil {
 					s.m.walErrors.Inc()
 					return fmt.Errorf("persist one-pass cut: %w", err)
 				}
@@ -1036,7 +917,7 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 				// nothing went wrong with the refinement itself.
 				return fmt.Errorf("%w: session %s gone", context.Canceled, id)
 			}
-			v := RefinedVersion{
+			v := store.RefinedVersion{
 				Version: s.nextVersion(),
 				Pass:    basePass + int32(pr.Pass),
 				EdgeCut: pr.EdgeCut,

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"oms/internal/store"
 	"strings"
 	"sync"
 	"testing"
@@ -79,7 +80,7 @@ func fetchResult(t *testing.T, base, id, version string) ([]byte, map[string]any
 func TestRefineImprovesFinishedSession(t *testing.T) {
 	_, srv := newTestServer(t, Config{})
 	g := oms.GenRMATSocial(3000, 15000, 11)
-	spec := CreateSpec{
+	spec := store.CreateSpec{
 		N: g.NumNodes(), M: g.NumEdges(),
 		TotalNodeWeight: g.TotalNodeWeight(), TotalEdgeWeight: g.TotalEdgeWeight(),
 		K: 16, Record: true, // no store in this test: refine replays the record buffer
@@ -196,14 +197,14 @@ func TestRefineStatusCodes(t *testing.T) {
 
 	// Not finished -> 409.
 	var created createReply
-	postJSON(t, srv.URL+"/v1/sessions", CreateSpec{N: 4, M: 3, K: 2, Record: true}, &created)
+	postJSON(t, srv.URL+"/v1/sessions", store.CreateSpec{N: 4, M: 3, K: 2, Record: true}, &created)
 	if resp := postJSON(t, fmt.Sprintf("%s/v1/sessions/%s/refine", srv.URL, created.ID), RefineSpec{}, nil); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("refine before finish status %d, want 409", resp.StatusCode)
 	}
 
 	// No store and no record buffer -> 409 with the retention hint.
 	g := oms.GenDelaunay(64, 3)
-	_, _, plainID := driveSession(t, srv.URL, g, CreateSpec{N: 64, M: g.NumEdges(), K: 4}, 1)
+	_, _, plainID := driveSession(t, srv.URL, g, store.CreateSpec{N: 64, M: g.NumEdges(), K: 4}, 1)
 	if _, err := mgr.Refine(plainID, RefineSpec{}); !errors.Is(err, ErrNoStream) {
 		t.Fatalf("refine without stream: %v, want ErrNoStream", err)
 	}
@@ -224,7 +225,7 @@ func TestRefineStatusCodes(t *testing.T) {
 func TestGoneVersusNotFound(t *testing.T) {
 	mgr, srv := newTestServer(t, Config{})
 	var created createReply
-	postJSON(t, srv.URL+"/v1/sessions", CreateSpec{N: 4, M: 3, K: 2}, &created)
+	postJSON(t, srv.URL+"/v1/sessions", store.CreateSpec{N: 4, M: 3, K: 2}, &created)
 	if err := mgr.Delete(created.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestMetricsTypedExposition(t *testing.T) {
 // first read until released — a deterministic stand-in for a long
 // refinement pass.
 type blockingStore struct {
-	nodes   []PushNode
+	nodes   []store.PushNode
 	started chan struct{} // closed when the source's first read begins
 	release chan struct{} // reads proceed once closed
 	once    sync.Once
@@ -320,22 +321,22 @@ type blockingStore struct {
 
 type nullLog struct{}
 
-func (nullLog) AppendNodeFrame(frame []byte) error                 { return nil }
-func (nullLog) AppendBatch(nodes []PushNode, blocks []int32) error { return nil }
-func (nullLog) AppendStats(st oms.EstimatorState) error            { return nil }
-func (nullLog) Flush() error                                       { return nil }
-func (nullLog) Seal() error                                        { return nil }
-func (nullLog) SaveVersion(v RefinedVersion) error                 { return nil }
-func (nullLog) LoadVersion(version int32) (RefinedVersion, error) {
-	return RefinedVersion{}, ErrNoVersion
+func (nullLog) AppendNodeFrame(frame []byte) error                       { return nil }
+func (nullLog) AppendBatch(nodes []store.PushNode, blocks []int32) error { return nil }
+func (nullLog) AppendStats(st oms.EstimatorState) error                  { return nil }
+func (nullLog) Flush() error                                             { return nil }
+func (nullLog) Seal() error                                              { return nil }
+func (nullLog) SaveVersion(v store.RefinedVersion) error                 { return nil }
+func (nullLog) LoadVersion(version int32) (store.RefinedVersion, error) {
+	return store.RefinedVersion{}, ErrNoVersion
 }
 func (nullLog) Close() error { return nil }
 
-func (bs *blockingStore) Create(id string, spec CreateSpec) (SessionLog, error) {
+func (bs *blockingStore) Create(id string, spec store.CreateSpec) (store.SessionLog, error) {
 	return nullLog{}, nil
 }
-func (bs *blockingStore) Recover() ([]RecoveredSession, error) { return nil, nil }
-func (bs *blockingStore) Remove(id string) error               { return nil }
+func (bs *blockingStore) Recover() ([]store.RecoveredSession, error) { return nil, nil }
+func (bs *blockingStore) Remove(id string) error                     { return nil }
 
 func (bs *blockingStore) ReplaySource(id string) (oms.Source, error) { return bs, nil }
 

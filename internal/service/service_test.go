@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"oms/internal/store"
 	"runtime"
 	"slices"
 	"strings"
@@ -42,15 +43,15 @@ func testManager(t *testing.T, cfg Config) *Manager {
 	return mgr
 }
 
-func pathSpec(n int32, k int32) CreateSpec {
-	return CreateSpec{N: n, M: int64(n) - 1, K: k}
+func pathSpec(n int32, k int32) store.CreateSpec {
+	return store.CreateSpec{N: n, M: int64(n) - 1, K: k}
 }
 
 // framed gives hand-built nodes what every node reaching a session has:
 // the canonical wire frame the ingest boundary validated (zero weight
 // encodes as one), which is the node's log record. It is the one
 // framing helper of this package's tests.
-func framed(nodes ...PushNode) []PushNode {
+func framed(nodes ...store.PushNode) []store.PushNode {
 	for i := range nodes {
 		nd := &nodes[i]
 		nd.Frame = wire.AppendNodeFrame(nil, nd.U, max(nd.W, 1), nd.Adj, nd.EW)
@@ -59,8 +60,8 @@ func framed(nodes ...PushNode) []PushNode {
 }
 
 // pathNodes is an n-node path graph as push chunks.
-func pathNodes(n int32) []PushNode {
-	out := make([]PushNode, n)
+func pathNodes(n int32) []store.PushNode {
+	out := make([]store.PushNode, n)
 	for u := int32(0); u < n; u++ {
 		var adj []int32
 		if u > 0 {
@@ -69,7 +70,7 @@ func pathNodes(n int32) []PushNode {
 		if u < n-1 {
 			adj = append(adj, u+1)
 		}
-		out[u] = PushNode{U: u, Adj: adj}
+		out[u] = store.PushNode{U: u, Adj: adj}
 	}
 	return framed(out...)
 }
@@ -147,7 +148,7 @@ func TestTTLEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := mgr.Create(CreateSpec{N: 4, M: 3, K: 2, TTLSeconds: 3600})
+	fresh, err := mgr.Create(store.CreateSpec{N: 4, M: 3, K: 2, TTLSeconds: 3600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestTTLEviction(t *testing.T) {
 func TestTTLOverrideClamped(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	mgr := testManager(t, Config{SessionTTL: time.Minute, MaxSessionTTL: 2 * time.Minute, Now: clock.now})
-	s, err := mgr.Create(CreateSpec{N: 4, M: 3, K: 2, TTLSeconds: 1 << 30})
+	s, err := mgr.Create(store.CreateSpec{N: 4, M: 3, K: 2, TTLSeconds: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestJobsRunInArrivalOrder(t *testing.T) {
 		u := (7 * i) % jobs // not in id order
 		want = append(want, u)
 		go func() {
-			_, err := s.Ingest(context.Background(), mgr.Pool(), framed(PushNode{U: u}))
+			_, err := s.Ingest(context.Background(), mgr.Pool(), framed(store.PushNode{U: u}))
 			errc <- err
 		}()
 		// Start the next job only once this one is parked in the turn's
@@ -385,7 +386,7 @@ func TestChurnDoesNotWedgePool(t *testing.T) {
 				u := int32(c)
 				// Errors are fine (duplicate pushes after delete races);
 				// the property under test is that nothing wedges.
-				_, _ = s.Ingest(context.Background(), mgr.Pool(), framed(PushNode{U: u}))
+				_, _ = s.Ingest(context.Background(), mgr.Pool(), framed(store.PushNode{U: u}))
 			}(c)
 		}
 		wg.Wait()
@@ -422,7 +423,7 @@ func TestCloseFailsOutQueuedJobs(t *testing.T) {
 
 func TestCreateSpecValidation(t *testing.T) {
 	mgr := testManager(t, Config{})
-	bad := []CreateSpec{
+	bad := []store.CreateSpec{
 		{N: 0, K: 0},                                 // no target (adaptive or not)
 		{N: 4, K: 0},                                 // no target
 		{N: 4, K: 2, Topology: "2:2"},                // both targets
@@ -438,7 +439,7 @@ func TestCreateSpecValidation(t *testing.T) {
 	}
 	// n: 0 with a target is not an error anymore — it opens an
 	// open-ended (adaptive) session.
-	ad, err := mgr.Create(CreateSpec{N: 0, K: 2})
+	ad, err := mgr.Create(store.CreateSpec{N: 0, K: 2})
 	if err != nil {
 		t.Fatalf("n=0 spec rejected: %v", err)
 	}
@@ -446,7 +447,7 @@ func TestCreateSpecValidation(t *testing.T) {
 		t.Fatal("n=0 session is not adaptive")
 	}
 	// Topology with defaulted distances works.
-	s, err := mgr.Create(CreateSpec{N: 64, M: 128, Topology: "4:4"})
+	s, err := mgr.Create(store.CreateSpec{N: 64, M: 128, Topology: "4:4"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"oms/internal/store"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -12,26 +13,6 @@ import (
 	"oms/internal/telemetry"
 	"oms/internal/trace"
 )
-
-// PushNode is one node of an ingest chunk: id, weight (0 means 1), the
-// adjacency list, and optional parallel edge weights. Its JSON tags are
-// the NDJSON node line's; the shim decodes a line through them only
-// when it is outside the canonical subset wire.ParseNodeLine reads by
-// hand. Adj and EW may alias a per-request arena, as Frame does: the
-// binary decoder and the hand parser both put them there.
-type PushNode struct {
-	U   int32   `json:"u"`
-	W   int32   `json:"w,omitempty"`
-	Adj []int32 `json:"adj"`
-	EW  []int32 `json:"ew,omitempty"`
-	// Frame is the node's canonical wire v2 frame exactly as it was
-	// validated at the ingest boundary (the binary path yields the
-	// request's bytes, the NDJSON shim encodes them). It is the node's
-	// log record: the WAL appends it verbatim — no re-marshal — and
-	// refuses a node that comes without one. The slice may alias a
-	// per-request arena: it is valid only until the ingest job has run.
-	Frame []byte `json:"-"`
-}
 
 // job is one running unit of session work, as begin hands it over: the
 // submitting request's in-flight trace (nil on the sampled-out path —
@@ -45,7 +26,7 @@ type job struct {
 	tr    *trace.Active
 	tid   string
 	batch bool // the /batch route
-	nodes []PushNode
+	nodes []store.PushNode
 }
 
 // Session is one live push stream: the engine (an oms.Session) and the
@@ -59,7 +40,7 @@ type Session struct {
 	Created time.Time
 
 	eng  *oms.Session
-	spec CreateSpec
+	spec store.CreateSpec
 
 	// turn holds one token while a job of the session waits for a slot
 	// or runs; a channel queues blocked senders in arrival order.
@@ -70,13 +51,13 @@ type Session struct {
 	// log is the session's durable record log, nil when the manager has
 	// no store. The running job appends each accepted push before the
 	// chunk is acknowledged.
-	log SessionLog
+	log store.SessionLog
 	// lastStatsRev is the estimator revision last logged as a durable
 	// stats-revision record (adaptive sessions only; running job only).
 	lastStatsRev int64
 	// store is the manager's store, nil without one; stream reads the
 	// session's durable log back through it.
-	store Store
+	store store.Store
 
 	// Adaptive growth accounting: charged is the node footprint this
 	// session holds against the manager's aggregate budget (the
@@ -96,7 +77,7 @@ type Session struct {
 	// and immutable once published; readers (result serving, status)
 	// take the read lock, the single active refine job the write lock.
 	verMu      sync.RWMutex
-	versions   []RefinedVersion
+	versions   []store.RefinedVersion
 	onePassCut *int64 // measured against the recorded stream at refine start
 
 	m   *serviceMetrics
@@ -261,7 +242,7 @@ func (s *Session) closeLog() {
 // per-node assignments. The error is non-nil if any node in the chunk
 // was rejected; assignments of the nodes before the offending one are
 // still returned.
-func (s *Session) Ingest(ctx context.Context, p *Pool, nodes []PushNode) ([]int32, error) {
+func (s *Session) Ingest(ctx context.Context, p *Pool, nodes []store.PushNode) ([]int32, error) {
 	return s.ingestJob(ctx, p, false, nodes)
 }
 
@@ -269,7 +250,7 @@ func (s *Session) Ingest(ctx context.Context, p *Pool, nodes []PushNode) ([]int3
 // per-node assignments. Unlike Ingest, the batch is admitted atomically
 // (a rejection applies nothing) before it is assigned in order; its
 // durable record is one group-committed WAL frame.
-func (s *Session) IngestBatch(ctx context.Context, p *Pool, nodes []PushNode) ([]int32, error) {
+func (s *Session) IngestBatch(ctx context.Context, p *Pool, nodes []store.PushNode) ([]int32, error) {
 	return s.ingestJob(ctx, p, true, nodes)
 }
 
@@ -277,7 +258,7 @@ func (s *Session) IngestBatch(ctx context.Context, p *Pool, nodes []PushNode) ([
 // only once the job has run or is known never to run, so nodes — and
 // everything their Adj, EW and Frame slices alias — are the caller's
 // again as soon as it returns, error or not.
-func (s *Session) ingestJob(ctx context.Context, p *Pool, batch bool, nodes []PushNode) ([]int32, error) {
+func (s *Session) ingestJob(ctx context.Context, p *Pool, batch bool, nodes []store.PushNode) ([]int32, error) {
 	j, err := s.begin(ctx, p)
 	if err != nil {
 		return nil, err
@@ -392,7 +373,7 @@ type admitted struct {
 
 // admitEach is the /nodes admission: sequential pushes that stop at the
 // first rejection, keeping the accepted prefix.
-func (s *Session) admitEach(nodes []PushNode) (a admitted) {
+func (s *Session) admitEach(nodes []store.PushNode) (a admitted) {
 	// One allocation backs both the acknowledged blocks and the fresh
 	// indices; each half can hold every node of the job.
 	both := make([]int32, 2*len(nodes))
@@ -420,7 +401,7 @@ func (s *Session) admitEach(nodes []PushNode) (a admitted) {
 
 // admitBatch is the /batch admission: the whole batch or none of it,
 // assigned in order.
-func (s *Session) admitBatch(nodes []PushNode) (a admitted) {
+func (s *Session) admitBatch(nodes []store.PushNode) (a admitted) {
 	batch := make([]oms.Node, len(nodes))
 	for i := range nodes {
 		batch[i] = oms.Node{U: nodes[i].U, W: nodes[i].W, Adj: nodes[i].Adj, EW: nodes[i].EW}
@@ -555,7 +536,7 @@ func (s *Session) logIngest(j job, a admitted) error {
 // swap, and the job re-checks closed *after* its add and settles by
 // compare-and-swap, so every reserved node is subtracted exactly once
 // no matter how a removal interleaves with an in-flight job.
-func (s *Session) chargeGrowth(nodes []PushNode) error {
+func (s *Session) chargeGrowth(nodes []store.PushNode) error {
 	if s.reserve == nil || !s.eng.Adaptive() {
 		return nil
 	}
@@ -678,7 +659,7 @@ const maxResidentVersions = 4
 
 // addVersion publishes one refined version (append-only; the single
 // active refine job is the only writer).
-func (s *Session) addVersion(v RefinedVersion) {
+func (s *Session) addVersion(v store.RefinedVersion) {
 	s.verMu.Lock()
 	s.versions = append(s.versions, v)
 	s.pruneResidentLocked()
@@ -708,7 +689,7 @@ func (s *Session) pruneResidentLocked() {
 
 // latestVersion returns a copy of the newest published version, or nil
 // before the first publish.
-func (s *Session) latestVersion() *RefinedVersion {
+func (s *Session) latestVersion() *store.RefinedVersion {
 	s.verMu.RLock()
 	defer s.verMu.RUnlock()
 	if n := len(s.versions); n > 0 {
@@ -729,7 +710,7 @@ func (s *Session) setOnePassCut(c int64) {
 // session is visible). The parts-free version-0 record carries the
 // one-pass result's measured cut, so "best" keeps comparing against it
 // across restarts.
-func (s *Session) restoreVersions(vs []RefinedVersion) {
+func (s *Session) restoreVersions(vs []store.RefinedVersion) {
 	for _, v := range vs {
 		if v.Version == 0 {
 			cut := v.EdgeCut

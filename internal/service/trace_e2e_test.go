@@ -26,7 +26,7 @@ import (
 // traceparent, so every assertion below is deterministic.
 func traceTestServer(t *testing.T, events *syncBuffer) (*service.Manager, string) {
 	t.Helper()
-	reg := service.NewRegistry()
+	reg := promtext.NewRegistry()
 	st, err := wal.Open(t.TempDir(), wal.Options{
 		ObserveAppend: reg.Histogram(service.WALAppendHistogram, "append").Observe,
 		ObserveFsync:  reg.Histogram(service.WALFsyncHistogram, "fsync").Observe,

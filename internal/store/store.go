@@ -1,6 +1,158 @@
-package service
+// Package store is the session contract between the serving layer and
+// its persistence: the creation spec a session is built from, the
+// pushed node with its wire frame, and the Store and SessionLog
+// interfaces a durable backend implements. It imports only the engine
+// (oms), so internal/wal implements the contract and internal/service
+// consumes it without either importing the other.
+package store
 
-import "oms"
+import (
+	"fmt"
+	"strings"
+
+	"oms"
+)
+
+// PushNode is one node of an ingest chunk: id, weight (0 means 1), the
+// adjacency list, and optional parallel edge weights. Its JSON tags are
+// the NDJSON node line's; the shim decodes a line through them only
+// when it is outside the canonical subset wire.ParseNodeLine reads by
+// hand. Adj and EW may alias a per-request arena, as Frame does: the
+// binary decoder and the hand parser both put them there.
+type PushNode struct {
+	U   int32   `json:"u"`
+	W   int32   `json:"w,omitempty"`
+	Adj []int32 `json:"adj"`
+	EW  []int32 `json:"ew,omitempty"`
+	// Frame is the node's canonical wire v2 frame exactly as it was
+	// validated at the ingest boundary (the binary path yields the
+	// request's bytes, the NDJSON shim encodes them). It is the node's
+	// log record: the WAL appends it verbatim — no re-marshal — and
+	// refuses a node that comes without one. The slice may alias a
+	// per-request arena: it is valid only until the ingest job has run.
+	Frame []byte `json:"-"`
+}
+
+// CreateSpec is the session-creation declaration: the stream's global
+// stats plus the partitioning target and options, exactly the JSON body
+// of POST /v1/sessions.
+type CreateSpec struct {
+	// N and M are the declared node and edge counts of the stream. In
+	// adaptive sessions they are optional hints (lower bounds on the
+	// final totals) instead of declarations; n: 0 with no "adaptive"
+	// flag implies adaptive.
+	N int32 `json:"n"`
+	M int64 `json:"m"`
+	// Adaptive opens an open-ended session whose stream stats are
+	// estimated online: n, m, and the total weights need not be
+	// declared, Fennel's alpha and the per-block capacities re-adapt as
+	// the estimates ratchet, and finish reconciles against the true
+	// observed totals (running a reconcile pass over the write-ahead
+	// log when the server persists sessions).
+	Adaptive bool `json:"adaptive,omitempty"`
+	// AdaptiveHeadroom overrides the estimator's projection overshoot;
+	// 0 keeps the automatic default (optimistic when the stream is
+	// retained for the finish-time reconcile pass, tight otherwise).
+	AdaptiveHeadroom float64 `json:"adaptive_headroom,omitempty"`
+	// TotalNodeWeight / TotalEdgeWeight default to N (unit weights) and
+	// M when omitted.
+	TotalNodeWeight int64 `json:"total_node_weight,omitempty"`
+	TotalEdgeWeight int64 `json:"total_edge_weight,omitempty"`
+	// K asks for plain partitioning into K blocks; Topology/Distances
+	// ask for process mapping instead (mutually exclusive with K).
+	K         int32  `json:"k,omitempty"`
+	Topology  string `json:"topology,omitempty"`
+	Distances string `json:"distances,omitempty"`
+	// Scorer is "fennel" (default), "ldg", or "hashing".
+	Scorer       string  `json:"scorer,omitempty"`
+	Epsilon      float64 `json:"epsilon,omitempty"`
+	Base         int32   `json:"base,omitempty"`
+	HashLayers   int     `json:"hash_layers,omitempty"`
+	VanillaAlpha bool    `json:"vanilla_alpha,omitempty"`
+	Gamma        float64 `json:"gamma,omitempty"`
+	Seed         uint64  `json:"seed,omitempty"`
+	// Record keeps the pushed stream server-side, enabling edge-cut and
+	// imbalance in the finish summary at O(n + m) extra memory.
+	Record bool `json:"record,omitempty"`
+	// Threads is accepted and ignored: a session assigns every batch in
+	// order on one engine worker. It stays so that older clients and
+	// persisted specs that carry it still decode.
+	Threads int `json:"threads,omitempty"`
+	// TTLSeconds overrides the server's idle-eviction TTL.
+	TTLSeconds int `json:"ttl_seconds,omitempty"`
+	// TraceID is the hex trace id of the sampled create request, set by
+	// the HTTP layer (never by clients) and excluded from the persisted
+	// spec — a recovered session's creation trace is long gone.
+	TraceID string `json:"-"`
+}
+
+func parseScorer(s string) (oms.Scorer, error) {
+	switch strings.ToLower(s) {
+	case "", "fennel":
+		return oms.ScorerFennel, nil
+	case "ldg":
+		return oms.ScorerLDG, nil
+	case "hashing":
+		return oms.ScorerHashing, nil
+	default:
+		return 0, fmt.Errorf("service: unknown scorer %q (want fennel, ldg, or hashing)", s)
+	}
+}
+
+// SessionConfig translates the wire spec into an engine config. Its
+// errors keep the "service:" prefix a client reads in the 400 body.
+func (cs CreateSpec) SessionConfig() (oms.SessionConfig, error) {
+	scorer, err := parseScorer(cs.Scorer)
+	if err != nil {
+		return oms.SessionConfig{}, err
+	}
+	cfg := oms.SessionConfig{
+		Stats: oms.StreamStats{
+			N:               cs.N,
+			M:               cs.M,
+			TotalNodeWeight: cs.TotalNodeWeight,
+			TotalEdgeWeight: cs.TotalEdgeWeight,
+		},
+		K:                cs.K,
+		Adaptive:         cs.Adaptive,
+		AdaptiveHeadroom: cs.AdaptiveHeadroom,
+		Options: oms.Options{
+			Epsilon:      cs.Epsilon,
+			Scorer:       scorer,
+			Base:         cs.Base,
+			HashLayers:   cs.HashLayers,
+			VanillaAlpha: cs.VanillaAlpha,
+			Gamma:        cs.Gamma,
+			Seed:         cs.Seed,
+		},
+		Record: cs.Record,
+	}
+	if cs.Topology != "" {
+		if cs.K != 0 {
+			return oms.SessionConfig{}, fmt.Errorf("service: declare either k or a topology, not both")
+		}
+		dist := cs.Distances
+		if dist == "" {
+			// Default to the paper's geometric distances 1:10:100:...
+			parts := strings.Split(cs.Topology, ":")
+			ds := make([]string, len(parts))
+			d := int64(1)
+			for i := range parts {
+				ds[i] = fmt.Sprint(d)
+				d *= 10
+			}
+			dist = strings.Join(ds, ":")
+		}
+		top, err := oms.NewTopology(cs.Topology, dist)
+		if err != nil {
+			return oms.SessionConfig{}, err
+		}
+		cfg.Topology = top
+	} else if cs.K < 1 {
+		return oms.SessionConfig{}, fmt.Errorf("service: k %d < 1 and no topology given", cs.K)
+	}
+	return cfg, nil
+}
 
 // RefinedVersion is one published refinement result: the assignment
 // after Pass cumulative restream passes over the one-pass result
@@ -19,13 +171,13 @@ type RefinedVersion struct {
 	Parts []int32 `json:"-"`
 }
 
-// Store is the session-persistence hook of the manager: when configured
-// (Config.Store), every created session gets a durable log, accepted
-// pushes are logged before they are acknowledged, Finish seals the log,
-// and TTL eviction or deletion garbage-collects the persisted state.
-// After a restart RecoverSessions rebuilds every stored session from
-// the store. The interface is defined here (the consumer); internal/wal
-// provides the on-disk implementation omsd wires in with -data-dir.
+// Store is the session-persistence hook of the service manager: when
+// configured (service.Config.Store), every created session gets a
+// durable log, accepted pushes are logged before they are acknowledged,
+// Finish seals the log, and TTL eviction or deletion garbage-collects
+// the persisted state. After a restart RecoverSessions rebuilds every
+// stored session from the store. internal/wal provides the on-disk
+// implementation omsd wires in with -data-dir.
 type Store interface {
 	// Create opens a fresh durable log for a session. The spec is
 	// persisted alongside so recovery can rebuild the engine with the

@@ -6,11 +6,12 @@ import (
 
 	"oms"
 	"oms/internal/service"
+	"oms/internal/store"
 )
 
 // adaptiveSpec is the open-ended wire spec: no n, no m.
-func adaptiveSpec() service.CreateSpec {
-	return service.CreateSpec{Adaptive: true, K: 8}
+func adaptiveSpec() store.CreateSpec {
+	return store.CreateSpec{Adaptive: true, K: 8}
 }
 
 // adaptiveTwin opens the in-process reference for a persisted service
@@ -70,7 +71,7 @@ func TestAdaptiveRecoveryResumesByteIdentical(t *testing.T) {
 	// at the exact same instants.
 	for lo := cut; lo < len(recs); lo += 64 {
 		hi := min(lo+64, len(recs))
-		nodes := make([]service.PushNode, 0, hi-lo)
+		nodes := make([]store.PushNode, 0, hi-lo)
 		for _, r := range recs[lo:hi] {
 			nodes = append(nodes, framed(r.u, r.w, r.adj, r.ew))
 		}

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"oms"
-	"oms/internal/service"
+	"oms/internal/store"
 	"oms/internal/wire"
 )
 
@@ -30,7 +30,7 @@ func seedLog(tb testing.TB) (log []byte, ends []int64) {
 		func() error { return lg.AppendNodeFrame(framed(0, 1, []int32{1, 2}, nil).Frame) },
 		func() error { return lg.AppendNodeFrame(framed(1, 2, []int32{0}, []int32{3}).Frame) },
 		func() error {
-			return lg.AppendBatch([]service.PushNode{
+			return lg.AppendBatch([]store.PushNode{
 				framed(2, 1, []int32{0, 1}, nil),
 				framed(3, 1, nil, nil),
 			}, []int32{0, 1})
@@ -184,7 +184,7 @@ func FuzzRecoverSession(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lg, err := st.Create("s1-0000f00d", service.CreateSpec{N: 8, M: 8, K: 2})
+		lg, err := st.Create("s1-0000f00d", store.CreateSpec{N: 8, M: 8, K: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 
 	"oms"
 	"oms/internal/service"
+	"oms/internal/store"
 )
 
 // ingestAll pushes recs through a manager session in chunks.
@@ -23,7 +24,7 @@ func ingestAll(t *testing.T, mgr *service.Manager, s *service.Session, recs []pu
 	const chunk = 64
 	for lo := 0; lo < len(recs); lo += chunk {
 		hi := min(lo+chunk, len(recs))
-		nodes := make([]service.PushNode, 0, hi-lo)
+		nodes := make([]store.PushNode, 0, hi-lo)
 		for _, r := range recs[lo:hi] {
 			nodes = append(nodes, framed(r.u, r.w, r.adj, r.ew))
 		}
@@ -145,7 +146,7 @@ func TestManagerRecoveryRebuildsSealedResult(t *testing.T) {
 		t.Fatal("rebuilt sealed result differs from the original")
 	}
 	// Pushing into a sealed recovered session must be rejected.
-	if _, err := s2.Ingest(context.Background(), mgr2.Pool(), []service.PushNode{{U: 0}}); err == nil {
+	if _, err := s2.Ingest(context.Background(), mgr2.Pool(), []store.PushNode{{U: 0}}); err == nil {
 		t.Fatal("ingest into sealed recovered session succeeded")
 	}
 }
@@ -247,7 +248,7 @@ func TestBatchRecoveryPreservesAckedAssignments(t *testing.T) {
 	const batch = 512
 	for lo := 0; lo < cut; lo += batch {
 		hi := min(lo+batch, cut)
-		nodes := make([]service.PushNode, 0, hi-lo)
+		nodes := make([]store.PushNode, 0, hi-lo)
 		for _, r := range recs[lo:hi] {
 			nodes = append(nodes, framed(r.u, r.w, r.adj, r.ew))
 		}
@@ -279,7 +280,7 @@ func TestBatchRecoveryPreservesAckedAssignments(t *testing.T) {
 	// assignment survived.
 	for lo := cut; lo < len(recs); lo += batch {
 		hi := min(lo+batch, len(recs))
-		nodes := make([]service.PushNode, 0, hi-lo)
+		nodes := make([]store.PushNode, 0, hi-lo)
 		for _, r := range recs[lo:hi] {
 			nodes = append(nodes, framed(r.u, r.w, r.adj, r.ew))
 		}
@@ -384,8 +385,7 @@ func TestFailedRecoveryLeavesLogUntouched(t *testing.T) {
 // TestIngestWritesOnlyTheLog: the log is a session's only durable state.
 // A session ingested in 64-node chunks, fsynced chunk by chunk, then
 // finished, leaves exactly its spec and its log on disk — no file beside
-// the log appears or grows during ingest — and the retired checkpoint
-// counter stays registered at 0.
+// the log appears or grows during ingest.
 func TestIngestWritesOnlyTheLog(t *testing.T) {
 	recs, cfg := testStream(t, 1<<14)
 	st := openStore(t, t.TempDir()) // SyncInterval 0: fsync every chunk
@@ -431,9 +431,6 @@ func TestIngestWritesOnlyTheLog(t *testing.T) {
 	if !slices.Equal(names, []string{logName, specName}) {
 		t.Fatalf("session directory holds %v, want only %s and %s", names, logName, specName)
 	}
-	if v, ok := mgr.Registry().Snapshot()["omsd_wal_snapshots_total"]; !ok || v != 0 {
-		t.Fatalf("omsd_wal_snapshots_total = %d (registered %v), want 0", v, ok)
-	}
 }
 
 // BenchmarkRecoverSession measures recovery of one unsealed RGG session
@@ -449,11 +446,11 @@ func BenchmarkRecoverSession(b *testing.B) {
 				b.Fatal(err)
 			}
 			mgr := service.NewManager(service.Config{Store: st})
-			s, err := mgr.Create(service.CreateSpec{N: g.NumNodes(), M: g.NumEdges(), K: 8})
+			s, err := mgr.Create(store.CreateSpec{N: g.NumNodes(), M: g.NumEdges(), K: 8})
 			if err != nil {
 				b.Fatal(err)
 			}
-			chunk := make([]service.PushNode, 0, 64)
+			chunk := make([]store.PushNode, 0, 64)
 			for u := range g.NumNodes() {
 				chunk = append(chunk, framed(u, 1, g.Neighbors(u), nil))
 				if len(chunk) == cap(chunk) || u == g.NumNodes()-1 {

@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 
 	"oms"
-	"oms/internal/service"
+	"oms/internal/store"
 	"oms/internal/stream"
 )
 
@@ -131,4 +131,4 @@ func readSpec(dir string) (specEnvelope, error) {
 }
 
 var _ oms.Source = (*ReplaySource)(nil)
-var _ service.Store = (*Store)(nil)
+var _ store.Store = (*Store)(nil)

@@ -5,7 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"oms/internal/service"
+	"oms/internal/store"
 	"oms/internal/stream"
 )
 
@@ -101,7 +101,7 @@ func TestReplaySourceCoversBatchFrames(t *testing.T) {
 	// engine dedups on ingest, but the log keeps the whole batch), and
 	// a later per-node record repeats node 0: replay must collapse both
 	// to their first occurrence, like the engine's own push semantics.
-	nodes := []service.PushNode{
+	nodes := []store.PushNode{
 		framed(0, 1, []int32{1}, nil),
 		framed(1, 1, []int32{0, 2}, nil),
 		framed(1, 1, []int32{0, 2}, nil),
@@ -181,8 +181,8 @@ func TestVersionRoundTripAndRecovery(t *testing.T) {
 		}
 		return p
 	}
-	v1 := service.RefinedVersion{Version: 1, Pass: 1, EdgeCut: 42, Parts: mkParts(1)}
-	v2 := service.RefinedVersion{Version: 2, Pass: 2, EdgeCut: 17, Parts: mkParts(2)}
+	v1 := store.RefinedVersion{Version: 1, Pass: 1, EdgeCut: 42, Parts: mkParts(1)}
+	v2 := store.RefinedVersion{Version: 2, Pass: 2, EdgeCut: 17, Parts: mkParts(2)}
 	if err := lg.SaveVersion(v1); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"oms"
-	"oms/internal/service"
+	"oms/internal/store"
 	"oms/internal/wire"
 )
 
@@ -23,14 +23,13 @@ type Options struct {
 	SyncInterval time.Duration
 	// ObserveAppend and ObserveFsync, when set, receive the duration of
 	// every record encode+write and every fsync stall, across all session
-	// logs. omsd points them at the service registry's WAL histograms;
-	// the hooks are plain functions because wal must not import service's
-	// metric types back (wal already sits below service).
+	// logs. omsd points them at the registry's WAL histograms; the hooks
+	// are plain functions, so wal imports no metrics package.
 	ObserveAppend func(time.Duration)
 	ObserveFsync  func(time.Duration)
 }
 
-// Store is the on-disk session store, implementing service.Store over a
+// Store is the on-disk session store, implementing store.Store over a
 // data directory laid out as
 //
 //	<dir>/sessions/<id>/spec.json        creation spec (replay configuration)
@@ -58,15 +57,15 @@ func Open(dir string, opt Options) (*Store, error) {
 
 // specEnvelope is the spec.json schema.
 type specEnvelope struct {
-	ID   string             `json:"id"`
-	Spec service.CreateSpec `json:"spec"`
+	ID   string           `json:"id"`
+	Spec store.CreateSpec `json:"spec"`
 }
 
-// Create implements service.Store: it lays down the session directory,
+// Create implements store.Store: it lays down the session directory,
 // persists the spec, and opens an empty log. A partial failure removes
 // the directory again — a half-created session must not come back as a
 // ghost on the next restart (the create was reported failed).
-func (st *Store) Create(id string, spec service.CreateSpec) (service.SessionLog, error) {
+func (st *Store) Create(id string, spec store.CreateSpec) (store.SessionLog, error) {
 	dir := filepath.Join(st.dir, id)
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: session dir: %w", err)
@@ -79,7 +78,7 @@ func (st *Store) Create(id string, spec service.CreateSpec) (service.SessionLog,
 	return lg, nil
 }
 
-func (st *Store) createIn(dir, id string, spec service.CreateSpec) (*Log, error) {
+func (st *Store) createIn(dir, id string, spec store.CreateSpec) (*Log, error) {
 	b, err := json.Marshal(specEnvelope{ID: id, Spec: spec})
 	if err != nil {
 		return nil, err
@@ -98,7 +97,7 @@ func (st *Store) createIn(dir, id string, spec service.CreateSpec) (*Log, error)
 	return st.newLog(f, dir, 0), nil
 }
 
-// Remove implements service.Store: it garbage-collects the session's
+// Remove implements store.Store: it garbage-collects the session's
 // persisted state.
 func (st *Store) Remove(id string) error {
 	if err := os.RemoveAll(filepath.Join(st.dir, id)); err != nil {
@@ -107,15 +106,15 @@ func (st *Store) Remove(id string) error {
 	return syncDir(st.dir)
 }
 
-// Recover implements service.Store: it scans the sessions directory and
+// Recover implements store.Store: it scans the sessions directory and
 // rebuilds a RecoveredSession per entry. Unrecoverable sessions are
 // skipped; their errors are joined into the returned (advisory) error.
-func (st *Store) Recover() ([]service.RecoveredSession, error) {
+func (st *Store) Recover() ([]store.RecoveredSession, error) {
 	ids, err := st.ReplicaIDs()
 	if err != nil {
 		return nil, err
 	}
-	var out []service.RecoveredSession
+	var out []store.RecoveredSession
 	var errs []error
 	for _, id := range ids {
 		rec, err := st.RecoverSession(id)
@@ -164,23 +163,23 @@ func (st *Store) AdoptFrom(other *Store, id string) error {
 // it: after the shipped log is moved into this store (AdoptFrom), the
 // promoting node recovers just that session and adopts it into its
 // manager — replication is recovery over the network.
-func (st *Store) RecoverSession(id string) (service.RecoveredSession, error) {
+func (st *Store) RecoverSession(id string) (store.RecoveredSession, error) {
 	dir := filepath.Join(st.dir, id)
 	env, err := readSpec(dir)
 	if err != nil {
-		return service.RecoveredSession{}, err
+		return store.RecoveredSession{}, err
 	}
 	if env.ID != id {
-		return service.RecoveredSession{}, fmt.Errorf("spec names session %q", env.ID)
+		return store.RecoveredSession{}, fmt.Errorf("spec names session %q", env.ID)
 	}
 	// A session directory without its log (a failed create not yet
 	// cleaned up, or tampering) is a recovery error, not an empty
 	// session to silently resurrect: no O_CREATE below either.
 	logPath := filepath.Join(dir, logName)
 	if _, err := os.Stat(logPath); err != nil {
-		return service.RecoveredSession{}, err
+		return store.RecoveredSession{}, err
 	}
-	replay := func(fn visitNode, stats visitStats) (service.SessionLog, bool, error) {
+	replay := func(fn visitNode, stats visitStats) (store.SessionLog, bool, error) {
 		f, err := os.OpenFile(logPath, os.O_RDWR, 0o644)
 		if err != nil {
 			return nil, false, err
@@ -194,7 +193,7 @@ func (st *Store) RecoverSession(id string) (service.RecoveredSession, error) {
 		l.nodes, l.sealed = nodes, sealed
 		return l, sealed, nil
 	}
-	return service.RecoveredSession{ID: id, Spec: env.Spec, Replay: replay, Versions: recoverVersions(dir)}, nil
+	return store.RecoveredSession{ID: id, Spec: env.Spec, Replay: replay, Versions: recoverVersions(dir)}, nil
 }
 
 // newLog wraps an open log file handle whose valid records end at end

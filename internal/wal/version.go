@@ -9,7 +9,7 @@ import (
 	"sort"
 	"strings"
 
-	"oms/internal/service"
+	"oms/internal/store"
 )
 
 // verMagic begins every refined-version file; bump the trailing digit on
@@ -28,7 +28,7 @@ func versionName(v int32) string { return fmt.Sprintf("version-%06d", v) }
 // Version 0 is the parts-free baseline record: the one-pass result's
 // measured edge cut, persisted so "best" version selection survives a
 // crash (the assignment itself is already reproducible from the log).
-func (l *Log) SaveVersion(v service.RefinedVersion) error {
+func (l *Log) SaveVersion(v store.RefinedVersion) error {
 	if v.Version < 0 {
 		return fmt.Errorf("wal: negative refined version %d", v.Version)
 	}
@@ -48,31 +48,31 @@ func (l *Log) SaveVersion(v service.RefinedVersion) error {
 // LoadVersion reads one saved version back, CRC-verified. A missing,
 // torn, or mislabeled file is an error — the caller must never serve a
 // version the store cannot prove whole.
-func (l *Log) LoadVersion(version int32) (service.RefinedVersion, error) {
+func (l *Log) LoadVersion(version int32) (store.RefinedVersion, error) {
 	l.mu.Lock()
 	dir := l.dir
 	closed := l.closed
 	l.mu.Unlock()
 	if closed {
-		return service.RefinedVersion{}, fmt.Errorf("wal: load version on closed log")
+		return store.RefinedVersion{}, fmt.Errorf("wal: load version on closed log")
 	}
 	b, err := os.ReadFile(filepath.Join(dir, versionName(version)))
 	if err != nil {
-		return service.RefinedVersion{}, err
+		return store.RefinedVersion{}, err
 	}
 	v, err := decodeVersion(b, true)
 	if err != nil {
-		return service.RefinedVersion{}, err
+		return store.RefinedVersion{}, err
 	}
 	if v.Version != version {
-		return service.RefinedVersion{}, fmt.Errorf("wal: version file %d claims version %d", version, v.Version)
+		return store.RefinedVersion{}, fmt.Errorf("wal: version file %d claims version %d", version, v.Version)
 	}
 	return v, nil
 }
 
 // encodeVersion lays out the version body (everything after magic and
 // CRC): version, pass, edge cut, parts.
-func encodeVersion(v service.RefinedVersion) []byte {
+func encodeVersion(v store.RefinedVersion) []byte {
 	buf := make([]byte, 0, 16+4+4*len(v.Parts))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Version))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Pass))
@@ -89,10 +89,10 @@ func encodeVersion(v service.RefinedVersion) []byte {
 // the metadata header, leaving Parts nil — recovery uses it so a large
 // version ledger never materializes O(n) per version in memory (reads
 // reload cold assignments on demand via LoadVersion).
-func decodeVersion(b []byte, withParts bool) (service.RefinedVersion, error) {
-	var v service.RefinedVersion
-	fail := func() (service.RefinedVersion, error) {
-		return service.RefinedVersion{}, fmt.Errorf("wal: corrupt refined version")
+func decodeVersion(b []byte, withParts bool) (store.RefinedVersion, error) {
+	var v store.RefinedVersion
+	fail := func() (store.RefinedVersion, error) {
+		return store.RefinedVersion{}, fmt.Errorf("wal: corrupt refined version")
 	}
 	if len(b) < len(verMagic)+4 || [8]byte(b[:8]) != verMagic {
 		return fail()
@@ -129,12 +129,12 @@ func decodeVersion(b []byte, withParts bool) (service.RefinedVersion, error) {
 // are skipped — they are the crash's bytes, and serving them would be
 // serving a result no client was ever promised. A file whose name and
 // encoded version number disagree is treated as corrupt too.
-func recoverVersions(dir string) []service.RefinedVersion {
+func recoverVersions(dir string) []store.RefinedVersion {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
-	var out []service.RefinedVersion
+	var out []store.RefinedVersion
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasPrefix(name, "version-") || strings.HasSuffix(name, ".tmp") {

@@ -60,7 +60,7 @@ import (
 	"time"
 
 	"oms"
-	"oms/internal/service"
+	"oms/internal/store"
 	"oms/internal/wire"
 )
 
@@ -69,8 +69,8 @@ import (
 // the log never re-encodes one, and never writes an empty record.
 var errFrameless = errors.New("wal: node without its wire frame")
 
-// Log is one session's append-only record log, implementing the
-// service's SessionLog. Appends buffer in memory; Flush writes through
+// Log is one session's append-only record log, implementing
+// store.SessionLog. Appends buffer in memory; Flush writes through
 // to the OS and batches fsync per the configured interval. A Log is
 // driven by the single worker owning its session, with Close callable
 // concurrently from the manager.
@@ -162,7 +162,7 @@ func (l *Log) observeAppend(t0 time.Time) {
 // session rather than a batch that could resurrect partially. The HTTP
 // layer cuts batches by bytes as well as count, so real ingest stays
 // orders of magnitude below the bound.
-func (l *Log) AppendBatch(nodes []service.PushNode, blocks []int32) error {
+func (l *Log) AppendBatch(nodes []store.PushNode, blocks []int32) error {
 	if len(nodes) != len(blocks) {
 		return fmt.Errorf("wal: batch of %d nodes with %d blocks", len(nodes), len(blocks))
 	}

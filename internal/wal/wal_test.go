@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"oms"
-	"oms/internal/service"
+	"oms/internal/store"
 	"oms/internal/wire"
 )
 
@@ -40,8 +40,8 @@ func testStream(t *testing.T, n int32) ([]pushRec, oms.SessionConfig) {
 // with the canonical wire frame (zero weight is one, an empty edge-
 // weight list is none) that the log appends verbatim. It is the one
 // framing helper of this package's tests.
-func framed(u, w int32, adj, ew []int32) service.PushNode {
-	nd := service.PushNode{U: u, W: w, Adj: adj, EW: ew}
+func framed(u, w int32, adj, ew []int32) store.PushNode {
+	nd := store.PushNode{U: u, W: w, Adj: adj, EW: ew}
 	if w == 0 {
 		w = 1
 	}
@@ -61,8 +61,8 @@ func openStore(t *testing.T, dir string) *Store {
 	return st
 }
 
-func spec(n int32, m int64) service.CreateSpec {
-	return service.CreateSpec{N: n, M: m, K: 8}
+func spec(n int32, m int64) store.CreateSpec {
+	return store.CreateSpec{N: n, M: m, K: 8}
 }
 
 func TestLogRoundTripSealed(t *testing.T) {
@@ -138,7 +138,7 @@ func TestLogRoundTripSealed(t *testing.T) {
 
 // replayAll replays rec with a visitor that only counts the records,
 // and returns the reopened log, whether a seal ended it, and the count.
-func replayAll(t *testing.T, rec service.RecoveredSession) (*Log, bool, int64) {
+func replayAll(t *testing.T, rec store.RecoveredSession) (*Log, bool, int64) {
 	t.Helper()
 	n := int64(0)
 	lg, sealed, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { n++; return nil }, nil)
@@ -603,7 +603,7 @@ func requireDead(t *testing.T, lg *Log, errDisk error, nodes int64) {
 	if err := lg.AppendNodeFrame(framed(7, 1, []int32{0}, nil).Frame); !errors.Is(err, errDisk) {
 		t.Fatalf("append after the failure = %v, want %v", err, errDisk)
 	}
-	if err := lg.AppendBatch([]service.PushNode{framed(8, 1, nil, nil)}, []int32{0}); !errors.Is(err, errDisk) {
+	if err := lg.AppendBatch([]store.PushNode{framed(8, 1, nil, nil)}, []int32{0}); !errors.Is(err, errDisk) {
 		t.Fatalf("batch append after the failure = %v, want %v", err, errDisk)
 	}
 	if err := lg.Flush(); !errors.Is(err, errDisk) {
@@ -863,8 +863,8 @@ func equalI32(a, b []int32) bool {
 }
 
 // batchOf converts push records to service nodes plus fake blocks.
-func batchOf(recs []pushRec) ([]service.PushNode, []int32) {
-	nodes := make([]service.PushNode, len(recs))
+func batchOf(recs []pushRec) ([]store.PushNode, []int32) {
+	nodes := make([]store.PushNode, len(recs))
 	blocks := make([]int32, len(recs))
 	for i, r := range recs {
 		nodes[i] = framed(r.u, r.w, r.adj, r.ew)
@@ -951,7 +951,7 @@ func TestOversizedBatchRejectedNotSplit(t *testing.T) {
 	// byte per varint delta the group exceeds the bound, and the size
 	// check rejects it before copying anything.
 	big := framed(0, 1, make([]int32, 1<<20), nil)
-	nodes := make([]service.PushNode, 300)
+	nodes := make([]store.PushNode, 300)
 	blocks := make([]int32, 300)
 	for i := range nodes {
 		nodes[i] = big
@@ -964,7 +964,7 @@ func TestOversizedBatchRejectedNotSplit(t *testing.T) {
 	if err := lg.AppendNodeFrame(nil); err == nil {
 		t.Fatal("frameless node accepted")
 	}
-	if err := lg.AppendBatch([]service.PushNode{big, {U: 1, W: 1}}, []int32{0, 1}); err == nil {
+	if err := lg.AppendBatch([]store.PushNode{big, {U: 1, W: 1}}, []int32{0, 1}); err == nil {
 		t.Fatal("batch with a frameless node accepted")
 	}
 	if err := lg.Flush(); err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"oms/internal/service"
+	"oms/internal/store"
 	"oms/internal/wire"
 )
 
@@ -89,7 +90,7 @@ func TestIngestFormatsLogByteIdentical(t *testing.T) {
 				if format == "ndjson" {
 					var sb strings.Builder
 					for _, r := range recs {
-						line, err := json.Marshal(service.PushNode{U: r.u, W: r.w, Adj: r.adj, EW: r.ew})
+						line, err := json.Marshal(store.PushNode{U: r.u, W: r.w, Adj: r.adj, EW: r.ew})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -205,7 +206,7 @@ func TestIngestNonCanonicalLinesMatchUnmarshal(t *testing.T) {
 		for i, line := range lines {
 			t.Run(fmt.Sprintf("%s/%d", route, i), func(t *testing.T) {
 				status, reply, log := post(t, route, "application/x-ndjson", []byte(before+"\n"+line+"\n"+after+"\n"))
-				var nd service.PushNode
+				var nd store.PushNode
 				if err := json.Unmarshal([]byte(line), &nd); err != nil {
 					want := fmt.Sprintf("bad node line %.120q: %v", line, err)
 					var eb struct {

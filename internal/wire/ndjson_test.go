@@ -9,7 +9,7 @@ import (
 
 // jsonNode and jsonAssign have the field tags of the structs the NDJSON
 // shim encodes and decodes with encoding/json: client.Node and
-// service.PushNode for a node line, the client's reply line for an
+// store.PushNode for a node line, the client's reply line for an
 // assignment (its error field included).
 type jsonNode struct {
 	U   int32   `json:"u"`
