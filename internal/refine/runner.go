@@ -8,12 +8,16 @@
 // cost; this package is the serving-side machinery that spends idle
 // cores on them without ever touching the ingest hot path.
 //
-// The package splits in two: Runner is a bounded worker pool with a
-// per-session job state machine (queued → running → done | failed |
-// canceled), and Restream is the pass driver that rebuilds an engine
-// by replaying a seed assignment over the session's stream and
-// publishes one version per completed pass. The service layer glues them to sessions, logs,
-// and the HTTP surface.
+// The package has three parts. Runner runs jobs, one goroutine each
+// behind a bounded slot channel, with a per-session job state machine
+// (queued → running → done | failed | canceled). Restream is the pass
+// driver that rebuilds an engine by replaying a seed assignment over
+// the session's stream and publishes one version per completed pass.
+// Ledger is a session's record of those versions: the one-pass
+// baseline cut, the published versions, durable through the session's
+// log before they are visible, and their reload once pruned from
+// memory. The service layer glues them to sessions and the HTTP
+// surface.
 package refine
 
 import (
@@ -112,45 +116,32 @@ func (t *task) status() Status {
 	return st
 }
 
-// Hooks observe job lifecycle transitions (the service wires counters
-// in). All hooks are optional and called outside the runner lock.
-type Hooks struct {
-	Started  func(id string)
-	Finished func(id string, final State)
-	Pass     func(id string, pass int)
-}
-
-// Runner executes refinement jobs on a bounded worker pool, FIFO, at
-// most one active job per session id. The last job per id stays
-// queryable after it ends (until Drop), so clients can poll a finished
-// job's outcome.
+// Runner executes refinement jobs, at most workers at a time and at most
+// one active job per session id. Each Submit starts the job's own
+// goroutine, which takes one of the workers slots from a counting
+// channel; blocked senders queue in arrival order, so jobs start
+// first-come first-served. The last job per id stays queryable after it
+// ends (until Drop), so clients can poll a finished job's outcome.
 type Runner struct {
-	hooks Hooks
+	slots chan struct{}
+	// done, when set, receives every job's final status exactly once,
+	// on the job's goroutine (the service wires counters and the
+	// refine_done event in).
+	done func(Status)
 
 	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*task
 	jobs   map[string]*task // latest job per session id
 	closed bool
 	wg     sync.WaitGroup
 }
 
-// NewRunner starts a runner with the given number of workers (minimum
-// one).
-func NewRunner(workers int, hooks Hooks) *Runner {
-	if workers < 1 {
-		workers = 1
-	}
-	r := &Runner{jobs: make(map[string]*task), hooks: hooks}
-	r.cond = sync.NewCond(&r.mu)
-	r.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go r.worker()
-	}
-	return r
+// NewRunner returns a runner that runs at most workers jobs at once
+// (minimum one) and reports each job's end to done (may be nil).
+func NewRunner(workers int, done func(Status)) *Runner {
+	return &Runner{slots: make(chan struct{}, max(workers, 1)), done: done, jobs: make(map[string]*task)}
 }
 
-// Submit enqueues a job. A session with a queued or running job rejects
+// Submit queues a job. A session with a queued or running job rejects
 // a second one; a session whose previous job ended may submit again (the
 // new job replaces the old record).
 func (r *Runner) Submit(j Job) (Status, error) {
@@ -160,23 +151,19 @@ func (r *Runner) Submit(j Job) (Status, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	t := &task{job: j, state: StateQueued, ctx: ctx, cancel: cancel}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
 		cancel()
 		return Status{}, ErrClosed
 	}
 	if prev, ok := r.jobs[j.ID]; ok && !prev.state.Terminal() {
-		st := prev.status()
-		r.mu.Unlock()
 		cancel()
-		return st, fmt.Errorf("%w: session %s", ErrActive, j.ID)
+		return prev.status(), fmt.Errorf("%w: session %s", ErrActive, j.ID)
 	}
 	r.jobs[j.ID] = t
-	r.queue = append(r.queue, t)
-	st := t.status()
-	r.cond.Signal()
-	r.mu.Unlock()
-	return st, nil
+	r.wg.Add(1)
+	go r.run(t)
+	return t.status(), nil
 }
 
 // Status returns the latest job snapshot for a session id.
@@ -205,21 +192,14 @@ func (r *Runner) Active(id string) bool {
 // a live job was canceled.
 func (r *Runner) Cancel(id string) bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	t, ok := r.jobs[id]
-	if !ok || t.state.Terminal() {
-		r.mu.Unlock()
+	if !ok || t.state.Terminal() || t.ctx.Err() != nil {
 		return false
 	}
-	wasQueued := t.state == StateQueued
-	if wasQueued {
-		t.state = StateCanceled
-		t.err = context.Canceled
-	}
-	r.mu.Unlock()
+	// Under the lock: a queued job checks its context under the same
+	// lock before it starts, so it cannot slip past this cancel.
 	t.cancel()
-	if wasQueued && r.hooks.Finished != nil {
-		r.hooks.Finished(id, StateCanceled)
-	}
 	return true
 }
 
@@ -232,84 +212,36 @@ func (r *Runner) Drop(id string) {
 	r.mu.Unlock()
 }
 
-// Close cancels everything and waits for the workers to exit. Queued
-// jobs are canceled without running; the running ones see their context
-// canceled and end at the next pass boundary.
+// Close refuses new jobs, cancels every live one and waits for their
+// goroutines to end: queued jobs end without running, running ones at
+// their next pass boundary. Close is idempotent.
 func (r *Runner) Close() {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		r.wg.Wait()
-		return
-	}
 	r.closed = true
-	var victims []*task
-	var canceledQueued []string
 	for _, t := range r.jobs {
-		if t.state == StateQueued {
-			// Mark terminal under the lock so the workers draining the
-			// queue skip it — a queued job never runs after Close.
-			t.state = StateCanceled
-			t.err = context.Canceled
-			canceledQueued = append(canceledQueued, t.job.ID)
-		}
-		if !t.state.Terminal() {
-			victims = append(victims, t)
-		}
-	}
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	for _, t := range victims {
 		t.cancel()
 	}
-	// A queued job skipped by the workers still finished its lifecycle:
-	// the hook must fire (the service keeps its active gauge and
-	// shutdown-cancellation counter on it).
-	for _, id := range canceledQueued {
-		if r.hooks.Finished != nil {
-			r.hooks.Finished(id, StateCanceled)
-		}
-	}
+	r.mu.Unlock()
 	r.wg.Wait()
 }
 
-func (r *Runner) worker() {
+// run is one job's goroutine: it waits for a slot, runs the job unless
+// it was canceled first, and reports the job's end.
+func (r *Runner) run(t *task) {
 	defer r.wg.Done()
-	for {
-		r.mu.Lock()
-		for len(r.queue) == 0 && !r.closed {
-			r.cond.Wait()
+	err := context.Canceled
+	select {
+	case r.slots <- struct{}{}:
+		if r.start(t) {
+			err = t.job.Run(t.ctx, func(p int) {
+				r.mu.Lock()
+				t.passesDone = p
+				r.mu.Unlock()
+			})
 		}
-		if len(r.queue) == 0 && r.closed {
-			r.mu.Unlock()
-			return
-		}
-		t := r.queue[0]
-		r.queue = r.queue[1:]
-		if t.state != StateQueued {
-			// Canceled while queued; already terminal.
-			r.mu.Unlock()
-			continue
-		}
-		t.state = StateRunning
-		r.mu.Unlock()
-		r.runTask(t)
+		<-r.slots
+	case <-t.ctx.Done():
 	}
-}
-
-// runTask drives one job to a terminal state.
-func (r *Runner) runTask(t *task) {
-	if r.hooks.Started != nil {
-		r.hooks.Started(t.job.ID)
-	}
-	err := t.job.Run(t.ctx, func(p int) {
-		r.mu.Lock()
-		t.passesDone = p
-		r.mu.Unlock()
-		if r.hooks.Pass != nil {
-			r.hooks.Pass(t.job.ID, p)
-		}
-	})
 	final := StateDone
 	switch {
 	case err == nil:
@@ -319,11 +251,23 @@ func (r *Runner) runTask(t *task) {
 		final = StateFailed
 	}
 	r.mu.Lock()
-	t.state = final
-	t.err = err
+	t.state, t.err = final, err
+	st := t.status()
 	r.mu.Unlock()
 	t.cancel() // release the context's resources
-	if r.hooks.Finished != nil {
-		r.hooks.Finished(t.job.ID, final)
+	if r.done != nil {
+		r.done(st)
 	}
+}
+
+// start moves a queued job to running, unless it was canceled while it
+// waited for its slot.
+func (r *Runner) start(t *task) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if t.ctx.Err() != nil {
+		return false
+	}
+	t.state = StateRunning
+	return true
 }

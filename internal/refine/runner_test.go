@@ -26,7 +26,7 @@ func waitState(t *testing.T, r *Runner, id, want string) Status {
 }
 
 func TestRunnerLifecycle(t *testing.T) {
-	r := NewRunner(2, Hooks{})
+	r := NewRunner(2, nil)
 	defer r.Close()
 
 	st, err := r.Submit(Job{ID: "a", Passes: 3, Run: func(ctx context.Context, pass func(int)) error {
@@ -48,7 +48,7 @@ func TestRunnerLifecycle(t *testing.T) {
 }
 
 func TestRunnerRejectsSecondActiveJob(t *testing.T) {
-	r := NewRunner(1, Hooks{})
+	r := NewRunner(1, nil)
 	defer r.Close()
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -73,7 +73,7 @@ func TestRunnerRejectsSecondActiveJob(t *testing.T) {
 }
 
 func TestRunnerFailureAndCancel(t *testing.T) {
-	r := NewRunner(1, Hooks{})
+	r := NewRunner(1, nil)
 	defer r.Close()
 
 	boom := errors.New("pass exploded")
@@ -102,7 +102,7 @@ func TestRunnerFailureAndCancel(t *testing.T) {
 }
 
 func TestRunnerCancelQueuedNeverRuns(t *testing.T) {
-	r := NewRunner(1, Hooks{})
+	r := NewRunner(1, nil)
 	defer r.Close()
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -134,7 +134,7 @@ func TestRunnerCancelQueuedNeverRuns(t *testing.T) {
 
 func TestRunnerBoundedConcurrency(t *testing.T) {
 	const workers = 2
-	r := NewRunner(workers, Hooks{})
+	r := NewRunner(workers, nil)
 	defer r.Close()
 	var mu sync.Mutex
 	running, peak := 0, 0
@@ -168,11 +168,12 @@ func TestRunnerBoundedConcurrency(t *testing.T) {
 }
 
 func TestRunnerHooksAndDrop(t *testing.T) {
-	var started, finished, passes atomic.Int64
-	r := NewRunner(1, Hooks{
-		Started:  func(string) { started.Add(1) },
-		Finished: func(_ string, final State) { finished.Add(1) },
-		Pass:     func(string, int) { passes.Add(1) },
+	var finished atomic.Int64
+	r := NewRunner(1, func(st Status) {
+		if st.State != "done" || st.PassesDone != 2 {
+			t.Errorf("done hook got %+v", st)
+		}
+		finished.Add(1)
 	})
 	defer r.Close()
 	if _, err := r.Submit(Job{ID: "a", Passes: 2, Run: func(ctx context.Context, pass func(int)) error {
@@ -183,18 +184,53 @@ func TestRunnerHooksAndDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, r, "a", "done")
-	if started.Load() != 1 || finished.Load() != 1 || passes.Load() != 2 {
-		t.Fatalf("hooks: started %d finished %d passes %d", started.Load(), finished.Load(), passes.Load())
-	}
 	r.Drop("a")
 	if _, ok := r.Status("a"); ok {
 		t.Fatal("dropped job still queryable")
+	}
+	r.Close() // waits for the job's goroutine, hook included
+	if got := finished.Load(); got != 1 {
+		t.Fatalf("done hook fired %d times, want 1", got)
+	}
+}
+
+// TestRunnerDoneGetsEndedJobStatus: the done hook reports the job that
+// ended, even when a newer job for the same id was submitted before the
+// hook ran.
+func TestRunnerDoneGetsEndedJobStatus(t *testing.T) {
+	release := make(chan struct{})
+	ended := make(chan Status, 2)
+	r := NewRunner(2, func(st Status) {
+		if st.TraceID == "a" {
+			<-release
+		}
+		ended <- st
+	})
+	defer r.Close()
+	run := func(ctx context.Context, pass func(int)) error {
+		pass(1)
+		return nil
+	}
+	if _, err := r.Submit(Job{ID: "s", Passes: 1, TraceID: "a", Run: run}); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, r, "s", "done") // A is terminal; its hook blocks
+	if _, err := r.Submit(Job{ID: "s", Passes: 1, TraceID: "b", Run: run}); err != nil {
+		t.Fatal(err)
+	}
+	if st := <-ended; st.TraceID != "b" {
+		t.Fatalf("first hook to return reported %+v, want job b", st)
+	}
+	close(release)
+	st := <-ended
+	if want := (Status{ID: "s", State: "done", Passes: 1, PassesDone: 1, TraceID: "a"}); st != want {
+		t.Fatalf("job a's hook got %+v, want %+v", st, want)
 	}
 }
 
 func TestRunnerCloseCancelsEverything(t *testing.T) {
 	var finished atomic.Int64
-	r := NewRunner(1, Hooks{Finished: func(string, State) { finished.Add(1) }})
+	r := NewRunner(1, func(Status) { finished.Add(1) })
 	started := make(chan struct{})
 	if _, err := r.Submit(Job{ID: "a", Passes: 1, Run: func(ctx context.Context, pass func(int)) error {
 		close(started)
@@ -217,9 +253,9 @@ func TestRunnerCloseCancelsEverything(t *testing.T) {
 	if st, ok := r.Status("b"); !ok || st.State != "canceled" {
 		t.Fatalf("queued job after close: %+v (must never run)", st)
 	}
-	// Both jobs' lifecycles ended, so the Finished hook fired for each —
+	// Both jobs' lifecycles ended, so the done hook fired for each —
 	// the service keeps its active gauge on it.
 	if got := finished.Load(); got != 2 {
-		t.Fatalf("Finished hook fired %d times after Close, want 2", got)
+		t.Fatalf("done hook fired %d times after Close, want 2", got)
 	}
 }

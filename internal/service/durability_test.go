@@ -371,10 +371,16 @@ func TestSealFaultFailsFinish(t *testing.T) {
 	}
 }
 
-// TestDurabilityErrorMapsTo500 checks the HTTP mapping of wal faults.
+// TestDurabilityErrorMapsTo500 checks the HTTP mapping of wal faults,
+// including one whose cause is a malformed frame.
 func TestDurabilityErrorMapsTo500(t *testing.T) {
-	if code := statusOf(errors.Join(ErrDurability)); code != 500 {
-		t.Fatalf("durability status %d, want 500", code)
+	for _, err := range []error{
+		errors.Join(ErrDurability),
+		errors.Join(ErrDurability, wire.ErrMalformed),
+	} {
+		if status, code := statusOf(err), errCode(err); status != 500 || code != "durability_failure" {
+			t.Fatalf("%v: status %d code %q, want 500 durability_failure", err, status, code)
+		}
 	}
 }
 

@@ -387,7 +387,8 @@ func handleRefineStatus(mgr *Manager) http.HandlerFunc {
 			return
 		}
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s", ErrNoRefine, r.PathValue("id")))
+			err := fmt.Errorf("%w: %s", ErrNoRefine, r.PathValue("id"))
+			writeError(w, statusOf(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, info)
@@ -561,69 +562,52 @@ func handleTrace(mgr *Manager) http.HandlerFunc {
 	}
 }
 
-func statusOf(err error) int {
-	switch {
-	case errors.Is(err, ErrNotFound), errors.Is(err, ErrNoVersion), errors.Is(err, ErrNoTrace):
-		return http.StatusNotFound
-	case errors.Is(err, ErrGone):
-		return http.StatusGone
-	case errors.Is(err, ErrNotFinished), errors.Is(err, ErrNoStream), errors.Is(err, refine.ErrActive):
-		return http.StatusConflict
-	case errors.Is(err, ErrLimit):
-		return http.StatusTooManyRequests
-	case errors.Is(err, oms.ErrSessionFinished):
-		return http.StatusConflict
-	case errors.Is(err, oms.ErrNodeOutOfRange):
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, oms.ErrEdgeBudget):
-		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, ErrUnsupportedMedia):
-		return http.StatusUnsupportedMediaType
-	case errors.Is(err, ErrDurability):
-		return http.StatusInternalServerError
-	default:
-		return http.StatusBadRequest
-	}
+// errClasses maps a failure to its HTTP status and its stable
+// machine-readable code, so clients branch on "code" instead of parsing
+// prose (the prose may change; the codes are API). The first sentinel
+// the error wraps wins: ErrDurability precedes wire.ErrMalformed, so a
+// log fault caused by a malformed frame is still the server's 500. An
+// error that wraps none is a 400 bad_request.
+var errClasses = []struct {
+	err    error
+	status int
+	code   string
+}{
+	{ErrNotFound, http.StatusNotFound, "session_not_found"},
+	{refine.ErrNoVersion, http.StatusNotFound, "version_not_found"},
+	{ErrNoRefine, http.StatusNotFound, "refine_not_found"},
+	{ErrNoTrace, http.StatusNotFound, "trace_not_found"},
+	{ErrGone, http.StatusGone, "session_gone"},
+	{ErrNotFinished, http.StatusConflict, "session_not_finished"},
+	{ErrNoStream, http.StatusConflict, "stream_not_retained"},
+	{refine.ErrActive, http.StatusConflict, "refine_active"},
+	{ErrLimit, http.StatusTooManyRequests, "session_limit"},
+	{oms.ErrSessionFinished, http.StatusConflict, "session_finished"},
+	{oms.ErrNodeOutOfRange, http.StatusUnprocessableEntity, "node_out_of_range"},
+	{oms.ErrEdgeBudget, http.StatusRequestEntityTooLarge, "edge_budget_exceeded"},
+	{ErrUnsupportedMedia, http.StatusUnsupportedMediaType, "unsupported_media_type"},
+	{ErrDurability, http.StatusInternalServerError, "durability_failure"},
+	{wire.ErrMalformed, http.StatusBadRequest, "malformed_frame"},
 }
 
-// errCode maps a failure to its stable machine-readable code, so
-// clients branch on "code" instead of parsing prose (the prose may
-// change; the codes are API).
-func errCode(err error) string {
-	switch {
-	case errors.Is(err, ErrNotFound):
-		return "session_not_found"
-	case errors.Is(err, ErrNoVersion):
-		return "version_not_found"
-	case errors.Is(err, ErrNoRefine):
-		return "refine_not_found"
-	case errors.Is(err, ErrNoTrace):
-		return "trace_not_found"
-	case errors.Is(err, ErrGone):
-		return "session_gone"
-	case errors.Is(err, ErrNotFinished):
-		return "session_not_finished"
-	case errors.Is(err, ErrNoStream):
-		return "stream_not_retained"
-	case errors.Is(err, refine.ErrActive):
-		return "refine_active"
-	case errors.Is(err, ErrLimit):
-		return "session_limit"
-	case errors.Is(err, oms.ErrSessionFinished):
-		return "session_finished"
-	case errors.Is(err, oms.ErrNodeOutOfRange):
-		return "node_out_of_range"
-	case errors.Is(err, oms.ErrEdgeBudget):
-		return "edge_budget_exceeded"
-	case errors.Is(err, ErrUnsupportedMedia):
-		return "unsupported_media_type"
-	case errors.Is(err, wire.ErrMalformed):
-		return "malformed_frame"
-	case errors.Is(err, ErrDurability):
-		return "durability_failure"
-	default:
-		return "bad_request"
+// errClass looks err up in errClasses.
+func errClass(err error) (status int, code string) {
+	for _, c := range errClasses {
+		if errors.Is(err, c.err) {
+			return c.status, c.code
+		}
 	}
+	return http.StatusBadRequest, "bad_request"
+}
+
+func statusOf(err error) int {
+	status, _ := errClass(err)
+	return status
+}
+
+func errCode(err error) string {
+	_, code := errClass(err)
+	return code
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

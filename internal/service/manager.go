@@ -271,26 +271,21 @@ func NewManager(cfg Config) *Manager {
 		janitorQuit: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
-	mgr.refiner = refine.NewRunner(cfg.RefineWorkers, refine.Hooks{
-		Started: func(string) {},
-		Finished: func(id string, final refine.State) {
-			mgr.m.refineActive.Add(-1)
-			switch final {
-			case refine.StateFailed:
-				mgr.m.refineFailed.Inc()
-			case refine.StateCanceled:
-				mgr.m.refineCanceled.Inc()
-			}
-			fields := map[string]any{"session": id, "state": final.String()}
-			// Hooks run outside the runner lock, so the status read here
-			// cannot deadlock; it recovers the submitting request's trace
-			// id so refine_done events join back to their trigger.
-			if st, ok := mgr.refiner.Status(id); ok && st.TraceID != "" {
-				fields["trace_id"] = st.TraceID
-			}
-			mgr.ev.Emit(telemetry.EventRefineDone, fields)
-		},
-		Pass: func(string, int) { mgr.m.refinePasses.Inc() },
+	mgr.refiner = refine.NewRunner(cfg.RefineWorkers, func(st refine.Status) {
+		mgr.m.refineActive.Add(-1)
+		switch st.State {
+		case refine.StateFailed.String():
+			mgr.m.refineFailed.Inc()
+		case refine.StateCanceled.String():
+			mgr.m.refineCanceled.Inc()
+		}
+		// The submitting request's trace id joins refine_done events
+		// back to their trigger.
+		fields := map[string]any{"session": st.ID, "state": st.State}
+		if st.TraceID != "" {
+			fields["trace_id"] = st.TraceID
+		}
+		mgr.ev.Emit(telemetry.EventRefineDone, fields)
 	})
 	for i := range mgr.shards {
 		mgr.shards[i].m = make(map[string]*Session)
@@ -491,6 +486,7 @@ func (mg *Manager) newSession(id string, spec store.CreateSpec, eng *oms.Session
 		turn:    make(chan struct{}, 1),
 		log:     lg,
 		store:   mg.cfg.Store,
+		ledger:  refine.NewLedger(id, lg),
 		nodeCap: mg.cfg.MaxNodes,
 		reserve: mg.reserveNodes,
 		release: mg.releaseNodes,
@@ -619,7 +615,7 @@ func (mg *Manager) restoreSession(rec store.RecoveredSession) (err error) {
 		// Refined versions survived on their own durability (whole-file
 		// CRC; torn ones were dropped by the store) — the session keeps
 		// its best completed version across the crash.
-		s.restoreVersions(rec.Versions)
+		s.ledger.Restore(rec.Versions)
 	}
 
 	if err := mg.register(s); err != nil {
@@ -812,9 +808,9 @@ type RefineSpec struct {
 // published-version ledger.
 type RefineInfo struct {
 	refine.Status
-	OnePassCut  *int64        `json:"one_pass_edge_cut,omitempty"`
-	BestVersion int32         `json:"best_version"`
-	Versions    []VersionInfo `json:"versions"`
+	OnePassCut  *int64               `json:"one_pass_edge_cut,omitempty"`
+	BestVersion int32                `json:"best_version"`
+	Versions    []refine.VersionInfo `json:"versions"`
 }
 
 // Refine submits a background refinement job for a finished session:
@@ -870,23 +866,18 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 		passStart = time.Now() // queue wait ends; pass spans start here
 		// Measure the starting point once per job, so "best" can
 		// compare refined versions against the one-pass result even
-		// for sessions that never recorded.
-		if s.OnePassCut() == nil {
+		// for sessions that never recorded. It is persisted as the
+		// parts-free version 0 before any refined version exists, so
+		// "best" keeps comparing against it after a crash.
+		if s.ledger.Baseline() == nil {
 			cut0, err := refine.EdgeCut(src, onePass)
 			if err != nil {
 				return err
 			}
-			// Persist the baseline (parts-free version 0) before any
-			// refined version exists: "best" must keep comparing
-			// against the one-pass result after a crash, even for
-			// sessions that never recorded.
-			if s.log != nil {
-				if err := s.log.SaveVersion(store.RefinedVersion{Version: 0, Pass: 0, EdgeCut: cut0}); err != nil {
-					s.m.walErrors.Inc()
-					return fmt.Errorf("persist one-pass cut: %w", err)
-				}
+			if err := s.ledger.Add(store.RefinedVersion{Version: 0, EdgeCut: cut0}); err != nil {
+				s.m.walErrors.Inc()
+				return err
 			}
-			s.setOnePassCut(cut0)
 		}
 		// Refinement ratchets: a second job (or one resumed after a
 		// crash) seeds from the newest published version rather than
@@ -897,18 +888,12 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 		// reads as one trajectory of restream depth.
 		seed := onePass
 		basePass := int32(0)
-		if latest := s.latestVersion(); latest != nil {
-			seed = latest.Parts
-			if seed == nil {
-				// Recovered versions keep only metadata in memory;
-				// the assignment reloads from its durable file.
-				loaded, err := s.log.LoadVersion(latest.Version)
-				if err != nil {
-					return fmt.Errorf("reload version %d: %w", latest.Version, err)
-				}
-				seed = loaded.Parts
+		if n := s.ledger.Latest(); n > 0 {
+			latest, err := s.ledger.Get(n)
+			if err != nil {
+				return err
 			}
-			basePass = latest.Pass
+			seed, basePass = latest.Parts, latest.Pass
 		}
 		return refine.Restream(ctx, cfg, src, seed, passes, func(pr refine.PassResult) error {
 			if s.closed.Load() {
@@ -917,28 +902,25 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 				// nothing went wrong with the refinement itself.
 				return fmt.Errorf("%w: session %s gone", context.Canceled, id)
 			}
-			v := store.RefinedVersion{
-				Version: s.nextVersion(),
-				Pass:    basePass + int32(pr.Pass),
-				EdgeCut: pr.EdgeCut,
-				Parts:   pr.Parts,
-			}
 			// Durable before visible: a version a client can read
 			// must survive a crash (no store keeps them in memory
 			// only, like everything else without -data-dir).
-			if s.log != nil {
-				if err := s.log.SaveVersion(v); err != nil {
-					s.m.walErrors.Inc()
-					return fmt.Errorf("persist version %d: %w", v.Version, err)
-				}
+			if err := s.ledger.Add(store.RefinedVersion{
+				Version: s.ledger.Latest() + 1,
+				Pass:    basePass + int32(pr.Pass),
+				EdgeCut: pr.EdgeCut,
+				Parts:   pr.Parts,
+			}); err != nil {
+				s.m.walErrors.Inc()
+				return err
 			}
-			s.addVersion(v)
 			// A published pass is server activity on the session:
 			// refresh the TTL so a long refinement (or a client that
 			// stopped polling) does not lose the session under the
 			// janitor while work is still landing.
 			s.touch(s.now())
 			s.m.refineVersions.Inc()
+			s.m.refinePasses.Inc()
 			pass(pr.Pass)
 			if ta != nil {
 				now := time.Now()
@@ -964,8 +946,8 @@ func (mg *Manager) Refine(id string, spec RefineSpec) (RefineInfo, error) {
 			return err
 		},
 	}
-	// The active gauge rises before Submit: a fast worker (or a racing
-	// Close) may fire the Finished hook — which decrements — before
+	// The active gauge rises before Submit: a fast job (or a racing
+	// Close) may fire the done hook — which decrements — before
 	// Submit even returns, and the gauge must never dip below zero.
 	mg.m.refineActive.Inc()
 	st, err := mg.refiner.Submit(job)
@@ -986,7 +968,7 @@ func (mg *Manager) RefineStatus(id string) (RefineInfo, bool, error) {
 	}
 	st, ok := mg.refiner.Status(id)
 	if !ok {
-		vs := s.VersionList()
+		vs := s.ledger.List()
 		if len(vs) == 0 {
 			return RefineInfo{}, false, nil
 		}
@@ -1002,9 +984,9 @@ func (mg *Manager) RefineStatus(id string) (RefineInfo, bool, error) {
 func (mg *Manager) refineInfo(s *Session, st refine.Status) RefineInfo {
 	return RefineInfo{
 		Status:      st,
-		OnePassCut:  s.OnePassCut(),
-		BestVersion: s.BestVersion(),
-		Versions:    s.VersionList(),
+		OnePassCut:  s.ledger.Baseline(),
+		BestVersion: s.ledger.Best(),
+		Versions:    s.ledger.List(),
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"oms"
 	"oms/internal/metrics"
+	"oms/internal/refine"
 	"oms/internal/stream"
 )
 
@@ -328,7 +329,7 @@ func (nullLog) Flush() error                                             { retur
 func (nullLog) Seal() error                                              { return nil }
 func (nullLog) SaveVersion(v store.RefinedVersion) error                 { return nil }
 func (nullLog) LoadVersion(version int32) (store.RefinedVersion, error) {
-	return store.RefinedVersion{}, ErrNoVersion
+	return store.RefinedVersion{}, refine.ErrNoVersion
 }
 func (nullLog) Close() error { return nil }
 

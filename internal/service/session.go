@@ -2,14 +2,15 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"oms/internal/store"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"oms"
+	"oms/internal/refine"
 	"oms/internal/telemetry"
 	"oms/internal/trace"
 )
@@ -73,12 +74,8 @@ type Session struct {
 	result   *oms.Result // set by the job that seals the session
 	summary  *Summary
 
-	// verMu guards the refinement state below. Versions are append-only
-	// and immutable once published; readers (result serving, status)
-	// take the read lock, the single active refine job the write lock.
-	verMu      sync.RWMutex
-	versions   []store.RefinedVersion
-	onePassCut *int64 // measured against the recorded stream at refine start
+	// ledger holds the session's refined result versions.
+	ledger *refine.Ledger
 
 	m   *serviceMetrics
 	ev  *telemetry.Logger
@@ -337,6 +334,9 @@ func (s *Session) seal(live bool, tid string) error {
 	}
 	s.result = res
 	s.summary = s.summarize(res)
+	if s.summary.EdgeCut != nil {
+		s.ledger.SetBaseline(*s.summary.EdgeCut)
+	}
 	s.finished.Store(true)
 	return nil
 }
@@ -622,14 +622,10 @@ func (s *Session) maybeLogStats() (bool, error) {
 	return true, nil
 }
 
-// ErrNoVersion reports a result version that does not exist (never
-// published, or not yet published).
-var ErrNoVersion = fmt.Errorf("service: no such result version")
-
 // VersionedResult is one served result version: the one-pass result
 // (version 0) or a published refinement. EdgeCut is nil when it was
-// never measured (version 0 of a session that has not been refined and
-// does not record its stream).
+// never measured (version 0 of a session that does not record its
+// stream).
 type VersionedResult struct {
 	Version int32
 	Pass    int32
@@ -637,146 +633,6 @@ type VersionedResult struct {
 	Parts   []int32
 	K       int32
 	Lmax    int64
-}
-
-// nextVersion returns the number the next published version will get.
-func (s *Session) nextVersion() int32 {
-	s.verMu.RLock()
-	defer s.verMu.RUnlock()
-	if n := len(s.versions); n > 0 {
-		return s.versions[n-1].Version + 1
-	}
-	return 1
-}
-
-// maxResidentVersions bounds how many versions keep their O(n) Parts
-// slice in memory (the newest ones, plus the best). Older versions keep
-// only their metadata row; a read reloads the assignment from the
-// durable version file. Without a store nothing is pruned — there is no
-// reload path, and storeless refinement already implies the session
-// holds its O(n + m) record buffer.
-const maxResidentVersions = 4
-
-// addVersion publishes one refined version (append-only; the single
-// active refine job is the only writer).
-func (s *Session) addVersion(v store.RefinedVersion) {
-	s.verMu.Lock()
-	s.versions = append(s.versions, v)
-	s.pruneResidentLocked()
-	s.verMu.Unlock()
-}
-
-// pruneResidentLocked drops cold versions' in-memory assignment,
-// keeping the newest maxResidentVersions and the best version resident.
-// Callers hold verMu for writing; pruning only happens with a store to
-// reload from.
-func (s *Session) pruneResidentLocked() {
-	if s.log == nil || len(s.versions) <= maxResidentVersions {
-		return
-	}
-	best := 0
-	for i := range s.versions {
-		if s.versions[i].EdgeCut < s.versions[best].EdgeCut {
-			best = i
-		}
-	}
-	for i := 0; i < len(s.versions)-maxResidentVersions; i++ {
-		if i != best {
-			s.versions[i].Parts = nil
-		}
-	}
-}
-
-// latestVersion returns a copy of the newest published version, or nil
-// before the first publish.
-func (s *Session) latestVersion() *store.RefinedVersion {
-	s.verMu.RLock()
-	defer s.verMu.RUnlock()
-	if n := len(s.versions); n > 0 {
-		v := s.versions[n-1]
-		return &v
-	}
-	return nil
-}
-
-// setOnePassCut records the one-pass result's measured edge cut.
-func (s *Session) setOnePassCut(c int64) {
-	s.verMu.Lock()
-	s.onePassCut = &c
-	s.verMu.Unlock()
-}
-
-// restoreVersions installs recovered versions (startup only, before the
-// session is visible). The parts-free version-0 record carries the
-// one-pass result's measured cut, so "best" keeps comparing against it
-// across restarts.
-func (s *Session) restoreVersions(vs []store.RefinedVersion) {
-	for _, v := range vs {
-		if v.Version == 0 {
-			cut := v.EdgeCut
-			s.onePassCut = &cut
-			continue
-		}
-		s.versions = append(s.versions, v)
-	}
-	s.pruneResidentLocked()
-}
-
-// VersionInfo is one row of the refine-status version listing.
-type VersionInfo struct {
-	Version int32 `json:"version"`
-	Pass    int32 `json:"pass"`
-	EdgeCut int64 `json:"edge_cut"`
-}
-
-// VersionList snapshots the published versions' metadata.
-func (s *Session) VersionList() []VersionInfo {
-	s.verMu.RLock()
-	defer s.verMu.RUnlock()
-	out := make([]VersionInfo, len(s.versions))
-	for i, v := range s.versions {
-		out[i] = VersionInfo{Version: v.Version, Pass: v.Pass, EdgeCut: v.EdgeCut}
-	}
-	return out
-}
-
-// OnePassCut returns the measured edge cut of the one-pass result: from
-// the finish summary when the session records its stream, else from the
-// measurement the first refinement job takes; nil before either.
-func (s *Session) OnePassCut() *int64 {
-	s.verMu.RLock()
-	defer s.verMu.RUnlock()
-	if s.onePassCut != nil {
-		return s.onePassCut
-	}
-	if s.summary != nil && s.summary.EdgeCut != nil {
-		return s.summary.EdgeCut
-	}
-	return nil
-}
-
-// BestVersion returns the number of the lowest-cut version: the refined
-// version with the smallest measured cut, or 0 when none beats the
-// one-pass result (ties go to the lower version — fewer passes for the
-// same cut). Version 0 competes only when its cut is known; with no
-// published versions it wins by default.
-func (s *Session) BestVersion() int32 {
-	s.verMu.RLock()
-	defer s.verMu.RUnlock()
-	best := int32(0)
-	var bestCut *int64
-	if s.onePassCut != nil {
-		bestCut = s.onePassCut
-	} else if s.summary != nil && s.summary.EdgeCut != nil {
-		bestCut = s.summary.EdgeCut
-	}
-	for i := range s.versions {
-		v := &s.versions[i]
-		if bestCut == nil || v.EdgeCut < *bestCut {
-			best, bestCut = v.Version, &v.EdgeCut
-		}
-	}
-	return best
 }
 
 // ResultVersion serves one result version by selector: "" or "0" is the
@@ -789,80 +645,37 @@ func (s *Session) ResultVersion(sel string) (*VersionedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	onePass := func() *VersionedResult {
-		// Version 0 reports only the finish-summary cut (recomputed
-		// identically after recovery); the cut a refine job measures is
-		// not persisted, and including it would make the version-0 body
-		// differ across a restart.
-		var cut *int64
-		if s.summary != nil {
-			cut = s.summary.EdgeCut
-		}
-		return &VersionedResult{Version: 0, Pass: 0, EdgeCut: cut, Parts: base.Parts, K: base.K, Lmax: base.Lmax}
-	}
+	var n int32
 	switch sel {
-	case "", "0", "onepass":
-		return onePass(), nil
+	case "", "onepass":
 	case "latest":
-		s.verMu.RLock()
-		n := len(s.versions)
-		var want int32
-		if n > 0 {
-			want = s.versions[n-1].Version
-		}
-		s.verMu.RUnlock()
-		if want == 0 {
-			return onePass(), nil
-		}
-		// Through findVersion like any exact read: recovered versions
-		// keep only metadata in memory until a read reloads them.
-		return s.findVersion(want)
+		n = s.ledger.Latest()
 	case "best":
-		want := s.BestVersion()
-		if want == 0 {
-			return onePass(), nil
-		}
-		return s.findVersion(want)
+		n = s.ledger.Best()
 	default:
 		// 32-bit parse: a selector beyond int32 must be a clean error,
 		// not a silent wrap onto an existing version.
-		n, err := strconv.ParseInt(sel, 10, 32)
-		if err != nil || n < 0 {
+		v, err := strconv.ParseInt(sel, 10, 32)
+		if err != nil || v < 0 {
 			return nil, fmt.Errorf("service: bad version selector %q (want a number, latest, or best)", sel)
 		}
-		if n == 0 {
-			return onePass(), nil
-		}
-		return s.findVersion(int32(n))
+		n = int32(v)
 	}
-}
-
-// findVersion serves one published version by exact number. Cold
-// versions (assignment pruned from memory) are reloaded whole from the
-// durable version file.
-func (s *Session) findVersion(n int32) (*VersionedResult, error) {
-	s.verMu.RLock()
-	defer s.verMu.RUnlock()
-	for i := range s.versions {
-		if s.versions[i].Version != n {
-			continue
-		}
-		v := &s.versions[i]
-		cut := v.EdgeCut
-		parts := v.Parts
-		if parts == nil {
-			if s.log == nil {
-				return nil, fmt.Errorf("%w: version %d of session %s pruned with no store", ErrDurability, n, s.ID)
-			}
-			loaded, err := s.log.LoadVersion(n)
-			if err != nil {
-				return nil, fmt.Errorf("%w: reload version %d of session %s: %w", ErrDurability, n, s.ID, err)
-			}
-			parts = loaded.Parts
-		}
-		return &VersionedResult{Version: v.Version, Pass: v.Pass, EdgeCut: &cut, Parts: parts, K: s.K(), Lmax: s.Lmax()}, nil
+	if n == 0 {
+		// Version 0 reports only the finish-summary cut (recomputed
+		// identically after recovery); the cut a refine job measures is
+		// not served, and including it would make the version-0 body
+		// differ across a restart.
+		return &VersionedResult{EdgeCut: s.summary.EdgeCut, Parts: base.Parts, K: base.K, Lmax: base.Lmax}, nil
 	}
-	return nil, fmt.Errorf("%w: version %d of session %s", ErrNoVersion, n, s.ID)
+	v, err := s.ledger.Get(n)
+	if err != nil {
+		if !errors.Is(err, refine.ErrNoVersion) {
+			err = fmt.Errorf("%w: %w", ErrDurability, err)
+		}
+		return nil, err
+	}
+	return &VersionedResult{Version: v.Version, Pass: v.Pass, EdgeCut: &v.EdgeCut, Parts: v.Parts, K: s.K(), Lmax: s.Lmax()}, nil
 }
 
 // summarize builds the finish summary; for recording sessions it replays

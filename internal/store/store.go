@@ -165,9 +165,8 @@ type RefinedVersion struct {
 	Pass    int32 `json:"pass"`
 	EdgeCut int64 `json:"edge_cut"`
 	// Parts is nil for the version-0 baseline record, and may be nil in
-	// the session's in-memory ledger for cold versions whose assignment
-	// was pruned to bound memory (it is then reloaded from the store on
-	// demand).
+	// a refine.Ledger for cold versions whose assignment was pruned to
+	// bound memory (it is then reloaded from the store on demand).
 	Parts []int32 `json:"-"`
 }
 

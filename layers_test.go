@@ -13,14 +13,14 @@ import (
 
 // TestLayers holds the module's dependencies to one direction: the
 // engine at the bottom, the session contract (internal/store) and the
-// metrics format (internal/promtext) as leaves above it, and the
-// daemon (internal/service) above those, imported only by what runs
-// it. The import graph is read from the non-test files of every
+// metrics format (internal/promtext) as leaves above it, refinement
+// (internal/refine) above the contract, and the daemon
+// (internal/service) above those, imported only by what runs it. The import graph is read from the non-test files of every
 // package outside benchmark/ and testdata.
 func TestLayers(t *testing.T) {
 	graph := importGraph(t)
 	const service = "oms/internal/service"
-	for _, pkg := range []string{"oms", service, "oms/internal/store", "oms/internal/promtext", "oms/cmd/omsstat", "oms/cmd/omsload"} {
+	for _, pkg := range []string{"oms", service, "oms/internal/store", "oms/internal/promtext", "oms/internal/refine", "oms/cmd/omsstat", "oms/cmd/omsload"} {
 		if _, ok := graph[pkg]; !ok {
 			t.Errorf("no package %s in the module", pkg)
 		}
@@ -34,9 +34,14 @@ func TestLayers(t *testing.T) {
 			t.Errorf("oms/internal/store imports %s; it may import only oms", imp)
 		}
 	}
+	for _, imp := range graph["oms/internal/refine"] {
+		if imp != "oms" && imp != "oms/internal/store" {
+			t.Errorf("oms/internal/refine imports %s; it may import only oms and oms/internal/store", imp)
+		}
+	}
 	for _, pkg := range []string{
 		"oms/internal/wal", "oms/internal/load", "oms/internal/store",
-		"oms/internal/promtext", "oms/cmd/omsstat", "oms/cmd/omsload",
+		"oms/internal/promtext", "oms/internal/refine", "oms/cmd/omsstat", "oms/cmd/omsload",
 	} {
 		if path := importPath(graph, pkg, service); path != nil {
 			t.Errorf("%s reaches %s: %s", pkg, service, strings.Join(path, " -> "))
