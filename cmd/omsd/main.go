@@ -16,11 +16,12 @@
 //	curl -s -X POST localhost:8080/v1/sessions/$ID/finish
 //
 // With -data-dir the daemon is durable: every accepted push is logged
-// to a per-session WAL before it is acknowledged, the log is all that
-// is written, and a restarted daemon replays each log in full to
-// rebuild sealed sessions' results and resume unsealed sessions at the
-// exact next node (GET /v1/sessions/{id} reports "assigned", where to
-// resume); /v1/readyz answers 503 until that replay is done.
+// with its assigned block to a per-session WAL before it is
+// acknowledged, the log is all that is written, and a restarted daemon
+// replays each log in full to rebuild sealed sessions' results and
+// resume unsealed sessions at the exact next node (GET
+// /v1/sessions/{id} reports "assigned", where to resume); /v1/readyz
+// answers 503 until that replay is done.
 //
 // POST /v1/sessions/{id}/batch is the high-throughput ingest path: the
 // same NDJSON lines, grouped into large batches, each admitted as one

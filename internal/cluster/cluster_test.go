@@ -357,3 +357,55 @@ func TestFailedPromotionLeavesNoShipper(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectedRestartLeavesNoShipper holds a restart to the promotion's
+// rule (TestFailedPromotionLeavesNoShipper): a clustered manager that
+// rejects a recovered session after its replay, here at register under
+// the aggregate node budget, leaves no replication shipper for it.
+func TestRejectedRestartLeavesNoShipper(t *testing.T) {
+	const id = "s3-0000dea3"
+	dir := t.TempDir()
+	primary, err := wal.Open(filepath.Join(dir, "primary"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicas, err := wal.Open(filepath.Join(dir, "replica"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := primary.Create(id, store.CreateSpec{N: 1000, M: 1, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := store.PushNode{U: 0, W: 1, Adj: []int32{1}, Frame: wire.AppendNodeFrame(nil, 0, 1, []int32{1}, nil)}
+	if err := lg.AppendBatch([]store.PushNode{nd}, []int32{0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + ln.Addr().String()
+	ln.Close()
+	node, err := NewNode(Config{Self: "n1", Peers: map[string]string{"n1": dead, "n2": dead}, Store: primary, Replicas: replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	mgr := service.NewManager(service.Config{Store: node, Cluster: node, MaxTotalNodes: 500, JanitorPeriod: time.Hour})
+	defer mgr.Close()
+	node.Bind(mgr)
+	if n, err := mgr.RecoverSessions(); n != 0 || err == nil {
+		t.Fatalf("restart over the aggregate node budget recovered %d sessions (err %v), want 0 and an error", n, err)
+	}
+	node.mu.Lock()
+	_, shipping := node.shippers[id]
+	node.mu.Unlock()
+	if shipping || node.lagBytes() != 0 {
+		t.Fatalf("rejected restart left a shipper (%v) and %d lag bytes", shipping, node.lagBytes())
+	}
+}

@@ -418,11 +418,7 @@ func (n *Node) promoteOne(mgr *service.Manager, id string) error {
 		return err
 	}
 	n.replicateReplay(&rec)
-	if err := mgr.Adopt(rec); err != nil {
-		n.dropShipper(id, false) // Adopt closed any log its replay opened
-		return err
-	}
-	return nil
+	return mgr.Adopt(rec)
 }
 
 func (n *Node) lagBytes() int64 {

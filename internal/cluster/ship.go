@@ -80,7 +80,9 @@ func (n *Node) Recover() ([]store.RecoveredSession, error) {
 
 // replicateReplay makes rec's replay wrap the log it hands back. Only a
 // log the replay produced gets a shipper, so a session rejected before
-// or during replay leaves none behind.
+// or during replay leaves none behind; one the manager rejects after
+// its replay drops its shipper when the manager closes the log
+// (replicatedLog.Close).
 func (n *Node) replicateReplay(rec *store.RecoveredSession) {
 	replay, id := rec.Replay, rec.ID
 	rec.Replay = func(fn func(u, w int32, adj, ew []int32, block int32) error, stats func(oms.EstimatorState) error) (store.SessionLog, bool, error) {
@@ -94,9 +96,10 @@ func (n *Node) replicateReplay(rec *store.RecoveredSession) {
 
 // Remove implements store.Store: local GC plus propagation — the
 // follower drops its replica so a dead session cannot be promoted back
-// from the grave.
+// from the grave. The manager closed the session's log first, which
+// stopped its shipper.
 func (n *Node) Remove(id string) error {
-	n.dropShipper(id, true)
+	n.forgetReplica(id)
 	return n.cfg.Store.Remove(id)
 }
 
@@ -127,30 +130,31 @@ func (n *Node) wrapLog(id string, log store.SessionLog) store.SessionLog {
 	return &replicatedLog{SessionLog: log, sh: sh}
 }
 
-func (n *Node) dropShipper(id string, propagate bool) {
+// dropShipper stops sh and forgets it, unless a newer shipper of the
+// same session has replaced it.
+func (n *Node) dropShipper(sh *shipper) {
 	n.mu.Lock()
-	sh := n.shippers[id]
-	delete(n.shippers, id)
+	if n.shippers[sh.id] == sh {
+		delete(n.shippers, sh.id)
+	}
 	n.mu.Unlock()
-	if sh == nil {
-		return
-	}
 	sh.stop()
-	if !propagate {
-		return
-	}
-	// Best-effort GC propagation, off the caller's path. An orphaned
-	// replica is only storage (promotion checks the tombstone before
-	// adopting), so a follower that stays unreachable past these retries
-	// leaks a directory, not correctness.
+}
+
+// forgetReplica tells the session's follower to drop its replica: a
+// best-effort GC propagation, off the caller's path. An orphaned
+// replica is only storage (promotion checks the tombstone before
+// adopting), so a follower that stays unreachable past these retries
+// leaks a directory, not correctness.
+func (n *Node) forgetReplica(id string) {
 	go func() {
 		for attempt := 0; attempt < 3; attempt++ {
-			_, addr := n.followerOf(sh.id)
+			_, addr := n.followerOf(id)
 			if addr == "" {
 				return
 			}
 			ctx, cancel := context.WithTimeout(n.ctx, 2*time.Second)
-			req, err := http.NewRequestWithContext(ctx, "DELETE", addr+"/v1/replica/sessions/"+sh.id, nil)
+			req, err := http.NewRequestWithContext(ctx, "DELETE", addr+"/v1/replica/sessions/"+id, nil)
 			if err == nil {
 				resp, err := n.hc.Do(req)
 				if err == nil {
@@ -204,9 +208,16 @@ func (rl *replicatedLog) Seal() error {
 	return nil
 }
 
-// Close leaves the shipper running: at manager shutdown the node is
-// closed right after and stops it; a merely idle session keeps its
-// replication stream until the log is removed.
+// Close releases the log and stops its shipper: a shipper lives exactly
+// as long as the log it ships. The manager closes a session's log when
+// it retires the session, at shutdown, and when it rejects a recovered
+// session after its replay, so a rejected restart or promotion leaves
+// no shipper behind.
+func (rl *replicatedLog) Close() error {
+	err := rl.SessionLog.Close()
+	rl.sh.n.dropShipper(rl.sh)
+	return err
+}
 
 // --- the shipper ---
 

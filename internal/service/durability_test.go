@@ -187,14 +187,16 @@ func TestFlushFaultFailsChunkEvenAfterRejection(t *testing.T) {
 }
 
 // TestIngestLogsExactlyWhatItAcks holds the two routes to one rule on
-// the corners where their old bodies differed: a job appends a record
-// for exactly the nodes it freshly assigned and acknowledges, and a job
-// that appended nothing touches neither the log nor the disk.
+// the corners where their old bodies differed: a job that assigned a
+// node for the first time logs every node it acknowledges, once and in
+// order — on /nodes too when the chunk overlaps earlier ingest — and a
+// job that assigned nothing new touches neither the log nor the disk.
 func TestIngestLogsExactlyWhatItAcks(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name        string
 		batch       bool
+		earlier     int // leading nodes of the chunk pushed by an earlier job
 		nodes       []store.PushNode
 		wantErr     bool
 		acked       int // assignments returned
@@ -209,6 +211,9 @@ func TestIngestLogsExactlyWhatItAcks(t *testing.T) {
 			wantErr: true},
 		{name: "nodes/accepted", nodes: pathNodes(4), acked: 4, appended: 4, wantFlushes: 1},
 		{name: "batch/accepted", batch: true, nodes: pathNodes(4), acked: 4, appended: 4, wantFlushes: 1},
+		// A chunk that re-sends two nodes of an earlier one logs its whole
+		// acknowledged prefix once, duplicates included, as /batch does.
+		{name: "nodes/overlapping-earlier-ingest", earlier: 2, nodes: pathNodes(4), acked: 4, appended: 4, wantFlushes: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fl := &faultLog{}
@@ -216,6 +221,12 @@ func TestIngestLogsExactlyWhatItAcks(t *testing.T) {
 			s, err := mgr.Create(pathSpec(4, 2))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.earlier > 0 {
+				if _, err := s.Ingest(ctx, mgr.Pool(), tc.nodes[:tc.earlier]); err != nil {
+					t.Fatal(err)
+				}
+				*fl = faultLog{}
 			}
 			push := s.Ingest
 			if tc.batch {
@@ -227,6 +238,9 @@ func TestIngestLogsExactlyWhatItAcks(t *testing.T) {
 			}
 			if fl.appended != tc.appended || fl.flushes != tc.wantFlushes {
 				t.Fatalf("logged %d records in %d flushes, want %d in %d", fl.appended, fl.flushes, tc.appended, tc.wantFlushes)
+			}
+			if tc.appended > 0 && fl.batches != 1 {
+				t.Fatalf("logged the job as %d group frames, want one", fl.batches)
 			}
 			for i, fr := range fl.frames {
 				if !bytes.Equal(fr, tc.nodes[i].Frame) {

@@ -299,9 +299,9 @@ func (q *ingestReq) nextLine(sc *bufio.Scanner) (store.PushNode, error) {
 // browsers do.
 //
 // With batch set (the /batch endpoint) the chunks are larger atomic
-// batches instead: each is assigned across the session's parallel
-// workers and group-committed to the WAL as one frame, and a rejected
-// batch applies none of its nodes.
+// batches instead: each is admitted whole before it is assigned in
+// order, and a rejected batch applies none of its nodes. Either way a
+// chunk's acknowledged nodes are logged as one group frame.
 func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, batch bool) {
 	binReq, err := requestBinary(r)
 	if err != nil {

@@ -538,8 +538,8 @@ func (mg *Manager) dropPersisted(s *Session) {
 // RecoverSessions rebuilds every session the configured store holds:
 // sealed sessions get their original result back (replay, then the
 // stored Finish), unsealed sessions resume at the exact next node — the
-// whole log is replayed through the same deterministic per-node walk,
-// so resumed assignments are bit-identical to an uninterrupted run.
+// whole log is replayed, each node into the block it was acknowledged
+// in, so resumed assignments are bit-identical to an uninterrupted run.
 // Replay is linear in the logged nodes. Call it once, after NewManager
 // and before serving. It returns how many sessions came back; the error
 // joins per-session recovery failures and is advisory when the count is
@@ -581,9 +581,11 @@ func (mg *Manager) restoreSession(rec store.RecoveredSession) (err error) {
 		return err
 	}
 	lg, sealed, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error {
-		// Batch records carry the assignment acknowledged at ingest
-		// time, and replaying that decision keeps recovery independent
-		// of the engine version. Per-node records re-derive it.
+		// Every ingest record carries the assignment acknowledged at
+		// ingest time, and replaying that decision keeps recovery
+		// independent of the engine version. Only the per-node records
+		// of logs written before /nodes logged its blocks (block -1)
+		// re-derive it.
 		if block >= 0 {
 			_, err := eng.PushAssigned(u, w, adj, ew, block)
 			return err

@@ -19,10 +19,11 @@ import (
 // submitting request's in-flight trace (nil on the sampled-out path —
 // every use is nil-safe) and its id, plus, for an ingest job, the nodes
 // of one /nodes chunk or one /batch. The two routes share one body
-// (runIngest) and differ in two steps of it: how the nodes are admitted
-// to the engine and what shape their log record has. Spans use the wall
-// clock, not s.now: an injected test clock would break span containment,
-// and traces describe real time anyway.
+// (runIngest) and one log record, a group frame of the acknowledged
+// nodes with their blocks; they differ only in how the nodes are
+// admitted to the engine. Spans use the wall clock, not s.now: an
+// injected test clock would break span containment, and traces describe
+// real time anyway.
 type job struct {
 	tr    *trace.Active
 	tid   string
@@ -245,8 +246,7 @@ func (s *Session) Ingest(ctx context.Context, p *Pool, nodes []store.PushNode) (
 
 // IngestBatch runs one batch as a job of the session and returns its
 // per-node assignments. Unlike Ingest, the batch is admitted atomically
-// (a rejection applies nothing) before it is assigned in order; its
-// durable record is one group-committed WAL frame.
+// (a rejection applies nothing) before it is assigned in order.
 func (s *Session) IngestBatch(ctx context.Context, p *Pool, nodes []store.PushNode) ([]int32, error) {
 	return s.ingestJob(ctx, p, true, nodes)
 }
@@ -360,13 +360,10 @@ type admitted struct {
 	// blocks are the assignments to acknowledge, aligned with the job's
 	// nodes: all of them, or on /nodes the prefix before a rejection.
 	blocks []int32
-	// fresh counts the nodes this job assigned for the first time. An
-	// idempotent re-push changed no state, and replay is idempotent
-	// anyway, so only fresh assignments are worth a log record.
+	// fresh counts the nodes this job assigned for the first time. A job
+	// of idempotent re-pushes changed no state, so only a job with fresh
+	// assignments is worth a log record.
 	fresh int
-	// freshAt indexes those nodes on /nodes, whose frames are the log
-	// records; /batch logs the group whole and needs only the count.
-	freshAt []int32
 	// err is the engine's rejection, if any.
 	err error
 }
@@ -374,28 +371,22 @@ type admitted struct {
 // admitEach is the /nodes admission: sequential pushes that stop at the
 // first rejection, keeping the accepted prefix.
 func (s *Session) admitEach(nodes []store.PushNode) (a admitted) {
-	// One allocation backs both the acknowledged blocks and the fresh
-	// indices; each half can hold every node of the job.
-	both := make([]int32, 2*len(nodes))
-	a.blocks, a.freshAt = both[:0:len(nodes)], both[len(nodes):len(nodes)]
+	a.blocks = make([]int32, 0, len(nodes))
+	before := s.eng.Assigned()
 	for i := range nodes {
 		nd := &nodes[i]
 		w := nd.W
 		if w == 0 {
 			w = 1
 		}
-		before := s.eng.Assigned()
 		b, err := s.eng.Push(nd.U, w, nd.Adj, nd.EW)
 		if err != nil {
 			a.err = err
 			break
 		}
-		if s.eng.Assigned() > before {
-			a.freshAt = append(a.freshAt, int32(i))
-		}
 		a.blocks = append(a.blocks, b)
 	}
-	a.fresh = len(a.freshAt)
+	a.fresh = int(s.eng.Assigned() - before)
 	return a
 }
 
@@ -412,23 +403,8 @@ func (s *Session) admitBatch(nodes []store.PushNode) (a admitted) {
 	return a
 }
 
-// appendRecords logs what the job freshly assigned, in the route's
-// record shape: on /nodes the request's own validated frames, verbatim;
-// on /batch one group frame carrying every node with its block.
-func (s *Session) appendRecords(j job, a admitted) error {
-	if j.batch {
-		return s.log.AppendBatch(j.nodes, a.blocks)
-	}
-	for _, i := range a.freshAt {
-		if err := s.log.AppendNodeFrame(j.nodes[i].Frame); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runIngest executes one started ingest job: reserve the growth, admit
-// the nodes to the engine, log what that freshly assigned, and only then
+// the nodes to the engine, log what it acknowledges, and only then
 // acknowledge. The whole job is assigned before anything is appended —
 // the ack is at job end, so log-before-ack holds either way — which
 // makes engine time and log time one interval each.
@@ -475,14 +451,17 @@ func (s *Session) runIngest(j job) ([]int32, error) {
 	return a.blocks, a.err
 }
 
-// logIngest is the durable half of an ingest job: append the fresh
-// records and, when the estimator advanced, its stats revision; then one
-// write-through. A job that appended nothing — a rejected batch, a
-// pure-duplicate retry — touches neither the log nor the disk. A job
-// that ends in a rejection after an accepted prefix flushes like any
-// other: the prefix is about to be acknowledged, and after any ack a
-// process crash loses nothing, an OS crash at most the batched-fsync
-// window. Any failure here kills the session.
+// logIngest is the durable half of an ingest job: append one group
+// frame of the acknowledged nodes with their blocks, so recovery replays
+// the decisions themselves, and, when the estimator advanced, its stats
+// revision; then one write-through. Nodes the job re-pushed ride along
+// in the frame (replay is idempotent), but a job that assigned nothing
+// new — a rejected batch, a pure-duplicate retry — touches neither the
+// log nor the disk. A job that ends in a rejection after an accepted
+// prefix flushes like any other: the prefix is about to be
+// acknowledged, and after any ack a process crash loses nothing, an OS
+// crash at most the batched-fsync window. Any failure here kills the
+// session.
 func (s *Session) logIngest(j job, a admitted) error {
 	var wall time.Time
 	if j.tr != nil {
@@ -491,7 +470,7 @@ func (s *Session) logIngest(j job, a admitted) error {
 	wrote := a.fresh > 0
 	var err error
 	if wrote {
-		err = s.appendRecords(j, a)
+		err = s.log.AppendBatch(j.nodes[:len(a.blocks)], a.blocks)
 	}
 	if err == nil && a.err == nil {
 		var stats bool

@@ -26,10 +26,11 @@ type PushNode struct {
 	EW  []int32 `json:"ew,omitempty"`
 	// Frame is the node's canonical wire v2 frame exactly as it was
 	// validated at the ingest boundary (the binary path yields the
-	// request's bytes, the NDJSON shim encodes them). It is the node's
-	// log record: the WAL appends it verbatim — no re-marshal — and
-	// refuses a node that comes without one. The slice may alias a
-	// per-request arena: it is valid only until the ingest job has run.
+	// request's bytes, the NDJSON shim encodes them). Its payload is the
+	// node's part of the job's log record: the WAL copies it verbatim
+	// into the group frame — no re-marshal — and refuses a node that
+	// comes without one. The slice may alias a per-request arena: it is
+	// valid only until the ingest job has run.
 	Frame []byte `json:"-"`
 }
 
@@ -191,7 +192,7 @@ type Store interface {
 	// Remove garbage-collects one session's persisted state.
 	Remove(id string) error
 	// ReplaySource opens a restartable read-only stream over a session's
-	// durable log: the logged node and batch frames in append order, the
+	// durable log: the logged nodes in append order, each once, the
 	// exact stream the session ingested. The background refinement
 	// service restreams it; callers must not use it while the log can
 	// still grow (refinement only runs on finished — sealed — sessions).
@@ -211,21 +212,22 @@ type Store interface {
 // the flushed byte range of the underlying WAL file to a follower after
 // every Flush and Seal.
 type SessionLog interface {
-	// AppendNodeFrame logs one push accepted on /nodes from its wire
-	// frame (header + payload, as validated at the ingest boundary),
-	// verbatim. The frame must be a valid wire.TypeNode frame;
-	// implementations may append it without re-verifying, and must
-	// reject a missing one rather than write an empty record. The record
-	// must be durable against a process crash (written to the OS) once
-	// the following Flush returns; fsync durability is batched per the
-	// store's sync interval.
+	// AppendNodeFrame logs one legacy per-node record: a valid
+	// wire.TypeNode frame without its block, verbatim, which recovery
+	// still reads and re-decides. The service never calls it; it is kept
+	// because the benchmark harness (benchmark/ladder.go) still logs
+	// through it, and for tests that author legacy logs; it goes when the
+	// harness logs through AppendBatch (ROADMAP 1A(h)).
 	AppendNodeFrame(frame []byte) error
-	// AppendBatch group-commits one accepted /batch together with the
-	// blocks the engine assigned: one frame (one checksum) over the
-	// nodes' verbatim payloads, so recovery resurrects the batch
-	// all-or-nothing and replays the recorded assignments verbatim, so
-	// a recovered session never depends on the engine version that made
-	// them. Every node carries its Frame.
+	// AppendBatch group-commits one ingest job of either route, a /nodes
+	// chunk or a /batch, together with the blocks it acknowledges: one
+	// frame (one checksum) over the nodes' verbatim payloads, so
+	// recovery resurrects the job all-or-nothing and replays the
+	// recorded assignments verbatim, and a recovered session never
+	// depends on the engine version that made them. Every node carries
+	// its Frame. The record must be durable against a process crash
+	// (written to the OS) once the following Flush returns; fsync
+	// durability is batched per the store's sync interval.
 	AppendBatch(nodes []PushNode, blocks []int32) error
 	// AppendStats logs one stats-revision record of an adaptive session:
 	// the estimator state in force after every record appended so far.
@@ -270,9 +272,10 @@ type RecoveredSession struct {
 	Spec CreateSpec
 	// Replay streams every logged record in append order, validating
 	// each as it reads it, and stops at the first torn or invalid record.
-	// block is the assignment recorded at ingest time for group-committed
-	// batch records, or -1 for per-node records (whose deterministic
-	// sequential walk is re-derived instead). Logged stats-revision
+	// block is the assignment recorded at ingest time, which every
+	// ingest record carries, or -1 for the per-node records of logs
+	// written before /nodes logged its blocks (recovery re-derives those
+	// by the deterministic sequential walk). Logged stats-revision
 	// records are handed to stats (may be nil), which recovery uses to
 	// pin an adaptive session's estimator trajectory.
 	//

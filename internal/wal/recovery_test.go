@@ -7,8 +7,10 @@ package wal
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -18,20 +20,25 @@ import (
 	"oms/internal/store"
 )
 
-// ingestAll pushes recs through a manager session in chunks.
-func ingestAll(t *testing.T, mgr *service.Manager, s *service.Session, recs []pushRec) {
+// ingestAll pushes recs through a manager session in /nodes chunks of
+// 64 and returns the blocks the session acknowledged, in stream order.
+func ingestAll(t *testing.T, mgr *service.Manager, s *service.Session, recs []pushRec) []int32 {
 	t.Helper()
 	const chunk = 64
+	acked := make([]int32, 0, len(recs))
 	for lo := 0; lo < len(recs); lo += chunk {
 		hi := min(lo+chunk, len(recs))
 		nodes := make([]store.PushNode, 0, hi-lo)
 		for _, r := range recs[lo:hi] {
 			nodes = append(nodes, framed(r.u, r.w, r.adj, r.ew))
 		}
-		if _, err := s.Ingest(context.Background(), mgr.Pool(), nodes); err != nil {
+		blocks, err := s.Ingest(context.Background(), mgr.Pool(), nodes)
+		if err != nil {
 			t.Fatal(err)
 		}
+		acked = append(acked, blocks...)
 	}
+	return acked
 }
 
 // uninterrupted computes the reference assignment: the same stream
@@ -478,5 +485,181 @@ func BenchmarkRecoverSession(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumNodes()), "ns/node")
 		})
+	}
+}
+
+// finishParts recovers the one session of the store at dir, finishes it
+// and returns its assignment.
+func finishParts(t *testing.T, dir, id string) []int32 {
+	t.Helper()
+	mgr := service.NewManager(service.Config{Store: openStore(t, dir)})
+	defer mgr.Close()
+	if n, err := mgr.RecoverSessions(); err != nil || n != 1 {
+		t.Fatalf("recovered %d sessions (err %v), want 1", n, err)
+	}
+	s, err := mgr.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Finish(context.Background(), mgr.Pool()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Parts
+}
+
+// countChanged reports how many acknowledged blocks parts does not keep.
+func countChanged(parts []int32, acked map[int32]int32) int {
+	changed := 0
+	for u, b := range acked {
+		if parts[u] != b {
+			changed++
+		}
+	}
+	return changed
+}
+
+// TestRecoveryKeepsAcknowledgedNodesBlocks: recovery replays what a
+// /nodes session acknowledged, never a fresh decision. A session logged
+// in 64-node chunks is recovered after its spec.json scorer is rewritten
+// to hashing, an engine that would place nearly every node elsewhere,
+// and every acknowledged block comes back unchanged.
+func TestRecoveryKeepsAcknowledgedNodesBlocks(t *testing.T) {
+	dir := t.TempDir()
+	recs, cfg := testStream(t, 4096)
+	st := openStore(t, dir)
+	mgr := service.NewManager(service.Config{Store: st})
+	s, err := mgr.Create(spec(cfg.Stats.N, cfg.Stats.M))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := s.ID
+	blocks := ingestAll(t, mgr, s, recs)
+	mgr.Close()
+
+	path := filepath.Join(st.SessionDir(id), specName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env specEnvelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	env.Spec.Scorer = "hashing"
+	if raw, err = json.Marshal(env); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	acked := make(map[int32]int32, len(recs))
+	for i, r := range recs {
+		acked[r.u] = blocks[i]
+	}
+	if n := countChanged(finishParts(t, dir, id), acked); n != 0 {
+		t.Fatalf("%d of %d acknowledged blocks changed across recovery", n, len(acked))
+	}
+}
+
+// legacyID names the session of testdata/legacy-nodes: an unsealed
+// /nodes session of 320 nodes (k = 8) of a 384-node Delaunay graph,
+// written by the release whose log held one verbatim TypeNode frame per
+// freshly assigned node and no block. stream.ndjson holds the whole
+// graph as node lines, acked.ndjson the {"u","b"} lines that release
+// acknowledged.
+const legacyID = "s1-36249bd8"
+
+// readNDJSON decodes every line of one testdata file into a T.
+func readNDJSON[T any](t *testing.T, path string) []T {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []T
+	dec := json.NewDecoder(f)
+	for dec.More() {
+		var v T
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// TestLegacyNodeLogRecoversAndContinues: a log of per-node records,
+// written before /nodes logged its blocks, recovers every block that
+// release acknowledged. The session then takes one more /nodes chunk,
+// logged as a group frame with its blocks, and a restart over the log
+// holding both record shapes brings back every acknowledged block.
+func TestLegacyNodeLogRecoversAndContinues(t *testing.T) {
+	const fixture = "testdata/legacy-nodes"
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, sessionsDir, legacyID), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{specName, logName} {
+		b, err := os.ReadFile(filepath.Join(fixture, sessionsDir, legacyID, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, sessionsDir, legacyID, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var recs []pushRec
+	for _, nd := range readNDJSON[store.PushNode](t, filepath.Join(fixture, "stream.ndjson")) {
+		recs = append(recs, pushRec{u: nd.U, w: 1, adj: nd.Adj})
+	}
+	acked := map[int32]int32{}
+	for _, a := range readNDJSON[struct{ U, B int32 }](t, filepath.Join(fixture, "acked.ndjson")) {
+		acked[a.U] = a.B
+	}
+	logged := len(acked)
+
+	mgr := service.NewManager(service.Config{Store: openStore(t, dir)})
+	if n, err := mgr.RecoverSessions(); err != nil || n != 1 {
+		t.Fatalf("recovered %d sessions (err %v), want 1", n, err)
+	}
+	s, err := mgr.Get(legacyID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-pushing the logged nodes reads their recovered blocks back and
+	// logs nothing; the rest of the graph is one more chunk.
+	again := ingestAll(t, mgr, s, recs[:logged])
+	for i, r := range recs[:logged] {
+		if again[i] != acked[r.u] {
+			t.Fatalf("node %d recovered in block %d, acknowledged in %d", r.u, again[i], acked[r.u])
+		}
+	}
+	for i, b := range ingestAll(t, mgr, s, recs[logged:]) {
+		acked[recs[logged+i].u] = b
+	}
+	mgr.Close()
+
+	shapes := map[bool]int{} // per-node records (false) and group-frame nodes (true)
+	f, err := os.Open(filepath.Join(dir, sessionsDir, legacyID, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = walkLog(f, func(_, _ int32, _, _ []int32, block int32) error {
+		shapes[block >= 0]++
+		return nil
+	}, nil)
+	f.Close()
+	if err != nil || shapes[false] != logged || shapes[true] != len(recs)-logged {
+		t.Fatalf("log holds %d per-node and %d group-frame nodes (err %v), want %d and %d",
+			shapes[false], shapes[true], err, logged, len(recs)-logged)
+	}
+	if n := countChanged(finishParts(t, dir, legacyID), acked); n != 0 {
+		t.Fatalf("%d of %d acknowledged blocks changed across the upgrade", n, len(acked))
 	}
 }

@@ -9,14 +9,17 @@
 // replaying the log through the engine reproduces every load counter
 // and assignment bit-identically. Durability is then cheap:
 //
-//   - log.wal — internal/wire frames (length + CRC32 + payload) of four
-//     record types from wire's one type table: the verbatim TypeNode
-//     frame of every push accepted on /nodes, one TypeBatch group frame
-//     per /batch (nodes plus the blocks the engine assigned — recorded
-//     so recovery replays the acknowledged decisions and never depends
-//     on the engine version, and one CRC makes the group
+//   - log.wal — internal/wire frames (length + CRC32 + payload) of
+//     record types from wire's one type table: one TypeBatch group
+//     frame per ingest job of either route, /nodes chunk or /batch
+//     (the acknowledged nodes plus the blocks the engine assigned them
+//     — recorded so recovery replays the acknowledged decisions and
+//     never depends on the engine version, and one CRC makes the group
 //     all-or-nothing), a TypeStats estimator revision whenever an
 //     adaptive session's projection advanced, and a terminal TypeSeal.
+//     Logs written before /nodes logged its blocks also hold one
+//     TypeNode frame per node, which recovery still reads and
+//     re-decides.
 //     The log frames bytes with wire's own reader and frame sealer; any
 //     other type byte ends a recovery walk like a torn tail. Appends
 //     are buffered; the service flushes to the OS once per acknowledged
@@ -117,12 +120,13 @@ func (l *Log) writeRecord() error {
 	return l.buffer(l.buf)
 }
 
-// AppendNodeFrame buffers one node record from its already-encoded wire
-// frame, verbatim — the header and payload bytes the HTTP boundary
-// validated are exactly the bytes the log holds. The caller vouches for
-// the frame (service verifies the CRC and decodes the record before the
-// engine accepts the push), so nothing is re-checked or re-encoded
-// here: this is the zero-copy half of log-before-ack.
+// AppendNodeFrame buffers one legacy per-node record, a TypeNode frame
+// without its block, verbatim; recovery still reads such records and
+// re-decides them. No product path writes one: it is kept because the
+// benchmark harness (benchmark/ladder.go) still logs through it, and
+// for tests that author legacy logs; it goes when the harness logs
+// through AppendBatch (ROADMAP 1A(h)). The caller vouches for the
+// frame, so nothing is re-checked or re-encoded here.
 func (l *Log) AppendNodeFrame(frame []byte) error {
 	if len(frame) <= wire.FrameHeaderSize {
 		return errFrameless
@@ -149,12 +153,13 @@ func (l *Log) observeAppend(t0 time.Time) {
 	}
 }
 
-// AppendBatch buffers one ingest batch as a group-committed frame: the
-// assigned blocks, then every node's validated payload copied verbatim
-// out of its request frame, under a single CRC — so recovery sees the
-// batch all-or-nothing (a crash mid-write tears the one frame and drops
-// the whole group, never a prefix). The recorded assignments make
-// replay exact whatever engine version replays them.
+// AppendBatch buffers one ingest job, a /nodes chunk or a /batch, as a
+// group-committed frame: the acknowledged blocks, then every node's
+// validated payload copied verbatim out of its request frame, under a
+// single CRC — so recovery sees the job all-or-nothing (a crash
+// mid-write tears the one frame and drops the whole group, never a
+// prefix). The recorded assignments make replay exact whatever engine
+// version replays them.
 //
 // The all-or-nothing guarantee requires exactly one frame, so a batch
 // whose encoding would exceed the recovery walk's frame bound is an

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,8 +52,11 @@ func postAll(t *testing.T, url, ct string, body []byte) []byte {
 // (and irrelevant to) the durable log. Covers both ingest routes and
 // the canonicalization corners (zero weight, explicit edge weights).
 // The assignments streamed back are the same too — across formats, and
-// across routes: at one thread a batch is bit-identical to the same
-// sequence of pushes, so /nodes and /batch differ only in record shape.
+// across routes: a batch is bit-identical to the same sequence of
+// pushes. The two routes log one record shape: their logs hold the same
+// nodes with the same blocks in the same order, and differ only in
+// where the group frames break — every 256 nodes on /nodes, every 4096
+// on /batch.
 func TestIngestFormatsLogByteIdentical(t *testing.T) {
 	recs, cfg := testStream(t, 400)
 	for i := range recs {
@@ -69,7 +73,8 @@ func TestIngestFormatsLogByteIdentical(t *testing.T) {
 		}
 	}
 
-	var first []byte // the assignments the first run streamed back
+	var first []byte                 // the assignments the first run streamed back
+	routeLogs := map[string][]byte{} // each route's log
 	for _, route := range []string{"nodes", "batch"} {
 		t.Run(route, func(t *testing.T) {
 			logs := map[string][]byte{}
@@ -132,7 +137,47 @@ func TestIngestFormatsLogByteIdentical(t *testing.T) {
 				t.Fatalf("WAL bytes differ between formats: ndjson %d bytes, wire %d bytes",
 					len(logs["ndjson"]), len(logs["wire"]))
 			}
+			routeLogs[route] = logs["wire"]
 		})
+	}
+	if t.Failed() {
+		return
+	}
+	nodes, nodeGroups := decodeLog(t, routeLogs["nodes"])
+	batch, batchGroups := decodeLog(t, routeLogs["batch"])
+	if len(nodes) != len(recs) || !slices.Equal(nodes, batch) {
+		t.Fatalf("the routes logged different node sequences: /nodes %d nodes, /batch %d, want %d each", len(nodes), len(batch), len(recs))
+	}
+	if want := []int{256, len(recs) - 256}; !slices.Equal(nodeGroups, want) {
+		t.Fatalf("/nodes logged group frames of %v nodes, want %v", nodeGroups, want)
+	}
+	if want := []int{len(recs)}; !slices.Equal(batchGroups, want) {
+		t.Fatalf("/batch logged group frames of %v nodes, want %v", batchGroups, want)
+	}
+}
+
+// decodeLog reads a sealed log's records in order: every logged node as
+// its (u, w, adj, ew, block) tuple, and the node count of each record
+// that holds nodes.
+func decodeLog(t *testing.T, raw []byte) (nodes []string, groups []int) {
+	t.Helper()
+	rd := wire.NewReader(bytes.NewReader(raw))
+	var rec record
+	for {
+		payload, _, err := rd.NextFrame()
+		if err == io.EOF {
+			return nodes, groups
+		}
+		if err != nil || !rec.decode(payload) {
+			t.Fatalf("log record %d does not decode (%v)", len(groups), err)
+		}
+		if len(rec.nodes) == 0 {
+			continue
+		}
+		for i, nd := range rec.nodes {
+			nodes = append(nodes, fmt.Sprint(nd.U, nd.W, nd.Adj, nd.EW, rec.blocks[i]))
+		}
+		groups = append(groups, len(rec.nodes))
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package wire is omsd's v2 binary record codec: the one encoding a
 // node record ever has. An ingest request body, the WAL record on disk,
 // and the cluster's replication stream all carry the same bytes — a
-// request is validated once at the HTTP boundary and appended to the
-// log verbatim, never re-marshaled.
+// request is validated once at the HTTP boundary and its node payloads
+// are copied into the log verbatim, never re-marshaled.
 //
 // # Frame layout
 //
@@ -63,11 +63,12 @@ const (
 	// the estimator state in force after the records before it (the
 	// fixed-width body is the WAL's own encoding).
 	TypeStats = 4
-	// TypeNode is one node record: the ingest request unit and the WAL
-	// per-push record.
+	// TypeNode is one node record: the ingest request unit, and the
+	// per-node WAL record of logs written before ingest logged group
+	// frames.
 	TypeNode = 5
-	// TypeBatch is one group-committed WAL batch: the assigned blocks
-	// followed by the batch's raw node payloads, verbatim.
+	// TypeBatch is one group-committed WAL record of an ingest job: the
+	// assigned blocks followed by the job's raw node payloads, verbatim.
 	TypeBatch = 6
 	// TypeAssign is one assignment-reply chunk: (u, block) pairs for
 	// the nodes of an acknowledged ingest chunk.

@@ -346,11 +346,12 @@ func (s *Session) PushBatch(nodes []Node) ([]int32, error) {
 // PushAssigned replays one node whose block was already decided and
 // acknowledged by an earlier run of this stream: it charges the node's
 // weight down the recorded root-to-leaf path without re-scoring. This
-// is the durable-log replay entry: recovery replays the logged
-// decisions themselves, so a recovered daemon reproduces its acks even
-// if a newer engine version would score the stream differently
-// (per-node frames without a recorded block go through Push instead).
-// Like Push it is idempotent on already-assigned nodes.
+// is the durable-log replay entry: every ingest record carries its
+// blocks, so a recovered daemon replays its decisions themselves and
+// reproduces its acks even if a newer engine version would score the
+// stream differently (only the per-node records of logs written before
+// that go through Push instead). Like Push it is idempotent on
+// already-assigned nodes.
 func (s *Session) PushAssigned(u int32, vwgt int32, adj []int32, ewgt []int32, block int32) (int32, error) {
 	if s.finished {
 		return -1, fmt.Errorf("%w: push after Finish", ErrSessionFinished)
