@@ -25,10 +25,20 @@
 // that walk and checks it). With Threads > 1 the list is one snapshot of
 // the racily read neighbour assignments of §3.4.
 //
+// A level still visits its a_i children, as Theorem 2 counts them, but
+// most of them cost little. gather and narrow choose their loop once per
+// node and per level, not per neighbour: weighted or not, power-of-two
+// child span or not. With Fennel at gamma 1.5, a block whose children
+// cover equal leaf counts scores only the children with gain; the
+// zero-gain ones are ranked by load, and only the least loaded is
+// scored. At the 16- and 8-way levels of 4:16:8 most children have no
+// gain, so most of a level is a load compare. Both are exact rewrites
+// of the loops they replace: the oracle still agrees to the last bit.
+//
 // Every tree block has one 48-byte record (block): its load, capacity and
 // adapted alpha, plus the walk's read-only view of its children (first,
-// count, leaf range, child shift, scored-or-hashed). The children of a
-// block are contiguous in the tree, so scoring a level reads count
+// count, leaf range, child shift, scored-or-hashed, even). The children
+// of a block are contiguous in the tree, so scoring a level reads count
 // adjacent records, and the chosen child's record, already in cache,
 // tells the walk how to split the next level. The record holds nothing
 // derived from the loads but the load itself: capacities and alphas are
@@ -154,6 +164,12 @@ type block struct {
 	// scored: the children are scored by the objective, not hashed
 	// (above the HashLayers bottom layers, and the scorer is not Hashing).
 	scored bool
+	// even: every child covers the same number of leaves (the tree's
+	// ChildSpan), so applyStats gives them one alpha and one cap and
+	// scoreChild may rank their zero-gain children by load. A shape fact
+	// like shift, set in New; it sits in the padding after scored, so the
+	// record stays 48 bytes.
+	even bool
 }
 
 // levelScratch is one worker's state for the node it is assigning: the
@@ -199,6 +215,7 @@ func New(tree *hierarchy.Tree, st stream.Stats, cfg Config) (*OMS, error) {
 		b.width = uint32(tree.KR[v] - tree.KL[v])
 		b.shift = tree.ChildShift[v]
 		b.scored = tree.Depth[v] < hashDepth && cfg.Scorer != ScorerHashing
+		b.even = tree.ChildSpan[v] > 0
 	}
 	if cfg.Adaptive {
 		// st carries optional hints; the estimator floors its
@@ -394,7 +411,7 @@ func (o *OMS) assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32)
 			// A failed reserve rescores against the loads as they are
 			// now; the gains stand.
 			if b.scored {
-				chosen = o.scoreChild(sc.gain[:b.count], b.first, w)
+				chosen = o.scoreChild(sc.gain[:b.count], b.first, b.even, w)
 			} else {
 				chosen = o.hashChild(u, v, b.first, b.count, w)
 			}
@@ -417,38 +434,54 @@ func (o *OMS) assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32)
 
 // gather fills the scratch with the leaf id of every assigned neighbour,
 // in adjacency order, and with the edge weights beside them when the
-// stream has any.
+// stream has any. Like narrow, it picks its loop once per node: an
+// unweighted stream never tests ewgt per neighbour.
 func (o *OMS) gather(sc *levelScratch, adj []int32, ewgt []int32) {
 	if cap(sc.leaf) < len(adj) {
 		sc.leaf = make([]int32, len(adj)+len(adj)/2)
 	}
-	if ewgt != nil && len(sc.wt) < len(adj) {
-		sc.wt = make([]float64, cap(sc.leaf))
-	}
-	leaf, wt := sc.leaf[:len(adj)], sc.wt
+	leaf := sc.leaf[:len(adj)]
 	k := uint32(o.Tree.K)
 	n := 0
+	sc.weighted = ewgt != nil
+	if ewgt == nil {
+		for _, nb := range adj {
+			p := atomic.LoadInt32(&o.parts[nb])
+			if uint32(p) >= k { // unassigned (-1)
+				continue
+			}
+			leaf[n] = p
+			n++
+		}
+		sc.leaf = leaf[:n]
+		return
+	}
+	if len(sc.wt) < len(adj) {
+		sc.wt = make([]float64, cap(sc.leaf))
+	}
+	wt := sc.wt[:len(adj)]
+	ewgt = ewgt[:len(adj)]
 	for i, nb := range adj {
 		p := atomic.LoadInt32(&o.parts[nb])
-		if uint32(p) >= k { // unassigned (-1)
+		if uint32(p) >= k {
 			continue
 		}
 		leaf[n] = p
-		if ewgt != nil {
-			wt[n] = float64(ewgt[i])
-		}
+		wt[n] = float64(ewgt[i])
 		n++
 	}
 	sc.leaf = leaf[:n]
-	sc.weighted = ewgt != nil
 }
 
 // narrow keeps, in order, the gathered neighbours inside tree block v and
-// sums their edge weights per child of v into sc.gain. An unweighted
-// stream over a power-of-two child span (every level of a base-4 tree
-// over a power-of-four k, and of 4:16:8) takes a loop of subtract,
-// compare, shift and count; weighted streams and other spans take the
-// general one.
+// sums their edge weights per child of v into sc.gain. It has three
+// loops, chosen once per level by sc.weighted and the block's shift. A
+// power-of-two child span (every level of a base-4 tree over a
+// power-of-four k, and of 4:16:8) takes a loop of subtract, compare,
+// shift and add: counting for an unweighted stream, and for a weighted
+// one adding the edge weight and compacting the weights beside the
+// leaves. Other spans take the general loop, which looks the child up
+// through ChildContaining.
 func (o *OMS) narrow(sc *levelScratch, v int32) {
 	b := &o.blk[v]
 	gain := sc.gain[:b.count]
@@ -458,14 +491,29 @@ func (o *OMS) narrow(sc *levelScratch, v int32) {
 	kl, width := b.kl, b.width
 	leaf := sc.leaf
 	n := 0
-	if !sc.weighted && b.shift >= 0 {
+	if b.shift >= 0 {
 		shift := uint8(b.shift)
-		for _, p := range leaf {
+		if !sc.weighted {
+			for _, p := range leaf {
+				off := uint32(p - kl)
+				if off > width {
+					continue
+				}
+				gain[off>>shift]++
+				leaf[n] = p
+				n++
+			}
+			sc.leaf = leaf[:n]
+			return
+		}
+		wt := sc.wt[:len(leaf)]
+		for i, p := range leaf {
 			off := uint32(p - kl)
 			if off > width {
 				continue
 			}
-			gain[off>>shift]++
+			gain[off>>shift] += wt[i]
+			wt[n] = wt[i]
 			leaf[n] = p
 			n++
 		}
@@ -478,12 +526,7 @@ func (o *OMS) narrow(sc *levelScratch, v int32) {
 		if off > width {
 			continue
 		}
-		var c int32
-		if b.shift >= 0 {
-			c = int32(off >> uint8(b.shift))
-		} else {
-			c = o.Tree.ChildContaining(v, p) - b.first
-		}
+		c := o.Tree.ChildContaining(v, p) - b.first
 		if sc.weighted {
 			gain[c] += wt[i]
 			wt[n] = wt[i]
@@ -516,26 +559,54 @@ func (o *OMS) reserve(c int32, w int64) bool {
 }
 
 // scoreChild scores the count = len(gain) children from first with the
-// configured objective and returns the best feasible one (ties to the
-// lighter block). The objective is chosen once per call. The default,
-// Fennel with gamma 1.5, evaluates onepass.FennelScore's expression
-// inline; LDG and other gammas call onepass per child.
-func (o *OMS) scoreChild(gain []float64, first int32, w int64) int32 {
+// configured objective and returns the best feasible one: the highest
+// score, ties to the lighter block, then to the lower index. The
+// objective is chosen once per call. The default, Fennel with gamma 1.5,
+// evaluates onepass.FennelScore's expression inline; LDG and other
+// gammas call onepass per child.
+//
+// When the children are even (one alpha, see block), the Fennel arm
+// ranks its zero-gain children instead of scoring them. A zero-gain
+// child scores -alpha*1.5*sqrt(load), which never rises as the load
+// rises, so among the feasible zero-gain children the least-loaded one
+// (the first on equal loads) is the best by the loop's own order. That
+// representative is the only zero-gain child whose score is computed,
+// with the loop's expression on the loop's operands, and it is merged
+// into the best of the gain children by the same order. The result is
+// the child the full loop picks, to the last bit; when no child has
+// gain, it is found without a sqrt.
+func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 {
 	kids := o.blk[first : first+int32(len(gain))]
 	gain = gain[:len(kids)] // one length: no bounds checks on gain[i]
 	best := -1
 	bestScore := 0.0
 	var bestLoad int64
 	if o.cfg.Scorer != ScorerLDG && o.gamma == 1.5 {
+		rep := -1 // the least-loaded feasible zero-gain child, when even
+		var repLoad int64
 		for i := range kids {
 			c := &kids[i]
 			load := atomic.LoadInt64(&c.load)
 			if load+w > c.cap {
 				continue
 			}
+			if even && gain[i] == 0 {
+				if rep < 0 || load < repLoad {
+					rep, repLoad = i, load
+				}
+				continue
+			}
 			score := gain[i] - c.alpha*1.5*math.Sqrt(float64(load))
 			if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
 				best, bestScore, bestLoad = i, score, load
+			}
+		}
+		if rep >= 0 && best < 0 {
+			best = rep
+		} else if rep >= 0 {
+			score := gain[rep] - kids[rep].alpha*1.5*math.Sqrt(float64(repLoad))
+			if score > bestScore || (score == bestScore && (repLoad < bestLoad || (repLoad == bestLoad && rep < best))) {
+				best = rep
 			}
 		}
 	} else {

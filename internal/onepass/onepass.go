@@ -10,9 +10,11 @@
 // The scoring functions are exported separately (FennelScore, LDGScore)
 // because the online recursive multi-section in internal/core scores
 // multi-section tree blocks with them. Its default arm, Fennel with gamma
-// 1.5, evaluates FennelScore's expression inline rather than calling it;
-// core's oracle test scores through FennelScore and holds the two equal
-// to the last bit.
+// 1.5, evaluates FennelScore's expression inline rather than calling it,
+// and among children that share one alpha it scores only the least-loaded
+// zero-gain child (the penalty never falls as the load rises); core's
+// oracle test scores every child through FennelScore and holds the two
+// equal to the last bit.
 package onepass
 
 import (

@@ -106,6 +106,15 @@ type Node struct {
 	EW  []int32
 }
 
+// weight is the node's weight with the zero value read as 1. PushBatch
+// reads it and never writes it back, so the caller's slice is untouched.
+func (nd *Node) weight() int32 {
+	if nd.W == 0 {
+		return 1
+	}
+	return nd.W
+}
+
 // Session is the push-based counterpart of Partition and Map: instead of
 // handing the algorithm a pull Source, the caller pushes each node with
 // its adjacency list as it arrives and receives the node's permanent
@@ -300,13 +309,10 @@ func (s *Session) PushBatch(nodes []Node) ([]int32, error) {
 	seen := make(map[int32]struct{})
 	for i := range nodes {
 		nd := &nodes[i]
-		if nd.W == 0 {
-			nd.W = 1
-		}
 		if nd.U < 0 || nd.U >= s.n {
 			return nil, fmt.Errorf("%w: node %d not in [0,%d)", ErrNodeOutOfRange, nd.U, s.n)
 		}
-		if err := s.validateNode(nd.U, nd.W, nd.Adj, nd.EW); err != nil {
+		if err := s.validateNode(nd.U, nd.weight(), nd.Adj, nd.EW); err != nil {
 			return nil, err
 		}
 		if s.o.AssignmentOf(nd.U) >= 0 {
@@ -328,10 +334,11 @@ func (s *Session) PushBatch(nodes []Node) ([]int32, error) {
 	// batch order, exactly as Push does.
 	for _, i := range fresh {
 		nd := &nodes[i]
-		s.o.ObserveAdaptive(nd.U, nd.W, nd.Adj, nd.EW)
-		s.o.AssignNode(nd.U, nd.W, nd.Adj, nd.EW)
+		w := nd.weight()
+		s.o.ObserveAdaptive(nd.U, w, nd.Adj, nd.EW)
+		s.o.AssignNode(nd.U, w, nd.Adj, nd.EW)
 		if s.buf != nil {
-			s.buf.Append(nd.U, nd.W, nd.Adj, nd.EW)
+			s.buf.Append(nd.U, w, nd.Adj, nd.EW)
 		}
 	}
 	s.assigned.Add(int32(len(fresh)))

@@ -2,6 +2,7 @@ package oms_test
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -387,6 +388,40 @@ func TestPushBatchIdempotentAndAtomic(t *testing.T) {
 	}
 	if again[0] != first[0] {
 		t.Fatalf("re-push moved node 0: %d -> %d", first[0], again[0])
+	}
+}
+
+// TestPushBatchLeavesCallerSliceAlone: a zero Node.W means weight 1, but
+// PushBatch reads it that way without writing it back. A rejected batch
+// changes nothing, the caller's slice included, and an accepted one only
+// returns blocks.
+func TestPushBatchLeavesCallerSliceAlone(t *testing.T) {
+	s, err := oms.NewSession(oms.SessionConfig{Stats: oms.StreamStats{N: 8, M: 8}, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deepCopy := func(nodes []oms.Node) []oms.Node {
+		out := make([]oms.Node, len(nodes))
+		for i, nd := range nodes {
+			out[i] = oms.Node{U: nd.U, W: nd.W, Adj: slices.Clone(nd.Adj), EW: slices.Clone(nd.EW)}
+		}
+		return out
+	}
+	rejected := []oms.Node{{U: 0, Adj: []int32{1}}, {U: 1, Adj: []int32{0}}, {U: 99}}
+	want := deepCopy(rejected)
+	if _, err := s.PushBatch(rejected); err == nil {
+		t.Fatal("batch with an out-of-range node accepted")
+	}
+	if !reflect.DeepEqual(rejected, want) {
+		t.Fatalf("rejected batch rewrote the caller's slice: %+v, was %+v", rejected, want)
+	}
+	accepted := []oms.Node{{U: 0, Adj: []int32{1}}, {U: 1, W: 3, Adj: []int32{0, 2}}, {U: 2, Adj: []int32{1}}}
+	want = deepCopy(accepted)
+	if _, err := s.PushBatch(accepted); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(accepted, want) {
+		t.Fatalf("accepted batch rewrote the caller's slice: %+v, was %+v", accepted, want)
 	}
 }
 
