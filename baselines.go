@@ -3,7 +3,6 @@ package oms
 import (
 	"fmt"
 
-	"oms/internal/buffered"
 	"oms/internal/mapping"
 	"oms/internal/multilevel"
 	"oms/internal/onepass"
@@ -45,35 +44,6 @@ func PartitionOnePass(src Source, k int32, scorer Scorer, opt Options) (*Result,
 		return nil, err
 	}
 	return &Result{Parts: parts, K: k, Lmax: onepass.Lmax(st.TotalNodeWeight, k, opt.Epsilon)}, nil
-}
-
-// BufferedOptions tunes the buffered streaming partitioner.
-type BufferedOptions = buffered.Config
-
-// PartitionBuffered streams src once in buffered chunks (the "other"
-// streaming model of the paper's §2.2, in the spirit of HeiStream):
-// nodes are buffered, assigned with the Fennel objective, then locally
-// refined within the chunk before committing. Quality sits between the
-// strict one-pass algorithms and the in-memory multilevel partitioner,
-// at O(n + k + chunk) memory. K in opt is overridden by the k argument.
-func PartitionBuffered(src Source, k int32, opt BufferedOptions) (*Result, error) {
-	st, err := src.Stats()
-	if err != nil {
-		return nil, err
-	}
-	opt.K = k
-	if opt.Epsilon == 0 {
-		opt.Epsilon = DefaultEpsilon
-	}
-	p, err := buffered.New(opt, st)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := p.Run(src)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Parts: parts, K: k, Lmax: p.LmaxValue()}, nil
 }
 
 // MultilevelOptions tunes the in-memory multilevel partitioner.

@@ -1,24 +1,22 @@
-// Command omsbench regenerates the tables and figures of the paper's
-// evaluation on synthetic Table 1 stand-ins. It is a reproduction tool,
-// not a performance ledger: its timing columns describe the host it ran
-// on and nothing gates them. Performance claims are measured by
+// Command omsbench regenerates the quality tables and figures of the
+// paper's evaluation on synthetic Table 1 stand-ins. It is a
+// reproduction tool, not a performance ledger: it runs every algorithm
+// sequentially and reports cut and mapping cost only, so one set of
+// flags prints the same bytes on every run. Speed is measured by
 // benchmark/run.sh and declared in BENCHMARK.json.
 //
 // Experiments:
 //
 //	table1   print the instance registry with generated sizes
-//	fig2     the state-of-the-art sweep: figures 2a-2f
-//	table2   the scalability thread sweep (Table 2)
-//	fig3     per-graph scalability (Figures 3a-3f)
+//	fig2     the state-of-the-art sweep: figures 2a, 2b, 2d and 2e
 //	tuning   the four parameter-tuning ablations of §4
-//	memory   the memory-requirements paragraph of §4.1
 //	order    stream-order sensitivity ablation (extension)
-//	all      everything above (table2 and fig3 share one thread sweep)
+//	all      everything above
 //
 // Examples:
 //
 //	omsbench -exp fig2 -scale 0.05 -reps 3
-//	omsbench -exp table2 -scale 0.02 -threads 1,2,4,8
+//	omsbench -exp fig2 -intmap -rs 4,8
 //	omsbench -exp all -csv results/
 package main
 
@@ -44,13 +42,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("omsbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp     = fs.String("exp", "fig2", "experiment: table1 | fig2 | table2 | fig3 | tuning | memory | order | all")
+		exp     = fs.String("exp", "fig2", "experiment: table1 | fig2 | tuning | order | all")
 		scale   = fs.Float64("scale", 0.05, "instance scale (1.0 = paper sizes)")
 		reps    = fs.Int("reps", 3, "repetitions per measurement (paper: 10)")
 		rsFlag  = fs.String("rs", "16,32,64,128", "hierarchy sweep: r values for S=4:16:r (k=64r)")
-		thFlag  = fs.String("threads", "", "thread sweep for table2/fig3 (default 1,2,4,... up to GOMAXPROCS)")
 		insFlag = fs.String("instances", "", "comma-separated instance subset (default all of Table 1)")
-		k       = fs.Int("k", 8192, "block count for table2/fig3/memory")
 		intmap  = fs.Bool("intmap", false, "include the sequential offline mapper (IntMap role) in fig2")
 		csvDir  = fs.String("csv", "", "also write each table as CSV into this directory")
 		seed    = fs.Uint64("seed", 1, "base seed")
@@ -79,15 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cfg.Rs = append(cfg.Rs, int32(v))
 		}
 	}
-	if *thFlag != "" {
-		for _, s := range strings.Split(*thFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 {
-				return fail(fmt.Errorf("bad -threads entry %q", s))
-			}
-			cfg.ThreadSweep = append(cfg.ThreadSweep, v)
-		}
-	}
 	if *insFlag != "" {
 		names := strings.Split(*insFlag, ",")
 		for i := range names {
@@ -108,9 +95,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	names := []string{*exp}
 	if *exp == "all" {
-		names = []string{"table1", "fig2", "table2", "fig3", "tuning", "memory", "order"}
+		names = []string{"table1", "fig2", "tuning", "order"}
 	}
-	tables, err := experiments(names, cfg, int32(*k), progress)
+	tables, err := experiments(names, cfg, progress)
 	if err != nil {
 		return fail(err)
 	}
@@ -138,11 +125,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // experiments runs the named experiments in order and returns their
-// tables. table2 and fig3 are two views of one thread sweep, which runs
-// at most once however many of them are named.
-func experiments(names []string, cfg bench.Config, k int32, progress io.Writer) ([]*bench.Table, error) {
+// tables.
+func experiments(names []string, cfg bench.Config, progress io.Writer) ([]*bench.Table, error) {
 	var tables []*bench.Table
-	var sweep *bench.ScalabilityResult
 	for _, name := range names {
 		switch name {
 		case "table1":
@@ -152,38 +137,13 @@ func experiments(names []string, cfg bench.Config, k int32, progress io.Writer) 
 			if err != nil {
 				return nil, err
 			}
-			tables = append(tables, s.Fig2a(), s.Fig2b(), s.Fig2c(), s.Fig2d(), s.Fig2e(), s.Fig2f())
-		case "table2", "fig3":
-			if sweep == nil {
-				scfg := cfg
-				if scfg.Instances == nil {
-					scfg.Instances = bench.ScalabilitySet()
-				}
-				var err error
-				if sweep, err = bench.RunScalability(scfg, k, progress); err != nil {
-					return nil, err
-				}
-			}
-			if name == "table2" {
-				tables = append(tables, sweep.Table2())
-			} else {
-				for _, gname := range sweep.Fig3Graphs() {
-					su, rt := sweep.Fig3(gname)
-					tables = append(tables, su, rt)
-				}
-			}
+			tables = append(tables, s.Fig2a(), s.Fig2b(), s.Fig2d(), s.Fig2e())
 		case "tuning":
 			ts, err := bench.RunTuning(cfg, progress)
 			if err != nil {
 				return nil, err
 			}
 			tables = append(tables, ts...)
-		case "memory":
-			t, err := bench.RunMemory(cfg, progress)
-			if err != nil {
-				return nil, err
-			}
-			tables = append(tables, t)
 		case "order":
 			t, err := bench.RunStreamOrder(cfg, progress)
 			if err != nil {

@@ -48,24 +48,30 @@ func TestCfgScaleDefault(t *testing.T) {
 	}
 }
 
-// smallAll is -exp all cut down to one 1000-node instance.
-var smallAll = []string{"-exp", "all", "-instances", "Dubcova1", "-scale", "0.05", "-reps", "1", "-threads", "1", "-rs", "2", "-k", "64"}
+// smallAll is -exp all cut down to one 1000-node instance, with the
+// offline mapper at k = 256.
+var smallAll = []string{"-exp", "all", "-instances", "Dubcova1", "-scale", "0.05", "-reps", "1", "-rs", "4", "-intmap"}
 
-// TestAllRunsScalabilityOnce: table2 and fig3 are two views of one
-// thread sweep; -exp all prints both and runs it once, which the
-// sweep's progress lines count.
-func TestAllRunsScalabilityOnce(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(smallAll, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr.String())
-	}
-	if got := strings.Count(stderr.String(), "done Dubcova1 threads=1\n"); got != 1 {
-		t.Fatalf("scalability sweep ran %d times, want 1:\n%s", got, stderr.String())
-	}
-	table2 := strings.Count(stdout.String(), "== Table 2:")
-	fig3 := strings.Count(stdout.String(), "== Figure 3:")
-	if table2 != 1 || fig3 != 2 {
-		t.Fatalf("%d Table 2 and %d Figure 3 tables, want 1 and 2:\n%s", table2, fig3, stdout.String())
+// TestAllIsByteIdentical: omsbench reports quality only and every
+// algorithm is a function of its seed, so two runs of one command line
+// print the same bytes.
+func TestAllIsByteIdentical(t *testing.T) {
+	var first string
+	for i := 0; i < 2; i++ {
+		var stdout, stderr bytes.Buffer
+		if code := run(smallAll, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d: %s", code, stderr.String())
+		}
+		if i == 0 {
+			first = stdout.String()
+			if !strings.Contains(first, string(bench.AlgIntMap)) {
+				t.Fatalf("-intmap printed no %s column:\n%s", bench.AlgIntMap, first)
+			}
+			continue
+		}
+		if got := stdout.String(); got != first {
+			t.Fatalf("second run differs from the first:\n--- first\n%s\n--- second\n%s", first, got)
+		}
 	}
 }
 
@@ -79,7 +85,7 @@ func TestQuietWritesNoProgress(t *testing.T) {
 	if stderr.Len() != 0 {
 		t.Fatalf("-q wrote to stderr:\n%s", stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "== Table 2:") {
+	if !strings.Contains(stdout.String(), "== Figure 2a:") {
 		t.Fatalf("-q printed no tables:\n%s", stdout.String())
 	}
 }

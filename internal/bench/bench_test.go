@@ -46,18 +46,6 @@ func TestTable1RegistryComplete(t *testing.T) {
 	}
 }
 
-func TestScalabilitySetMatchesPaper(t *testing.T) {
-	// §4.2: "the 12 graphs ... which have at least 2000000 nodes".
-	set := ScalabilitySet()
-	if len(set) != 12 {
-		names := make([]string, len(set))
-		for i, ins := range set {
-			names[i] = ins.Name
-		}
-		t.Fatalf("scalability set has %d graphs (%v), paper uses 12", len(set), names)
-	}
-}
-
 func TestInstanceBuildMatchesTargetSizes(t *testing.T) {
 	// At a small scale, n should track round(N*scale) (with the 1000
 	// floor) and m should be within a factor 2 of proportional for every
@@ -103,23 +91,20 @@ func TestExecuteAllAlgorithms(t *testing.T) {
 	g := mustIns("Dubcova1").BuildCached(0.05)
 	top := Config{Dist: "1:10:100"}.topoFor(2)
 	for _, alg := range []AlgID{AlgHashing, AlgLDG, AlgFennel, AlgNhOMS, AlgML} {
-		res, err := Execute(g, RunSpec{Alg: alg, K: 64, Eps: 0.03, Seed: 1})
+		parts, err := Execute(g, RunSpec{Alg: alg, K: 64, Eps: 0.03, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		if len(res.Parts) != int(g.NumNodes()) {
+		if len(parts) != int(g.NumNodes()) {
 			t.Fatalf("%s: wrong parts length", alg)
-		}
-		if res.Seconds < 0 {
-			t.Fatalf("%s: negative time", alg)
 		}
 	}
 	for _, alg := range []AlgID{AlgOMS, AlgIntMap} {
-		res, err := Execute(g, RunSpec{Alg: alg, Top: top, Eps: 0.03, Seed: 1})
+		parts, err := Execute(g, RunSpec{Alg: alg, Top: top, Eps: 0.03, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		if len(res.Parts) != int(g.NumNodes()) {
+		if len(parts) != int(g.NumNodes()) {
 			t.Fatalf("%s: wrong parts length", alg)
 		}
 	}
@@ -175,8 +160,8 @@ func TestStateOfTheArtSweepAndFigures(t *testing.T) {
 	if len(s.cells) == 0 {
 		t.Fatal("empty sweep")
 	}
-	fig2a, fig2b, fig2c := s.Fig2a(), s.Fig2b(), s.Fig2c()
-	for _, tb := range []*Table{fig2a, fig2b, fig2c, s.Fig2d(), s.Fig2e(), s.Fig2f()} {
+	fig2a, fig2b := s.Fig2a(), s.Fig2b()
+	for _, tb := range []*Table{fig2a, fig2b, s.Fig2d(), s.Fig2e()} {
 		if len(tb.Rows) == 0 {
 			t.Fatalf("%s: no rows", tb.Title)
 		}
@@ -188,14 +173,6 @@ func TestStateOfTheArtSweepAndFigures(t *testing.T) {
 				if v < -1e-6 || v > 1e-6 {
 					t.Fatalf("%s: Hashing improvement over itself is %v", tb.Title, v)
 				}
-			}
-		}
-	}
-	// Fennel speedup over itself must be 1 in figure 2c.
-	for _, row := range fig2c.Rows {
-		if v, ok := row.Cells[string(AlgFennel)]; ok {
-			if v < 0.999 || v > 1.001 {
-				t.Fatalf("Fennel self-speedup %v != 1", v)
 			}
 		}
 	}
@@ -214,7 +191,7 @@ func TestProfileFractionsAreMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tb := range []*Table{s.Fig2d(), s.Fig2e(), s.Fig2f()} {
+	for _, tb := range []*Table{s.Fig2d(), s.Fig2e()} {
 		prev := make(map[string]float64)
 		for _, row := range tb.Rows {
 			for alg, v := range row.Cells {
@@ -237,33 +214,6 @@ func TestProfileFractionsAreMonotone(t *testing.T) {
 	}
 }
 
-func TestScalabilitySweepAndTables(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.ThreadSweep = []int{1, 2}
-	res, err := RunScalability(cfg, 128, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2 := res.Table2()
-	if len(t2.Rows) != 2 {
-		t.Fatalf("Table 2 rows = %d, want 2", len(t2.Rows))
-	}
-	// Single-thread speedup of every algorithm must be 1.
-	for _, col := range t2.Columns {
-		if strings.HasSuffix(col, " SU") {
-			if v, ok := t2.Rows[0].Cells[col]; ok && (v < 0.999 || v > 1.001) {
-				t.Fatalf("1-thread %s = %v, want 1", col, v)
-			}
-		}
-	}
-	for _, name := range res.Fig3Graphs() {
-		su, rt := res.Fig3(name)
-		if len(su.Rows) != 2 || len(rt.Rows) != 2 {
-			t.Fatalf("Fig3 for %s has wrong row count", name)
-		}
-	}
-}
-
 func TestTuningTables(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Rs = []int32{2}
@@ -279,7 +229,7 @@ func TestTuningTables(t *testing.T) {
 			t.Fatalf("%s: need at least base + variant", tb.Title)
 		}
 		base := tb.Rows[0]
-		for _, col := range []string{"cut vs base %", "J vs base %", "time vs base %"} {
+		for _, col := range []string{"cut vs base %", "J vs base %"} {
 			if v := base.Cells[col]; v < -1e-6 || v > 1e-6 {
 				t.Fatalf("%s: base row self-improvement %v != 0", tb.Title, v)
 			}
@@ -291,28 +241,6 @@ func TestTuningTables(t *testing.T) {
 	all := hybrid.Rows[len(hybrid.Rows)-1].Cells["cut"]
 	if all <= pure {
 		t.Fatalf("hashing all layers cut %v not above pure %v", all, pure)
-	}
-}
-
-func TestMemoryTable(t *testing.T) {
-	cfg := Config{Scale: 0.01, Reps: 1, Instances: []Instance{mustIns("Ljournal-2008")}, Seed: 1}
-	tb, err := RunMemory(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 1 {
-		t.Fatalf("want 1 row, got %d", len(tb.Rows))
-	}
-	row := tb.Rows[0]
-	// The in-memory comparator must charge at least the CSR arrays; the
-	// streaming algorithms must be much lighter.
-	ml := row.Cells[string(AlgML)]
-	oms := row.Cells[string(AlgOMS)]
-	if ml <= 0 || oms <= 0 {
-		t.Fatalf("non-positive memory: ml=%v oms=%v", ml, oms)
-	}
-	if oms >= ml {
-		t.Fatalf("streaming OMS %vMB not below in-memory %vMB", oms, ml)
 	}
 }
 

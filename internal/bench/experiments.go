@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
 
 	"oms/internal/hierarchy"
 	"oms/internal/metrics"
@@ -22,12 +21,6 @@ type Config struct {
 	// k = 64r); 0 means {16, 32, 64, 128} matching the plotted range
 	// 2^10..2^13.
 	Rs []int32
-	// Threads for the quality experiments; 0 means 1 (sequential), the
-	// paper's setting outside §4.2.
-	Threads int
-	// ThreadSweep for the scalability experiments; 0 means
-	// {1, 2, 4, 8, 16, 32} capped at GOMAXPROCS.
-	ThreadSweep []int
 	// Instances; nil means the full Table 1 set.
 	Instances []Instance
 	// IncludeIntMap adds the offline mapper to the mapping experiments
@@ -48,20 +41,6 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.Rs) == 0 {
 		c.Rs = []int32{16, 32, 64, 128}
-	}
-	if c.Threads == 0 {
-		c.Threads = 1
-	}
-	if len(c.ThreadSweep) == 0 {
-		max := runtime.GOMAXPROCS(0)
-		for _, t := range []int{1, 2, 4, 8, 16, 32} {
-			if t <= max {
-				c.ThreadSweep = append(c.ThreadSweep, t)
-			}
-		}
-		if len(c.ThreadSweep) == 0 {
-			c.ThreadSweep = []int{1}
-		}
 	}
 	if c.Instances == nil {
 		c.Instances = Table1
@@ -88,11 +67,11 @@ type cell struct {
 	m        Measurement
 }
 
-// StateOfTheArt runs the shared sweep behind Figures 2a-2f: for every
-// instance and every r (k = 64r), it measures the mapping algorithms
-// (Hashing, OMS, Fennel, KaMinPar*, optional IntMap*) on S = 4:16:r and
-// the partitioning algorithms (nh-OMS) at the same k. One sweep feeds
-// all six figures.
+// StateOfTheArt runs the shared sweep behind the quality half of
+// Figure 2 (2a, 2b, 2d, 2e): for every instance and every r (k = 64r),
+// it measures the mapping algorithms (Hashing, OMS, Fennel, KaMinPar*,
+// optional IntMap*) on S = 4:16:r and the partitioning algorithms
+// (nh-OMS) at the same k. One sweep feeds all four figures.
 type StateOfTheArt struct {
 	cfg   Config
 	cells []cell
@@ -116,7 +95,7 @@ func RunStateOfTheArt(cfg Config, progressW io.Writer) (*StateOfTheArt, error) {
 				continue // k exceeds node count at this scale
 			}
 			for _, alg := range algs {
-				sp := RunSpec{Alg: alg, K: k, Eps: 0.03, Threads: cfg.Threads, Seed: cfg.Seed}
+				sp := RunSpec{Alg: alg, K: k, Eps: 0.03, Seed: cfg.Seed}
 				if alg == AlgOMS || alg == AlgIntMap {
 					// Only the hierarchical algorithms see the topology.
 					sp.Top = top

@@ -43,36 +43,6 @@ func (s *StateOfTheArt) Fig2b() *Table {
 		func(m Measurement) float64 { return m.Cut })
 }
 
-// Fig2c builds the speedup-over-Fennel table (Figure 2c): per k,
-// time_Fennel / time_A of the geometric-mean times. Higher is better.
-func (s *StateOfTheArt) Fig2c() *Table {
-	algs := []AlgID{AlgHashing, AlgNhOMS, AlgOMS, AlgFennel, AlgML}
-	if s.cfg.IncludeIntMap {
-		algs = append(algs, AlgIntMap)
-	}
-	geo := s.groupGeo(func(m Measurement) float64 { return m.Seconds }, algs)
-	t := &Table{
-		Title:   "Figure 2c: speedup over Fennel vs k",
-		KeyName: "k",
-		Columns: algIDStrings(algs),
-		Notes:   []string{"speedup = geomean(time Fennel) / geomean(time alg), per k"},
-	}
-	for _, k := range s.ks() {
-		row := make(map[string]float64, len(algs))
-		base, ok := geo[k][AlgFennel]
-		if !ok {
-			continue
-		}
-		for _, a := range algs {
-			if v, ok := geo[k][a]; ok {
-				row[string(a)] = metrics.Speedup(base, v)
-			}
-		}
-		t.AddRow(fmt.Sprintf("%d", k), row)
-	}
-	return t
-}
-
 // improvementTable is the shared shape of Figures 2a and 2b.
 func (s *StateOfTheArt) improvementTable(title string, algs []AlgID, base AlgID, metric func(Measurement) float64) *Table {
 	geo := s.groupGeo(metric, algs)
@@ -156,13 +126,6 @@ func (s *StateOfTheArt) Fig2e() *Table {
 	algs := []AlgID{AlgHashing, AlgNhOMS, AlgFennel, AlgML}
 	p := metrics.PerformanceProfile(s.perPoint(func(m Measurement) float64 { return m.Cut }, algs), metrics.DefaultTaus(128))
 	return profileTable("Figure 2e: edge-cut performance profile", p)
-}
-
-// Fig2f builds the running-time performance profile (Figure 2f).
-func (s *StateOfTheArt) Fig2f() *Table {
-	algs := []AlgID{AlgHashing, AlgNhOMS, AlgOMS, AlgFennel, AlgML}
-	p := metrics.PerformanceProfile(s.perPoint(func(m Measurement) float64 { return m.Seconds }, algs), metrics.DefaultTaus(4096))
-	return profileTable("Figure 2f: running-time performance profile", p)
 }
 
 func algIDStrings(algs []AlgID) []string {

@@ -1,15 +1,18 @@
-// Package bench is the experiment harness that regenerates every table
-// and figure of the paper's evaluation (§4): the Table 1 instance
-// registry (synthetic, family-matched stand-ins for the SNAP/DIMACS
-// downloads, see DESIGN.md §5), timing and quality runners for all
-// algorithms, performance profiles, the scalability sweeps, the tuning
-// ablations, and the memory measurements.
+// Package bench is the experiment harness that regenerates the quality
+// half of the paper's evaluation (§4): the Table 1 instance registry
+// (synthetic, family-matched stand-ins for the SNAP/DIMACS downloads;
+// see Instance.Build), sequential quality runners for all algorithms,
+// the Figure 2 improvement tables and performance profiles, the tuning
+// ablations, and a stream-order ablation. Every run is a function of
+// its seed, so a configuration prints the same tables each time. The
+// paper's timing results (Figures 2c/2f, Table 2, Figure 3, the memory
+// paragraph) are not reproduced here: speed is measured by the
+// benchmark ledger (benchmark/run.sh, BENCHMARK.json).
 package bench
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"oms/internal/gen"
@@ -72,18 +75,6 @@ var Table1 = []Instance{
 	{"great-britain-osm", 7733822, 8156517, FamRoad, 126},
 }
 
-// ScalabilitySet returns the instances the paper's §4.2 uses: the Test
-// Set graphs with at least two million nodes.
-func ScalabilitySet() []Instance {
-	var out []Instance
-	for _, ins := range Table1 {
-		if ins.N >= 2000000 {
-			out = append(out, ins)
-		}
-	}
-	return out
-}
-
 // ByName returns the registered instance with the given name.
 func ByName(name string) (Instance, error) {
 	for _, ins := range Table1 {
@@ -98,8 +89,10 @@ func ByName(name string) (Instance, error) {
 // scale: node and edge counts shrink proportionally (scale 1.0 matches
 // the original sizes; the floor of 1000 nodes keeps tiny scales
 // meaningful). Generators are matched by family so the degree
-// distribution, density, and stream locality resemble the original; see
-// DESIGN.md §5 for the substitution argument.
+// distribution, density, and stream locality resemble the original. The
+// stand-ins preserve what the compared algorithms respond to, so the
+// relations between them (who cuts less, whose J is lower) carry over,
+// while absolute cut and J values do not.
 func (ins Instance) Build(scale float64) *graph.Graph {
 	n := int32(math.Round(float64(ins.N) * scale))
 	if n < 1000 {
@@ -172,14 +165,4 @@ func Subset(names []string) ([]Instance, error) {
 		out = append(out, ins)
 	}
 	return out, nil
-}
-
-// SortedNames returns all registered instance names, sorted.
-func SortedNames() []string {
-	names := make([]string, len(Table1))
-	for i, ins := range Table1 {
-		names[i] = ins.Name
-	}
-	sort.Strings(names)
-	return names
 }

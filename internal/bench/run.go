@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"oms/internal/core"
 	"oms/internal/graph"
@@ -32,12 +31,11 @@ const (
 
 // RunSpec describes one algorithm execution on one instance.
 type RunSpec struct {
-	Alg     AlgID
-	K       int32               // blocks (ignored when Top is set for OMS/IntMap)
-	Top     *hierarchy.Topology // non-nil for process-mapping runs
-	Eps     float64
-	Threads int
-	Seed    uint64
+	Alg  AlgID
+	K    int32               // blocks (ignored when Top is set for OMS/IntMap)
+	Top  *hierarchy.Topology // non-nil for process-mapping runs
+	Eps  float64
+	Seed uint64
 	// OMS knobs (tuning experiments).
 	Scorer       core.Scorer
 	Base         int32 // artificial hierarchy base; 0 means 4
@@ -45,32 +43,19 @@ type RunSpec struct {
 	VanillaAlpha bool
 }
 
-// RunResult is the outcome of one execution.
-type RunResult struct {
-	Parts   []int32
-	Seconds float64
-}
-
-// Execute runs the specified algorithm on g and reports the partition
-// and wall-clock seconds of the partitioning phase itself (stream stats
-// and source setup excluded, graph build excluded — matching the paper's
-// setup, which streams from internal memory "to obtain clear running
-// time comparisons").
-func Execute(g *graph.Graph, sp RunSpec) (RunResult, error) {
+// Execute runs the specified algorithm sequentially on g, streaming it
+// from memory in its natural order, and returns the partition.
+func Execute(g *graph.Graph, sp RunSpec) ([]int32, error) {
 	if sp.Eps == 0 {
 		sp.Eps = 0.03
 	}
 	if sp.Base == 0 {
 		sp.Base = 4
 	}
-	threads := sp.Threads
-	if threads < 1 {
-		threads = 1
-	}
 	src := stream.NewMemory(g)
 	st, err := src.Stats()
 	if err != nil {
-		return RunResult{}, err
+		return nil, err
 	}
 	k := sp.K
 	if sp.Top != nil {
@@ -82,92 +67,61 @@ func Execute(g *graph.Graph, sp RunSpec) (RunResult, error) {
 	case AlgHashing:
 		alg, err := onepass.NewHashing(cfg, st)
 		if err != nil {
-			return RunResult{}, err
+			return nil, err
 		}
-		return timeRun(src, alg, threads)
+		return onepass.Run(src, alg, 1)
 	case AlgLDG:
-		alg, err := onepass.NewLDG(cfg, st, threads)
+		alg, err := onepass.NewLDG(cfg, st, 1)
 		if err != nil {
-			return RunResult{}, err
+			return nil, err
 		}
-		return timeRun(src, alg, threads)
+		return onepass.Run(src, alg, 1)
 	case AlgFennel:
-		alg, err := onepass.NewFennel(cfg, st, threads)
+		alg, err := onepass.NewFennel(cfg, st, 1)
 		if err != nil {
-			return RunResult{}, err
+			return nil, err
 		}
-		return timeRun(src, alg, threads)
+		return onepass.Run(src, alg, 1)
 	case AlgOMS:
 		if sp.Top == nil {
-			return RunResult{}, fmt.Errorf("bench: OMS requires a topology (use nh-OMS for plain partitioning)")
+			return nil, fmt.Errorf("bench: OMS requires a topology (use nh-OMS for plain partitioning)")
 		}
-		o, err := core.New(hierarchy.FromSpec(sp.Top.Spec), st, coreCfg(sp, threads))
+		o, err := core.New(hierarchy.FromSpec(sp.Top.Spec), st, coreCfg(sp))
 		if err != nil {
-			return RunResult{}, err
+			return nil, err
 		}
-		start := time.Now()
-		parts, err := o.Run(src)
-		if err != nil {
-			return RunResult{}, err
-		}
-		return RunResult{Parts: parts, Seconds: time.Since(start).Seconds()}, nil
+		return o.Run(src)
 	case AlgNhOMS:
-		o, err := core.NewGP(k, sp.Base, st, coreCfg(sp, threads))
+		o, err := core.NewGP(k, sp.Base, st, coreCfg(sp))
 		if err != nil {
-			return RunResult{}, err
+			return nil, err
 		}
-		start := time.Now()
-		parts, err := o.Run(src)
-		if err != nil {
-			return RunResult{}, err
-		}
-		return RunResult{Parts: parts, Seconds: time.Since(start).Seconds()}, nil
+		return o.Run(src)
 	case AlgML:
-		start := time.Now()
-		parts, err := multilevel.Partition(g, k, multilevel.Options{Epsilon: sp.Eps, Seed: sp.Seed, Threads: threads})
-		if err != nil {
-			return RunResult{}, err
-		}
-		return RunResult{Parts: parts, Seconds: time.Since(start).Seconds()}, nil
+		return multilevel.Partition(g, k, multilevel.Options{Epsilon: sp.Eps, Seed: sp.Seed})
 	case AlgIntMap:
 		if sp.Top == nil {
-			return RunResult{}, fmt.Errorf("bench: IntMap requires a topology")
+			return nil, fmt.Errorf("bench: IntMap requires a topology")
 		}
-		start := time.Now()
-		parts, err := mapping.OfflineMap(g, sp.Top, mapping.Options{Epsilon: sp.Eps, Seed: sp.Seed, SwapRounds: 3})
-		if err != nil {
-			return RunResult{}, err
-		}
-		return RunResult{Parts: parts, Seconds: time.Since(start).Seconds()}, nil
+		return mapping.OfflineMap(g, sp.Top, mapping.Options{Epsilon: sp.Eps, Seed: sp.Seed, SwapRounds: 3})
 	default:
-		return RunResult{}, fmt.Errorf("bench: unknown algorithm %q", sp.Alg)
+		return nil, fmt.Errorf("bench: unknown algorithm %q", sp.Alg)
 	}
 }
 
-func coreCfg(sp RunSpec, threads int) core.Config {
+func coreCfg(sp RunSpec) core.Config {
 	return core.Config{
 		Epsilon:      sp.Eps,
 		Scorer:       sp.Scorer,
 		VanillaAlpha: sp.VanillaAlpha,
 		HashLayers:   sp.HashLayers,
 		Seed:         sp.Seed,
-		Threads:      threads,
 	}
-}
-
-func timeRun(src stream.Source, alg onepass.Algorithm, threads int) (RunResult, error) {
-	start := time.Now()
-	parts, err := onepass.Run(src, alg, threads)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{Parts: parts, Seconds: time.Since(start).Seconds()}, nil
 }
 
 // Measurement aggregates repetitions of one (algorithm, instance,
 // configuration) cell, following §4: arithmetic mean over repetitions.
 type Measurement struct {
-	Seconds float64 // mean wall-clock seconds
 	Cut     float64 // mean edge-cut
 	J       float64 // mean mapping cost (0 unless Top was set)
 	Balance float64 // worst imbalance observed across repetitions
@@ -192,21 +146,19 @@ func Measure(g *graph.Graph, sp RunSpec, repetitions int, evalTop *hierarchy.Top
 	for rep := 0; rep < repetitions; rep++ {
 		rsp := sp
 		rsp.Seed = sp.Seed + uint64(rep)*0x9e3779b97f4a7c15
-		res, err := Execute(g, rsp)
+		parts, err := Execute(g, rsp)
 		if err != nil {
 			return Measurement{}, err
 		}
-		m.Seconds += res.Seconds
-		m.Cut += float64(metrics.EdgeCut(g, res.Parts))
+		m.Cut += float64(metrics.EdgeCut(g, parts))
 		if evalTop != nil {
-			m.J += metrics.MappingCost(g, res.Parts, evalTop)
+			m.J += metrics.MappingCost(g, parts, evalTop)
 		}
-		if b := metrics.Imbalance(g, res.Parts, k); b > m.Balance {
+		if b := metrics.Imbalance(g, parts, k); b > m.Balance {
 			m.Balance = b
 		}
 	}
 	f := float64(repetitions)
-	m.Seconds /= f
 	m.Cut /= f
 	m.J /= f
 	return m, nil

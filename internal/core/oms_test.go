@@ -52,7 +52,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestAdaptedAlphaInvariant(t *testing.T) {
-	// DESIGN.md invariant: alpha(W) * sqrt(t(W)) == alpha_root for every
+	// Adapted alpha (§3.2): alpha(W) * sqrt(t(W)) == alpha_root for every
 	// tree block, which subsumes the homogeneous per-layer formula.
 	g := gen.ErdosRenyi(1000, 5000, 1)
 	st := statsOf(t, g)

@@ -1,6 +1,10 @@
 // Package gen provides seeded synthetic graph generators used as offline
-// stand-ins for the paper's Table 1 benchmark instances (SNAP, DIMACS-10,
-// SuiteSparse downloads are unavailable offline; see DESIGN.md §5).
+// stand-ins for the paper's Table 1 benchmark instances. The SNAP,
+// DIMACS-10 and SuiteSparse originals are not bundled; a generator
+// matched to each instance family reproduces the structure the
+// algorithms are sensitive to (degree distribution, density, and the
+// locality of the natural stream order), so the relations between
+// algorithms carry over even though absolute numbers do not.
 //
 // Each generator matches one instance family:
 //

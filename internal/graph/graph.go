@@ -86,15 +86,6 @@ func (g *Graph) TotalNodeWeight() int64 {
 	return g.totalVWgt
 }
 
-// MemoryBytes returns the resident size of the CSR arrays: what an
-// in-memory algorithm fundamentally pays to hold the graph.
-func (g *Graph) MemoryBytes() uint64 {
-	return uint64(len(g.Xadj))*8 +
-		uint64(len(g.Adjncy))*4 +
-		uint64(len(g.AdjWgt))*4 +
-		uint64(len(g.VWgt))*4
-}
-
 // TotalEdgeWeight returns omega(E), counting each undirected edge once.
 func (g *Graph) TotalEdgeWeight() int64 {
 	if g.totalEWgt == 0 {

@@ -272,58 +272,3 @@ func TestScannerCommentsAndBlank(t *testing.T) {
 		t.Fatalf("degrees %v, want [1 0 1]", degs)
 	}
 }
-
-func TestBinaryRoundTrip(t *testing.T) {
-	g := randomGraph(200, 1000, 11)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, g2) {
-		t.Fatal("binary round trip mismatch")
-	}
-	if err := g2.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBinaryRoundTripWeighted(t *testing.T) {
-	b := graph.NewBuilder(4)
-	b.AddWeightedEdge(0, 1, 3)
-	b.AddWeightedEdge(2, 3, 8)
-	b.SetNodeWeight(0, 2)
-	g := b.Finish()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, g2) {
-		t.Fatal("weighted binary round trip mismatch")
-	}
-}
-
-func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("NOPE....")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestBinaryTruncated(t *testing.T) {
-	g := randomGraph(50, 100, 2)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, err := ReadBinary(bytes.NewReader(raw[:len(raw)/2])); err == nil {
-		t.Fatal("truncated binary accepted")
-	}
-}

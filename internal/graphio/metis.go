@@ -1,7 +1,7 @@
 // Package graphio reads and writes graphs in the METIS ascii format (the
-// "vertex-stream format" the paper converts its instances to) and in a
-// compact binary format for fast reloads. The METIS scanner is also the
-// backing parser for disk-based streaming (internal/stream).
+// "vertex-stream format" the paper converts its instances to) and reads
+// plain edge lists. The METIS scanner is also the backing parser for
+// disk-based streaming (internal/stream).
 package graphio
 
 import (

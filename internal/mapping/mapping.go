@@ -9,6 +9,8 @@
 package mapping
 
 import (
+	"sort"
+
 	"oms/internal/graph"
 	"oms/internal/hierarchy"
 )
@@ -30,7 +32,9 @@ type BlockGraph struct {
 }
 
 // BuildBlockGraph condenses a k-way partition of g into its block
-// communication graph. parts values must lie in [0,k).
+// communication graph. parts values must lie in [0,k). Each adjacency
+// list is sorted by To, so the graph (and the swap order that walks it)
+// does not depend on map iteration.
 func BuildBlockGraph(g *graph.Graph, parts []int32, k int32) *BlockGraph {
 	acc := make([]map[int32]int64, k)
 	n := g.NumNodes()
@@ -70,6 +74,7 @@ func BuildBlockGraph(g *graph.Graph, parts []int32, k int32) *BlockGraph {
 		for to, w := range m {
 			edges = append(edges, BlockEdge{To: to, W: w})
 		}
+		sort.Slice(edges, func(i, j int) bool { return edges[i].To < edges[j].To })
 		bg.Adj[b] = edges
 	}
 	return bg

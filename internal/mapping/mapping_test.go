@@ -220,3 +220,30 @@ func TestApplyComposition(t *testing.T) {
 		}
 	}
 }
+
+func TestOfflineMapDeterministicPerSeedAboveFullScan(t *testing.T) {
+	// Above fullScanK the swap refinement tries partners in block-graph
+	// adjacency order, so that order must not come from map iteration:
+	// one seed gives one mapping.
+	g := gen.RMAT(4096, 32768, gen.SocialRMAT, 1)
+	top := hierarchy.MustTopology(hierarchy.MustSpec("4:8:8"), hierarchy.MustDistances("1:10:100"))
+	if top.Spec.K() <= fullScanK {
+		t.Fatalf("k=%d does not exceed fullScanK=%d", top.Spec.K(), fullScanK)
+	}
+	opt := Options{Epsilon: 0.03, Seed: 1, SwapRounds: 3}
+	first, err := OfflineMap(g, top, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 3; run++ {
+		again, err := OfflineMap(g, top, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := range first {
+			if again[u] != first[u] {
+				t.Fatalf("run %d: node %d mapped to PE %d, first run gave %d", run+1, u, again[u], first[u])
+			}
+		}
+	}
+}

@@ -46,14 +46,6 @@ func Improvement(sigmaB, sigmaA float64) float64 {
 	return (sigmaB/sigmaA - 1) * 100
 }
 
-// Speedup returns timeB / timeA: how many times faster A is than B.
-func Speedup(timeB, timeA float64) float64 {
-	if timeA < 1e-12 {
-		timeA = 1e-12
-	}
-	return timeB / timeA
-}
-
 // Profile is a performance profile (paper §4, Figures 2d-f): for each
 // algorithm, Fraction[i] is the share of instances on which the algorithm
 // is within Tau[i] of the per-instance best.

@@ -174,12 +174,6 @@ func TestImprovement(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	if s := Speedup(10, 2); s != 5 {
-		t.Fatalf("speedup %v want 5", s)
-	}
-}
-
 func TestPerformanceProfile(t *testing.T) {
 	values := map[string][]float64{
 		"A": {1, 2, 10}, // best on inst 0; 2x on 1; 10x on 2

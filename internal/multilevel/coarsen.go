@@ -249,9 +249,8 @@ type level struct {
 // clustering stops shrinking the graph). Each step contracts a size-
 // constrained label-propagation clustering; the cluster size cap tightens
 // toward maxVW as the graph shrinks so early rounds cannot produce
-// unsplittable super-nodes. threads > 1 selects the parallel clustering
-// sweep.
-func coarsen(g *graph.Graph, targetN int32, maxVW int64, threads int, rng *util.RNG) []level {
+// unsplittable super-nodes.
+func coarsen(g *graph.Graph, targetN int32, maxVW int64, rng *util.RNG) []level {
 	levels := []level{{g: g}}
 	cur := g
 	for cur.NumNodes() > targetN {
@@ -264,18 +263,7 @@ func coarsen(g *graph.Graph, targetN int32, maxVW int64, threads int, rng *util.
 		if cap < 1 {
 			cap = 1
 		}
-		var clusterOf []int32
-		var num int32
-		// The parallel sweep keeps an n-sized gain/mark pair per worker;
-		// cap that scratch at ~1 GB and fall back to the sequential sweep
-		// beyond it (cluster ids span [0, n), so the arrays cannot
-		// shrink).
-		scratchBytes := int64(threads) * int64(cur.NumNodes()) * 12
-		if threads > 1 && scratchBytes <= 1<<30 {
-			clusterOf, num = lpClusteringPar(cur, cap, 3, threads, rng.Uint64())
-		} else {
-			clusterOf, num = lpClustering(cur, cap, 3, rng.Fork())
-		}
+		clusterOf, num := lpClustering(cur, cap, 3, rng.Fork())
 		if num >= cur.NumNodes() || num < 2 {
 			break // no further shrinkage possible
 		}

@@ -103,7 +103,7 @@ func TestContractCutInvariant(t *testing.T) {
 
 func TestCoarsenLadderShrinks(t *testing.T) {
 	g := gen.Delaunay(4000, 9)
-	levels := coarsen(g, 200, 1<<40, 1, util.NewRNG(1))
+	levels := coarsen(g, 200, 1<<40, util.NewRNG(1))
 	if len(levels) < 2 {
 		t.Fatal("no coarsening happened")
 	}
@@ -280,74 +280,5 @@ func TestPartitionBeatsStreamingQuality(t *testing.T) {
 	if float64(cut) > 0.15*float64(g.NumEdges()) {
 		t.Fatalf("cut %d is %.1f%% of m — too high for multilevel on planar",
 			cut, 100*float64(cut)/float64(g.NumEdges()))
-	}
-}
-
-func TestPartitionParallelBalancedAndClose(t *testing.T) {
-	g := gen.Delaunay(20000, 31)
-	k := int32(64)
-	seq, err := Partition(g, k, Options{Epsilon: 0.03, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Partition(g, k, Options{Epsilon: 0.03, Seed: 3, Threads: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := metrics.CheckBalanced(g, par, k, 0.03); err != nil {
-		t.Fatal(err)
-	}
-	sc, pc := float64(metrics.EdgeCut(g, seq)), float64(metrics.EdgeCut(g, par))
-	if pc > 1.3*sc {
-		t.Fatalf("parallel cut %v much worse than sequential %v", pc, sc)
-	}
-}
-
-func TestRefineLPParRespectsCapsUnderContention(t *testing.T) {
-	g := gen.RMAT(20000, 100000, gen.SocialRMAT, 17)
-	k := int32(16)
-	parts := make([]int32, g.NumNodes())
-	rng := util.NewRNG(5)
-	for u := range parts {
-		parts[u] = int32(rng.Intn(int(k)))
-	}
-	total := g.TotalNodeWeight()
-	caps := make([]int64, k)
-	for b := range caps {
-		caps[b] = total/int64(k) + 100
-	}
-	before := metrics.EdgeCut(g, parts)
-	refineLPPar(g, parts, k, caps, 6, 8, 3)
-	after := metrics.EdgeCut(g, parts)
-	if after > before {
-		t.Fatalf("parallel LP worsened cut %d -> %d", before, after)
-	}
-	loads := metrics.BlockLoads(g, parts, k)
-	for b, l := range loads {
-		if l > caps[b] {
-			t.Fatalf("block %d exceeds cap: %d > %d", b, l, caps[b])
-		}
-	}
-}
-
-func TestLPClusteringParRespectsCap(t *testing.T) {
-	g := gen.BarabasiAlbert(20000, 5, 23)
-	maxVW := int64(60)
-	cluster, num := lpClusteringPar(g, maxVW, 3, 8, 11)
-	if num < 2 || num >= g.NumNodes() {
-		t.Fatalf("clustering degenerate: %d clusters", num)
-	}
-	cw := make([]int64, num)
-	for u := int32(0); u < g.NumNodes(); u++ {
-		c := cluster[u]
-		if c < 0 || c >= num {
-			t.Fatalf("cluster id %d out of range", c)
-		}
-		cw[c] += int64(g.NodeWeight(u))
-	}
-	for c, w := range cw {
-		if w > maxVW {
-			t.Fatalf("cluster %d weight %d exceeds cap %d", c, w, maxVW)
-		}
 	}
 }

@@ -22,12 +22,6 @@ type Options struct {
 	// different seeds and keeps the best cut; 0 means 3. The coarsest
 	// graph is small, so extra tries are cheap relative to uncoarsening.
 	InitialTries int
-	// Threads parallelizes the coarsening clustering and the per-level
-	// refinement sweeps (vertex-centric, CAS-capped loads — the §3.4
-	// discipline applied in-memory). Values <= 1 run sequentially and
-	// deterministically. Initial partitioning stays sequential; on deep
-	// ladders it is a small share of the work.
-	Threads int
 }
 
 // Partition computes a balanced k-way partition of g with the multilevel
@@ -60,10 +54,6 @@ func Partition(g *graph.Graph, k int32, opt Options) ([]int32, error) {
 	if tries == 0 {
 		tries = 3
 	}
-	threads := opt.Threads
-	if threads < 1 {
-		threads = 1
-	}
 	rng := util.NewRNG(opt.Seed ^ 0x6d756c7469) // "multi"
 	total := g.TotalNodeWeight()
 	lmax := int64(math.Ceil((1 + opt.Epsilon) * float64(total) / float64(k)))
@@ -75,7 +65,7 @@ func Partition(g *graph.Graph, k int32, opt Options) ([]int32, error) {
 	if targetN < 2*k {
 		targetN = 2 * k
 	}
-	levels := coarsen(g, targetN, maxVW, threads, rng)
+	levels := coarsen(g, targetN, maxVW, rng)
 
 	caps := make([]int64, k)
 	for b := range caps {
@@ -107,11 +97,7 @@ func Partition(g *graph.Graph, k int32, opt Options) ([]int32, error) {
 			projected[u] = cur[fine.toCoarse[u]]
 		}
 		cur = projected
-		if threads > 1 {
-			refineLPPar(fine.g, cur, k, caps, iters, threads, rng.Uint64())
-		} else {
-			refineLP(fine.g, cur, k, caps, iters, rng.Fork())
-		}
+		refineLP(fine.g, cur, k, caps, iters, rng.Fork())
 		rebalance(fine.g, cur, k, caps)
 	}
 	return cur, nil

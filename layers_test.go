@@ -15,8 +15,11 @@ import (
 // engine at the bottom, the session contract (internal/store) and the
 // metrics format (internal/promtext) as leaves above it, refinement
 // (internal/refine) above the contract, and the daemon
-// (internal/service) above those, imported only by what runs it. The import graph is read from the non-test files of every
-// package outside benchmark/ and testdata.
+// (internal/service) above those, imported only by what runs it. The
+// paper's comparators (internal/multilevel, internal/mapping) and the
+// evaluation harness (internal/bench) are imported only by the
+// reproduction surfaces. The import graph is read from the non-test
+// files of every package outside benchmark/ and testdata.
 func TestLayers(t *testing.T) {
 	graph := importGraph(t)
 	const service = "oms/internal/service"
@@ -53,16 +56,36 @@ func TestLayers(t *testing.T) {
 		}
 	}
 
+	if got, want := importersOf(graph, service), []string{"oms/cmd/omsd", "oms/examples/service", "oms/internal/cluster"}; !slices.Equal(got, want) {
+		t.Errorf("%s is imported by %v, want only %v", service, got, want)
+	}
+
+	// The paper's comparators and the harness that runs them stay off
+	// the workload and daemon paths: each is imported directly only by
+	// the packages listed here.
+	for pkg, allowed := range map[string][]string{
+		"oms/internal/bench":      {"oms/cmd/omsbench", "oms/cmd/omsgen"},
+		"oms/internal/mapping":    {"oms", "oms/internal/bench"},
+		"oms/internal/multilevel": {"oms", "oms/internal/bench", "oms/internal/mapping"},
+	} {
+		for _, imp := range importersOf(graph, pkg) {
+			if !slices.Contains(allowed, imp) {
+				t.Errorf("%s imports %s; only %v may", imp, pkg, allowed)
+			}
+		}
+	}
+}
+
+// importersOf returns the sorted packages that import target directly.
+func importersOf(graph map[string][]string, target string) []string {
 	var importers []string
 	for pkg, imps := range graph {
-		if slices.Contains(imps, service) {
+		if slices.Contains(imps, target) {
 			importers = append(importers, pkg)
 		}
 	}
 	slices.Sort(importers)
-	if want := []string{"oms/cmd/omsd", "oms/examples/service", "oms/internal/cluster"}; !slices.Equal(importers, want) {
-		t.Errorf("%s is imported by %v, want only %v", service, importers, want)
-	}
+	return importers
 }
 
 // importGraph maps each package of the module (benchmark/ aside) to

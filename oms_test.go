@@ -336,26 +336,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-func TestPartitionBufferedFacade(t *testing.T) {
-	g := oms.GenRGG2D(8000, 41)
-	k := int32(32)
-	buf, err := oms.PartitionBuffered(oms.NewMemorySource(g), k, oms.BufferedOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := buf.CheckBalanced(g, oms.DefaultEpsilon); err != nil {
-		t.Fatal(err)
-	}
-	fen, err := oms.PartitionOnePass(oms.NewMemorySource(g), k, oms.ScorerFennel, oms.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buf.EdgeCut(g) >= fen.EdgeCut(g) {
-		t.Fatalf("buffered cut %d not below one-pass Fennel %d on a geometric graph",
-			buf.EdgeCut(g), fen.EdgeCut(g))
-	}
-}
-
 func TestLevelCutsExplainMappingCost(t *testing.T) {
 	g := oms.GenDelaunay(6000, 43)
 	top := oms.MustTopology("4:4:4", "1:10:100")
