@@ -150,16 +150,12 @@ func (c *Client) Finish(ctx context.Context, id string) (Summary, error) {
 	return out, err
 }
 
-// Refine queues a background restream refinement pass. threads is sent
-// for older daemons; current ones accept and ignore it (passes run in
-// stream order).
-func (c *Client) Refine(ctx context.Context, id string, passes, threads int) error {
+// Refine queues background restream refinement: passes extra passes, or
+// the daemon's default when passes <= 0.
+func (c *Client) Refine(ctx context.Context, id string, passes int) error {
 	body := map[string]int{}
 	if passes > 0 {
 		body["passes"] = passes
-	}
-	if threads > 0 {
-		body["threads"] = threads
 	}
 	return c.doJSON(ctx, http.MethodPost, "/v1/sessions/"+id+"/refine", body, nil)
 }

@@ -92,7 +92,7 @@ func (s *pushState) encode(binary bool, nodes []Node) []byte {
 	s.body = s.body[:0]
 	for _, nd := range nodes {
 		if binary {
-			s.body = appendCanonicalFrame(s.body, nd)
+			s.body = wire.AppendNodeFrame(s.body, nd.U, nd.W, nd.Adj, nd.EW)
 		} else {
 			s.body = wire.AppendNodeLine(s.body, nd.U, nd.W, nd.Adj, nd.EW)
 		}
@@ -141,22 +141,6 @@ func (c *Client) ingest(ctx context.Context, id, route string, nodes []Node) ([]
 		return err
 	})
 	return out, err
-}
-
-// appendCanonicalFrame encodes nd exactly as the server's NDJSON shim
-// canonicalizes it — zero weight is weight one, an empty edge-weight
-// list is none — so what this client sends is byte-for-byte what the
-// WAL records.
-func appendCanonicalFrame(buf []byte, nd Node) []byte {
-	w := nd.W
-	if w == 0 {
-		w = 1
-	}
-	ew := nd.EW
-	if len(ew) == 0 {
-		ew = nil
-	}
-	return wire.AppendNodeFrame(buf, nd.U, w, nd.Adj, ew)
 }
 
 // readWireAssignments drains a binary reply stream: TypeAssign frames

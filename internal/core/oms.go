@@ -328,22 +328,14 @@ func (o *OMS) Run(src stream.Source) ([]int32, error) {
 	return o.parts, nil
 }
 
-// Restream performs extraPasses additional sequential passes in the
-// spirit of ReFennel/ReLDG (the paper's §3.2 "Remapping" extension,
-// flagged there as future work): each pass re-scores every node with full
-// knowledge of the previous pass's assignment, first removing the node's
-// weight from its old root-to-leaf path so capacities stay exact.
-func (o *OMS) Restream(src stream.Source, extraPasses int) ([]int32, error) {
-	if _, err := o.Run(src); err != nil {
-		return nil, err
-	}
-	return o.RestreamPasses(src, extraPasses)
-}
-
-// RestreamPasses performs the extra sequential passes of Restream on an
+// RestreamPasses performs extraPasses additional sequential passes on an
 // OMS whose first pass already happened — either via Run or via a
 // sequence of AssignNode pushes (a recorded push session restreams its
-// buffer through here without re-charging the first pass).
+// buffer through here without re-charging the first pass). This is the
+// paper's §3.2 "Remapping" extension, flagged there as future work, in
+// the spirit of ReFennel/ReLDG: each pass re-scores every node with full
+// knowledge of the previous pass's assignment, first removing the node's
+// weight from its old root-to-leaf path so capacities stay exact.
 func (o *OMS) RestreamPasses(src stream.Source, extraPasses int) ([]int32, error) {
 	for p := 0; p < extraPasses; p++ {
 		err := src.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) {

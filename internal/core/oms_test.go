@@ -34,6 +34,15 @@ func runOMS(t *testing.T, g *graph.Graph, tree *hierarchy.Tree, cfg Config) []in
 	return parts
 }
 
+// restream runs the first pass and then extraPasses restream passes, as
+// oms.Restream does.
+func restream(o *OMS, src stream.Source, extraPasses int) ([]int32, error) {
+	if _, err := o.Run(src); err != nil {
+		return nil, err
+	}
+	return o.RestreamPasses(src, extraPasses)
+}
+
 func TestConfigValidation(t *testing.T) {
 	st := stream.Stats{N: 10, M: 20, TotalNodeWeight: 10, TotalEdgeWeight: 20}
 	tree := hierarchy.FromSpec(hierarchy.MustSpec("2:2"))
@@ -420,7 +429,7 @@ func TestRestreamNotWorse(t *testing.T) {
 	cutOnce := metrics.EdgeCut(g, once)
 
 	o2, _ := New(hierarchy.BuildArtificial(32, 4), st, Config{Epsilon: 0.03})
-	re, err := o2.Restream(stream.NewMemory(g), 3)
+	re, err := restream(o2, stream.NewMemory(g), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +447,7 @@ func TestRestreamLoadConservation(t *testing.T) {
 	tree := hierarchy.FromSpec(hierarchy.MustSpec("3:3"))
 	st := statsOf(t, g)
 	o, _ := New(tree, st, Config{Epsilon: 0.03})
-	if _, err := o.Restream(stream.NewMemory(g), 2); err != nil {
+	if _, err := restream(o, stream.NewMemory(g), 2); err != nil {
 		t.Fatal(err)
 	}
 	loads := o.TreeLoads()

@@ -178,7 +178,7 @@ func runAgainstOracle(t *testing.T, g *graph.Graph, tree *hierarchy.Tree, cfg Co
 	t.Helper()
 	src := stream.NewMemory(g)
 	o, ref := pair(t, tree, statsOf(t, g), cfg)
-	if _, err := o.Restream(src, extraPasses); err != nil {
+	if _, err := restream(o, src, extraPasses); err != nil {
 		t.Fatal(err)
 	}
 	for pass := 0; pass <= extraPasses; pass++ {

@@ -169,7 +169,7 @@ func TestPropertyRestreamConservesLoads(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		parts, err := o.Restream(src, int(passes%3))
+		parts, err := restream(o, src, int(passes%3))
 		if err != nil {
 			return false
 		}

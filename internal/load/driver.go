@@ -297,7 +297,7 @@ func (d *Driver) execute(ctx context.Context, o op) Outcome {
 		d.mu.Unlock()
 		return outcomeOf(err)
 	case opRefine:
-		err := d.cl.Refine(ctx, o.s.id, 1, 0)
+		err := d.cl.Refine(ctx, o.s.id, 1)
 		d.unlease(o.s)
 		return outcomeOf(err)
 	case opStatus:

@@ -265,3 +265,41 @@ func TestLevelCutsSumEqualsEdgeCut(t *testing.T) {
 		t.Fatalf("level cuts sum %v != edge cut %d", sum, EdgeCut(g, parts))
 	}
 }
+
+// TestPartialPartition: unassigned nodes (negative entries, or past the
+// end of a short vector) carry no load and no edge into them counts.
+func TestPartialPartition(t *testing.T) {
+	top := hierarchy.MustTopology(hierarchy.MustSpec("2:2"), hierarchy.MustDistances("1:10"))
+	// Path 0-1-2-3 with node 1 unassigned and node 3 past the end: no
+	// edge has two assigned endpoints.
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 3)
+	b.AddEdge(0, 2)
+	g := b.Finish()
+	for _, parts := range [][]int32{{0, -1, 2, -1}, {0, -1, 2}} {
+		if c := EdgeCut(g, parts); c != 1 {
+			t.Errorf("%v: cut %d, want 1 (edge 0-2 only)", parts, c)
+		}
+		if j := MappingCost(g, parts, top); j != 10 {
+			t.Errorf("%v: J %v, want 10", parts, j)
+		}
+		if cuts := LevelCuts(g, parts, top); cuts[0] != 0 || cuts[1] != 1 {
+			t.Errorf("%v: level cuts %v, want [0 1]", parts, cuts)
+		}
+		if loads := BlockLoads(g, parts, 4); loads[0] != 1 || loads[2] != 1 || loads[1]+loads[3] != 0 {
+			t.Errorf("%v: loads %v", parts, loads)
+		}
+		// Assigned weight 2 over k = 4: average 0.5, max 1.
+		if im := Imbalance(g, parts, 4); im != 1 {
+			t.Errorf("%v: imbalance %v, want 1", parts, im)
+		}
+		if err := CheckBalanced(g, parts, 4, 0.03); err == nil {
+			t.Errorf("%v: incomplete partition accepted", parts)
+		}
+	}
+	if im := Imbalance(g, []int32{-1, -1, -1, -1}, 4); im != 0 {
+		t.Errorf("nothing assigned: imbalance %v, want 0", im)
+	}
+}

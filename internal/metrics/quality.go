@@ -2,6 +2,11 @@
 // of the paper's evaluation (§4): edge-cut, balance, the process-mapping
 // communication cost J, geometric means, improvement percentages, and
 // performance profiles.
+//
+// A partition may be partial: a node whose entry is negative, or missing
+// because the vector is shorter than the graph, is unassigned. It carries
+// no load, and no edge into it counts. Only CheckBalanced, a completeness
+// check, rejects such a partition.
 package metrics
 
 import (
@@ -11,25 +16,47 @@ import (
 	"oms/internal/hierarchy"
 )
 
+// blockOf returns u's block, or -1 when u is unassigned.
+func blockOf(parts []int32, u int32) int32 {
+	if int(u) >= len(parts) || parts[u] < 0 {
+		return -1
+	}
+	return parts[u]
+}
+
+// assignedEdges calls fn once per undirected edge whose endpoints are
+// both assigned, with their blocks and the edge's weight.
+func assignedEdges(g *graph.Graph, parts []int32, fn func(pu, pv, w int32)) {
+	n := g.NumNodes()
+	for u := int32(0); u < n; u++ {
+		pu := blockOf(parts, u)
+		if pu < 0 {
+			continue
+		}
+		ew := g.EdgeWeights(u)
+		for i, v := range g.Neighbors(u) {
+			pv := blockOf(parts, v)
+			if v <= u || pv < 0 {
+				continue
+			}
+			w := int32(1)
+			if ew != nil {
+				w = ew[i]
+			}
+			fn(pu, pv, w)
+		}
+	}
+}
+
 // EdgeCut returns the total weight of edges crossing blocks, each
 // undirected edge counted once.
 func EdgeCut(g *graph.Graph, parts []int32) int64 {
 	var cut int64
-	n := g.NumNodes()
-	for u := int32(0); u < n; u++ {
-		adj := g.Neighbors(u)
-		ew := g.EdgeWeights(u)
-		pu := parts[u]
-		for i, v := range adj {
-			if v > u && parts[v] != pu {
-				if ew != nil {
-					cut += int64(ew[i])
-				} else {
-					cut++
-				}
-			}
+	assignedEdges(g, parts, func(pu, pv, w int32) {
+		if pu != pv {
+			cut += int64(w)
 		}
-	}
+	})
 	return cut
 }
 
@@ -38,22 +65,27 @@ func BlockLoads(g *graph.Graph, parts []int32, k int32) []int64 {
 	loads := make([]int64, k)
 	n := g.NumNodes()
 	for u := int32(0); u < n; u++ {
-		loads[parts[u]] += int64(g.NodeWeight(u))
+		if p := blockOf(parts, u); p >= 0 {
+			loads[p] += int64(g.NodeWeight(u))
+		}
 	}
 	return loads
 }
 
 // Imbalance returns max_i c(V_i) / (c(V)/k) - 1, the conventional
 // imbalance measure (0 = perfectly balanced, eps = at the constraint).
+// c(V) is the assigned weight, which is the graph's total weight for a
+// complete partition.
 func Imbalance(g *graph.Graph, parts []int32, k int32) float64 {
 	loads := BlockLoads(g, parts, k)
-	var maxLoad int64
+	var maxLoad, total int64
 	for _, l := range loads {
+		total += l
 		if l > maxLoad {
 			maxLoad = l
 		}
 	}
-	avg := float64(g.TotalNodeWeight()) / float64(k)
+	avg := float64(total) / float64(k)
 	if avg == 0 {
 		return 0
 	}
@@ -98,26 +130,11 @@ func lmaxOf(total int64, k int32, eps float64) int64 {
 // ratio reported in the evaluation.)
 func MappingCost(g *graph.Graph, parts []int32, top *hierarchy.Topology) float64 {
 	var cost float64
-	n := g.NumNodes()
-	for u := int32(0); u < n; u++ {
-		adj := g.Neighbors(u)
-		ew := g.EdgeWeights(u)
-		pu := parts[u]
-		for i, v := range adj {
-			if v <= u {
-				continue
-			}
-			d := top.PEDistance(pu, parts[v])
-			if d == 0 {
-				continue
-			}
-			w := 1.0
-			if ew != nil {
-				w = float64(ew[i])
-			}
-			cost += w * d
+	assignedEdges(g, parts, func(pu, pv, w int32) {
+		if d := top.PEDistance(pu, pv); d != 0 {
+			cost += float64(w) * d
 		}
-	}
+	})
 	return cost
 }
 
@@ -129,25 +146,10 @@ func MappingCost(g *graph.Graph, parts []int32, top *hierarchy.Topology) float64
 // the mechanism behind the multi-section's mapping quality (paper §3.1).
 func LevelCuts(g *graph.Graph, parts []int32, top *hierarchy.Topology) []float64 {
 	cuts := make([]float64, top.Spec.Levels())
-	n := g.NumNodes()
-	for u := int32(0); u < n; u++ {
-		adj := g.Neighbors(u)
-		ew := g.EdgeWeights(u)
-		pu := parts[u]
-		for i, v := range adj {
-			if v <= u {
-				continue
-			}
-			lvl := top.SharedLevel(pu, parts[v])
-			if lvl < 0 {
-				continue
-			}
-			w := 1.0
-			if ew != nil {
-				w = float64(ew[i])
-			}
-			cuts[lvl] += w
+	assignedEdges(g, parts, func(pu, pv, w int32) {
+		if lvl := top.SharedLevel(pu, pv); lvl >= 0 {
+			cuts[lvl] += float64(w)
 		}
-	}
+	})
 	return cuts
 }

@@ -39,11 +39,7 @@ func NewFennel(cfg Config, st stream.Stats, threads int) (*Fennel, error) {
 	return f, nil
 }
 
-// Name implements Algorithm.
-func (f *Fennel) Name() string { return "Fennel" }
-
-// AlphaValue exposes the computed alpha (used by tests and the tuning
-// experiment).
+// AlphaValue exposes the computed alpha (used by tests).
 func (f *Fennel) AlphaValue() float64 { return f.alpha }
 
 // Assign implements Algorithm.

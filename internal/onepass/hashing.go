@@ -25,9 +25,6 @@ func NewHashing(cfg Config, st stream.Stats) (*Hashing, error) {
 	return &Hashing{shared: s, seed: cfg.Seed}, nil
 }
 
-// Name implements Algorithm.
-func (h *Hashing) Name() string { return "Hashing" }
-
 // Assign implements Algorithm.
 func (h *Hashing) Assign(_ int, u int32, vwgt int32, _ []int32, _ []int32) int32 {
 	b := int32(util.HashMod(uint64(u), h.seed, int(h.k)))

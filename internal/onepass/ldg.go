@@ -27,9 +27,6 @@ func NewLDG(cfg Config, st stream.Stats, threads int) (*LDG, error) {
 	return l, nil
 }
 
-// Name implements Algorithm.
-func (l *LDG) Name() string { return "LDG" }
-
 // Assign implements Algorithm.
 func (l *LDG) Assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32) int32 {
 	sc := l.scratch[worker]

@@ -5,7 +5,11 @@
 // including the O(m + nk) full scan over all k blocks per node that
 // drives the running-time separation in the paper's Figure 2c — and share
 // the vertex-centric shared-memory parallelization of §3.4 (atomic block
-// loads, racy-but-benign neighbor reads).
+// loads, racy-but-benign neighbor reads). Run drives one pass: placements
+// are permanent, and nothing here retracts them. The paper cites the
+// flat ReFennel/ReLDG restreaming of Nishimura and Ugander only as
+// related work; the one restream in this repository is the multi-section
+// tree's (internal/core's RestreamPasses, the paper's §3.2 remapping).
 //
 // The scoring functions are exported separately (FennelScore, LDGScore)
 // because the online recursive multi-section in internal/core scores
@@ -111,25 +115,8 @@ func (s *shared) place(u, b int32, w int64) {
 	atomic.StoreInt32(&s.parts[u], b)
 }
 
-// Unassign removes u from its block (no-op when unassigned), making room
-// for a restreaming pass to re-place it. Sequential passes only.
-func (s *shared) Unassign(u int32, vwgt int32) {
-	b := s.parts[u]
-	if b < 0 {
-		return
-	}
-	s.loads[b] -= int64(vwgt)
-	s.parts[u] = -1
-}
-
 // Assignments exposes the final partition vector.
 func (s *shared) Assignments() []int32 { return s.parts }
-
-// K returns the number of blocks.
-func (s *shared) K() int32 { return s.k }
-
-// LmaxValue returns the balance threshold in use.
-func (s *shared) LmaxValue() int64 { return s.lmax }
 
 // gainScratch accumulates, per worker, the weighted neighbor count per
 // block for the current node using epoch marking (no O(k) clearing).

@@ -41,6 +41,7 @@ type conformanceFixture struct {
 	clusterURL  string // third server with a stub ClusterView that owns nothing
 	liveID      string // declared n=4 m=1, nothing pushed
 	finishedID  string // declared, sealed
+	recordedID  string // recorded path of 4, pushed whole and sealed
 	deletedID   string // was live, deleted (tombstoned)
 	traceID     string // one retained trace (seeded via a sampled traceparent)
 }
@@ -89,6 +90,17 @@ func newConformanceFixture(t *testing.T) *conformanceFixture {
 		t.Fatal(err)
 	}
 	if _, err := fs.Finish(context.Background(), mgr.Pool()); err != nil {
+		t.Fatal(err)
+	}
+	f.recordedID = mk(store.CreateSpec{N: 4, M: 3, K: 2, Record: true})
+	rs, err := mgr.Get(f.recordedID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Ingest(context.Background(), mgr.Pool(), pathNodes(4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Finish(context.Background(), mgr.Pool()); err != nil {
 		t.Fatal(err)
 	}
 	f.deletedID = mk(store.CreateSpec{N: 4, M: 3, K: 2})
@@ -151,6 +163,7 @@ func conformanceTable() []conformanceCase {
 	live := func(f *conformanceFixture) string { return f.liveID }
 	finished := func(f *conformanceFixture) string { return f.finishedID }
 	deleted := func(f *conformanceFixture) string { return f.deletedID }
+	recorded := func(f *conformanceFixture) string { return f.recordedID }
 	unknown := func(f *conformanceFixture) string { return "s0-deadbeef" }
 
 	node99 := `{"u":99,"adj":[]}` + "\n"
@@ -202,6 +215,8 @@ func conformanceTable() []conformanceCase {
 		{"refine/not-finished", "POST", "POST /v1/sessions/{id}/refine", withID("/v1/sessions/%s/refine", live), "", http.StatusConflict, "session_not_finished", "", ""},
 		{"refine/no-stream", "POST", "POST /v1/sessions/{id}/refine", withID("/v1/sessions/%s/refine", finished), "", http.StatusConflict, "stream_not_retained", "", ""},
 		{"refine/bad-json", "POST", "POST /v1/sessions/{id}/refine", withID("/v1/sessions/%s/refine", finished), "{nope", http.StatusBadRequest, "bad_request", "", ""},
+		// Old clients still send the ignored "threads" key.
+		{"refine/old-threads", "POST", "POST /v1/sessions/{id}/refine", withID("/v1/sessions/%s/refine", recorded), `{"passes":1,"threads":2}`, http.StatusAccepted, "", "", ""},
 
 		// GET /v1/sessions/{id}/refine.
 		{"refine-status/unknown", "GET", "GET /v1/sessions/{id}/refine", withID("/v1/sessions/%s/refine", unknown), "", http.StatusNotFound, "session_not_found", "", ""},

@@ -243,9 +243,11 @@ func (q *ingestReq) nextFrame() (store.PushNode, error) {
 
 // nextLine is the NDJSON shim's step: one line, decoded once and
 // immediately encoded into the arena as its canonical wire frame —
-// exactly as a binary client would have sent the node (zero weight is
-// one, an empty edge-weight list is none) — so the log bytes are
-// identical no matter which format carried the stream. A line of the
+// exactly as a binary client would have sent the node (see
+// wire.AppendNodePayload) — so the log bytes are identical no matter
+// which format carried the stream. An empty edge-weight list becomes
+// none in the node handed to the engine too, which rejects an ew whose
+// length differs from adj's. A line of the
 // canonical subset (see wire.ParseNodeLine; every line this repo's
 // client writes) is parsed by hand into the arena, as a binary frame is
 // decoded; any other line goes through json.Unmarshal, which decides
@@ -267,15 +269,11 @@ func (q *ingestReq) nextLine(sc *bufio.Scanner) (store.PushNode, error) {
 			}
 			nd = fb
 		}
-		w := nd.W
-		if w == 0 {
-			w = 1
-		}
 		if len(nd.EW) == 0 {
 			nd.EW = nil
 		}
 		from := len(a.Raw)
-		a.Raw = wire.AppendNodeFrame(a.Raw, nd.U, w, nd.Adj, nd.EW)
+		a.Raw = wire.AppendNodeFrame(a.Raw, nd.U, nd.W, nd.Adj, nd.EW)
 		nd.Frame = a.Raw[from:len(a.Raw):len(a.Raw)]
 		return nd, nil
 	}

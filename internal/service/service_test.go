@@ -48,13 +48,13 @@ func pathSpec(n int32, k int32) store.CreateSpec {
 }
 
 // framed gives hand-built nodes what every node reaching a session has:
-// the canonical wire frame the ingest boundary validated (zero weight
-// encodes as one), which is the node's log record. It is the one
-// framing helper of this package's tests.
+// the canonical wire frame the ingest boundary validated, which is the
+// node's log record. It is the one framing helper of this package's
+// tests.
 func framed(nodes ...store.PushNode) []store.PushNode {
 	for i := range nodes {
 		nd := &nodes[i]
-		nd.Frame = wire.AppendNodeFrame(nil, nd.U, max(nd.W, 1), nd.Adj, nd.EW)
+		nd.Frame = wire.AppendNodeFrame(nil, nd.U, nd.W, nd.Adj, nd.EW)
 	}
 	return nodes
 }

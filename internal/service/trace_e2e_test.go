@@ -267,7 +267,7 @@ func TestTraceCorrelation(t *testing.T) {
 	}
 
 	refineTP, refineTID := client.NewTraceparent(true)
-	if err := cl.Refine(client.ContextWithTraceparent(context.Background(), refineTP), created.ID, 2, 0); err != nil {
+	if err := cl.Refine(client.ContextWithTraceparent(context.Background(), refineTP), created.ID, 2); err != nil {
 		t.Fatal(err)
 	}
 

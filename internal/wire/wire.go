@@ -117,14 +117,18 @@ func AppendSvarint(buf []byte, v int64) []byte {
 }
 
 // AppendNodePayload appends the canonical node-record payload (type
-// byte included) for one node. A zero w encodes as written; decoders
-// normalize it to 1.
+// byte included) for one node: a zero w encodes as 1 and an empty ew as
+// none, so every writer's frame for a node is the same bytes. Decoders
+// still read a zero weight as 1, for frames written elsewhere.
 func AppendNodePayload(buf []byte, u, w int32, adj, ew []int32) []byte {
+	if w == 0 {
+		w = 1
+	}
 	buf = append(buf, TypeNode)
 	buf = binary.AppendUvarint(buf, uint64(uint32(u)))
 	buf = binary.AppendUvarint(buf, uint64(uint32(w)))
 	var flags byte
-	if ew != nil {
+	if len(ew) > 0 {
 		flags |= 1
 	}
 	buf = append(buf, flags)

@@ -50,12 +50,25 @@ func TestNodeRoundTrip(t *testing.T) {
 
 func TestNodeZeroWeightDecodesAsOne(t *testing.T) {
 	var arena Arena
-	nd, err := DecodeNodeInto(&arena, AppendNodePayload(nil, 4, 0, []int32{1}, nil))
+	// u = 4, w = 0, no edge weights, one neighbour at delta 1-4: written
+	// by hand, since AppendNodePayload never encodes a zero weight.
+	payload := AppendSvarint([]byte{TypeNode, 4, 0, 0, 1}, -3)
+	nd, err := DecodeNodeInto(&arena, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nd.W != 1 {
 		t.Fatalf("w = %d, want 1", nd.W)
+	}
+}
+
+// TestNodePayloadCanonical: the encoder writes a zero weight as 1 and an
+// empty edge-weight list as none, so every writer's frame for one node
+// is the same bytes.
+func TestNodePayloadCanonical(t *testing.T) {
+	want := AppendNodePayload(nil, 4, 1, []int32{1}, nil)
+	if got := AppendNodePayload(nil, 4, 0, []int32{1}, []int32{}); !bytes.Equal(got, want) {
+		t.Fatalf("payload % x, want % x", got, want)
 	}
 }
 

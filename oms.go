@@ -275,9 +275,10 @@ func MapGraph(g *Graph, top *Topology, opt Options) (*Result, error) {
 }
 
 // Restream improves a partition or mapping with extra sequential passes
-// in the spirit of ReFennel/ReLDG (the paper's remapping extension): each
-// pass re-scores every node with full knowledge of the previous pass,
-// first removing the node's weight from its old root-to-leaf path.
+// over the multi-section tree: the paper's §3.2 remapping extension, in
+// the spirit of ReFennel/ReLDG. After the first pass, each pass re-scores
+// every node with full knowledge of the previous pass, first removing the
+// node's weight from its old root-to-leaf path.
 // Passes counts the additional passes after the first; top may be nil for
 // plain partitioning (then k and opt.Base define the hierarchy).
 func Restream(src Source, k int32, top *Topology, passes int, opt Options) (*Result, error) {
@@ -298,7 +299,10 @@ func Restream(src Source, k int32, top *Topology, passes int, opt Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	parts, err := o.Restream(src, passes)
+	if _, err := o.Run(src); err != nil {
+		return nil, err
+	}
+	parts, err := o.RestreamPasses(src, passes)
 	if err != nil {
 		return nil, err
 	}

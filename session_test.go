@@ -469,3 +469,48 @@ func TestPushAssignedReplaysExactly(t *testing.T) {
 		}
 	}
 }
+
+// TestPartialResultMetrics: a session finished before every node arrived
+// leaves the missing nodes at -1. They carry no load, and no edge into
+// them counts toward the cut, the mapping cost or the level cuts;
+// CheckBalanced still rejects the result as incomplete.
+func TestPartialResultMetrics(t *testing.T) {
+	g := oms.GenGrid2D(2, 2, false) // edges 0-1, 0-2, 1-3, 2-3
+	st := oms.StreamStats{N: 4, M: 4, TotalNodeWeight: 4, TotalEdgeWeight: 4}
+	s, err := oms.NewSession(oms.SessionConfig{Stats: st, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := int32(0); u < 2; u++ {
+		if _, err := s.Push(u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Parts[2] != -1 || res.Parts[3] != -1 {
+		t.Fatalf("never-pushed nodes assigned: %v", res.Parts)
+	}
+	wantCut, wantImb := int64(0), 1.0 // the only edge between pushed nodes is 0-1
+	if res.Parts[0] != res.Parts[1] {
+		wantCut, wantImb = 1, 0
+	}
+	if got := res.EdgeCut(g); got != wantCut {
+		t.Errorf("edge cut %d, want %d (parts %v)", got, wantCut, res.Parts)
+	}
+	if got := res.Imbalance(g); got != wantImb {
+		t.Errorf("imbalance %v, want %v (parts %v)", got, wantImb, res.Parts)
+	}
+	top := oms.MustTopology("2", "1")
+	if got := res.LevelCuts(g, top); !slices.Equal(got, []float64{float64(wantCut)}) {
+		t.Errorf("level cuts %v, want [%d]", got, wantCut)
+	}
+	if got := res.MappingCost(g, top); got != float64(wantCut) {
+		t.Errorf("mapping cost %v, want %d", got, wantCut)
+	}
+	if err := res.CheckBalanced(g, oms.DefaultEpsilon); err == nil {
+		t.Error("CheckBalanced accepted a partial result")
+	}
+}

@@ -1,9 +1,6 @@
 package oms
 
-import (
-	"oms/internal/onepass"
-	"oms/internal/stream"
-)
+import "oms/internal/stream"
 
 // StreamOrder selects the node arrival order of an ordered source. The
 // paper streams instances in their natural order; the other orders
@@ -32,49 +29,4 @@ type OrderedSource = stream.Reordered
 // matters only for OrderRandom.
 func NewOrderedSource(g *Graph, order StreamOrder, seed uint64) *OrderedSource {
 	return stream.NewReordered(g, order, seed)
-}
-
-// RestreamOnePass runs a flat one-pass partitioner (Fennel or LDG) and
-// then improves it with extra sequential restreaming passes — the
-// ReFennel/ReLDG scheme of Nishimura and Ugander: each pass retracts a
-// node and re-places it with full knowledge of the previous pass.
-// ScorerHashing does not benefit and is rejected.
-func RestreamOnePass(src Source, k int32, scorer Scorer, passes int, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	st, err := src.Stats()
-	if err != nil {
-		return nil, err
-	}
-	cfg := onepass.Config{K: k, Epsilon: opt.Epsilon, Gamma: opt.Gamma, Seed: opt.Seed}
-	threads := opt.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	var alg onepass.Algorithm
-	switch scorer {
-	case ScorerFennel:
-		alg, err = onepass.NewFennel(cfg, st, threads)
-	case ScorerLDG:
-		alg, err = onepass.NewLDG(cfg, st, threads)
-	default:
-		return nil, &UnsupportedScorerError{Scorer: scorer}
-	}
-	if err != nil {
-		return nil, err
-	}
-	parts, err := onepass.Restream(src, alg, passes, threads)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Parts: parts, K: k, Lmax: onepass.Lmax(st.TotalNodeWeight, k, opt.Epsilon)}, nil
-}
-
-// UnsupportedScorerError reports a scorer that cannot drive the
-// requested operation.
-type UnsupportedScorerError struct {
-	Scorer Scorer
-}
-
-func (e *UnsupportedScorerError) Error() string {
-	return "oms: scorer " + e.Scorer.String() + " does not support this operation"
 }

@@ -1,7 +1,6 @@
 package oms_test
 
 import (
-	"errors"
 	"testing"
 
 	"oms"
@@ -41,37 +40,5 @@ func TestOrderedSourceBFSHelpsOnMesh(t *testing.T) {
 	if natural.EdgeCut(g) >= random.EdgeCut(g) {
 		t.Fatalf("natural order cut %d not below random order cut %d",
 			natural.EdgeCut(g), random.EdgeCut(g))
-	}
-}
-
-func TestRestreamOnePassImproves(t *testing.T) {
-	g := oms.GenRMATCitation(8192, 40000, 11)
-	k := int32(32)
-	src := oms.NewMemorySource(g)
-	base, err := oms.PartitionOnePass(src, k, oms.ScorerFennel, oms.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := oms.RestreamOnePass(src, k, oms.ScorerFennel, 2, oms.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.EdgeCut(g) > base.EdgeCut(g) {
-		t.Fatalf("restreaming worsened cut: %d -> %d", base.EdgeCut(g), re.EdgeCut(g))
-	}
-	if err := re.CheckBalanced(g, oms.DefaultEpsilon); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRestreamOnePassRejectsHashing(t *testing.T) {
-	g := oms.GenErdosRenyi(1000, 3000, 1)
-	_, err := oms.RestreamOnePass(oms.NewMemorySource(g), 4, oms.ScorerHashing, 1, oms.Options{})
-	if err == nil {
-		t.Fatal("hashing restream accepted")
-	}
-	var unsupported *oms.UnsupportedScorerError
-	if !errors.As(err, &unsupported) {
-		t.Fatalf("wrong error type: %v", err)
 	}
 }

@@ -27,11 +27,7 @@ func WriteWireStream(w io.Writer, g *Graph) error {
 		return err
 	}
 	for u := int32(0); u < g.NumNodes(); u++ {
-		ew := g.EdgeWeights(u)
-		if len(ew) == 0 {
-			ew = nil
-		}
-		buf = wire.AppendNodeFrame(buf[:0], u, g.NodeWeight(u), g.Neighbors(u), ew)
+		buf = wire.AppendNodeFrame(buf[:0], u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u))
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
