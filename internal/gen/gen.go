@@ -20,11 +20,15 @@
 // order with the same locality character as the natural order of the real
 // instances (spatial sort for geometric graphs, generation order for the
 // preferential-attachment families), which is what one-pass partitioners
-// are sensitive to.
+// are sensitive to. A seed also names a byte-stable graph across commits:
+// TestGoldenDigests pins a SHA-256 of the CSR arrays of every generator
+// at fixed sizes and seeds, so a faster construction may not renumber
+// nodes or reorder adjacency.
 package gen
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"oms/internal/graph"
 	"oms/internal/util"
@@ -36,29 +40,23 @@ type point struct {
 }
 
 // mortonOrder sorts points by Morton (Z-curve) cell index so that nearby
-// ids are nearby in space; resolution 1024x1024 cells.
+// ids are nearby in space; resolution 1024x1024 cells. Points sharing a
+// cell keep the order this unstable pdqsort leaves them in, which the
+// seeded graphs' node numbering depends on: a stable or radix sort would
+// renumber them.
 func mortonOrder(pts []point) {
-	keys := make([]uint64, len(pts))
-	idx := make([]int32, len(pts))
-	for i, p := range pts {
-		keys[i] = morton2(uint32(p.x*1024), uint32(p.y*1024))
-		idx[i] = int32(i)
+	type keyed struct {
+		key uint64
+		p   point
 	}
-	sort.Sort(&mortonSorter{keys, idx, pts})
-}
-
-type mortonSorter struct {
-	keys []uint64
-	idx  []int32
-	pts  []point
-}
-
-func (s *mortonSorter) Len() int           { return len(s.keys) }
-func (s *mortonSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *mortonSorter) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
-	s.pts[i], s.pts[j] = s.pts[j], s.pts[i]
+	ks := make([]keyed, len(pts))
+	for i, p := range pts {
+		ks[i] = keyed{morton2(uint32(p.x*1024), uint32(p.y*1024)), p}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+	for i := range ks {
+		pts[i] = ks[i].p
+	}
 }
 
 func morton2(x, y uint32) uint64 {

@@ -25,8 +25,9 @@ func RandomGeometric(n int32, radiusFactor float64, seed uint64) *graph.Graph {
 }
 
 // geometricEdges connects all pairs within distance r using a uniform grid
-// with cell side r, scanning only the 4 forward-neighbor cells plus own
-// cell to emit each edge once.
+// with cell side r: every unordered pair of cells within reach is scanned
+// once, a cell with itself and with its 4 forward neighbours, so each
+// edge is emitted once.
 func geometricEdges(pts []point, r float64) *graph.Graph {
 	n := int32(len(pts))
 	cells := int(1/r) + 1
@@ -62,27 +63,41 @@ func geometricEdges(pts []point, r float64) *graph.Graph {
 		cursor[c]++
 	}
 	r2 := r * r
+	near := func(u, v int32) bool {
+		// Negation is exact, so the squares do not depend on which
+		// endpoint is subtracted.
+		dx := pts[v].x - pts[u].x
+		dy := pts[v].y - pts[u].y
+		return dx*dx+dy*dy <= r2
+	}
 	b := graph.NewBuilder(n)
-	// For each point, check own cell and 8 neighbors, adding u<v once.
-	for u := int32(0); u < n; u++ {
-		pu := pts[u]
-		cx, cy := cellOf(pu)
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				nx, ny := cx+dx, cy+dy
-				if nx < 0 || ny < 0 || nx >= cells || ny >= cells {
+	// n^2*pi*r^2/2 edges are expected without the boundary's loss, so
+	// the edge buffers are sized once.
+	b.Reserve(int(float64(n) * float64(n) * math.Pi * r2 / 2))
+	forward := [4][2]int{{0, 1}, {1, -1}, {1, 0}, {1, 1}}
+	for cx := 0; cx < cells; cx++ {
+		for cy := 0; cy < cells; cy++ {
+			c := cx*cells + cy
+			own := bucket[count[c]:count[c+1]]
+			for i, u := range own {
+				for _, v := range own[i+1:] {
+					if near(u, v) {
+						b.AddEdge(u, v)
+					}
+				}
+			}
+			for _, d := range forward {
+				nx, ny := cx+d[0], cy+d[1]
+				if nx >= cells || ny < 0 || ny >= cells {
 					continue
 				}
-				c := nx*cells + ny
-				for i := count[c]; i < count[c+1]; i++ {
-					v := bucket[i]
-					if v <= u {
-						continue
-					}
-					ddx := pts[v].x - pu.x
-					ddy := pts[v].y - pu.y
-					if ddx*ddx+ddy*ddy <= r2 {
-						b.AddEdge(u, v)
+				o := nx*cells + ny
+				other := bucket[count[o]:count[o+1]]
+				for _, u := range own {
+					for _, v := range other {
+						if near(u, v) {
+							b.AddEdge(u, v)
+						}
 					}
 				}
 			}

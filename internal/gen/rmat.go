@@ -42,19 +42,13 @@ func RMAT(n int32, m int64, p RMATParams, seed uint64) *graph.Graph {
 		for {
 			u, v = 0, 0
 			for l := 0; l < levels; l++ {
+				// One draw picks the quadrant: [0,A) is (0,0), then B
+				// is (0,1), C is (1,0) and D is (1,1). Both bits come
+				// from comparisons, not a branch per quadrant.
 				r := rng.Float64()
-				// Add per-level noise to avoid the grid artifacts of
-				// pure R-MAT (standard smoothing).
-				switch {
-				case r < p.A:
-				case r < ab:
-					v |= 1 << l
-				case r < abc:
-					u |= 1 << l
-				default:
-					u |= 1 << l
-					v |= 1 << l
-				}
+				ub := b2i(r >= ab)
+				u |= ub << l
+				v |= (b2i(r >= p.A) ^ ub ^ b2i(r >= abc)) << l
 			}
 			if u < int64(n) && v < int64(n) && u != v {
 				break
@@ -63,6 +57,13 @@ func RMAT(n int32, m int64, p RMATParams, seed uint64) *graph.Graph {
 		b.AddEdge(int32(u), int32(v))
 	}
 	return b.Finish()
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // BarabasiAlbert generates a preferential-attachment graph: nodes arrive

@@ -2,7 +2,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Builder accumulates edges and produces a clean CSR Graph: undirected,
@@ -10,12 +11,11 @@ import (
 // adjacency sorted. Generators and IO readers both funnel through it so
 // every Graph in the system satisfies Validate().
 type Builder struct {
-	n     int32
-	us    []int32
-	vs    []int32
-	ws    []int32
-	vwgt  []int32
-	wUsed bool
+	n    int32
+	us   []int32
+	vs   []int32
+	ws   []int32 // nil while every edge weighs 1
+	vwgt []int32
 }
 
 // NewBuilder creates a builder for a graph with n nodes.
@@ -29,15 +29,11 @@ func NewBuilder(n int32) *Builder {
 // Reserve pre-sizes internal buffers for m undirected edges.
 func (b *Builder) Reserve(m int) {
 	if cap(b.us) < m {
-		us := make([]int32, len(b.us), m)
-		copy(us, b.us)
-		b.us = us
-		vs := make([]int32, len(b.vs), m)
-		copy(vs, b.vs)
-		b.vs = vs
-		ws := make([]int32, len(b.ws), m)
-		copy(ws, b.ws)
-		b.ws = ws
+		b.us = slices.Grow(b.us, m-len(b.us))
+		b.vs = slices.Grow(b.vs, m-len(b.vs))
+		if b.ws != nil {
+			b.ws = slices.Grow(b.ws, m-len(b.ws))
+		}
 	}
 }
 
@@ -56,12 +52,18 @@ func (b *Builder) AddWeightedEdge(u, v, w int32) {
 	if w <= 0 {
 		panic(fmt.Sprintf("graph: non-positive edge weight %d", w))
 	}
-	if w != 1 {
-		b.wUsed = true
+	if w != 1 && b.ws == nil {
+		// The first non-unit weight: every edge before it weighed 1.
+		b.ws = make([]int32, len(b.us), cap(b.us))
+		for i := range b.ws {
+			b.ws[i] = 1
+		}
 	}
 	b.us = append(b.us, u)
 	b.vs = append(b.vs, v)
-	b.ws = append(b.ws, w)
+	if b.ws != nil {
+		b.ws = append(b.ws, w)
+	}
 }
 
 // SetNodeWeight assigns c(u) = w (default 1). The weight vector grows
@@ -91,59 +93,121 @@ func (b *Builder) SetNodeWeight(u, w int32) {
 	b.vwgt[u] = w
 }
 
-// Finish builds the CSR graph. The builder must not be reused afterwards.
-//
-// Construction is O(m log d): bucket both edge directions by counting sort
-// on the source, then sort and merge each adjacency list.
+// WeightOverflowError reports parallel edges {U,V} whose weights sum past
+// math.MaxInt32, the largest edge weight a Graph holds.
+type WeightOverflowError struct {
+	U, V int32
+}
+
+func (e *WeightOverflowError) Error() string {
+	return fmt.Sprintf("graph: merged weight of edge {%d,%d} exceeds %d", e.U, e.V, math.MaxInt32)
+}
+
+// Finish builds the CSR graph in O(n + m); see Build. It panics where
+// Build returns an error, so callers whose edge weights cannot sum past
+// math.MaxInt32 (unit weights, generators) need not check.
 func (b *Builder) Finish() *Graph {
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// Build builds the CSR graph, or returns a *WeightOverflowError if
+// parallel edges merge to a weight above math.MaxInt32. The builder must
+// not be reused afterwards.
+//
+// Construction is O(n + m) with no comparison sort: a counting sort on
+// the source buckets both directions of every edge into unsorted rows,
+// then one transpose visits the rows in ascending id and appends each id
+// to its neighbours' rows, which leaves every row sorted. The arc set is
+// symmetric, so the transpose is the graph itself, with parallel arcs
+// adjacent for the merge. Unit-weight input gets a weight array only
+// once a parallel edge merges; a merged unit edge weighs its multiplicity.
+func (b *Builder) Build() (*Graph, error) {
 	n := b.n
-	deg := make([]int64, n+1)
-	for i := range b.us {
-		deg[b.us[i]+1]++
-		deg[b.vs[i]+1]++
+	xadj := make([]int64, n+1)
+	for i, u := range b.us {
+		xadj[u+1]++
+		xadj[b.vs[i]+1]++
 	}
 	for u := int32(0); u < n; u++ {
-		deg[u+1] += deg[u]
+		xadj[u+1] += xadj[u]
 	}
-	xadj := deg // reuse: deg is now the prefix sum == provisional Xadj
-	adj := make([]int32, xadj[n])
-	wgt := make([]int32, xadj[n])
+	arcs := xadj[n]
+
+	// Scatter each edge into both endpoints' rows. The cursors count down
+	// from each row's end, so the pass leaves them at the row starts the
+	// transpose fills from.
 	cursor := make([]int64, n)
-	for u := int32(0); u < n; u++ {
-		cursor[u] = xadj[u]
+	copy(cursor, xadj[1:])
+	rows := make([]int32, arcs)
+	var rowW []int32
+	if b.ws != nil {
+		rowW = make([]int32, arcs)
 	}
-	put := func(u, v, w int32) {
-		adj[cursor[u]] = v
-		wgt[cursor[u]] = w
-		cursor[u]++
-	}
-	for i := range b.us {
-		put(b.us[i], b.vs[i], b.ws[i])
-		put(b.vs[i], b.us[i], b.ws[i])
+	for i, u := range b.us {
+		v := b.vs[i]
+		cu, cv := cursor[u]-1, cursor[v]-1
+		cursor[u], cursor[v] = cu, cv
+		rows[cu], rows[cv] = v, u
+		if rowW != nil {
+			rowW[cu], rowW[cv] = b.ws[i], b.ws[i]
+		}
 	}
 	b.us, b.vs, b.ws = nil, nil, nil
 
-	// Sort each adjacency list and merge duplicates in place.
-	outXadj := make([]int64, n+1)
-	var write int64
+	adj := make([]int32, arcs)
+	var wgt []int32
+	if rowW != nil {
+		wgt = make([]int32, arcs)
+	}
 	for u := int32(0); u < n; u++ {
-		lo, hi := xadj[u], xadj[u+1]
-		seg := adjSorter{adj[lo:hi], wgt[lo:hi]}
-		sort.Sort(seg)
-		outXadj[u] = write
-		var last int32 = -1
-		for i := lo; i < hi; i++ {
-			if adj[i] == last {
-				wgt[write-1] += wgt[i]
-				continue
+		for j := xadj[u]; j < xadj[u+1]; j++ {
+			v := rows[j]
+			adj[cursor[v]] = u
+			if wgt != nil {
+				wgt[cursor[v]] = rowW[j]
 			}
-			adj[write] = adj[i]
-			wgt[write] = wgt[i]
-			last = adj[i]
-			write++
+			cursor[v]++
 		}
 	}
-	outXadj[n] = write
+
+	// Merge parallel arcs in place; xadj compacts as the rows shrink.
+	var write, lo int64
+	for u := int32(0); u < n; u++ {
+		hi := xadj[u+1]
+		xadj[u] = write
+		last := int32(-1)
+		for i := lo; i < hi; i++ {
+			v := adj[i]
+			if v != last {
+				adj[write] = v
+				if wgt != nil {
+					wgt[write] = wgt[i]
+				}
+				write++
+				last = v
+				continue
+			}
+			if wgt == nil {
+				// The first merge of unit-weight input: the scatter
+				// rows are dead, so they become the weights, all 1.
+				wgt = rows
+				for k := range wgt {
+					wgt[k] = 1
+				}
+			}
+			sum := int64(wgt[write-1]) + int64(wgt[i])
+			if sum > math.MaxInt32 {
+				return nil, &WeightOverflowError{U: u, V: v}
+			}
+			wgt[write-1] = int32(sum)
+		}
+		lo = hi
+	}
+	xadj[n] = write
 	if b.vwgt != nil && int32(len(b.vwgt)) != n {
 		// Pad the lazily grown weight vector to its declared length.
 		padded := make([]int32, n)
@@ -154,35 +218,14 @@ func (b *Builder) Finish() *Graph {
 		b.vwgt = padded
 	}
 	g := &Graph{
-		Xadj:   outXadj,
+		Xadj:   xadj,
 		Adjncy: adj[:write:write],
 		VWgt:   b.vwgt,
 	}
-	if b.wUsed || hasMergedWeights(wgt[:write]) {
+	if wgt != nil {
 		g.AdjWgt = wgt[:write:write]
 	}
-	return g
-}
-
-func hasMergedWeights(w []int32) bool {
-	for _, x := range w {
-		if x != 1 {
-			return true
-		}
-	}
-	return false
-}
-
-type adjSorter struct {
-	adj []int32
-	wgt []int32
-}
-
-func (s adjSorter) Len() int           { return len(s.adj) }
-func (s adjSorter) Less(i, j int) bool { return s.adj[i] < s.adj[j] }
-func (s adjSorter) Swap(i, j int) {
-	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
-	s.wgt[i], s.wgt[j] = s.wgt[j], s.wgt[i]
+	return g, nil
 }
 
 // FromAdjacency builds a graph directly from per-node neighbor lists

@@ -131,9 +131,9 @@ func (g *Graph) HasEdge(u, v int32) bool {
 }
 
 // Validate checks structural invariants: monotone Xadj, neighbor ids in
-// range, no self loops, symmetric adjacency with matching weights, sorted
-// neighbor lists without duplicates. It is O(m log d) and intended for
-// tests and after-IO checks, not hot paths.
+// range, no self loops, positive edge weights, symmetric adjacency with
+// matching weights, sorted neighbor lists without duplicates. It is
+// O(m log d) and intended for tests and after-IO checks, not hot paths.
 func (g *Graph) Validate() error {
 	n := g.NumNodes()
 	if n < 0 {
@@ -158,6 +158,11 @@ func (g *Graph) Validate() error {
 	}
 	if g.VWgt != nil && len(g.VWgt) != int(n) {
 		return errors.New("graph: VWgt length mismatch")
+	}
+	for i, w := range g.AdjWgt {
+		if w <= 0 {
+			return fmt.Errorf("graph: non-positive edge weight %d at arc %d", w, i)
+		}
 	}
 	for u := int32(0); u < n; u++ {
 		adj := g.Neighbors(u)

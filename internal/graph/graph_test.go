@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -244,6 +246,123 @@ func TestBuilderRandomGraphsValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuilderMatchesReference: for random edge multisets mixing unit and
+// weighted edges, Build produces exactly the CSR arrays of a naive
+// reference (sorted distinct neighbours, weights summed), with AdjWgt
+// present only when some edge weighs more than 1.
+func TestBuilderMatchesReference(t *testing.T) {
+	f := func(seed uint64, nRaw uint8, mRaw uint16, weighted bool) bool {
+		n := int32(nRaw%40) + 1
+		m := int(mRaw % 400)
+		rng := util.NewRNG(seed)
+		b := NewBuilder(n)
+		sum := map[[2]int32]int64{}
+		for i := 0; i < m; i++ {
+			u, v, w := int32(rng.Intn(int(n))), int32(rng.Intn(int(n))), int32(1)
+			if weighted && rng.Intn(4) == 0 {
+				w = int32(1 + rng.Intn(9))
+			}
+			b.AddWeightedEdge(u, v, w)
+			if u != v {
+				sum[[2]int32{u, v}] += int64(w)
+				sum[[2]int32{v, u}] += int64(w)
+			}
+		}
+		g, err := b.Build()
+		if err != nil || g.Validate() != nil {
+			return false
+		}
+		heavy := false
+		for _, w := range sum {
+			heavy = heavy || w > 1
+		}
+		if heavy != (g.AdjWgt != nil) {
+			return false
+		}
+		var arcs int64
+		for u := int32(0); u < n; u++ {
+			if g.Xadj[u] != arcs {
+				return false
+			}
+			for v := int32(0); v < n; v++ {
+				w, ok := sum[[2]int32{u, v}]
+				if !ok {
+					continue
+				}
+				if g.Adjncy[arcs] != v || (heavy && int64(g.AdjWgt[arcs]) != w) {
+					return false
+				}
+				arcs++
+			}
+		}
+		return g.Xadj[n] == arcs && int64(len(g.Adjncy)) == arcs
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBuilderLateWeightKeepsEarlierUnitEdges(t *testing.T) {
+	b := NewBuilder(4)
+	b.Reserve(3)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddWeightedEdge(2, 3, 6)
+	g := b.Finish()
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.EdgeWeights(1); len(got) != 2 || got[0] != 1 || got[1] != 1 {
+		t.Fatalf("node 1 weights %v, want [1 1]", got)
+	}
+	if g.TotalEdgeWeight() != 8 {
+		t.Fatalf("total edge weight %d want 8", g.TotalEdgeWeight())
+	}
+}
+
+func TestBuildReportsWeightOverflow(t *testing.T) {
+	b := NewBuilder(3)
+	b.AddWeightedEdge(0, 1, math.MaxInt32-1)
+	b.AddEdge(1, 0) // sums to exactly MaxInt32: still representable
+	b.AddWeightedEdge(2, 1, math.MaxInt32)
+	b.AddWeightedEdge(1, 2, 1)
+	_, err := b.Build()
+	var ov *WeightOverflowError
+	if !errors.As(err, &ov) || ov.U != 1 || ov.V != 2 {
+		t.Fatalf("Build error %v, want overflow of edge {1,2}", err)
+	}
+
+	b = NewBuilder(2)
+	b.AddWeightedEdge(0, 1, math.MaxInt32-1)
+	b.AddEdge(1, 0)
+	if g := b.Finish(); g.EdgeWeights(0)[0] != math.MaxInt32 {
+		t.Fatalf("merged weight %d want %d", g.EdgeWeights(0)[0], math.MaxInt32)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Finish did not panic on an overflowing merge")
+		}
+	}()
+	b = NewBuilder(2)
+	b.AddWeightedEdge(0, 1, math.MaxInt32)
+	b.AddWeightedEdge(0, 1, math.MaxInt32)
+	b.Finish()
+}
+
+func TestValidateCatchesNonPositiveWeight(t *testing.T) {
+	for _, w := range []int32{0, -2} {
+		g := &Graph{
+			Xadj:   []int64{0, 1, 2},
+			Adjncy: []int32{1, 0},
+			AdjWgt: []int32{w, w},
+		}
+		if err := g.Validate(); err == nil {
+			t.Fatalf("edge weight %d passed validation", w)
+		}
 	}
 }
 

@@ -85,7 +85,11 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, map[int64]int32, error) {
 	for _, e := range edges {
 		b.AddWeightedEdge(e.u, e.v, e.w)
 	}
-	return b.Finish(), idOf, nil
+	g, err := b.Build()
+	if err != nil {
+		return nil, nil, overflowError(err, func(id int32) int64 { return order[id] })
+	}
+	return g, idOf, nil
 }
 
 func parseInt64(s string) (int64, error) {

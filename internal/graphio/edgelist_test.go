@@ -80,10 +80,19 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"negative-ish id": "a b\n",
 		"bad weight":      "0 1 x\n",
 		"zero weight":     "0 1 0\n",
+		"weight overflow": "0 1 1073741824\n1 0 1073741824\n",
 	} {
 		if _, _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Fatalf("%s: accepted %q", name, in)
 		}
+	}
+}
+
+func TestReadEdgeListNamesOverflowingEdge(t *testing.T) {
+	in := "7 40 3\n40 90 1073741824\n90 40 1073741824\n"
+	_, _, err := ReadEdgeList(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "edge {40,90}") {
+		t.Fatalf("error %v, want one naming edge {40,90}", err)
 	}
 }
 

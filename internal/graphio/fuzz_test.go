@@ -26,6 +26,7 @@ func FuzzReadMetis(f *testing.F) {
 	f.Add([]byte("% comment\n 3 1 \n2\n1\n\n"))
 	f.Add([]byte("4 3 010\n9 2\n1 1 3\n1 2\n1\n"))
 	f.Add([]byte("999999999 999999999\n1\n"))
+	f.Add([]byte("2 1 1\n2 2147483647 2 2147483647\n1 2147483647 1 2147483647\n"))
 	f.Add([]byte(""))
 	f.Add([]byte("x y\n"))
 
@@ -70,6 +71,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add([]byte("% also comment\n5 6\n6 5\n5 6\n"))
 	f.Add([]byte("18446744073709551615 1\n"))
 	f.Add([]byte("1 2 0\n"))
+	f.Add([]byte("0 1 1073741824\n1 0 1073741824\n"))
 	f.Add([]byte("-3 4\n"))
 	f.Add([]byte(""))
 

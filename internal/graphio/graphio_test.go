@@ -146,6 +146,9 @@ func TestReadMetisErrors(t *testing.T) {
 		"2 1 1\n2\n1\n",      // missing edge weight
 		"2 1 10\nx 2\n1 1\n", // bad node weight
 		"2 1 1\n2 0\n1 0\n",  // non-positive edge weight
+		// Parallel edges whose weights sum past MaxInt32 (they wrapped
+		// to -2 once).
+		"2 1 1\n2 2147483647 2 2147483647\n1 2147483647 1 2147483647\n",
 	}
 	// An overstated edge header ("2 5\n2\n1\n") is tolerated per the
 	// reader contract (some public instances have such headers);
@@ -154,6 +157,14 @@ func TestReadMetisErrors(t *testing.T) {
 		if _, err := ReadMetis(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q accepted", in)
 		}
+	}
+}
+
+func TestReadMetisNamesOverflowingEdge(t *testing.T) {
+	in := "3 2 1\n2 1\n1 1 3 2147483647 3 9\n2 2147483647 2 9\n"
+	_, err := ReadMetis(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "edge {2,3}") {
+		t.Fatalf("error %v, want one naming edge {2,3}", err)
 	}
 }
 

@@ -6,8 +6,10 @@ package graphio
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"oms/internal/graph"
@@ -108,7 +110,10 @@ func ReadMetis(r io.Reader) (*graph.Graph, error) {
 	if u != h.N {
 		return nil, fmt.Errorf("graphio: header says %d nodes, file has %d adjacency lines", h.N, u)
 	}
-	g := b.Finish()
+	g, err := b.Build()
+	if err != nil {
+		return nil, overflowError(err, func(id int32) int64 { return int64(id) + 1 })
+	}
 	if g.NumEdges() != h.M {
 		// Tolerate, but only for files with duplicate/self edges; strict
 		// inputs produced by WriteMetis always round-trip exactly.
@@ -117,6 +122,16 @@ func ReadMetis(r io.Reader) (*graph.Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// overflowError rewrites the builder's merged-weight overflow to name the
+// edge by the ids of the file it came from.
+func overflowError(err error, fileID func(int32) int64) error {
+	var ov *graph.WeightOverflowError
+	if errors.As(err, &ov) {
+		return fmt.Errorf("graphio: edge {%d,%d}: parallel edge weights sum past %d", fileID(ov.U), fileID(ov.V), math.MaxInt32)
+	}
+	return err
 }
 
 // WriteMetis writes g in METIS format, emitting weight sections only when

@@ -306,7 +306,10 @@ func (s *Session) PushBatch(nodes []Node) ([]int32, error) {
 	// before touching any engine state.
 	fresh := make([]int, 0, len(nodes))
 	var freshEdges int64
-	seen := make(map[int32]struct{})
+	// A repeat can only follow a smaller or equal fresh id, so the set
+	// of fresh ids is built only once they stop strictly increasing.
+	var seen map[int32]struct{}
+	top := int32(-1)
 	for i := range nodes {
 		nd := &nodes[i]
 		if nd.U < 0 || nd.U >= s.n {
@@ -318,10 +321,19 @@ func (s *Session) PushBatch(nodes []Node) ([]int32, error) {
 		if s.o.AssignmentOf(nd.U) >= 0 {
 			continue
 		}
-		if _, dup := seen[nd.U]; dup {
-			continue
+		if nd.U <= top && seen == nil {
+			seen = make(map[int32]struct{}, len(nodes))
+			for _, j := range fresh {
+				seen[nodes[j].U] = struct{}{}
+			}
 		}
-		seen[nd.U] = struct{}{}
+		if seen != nil {
+			if _, dup := seen[nd.U]; dup {
+				continue
+			}
+			seen[nd.U] = struct{}{}
+		}
+		top = max(top, nd.U)
 		fresh = append(fresh, i)
 		freshEdges += int64(len(nd.Adj))
 	}

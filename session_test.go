@@ -391,6 +391,35 @@ func TestPushBatchIdempotentAndAtomic(t *testing.T) {
 	}
 }
 
+// TestPushBatchRepeatsOutOfOrder: a repeat counts once wherever it falls,
+// whether the ids before it were increasing (0 2 4 then 2) or not (the
+// repeats of 3 and 1 after the descent to 1).
+func TestPushBatchRepeatsOutOfOrder(t *testing.T) {
+	s, err := oms.NewSession(oms.SessionConfig{Stats: oms.StreamStats{N: 8, M: 8}, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int32{0, 2, 4, 2, 3, 1, 3, 5, 1}
+	nodes := make([]oms.Node, len(ids))
+	for i, u := range ids {
+		nodes[i] = oms.Node{U: u}
+	}
+	blocks, err := s.PushBatch(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Assigned(); got != 6 {
+		t.Fatalf("assigned %d, want the 6 distinct ids", got)
+	}
+	first := map[int32]int32{}
+	for i, u := range ids {
+		if b, ok := first[u]; ok && b != blocks[i] {
+			t.Fatalf("repeat of node %d got block %d, first occurrence %d", u, blocks[i], b)
+		}
+		first[u] = blocks[i]
+	}
+}
+
 // TestPushBatchLeavesCallerSliceAlone: a zero Node.W means weight 1, but
 // PushBatch reads it that way without writing it back. A rejected batch
 // changes nothing, the caller's slice included, and an accepted one only
