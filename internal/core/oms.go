@@ -13,17 +13,23 @@
 // which all super-blocks follow (leaf ranges).
 //
 // The walk reads u's adjacency once. The leaf ids of its assigned
-// neighbours go into a per-worker scratch list, and every level scans
-// that list and narrows it, in place and in order, to the neighbours
-// inside the child it descends into: the edge work is m plus the
-// survivors summed over the scored levels, never more than the m*l of
-// Theorem 2 and close to m where neighbours scatter over the tree. The
-// scratch is O(max degree) per worker, the order of the adjacency buffer
-// every stream source holds already, so Theorem 1 stands. A sequential
-// run is bit-identical to one that rescans the adjacency at every level
-// (same gain sums in the same order, same tie-breaks; a test oracle keeps
-// that walk and checks it). With Threads > 1 the list is one snapshot of
-// the racily read neighbour assignments of §3.4.
+// neighbours go into a per-worker scratch list with their least and
+// greatest id. Leaf ranges nest, so while both ends lie in one child of
+// the block being split, every neighbour does, and the level costs O(1)
+// however long the list is: that child's gain is the list's count or
+// weight, and the list stands. A level the ends miss empties it in O(1).
+// Only a level whose ends lie in two children, and every level below it,
+// scans the list, narrowing it in place and in order to the neighbours
+// inside the block being split. The edge work is m for the gather plus
+// the survivors of the levels that scan, never more than the m*l of
+// Theorem 2: on a local graph, whose neighbours share a child down most
+// of the path, it is close to m. The scratch is O(max degree) per worker,
+// the order of the adjacency buffer every stream source holds already, so
+// Theorem 1 stands. A sequential run is bit-identical to one that rescans
+// the adjacency at every level (same gain sums in the same order, same
+// tie-breaks; a test oracle keeps that walk and checks it). With
+// Threads > 1 the list is one snapshot of the racily read neighbour
+// assignments of §3.4.
 //
 // A level still visits its a_i children, as Theorem 2 counts them, but
 // most of them cost little. gather and narrow choose their loop once per
@@ -178,11 +184,22 @@ type block struct {
 // id and, on weighted streams only, edge weight, in adjacency order (grown
 // to the largest degree seen). Together with the child records of the
 // block being split it is all one level of the walk touches.
+//
+// lo and hi bound the leaf ids in leaf. gather sets them to the least and
+// greatest id it found (lo > hi when it found none), and they stay exact
+// until a scan drops neighbours, which widens them to [MinInt32,
+// MaxInt32], a bound no block lies inside, so from that level on the
+// node's walk scans. sum is the total of wt over leaf in order, valid iff
+// summed: narrow adds it up the first time it needs it, at most once per
+// node, and so never after a scan has shortened the list.
 type levelScratch struct {
 	gain     []float64
 	leaf     []int32
 	wt       []float64
 	weighted bool
+	lo, hi   int32
+	sum      float64
+	summed   bool
 }
 
 // New prepares an OMS run over the given multi-section tree for a stream
@@ -373,15 +390,16 @@ func (o *OMS) unassign(u int32, vwgt int32) {
 // rescoring on CAS failure enforces the balance constraint outright.
 //
 // gather reads the adjacency once; every scored level then calls narrow,
-// which scans only the neighbours still inside the block being split:
-// edge work m + sum of survivors <= m*l, scratch O(max degree) per
-// worker. The list keeps adjacency order, so gains are summed in the
-// order a rescan of adj would sum them and a sequential run is
-// bit-identical to one. Under parallel streaming the gather is one
-// snapshot of §3.4's racy neighbour reads: a neighbour another worker
-// places later is not seen further down either. Hashed levels are the
-// bottom ones of every path and read no neighbours, so the list is
-// neither built nor narrowed there.
+// which settles the level in O(1) while the neighbours' bounds lie in one
+// child (or miss the block) and otherwise scans only the neighbours still
+// inside the parent block: edge work m + the survivors of the levels that
+// scan <= m*l, scratch O(max degree) per worker. The list keeps adjacency
+// order, so gains are summed in the order a rescan of adj would sum them
+// and a sequential run is bit-identical to one. Under parallel streaming
+// the gather is one snapshot of §3.4's racy neighbour reads: a neighbour
+// another worker places later is not seen further down either. Hashed
+// levels are the bottom ones of every path and read no neighbours, so the
+// list is neither built nor narrowed there.
 //
 // Each level reads the record of the block being split and the adjacent
 // records of its children; the chosen child's record then describes the
@@ -426,8 +444,9 @@ func (o *OMS) assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32)
 
 // gather fills the scratch with the leaf id of every assigned neighbour,
 // in adjacency order, and with the edge weights beside them when the
-// stream has any. Like narrow, it picks its loop once per node: an
-// unweighted stream never tests ewgt per neighbour.
+// stream has any, and records the least and greatest leaf id. Like
+// narrow, it picks its loop once per node: an unweighted stream never
+// tests ewgt per neighbour.
 func (o *OMS) gather(sc *levelScratch, adj []int32, ewgt []int32) {
 	if cap(sc.leaf) < len(adj) {
 		sc.leaf = make([]int32, len(adj)+len(adj)/2)
@@ -435,7 +454,9 @@ func (o *OMS) gather(sc *levelScratch, adj []int32, ewgt []int32) {
 	leaf := sc.leaf[:len(adj)]
 	k := uint32(o.Tree.K)
 	n := 0
+	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	sc.weighted = ewgt != nil
+	sc.summed = false
 	if ewgt == nil {
 		for _, nb := range adj {
 			p := atomic.LoadInt32(&o.parts[nb])
@@ -444,8 +465,11 @@ func (o *OMS) gather(sc *levelScratch, adj []int32, ewgt []int32) {
 			}
 			leaf[n] = p
 			n++
+			lo = min(lo, p)
+			hi = max(hi, p)
 		}
 		sc.leaf = leaf[:n]
+		sc.lo, sc.hi = lo, hi
 		return
 	}
 	if len(sc.wt) < len(adj) {
@@ -461,18 +485,37 @@ func (o *OMS) gather(sc *levelScratch, adj []int32, ewgt []int32) {
 		leaf[n] = p
 		wt[n] = float64(ewgt[i])
 		n++
+		lo = min(lo, p)
+		hi = max(hi, p)
 	}
 	sc.leaf = leaf[:n]
+	sc.lo, sc.hi = lo, hi
 }
 
 // narrow keeps, in order, the gathered neighbours inside tree block v and
-// sums their edge weights per child of v into sc.gain. It has three
-// loops, chosen once per level by sc.weighted and the block's shift. A
-// power-of-two child span (every level of a base-4 tree over a
-// power-of-four k, and of 4:16:8) takes a loop of subtract, compare,
-// shift and add: counting for an unweighted stream, and for a weighted
-// one adding the edge weight and compacting the weights beside the
-// leaves. Other spans take the general loop, which looks the child up
+// sums their edge weights per child of v into sc.gain.
+//
+// It first looks at the bounds alone. The children of v cover contiguous,
+// ordered leaf ranges, so when sc.lo and sc.hi both lie in one child c,
+// every neighbour does: all survive, the list stays as it is, and gain[c]
+// is sc.total(), their count or their weights added in the order the scan
+// adds them. When the bounds miss v, no neighbour survives. Both cost
+// O(1), whatever the list's length. When they lie in v but in different
+// children, every neighbour survives the scan, so the list, its bounds
+// and its sum stand.
+//
+// Otherwise the scan drops the neighbours outside v, and the bounds are
+// widened first, so the rest of the node's walk scans. Tracking the
+// survivors' bounds would cost a min and a max per survivor in every
+// dropping scan; the widened bounds cost nothing, keep sc.sum the
+// gathered list's, and give up the O(1) path only below a drop.
+//
+// The scan has three loops, chosen once per level by sc.weighted and the
+// block's shift. A power-of-two child span (every level of a base-4 tree
+// over a power-of-four k, and of 4:16:8) takes a loop of subtract,
+// compare, shift and add: counting for an unweighted stream, and for a
+// weighted one adding the edge weight and compacting the weights beside
+// the leaves. Other spans take the general loop, which looks the child up
 // through ChildContaining.
 func (o *OMS) narrow(sc *levelScratch, v int32) {
 	b := &o.blk[v]
@@ -481,10 +524,30 @@ func (o *OMS) narrow(sc *levelScratch, v int32) {
 		gain[i] = 0
 	}
 	kl, width := b.kl, b.width
+	lo, hi := sc.lo, sc.hi
+	if uint32(lo-kl) <= width && uint32(hi-kl) <= width {
+		var cl, ch int32
+		if b.shift >= 0 {
+			cl, ch = (lo-kl)>>uint8(b.shift), (hi-kl)>>uint8(b.shift)
+		} else {
+			cl, ch = o.Tree.ChildContaining(v, lo)-b.first, o.Tree.ChildContaining(v, hi)-b.first
+		}
+		if cl == ch {
+			gain[cl] = sc.total()
+			return
+		}
+		// Every neighbour is inside v: the scan keeps them all, so the
+		// bounds and the sum stand.
+	} else if hi < kl || lo > kl+int32(width) {
+		sc.leaf = sc.leaf[:0]
+		return
+	} else {
+		sc.lo, sc.hi = math.MinInt32, math.MaxInt32
+	}
 	leaf := sc.leaf
 	n := 0
 	if b.shift >= 0 {
-		shift := uint8(b.shift)
+		shift := uint8(b.shift) & 31 // < 32: the loops shift without a range fix-up
 		if !sc.weighted {
 			for _, p := range leaf {
 				off := uint32(p - kl)
@@ -529,6 +592,23 @@ func (o *OMS) narrow(sc *levelScratch, v int32) {
 		n++
 	}
 	sc.leaf = leaf[:n]
+}
+
+// total is what a scan would sum into the one child holding every
+// neighbour on the list: their count, or their edge weights added from 0
+// in list order. The weighted sum is taken once per node.
+func (sc *levelScratch) total() float64 {
+	if !sc.weighted {
+		return float64(len(sc.leaf))
+	}
+	if !sc.summed {
+		s := 0.0
+		for _, x := range sc.wt[:len(sc.leaf)] {
+			s += x
+		}
+		sc.sum, sc.summed = s, true
+	}
+	return sc.sum
 }
 
 // maxReserveAttempts bounds rescoring under CAS contention before

@@ -12,6 +12,9 @@
 package multilevel
 
 import (
+	"fmt"
+	"math"
+
 	"oms/internal/graph"
 	"oms/internal/util"
 )
@@ -65,8 +68,8 @@ func heavyEdgeMatching(g *graph.Graph, rng *util.RNG, maxVW int64) []int32 {
 
 // contract collapses matched pairs into single coarse nodes, summing node
 // and parallel edge weights. It returns the coarse graph and the
-// fine-to-coarse node map.
-func contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
+// fine-to-coarse node map, or contractMap's error.
+func contract(g *graph.Graph, match []int32) (*graph.Graph, []int32, error) {
 	n := g.NumNodes()
 	toCoarse := make([]int32, n)
 	next := int32(0)
@@ -81,31 +84,8 @@ func contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
 			toCoarse[u] = toCoarse[match[u]]
 		}
 	}
-	b := graph.NewBuilder(next)
-	cw := make([]int64, next)
-	for u := int32(0); u < n; u++ {
-		cw[toCoarse[u]] += int64(g.NodeWeight(u))
-		adj := g.Neighbors(u)
-		ew := g.EdgeWeights(u)
-		for i, v := range adj {
-			if v <= u {
-				continue
-			}
-			cu, cv := toCoarse[u], toCoarse[v]
-			if cu == cv {
-				continue
-			}
-			w := int32(1)
-			if ew != nil {
-				w = ew[i]
-			}
-			b.AddWeightedEdge(cu, cv, w)
-		}
-	}
-	for c := int32(0); c < next; c++ {
-		b.SetNodeWeight(c, int32(cw[c]))
-	}
-	return b.Finish(), toCoarse
+	coarse, err := contractMap(g, toCoarse, next)
+	return coarse, toCoarse, err
 }
 
 // lpClustering groups nodes into clusters by size-constrained label
@@ -209,8 +189,10 @@ func lpClustering(g *graph.Graph, maxVW int64, rounds int, rng *util.RNG) ([]int
 }
 
 // contractMap collapses an arbitrary fine-to-coarse cluster map into the
-// coarse graph, summing node weights and merging parallel edges.
-func contractMap(g *graph.Graph, toCoarse []int32, numCoarse int32) *graph.Graph {
+// coarse graph, summing node weights and merging parallel edges. A coarse
+// node or edge whose summed weight does not fit a Graph's int32 weights is
+// an error: a *graph.WeightOverflowError for an edge.
+func contractMap(g *graph.Graph, toCoarse []int32, numCoarse int32) (*graph.Graph, error) {
 	n := g.NumNodes()
 	b := graph.NewBuilder(numCoarse)
 	cw := make([]int64, numCoarse)
@@ -233,10 +215,17 @@ func contractMap(g *graph.Graph, toCoarse []int32, numCoarse int32) *graph.Graph
 			b.AddWeightedEdge(cu, cv, w)
 		}
 	}
-	for c := int32(0); c < numCoarse; c++ {
-		b.SetNodeWeight(c, int32(cw[c]))
+	for c, w := range cw {
+		if w > math.MaxInt32 {
+			return nil, fmt.Errorf("multilevel: coarse node %d weighs %d, past %d", c, w, math.MaxInt32)
+		}
+		b.SetNodeWeight(int32(c), int32(w))
 	}
-	return b.Finish()
+	coarse, err := b.Build()
+	if err != nil {
+		return nil, fmt.Errorf("multilevel: coarsening: %w", err)
+	}
+	return coarse, nil
 }
 
 // level is one rung of the multilevel ladder.
@@ -249,17 +238,17 @@ type level struct {
 // clustering stops shrinking the graph). Each step contracts a size-
 // constrained label-propagation clustering; the cluster size cap tightens
 // toward maxVW as the graph shrinks so early rounds cannot produce
-// unsplittable super-nodes.
-func coarsen(g *graph.Graph, targetN int32, maxVW int64, rng *util.RNG) []level {
+// unsplittable super-nodes, and never exceeds math.MaxInt32, the heaviest
+// node a Graph holds. It returns contractMap's error if parallel edges
+// merge past the heaviest edge a Graph holds.
+func coarsen(g *graph.Graph, targetN int32, maxVW int64, rng *util.RNG) ([]level, error) {
 	levels := []level{{g: g}}
 	cur := g
 	for cur.NumNodes() > targetN {
 		// Cap cluster weight at a fraction of the remaining shrink head-
-		// room: at most maxVW, at least the current max node weight.
-		cap := cur.TotalNodeWeight() / int64(targetN)
-		if cap > maxVW {
-			cap = maxVW
-		}
+		// room: at most maxVW and math.MaxInt32, at least the current max
+		// node weight.
+		cap := min(cur.TotalNodeWeight()/int64(targetN), maxVW, math.MaxInt32)
 		if cap < 1 {
 			cap = 1
 		}
@@ -270,10 +259,13 @@ func coarsen(g *graph.Graph, targetN int32, maxVW int64, rng *util.RNG) []level 
 		if float64(num) > 0.98*float64(cur.NumNodes()) {
 			break
 		}
-		coarse := contractMap(cur, clusterOf, num)
+		coarse, err := contractMap(cur, clusterOf, num)
+		if err != nil {
+			return nil, err
+		}
 		levels[len(levels)-1].toCoarse = clusterOf
 		levels = append(levels, level{g: coarse})
 		cur = coarse
 	}
-	return levels
+	return levels, nil
 }

@@ -177,7 +177,10 @@ func TestLPClusteringShrinksPowerLawFasterThanMatching(t *testing.T) {
 func TestContractMapPreservesTotals(t *testing.T) {
 	g := gen.Delaunay(1200, 9)
 	cluster, num := lpClustering(g, 40, 3, util.NewRNG(2))
-	coarse := contractMap(g, cluster, num)
+	coarse, err := contractMap(g, cluster, num)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := coarse.Validate(); err != nil {
 		t.Fatal(err)
 	}

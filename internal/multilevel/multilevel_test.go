@@ -46,7 +46,10 @@ func TestMatchingRespectsWeightCap(t *testing.T) {
 func TestContractPreservesTotals(t *testing.T) {
 	g := gen.Delaunay(1000, 3)
 	match := heavyEdgeMatching(g, util.NewRNG(2), 1<<40)
-	coarse, toCoarse := contract(g, match)
+	coarse, toCoarse, err := contract(g, match)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := coarse.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +89,10 @@ func TestContractCutInvariant(t *testing.T) {
 	// must have exactly the same cut.
 	g := gen.RandomGeometric(1500, 0.55, 5)
 	match := heavyEdgeMatching(g, util.NewRNG(3), 1<<40)
-	coarse, toCoarse := contract(g, match)
+	coarse, toCoarse, err := contract(g, match)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cparts := make([]int32, coarse.NumNodes())
 	rng := util.NewRNG(7)
 	for i := range cparts {
@@ -103,7 +109,10 @@ func TestContractCutInvariant(t *testing.T) {
 
 func TestCoarsenLadderShrinks(t *testing.T) {
 	g := gen.Delaunay(4000, 9)
-	levels := coarsen(g, 200, 1<<40, util.NewRNG(1))
+	levels, err := coarsen(g, 200, 1<<40, util.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(levels) < 2 {
 		t.Fatal("no coarsening happened")
 	}

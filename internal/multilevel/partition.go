@@ -26,7 +26,9 @@ type Options struct {
 
 // Partition computes a balanced k-way partition of g with the multilevel
 // scheme. The result satisfies the paper's balance constraint
-// c(V_i) <= ceil((1+eps) c(V)/k).
+// c(V_i) <= ceil((1+eps) c(V)/k). Coarsening that would merge parallel
+// edges past math.MaxInt32 is an error wrapping a
+// *graph.WeightOverflowError.
 func Partition(g *graph.Graph, k int32, opt Options) ([]int32, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("multilevel: k=%d < 1", k)
@@ -65,7 +67,10 @@ func Partition(g *graph.Graph, k int32, opt Options) ([]int32, error) {
 	if targetN < 2*k {
 		targetN = 2 * k
 	}
-	levels := coarsen(g, targetN, maxVW, rng)
+	levels, err := coarsen(g, targetN, maxVW, rng)
+	if err != nil {
+		return nil, err
+	}
 
 	caps := make([]int64, k)
 	for b := range caps {
