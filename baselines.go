@@ -21,16 +21,12 @@ func PartitionOnePass(src Source, k int32, scorer Scorer, opt Options) (*Result,
 		return nil, err
 	}
 	cfg := onepass.Config{K: k, Epsilon: opt.Epsilon, Gamma: opt.Gamma, Seed: opt.Seed}
-	threads := opt.Threads
-	if threads < 1 {
-		threads = 1
-	}
 	var alg onepass.Algorithm
 	switch scorer {
 	case ScorerFennel:
-		alg, err = onepass.NewFennel(cfg, st, threads)
+		alg, err = onepass.NewFennel(cfg, st, 1)
 	case ScorerLDG:
-		alg, err = onepass.NewLDG(cfg, st, threads)
+		alg, err = onepass.NewLDG(cfg, st)
 	case ScorerHashing:
 		alg, err = onepass.NewHashing(cfg, st)
 	default:
@@ -39,7 +35,7 @@ func PartitionOnePass(src Source, k int32, scorer Scorer, opt Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	parts, err := onepass.Run(src, alg, threads)
+	parts, err := onepass.Run(src, alg)
 	if err != nil {
 		return nil, err
 	}

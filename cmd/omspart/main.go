@@ -6,16 +6,15 @@
 //
 //	omspart -graph web.metis -k 1024
 //
-// Process mapping onto a 4:16:8 machine (OMS), loaded into memory and
-// streamed by 8 threads:
+// Process mapping onto a 4:16:8 machine (OMS), loaded into memory first:
 //
-//	omspart -graph web.metis -topo 4:16:8 -dist 1:10:100 -inmemory -threads 8
+//	omspart -graph web.metis -topo 4:16:8 -dist 1:10:100 -inmemory
 //
 // Comparators: -alg fennel | ldg | hashing | multilevel | offline.
 // multilevel and offline load the whole graph into memory; the streaming
-// algorithms run from disk unless -inmemory is set. A pass from disk
-// parses ahead on a core of its own and assigns in file order on one
-// worker whatever -threads says: use -inmemory for a parallel pass.
+// algorithms run from disk unless -inmemory is set. Every streaming pass
+// assigns in stream order on one goroutine; a pass from disk parses ahead
+// on a core of its own.
 package main
 
 import (
@@ -36,7 +35,6 @@ func main() {
 		distStr   = flag.String("dist", "1:10:100", "level distances d1:d2:...:dl")
 		alg       = flag.String("alg", "oms", "oms | fennel | ldg | hashing | multilevel | offline")
 		eps       = flag.Float64("eps", 0.03, "allowed imbalance")
-		threads   = flag.Int("threads", 1, "streaming worker threads; use -inmemory for a parallel pass (from disk the pass runs in file order on one worker)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		base      = flag.Int("base", 4, "artificial hierarchy base (nh-OMS)")
 		hashLay   = flag.Int("hashlayers", 0, "bottom layers solved by Hashing (hybrid OMS)")
@@ -50,7 +48,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*graphPath, *k, *topoStr, *distStr, *alg, *eps, *threads, *seed, *base, *hashLay, *inMemory, *orderStr, *outPath); err != nil {
+	if err := run(*graphPath, *k, *topoStr, *distStr, *alg, *eps, *seed, *base, *hashLay, *inMemory, *orderStr, *outPath); err != nil {
 		fmt.Fprintln(os.Stderr, "omspart:", err)
 		os.Exit(1)
 	}
@@ -73,7 +71,7 @@ func parseOrder(s string) (oms.StreamOrder, error) {
 	}
 }
 
-func run(graphPath string, k int, topoStr, distStr, alg string, eps float64, threads int, seed uint64, base, hashLayers int, inMemory bool, orderStr, outPath string) error {
+func run(graphPath string, k int, topoStr, distStr, alg string, eps float64, seed uint64, base, hashLayers int, inMemory bool, orderStr, outPath string) error {
 	var top *oms.Topology
 	if topoStr != "" {
 		t, err := oms.NewTopology(topoStr, distStr)
@@ -89,7 +87,6 @@ func run(graphPath string, k int, topoStr, distStr, alg string, eps float64, thr
 
 	opt := oms.Options{
 		Epsilon:    eps,
-		Threads:    threads,
 		Seed:       seed,
 		Base:       int32(base),
 		HashLayers: hashLayers,

@@ -23,7 +23,7 @@ func writeTestGraph(t *testing.T) string {
 func TestRunPlainPartition(t *testing.T) {
 	path := writeTestGraph(t)
 	out := filepath.Join(t.TempDir(), "parts.txt")
-	if err := run(path, 16, "", "1:10:100", "oms", 0.03, 1, 1, 4, 0, false, "natural", out); err != nil {
+	if err := run(path, 16, "", "1:10:100", "oms", 0.03, 1, 4, 0, false, "natural", out); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -50,7 +50,7 @@ func TestRunPlainPartition(t *testing.T) {
 
 func TestRunMapping(t *testing.T) {
 	path := writeTestGraph(t)
-	if err := run(path, 0, "4:4:2", "1:10:100", "oms", 0.03, 2, 1, 4, 0, false, "natural", ""); err != nil {
+	if err := run(path, 0, "4:4:2", "1:10:100", "oms", 0.03, 1, 4, 0, false, "natural", ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,47 +58,47 @@ func TestRunMapping(t *testing.T) {
 func TestRunAllAlgorithms(t *testing.T) {
 	path := writeTestGraph(t)
 	for _, alg := range []string{"fennel", "ldg", "hashing", "multilevel"} {
-		if err := run(path, 8, "", "1:10:100", alg, 0.03, 1, 1, 4, 0, false, "natural", ""); err != nil {
+		if err := run(path, 8, "", "1:10:100", alg, 0.03, 1, 4, 0, false, "natural", ""); err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
 	}
-	if err := run(path, 0, "2:2:2", "1:10:100", "offline", 0.03, 1, 1, 4, 0, false, "natural", ""); err != nil {
+	if err := run(path, 0, "2:2:2", "1:10:100", "offline", 0.03, 1, 4, 0, false, "natural", ""); err != nil {
 		t.Fatalf("offline: %v", err)
 	}
 }
 
 func TestRunInMemoryFlag(t *testing.T) {
 	path := writeTestGraph(t)
-	if err := run(path, 8, "", "1:10:100", "oms", 0.03, 1, 1, 4, 0, true, "natural", ""); err != nil {
+	if err := run(path, 8, "", "1:10:100", "oms", 0.03, 1, 4, 0, true, "natural", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunHybridLayers(t *testing.T) {
 	path := writeTestGraph(t)
-	if err := run(path, 0, "4:4:2", "1:10:100", "oms", 0.03, 1, 1, 4, 2, false, "natural", ""); err != nil {
+	if err := run(path, 0, "4:4:2", "1:10:100", "oms", 0.03, 1, 4, 2, false, "natural", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	path := writeTestGraph(t)
-	if err := run(path, 0, "", "1:10:100", "oms", 0.03, 1, 1, 4, 0, false, "natural", ""); err == nil {
+	if err := run(path, 0, "", "1:10:100", "oms", 0.03, 1, 4, 0, false, "natural", ""); err == nil {
 		t.Fatal("missing k and topo accepted")
 	}
-	if err := run(path, 8, "", "1:10:100", "bogus", 0.03, 1, 1, 4, 0, false, "natural", ""); err == nil {
+	if err := run(path, 8, "", "1:10:100", "bogus", 0.03, 1, 4, 0, false, "natural", ""); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	if err := run(path, 8, "", "1:10:100", "offline", 0.03, 1, 1, 4, 0, false, "natural", ""); err == nil {
+	if err := run(path, 8, "", "1:10:100", "offline", 0.03, 1, 4, 0, false, "natural", ""); err == nil {
 		t.Fatal("offline without topo accepted")
 	}
-	if err := run(path, 0, "4:x", "1:10", "oms", 0.03, 1, 1, 4, 0, false, "natural", ""); err == nil {
+	if err := run(path, 0, "4:x", "1:10", "oms", 0.03, 1, 4, 0, false, "natural", ""); err == nil {
 		t.Fatal("bad topology accepted")
 	}
-	if err := run(filepath.Join(t.TempDir(), "missing.metis"), 8, "", "1:10:100", "oms", 0.03, 1, 1, 4, 0, false, "natural", ""); err == nil {
+	if err := run(filepath.Join(t.TempDir(), "missing.metis"), 8, "", "1:10:100", "oms", 0.03, 1, 4, 0, false, "natural", ""); err == nil {
 		t.Fatal("missing graph accepted")
 	}
-	if err := run(path, 8, "", "1:10:100", "oms", 0.03, 1, 1, 4, 0, false, "sideways", ""); err == nil {
+	if err := run(path, 8, "", "1:10:100", "oms", 0.03, 1, 4, 0, false, "sideways", ""); err == nil {
 		t.Fatal("unknown order accepted")
 	}
 }
@@ -106,7 +106,7 @@ func TestRunErrors(t *testing.T) {
 func TestRunStreamOrders(t *testing.T) {
 	path := writeTestGraph(t)
 	for _, order := range []string{"random", "degree-desc", "degree-asc", "bfs"} {
-		if err := run(path, 8, "", "1:10:100", "oms", 0.03, 1, 1, 4, 0, false, order, ""); err != nil {
+		if err := run(path, 8, "", "1:10:100", "oms", 0.03, 1, 4, 0, false, order, ""); err != nil {
 			t.Fatalf("%s: %v", order, err)
 		}
 	}

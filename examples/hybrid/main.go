@@ -34,7 +34,7 @@ func main() {
 	var baseJ, baseT float64
 	for h := 0; h <= 3; h++ {
 		start := time.Now()
-		res, err := oms.MapGraph(g, top, oms.Options{HashLayers: h, Threads: 4})
+		res, err := oms.MapGraph(g, top, oms.Options{HashLayers: h})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -71,7 +71,7 @@ func RunStreamOrder(cfg Config, progressW io.Writer) (*Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					parts, err = onepass.Run(src, f, 1)
+					parts, err = onepass.Run(src, f)
 					if err != nil {
 						return nil, err
 					}

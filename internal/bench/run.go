@@ -69,19 +69,19 @@ func Execute(g *graph.Graph, sp RunSpec) ([]int32, error) {
 		if err != nil {
 			return nil, err
 		}
-		return onepass.Run(src, alg, 1)
+		return onepass.Run(src, alg)
 	case AlgLDG:
-		alg, err := onepass.NewLDG(cfg, st, 1)
+		alg, err := onepass.NewLDG(cfg, st)
 		if err != nil {
 			return nil, err
 		}
-		return onepass.Run(src, alg, 1)
+		return onepass.Run(src, alg)
 	case AlgFennel:
 		alg, err := onepass.NewFennel(cfg, st, 1)
 		if err != nil {
 			return nil, err
 		}
-		return onepass.Run(src, alg, 1)
+		return onepass.Run(src, alg)
 	case AlgOMS:
 		if sp.Top == nil {
 			return nil, fmt.Errorf("bench: OMS requires a topology (use nh-OMS for plain partitioning)")

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"oms/internal/onepass"
 	"oms/internal/stream"
@@ -175,5 +174,5 @@ func (o *OMS) AssignmentOf(u int32) int32 {
 	if int(u) >= len(o.parts) {
 		return -1
 	}
-	return atomic.LoadInt32(&o.parts[u])
+	return o.parts[u]
 }

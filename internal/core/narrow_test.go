@@ -78,7 +78,7 @@ func TestNarrowMatchesReferenceAlongPaths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc := o.scratch[0]
+			sc := &o.scratch
 			// Levels by what the reference did to a non-empty list.
 			var oneChild, emptied, splitAll, dropped int
 			for trial := 0; trial < 400; trial++ {
@@ -280,7 +280,7 @@ func TestWalkTransitionsMatchRescanOracle(t *testing.T) {
 					for v := tree.Root; !tree.IsLeaf(v) && o.blk[v].scored; v = tree.ChildContaining(v, o.parts[u]) {
 						lastGain, leaf, wt = refNarrow(tree, v, leaf, wt)
 					}
-					sc := o.scratch[0]
+					sc := &o.scratch
 					if !slices.Equal(sc.leaf, leaf) {
 						t.Fatalf("walk to leaf %d left list %v, reference %v", o.parts[u], sc.leaf, leaf)
 					}
@@ -337,7 +337,7 @@ func TestAdaptiveTransitionsMatchRescanOracle(t *testing.T) {
 					}
 					o.AssignNode(u, vwgt, adj, ewgt)
 					ref.rescanAssign(u, vwgt, adj, ewgt)
-					sc := o.scratch[0]
+					sc := &o.scratch
 					if !boundsExactOrOff(sc) {
 						t.Fatalf("node %d: bounds [%d, %d] for list %v", u, sc.lo, sc.hi, sc.leaf)
 					}

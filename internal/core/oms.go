@@ -13,23 +13,28 @@
 // which all super-blocks follow (leaf ranges).
 //
 // The walk reads u's adjacency once. The leaf ids of its assigned
-// neighbours go into a per-worker scratch list with their least and
-// greatest id. Leaf ranges nest, so while both ends lie in one child of
-// the block being split, every neighbour does, and the level costs O(1)
-// however long the list is: that child's gain is the list's count or
-// weight, and the list stands. A level the ends miss empties it in O(1).
+// neighbours go into a scratch list with their least and greatest id.
+// Leaf ranges nest, so while both ends lie in one child of the block
+// being split, every neighbour does, and the level costs O(1) however
+// long the list is: that child's gain is the list's count or weight, and
+// the list stands. A level the ends miss empties it in O(1).
 // Only a level whose ends lie in two children, and every level below it,
 // scans the list, narrowing it in place and in order to the neighbours
 // inside the block being split. The edge work is m for the gather plus
 // the survivors of the levels that scan, never more than the m*l of
 // Theorem 2: on a local graph, whose neighbours share a child down most
-// of the path, it is close to m. The scratch is O(max degree) per worker,
-// the order of the adjacency buffer every stream source holds already, so
-// Theorem 1 stands. A sequential run is bit-identical to one that rescans
-// the adjacency at every level (same gain sums in the same order, same
-// tie-breaks; a test oracle keeps that walk and checks it). With
-// Threads > 1 the list is one snapshot of the racily read neighbour
-// assignments of §3.4.
+// of the path, it is close to m. The scratch is O(max degree), the order
+// of the adjacency buffer every stream source holds already, so Theorem 1
+// stands. A run is bit-identical to one that rescans the adjacency at
+// every level (same gain sums in the same order, same tie-breaks; a test
+// oracle keeps that walk and checks it).
+//
+// Every pass assigns in stream order on one goroutine. The paper's §3.4
+// fans the node loop out over shared-memory workers with atomic block
+// loads and racy neighbour reads; on a 2-core host that fan-out ran at
+// 0.85x (RGG, k = 4096) and 1.10x (RMAT on 4:16:8) of one worker, with a
+// slightly higher cut, so it is not reproduced here and loads and
+// assignments are plain fields.
 //
 // A level still visits its a_i children, as Theorem 2 counts them, but
 // most of them cost little. gather and narrow choose their loop once per
@@ -104,9 +109,8 @@ type Config struct {
 	// Theorem 3). 0 disables hybridization.
 	HashLayers int
 	Seed       uint64
-	// Threads is the worker count for Run. Values <= 1 select the
-	// sequential, deterministic driver (the zero value is sequential on
-	// purpose: parallelism is opt-in as in the paper's experiments).
+	// Threads is accepted and ignored: Run assigns in stream order on
+	// one worker. Blocked 1A(h) removes it.
 	Threads int
 	// Adaptive opens an open-ended run: the stats passed to New become
 	// optional hints, an online estimator projects the final totals from
@@ -145,19 +149,15 @@ type OMS struct {
 	// growth); serialized with assignment like est.
 	coverage int32
 
-	// scratch holds one levelScratch per configured worker, indexed by
-	// the worker id Run's parallel driver hands out; the sequential
-	// entries (AssignNode, restream passes) walk scratch[0].
-	scratch []*levelScratch
+	// scratch is the walk's per-node state, reused from node to node.
+	scratch levelScratch
 }
 
 // block is one tree block's record. load is the only field the walk
-// writes: atomically, except in sequential restream passes, which is why
-// it is a plain int64 (their retraction needs no locked instruction).
-// cap and alpha change only when applyStats runs; the rest is a copy of
-// the tree's shape, fixed in New. A level of the walk reads the parent's
-// record for first..scored and its children's adjacent records for load,
-// cap and alpha.
+// writes. cap and alpha change only when applyStats runs; the rest is a
+// copy of the tree's shape, fixed in New. A level of the walk reads the
+// parent's record for first..scored and its children's adjacent records
+// for load, cap and alpha.
 type block struct {
 	load  int64   // charged node weight
 	cap   int64   // t(v) * Lmax (§3.3 heterogeneous capacities)
@@ -178,7 +178,7 @@ type block struct {
 	even bool
 }
 
-// levelScratch is one worker's state for the node it is assigning: the
+// levelScratch is the walk's state for the node it is assigning: the
 // gain accumulated per child of the current subproblem (fanout-sized,
 // cleared per level) and the assigned neighbours still inside it — leaf
 // id and, on weighted streams only, edge weight, in adjacency order (grown
@@ -251,15 +251,7 @@ func New(tree *hierarchy.Tree, st stream.Stats, cfg Config) (*OMS, error) {
 	for i := range o.parts {
 		o.parts[i] = -1
 	}
-	workers := cfg.Threads
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		o.scratch = append(o.scratch, &levelScratch{
-			gain: make([]float64, tree.MaxFanout),
-		})
-	}
+	o.scratch.gain = make([]float64, tree.MaxFanout)
 	return o, nil
 }
 
@@ -289,7 +281,7 @@ func (o *OMS) K() int32 { return o.Tree.K }
 func (o *OMS) TreeLoads() []int64 {
 	out := make([]int64, len(o.blk))
 	for i := range o.blk {
-		out[i] = atomic.LoadInt64(&o.blk[i].load)
+		out[i] = o.blk[i].load
 	}
 	return out
 }
@@ -302,13 +294,12 @@ func (o *OMS) AlphaOf(v int32) float64 { return o.blk[v].alpha }
 // the same assignment path Run drives internally. Callers stream nodes in
 // any order they like, one call per node; a sequence of AssignNode calls
 // in natural node order is bit-identical to a sequential Run over the
-// same stream. AssignNode walks worker 0's scratch, so it is not safe
-// for concurrent use, nor concurrent with Run: Run is the only parallel
-// driver. Calling it twice for the same node double-charges the tree
+// same stream. It is not safe for concurrent use, nor concurrent with
+// Run. Calling it twice for the same node double-charges the tree
 // loads, so gate re-pushes at the call site (AssignmentOf reports
 // whether a node was already placed).
 func (o *OMS) AssignNode(u int32, vwgt int32, adj []int32, ewgt []int32) int32 {
-	o.assign(0, u, vwgt, adj, ewgt)
+	o.assign(u, vwgt, adj, ewgt)
 	return o.parts[u]
 }
 
@@ -324,22 +315,15 @@ func (o *OMS) ForceAssign(u int32, vwgt int32, leaf int32) {
 	v := t.Root
 	for !t.IsLeaf(v) {
 		v = t.ChildContaining(v, leaf)
-		atomic.AddInt64(&o.blk[v].load, int64(vwgt))
+		o.blk[v].load += int64(vwgt)
 	}
-	atomic.StoreInt32(&o.parts[u], leaf)
+	o.parts[u] = leaf
 }
 
-// Run performs the single streaming pass (Algorithm 1) and returns the
-// partition vector. With cfg.Threads > 1 over a source that holds its
-// nodes (stream.Parallel), the node loop is parallelized in the
-// vertex-centric fashion of §3.4: block loads are incremented atomically
-// and neighbor assignments are read racily (a not-yet-visible neighbor
-// simply contributes no gain, exactly as in the paper's OpenMP scheme).
+// Run performs the single streaming pass (Algorithm 1) in stream order
+// and returns the partition vector.
 func (o *OMS) Run(src stream.Source) ([]int32, error) {
-	err := stream.Parallel(src, o.cfg.Threads, func(w int, u int32, vwgt int32, adj []int32, ewgt []int32) {
-		o.assign(w, u, vwgt, adj, ewgt)
-	})
-	if err != nil {
+	if err := src.ForEach(o.assign); err != nil {
 		return nil, err
 	}
 	return o.parts, nil
@@ -357,7 +341,7 @@ func (o *OMS) RestreamPasses(src stream.Source, extraPasses int) ([]int32, error
 	for p := 0; p < extraPasses; p++ {
 		err := src.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) {
 			o.unassign(u, vwgt)
-			o.assign(0, u, vwgt, adj, ewgt)
+			o.assign(u, vwgt, adj, ewgt)
 		})
 		if err != nil {
 			return nil, err
@@ -366,8 +350,7 @@ func (o *OMS) RestreamPasses(src stream.Source, extraPasses int) ([]int32, error
 	return o.parts, nil
 }
 
-// unassign removes u's weight from its current path (sequential passes
-// only).
+// unassign removes u's weight from its current path.
 func (o *OMS) unassign(u int32, vwgt int32) {
 	leaf := o.parts[u]
 	if leaf < 0 {
@@ -381,31 +364,26 @@ func (o *OMS) unassign(u int32, vwgt int32) {
 }
 
 // assign walks node u from the root to a leaf (the per-node body of
-// Algorithm 1). Under parallel streaming the chosen block is reserved
-// with a compare-and-swap that re-validates its capacity: the paper
-// leaves this race open ("a block can still be overloaded if multiple
-// threads decide to assign a node to it at the same time"), but because
-// the capacities of a block's children sum exactly to its own, a node
-// reserved into the parent always fits into some child (unit weights), so
-// rescoring on CAS failure enforces the balance constraint outright.
+// Algorithm 1), charging u's weight to the chosen child at every level.
+// scoreChild and hashChild return a child with room for it, or, when no
+// child has room (heavily weighted nodes can fragment so that none fits),
+// the least relatively loaded one, which takes the overflow.
 //
 // gather reads the adjacency once; every scored level then calls narrow,
 // which settles the level in O(1) while the neighbours' bounds lie in one
 // child (or miss the block) and otherwise scans only the neighbours still
 // inside the parent block: edge work m + the survivors of the levels that
-// scan <= m*l, scratch O(max degree) per worker. The list keeps adjacency
-// order, so gains are summed in the order a rescan of adj would sum them
-// and a sequential run is bit-identical to one. Under parallel streaming
-// the gather is one snapshot of §3.4's racy neighbour reads: a neighbour
-// another worker places later is not seen further down either. Hashed
-// levels are the bottom ones of every path and read no neighbours, so the
-// list is neither built nor narrowed there.
+// scan <= m*l, scratch O(max degree). The list keeps adjacency order, so
+// gains are summed in the order a rescan of adj would sum them and a run
+// is bit-identical to one. Hashed levels are the bottom ones of every
+// path and read no neighbours, so the list is neither built nor narrowed
+// there.
 //
 // Each level reads the record of the block being split and the adjacent
 // records of its children; the chosen child's record then describes the
 // next level.
-func (o *OMS) assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32) {
-	sc := o.scratch[worker]
+func (o *OMS) assign(u int32, vwgt int32, adj []int32, ewgt []int32) {
+	sc := &o.scratch
 	v := o.Tree.Root
 	b := &o.blk[v]
 	w := int64(vwgt)
@@ -416,30 +394,15 @@ func (o *OMS) assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32)
 		if b.scored {
 			o.narrow(sc, v)
 		}
-		var chosen int32
-		for attempt := 0; ; attempt++ {
-			// A failed reserve rescores against the loads as they are
-			// now; the gains stand.
-			if b.scored {
-				chosen = o.scoreChild(sc.gain[:b.count], b.first, b.even, w)
-			} else {
-				chosen = o.hashChild(u, v, b.first, b.count, w)
-			}
-			if o.reserve(chosen, w) {
-				break
-			}
-			if attempt >= maxReserveAttempts {
-				// Heavily weighted nodes can fragment so that no single
-				// child fits; fall back to the paper's unsynchronized
-				// increment rather than stall.
-				atomic.AddInt64(&o.blk[chosen].load, w)
-				break
-			}
+		if b.scored {
+			v = o.scoreChild(sc.gain[:b.count], b.first, b.even, w)
+		} else {
+			v = o.hashChild(u, v, b.first, b.count, w)
 		}
-		v = chosen
 		b = &o.blk[v]
+		b.load += w
 	}
-	atomic.StoreInt32(&o.parts[u], b.kl)
+	o.parts[u] = b.kl
 }
 
 // gather fills the scratch with the leaf id of every assigned neighbour,
@@ -459,7 +422,7 @@ func (o *OMS) gather(sc *levelScratch, adj []int32, ewgt []int32) {
 	sc.summed = false
 	if ewgt == nil {
 		for _, nb := range adj {
-			p := atomic.LoadInt32(&o.parts[nb])
+			p := o.parts[nb]
 			if uint32(p) >= k { // unassigned (-1)
 				continue
 			}
@@ -478,7 +441,7 @@ func (o *OMS) gather(sc *levelScratch, adj []int32, ewgt []int32) {
 	wt := sc.wt[:len(adj)]
 	ewgt = ewgt[:len(adj)]
 	for i, nb := range adj {
-		p := atomic.LoadInt32(&o.parts[nb])
+		p := o.parts[nb]
 		if uint32(p) >= k {
 			continue
 		}
@@ -611,25 +574,6 @@ func (sc *levelScratch) total() float64 {
 	return sc.sum
 }
 
-// maxReserveAttempts bounds rescoring under CAS contention before
-// degrading to the paper's racy increment (never reached for unit-weight
-// streams, where a feasible child always exists).
-const maxReserveAttempts = 8
-
-// reserve atomically charges w to block c iff the capacity allows it.
-func (o *OMS) reserve(c int32, w int64) bool {
-	b := &o.blk[c]
-	for {
-		cur := atomic.LoadInt64(&b.load)
-		if cur+w > b.cap {
-			return false
-		}
-		if atomic.CompareAndSwapInt64(&b.load, cur, cur+w) {
-			return true
-		}
-	}
-}
-
 // scoreChild scores the count = len(gain) children from first with the
 // configured objective and returns the best feasible one: the highest
 // score, ties to the lighter block, then to the lower index. The
@@ -658,7 +602,7 @@ func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 
 		var repLoad int64
 		for i := range kids {
 			c := &kids[i]
-			load := atomic.LoadInt64(&c.load)
+			load := c.load
 			if load+w > c.cap {
 				continue
 			}
@@ -685,7 +629,7 @@ func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 
 		ldg := o.cfg.Scorer == ScorerLDG
 		for i := range kids {
 			c := &kids[i]
-			load := atomic.LoadInt64(&c.load)
+			load := c.load
 			var score float64
 			var ok bool
 			if ldg {
@@ -714,7 +658,7 @@ func (o *OMS) hashChild(u, v, first, count int32, w int64) int32 {
 	h := int32(util.HashMod(uint64(u), o.cfg.Seed^uint64(v)*0x9e3779b97f4a7c15, int(count)))
 	for probe := int32(0); probe < count; probe++ {
 		c := first + (h+probe)%count
-		if atomic.LoadInt64(&o.blk[c].load)+w <= o.blk[c].cap {
+		if o.blk[c].load+w <= o.blk[c].cap {
 			return c
 		}
 	}
@@ -729,7 +673,7 @@ func (o *OMS) leastRelativeLoad(first, count int32) int32 {
 	bestRatio := math.Inf(1)
 	for i := int32(0); i < count; i++ {
 		c := first + i
-		r := float64(atomic.LoadInt64(&o.blk[c].load)) / float64(o.blk[c].cap)
+		r := float64(o.blk[c].load) / float64(o.blk[c].cap)
 		if r < bestRatio {
 			best, bestRatio = c, r
 		}

@@ -23,6 +23,31 @@ import (
 // Fennel arm to them, and it derives the hashed levels from the config,
 // not from the block records. Sequentially the two walks must agree to
 // the last bit.
+//
+// It also keeps the placement rule of the walk that reserved a child
+// with a compare-and-swap: a failed reserve rescores against the loads
+// as they are, up to maxReserveAttempts times, and then charges the
+// child anyway. Over one stream the loads do not change between
+// attempts, so the walk's single charge must make the same decisions,
+// forced placements included.
+
+// maxReserveAttempts bounds rescoring after a failed reserve before the
+// oracle charges the chosen child regardless of its capacity.
+const maxReserveAttempts = 8
+
+// reserve atomically charges w to block c iff the capacity allows it.
+func (o *OMS) reserve(c int32, w int64) bool {
+	b := &o.blk[c]
+	for {
+		cur := atomic.LoadInt64(&b.load)
+		if cur+w > b.cap {
+			return false
+		}
+		if atomic.CompareAndSwapInt64(&b.load, cur, cur+w) {
+			return true
+		}
+	}
+}
 
 func (o *OMS) rescanAssign(u int32, vwgt int32, adj []int32, ewgt []int32) {
 	t := o.Tree
@@ -281,11 +306,10 @@ func TestPropertyWalkMatchesRescanOracle(t *testing.T) {
 	}
 }
 
-// TestParallelWalkKeepsCapsAndOwnScratch is written for -race: four
-// workers stream with one scratch each (the detector reports any sharing
-// of the gathered lists), and the CAS reserve keeps every tree block,
-// leaves included, within its capacity, through the parallel pass and
-// the sequential restream passes after it.
+// TestParallelWalkKeepsCapsAndOwnScratch: a run configured with four
+// threads, which Run ignores, still walks in stream order on the one
+// scratch, and every tree block, leaves included, stays within its
+// capacity through the pass and the restream passes after it.
 func TestParallelWalkKeepsCapsAndOwnScratch(t *testing.T) {
 	g := gen.RMAT(20000, 120000, gen.SocialRMAT, 44)
 	src := stream.NewMemory(g)

@@ -127,9 +127,9 @@ func TestPropertyMappingMatchesTopologySpecs(t *testing.T) {
 	}
 }
 
-// TestPropertyParallelNeverViolatesCaps hammers the CAS reservation
-// under contention: many threads, tight caps, unit weights — the strict
-// balance guarantee must hold on every trial.
+// TestPropertyParallelNeverViolatesCaps: runs configured with eight
+// threads, which Run ignores, at tight caps and unit weights keep the
+// strict balance guarantee on every trial.
 func TestPropertyParallelNeverViolatesCaps(t *testing.T) {
 	g := gen.RMAT(20000, 100000, gen.SocialRMAT, 9)
 	src := stream.NewMemory(g)

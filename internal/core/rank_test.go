@@ -130,7 +130,7 @@ func TestScoreChildRanksLikeOracle(t *testing.T) {
 					adj = append(adj, nb)
 				}
 			}
-			sc := o.scratch[0]
+			sc := &o.scratch
 			o.gather(sc, adj, nil)
 			o.narrow(sc, v)
 			got := o.scoreChild(sc.gain[:b.count], b.first, b.even, 1) - b.first

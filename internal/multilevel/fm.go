@@ -11,7 +11,10 @@ import (
 // mid-pass, which lets the search tunnel out of local minima that
 // label-propagation cannot leave; balance is enforced against caps at
 // every move. Gains are maintained in a bucket structure indexed by gain
-// value, so a pass costs O(m + n).
+// value, so a pass costs O(m + n) plus the bucket count. A bisection whose
+// gain range needs more than maxGainBuckets buckets (edge weights in the
+// millions) is left as it is: its caller has already refined and
+// rebalanced it with label propagation.
 func fm2Way(g *graph.Graph, parts []int32, caps []int64, passes int) {
 	n := g.NumNodes()
 	if n == 0 {
@@ -36,6 +39,9 @@ func fm2Way(g *graph.Graph, parts []int32, caps []int64, passes int) {
 		if d > maxDeg {
 			maxDeg = d
 		}
+	}
+	if 2*maxDeg+1 > maxGainBuckets {
+		return
 	}
 	b := newGainBuckets(n, maxDeg)
 	gains := make([]int64, n)
@@ -125,6 +131,10 @@ func fm2Way(g *graph.Graph, parts []int32, caps []int64, passes int) {
 		}
 	}
 }
+
+// maxGainBuckets caps the bucket array of fm2Way at 16 MiB of list heads:
+// one bucket per gain in [-maxDeg, maxDeg].
+const maxGainBuckets = 1 << 22
 
 // gainBuckets is the FM bucket structure: a doubly linked list of nodes
 // per gain value, with a moving max pointer. Gains are offset so they can

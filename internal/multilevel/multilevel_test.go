@@ -195,7 +195,7 @@ func TestPartitionBalancedAndBetterThanStreaming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fparts, err := onepass.Run(src, fen, 1)
+		fparts, err := onepass.Run(src, fen)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"oms/internal/graph"
+	"oms/internal/metrics"
 )
 
 // heavyNodes returns a path of n nodes, each of node weight w.
@@ -40,7 +41,10 @@ func crossedPairs(copies, w int32) *graph.Graph {
 // Graph's int32 weights used to wrap (nodes) or panic in Finish (edges).
 // Coarsening now never forms a cluster heavier than math.MaxInt32, so
 // heavy nodes still partition; parallel edges that merge past it are an
-// error from Partition.
+// error from Partition. Eight crossed nodes stop coarsening at once, so
+// the fine graph with its weighted degrees near 2^31 reaches FM, whose
+// gain buckets then exceed their budget: FM is skipped, where it used to
+// ask for tens of GB.
 func TestPartitionSurvivesWeightOverflow(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -52,6 +56,7 @@ func TestPartitionSurvivesWeightOverflow(t *testing.T) {
 		// was about 2.2e9, so two nodes formed a cluster of 2^31.
 		{"node-weights", heavyNodes(12, 1<<30), 2, false},
 		{"edge-weights", crossedPairs(4, 1<<30+1), 2, true},
+		{"fm-gain-range", crossedPairs(2, 1<<30+1), 2, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -73,6 +78,9 @@ func TestPartitionSurvivesWeightOverflow(t *testing.T) {
 				if p < 0 || p >= c.k {
 					t.Fatalf("node %d on block %d", u, p)
 				}
+			}
+			if err := metrics.CheckBalanced(c.g, parts, c.k, 0.03); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -14,11 +14,12 @@ type Fennel struct {
 	*shared
 	alpha   float64
 	gamma   float64
-	scratch []*gainScratch
+	scratch *gainScratch
 }
 
 // NewFennel builds the Fennel partitioner; alpha derives from the stream
-// stats (total edge weight generalizes m for weighted graphs).
+// stats (total edge weight generalizes m for weighted graphs). threads is
+// accepted and ignored; Blocked 1A(h) removes it.
 func NewFennel(cfg Config, st stream.Stats, threads int) (*Fennel, error) {
 	s, err := newShared(cfg, st)
 	if err != nil {
@@ -28,26 +29,23 @@ func NewFennel(cfg Config, st stream.Stats, threads int) (*Fennel, error) {
 	if gamma == 0 {
 		gamma = 1.5
 	}
-	f := &Fennel{
-		shared: s,
-		alpha:  Alpha(cfg.K, st.TotalEdgeWeight, st.N),
-		gamma:  gamma,
-	}
-	for i := 0; i < maxInt(threads, 1); i++ {
-		f.scratch = append(f.scratch, newGainScratch(cfg.K))
-	}
-	return f, nil
+	return &Fennel{
+		shared:  s,
+		alpha:   Alpha(cfg.K, st.TotalEdgeWeight, st.N),
+		gamma:   gamma,
+		scratch: newGainScratch(cfg.K),
+	}, nil
 }
 
 // AlphaValue exposes the computed alpha (used by tests).
 func (f *Fennel) AlphaValue() float64 { return f.alpha }
 
 // Assign implements Algorithm.
-func (f *Fennel) Assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32) int32 {
-	sc := f.scratch[worker]
+func (f *Fennel) Assign(_ int, u int32, vwgt int32, adj []int32, ewgt []int32) int32 {
+	sc := f.scratch
 	sc.reset()
 	for i, v := range adj {
-		p := f.part(v)
+		p := f.parts[v]
 		if p < 0 {
 			continue
 		}
@@ -62,7 +60,7 @@ func (f *Fennel) Assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int
 	bestScore := 0.0
 	var bestLoad int64
 	for b := int32(0); b < f.k; b++ {
-		load := f.load(b)
+		load := f.loads[b]
 		score, ok := FennelScore(sc.get(b), load, w, f.lmax, f.alpha, f.gamma)
 		if !ok {
 			continue

@@ -34,14 +34,13 @@ func (h *Hashing) Assign(_ int, u int32, vwgt int32, _ []int32, _ []int32) int32
 		if c >= h.k {
 			c -= h.k
 		}
-		if h.load(c)+w <= h.lmax {
+		if h.loads[c]+w <= h.lmax {
 			h.place(u, c, w)
 			return c
 		}
 	}
-	// All blocks at capacity (only possible with non-unit node weights or
-	// parallel overshoot): fall back to the hashed target, accepting the
-	// overflow like the paper's unsynchronized scheme.
+	// All blocks at capacity (only possible with non-unit node weights):
+	// fall back to the hashed target, accepting the overflow.
 	h.place(u, b, w)
 	return b
 }

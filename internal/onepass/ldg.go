@@ -10,29 +10,24 @@ import (
 // makes the total cost O(m + nk), as in the original.
 type LDG struct {
 	*shared
-	scratch []*gainScratch
+	scratch *gainScratch
 }
 
-// NewLDG builds the LDG partitioner. threads sizes per-worker scratch; it
-// must be at least the worker count later passed to Run.
-func NewLDG(cfg Config, st stream.Stats, threads int) (*LDG, error) {
+// NewLDG builds the LDG partitioner.
+func NewLDG(cfg Config, st stream.Stats) (*LDG, error) {
 	s, err := newShared(cfg, st)
 	if err != nil {
 		return nil, err
 	}
-	l := &LDG{shared: s}
-	for i := 0; i < maxInt(threads, 1); i++ {
-		l.scratch = append(l.scratch, newGainScratch(cfg.K))
-	}
-	return l, nil
+	return &LDG{shared: s, scratch: newGainScratch(cfg.K)}, nil
 }
 
 // Assign implements Algorithm.
-func (l *LDG) Assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32) int32 {
-	sc := l.scratch[worker]
+func (l *LDG) Assign(_ int, u int32, vwgt int32, adj []int32, ewgt []int32) int32 {
+	sc := l.scratch
 	sc.reset()
 	for i, v := range adj {
-		p := l.part(v)
+		p := l.parts[v]
 		if p < 0 {
 			continue // not streamed yet
 		}
@@ -47,7 +42,7 @@ func (l *LDG) Assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32)
 	bestScore := 0.0
 	var bestLoad int64
 	for b := int32(0); b < l.k; b++ {
-		load := l.load(b)
+		load := l.loads[b]
 		score, ok := LDGScore(sc.get(b), load, w, l.lmax)
 		if !ok {
 			continue
@@ -64,22 +59,14 @@ func (l *LDG) Assign(worker int, u int32, vwgt int32, adj []int32, ewgt []int32)
 }
 
 // minLoadBlock is the forced-placement fallback when no block is feasible
-// (cannot happen with unit weights; kept for weighted nodes and parallel
-// overshoot).
+// (cannot happen with unit weights; kept for weighted nodes).
 func minLoadBlock(s *shared) int32 {
 	best := int32(0)
-	bl := s.load(0)
+	bl := s.loads[0]
 	for b := int32(1); b < s.k; b++ {
-		if l := s.load(b); l < bl {
+		if l := s.loads[b]; l < bl {
 			best, bl = b, l
 		}
 	}
 	return best
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,13 +3,14 @@
 // state-of-the-art scoring heuristics LDG (Stanton & Kliot) and Fennel
 // (Tsourakakis et al.), §2.2. They are re-implemented faithfully —
 // including the O(m + nk) full scan over all k blocks per node that
-// drives the running-time separation in the paper's Figure 2c — and share
-// the vertex-centric shared-memory parallelization of §3.4 (atomic block
-// loads, racy-but-benign neighbor reads). Run drives one pass: placements
-// are permanent, and nothing here retracts them. The paper cites the
-// flat ReFennel/ReLDG restreaming of Nishimura and Ugander only as
-// related work; the one restream in this repository is the multi-section
-// tree's (internal/core's RestreamPasses, the paper's §3.2 remapping).
+// drives the running-time separation in the paper's Figure 2c. Run
+// drives one pass in stream order: placements are permanent, and nothing
+// here retracts them. The paper's §3.4 parallelizes that pass over
+// shared-memory workers; that is not reproduced (see internal/core). The
+// paper cites the flat ReFennel/ReLDG restreaming of Nishimura and
+// Ugander only as related work; the one restream in this repository is
+// the multi-section tree's (internal/core's RestreamPasses, the paper's
+// §3.2 remapping).
 //
 // The scoring functions are exported separately (FennelScore, LDGScore)
 // because the online recursive multi-section in internal/core scores
@@ -24,7 +25,6 @@ package onepass
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"oms/internal/stream"
 )
@@ -79,8 +79,8 @@ func LDGScore(gain float64, load, vwgt, capacity int64) (score float64, feasible
 }
 
 // shared holds the state common to all flat one-pass partitioners: the
-// running block loads (updated atomically under parallel streaming) and
-// the permanent assignment of every streamed node.
+// running block loads and the permanent assignment of every streamed
+// node.
 type shared struct {
 	k     int32
 	lmax  int64
@@ -107,19 +107,16 @@ func newShared(cfg Config, st stream.Stats) (*shared, error) {
 	return s, nil
 }
 
-func (s *shared) load(b int32) int64       { return atomic.LoadInt64(&s.loads[b]) }
-func (s *shared) addLoad(b int32, w int64) { atomic.AddInt64(&s.loads[b], w) }
-func (s *shared) part(u int32) int32       { return atomic.LoadInt32(&s.parts[u]) }
 func (s *shared) place(u, b int32, w int64) {
-	s.addLoad(b, w)
-	atomic.StoreInt32(&s.parts[u], b)
+	s.loads[b] += w
+	s.parts[u] = b
 }
 
 // Assignments exposes the final partition vector.
 func (s *shared) Assignments() []int32 { return s.parts }
 
-// gainScratch accumulates, per worker, the weighted neighbor count per
-// block for the current node using epoch marking (no O(k) clearing).
+// gainScratch accumulates the weighted neighbor count per block for the
+// current node using epoch marking (no O(k) clearing).
 type gainScratch struct {
 	gain    []float64
 	mark    []uint32

@@ -2,6 +2,7 @@ package onepass
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"oms/internal/gen"
@@ -10,14 +11,14 @@ import (
 	"oms/internal/stream"
 )
 
-func runOn(t *testing.T, g *graph.Graph, mk func(stream.Stats) Algorithm, threads int) []int32 {
+func runOn(t *testing.T, g *graph.Graph, mk func(stream.Stats) Algorithm) []int32 {
 	t.Helper()
 	src := stream.NewMemory(g)
 	st, err := src.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := Run(src, mk(st), threads)
+	parts, err := Run(src, mk(st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +35,9 @@ func mkHashing(cfg Config) func(stream.Stats) Algorithm {
 	}
 }
 
-func mkLDG(cfg Config, threads int) func(stream.Stats) Algorithm {
+func mkLDG(cfg Config) func(stream.Stats) Algorithm {
 	return func(st stream.Stats) Algorithm {
-		l, err := NewLDG(cfg, st, threads)
+		l, err := NewLDG(cfg, st)
 		if err != nil {
 			panic(err)
 		}
@@ -44,6 +45,7 @@ func mkLDG(cfg Config, threads int) func(stream.Stats) Algorithm {
 	}
 }
 
+// mkFennel builds Fennel with the given threads, which NewFennel ignores.
 func mkFennel(cfg Config, threads int) func(stream.Stats) Algorithm {
 	return func(st stream.Stats) Algorithm {
 		f, err := NewFennel(cfg, st, threads)
@@ -125,11 +127,11 @@ func TestAllBalancedOnVariousGraphs(t *testing.T) {
 			cfg := Config{K: k, Epsilon: 0.03, Seed: 9}
 			algs := map[string]func(stream.Stats) Algorithm{
 				"hashing": mkHashing(cfg),
-				"ldg":     mkLDG(cfg, 1),
+				"ldg":     mkLDG(cfg),
 				"fennel":  mkFennel(cfg, 1),
 			}
 			for aname, mk := range algs {
-				parts := runOn(t, g, mk, 1)
+				parts := runOn(t, g, mk)
 				if err := metrics.CheckBalanced(g, parts, k, cfg.Epsilon); err != nil {
 					t.Errorf("%s on %s k=%d: %v", aname, name, k, err)
 				}
@@ -141,9 +143,9 @@ func TestAllBalancedOnVariousGraphs(t *testing.T) {
 func TestFennelBeatsHashingOnCut(t *testing.T) {
 	g := gen.RandomGeometric(4000, 0.55, 7)
 	cfg := Config{K: 16, Epsilon: 0.03, Seed: 1}
-	hash := metrics.EdgeCut(g, runOn(t, g, mkHashing(cfg), 1))
-	fennel := metrics.EdgeCut(g, runOn(t, g, mkFennel(cfg, 1), 1))
-	ldg := metrics.EdgeCut(g, runOn(t, g, mkLDG(cfg, 1), 1))
+	hash := metrics.EdgeCut(g, runOn(t, g, mkHashing(cfg)))
+	fennel := metrics.EdgeCut(g, runOn(t, g, mkFennel(cfg, 1)))
+	ldg := metrics.EdgeCut(g, runOn(t, g, mkLDG(cfg)))
 	if fennel >= hash/2 {
 		t.Fatalf("fennel cut %d not clearly better than hashing %d", fennel, hash)
 	}
@@ -158,8 +160,8 @@ func TestHashingIgnoresStructure(t *testing.T) {
 	g1 := gen.ErdosRenyi(500, 1000, 1)
 	g2 := gen.ErdosRenyi(500, 1000, 99)
 	cfg := Config{K: 8, Epsilon: 0.03, Seed: 5}
-	p1 := runOn(t, g1, mkHashing(cfg), 1)
-	p2 := runOn(t, g2, mkHashing(cfg), 1)
+	p1 := runOn(t, g1, mkHashing(cfg))
+	p2 := runOn(t, g2, mkHashing(cfg))
 	for u := range p1 {
 		if p1[u] != p2[u] {
 			t.Fatal("hashing depends on structure")
@@ -171,10 +173,10 @@ func TestSequentialDeterminism(t *testing.T) {
 	g := gen.RMAT(1024, 4096, gen.SocialRMAT, 4)
 	cfg := Config{K: 13, Epsilon: 0.03, Seed: 3}
 	for name, mk := range map[string]func(stream.Stats) Algorithm{
-		"hashing": mkHashing(cfg), "ldg": mkLDG(cfg, 1), "fennel": mkFennel(cfg, 1),
+		"hashing": mkHashing(cfg), "ldg": mkLDG(cfg), "fennel": mkFennel(cfg, 1),
 	} {
-		a := runOn(t, g, mk, 1)
-		b := runOn(t, g, mk, 1)
+		a := runOn(t, g, mk)
+		b := runOn(t, g, mk)
 		for u := range a {
 			if a[u] != b[u] {
 				t.Fatalf("%s: sequential run not deterministic", name)
@@ -183,42 +185,30 @@ func TestSequentialDeterminism(t *testing.T) {
 	}
 }
 
+// TestParallelStaysBalanced: every algorithm keeps every block within
+// Lmax, and Fennel built for four threads, which it ignores, places every
+// node as Fennel built for one does.
 func TestParallelStaysBalanced(t *testing.T) {
 	g := gen.RandomGeometric(5000, 0.55, 11)
 	for _, k := range []int32{8, 64} {
 		cfg := Config{K: k, Epsilon: 0.03, Seed: 2}
+		one := runOn(t, g, mkFennel(cfg, 1))
 		for name, mk := range map[string]func(stream.Stats) Algorithm{
-			"hashing": mkHashing(cfg), "ldg": mkLDG(cfg, 4), "fennel": mkFennel(cfg, 4),
+			"hashing": mkHashing(cfg), "ldg": mkLDG(cfg), "fennel": mkFennel(cfg, 4),
 		} {
-			parts := runOn(t, g, mk, 4)
-			// The unsynchronized scheme (§3.4) can overshoot Lmax by at
-			// most a node per concurrently deciding worker; verify
-			// completeness and that bounded overshoot.
+			parts := runOn(t, g, mk)
 			for u, p := range parts {
 				if p < 0 || p >= k {
 					t.Fatalf("%s k=%d: node %d unassigned", name, k, u)
 				}
 			}
-			lmax := Lmax(g.TotalNodeWeight(), k, cfg.Epsilon)
-			for b, l := range metrics.BlockLoads(g, parts, k) {
-				if l > lmax+4 {
-					t.Errorf("%s k=%d: block %d load %d exceeds Lmax %d + worker slack", name, k, b, l, lmax)
-				}
+			if err := metrics.CheckBalanced(g, parts, k, cfg.Epsilon); err != nil {
+				t.Errorf("%s k=%d: %v", name, k, err)
+			}
+			if name == "fennel" && !slices.Equal(parts, one) {
+				t.Errorf("k=%d: Fennel for four threads differs from Fennel for one", k)
 			}
 		}
-	}
-}
-
-func TestParallelQualityClose(t *testing.T) {
-	// Parallel Fennel should stay in the same quality regime as
-	// sequential (racy reads lose a little information, not an order of
-	// magnitude).
-	g := gen.RandomGeometric(5000, 0.55, 13)
-	cfg := Config{K: 16, Epsilon: 0.03, Seed: 7}
-	seq := metrics.EdgeCut(g, runOn(t, g, mkFennel(cfg, 1), 1))
-	par := metrics.EdgeCut(g, runOn(t, g, mkFennel(cfg, 8), 8))
-	if float64(par) > 3*float64(seq)+100 {
-		t.Fatalf("parallel cut %d vastly worse than sequential %d", par, seq)
 	}
 }
 
@@ -239,8 +229,8 @@ func TestFennelAlphaValue(t *testing.T) {
 func TestK1Trivial(t *testing.T) {
 	g := gen.ErdosRenyi(50, 100, 1)
 	cfg := Config{K: 1, Epsilon: 0.03}
-	for _, mk := range []func(stream.Stats) Algorithm{mkHashing(cfg), mkLDG(cfg, 1), mkFennel(cfg, 1)} {
-		parts := runOn(t, g, mk, 1)
+	for _, mk := range []func(stream.Stats) Algorithm{mkHashing(cfg), mkLDG(cfg), mkFennel(cfg, 1)} {
+		parts := runOn(t, g, mk)
 		for _, p := range parts {
 			if p != 0 {
 				t.Fatal("k=1 must assign everything to block 0")
@@ -257,7 +247,7 @@ func TestLDGPrefersNeighborBlock(t *testing.T) {
 	b.AddEdge(1, 3)
 	g := b.Finish()
 	cfg := Config{K: 2, Epsilon: 1.0} // generous capacity
-	parts := runOn(t, g, mkLDG(cfg, 1), 1)
+	parts := runOn(t, g, mkLDG(cfg))
 	if parts[2] != parts[0] {
 		t.Fatalf("LDG did not follow neighbor: %v", parts)
 	}
@@ -274,7 +264,7 @@ func TestFennelPrefersNeighborBlock(t *testing.T) {
 	b.AddEdge(1, 5)
 	g := b.Finish()
 	cfg := Config{K: 2, Epsilon: 1.0}
-	parts := runOn(t, g, mkFennel(cfg, 1), 1)
+	parts := runOn(t, g, mkFennel(cfg, 1))
 	if parts[2] != parts[0] || parts[4] != parts[0] {
 		t.Fatalf("fennel split the star: %v", parts)
 	}
@@ -305,7 +295,7 @@ func TestWeightedEdgesInfluenceGains(t *testing.T) {
 	b.AddEdge(1, 3)
 	g := b.Finish()
 	cfg := Config{K: 2, Epsilon: 1.0}
-	parts := runOn(t, g, mkFennel(cfg, 1), 1)
+	parts := runOn(t, g, mkFennel(cfg, 1))
 	if parts[4] != parts[1] {
 		t.Fatalf("fennel ignored edge weights: %v", parts)
 	}

@@ -54,27 +54,19 @@ func (b *Buffer) Append(u int32, vwgt int32, adj []int32, ewgt []int32) {
 	b.off = append(b.off, int64(len(b.adj)))
 }
 
-// Len returns the number of recorded nodes.
-func (b *Buffer) Len() int { return len(b.ids) }
-
 // Stats implements Source, returning the declared stream stats.
 func (b *Buffer) Stats() (Stats, error) { return b.stats, nil }
-
-// node returns the i-th recorded node in arrival order.
-func (b *Buffer) node(i int) (u int32, vwgt int32, adj []int32, ewgt []int32) {
-	lo, hi := b.off[i], b.off[i+1]
-	adj = b.adj[lo:hi]
-	if b.ewgt != nil {
-		ewgt = b.ewgt[lo:hi]
-	}
-	return b.ids[i], b.vwgt[i], adj, ewgt
-}
 
 // ForEach implements Source: one pass over the recorded nodes in arrival
 // order.
 func (b *Buffer) ForEach(fn Visitor) error {
-	for i := range b.ids {
-		fn(b.node(i))
+	for i, u := range b.ids {
+		lo, hi := b.off[i], b.off[i+1]
+		var ewgt []int32
+		if b.ewgt != nil {
+			ewgt = b.ewgt[lo:hi]
+		}
+		fn(u, b.vwgt[i], b.adj[lo:hi], ewgt)
 	}
 	return nil
 }

@@ -18,11 +18,9 @@ import (
 // visitor took 0.31–0.45 s against 0.22–0.31 s for Partition at
 // k = 4096 from memory, and Partition from the file took 0.40–0.50 s
 // with one thread and 0.41–0.55 s with two. So the parse runs ahead on
-// its own core and the pass assigns in file order on one worker,
-// whatever Parallel's threads asks for: a second consumer would only
-// wait on the same parser, and its racy reads would make the result
-// vary from run to run. For a parallel pass, load the graph and stream
-// it from memory.
+// its own core and the pass visits the nodes in file order on the
+// caller's goroutine: a second consumer would only wait on the same
+// parser.
 type Disk struct {
 	Path string
 

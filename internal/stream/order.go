@@ -117,16 +117,9 @@ func (r *Reordered) Stats() (Stats, error) { return NewMemory(r.G).Stats() }
 
 // ForEach implements Source: one pass in the permuted order.
 func (r *Reordered) ForEach(fn Visitor) error {
-	for i := range r.Perm {
-		fn(r.node(i))
+	g := r.G
+	for _, u := range r.Perm {
+		fn(u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u))
 	}
 	return nil
-}
-
-// Len returns the number of nodes in a pass.
-func (r *Reordered) Len() int { return len(r.Perm) }
-
-func (r *Reordered) node(i int) (int32, int32, []int32, []int32) {
-	g, u := r.G, r.Perm[i]
-	return u, g.NodeWeight(u), g.Neighbors(u), g.EdgeWeights(u)
 }

@@ -145,26 +145,6 @@ func TestReorderedForEachDeliversPermOrder(t *testing.T) {
 	}
 }
 
-func TestReorderedParallelCoversAll(t *testing.T) {
-	g := orderTestGraph()
-	r := NewReordered(g, OrderRandom, 3)
-	seen := make([]int32, g.NumNodes()) // int32 for atomic-free check via count
-	done := make(chan []int32, 4)
-	// Parallel guarantees disjoint coverage; collect per worker.
-	err := Parallel(r, 4, func(worker int, u int32, vwgt int32, adj []int32, ewgt []int32) {
-		seen[u]++
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(done)
-	for u, c := range seen {
-		if c != 1 {
-			t.Fatalf("node %d visited %d times", u, c)
-		}
-	}
-}
-
 func TestReorderedStatsMatchMemory(t *testing.T) {
 	g := orderTestGraph()
 	a, err := NewReordered(g, OrderRandom, 1).Stats()

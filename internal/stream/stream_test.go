@@ -3,7 +3,6 @@ package stream
 import (
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"oms/internal/gen"
@@ -69,25 +68,6 @@ func TestMemorySequentialOrder(t *testing.T) {
 	}
 }
 
-func TestMemoryParallelCoversAll(t *testing.T) {
-	g := gen.ErdosRenyi(500, 1500, 3)
-	var mu sync.Mutex
-	seen := make([]int, 500)
-	err := Parallel(NewMemory(g), 4, func(w int, u int32, vwgt int32, adj []int32, ewgt []int32) {
-		mu.Lock()
-		seen[u]++
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u, c := range seen {
-		if c != 1 {
-			t.Fatalf("node %d visited %d times", u, c)
-		}
-	}
-}
-
 func TestDiskMatchesMemory(t *testing.T) {
 	g := gen.RandomGeometric(200, 0.55, 7)
 	path := writeTempMetis(t, g)
@@ -145,17 +125,17 @@ func TestDiskStatsWeighted(t *testing.T) {
 	}
 }
 
+// TestDiskParallelCoversAll: a pass whose parse runs ahead on its own
+// goroutine and hands the visitor several ring batches still visits
+// every node once with its whole adjacency.
 func TestDiskParallelCoversAll(t *testing.T) {
 	g := gen.ErdosRenyi(3000, 9000, 11)
 	d := NewDisk(writeTempMetis(t, g))
-	var mu sync.Mutex
 	seen := make([]int, 3000)
 	degs := make([]int, 3000)
-	err := Parallel(d, 4, func(w int, u int32, vwgt int32, adj []int32, ewgt []int32) {
-		mu.Lock()
+	err := d.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) {
 		seen[u]++
 		degs[u] = len(adj)
-		mu.Unlock()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,19 +150,24 @@ func TestDiskParallelCoversAll(t *testing.T) {
 	}
 }
 
+// TestDiskParallelSingleThread: the parse runs ahead on a goroutine of
+// its own, but the visitor runs on one, in file order.
 func TestDiskParallelSingleThread(t *testing.T) {
 	g := gen.ErdosRenyi(100, 300, 13)
 	d := NewDisk(writeTempMetis(t, g))
 	var order []int32
-	err := Parallel(d, 1, func(w int, u int32, vwgt int32, adj []int32, ewgt []int32) {
+	err := d.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) {
 		order = append(order, u)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(order) != 100 {
+		t.Fatalf("visited %d nodes, want 100", len(order))
+	}
 	for i, u := range order {
 		if u != int32(i) {
-			t.Fatal("single-thread parallel pass must preserve order")
+			t.Fatal("the pass must visit the nodes in file order")
 		}
 	}
 }

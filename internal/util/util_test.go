@@ -2,7 +2,6 @@ package util
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -196,67 +195,5 @@ func TestHashModUniformity(t *testing.T) {
 func TestHash2Distinct(t *testing.T) {
 	if Hash2(1, 2) == Hash2(2, 1) {
 		t.Fatal("Hash2 should not be symmetric in its arguments")
-	}
-}
-
-func TestThreadsClamp(t *testing.T) {
-	if Threads(4) != 4 {
-		t.Fatal("Threads(4) != 4")
-	}
-	if Threads(0) < 1 {
-		t.Fatal("Threads(0) < 1")
-	}
-	if Threads(-3) < 1 {
-		t.Fatal("Threads(-3) < 1")
-	}
-}
-
-func TestParallelForCoversRange(t *testing.T) {
-	for _, threads := range []int{1, 2, 3, 8} {
-		for _, n := range []int{0, 1, 5, 100, 1001} {
-			var mark = make([]int32, n)
-			ParallelFor(n, threads, func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&mark[i], 1)
-				}
-			})
-			for i, v := range mark {
-				if v != 1 {
-					t.Fatalf("threads=%d n=%d: index %d visited %d times", threads, n, i, v)
-				}
-			}
-		}
-	}
-}
-
-func TestParallelForSingleThreadInline(t *testing.T) {
-	// With one thread the body must run on the caller goroutine so that
-	// sequential algorithms remain deterministic; verify via plain (non
-	// atomic) accumulation which would race otherwise.
-	sum := 0
-	ParallelFor(100, 1, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sum += i
-		}
-	})
-	if sum != 4950 {
-		t.Fatalf("sum = %d, want 4950", sum)
-	}
-}
-
-func TestParallelForWorkerIDs(t *testing.T) {
-	const threads = 4
-	seen := make([]int32, threads)
-	ParallelFor(1000, threads, func(w, lo, hi int) {
-		if w < 0 || w >= threads {
-			t.Errorf("worker id %d out of range", w)
-			return
-		}
-		atomic.AddInt32(&seen[w], 1)
-	})
-	for w, c := range seen {
-		if c != 1 {
-			t.Fatalf("worker %d ran %d chunks, want 1", w, c)
-		}
 	}
 }

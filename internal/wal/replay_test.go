@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"oms/internal/store"
-	"oms/internal/stream"
 )
 
 // TestReplaySourceMatchesIngestedStream: the replay source yields the
@@ -66,22 +65,6 @@ func TestReplaySourceMatchesIngestedStream(t *testing.T) {
 		}
 	}
 
-	// The parallel walk is the same in-order pass on worker 0, whatever
-	// thread count it is asked for.
-	i := 0
-	err = stream.Parallel(src, 4, func(w int, u int32, _ int32, adj []int32, _ []int32) {
-		if w != 0 || u != recs[i].u || !equalI32(adj, recs[i].adj) {
-			t.Fatalf("parallel replay record %d: worker %d node %d, want worker 0 node %d", i, w, u, recs[i].u)
-		}
-		i++
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i != len(recs) {
-		t.Fatalf("parallel replay visited %d records, want %d", i, len(recs))
-	}
-
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,18 +121,6 @@ func TestReplaySourceCoversBatchFrames(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("pass %d replayed %v, want %v", pass, got, want)
 			}
-		}
-	}
-	// The parallel walk dedups like ForEach.
-	counts := make([]int32, 6)
-	if err := stream.Parallel(src, 3, func(_ int, u int32, _ int32, _ []int32, _ []int32) {
-		counts[u]++
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < 4; u++ {
-		if counts[u] != 1 {
-			t.Fatalf("parallel replay visited node %d %d times", u, counts[u])
 		}
 	}
 }

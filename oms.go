@@ -48,7 +48,7 @@
 // processors per node and 8 nodes, with level distances 1, 10, 100:
 //
 //	top, err := oms.NewTopology("4:16:8", "1:10:100")
-//	res, err := oms.MapGraph(g, top, oms.Options{Threads: 8})
+//	res, err := oms.MapGraph(g, top, oms.Options{})
 //	cost := res.MappingCost(g, top)
 package oms
 
@@ -109,13 +109,10 @@ type Options struct {
 	VanillaAlpha bool
 	// Gamma is the Fennel exponent; 0 means the paper's 1.5.
 	Gamma float64
-	// Threads parallelizes the streaming loop vertex-centrically (§3.4)
-	// over a source that holds its nodes (NewMemorySource,
-	// NewOrderedSource); values <= 1 run sequentially and
-	// deterministically. A file source (NewDiskSource, NewWireSource)
-	// decodes ahead on a core of its own and assigns in file order on one
-	// worker whatever Threads says, so its result equals the sequential
-	// one. Push sessions ignore it: they always assign in stream order.
+	// Threads is accepted and ignored: every pass assigns in stream order
+	// on one worker, so results do not depend on it. The paper's §3.4
+	// shared-memory fan-out is not reproduced; Blocked 1A(h) removes the
+	// field.
 	Threads int
 	// Seed randomizes hashing and tie-breaking.
 	Seed uint64
@@ -139,7 +136,6 @@ func (o Options) coreConfig() core.Config {
 		VanillaAlpha: o.VanillaAlpha,
 		HashLayers:   o.HashLayers,
 		Seed:         o.Seed,
-		Threads:      o.Threads,
 	}
 }
 
@@ -186,9 +182,8 @@ func (r *Result) CheckBalanced(g *Graph, eps float64) error {
 // Source is a restartable one-pass node stream: nodes arrive one at a
 // time together with their adjacency lists. Use NewMemorySource for
 // in-memory graphs or NewDiskSource to stream a METIS file from disk
-// without loading it. Options.Threads > 1 fans a pass out only over a
-// source that holds its nodes; a file source runs one in-order pass
-// with its decode ahead on a core of its own.
+// without loading it. A pass assigns in stream order; a file source
+// decodes ahead of it on a core of its own.
 type Source = stream.Source
 
 // Topology describes a hierarchical machine: a spec S = a1:a2:...:al

@@ -123,9 +123,8 @@ func (nd *Node) weight() int32 {
 // computes bit-identical assignments to Partition/Map over the same
 // stream and options. PushBatch admits a whole buffered slice of
 // arrivals as one atomic group and assigns it in order, bit-identical to
-// the same Push calls. A session always assigns on one engine worker:
-// Options.Threads parallelizes Partition and Map (§3.4) and is ignored
-// here.
+// the same Push calls. A session assigns on one engine worker, like
+// every pass.
 //
 // A Session is not safe for concurrent use; serialize access (the omsd
 // service multiplexes many sessions over a worker pool with exactly this
@@ -162,7 +161,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		return nil, fmt.Errorf("oms: negative declared stats %+v", cfg.Stats)
 	}
 	ccfg := opt.coreConfig()
-	ccfg.Threads = 1 // sessions assign in stream order on one scratch
 	if cfg.Adaptive {
 		// Stats are hints: zeros simply leave the estimator to its
 		// observations, and a hinted N does not default the weights (a
@@ -294,10 +292,10 @@ func (s *Session) validateNode(u int32, vwgt int32, adj []int32, ewgt []int32) e
 // validated (and the edge budget checked) before any node is assigned,
 // so a rejected batch changes no session state, and the admitted nodes
 // then go through the engine one by one in batch order, so the result
-// is bit-identical to the same sequence of Push calls whatever
-// Options.Threads says. Nodes already assigned — and re-occurrences
-// within the batch — are idempotent: they contribute their existing (or
-// first) assignment and are neither re-charged nor re-recorded.
+// is bit-identical to the same sequence of Push calls. Nodes already
+// assigned — and re-occurrences within the batch — are idempotent: they
+// contribute their existing (or first) assignment and are neither
+// re-charged nor re-recorded.
 func (s *Session) PushBatch(nodes []Node) ([]int32, error) {
 	if s.finished {
 		return nil, fmt.Errorf("%w: push after Finish", ErrSessionFinished)

@@ -64,8 +64,7 @@ func WriteWireFile(path string, g *Graph) error {
 // edge-weighted RMAT file onto 4:16:8 ran at 1.26 M nodes/s against
 // 0.92 M when decode bounded the pass (medians of 10 alternating pairs
 // on a 2-core x86-64 host, every pair won). A pass assigns in file
-// order on one worker whatever Options.Threads asks for (see
-// Options.Threads). The file is input from outside the program, so
+// order on one worker. The file is input from outside the program, so
 // every node id and neighbour is checked against the header's n, and
 // each of the n nodes must appear exactly once. It implements Source.
 type WireSource struct {

@@ -192,8 +192,7 @@ func visitedPrefix(t *testing.T, g *Graph, path string) (int32, error) {
 // TestWireSourceMatchesMemory: an edge-weighted RMAT stream mapped onto
 // 4:16:8 and partitioned at k = 64 from a wire file equals the in-memory
 // sequential result bit for bit — with one P and with two, so the
-// decoder either interleaves with the engine or runs beside it, and
-// through Threads: 2, which runs the pass on worker 0.
+// decoder either interleaves with the engine or runs beside it.
 func TestWireSourceMatchesMemory(t *testing.T) {
 	g := GenRMATSocial(1<<13, 1<<16, 9821)
 	weighted := false
@@ -219,22 +218,19 @@ func TestWireSourceMatchesMemory(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		for _, threads := range []int{0, 2} {
-			opt := Options{Threads: threads}
-			got, err := Map(NewWireSource(path), top, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got.Parts, wantMap.Parts) {
-				t.Errorf("GOMAXPROCS %d, Threads %d: Map from the file differs from memory", procs, threads)
-			}
-			got, err = Partition(NewWireSource(path), 64, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got.Parts, wantPart.Parts) {
-				t.Errorf("GOMAXPROCS %d, Threads %d: Partition from the file differs from memory", procs, threads)
-			}
+		got, err := Map(NewWireSource(path), top, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Parts, wantMap.Parts) {
+			t.Errorf("GOMAXPROCS %d: Map from the file differs from memory", procs)
+		}
+		got, err = Partition(NewWireSource(path), 64, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Parts, wantPart.Parts) {
+			t.Errorf("GOMAXPROCS %d: Partition from the file differs from memory", procs)
 		}
 	}
 }
