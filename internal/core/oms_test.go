@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"oms/internal/gen"
@@ -391,6 +392,23 @@ func TestParallelBalancedAndComplete(t *testing.T) {
 		if l > lmax {
 			t.Fatalf("block %d load %d exceeds Lmax %d", b, l, lmax)
 		}
+	}
+}
+
+// TestParallelQualityClose: Threads is accepted and ignored, so a run
+// configured for eight threads has the cut of the sequential run and
+// places every node the same way.
+func TestParallelQualityClose(t *testing.T) {
+	g := gen.RandomGeometric(6000, 0.55, 37)
+	tree := hierarchy.BuildArtificial(64, 4)
+	seq := runOMS(t, g, tree, Config{Epsilon: 0.03})
+	par := runOMS(t, g, tree, Config{Epsilon: 0.03, Threads: 8})
+	seqCut, parCut := metrics.EdgeCut(g, seq), metrics.EdgeCut(g, par)
+	if parCut != seqCut {
+		t.Fatalf("cut %d at Threads 8, %d sequential", parCut, seqCut)
+	}
+	if !slices.Equal(par, seq) {
+		t.Fatal("Threads 8 placed some node differently from the sequential run")
 	}
 }
 

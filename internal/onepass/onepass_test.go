@@ -212,6 +212,23 @@ func TestParallelStaysBalanced(t *testing.T) {
 	}
 }
 
+// TestParallelQualityClose: NewFennel ignores its threads argument, so
+// Fennel built for eight threads has the cut of Fennel built for one and
+// places every node the same way.
+func TestParallelQualityClose(t *testing.T) {
+	g := gen.RandomGeometric(5000, 0.55, 13)
+	cfg := Config{K: 16, Epsilon: 0.03, Seed: 7}
+	seq := runOn(t, g, mkFennel(cfg, 1))
+	par := runOn(t, g, mkFennel(cfg, 8))
+	seqCut, parCut := metrics.EdgeCut(g, seq), metrics.EdgeCut(g, par)
+	if parCut != seqCut {
+		t.Fatalf("cut %d for eight threads, %d for one", parCut, seqCut)
+	}
+	if !slices.Equal(par, seq) {
+		t.Fatal("Fennel for eight threads placed some node differently from Fennel for one")
+	}
+}
+
 func TestFennelAlphaValue(t *testing.T) {
 	g := gen.ErdosRenyi(100, 300, 1)
 	src := stream.NewMemory(g)
