@@ -1,45 +1,24 @@
 package oms
 
 import (
-	"fmt"
-
+	"oms/internal/core"
 	"oms/internal/mapping"
 	"oms/internal/multilevel"
-	"oms/internal/onepass"
 	"oms/internal/stream"
 )
 
 // PartitionOnePass streams src once with a flat (non-hierarchical)
-// one-pass partitioner: the algorithms the paper evaluates against.
-// ScorerFennel and ScorerLDG score all k blocks per node (O(m + nk)
-// total); ScorerHashing assigns pseudo-randomly in O(n). Results carry
-// the same balance guarantee as Partition.
+// one-pass partitioner: the algorithms the paper evaluates against. Flat
+// Fennel, LDG and Hashing are the online recursive multi-section on a
+// one-level tree of k leaves, so this is Partition with base max(k, 2)
+// and no hashed layers. ScorerFennel and ScorerLDG still visit all k
+// blocks per node (O(m + nk) total, as Theorem 2 counts them), but the
+// walk ranks Fennel's zero-gain blocks by load instead of scoring each;
+// ScorerHashing assigns pseudo-randomly in O(n). Results carry the same
+// balance guarantee as Partition.
 func PartitionOnePass(src Source, k int32, scorer Scorer, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	st, err := src.Stats()
-	if err != nil {
-		return nil, err
-	}
-	cfg := onepass.Config{K: k, Epsilon: opt.Epsilon, Gamma: opt.Gamma, Seed: opt.Seed}
-	var alg onepass.Algorithm
-	switch scorer {
-	case ScorerFennel:
-		alg, err = onepass.NewFennel(cfg, st, 1)
-	case ScorerLDG:
-		alg, err = onepass.NewLDG(cfg, st)
-	case ScorerHashing:
-		alg, err = onepass.NewHashing(cfg, st)
-	default:
-		return nil, fmt.Errorf("oms: unknown scorer %v", scorer)
-	}
-	if err != nil {
-		return nil, err
-	}
-	parts, err := onepass.Run(src, alg)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Parts: parts, K: k, Lmax: onepass.Lmax(st.TotalNodeWeight, k, opt.Epsilon)}, nil
+	opt.Scorer, opt.Base, opt.HashLayers = scorer, max(k, 2), 0
+	return Partition(src, k, opt)
 }
 
 // MultilevelOptions tunes the in-memory multilevel partitioner.
@@ -60,7 +39,7 @@ func PartitionMultilevel(g *Graph, k int32, opt MultilevelOptions) (*Result, err
 		return nil, err
 	}
 	st, _ := stream.NewMemory(g).Stats()
-	return &Result{Parts: parts, K: k, Lmax: onepass.Lmax(st.TotalNodeWeight, k, opt.Epsilon)}, nil
+	return &Result{Parts: parts, K: k, Lmax: core.Lmax(st.TotalNodeWeight, k, opt.Epsilon)}, nil
 }
 
 // OfflineMapOptions tunes the offline recursive multi-section mapper.
@@ -81,5 +60,5 @@ func MapOffline(g *Graph, top *Topology, opt OfflineMapOptions) (*Result, error)
 	}
 	k := top.Spec.K()
 	st, _ := stream.NewMemory(g).Stats()
-	return &Result{Parts: parts, K: k, Lmax: onepass.Lmax(st.TotalNodeWeight, k, opt.Epsilon)}, nil
+	return &Result{Parts: parts, K: k, Lmax: core.Lmax(st.TotalNodeWeight, k, opt.Epsilon)}, nil
 }

@@ -10,7 +10,10 @@
 //
 //	omspart -graph web.metis -topo 4:16:8 -dist 1:10:100 -inmemory
 //
-// Comparators: -alg fennel | ldg | hashing | multilevel | offline.
+// Comparators: -alg fennel | ldg | hashing | multilevel | offline. The
+// flat fennel, ldg and hashing are OMS on a one-level tree of k leaves:
+// they visit all k blocks per node, as the paper's flat scan does, but
+// rank Fennel's zero-gain blocks by load instead of scoring each.
 // multilevel and offline load the whole graph into memory; the streaming
 // algorithms run from disk unless -inmemory is set. Every streaming pass
 // assigns in stream order on one goroutine; a pass from disk parses ahead

@@ -32,9 +32,11 @@ func main() {
 	fmt.Printf("nh-OMS:   cut=%-8d imbalance=%.4f  time=%v\n",
 		res.EdgeCut(g), res.Imbalance(g), time.Since(start).Round(time.Millisecond))
 
-	// Compare with the flat one-pass competitors. Fennel scans all k
-	// blocks per node (O(m + nk)); OMS walks a base-4 tree
-	// (O((m+4n) log k)) — same idea, far less work per node.
+	// Compare with the flat one-pass competitors: OMS on a one-level
+	// tree of all k blocks. Fennel still visits all k per node
+	// (O(m + nk)), though it ranks the zero-gain ones by load instead of
+	// scoring each; nh-OMS walks a base-4 tree (O((m+4n) log k)) — same
+	// idea, far less work per node.
 	for _, c := range []struct {
 		name   string
 		scorer oms.Scorer

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"oms/internal/core"
 	"oms/internal/metrics"
-	"oms/internal/onepass"
 )
 
 // tinyConfig keeps harness tests fast: two small instances, small k.
@@ -135,7 +135,7 @@ func TestMeasureAveragesAndBalance(t *testing.T) {
 	// The constraint is c(V_i) <= Lmax = ceil((1+eps) c(V)/k); on small
 	// graphs the ceil makes the allowed raw imbalance exceed eps.
 	total := g.TotalNodeWeight()
-	allowed := float64(onepass.Lmax(total, 32, 0.03))*32/float64(total) - 1
+	allowed := float64(core.Lmax(total, 32, 0.03))*32/float64(total) - 1
 	if m.Balance > allowed+1e-9 {
 		t.Fatalf("imbalance %v exceeds allowed %v", m.Balance, allowed)
 	}

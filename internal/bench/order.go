@@ -6,7 +6,6 @@ import (
 
 	"oms/internal/core"
 	"oms/internal/metrics"
-	"oms/internal/onepass"
 	"oms/internal/stream"
 )
 
@@ -55,26 +54,18 @@ func RunStreamOrder(cfg Config, progressW io.Writer) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				var parts []int32
-				switch alg {
-				case AlgNhOMS:
-					o, err := core.NewGP(k, 4, st, core.Config{Epsilon: 0.03, Seed: cfg.Seed})
-					if err != nil {
-						return nil, err
-					}
-					parts, err = o.Run(src)
-					if err != nil {
-						return nil, err
-					}
-				case AlgFennel:
-					f, err := onepass.NewFennel(onepass.Config{K: k, Epsilon: 0.03, Seed: cfg.Seed}, st, 1)
-					if err != nil {
-						return nil, err
-					}
-					parts, err = onepass.Run(src, f)
-					if err != nil {
-						return nil, err
-					}
+				// Flat Fennel is nh-OMS on a one-level tree of k leaves.
+				base := int32(4)
+				if alg == AlgFennel {
+					base = k
+				}
+				o, err := core.NewGP(k, base, st, core.Config{Epsilon: 0.03, Seed: cfg.Seed})
+				if err != nil {
+					return nil, err
+				}
+				parts, err := o.Run(src)
+				if err != nil {
+					return nil, err
 				}
 				row[fmt.Sprintf("%s/%s", alg, order)] = float64(metrics.EdgeCut(g, parts))
 			}

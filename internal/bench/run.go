@@ -9,7 +9,6 @@ import (
 	"oms/internal/mapping"
 	"oms/internal/metrics"
 	"oms/internal/multilevel"
-	"oms/internal/onepass"
 	"oms/internal/stream"
 )
 
@@ -28,6 +27,10 @@ const (
 	AlgML      AlgID = "KaMinPar*"
 	AlgIntMap  AlgID = "IntMap*"
 )
+
+// flatScorer maps each flat one-pass competitor to its scorer. Flat
+// Fennel, LDG and Hashing are nh-OMS on a one-level tree of k leaves.
+var flatScorer = map[AlgID]core.Scorer{AlgFennel: core.ScorerFennel, AlgLDG: core.ScorerLDG, AlgHashing: core.ScorerHashing}
 
 // RunSpec describes one algorithm execution on one instance.
 type RunSpec struct {
@@ -61,27 +64,11 @@ func Execute(g *graph.Graph, sp RunSpec) ([]int32, error) {
 	if sp.Top != nil {
 		k = sp.Top.Spec.K()
 	}
-	cfg := onepass.Config{K: k, Epsilon: sp.Eps, Seed: sp.Seed}
+	if sc, ok := flatScorer[sp.Alg]; ok {
+		sp.Alg, sp.Scorer, sp.Base, sp.HashLayers = AlgNhOMS, sc, max(k, 2), 0
+	}
 
 	switch sp.Alg {
-	case AlgHashing:
-		alg, err := onepass.NewHashing(cfg, st)
-		if err != nil {
-			return nil, err
-		}
-		return onepass.Run(src, alg)
-	case AlgLDG:
-		alg, err := onepass.NewLDG(cfg, st)
-		if err != nil {
-			return nil, err
-		}
-		return onepass.Run(src, alg)
-	case AlgFennel:
-		alg, err := onepass.NewFennel(cfg, st, 1)
-		if err != nil {
-			return nil, err
-		}
-		return onepass.Run(src, alg)
 	case AlgOMS:
 		if sp.Top == nil {
 			return nil, fmt.Errorf("bench: OMS requires a topology (use nh-OMS for plain partitioning)")

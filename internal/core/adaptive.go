@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"oms/internal/onepass"
 	"oms/internal/stream"
 )
 
@@ -14,7 +13,7 @@ func (o *OMS) Adaptive() bool { return o.est != nil }
 
 // Estimator exposes the run's online stats estimator (nil for declared
 // runs): observed totals, the projection in force, and its revision.
-func (o *OMS) Estimator() *onepass.Estimator { return o.est }
+func (o *OMS) Estimator() *Estimator { return o.est }
 
 // NumParts returns the current length of the assignment vector: the
 // declared n for declared runs, the grown-so-far capacity for adaptive
@@ -100,7 +99,7 @@ func (o *OMS) growParts(n int32) {
 // §3.2/§3.3 derivations, re-evaluated as estimates ratchet).
 func (o *OMS) readapt() {
 	est := o.est.Estimates()
-	o.lmax.Store(onepass.Lmax(est.TotalNodeWeight, o.Tree.K, o.cfg.Epsilon))
+	o.lmax.Store(Lmax(est.TotalNodeWeight, o.Tree.K, o.cfg.Epsilon))
 	o.applyStats(est)
 }
 
@@ -108,7 +107,7 @@ func (o *OMS) readapt() {
 // and the current lmax.
 func (o *OMS) applyStats(st stream.Stats) {
 	lmax := o.lmax.Load()
-	alphaRoot := onepass.Alpha(o.Tree.K, st.TotalEdgeWeight, st.N)
+	alphaRoot := Alpha(o.Tree.K, st.TotalEdgeWeight, st.N)
 	for v := range o.blk {
 		b := &o.blk[v]
 		t := o.Tree.LeafCount(int32(v))
@@ -139,9 +138,9 @@ func (o *OMS) Reconcile() (errN, errW float64) {
 
 // ExportEstimator snapshots the estimator state of an adaptive run; ok
 // is false for declared runs.
-func (o *OMS) ExportEstimator() (st onepass.EstimatorState, ok bool) {
+func (o *OMS) ExportEstimator() (st EstimatorState, ok bool) {
 	if o.est == nil {
-		return onepass.EstimatorState{}, false
+		return EstimatorState{}, false
 	}
 	return o.est.Export(), true
 }
@@ -151,7 +150,7 @@ func (o *OMS) ExportEstimator() (st onepass.EstimatorState, ok bool) {
 // dependent thresholds, so assignment continues exactly as it would
 // have in the run the state came from. Serialized with assignment, like
 // every adaptive mutation.
-func (o *OMS) ImportEstimator(st onepass.EstimatorState) error {
+func (o *OMS) ImportEstimator(st EstimatorState) error {
 	if o.est == nil {
 		return fmt.Errorf("core: estimator state for a declared-stats run")
 	}

@@ -1,4 +1,4 @@
-package onepass
+package core
 
 import (
 	"math"

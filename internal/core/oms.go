@@ -12,6 +12,17 @@
 // memory (Theorem 1) — the only per-node state is the final leaf id, from
 // which all super-blocks follow (leaf ranges).
 //
+// With base = k, Algorithm 2 builds a one-level tree of k leaves, and the
+// walk is flat one-pass Fennel, LDG or Hashing, the paper's baselines:
+// each leaf is scored with the root's alpha against the cap Lmax, and the
+// root hashes with the flat seed. It places every node where the flat scan
+// of internal/onepass (kept as reference code) does, except that a node
+// fitting no block overloads the least loaded one, not its hash. It still
+// visits all k children per node, as Theorem 2 counts them, but ranking
+// the zero-gain ones by load (below) makes it faster than the full scan.
+// The scores (FennelScore, LDGScore), Lmax, Alpha and the open-ended
+// stream's Estimator live here for both.
+//
 // The walk reads u's adjacency once. The leaf ids of its assigned
 // neighbours go into a scratch list with their least and greatest id.
 // Leaf ranges nest, so while both ends lie in one child of the block
@@ -63,7 +74,6 @@ import (
 	"sync/atomic"
 
 	"oms/internal/hierarchy"
-	"oms/internal/onepass"
 	"oms/internal/stream"
 	"oms/internal/util"
 )
@@ -120,7 +130,7 @@ type Config struct {
 	// Reconcile.
 	Adaptive bool
 	// AdaptiveHeadroom is the projection overshoot of the adaptive
-	// estimator; <= 0 selects onepass.DefaultHeadroom. The documented
+	// estimator; <= 0 selects DefaultHeadroom. The documented
 	// imbalance bound relative to the final observed totals is
 	// (1+Epsilon)(1+AdaptiveHeadroom) - 1, plus integer rounding.
 	AdaptiveHeadroom float64
@@ -143,7 +153,7 @@ type OMS struct {
 	// est estimates the stream stats of an open-ended run online; nil
 	// for declared runs. Mutations (ObserveAdaptive, ImportEstimator,
 	// Reconcile) are serialized with assignment by the caller.
-	est *onepass.Estimator
+	est *Estimator
 	// coverage is one past the highest node or neighbor id observed in
 	// an adaptive run (<= len(parts), which over-allocates to amortize
 	// growth); serialized with assignment like est.
@@ -208,6 +218,9 @@ func New(tree *hierarchy.Tree, st stream.Stats, cfg Config) (*OMS, error) {
 	if cfg.Epsilon < 0 {
 		return nil, fmt.Errorf("core: negative epsilon %v", cfg.Epsilon)
 	}
+	if cfg.Scorer < ScorerFennel || cfg.Scorer > ScorerHashing {
+		return nil, fmt.Errorf("core: unknown scorer %v", cfg.Scorer)
+	}
 	if cfg.HashLayers < 0 || cfg.HashLayers > int(tree.MaxDepth) {
 		return nil, fmt.Errorf("core: HashLayers %d outside [0,%d]", cfg.HashLayers, tree.MaxDepth)
 	}
@@ -239,10 +252,10 @@ func New(tree *hierarchy.Tree, st stream.Stats, cfg Config) (*OMS, error) {
 		// projections at them and the initial thresholds derive from
 		// the initial projection (zero without hints — the first
 		// observation ratchets before the first assignment).
-		o.est = onepass.NewEstimator(st, cfg.AdaptiveHeadroom)
+		o.est = NewEstimator(st, cfg.AdaptiveHeadroom)
 		o.readapt()
 	} else {
-		o.lmax.Store(onepass.Lmax(st.TotalNodeWeight, tree.K, cfg.Epsilon))
+		o.lmax.Store(Lmax(st.TotalNodeWeight, tree.K, cfg.Epsilon))
 		// §3.2/§3.3: a block covering t final blocks is scored with
 		// alpha / sqrt(t); for homogeneous hierarchies this equals the
 		// per-layer alpha_i = alpha / sqrt(prod_{r<i} a_r).
@@ -578,8 +591,8 @@ func (sc *levelScratch) total() float64 {
 // configured objective and returns the best feasible one: the highest
 // score, ties to the lighter block, then to the lower index. The
 // objective is chosen once per call. The default, Fennel with gamma 1.5,
-// evaluates onepass.FennelScore's expression inline; LDG and other
-// gammas call onepass per child.
+// evaluates FennelScore's expression inline; LDG and other gammas call
+// LDGScore or FennelScore per child.
 //
 // When the children are even (one alpha, see block), the Fennel arm
 // ranks its zero-gain children instead of scoring them. A zero-gain
@@ -633,9 +646,9 @@ func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 
 			var score float64
 			var ok bool
 			if ldg {
-				score, ok = onepass.LDGScore(gain[i], load, w, c.cap)
+				score, ok = LDGScore(gain[i], load, w, c.cap)
 			} else {
-				score, ok = onepass.FennelScore(gain[i], load, w, c.cap, c.alpha, o.gamma)
+				score, ok = FennelScore(gain[i], load, w, c.cap, c.alpha, o.gamma)
 			}
 			if !ok {
 				continue

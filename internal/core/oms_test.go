@@ -9,7 +9,6 @@ import (
 	"oms/internal/graph"
 	"oms/internal/hierarchy"
 	"oms/internal/metrics"
-	"oms/internal/onepass"
 	"oms/internal/stream"
 )
 
@@ -59,6 +58,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewGP(4, 1, st, Config{Epsilon: 0.03}); err == nil {
 		t.Fatal("base=1 accepted")
 	}
+	if _, err := New(tree, st, Config{Epsilon: 0.03, Scorer: Scorer(7)}); err == nil {
+		t.Fatal("unknown scorer accepted")
+	}
 }
 
 func TestAdaptedAlphaInvariant(t *testing.T) {
@@ -71,7 +73,7 @@ func TestAdaptedAlphaInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := onepass.Alpha(tree.K, st.TotalEdgeWeight, st.N)
+	root := Alpha(tree.K, st.TotalEdgeWeight, st.N)
 	for v := int32(0); v < tree.NumNodes(); v++ {
 		got := o.AlphaOf(v) * math.Sqrt(float64(tree.LeafCount(v)))
 		if math.Abs(got-root) > 1e-9*root {
@@ -189,8 +191,8 @@ func multiPassReference(g *graph.Graph, tree *hierarchy.Tree, st stream.Stats, c
 	if gamma == 0 {
 		gamma = 1.5
 	}
-	lmax := onepass.Lmax(st.TotalNodeWeight, tree.K, cfg.Epsilon)
-	alphaRoot := onepass.Alpha(tree.K, st.TotalEdgeWeight, st.N)
+	lmax := Lmax(st.TotalNodeWeight, tree.K, cfg.Epsilon)
+	alphaRoot := Alpha(tree.K, st.TotalEdgeWeight, st.N)
 	caps := make([]int64, tree.NumNodes())
 	alphas := make([]float64, tree.NumNodes())
 	for v := int32(0); v < tree.NumNodes(); v++ {
@@ -242,9 +244,9 @@ func multiPassReference(g *graph.Graph, tree *hierarchy.Tree, st stream.Stats, c
 				var score float64
 				var ok bool
 				if cfg.Scorer == ScorerLDG {
-					score, ok = onepass.LDGScore(gains[i], loads[c], w, caps[c])
+					score, ok = LDGScore(gains[i], loads[c], w, caps[c])
 				} else {
-					score, ok = onepass.FennelScore(gains[i], loads[c], w, caps[c], alphas[c], gamma)
+					score, ok = FennelScore(gains[i], loads[c], w, caps[c], alphas[c], gamma)
 				}
 				if !ok {
 					continue
@@ -298,21 +300,14 @@ func TestOnlineEqualsMultiPass(t *testing.T) {
 func TestOMSBetterMappingThanFlatFennel(t *testing.T) {
 	// The headline process-mapping claim (§4.1): OMS beats Fennel (which
 	// ignores the hierarchy) on J. Scaled-down check of the direction.
+	// Flat Fennel is the walk on a one-level tree of k leaves.
 	spec := hierarchy.MustSpec("4:4:4")
 	top := hierarchy.MustTopology(spec, hierarchy.MustDistances("1:10:100"))
 	g := gen.RandomGeometric(6000, 0.55, 21)
-	st := statsOf(t, g)
 	tree := hierarchy.FromSpec(spec)
 
 	omsParts := runOMS(t, g, tree, Config{Epsilon: 0.03})
-	f, err := onepass.NewFennel(onepass.Config{K: spec.K(), Epsilon: 0.03}, st, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fenParts, err := onepass.Run(stream.NewMemory(g), f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fenParts := runOMS(t, g, hierarchy.BuildArtificial(spec.K(), spec.K()), Config{Epsilon: 0.03})
 	jOMS := metrics.MappingCost(g, omsParts, top)
 	jFen := metrics.MappingCost(g, fenParts, top)
 	if jOMS >= jFen {
@@ -335,10 +330,9 @@ func TestNhOMSCutRegime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := onepass.NewFennel(onepass.Config{K: k, Epsilon: 0.03}, st, 1)
-	fenParts, _ := onepass.Run(stream.NewMemory(g), f)
-	h, _ := onepass.NewHashing(onepass.Config{K: k, Epsilon: 0.03, Seed: 1}, st)
-	hashParts, _ := onepass.Run(stream.NewMemory(g), h)
+	flat := hierarchy.BuildArtificial(k, k)
+	fenParts := runOMS(t, g, flat, Config{Epsilon: 0.03})
+	hashParts := runOMS(t, g, flat, Config{Epsilon: 0.03, Scorer: ScorerHashing, Seed: 1})
 
 	cutNh := metrics.EdgeCut(g, nhParts)
 	cutFen := metrics.EdgeCut(g, fenParts)

@@ -10,7 +10,6 @@ import (
 	"oms/internal/gen"
 	"oms/internal/graph"
 	"oms/internal/hierarchy"
-	"oms/internal/onepass"
 	"oms/internal/stream"
 )
 
@@ -19,8 +18,8 @@ import (
 // adjacency, range-checks each neighbour against the block being split and
 // looks its child up by comparing leaf ranges — independent of gather,
 // narrow, ChildShift and ChildContaining. It scores every child through
-// onepass.FennelScore/LDGScore, so it also holds the walk's inlined
-// Fennel arm to them, and it derives the hashed levels from the config,
+// FennelScore/LDGScore, so it also holds the walk's inlined Fennel arm to
+// them, and it derives the hashed levels from the config,
 // not from the block records. Sequentially the two walks must agree to
 // the last bit.
 //
@@ -108,9 +107,9 @@ func (o *OMS) rescanScoreChild(gain []float64, v, first, count int32, w int64, a
 		var score float64
 		var ok bool
 		if o.cfg.Scorer == ScorerLDG {
-			score, ok = onepass.LDGScore(gain[i], load, w, o.blk[c].cap)
+			score, ok = LDGScore(gain[i], load, w, o.blk[c].cap)
 		} else {
-			score, ok = onepass.FennelScore(gain[i], load, w, o.blk[c].cap, o.blk[c].alpha, o.gamma)
+			score, ok = FennelScore(gain[i], load, w, o.blk[c].cap, o.blk[c].alpha, o.gamma)
 		}
 		if !ok {
 			continue

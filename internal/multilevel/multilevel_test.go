@@ -3,10 +3,10 @@ package multilevel
 import (
 	"testing"
 
+	"oms/internal/core"
 	"oms/internal/gen"
 	"oms/internal/graph"
 	"oms/internal/metrics"
-	"oms/internal/onepass"
 	"oms/internal/stream"
 	"oms/internal/util"
 )
@@ -191,11 +191,12 @@ func TestPartitionBalancedAndBetterThanStreaming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fen, err := onepass.NewFennel(onepass.Config{K: tc.k, Epsilon: 0.03}, st, 1)
+		// Flat Fennel is the online multi-section on a one-level tree.
+		fen, err := core.NewGP(tc.k, max(tc.k, 2), st, core.Config{Epsilon: 0.03})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fparts, err := onepass.Run(src, fen)
+		fparts, err := fen.Run(src)
 		if err != nil {
 			t.Fatal(err)
 		}

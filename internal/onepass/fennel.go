@@ -1,6 +1,7 @@
 package onepass
 
 import (
+	"oms/internal/core"
 	"oms/internal/stream"
 )
 
@@ -31,7 +32,7 @@ func NewFennel(cfg Config, st stream.Stats, threads int) (*Fennel, error) {
 	}
 	return &Fennel{
 		shared:  s,
-		alpha:   Alpha(cfg.K, st.TotalEdgeWeight, st.N),
+		alpha:   core.Alpha(cfg.K, st.TotalEdgeWeight, st.N),
 		gamma:   gamma,
 		scratch: newGainScratch(cfg.K),
 	}, nil
@@ -61,7 +62,7 @@ func (f *Fennel) Assign(_ int, u int32, vwgt int32, adj []int32, ewgt []int32) i
 	var bestLoad int64
 	for b := int32(0); b < f.k; b++ {
 		load := f.loads[b]
-		score, ok := FennelScore(sc.get(b), load, w, f.lmax, f.alpha, f.gamma)
+		score, ok := core.FennelScore(sc.get(b), load, w, f.lmax, f.alpha, f.gamma)
 		if !ok {
 			continue
 		}

@@ -1,6 +1,7 @@
 package onepass
 
 import (
+	"oms/internal/core"
 	"oms/internal/stream"
 )
 
@@ -43,7 +44,7 @@ func (l *LDG) Assign(_ int, u int32, vwgt int32, adj []int32, ewgt []int32) int3
 	var bestLoad int64
 	for b := int32(0); b < l.k; b++ {
 		load := l.loads[b]
-		score, ok := LDGScore(sc.get(b), load, w, l.lmax)
+		score, ok := core.LDGScore(sc.get(b), load, w, l.lmax)
 		if !ok {
 			continue
 		}

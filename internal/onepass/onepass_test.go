@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"oms/internal/core"
 	"oms/internal/gen"
 	"oms/internal/graph"
 	"oms/internal/metrics"
@@ -58,50 +59,50 @@ func mkFennel(cfg Config, threads int) func(stream.Stats) Algorithm {
 
 func TestLmax(t *testing.T) {
 	// ceil(1.03 * 100 / 4) = ceil(25.75) = 26.
-	if l := Lmax(100, 4, 0.03); l != 26 {
+	if l := core.Lmax(100, 4, 0.03); l != 26 {
 		t.Fatalf("Lmax=%d want 26", l)
 	}
-	if l := Lmax(100, 4, 0); l != 25 {
+	if l := core.Lmax(100, 4, 0); l != 25 {
 		t.Fatalf("Lmax=%d want 25", l)
 	}
-	if l := Lmax(7, 2, 0); l != 4 {
+	if l := core.Lmax(7, 2, 0); l != 4 {
 		t.Fatalf("Lmax=%d want 4", l)
 	}
 }
 
 func TestAlphaFormula(t *testing.T) {
 	// alpha = sqrt(k) m / n^1.5; k=4, m=1000, n=100 -> 2*1000/1000 = 2.
-	if a := Alpha(4, 1000, 100); math.Abs(a-2) > 1e-12 {
+	if a := core.Alpha(4, 1000, 100); math.Abs(a-2) > 1e-12 {
 		t.Fatalf("alpha=%v want 2", a)
 	}
-	if a := Alpha(4, 1000, 0); a != 0 {
+	if a := core.Alpha(4, 1000, 0); a != 0 {
 		t.Fatalf("alpha=%v want 0 for empty graph", a)
 	}
 }
 
 func TestFennelScoreMath(t *testing.T) {
 	// gain 3, load 4, alpha 1, gamma 1.5: 3 - 1.5*sqrt(4) = 0.
-	s, ok := FennelScore(3, 4, 1, 100, 1, 1.5)
+	s, ok := core.FennelScore(3, 4, 1, 100, 1, 1.5)
 	if !ok || math.Abs(s) > 1e-12 {
 		t.Fatalf("score=%v ok=%v", s, ok)
 	}
 	// Infeasible when capacity exceeded.
-	if _, ok := FennelScore(3, 100, 1, 100, 1, 1.5); ok {
+	if _, ok := core.FennelScore(3, 100, 1, 100, 1, 1.5); ok {
 		t.Fatal("over-capacity move marked feasible")
 	}
 	// Non-default gamma path.
-	s2, _ := FennelScore(0, 8, 1, 100, 1, 2)
+	s2, _ := core.FennelScore(0, 8, 1, 100, 1, 2)
 	if math.Abs(s2+16) > 1e-12 { // -alpha*gamma*load^1 = -16
 		t.Fatalf("gamma=2 score %v want -16", s2)
 	}
 }
 
 func TestLDGScoreMath(t *testing.T) {
-	s, ok := LDGScore(4, 25, 1, 100)
+	s, ok := core.LDGScore(4, 25, 1, 100)
 	if !ok || math.Abs(s-3) > 1e-12 {
 		t.Fatalf("score=%v ok=%v want 3", s, ok)
 	}
-	if _, ok := LDGScore(4, 100, 1, 100); ok {
+	if _, ok := core.LDGScore(4, 100, 1, 100); ok {
 		t.Fatal("full block marked feasible")
 	}
 }
@@ -237,7 +238,7 @@ func TestFennelAlphaValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Alpha(4, st.TotalEdgeWeight, st.N)
+	want := core.Alpha(4, st.TotalEdgeWeight, st.N)
 	if f.AlphaValue() != want {
 		t.Fatalf("alpha %v want %v", f.AlphaValue(), want)
 	}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"oms/internal/core"
 )
 
 // TestPropertyFennelScoreMonotonicity: with gain fixed, a heavier block
@@ -16,18 +18,18 @@ func TestPropertyFennelScoreMonotonicity(t *testing.T) {
 		capacity := int64(capRaw%100000) + 10
 		load := int64(loadRaw) % capacity
 		alpha := float64(alphaRaw)/100 + 0.01
-		s1, ok1 := FennelScore(gain, load, 1, capacity, alpha, 1.5)
+		s1, ok1 := core.FennelScore(gain, load, 1, capacity, alpha, 1.5)
 		if !ok1 {
 			return true // infeasible: nothing to compare
 		}
 		if load+1 <= capacity-1 {
-			s2, ok2 := FennelScore(gain, load+1, 1, capacity, alpha, 1.5)
+			s2, ok2 := core.FennelScore(gain, load+1, 1, capacity, alpha, 1.5)
 			if ok2 && s2 > s1+1e-9 {
 				t.Logf("heavier block scored higher: %v -> %v", s1, s2)
 				return false
 			}
 		}
-		s3, ok3 := FennelScore(gain+1, load, 1, capacity, alpha, 1.5)
+		s3, ok3 := core.FennelScore(gain+1, load, 1, capacity, alpha, 1.5)
 		if !ok3 || s3 <= s1 {
 			t.Logf("more gain did not raise score: %v -> %v", s1, s3)
 			return false
@@ -46,7 +48,7 @@ func TestPropertyLDGScoreBounds(t *testing.T) {
 		gain := float64(gainRaw)
 		capacity := int64(capRaw%100000) + 10
 		load := int64(loadRaw) % capacity
-		s, ok := LDGScore(gain, load, 1, capacity)
+		s, ok := core.LDGScore(gain, load, 1, capacity)
 		if !ok {
 			return load+1 > capacity
 		}
@@ -72,8 +74,8 @@ func TestPropertyFeasibilityIsCapExact(t *testing.T) {
 		capacity := int64(capRaw) + 1
 		load := int64(loadRaw)
 		w := int64(wRaw) + 1
-		_, okF := FennelScore(1, load, w, capacity, 0.5, 1.5)
-		_, okL := LDGScore(1, load, w, capacity)
+		_, okF := core.FennelScore(1, load, w, capacity, 0.5, 1.5)
+		_, okL := core.LDGScore(1, load, w, capacity)
 		want := load+w <= capacity
 		return okF == want && okL == want
 	}
@@ -89,13 +91,13 @@ func TestPropertyAlphaScaling(t *testing.T) {
 		k := int32(kRaw%100) + 2
 		m := int64(mRaw) + 1
 		n := int32(nRaw) + 2
-		a := Alpha(k, m, n)
-		a4 := Alpha(4*k, m, n)
+		a := core.Alpha(k, m, n)
+		a4 := core.Alpha(4*k, m, n)
 		if math.Abs(a4-2*a) > 1e-9*a {
 			t.Logf("alpha(4k) %v != 2*alpha(k) %v", a4, 2*a)
 			return false
 		}
-		a2m := Alpha(k, 2*m, n)
+		a2m := core.Alpha(k, 2*m, n)
 		if math.Abs(a2m-2*a) > 1e-9*a {
 			t.Logf("alpha(2m) %v != 2*alpha %v", a2m, 2*a)
 			return false
@@ -113,7 +115,7 @@ func TestPropertyLmaxBounds(t *testing.T) {
 	f := func(totalRaw uint32, kRaw uint16) bool {
 		total := int64(totalRaw%10000000) + 1
 		k := int32(kRaw%1000) + 1
-		lmax := Lmax(total, k, 0.03)
+		lmax := core.Lmax(total, k, 0.03)
 		avg := float64(total) / float64(k)
 		if float64(lmax) < avg {
 			t.Logf("Lmax %d below average %v", lmax, avg)

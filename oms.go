@@ -21,10 +21,10 @@
 // objective J(C,D,Pi).
 //
 // The package also bundles every comparator of the paper's evaluation:
-// the flat one-pass algorithms (PartitionOnePass), an in-memory
-// multilevel partitioner standing in for KaMinPar (PartitionMultilevel),
-// and an offline recursive multi-section mapper standing in for IntMap
-// (MapOffline).
+// the flat one-pass algorithms (PartitionOnePass, the same walk on a
+// one-level tree of k leaves), an in-memory multilevel partitioner
+// standing in for KaMinPar (PartitionMultilevel), and an offline
+// recursive multi-section mapper standing in for IntMap (MapOffline).
 //
 // Basic usage:
 //

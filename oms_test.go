@@ -321,6 +321,9 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := oms.PartitionGraph(g, 4, oms.Options{Base: 1}); err == nil {
 		t.Fatal("base 1 accepted")
 	}
+	if _, err := oms.PartitionGraph(g, 8, oms.Options{Scorer: oms.Scorer(7)}); err == nil {
+		t.Fatal("unknown scorer accepted")
+	}
 	if _, err := oms.Restream(oms.NewMemorySource(g), 4, nil, -1, oms.Options{}); err == nil {
 		t.Fatal("negative passes accepted")
 	}

@@ -8,7 +8,6 @@ import (
 
 	"oms/internal/core"
 	"oms/internal/hierarchy"
-	"oms/internal/onepass"
 	"oms/internal/stream"
 )
 
@@ -77,7 +76,7 @@ type SessionConfig struct {
 	// an automatic default by retention: RetainedAdaptiveHeadroom (2.0)
 	// for Record sessions — whose Finish repairs balance with a
 	// reconcile pass, so streaming-time optimism is free quality — and
-	// the tight onepass default (the paper's epsilon) otherwise, where
+	// the estimator's tight default (the paper's epsilon) otherwise, where
 	// the projection alone carries the imbalance bound.
 	AdaptiveHeadroom float64
 }
@@ -487,7 +486,7 @@ func (s *Session) RestreamFrom(src Source, passes int) (*Result, error) {
 // session: the observed running totals, the ratchet trigger, and the
 // projection in force. An alias, like StreamStats, so the WAL's
 // stats-revision encoder cannot drift from the estimator's own fields.
-type EstimatorState = onepass.EstimatorState
+type EstimatorState = core.EstimatorState
 
 // Adaptive reports whether the session estimates its stream stats
 // online.
