@@ -625,7 +625,7 @@ func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 
 				}
 				continue
 			}
-			score := gain[i] - c.alpha*1.5*math.Sqrt(float64(load))
+			score := gain[i] - float64(c.alpha*1.5*math.Sqrt(float64(load)))
 			if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
 				best, bestScore, bestLoad = i, score, load
 			}
@@ -633,7 +633,7 @@ func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 
 		if rep >= 0 && best < 0 {
 			best = rep
 		} else if rep >= 0 {
-			score := gain[rep] - kids[rep].alpha*1.5*math.Sqrt(float64(repLoad))
+			score := gain[rep] - float64(kids[rep].alpha*1.5*math.Sqrt(float64(repLoad)))
 			if score > bestScore || (score == bestScore && (repLoad < bestLoad || (repLoad == bestLoad && rep < best))) {
 				best = rep
 			}

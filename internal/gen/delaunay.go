@@ -76,7 +76,7 @@ func (t *triangulator) addTriangle(a, b, c, na, nb, nc int32) int32 {
 
 // orient2d returns >0 if points a,b,c are counter-clockwise.
 func orient2d(a, b, c point) float64 {
-	return (b.x-a.x)*(c.y-a.y) - (b.y-a.y)*(c.x-a.x)
+	return float64((b.x-a.x)*(c.y-a.y)) - float64((b.y-a.y)*(c.x-a.x))
 }
 
 // inCircle returns >0 if d lies inside the circumcircle of ccw triangle
@@ -85,10 +85,10 @@ func inCircle(a, b, c, d point) float64 {
 	ax, ay := a.x-d.x, a.y-d.y
 	bx, by := b.x-d.x, b.y-d.y
 	cx, cy := c.x-d.x, c.y-d.y
-	al := ax*ax + ay*ay
-	bl := bx*bx + by*by
-	cl := cx*cx + cy*cy
-	return ax*(by*cl-bl*cy) - ay*(bx*cl-bl*cx) + al*(bx*cy-by*cx)
+	al := float64(ax*ax) + float64(ay*ay)
+	bl := float64(bx*bx) + float64(by*by)
+	cl := float64(cx*cx) + float64(cy*cy)
+	return float64(ax*(float64(by*cl)-float64(bl*cy))) - float64(ay*(float64(bx*cl)-float64(bl*cx))) + float64(al*(float64(bx*cy)-float64(by*cx)))
 }
 
 // locate returns a triangle containing point p via a straight walk from

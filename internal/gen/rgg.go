@@ -68,7 +68,7 @@ func geometricEdges(pts []point, r float64) *graph.Graph {
 		// endpoint is subtracted.
 		dx := pts[v].x - pts[u].x
 		dy := pts[v].y - pts[u].y
-		return dx*dx+dy*dy <= r2
+		return float64(dx*dx)+float64(dy*dy) <= r2
 	}
 	b := graph.NewBuilder(n)
 	// n^2*pi*r^2/2 edges are expected without the boundary's loss, so
@@ -128,7 +128,7 @@ func RoadLike(n int32, deg float64, seed uint64) *graph.Graph {
 	dist2 := func(u, v int32) float64 {
 		dx := pts[v].x - pts[u].x
 		dy := pts[v].y - pts[u].y
-		return dx*dx + dy*dy
+		return float64(dx*dx) + float64(dy*dy)
 	}
 	kept := make(map[int64]bool, n)
 	for u := int32(0); u < n; u++ {
@@ -153,7 +153,7 @@ func RoadLike(n int32, deg float64, seed uint64) *graph.Graph {
 	rest := float64(full.NumEdges()) - float64(len(kept))
 	q := 0.0
 	if rest > 0 && target > float64(len(kept)) {
-		q = (target - float64(len(kept))) / rest
+		q = (float64(target) - float64(len(kept))) / rest
 	}
 	b := graph.NewBuilder(n)
 	for u := int32(0); u < n; u++ {

@@ -90,7 +90,7 @@ func (bg *BlockGraph) CostJ(top *hierarchy.Topology, pe []int32) float64 {
 			if e.To <= a {
 				continue
 			}
-			cost += float64(e.W) * top.PEDistance(pe[a], pe[e.To])
+			cost += float64(float64(e.W) * top.PEDistance(pe[a], pe[e.To]))
 		}
 	}
 	return cost

@@ -15,16 +15,16 @@ func swapDelta(bg *BlockGraph, top *hierarchy.Topology, pe []int32, a, b int32) 
 			continue
 		}
 		pc := pe[e.To]
-		oldC += float64(e.W) * top.PEDistance(pa, pc)
-		newC += float64(e.W) * top.PEDistance(pb, pc)
+		oldC += float64(float64(e.W) * top.PEDistance(pa, pc))
+		newC += float64(float64(e.W) * top.PEDistance(pb, pc))
 	}
 	for _, e := range bg.Adj[b] {
 		if e.To == a {
 			continue
 		}
 		pc := pe[e.To]
-		oldC += float64(e.W) * top.PEDistance(pb, pc)
-		newC += float64(e.W) * top.PEDistance(pa, pc)
+		oldC += float64(float64(e.W) * top.PEDistance(pb, pc))
+		newC += float64(float64(e.W) * top.PEDistance(pa, pc))
 	}
 	return newC - oldC
 }

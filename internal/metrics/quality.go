@@ -132,7 +132,7 @@ func MappingCost(g *graph.Graph, parts []int32, top *hierarchy.Topology) float64
 	var cost float64
 	assignedEdges(g, parts, func(pu, pv, w int32) {
 		if d := top.PEDistance(pu, pv); d != 0 {
-			cost += float64(w) * d
+			cost += float64(float64(w) * d)
 		}
 	})
 	return cost

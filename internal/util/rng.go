@@ -61,9 +61,9 @@ func (r *RNG) Float64() float64 {
 // NormFloat64 returns a standard normal variate (Box-Muller, polar form).
 func (r *RNG) NormFloat64() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := 2*float64(r.Float64()) - 1
+		v := 2*float64(r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
