@@ -4,7 +4,6 @@ import (
 	"oms/internal/core"
 	"oms/internal/mapping"
 	"oms/internal/multilevel"
-	"oms/internal/stream"
 )
 
 // PartitionOnePass streams src once with a flat (non-hierarchical)
@@ -38,8 +37,7 @@ func PartitionMultilevel(g *Graph, k int32, opt MultilevelOptions) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	st, _ := stream.NewMemory(g).Stats()
-	return &Result{Parts: parts, K: k, Lmax: core.Lmax(st.TotalNodeWeight, k, opt.Epsilon)}, nil
+	return &Result{Parts: parts, K: k, Lmax: core.Lmax(g.TotalNodeWeight(), k, opt.Epsilon)}, nil
 }
 
 // OfflineMapOptions tunes the offline recursive multi-section mapper.
@@ -59,6 +57,5 @@ func MapOffline(g *Graph, top *Topology, opt OfflineMapOptions) (*Result, error)
 		return nil, err
 	}
 	k := top.Spec.K()
-	st, _ := stream.NewMemory(g).Stats()
-	return &Result{Parts: parts, K: k, Lmax: core.Lmax(st.TotalNodeWeight, k, opt.Epsilon)}, nil
+	return &Result{Parts: parts, K: k, Lmax: core.Lmax(g.TotalNodeWeight(), k, opt.Epsilon)}, nil
 }
