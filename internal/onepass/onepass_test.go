@@ -3,7 +3,6 @@ package onepass
 import (
 	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	"oms/internal/core"
@@ -187,17 +186,16 @@ func TestSequentialDeterminism(t *testing.T) {
 	}
 }
 
-// TestStaysBalancedAndIgnoresThreads: every algorithm keeps every block
-// within Lmax, and NewFennel ignores its threads argument: Fennel built
-// for four or eight threads places every node as Fennel built for one
-// does, so it also has the same cut.
-func TestStaysBalancedAndIgnoresThreads(t *testing.T) {
+// TestParallelStaysBalanced: every algorithm keeps every block within
+// Lmax, and Fennel built for four threads, which it ignores, places every
+// node as Fennel built for one does.
+func TestParallelStaysBalanced(t *testing.T) {
 	g := gen.RandomGeometric(5000, 0.55, 11)
 	for _, k := range []int32{8, 64} {
 		cfg := Config{K: k, Epsilon: 0.03, Seed: 2}
 		one := runOn(t, g, mkFennel(cfg, 1))
 		for name, mk := range map[string]func(stream.Stats) Algorithm{
-			"hashing": mkHashing(cfg), "ldg": mkLDG(cfg), "fennel-4": mkFennel(cfg, 4), "fennel-8": mkFennel(cfg, 8),
+			"hashing": mkHashing(cfg), "ldg": mkLDG(cfg), "fennel": mkFennel(cfg, 4),
 		} {
 			parts := runOn(t, g, mk)
 			for u, p := range parts {
@@ -208,10 +206,27 @@ func TestStaysBalancedAndIgnoresThreads(t *testing.T) {
 			if err := metrics.CheckBalanced(g, parts, k, cfg.Epsilon); err != nil {
 				t.Errorf("%s k=%d: %v", name, k, err)
 			}
-			if strings.HasPrefix(name, "fennel") && !slices.Equal(parts, one) {
-				t.Errorf("k=%d: %s differs from Fennel for one thread", k, name)
+			if name == "fennel" && !slices.Equal(parts, one) {
+				t.Errorf("k=%d: Fennel for four threads differs from Fennel for one", k)
 			}
 		}
+	}
+}
+
+// TestParallelQualityClose: NewFennel ignores its threads argument, so
+// Fennel built for eight threads has the cut of Fennel built for one and
+// places every node the same way.
+func TestParallelQualityClose(t *testing.T) {
+	g := gen.RandomGeometric(5000, 0.55, 13)
+	cfg := Config{K: 16, Epsilon: 0.03, Seed: 7}
+	seq := runOn(t, g, mkFennel(cfg, 1))
+	par := runOn(t, g, mkFennel(cfg, 8))
+	seqCut, parCut := metrics.EdgeCut(g, seq), metrics.EdgeCut(g, par)
+	if parCut != seqCut {
+		t.Fatalf("cut %d for eight threads, %d for one", parCut, seqCut)
+	}
+	if !slices.Equal(par, seq) {
+		t.Fatal("Fennel for eight threads placed some node differently from Fennel for one")
 	}
 }
 
