@@ -108,7 +108,7 @@ func (s Scorer) String() string {
 type Config struct {
 	Epsilon float64 // allowed imbalance
 	Scorer  Scorer  // objective for non-hashed layers
-	Gamma   float64 // Fennel exponent; 0 means 1.5
+	Gamma   float64 // Fennel exponent, finite and >= 1; 0 means 1.5
 	// VanillaAlpha disables the per-subproblem adapted alpha of §3.2 and
 	// scores every tree block with the flat k-way alpha. The paper's
 	// tuning found adapted alpha 3.1% faster with 9.7% better mappings,
@@ -227,6 +227,12 @@ func New(tree *hierarchy.Tree, st stream.Stats, cfg Config) (*OMS, error) {
 	gamma := cfg.Gamma
 	if gamma == 0 {
 		gamma = 1.5
+	}
+	// Fennel's load cost alpha*x^gamma is convex only for gamma >= 1;
+	// below it, or at NaN or an infinity, the penalty stops ranking
+	// blocks and the walk fills them in order.
+	if gamma < 1 || math.IsNaN(gamma) || math.IsInf(gamma, 1) {
+		return nil, fmt.Errorf("core: Fennel gamma %v not a finite value >= 1", cfg.Gamma)
 	}
 	o := &OMS{
 		Tree:  tree,

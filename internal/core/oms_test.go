@@ -61,6 +61,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(tree, st, Config{Epsilon: 0.03, Scorer: Scorer(7)}); err == nil {
 		t.Fatal("unknown scorer accepted")
 	}
+	for _, g := range []float64{0.5, -1, math.NaN(), math.Inf(1)} {
+		if _, err := New(tree, st, Config{Epsilon: 0.03, Gamma: g}); err == nil {
+			t.Fatalf("gamma %v accepted", g)
+		}
+	}
 }
 
 func TestAdaptedAlphaInvariant(t *testing.T) {

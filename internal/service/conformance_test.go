@@ -175,6 +175,7 @@ func conformanceTable() []conformanceCase {
 		{"create/bad-json", "POST", "POST /v1/sessions", id("/v1/sessions"), "{nope", http.StatusBadRequest, "bad_request", "", ""},
 		{"create/no-target", "POST", "POST /v1/sessions", id("/v1/sessions"), `{"n":4}`, http.StatusBadRequest, "bad_request", "", ""},
 		{"create/k-and-topology", "POST", "POST /v1/sessions", id("/v1/sessions"), `{"n":4,"k":2,"topology":"2:2"}`, http.StatusBadRequest, "bad_request", "", ""},
+		{"create/bad-gamma", "POST", "POST /v1/sessions", id("/v1/sessions"), `{"n":4,"k":2,"gamma":0.5}`, http.StatusBadRequest, "bad_request", "", ""},
 		{"create/bad-scorer", "POST", "POST /v1/sessions", id("/v1/sessions"), `{"n":4,"k":2,"scorer":"quantum"}`, http.StatusBadRequest, "bad_request", "", ""},
 		{"create/ok", "POST", "POST /v1/sessions", id("/v1/sessions"), `{"n":4,"m":3,"k":2}`, http.StatusCreated, "", "", ""},
 

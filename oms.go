@@ -107,7 +107,8 @@ type Options struct {
 	// uses the flat k-way value everywhere (ablation; the adapted value
 	// is 3.1% faster and maps 9.7% better in the paper's tuning).
 	VanillaAlpha bool
-	// Gamma is the Fennel exponent; 0 means the paper's 1.5.
+	// Gamma is the Fennel exponent, a finite value >= 1; 0 means the
+	// paper's 1.5.
 	Gamma float64
 	// Threads is accepted and ignored: every pass assigns in stream order
 	// on one worker, so results do not depend on it. The paper's §3.4
@@ -220,20 +221,7 @@ func MustTopology(spec, dist string) *Topology {
 // hierarchy (the paper's nh-OMS). Runtime is O((m + n b) log_b k) —
 // compare O(m + n k) for flat one-pass partitioners.
 func Partition(src Source, k int32, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	st, err := src.Stats()
-	if err != nil {
-		return nil, err
-	}
-	o, err := core.NewGP(k, opt.Base, st, opt.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	parts, err := o.Run(src)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Parts: parts, K: k, Lmax: o.LmaxValue()}, nil
+	return run(src, k, nil, 0, opt)
 }
 
 // Map streams src once and maps it onto the PEs of top with the online
@@ -242,21 +230,7 @@ func Partition(src Source, k int32, opt Options) (*Result, error) {
 // toward the cheap inner levels and the mapping objective J is optimized
 // implicitly, in a single pass.
 func Map(src Source, top *Topology, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	st, err := src.Stats()
-	if err != nil {
-		return nil, err
-	}
-	tree := hierarchy.FromSpec(top.Spec)
-	o, err := core.New(tree, st, opt.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	parts, err := o.Run(src)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Parts: parts, K: tree.K, Lmax: o.LmaxValue()}, nil
+	return run(src, 0, top, 0, opt)
 }
 
 // PartitionGraph is Partition over an in-memory graph.
@@ -277,6 +251,13 @@ func MapGraph(g *Graph, top *Topology, opt Options) (*Result, error) {
 // Passes counts the additional passes after the first; top may be nil for
 // plain partitioning (then k and opt.Base define the hierarchy).
 func Restream(src Source, k int32, top *Topology, passes int, opt Options) (*Result, error) {
+	return run(src, k, top, passes, opt)
+}
+
+// run is the one pull path: it sizes an engine by src's stats, streams
+// the first pass and then passes extra ones. Partition and Map run no
+// extra pass.
+func run(src Source, k int32, top *Topology, passes int, opt Options) (*Result, error) {
 	if passes < 0 {
 		return nil, fmt.Errorf("oms: negative restream passes %d", passes)
 	}
@@ -285,12 +266,7 @@ func Restream(src Source, k int32, top *Topology, passes int, opt Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	var o *core.OMS
-	if top != nil {
-		o, err = core.New(hierarchy.FromSpec(top.Spec), st, opt.coreConfig())
-	} else {
-		o, err = core.NewGP(k, opt.Base, st, opt.coreConfig())
-	}
+	o, err := newEngine(top, k, opt.Base, st, opt.coreConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -302,4 +278,14 @@ func Restream(src Source, k int32, top *Topology, passes int, opt Options) (*Res
 		return nil, err
 	}
 	return &Result{Parts: parts, K: o.K(), Lmax: o.LmaxValue()}, nil
+}
+
+// newEngine builds the engine of a pull run or a push session: the
+// multi-section tree mirrors top when one is given, and is otherwise
+// Algorithm 2's artificial base-section tree over k blocks.
+func newEngine(top *Topology, k, base int32, st stream.Stats, cfg core.Config) (*core.OMS, error) {
+	if top != nil {
+		return core.New(hierarchy.FromSpec(top.Spec), st, cfg)
+	}
+	return core.NewGP(k, base, st, cfg)
 }

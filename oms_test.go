@@ -324,6 +324,9 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := oms.PartitionGraph(g, 8, oms.Options{Scorer: oms.Scorer(7)}); err == nil {
 		t.Fatal("unknown scorer accepted")
 	}
+	if _, err := oms.PartitionGraph(g, 8, oms.Options{Gamma: 0.5}); err == nil {
+		t.Fatal("Fennel gamma below 1 accepted")
+	}
 	if _, err := oms.Restream(oms.NewMemorySource(g), 4, nil, -1, oms.Options{}); err == nil {
 		t.Fatal("negative passes accepted")
 	}

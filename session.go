@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"oms/internal/core"
-	"oms/internal/hierarchy"
 	"oms/internal/stream"
 )
 
@@ -186,13 +185,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 			cfg.Stats.TotalEdgeWeight = cfg.Stats.M
 		}
 	}
-	var o *core.OMS
-	var err error
-	if cfg.Topology != nil {
-		o, err = core.New(hierarchy.FromSpec(cfg.Topology.Spec), cfg.Stats, ccfg)
-	} else {
-		o, err = core.NewGP(cfg.K, opt.Base, cfg.Stats, ccfg)
-	}
+	o, err := newEngine(cfg.Topology, cfg.K, opt.Base, cfg.Stats, ccfg)
 	if err != nil {
 		return nil, err
 	}
@@ -232,6 +225,13 @@ func (s *Session) Assigned() int32 { return s.assigned.Load() }
 // permanent block without re-charging loads or budgets, so clients may
 // safely retry a chunk whose response they lost.
 func (s *Session) Push(u int32, vwgt int32, adj []int32, ewgt []int32) (int32, error) {
+	return s.push(u, vwgt, adj, ewgt, -1)
+}
+
+// push is Push and PushAssigned: it admits one node and places it on
+// block, or scores it when block is negative. An assigned node returns
+// its block and is neither re-charged nor re-recorded.
+func (s *Session) push(u int32, vwgt int32, adj []int32, ewgt []int32, block int32) (int32, error) {
 	if s.finished {
 		return -1, fmt.Errorf("%w: push after Finish", ErrSessionFinished)
 	}
@@ -241,6 +241,9 @@ func (s *Session) Push(u int32, vwgt int32, adj []int32, ewgt []int32) (int32, e
 	if b := s.o.AssignmentOf(u); b >= 0 {
 		return b, nil
 	}
+	if block >= s.o.K() {
+		return -1, fmt.Errorf("oms: node %d replays block %d outside [0,%d)", u, block, s.o.K())
+	}
 	if err := s.validateNode(u, vwgt, adj, ewgt); err != nil {
 		return -1, err
 	}
@@ -248,22 +251,32 @@ func (s *Session) Push(u int32, vwgt int32, adj []int32, ewgt []int32) (int32, e
 		return -1, fmt.Errorf("%w: node %d overruns 2m = %d", ErrEdgeBudget, u, s.edgeBudget)
 	}
 	s.edgesSeen += int64(len(adj))
-	// Open-ended sessions observe before assigning: the estimator
-	// accumulates the node, the assignment vector grows to cover it and
-	// its neighbors, and — on a ratchet — alpha and the capacities
-	// re-normalize before this node is scored.
+	return s.place(u, vwgt, adj, ewgt, block), nil
+}
+
+// place is the placement step of every push: it observes, assigns (or,
+// for block >= 0, forces), counts and records one admitted fresh node,
+// and returns its block. Open-ended sessions observe before assigning:
+// the estimator accumulates the node, the assignment vector grows to
+// cover it and its neighbors, and — on a ratchet — alpha and the
+// capacities re-normalize before this node is scored.
+func (s *Session) place(u int32, vwgt int32, adj []int32, ewgt []int32, block int32) int32 {
 	s.o.ObserveAdaptive(u, vwgt, adj, ewgt)
-	b := s.o.AssignNode(u, vwgt, adj, ewgt)
+	if block < 0 {
+		block = s.o.AssignNode(u, vwgt, adj, ewgt)
+	} else {
+		s.o.ForceAssign(u, vwgt, block)
+	}
 	s.assigned.Add(1)
 	if s.buf != nil {
 		s.buf.Append(u, vwgt, adj, ewgt)
 	}
-	return b, nil
+	return block
 }
 
-// validateNode applies the per-node admission checks shared by Push,
-// PushBatch, and PushAssigned (everything but the idempotency and
-// edge-budget checks, whose ordering differs per entry point).
+// validateNode applies the per-node admission checks shared by push and
+// PushBatch (everything but the idempotency and edge-budget checks,
+// which PushBatch applies to the batch as a whole).
 func (s *Session) validateNode(u int32, vwgt int32, adj []int32, ewgt []int32) error {
 	if vwgt <= 0 {
 		return fmt.Errorf("oms: node %d has non-positive weight %d", u, vwgt)
@@ -339,18 +352,12 @@ func (s *Session) PushBatch(nodes []Node) ([]int32, error) {
 	}
 	s.edgesSeen += freshEdges
 
-	// Assignment pass: observe, assign and record each fresh node in
-	// batch order, exactly as Push does.
+	// Assignment pass: place each fresh node in batch order, exactly as
+	// Push does.
 	for _, i := range fresh {
 		nd := &nodes[i]
-		w := nd.weight()
-		s.o.ObserveAdaptive(nd.U, w, nd.Adj, nd.EW)
-		s.o.AssignNode(nd.U, w, nd.Adj, nd.EW)
-		if s.buf != nil {
-			s.buf.Append(nd.U, w, nd.Adj, nd.EW)
-		}
+		s.place(nd.U, nd.weight(), nd.Adj, nd.EW, -1)
 	}
-	s.assigned.Add(int32(len(fresh)))
 
 	blocks := make([]int32, len(nodes))
 	for i := range nodes {
@@ -369,32 +376,10 @@ func (s *Session) PushBatch(nodes []Node) ([]int32, error) {
 // that go through Push instead). Like Push it is idempotent on
 // already-assigned nodes.
 func (s *Session) PushAssigned(u int32, vwgt int32, adj []int32, ewgt []int32, block int32) (int32, error) {
-	if s.finished {
-		return -1, fmt.Errorf("%w: push after Finish", ErrSessionFinished)
-	}
-	if u < 0 || u >= s.n {
-		return -1, fmt.Errorf("%w: node %d not in [0,%d)", ErrNodeOutOfRange, u, s.n)
-	}
-	if b := s.o.AssignmentOf(u); b >= 0 {
-		return b, nil
-	}
-	if block < 0 || block >= s.o.K() {
+	if block < 0 {
 		return -1, fmt.Errorf("oms: node %d replays block %d outside [0,%d)", u, block, s.o.K())
 	}
-	if err := s.validateNode(u, vwgt, adj, ewgt); err != nil {
-		return -1, err
-	}
-	if s.edgesSeen+int64(len(adj)) > s.edgeBudget {
-		return -1, fmt.Errorf("%w: node %d overruns 2m = %d", ErrEdgeBudget, u, s.edgeBudget)
-	}
-	s.edgesSeen += int64(len(adj))
-	s.o.ObserveAdaptive(u, vwgt, adj, ewgt)
-	s.o.ForceAssign(u, vwgt, block)
-	s.assigned.Add(1)
-	if s.buf != nil {
-		s.buf.Append(u, vwgt, adj, ewgt)
-	}
-	return block, nil
+	return s.push(u, vwgt, adj, ewgt, block)
 }
 
 // Finish seals the session and returns the result. Nodes never pushed
