@@ -18,8 +18,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http/httptest"
+	"os"
 	"time"
 
 	"oms"
@@ -28,7 +30,6 @@ import (
 )
 
 const (
-	n         = 100_000
 	k         = 64
 	chunkSize = 4096
 )
@@ -37,22 +38,31 @@ func main() {
 	addr := flag.String("addr", "", "omsd address (empty = start one in-process)")
 	binary := flag.Bool("binary", false, "use the v2 binary wire protocol instead of NDJSON")
 	flag.Parse()
+	if err := run(os.Stdout, *addr, *binary, 100_000); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	base := "http://" + *addr
-	if *addr == "" {
+// run streams a Delaunay graph of n nodes through omsd at addr (or an
+// in-process one when addr is empty) and writes its report to w. The
+// last line compares the service's edge cut with the in-process
+// reference and reads "identical" when they agree.
+func run(w io.Writer, addr string, binary bool, n int32) error {
+	base := "http://" + addr
+	if addr == "" {
 		mgr := service.NewManager(service.Config{})
 		defer mgr.Close()
 		srv := httptest.NewServer(service.NewServer(mgr))
 		defer srv.Close()
 		base = srv.URL
-		fmt.Printf("started in-process omsd at %s\n", base)
+		fmt.Fprintf(w, "started in-process omsd at %s\n", base)
 	}
 	ctx := context.Background()
-	cl := client.New(base, client.WithBinary(*binary))
+	cl := client.New(base, client.WithBinary(binary))
 
 	// The graph a real client would receive from its own pipeline; here a
 	// Delaunay mesh from the paper's benchmark families.
-	fmt.Printf("generating Delaunay graph, n=%d...\n", n)
+	fmt.Fprintf(w, "generating Delaunay graph, n=%d...\n", n)
 	g := oms.GenDelaunay(n, 42)
 
 	// Create a session declaring the stream's global stats and target.
@@ -63,15 +73,14 @@ func main() {
 		K:               k, Record: true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	format := map[bool]string{true: "binary frames", false: "NDJSON"}[*binary]
-	fmt.Printf("session %s created (lmax=%d, pushing %s)\n", created.ID, created.Lmax, format)
+	format := map[bool]string{true: "binary frames", false: "NDJSON"}[binary]
+	fmt.Fprintf(w, "session %s created (lmax=%d, pushing %s)\n", created.ID, created.Lmax, format)
 
 	// Push the nodes in chunks; each POST streams the chunk's permanent
 	// assignments back.
 	start := time.Now()
-	parts := make([]int32, g.NumNodes())
 	var assigned int
 	nodes := make([]client.Node, 0, chunkSize)
 	for lo := int32(0); lo < g.NumNodes(); lo += chunkSize {
@@ -82,14 +91,11 @@ func main() {
 		}
 		as, err := cl.Push(ctx, created.ID, nodes)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		for _, a := range as {
-			parts[a.U] = a.B
-			assigned++
-		}
+		assigned += len(as)
 	}
-	fmt.Printf("streamed %d nodes in %v (%.0f nodes/s)\n",
+	fmt.Fprintf(w, "streamed %d nodes in %v (%.0f nodes/s)\n",
 		assigned, time.Since(start).Round(time.Millisecond),
 		float64(assigned)/time.Since(start).Seconds())
 
@@ -97,9 +103,9 @@ func main() {
 	// session records its stream.
 	sum, err := cl.Finish(ctx, created.ID)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("finished: assigned=%d edge_cut=%d imbalance=%.4f\n",
+	fmt.Fprintf(w, "finished: assigned=%d edge_cut=%d imbalance=%.4f\n",
 		sum.Assigned, *sum.EdgeCut, *sum.Imbalance)
 
 	// Cross-check against the same run in-process: the service is the
@@ -107,8 +113,9 @@ func main() {
 	// pull-based library call exactly.
 	res, err := oms.PartitionGraph(g, k, oms.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("in-process reference edge_cut=%d — %s\n", res.EdgeCut(g),
+	fmt.Fprintf(w, "in-process reference edge_cut=%d — %s\n", res.EdgeCut(g),
 		map[bool]string{true: "identical", false: "MISMATCH"}[res.EdgeCut(g) == *sum.EdgeCut])
+	return nil
 }
