@@ -229,8 +229,9 @@ func (s *Session) Push(u int32, vwgt int32, adj []int32, ewgt []int32) (int32, e
 }
 
 // push is Push and PushAssigned: it admits one node and places it on
-// block, or scores it when block is negative. An assigned node returns
-// its block and is neither re-charged nor re-recorded.
+// block, which PushAssigned has checked against K, or scores it when
+// block is negative. An assigned node returns its block and is neither
+// re-charged nor re-recorded.
 func (s *Session) push(u int32, vwgt int32, adj []int32, ewgt []int32, block int32) (int32, error) {
 	if s.finished {
 		return -1, fmt.Errorf("%w: push after Finish", ErrSessionFinished)
@@ -240,9 +241,6 @@ func (s *Session) push(u int32, vwgt int32, adj []int32, ewgt []int32, block int
 	}
 	if b := s.o.AssignmentOf(u); b >= 0 {
 		return b, nil
-	}
-	if block >= s.o.K() {
-		return -1, fmt.Errorf("oms: node %d replays block %d outside [0,%d)", u, block, s.o.K())
 	}
 	if err := s.validateNode(u, vwgt, adj, ewgt); err != nil {
 		return -1, err
@@ -374,9 +372,10 @@ func (s *Session) PushBatch(nodes []Node) ([]int32, error) {
 // reproduces its acks even if a newer engine version would score the
 // stream differently (only the per-node records of logs written before
 // that go through Push instead). Like Push it is idempotent on
-// already-assigned nodes.
+// already-assigned nodes; a block outside [0, K) fails before any other
+// check.
 func (s *Session) PushAssigned(u int32, vwgt int32, adj []int32, ewgt []int32, block int32) (int32, error) {
-	if block < 0 {
+	if block < 0 || block >= s.o.K() {
 		return -1, fmt.Errorf("oms: node %d replays block %d outside [0,%d)", u, block, s.o.K())
 	}
 	return s.push(u, vwgt, adj, ewgt, block)
