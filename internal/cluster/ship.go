@@ -85,8 +85,8 @@ func (n *Node) Recover() ([]store.RecoveredSession, error) {
 // (replicatedLog.Close).
 func (n *Node) replicateReplay(rec *store.RecoveredSession) {
 	replay, id := rec.Replay, rec.ID
-	rec.Replay = func(fn func(u, w int32, adj, ew []int32, block int32) error, stats func(oms.EstimatorState) error) (store.SessionLog, bool, error) {
-		log, sealed, err := replay(fn, stats)
+	rec.Replay = func(fn func(u, w int32, adj, ew []int32, block int32) error) (store.SessionLog, bool, error) {
+		log, sealed, err := replay(fn)
 		if err != nil {
 			return nil, false, err
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"oms/internal/stream"
@@ -134,32 +133,6 @@ func (o *OMS) Reconcile() (errN, errW float64) {
 	errN, errW = o.est.Reconcile()
 	o.readapt()
 	return errN, errW
-}
-
-// ExportEstimator snapshots the estimator state of an adaptive run; ok
-// is false for declared runs.
-func (o *OMS) ExportEstimator() (st EstimatorState, ok bool) {
-	if o.est == nil {
-		return EstimatorState{}, false
-	}
-	return o.est.Export(), true
-}
-
-// ImportEstimator restores estimator state captured by ExportEstimator
-// (or logged in a durable stats-revision frame) and re-derives the
-// dependent thresholds, so assignment continues exactly as it would
-// have in the run the state came from. Serialized with assignment, like
-// every adaptive mutation.
-func (o *OMS) ImportEstimator(st EstimatorState) error {
-	if o.est == nil {
-		return fmt.Errorf("core: estimator state for a declared-stats run")
-	}
-	o.est.Import(st)
-	// No parts growth here: the assignment vector tracks what has
-	// actually arrived (observations grow it), not the projection, so a
-	// restored run keeps the exact vector length of the original.
-	o.readapt()
-	return nil
 }
 
 // LmaxValue returns the current leaf balance threshold. For adaptive

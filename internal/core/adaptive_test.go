@@ -47,70 +47,6 @@ func TestAdaptiveGrowsAndRatchets(t *testing.T) {
 	}
 }
 
-// TestAdaptiveEstimatorStateRestoresThresholds: importing estimator
-// state re-derives lmax, capacities, and alphas so a run rebuilt by
-// ForceAssign replay scores exactly like the original.
-func TestAdaptiveEstimatorStateRestoresThresholds(t *testing.T) {
-	mk := func() *OMS {
-		o, err := NewGP(16, 4, stream.Stats{}, Config{Epsilon: 0.03, Adaptive: true, AdaptiveHeadroom: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return o
-	}
-	a := mk()
-	for u := int32(0); u < 500; u++ {
-		var adj []int32
-		if u > 0 {
-			adj = append(adj, u-1)
-		}
-		a.ObserveAdaptive(u, 1, adj, nil)
-		a.AssignNode(u, 1, adj, nil)
-	}
-	st, ok := a.ExportEstimator()
-	if !ok {
-		t.Fatal("no estimator state on adaptive run")
-	}
-
-	// Observing without adjacency grows b's assignment vector but leaves
-	// its estimator short of a's edge totals: only the import restores
-	// the alphas.
-	b := mk()
-	for u := int32(0); u < 500; u++ {
-		b.ObserveAdaptive(u, 1, nil, nil)
-		b.ForceAssign(u, 1, a.AssignmentOf(u))
-	}
-	if err := b.ImportEstimator(st); err != nil {
-		t.Fatal(err)
-	}
-	if a.LmaxValue() != b.LmaxValue() {
-		t.Fatalf("lmax %d vs %d after estimator import", a.LmaxValue(), b.LmaxValue())
-	}
-	for v := int32(0); v < a.Tree.NumNodes(); v++ {
-		if a.AlphaOf(v) != b.AlphaOf(v) {
-			t.Fatalf("alpha of tree block %d differs: %v vs %v", v, a.AlphaOf(v), b.AlphaOf(v))
-		}
-	}
-	// Continuations agree bit for bit.
-	for u := int32(500); u < 900; u++ {
-		adj := []int32{u - 1, u - 250}
-		a.ObserveAdaptive(u, 1, adj, nil)
-		b.ObserveAdaptive(u, 1, adj, nil)
-		if x, y := a.AssignNode(u, 1, adj, nil), b.AssignNode(u, 1, adj, nil); x != y {
-			t.Fatalf("node %d: %d vs %d after restore", u, x, y)
-		}
-	}
-
-	// Estimator state is rejected by declared runs.
-	d, err := NewGP(16, 4, stream.Stats{N: 10, TotalNodeWeight: 10}, Config{Epsilon: 0.03})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ImportEstimator(st); err == nil {
-		t.Fatal("declared run accepted estimator state")
-	}
-}
-
 // TestAdaptiveReconcileTightensCaps: after Reconcile the threshold
 // equals the declared-run value for the observed totals.
 func TestAdaptiveReconcileTightensCaps(t *testing.T) {

@@ -7,21 +7,6 @@ import (
 	"oms/internal/stream"
 )
 
-// EstimatorState is the exportable mutable state of an Estimator: the
-// running observed totals, the ratchet trigger, and the projection
-// currently in force. The WAL logs it as stats-revision records so a
-// recovered open-ended session re-adapts exactly where the crashed one
-// would have.
-type EstimatorState struct {
-	SeenNodes      int64 // nodes observed so far
-	SeenNodeWeight int64 // summed node weight observed
-	SeenAdj        int64 // adjacency entries observed (2m at stream end)
-	SeenEdgeWeight int64 // summed per-entry edge weight observed
-	NextRatchet    int64 // observed node weight that triggers the next ratchet
-	Revision       int64 // how many times the projection ratcheted
-	Est            stream.Stats
-}
-
 // Estimator projects the global stream stats of an open-ended stream —
 // one whose n, m, and total weights are not declared up front — from
 // what has actually arrived. The paper's scorers are stats-free once
@@ -189,32 +174,3 @@ func (e *Estimator) Observed() stream.Stats {
 // Revision returns how many times the projection changed (ratchets plus
 // reconciliations). It only ever increases.
 func (e *Estimator) Revision() int64 { return e.proj.Load().rev }
-
-// Headroom returns the configured projection overshoot.
-func (e *Estimator) Headroom() float64 { return e.headroom }
-
-// Export snapshots the estimator's mutable state.
-func (e *Estimator) Export() EstimatorState {
-	p := e.proj.Load()
-	return EstimatorState{
-		SeenNodes:      e.seenN.Load(),
-		SeenNodeWeight: e.seenW.Load(),
-		SeenAdj:        e.seenAdj.Load(),
-		SeenEdgeWeight: e.seenEW.Load(),
-		NextRatchet:    e.nextW,
-		Revision:       p.rev,
-		Est:            p.est,
-	}
-}
-
-// Import restores state captured by Export (or recorded in a durable
-// stats-revision frame): observations, trigger, and the projection in
-// force, verbatim. Derived quantities should be recomputed afterwards.
-func (e *Estimator) Import(st EstimatorState) {
-	e.seenN.Store(st.SeenNodes)
-	e.seenW.Store(st.SeenNodeWeight)
-	e.seenAdj.Store(st.SeenAdj)
-	e.seenEW.Store(st.SeenEdgeWeight)
-	e.nextW = st.NextRatchet
-	e.proj.Store(&projection{rev: st.Revision, est: st.Est})
-}

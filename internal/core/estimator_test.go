@@ -58,24 +58,3 @@ func TestEstimatorHintsFloorAndReconcile(t *testing.T) {
 		t.Fatalf("observed totals wrong: %+v", obs)
 	}
 }
-
-// TestEstimatorExportImportRoundTrip: a restored estimator continues
-// exactly where the exported one was, ratchet trigger included.
-func TestEstimatorExportImportRoundTrip(t *testing.T) {
-	a := NewEstimator(stream.Stats{}, 0.5)
-	for i := 0; i < 137; i++ {
-		a.Observe(2, 3, 5)
-	}
-	b := NewEstimator(stream.Stats{}, 0.5)
-	b.Import(a.Export())
-	for i := 0; i < 229; i++ {
-		ra := a.Observe(2, 3, 5)
-		rb := b.Observe(2, 3, 5)
-		if ra != rb {
-			t.Fatalf("step %d: ratchet diverged after import (%v vs %v)", i, ra, rb)
-		}
-	}
-	if a.Export() != b.Export() {
-		t.Fatalf("state diverged:\n%+v\n%+v", a.Export(), b.Export())
-	}
-}

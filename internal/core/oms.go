@@ -151,8 +151,8 @@ type OMS struct {
 	parts []int32
 
 	// est estimates the stream stats of an open-ended run online; nil
-	// for declared runs. Mutations (ObserveAdaptive, ImportEstimator,
-	// Reconcile) are serialized with assignment by the caller.
+	// for declared runs. Mutations (ObserveAdaptive, Reconcile) are
+	// serialized with assignment by the caller.
 	est *Estimator
 	// coverage is one past the highest node or neighbor id observed in
 	// an adaptive run (<= len(parts), which over-allocates to amortize

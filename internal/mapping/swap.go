@@ -39,8 +39,11 @@ const fullScanK = 128
 // rounds or until no swap improves. For small k every pair is considered;
 // for large k each block only attempts swaps with its communication
 // partners — the pairs that can reduce the objective directly — trading
-// a slightly weaker local optimum for an O(sum deg) round. pe is modified
-// in place; the number of applied swaps is returned.
+// a slightly weaker local optimum for a cheaper round. Each pair's
+// swapDelta walks both blocks' adjacency lists, so a full-scan round
+// costs O(k · Σ_a deg(a)) distance lookups and a partner round
+// O(Σ_a deg(a)²) — nearly O(k³) on a dense block graph either way. pe is
+// modified in place; the number of applied swaps is returned.
 func GreedySwapRefine(bg *BlockGraph, top *hierarchy.Topology, pe []int32, rounds int) int {
 	swaps := 0
 	fullScan := bg.K <= fullScanK

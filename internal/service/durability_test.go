@@ -58,13 +58,6 @@ func (l *faultLog) AppendBatch(nodes []store.PushNode, blocks []int32) error {
 	return nil
 }
 
-func (l *faultLog) AppendStats(st oms.EstimatorState) error {
-	if l.failAppend {
-		return errDisk
-	}
-	return nil
-}
-
 func (l *faultLog) Flush() error {
 	l.flushes++
 	if l.failFlush {

@@ -592,12 +592,6 @@ func (mg *Manager) restoreSession(rec store.RecoveredSession) (err error) {
 		}
 		_, err := eng.Push(u, w, adj, ew)
 		return err
-	}, func(st oms.EstimatorState) error {
-		// Stats-revision records pin the adaptive estimator trajectory:
-		// applying them resynchronizes recovery with the exact
-		// projections the live session served, even across estimator-
-		// logic changes.
-		return eng.ApplyEstimator(st)
 	})
 	if err != nil {
 		return fmt.Errorf("replay: %w", err)
@@ -608,8 +602,6 @@ func (mg *Manager) restoreSession(rec store.RecoveredSession) (err error) {
 		}
 	}()
 	s := mg.newSession(rec.ID, rec.Spec, eng, lg)
-	// Resume the stats-revision log where the replayed trajectory ends.
-	s.lastStatsRev = eng.StatsRevision()
 	if sealed {
 		if err := s.seal(false, ""); err != nil {
 			return err

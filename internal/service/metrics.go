@@ -40,7 +40,6 @@ type serviceMetrics struct {
 	pushErrors       *promtext.Counter
 	backpressure     *promtext.Counter
 	adaptiveSessions *promtext.Counter
-	statsRevisions   *promtext.Counter
 
 	sessionsRecovered *promtext.Counter
 	walRecords        *promtext.Counter
@@ -80,7 +79,6 @@ func newServiceMetrics(r *promtext.Registry) *serviceMetrics {
 		pushErrors:       r.Counter("omsd_push_errors_total", "rejected node pushes (range, weights, budget, after-finish)"),
 		backpressure:     r.Counter("omsd_backpressure_waits_total", "ingest/finish jobs that found their session busy and waited for its turn"),
 		adaptiveSessions: r.Counter("omsd_adaptive_sessions_total", "open-ended (adaptive) push sessions opened"),
-		statsRevisions:   r.Counter("omsd_stats_revisions_total", "adaptive stats-revision records logged across all sessions"),
 
 		sessionsRecovered: r.Counter("omsd_sessions_recovered_total", "push sessions rebuilt from the store at startup"),
 		walRecords:        r.Counter("omsd_wal_records_total", "node records appended to session logs"),

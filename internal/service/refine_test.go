@@ -324,7 +324,6 @@ type nullLog struct{}
 
 func (nullLog) AppendNodeFrame(frame []byte) error                       { return nil }
 func (nullLog) AppendBatch(nodes []store.PushNode, blocks []int32) error { return nil }
-func (nullLog) AppendStats(st oms.EstimatorState) error                  { return nil }
 func (nullLog) Flush() error                                             { return nil }
 func (nullLog) Seal() error                                              { return nil }
 func (nullLog) SaveVersion(v store.RefinedVersion) error                 { return nil }

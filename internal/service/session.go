@@ -54,9 +54,6 @@ type Session struct {
 	// no store. The running job appends each accepted push before the
 	// chunk is acknowledged.
 	log store.SessionLog
-	// lastStatsRev is the estimator revision last logged as a durable
-	// stats-revision record (adaptive sessions only; running job only).
-	lastStatsRev int64
 	// store is the manager's store, nil without one; stream reads the
 	// session's durable log back through it.
 	store store.Store
@@ -453,35 +450,26 @@ func (s *Session) runIngest(j job) ([]int32, error) {
 
 // logIngest is the durable half of an ingest job: append one group
 // frame of the acknowledged nodes with their blocks, so recovery replays
-// the decisions themselves, and, when the estimator advanced, its stats
-// revision; then one write-through. Nodes the job re-pushed ride along
-// in the frame (replay is idempotent), but a job that assigned nothing
-// new — a rejected batch, a pure-duplicate retry — touches neither the
-// log nor the disk. A job that ends in a rejection after an accepted
-// prefix flushes like any other: the prefix is about to be
-// acknowledged, and after any ack a process crash loses nothing, an OS
-// crash at most the batched-fsync window. Any failure here kills the
-// session.
+// the decisions themselves, then one write-through. The job flushes if
+// and only if it appended a record. An adaptive session's estimator
+// needs no record of its own: replaying the logged nodes rebuilds it.
+// Nodes the job re-pushed ride along in the frame (replay is
+// idempotent), but a job that assigned nothing new — a rejected batch, a
+// pure-duplicate retry — touches neither the log nor the disk. A job
+// that ends in a rejection after an accepted prefix flushes like any
+// other: the prefix is about to be acknowledged, and after any ack a
+// process crash loses nothing, an OS crash at most the batched-fsync
+// window. Any failure here kills the session.
 func (s *Session) logIngest(j job, a admitted) error {
+	if a.fresh == 0 {
+		return nil
+	}
 	var wall time.Time
 	if j.tr != nil {
 		wall = time.Now()
 	}
-	wrote := a.fresh > 0
-	var err error
-	if wrote {
-		err = s.log.AppendBatch(j.nodes[:len(a.blocks)], a.blocks)
-	}
-	if err == nil && a.err == nil {
-		var stats bool
-		stats, err = s.maybeLogStats()
-		wrote = wrote || stats
-	}
-	if err != nil {
+	if err := s.log.AppendBatch(j.nodes[:len(a.blocks)], a.blocks); err != nil {
 		return s.walFailure("append", err, j.tid)
-	}
-	if !wrote {
-		return nil
 	}
 	s.m.walRecords.Add(int64(a.fresh))
 	if j.tr != nil {
@@ -490,7 +478,7 @@ func (s *Session) logIngest(j job, a admitted) error {
 		s.m.walAppend.AttachExemplar(d, j.tid)
 		wall = time.Now()
 	}
-	err = s.log.Flush()
+	err := s.log.Flush()
 	if j.tr != nil {
 		d := time.Since(wall)
 		j.tr.Span("wal.fsync", j.tr.Root(), wall, d)
@@ -578,27 +566,6 @@ func (s *Session) settleGrowth() {
 			return
 		}
 	}
-}
-
-// maybeLogStats appends a durable stats-revision record when the
-// adaptive estimator advanced since the last one, reporting whether it
-// did (never for declared sessions, whose revision stays 0). Running
-// job only, like every log append.
-func (s *Session) maybeLogStats() (bool, error) {
-	rev := s.eng.StatsRevision()
-	if rev == s.lastStatsRev {
-		return false, nil
-	}
-	st, ok := s.eng.EstimatorSnapshot()
-	if !ok {
-		return false, nil
-	}
-	if err := s.log.AppendStats(st); err != nil {
-		return false, err
-	}
-	s.lastStatsRev = rev
-	s.m.statsRevisions.Inc()
-	return true, nil
 }
 
 // VersionedResult is one served result version: the one-pass result

@@ -134,13 +134,12 @@ func (cs CreateSpec) SessionConfig() (oms.SessionConfig, error) {
 		}
 		dist := cs.Distances
 		if dist == "" {
-			// Default to the paper's geometric distances 1:10:100:...
+			// Default to the paper's geometric distances 1:10:100:...,
+			// spelled out so a deep topology cannot overflow an integer.
 			parts := strings.Split(cs.Topology, ":")
 			ds := make([]string, len(parts))
-			d := int64(1)
 			for i := range parts {
-				ds[i] = fmt.Sprint(d)
-				d *= 10
+				ds[i] = "1" + strings.Repeat("0", i)
 			}
 			dist = strings.Join(ds, ":")
 		}
@@ -203,7 +202,8 @@ type Store interface {
 // of records the session acknowledges, in order, with Flush as the
 // durability barrier the ack waits on; the seal and release that bound
 // its life; and the side-store of refined result versions. The log is
-// the session's only durable state — recovery replays it in full.
+// the session's only durable state — recovery replays it in full, and
+// the logged nodes alone rebuild an adaptive session's estimator.
 // All calls are made from the job holding the session's turn, so
 // implementations need only guard against concurrent Close from the
 // manager. Nothing here names a file — the contract is "records in,
@@ -229,12 +229,6 @@ type SessionLog interface {
 	// (written to the OS) once the following Flush returns; fsync
 	// durability is batched per the store's sync interval.
 	AppendBatch(nodes []PushNode, blocks []int32) error
-	// AppendStats logs one stats-revision record of an adaptive session:
-	// the estimator state in force after every record appended so far.
-	// The service appends one whenever an acknowledged chunk or batch
-	// advanced the estimator revision, so recovery replays the exact
-	// adaptation trajectory.
-	AppendStats(st oms.EstimatorState) error
 	// Flush writes buffered records through to the operating system;
 	// the service calls it once per acknowledged job that appended, and
 	// it is the point a replicating decorator propagates (and, in wait-
@@ -275,17 +269,18 @@ type RecoveredSession struct {
 	// block is the assignment recorded at ingest time, which every
 	// ingest record carries, or -1 for the per-node records of logs
 	// written before /nodes logged its blocks (recovery re-derives those
-	// by the deterministic sequential walk). Logged stats-revision
-	// records are handed to stats (may be nil), which recovery uses to
-	// pin an adaptive session's estimator trajectory.
+	// by the deterministic sequential walk). The logged nodes are an
+	// adaptive session's whole estimator record: replaying them in order
+	// rebuilds its estimator bit for bit. Stats-revision frames, which
+	// older logs carry between records, are read past.
 	//
 	// After a clean stop Replay cuts the log where the valid records end
 	// and returns it reopened for appends there (appends fail on a
 	// sealed log), with whether a seal ended it; the caller owns the log
-	// and closes it. If fn or stats fail, or the log cannot be read,
+	// and closes it. If fn fails, or the log cannot be read,
 	// Replay returns the error and leaves the log as it found it. It may
 	// be called once, before the session goes live.
-	Replay func(fn func(u, w int32, adj, ew []int32, block int32) error, stats func(st oms.EstimatorState) error) (SessionLog, bool, error)
+	Replay func(fn func(u, w int32, adj, ew []int32, block int32) error) (SessionLog, bool, error)
 	// Versions are the refined result versions that survived the crash,
 	// ascending by version number, metadata only (Parts is nil; the
 	// session reloads assignments on demand through the log). Versions

@@ -30,8 +30,8 @@ func adaptiveTwin(t *testing.T) *oms.Session {
 // TestAdaptiveRecoveryResumesByteIdentical is the adaptive durability
 // acceptance at the store level: an open-ended session crashes
 // mid-stream, recovery restores the estimator trajectory (whole-log
-// replay, pinned by its stats-revision frames), and every subsequent assignment matches an
-// uncrashed twin bit for bit — through the finish-time reconcile pass
+// replay rebuilds it from the logged nodes), and every subsequent
+// assignment matches an uncrashed twin bit for bit — through the finish-time reconcile pass
 // over the sealed log.
 func TestAdaptiveRecoveryResumesByteIdentical(t *testing.T) {
 	dir := t.TempDir()

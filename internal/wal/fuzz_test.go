@@ -2,19 +2,44 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 
-	"oms"
 	"oms/internal/store"
 	"oms/internal/wire"
 )
 
-// seedLog writes a healthy little log through the product encoders —
-// two node frames, a batch frame, a stats frame, a seal: every live
-// record kind — and returns its bytes plus the offset each frame ends at.
+// legacyStatsFrame is a stats-revision frame byte for byte as adaptive
+// logs carried it before the logged nodes became the estimator's only
+// record: the type byte, then ten little-endian int64 estimator fields
+// (observed nodes, node weight, adjacency entries and edge weight; the
+// next ratchet; the revision; the projected n, m, node weight and edge
+// weight).
+func legacyStatsFrame(fields [10]int64) []byte {
+	payload := []byte{wire.TypeStats}
+	for _, v := range fields {
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(v))
+	}
+	return wire.AppendFrame(nil, payload)
+}
+
+// appendLegacyStats buffers one legacy stats-revision frame in lg, as
+// the log's own stats encoder once did.
+func appendLegacyStats(lg *Log, fields [10]int64) error {
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	if err := lg.appendable(); err != nil {
+		return err
+	}
+	return lg.buffer(legacyStatsFrame(fields))
+}
+
+// seedLog writes a healthy little log — two node frames, a batch frame,
+// a legacy stats frame, a seal: every record kind a log may hold — and
+// returns its bytes plus the offset each frame ends at.
 func seedLog(tb testing.TB) (log []byte, ends []int64) {
 	tb.Helper()
 	st, err := Open(tb.TempDir(), Options{})
@@ -35,13 +60,7 @@ func seedLog(tb testing.TB) (log []byte, ends []int64) {
 				framed(3, 1, nil, nil),
 			}, []int32{0, 1})
 		},
-		func() error {
-			return lg.AppendStats(oms.EstimatorState{
-				SeenNodes: 4, SeenNodeWeight: 5, SeenAdj: 5, SeenEdgeWeight: 7,
-				NextRatchet: 6, Revision: 3,
-				Est: oms.StreamStats{N: 8, M: 4, TotalNodeWeight: 10, TotalEdgeWeight: 7},
-			})
-		},
+		func() error { return appendLegacyStats(lg, [10]int64{4, 5, 5, 7, 6, 3, 8, 4, 10, 7}) },
 		lg.Seal,
 	} {
 		if err := step(); err != nil {
@@ -122,8 +141,8 @@ func TestWriteSeedCorpus(t *testing.T) {
 // FuzzLogScan feeds arbitrary bytes to the WAL's one log walker and
 // holds its contract: never panic, never allocate beyond the input's
 // proportions, and always stop cleanly at a torn or corrupt tail — the
-// visitor sees exactly the counted records, stats frames decoding
-// cleanly along the way, and the surviving prefix re-walks to the
+// visitor sees exactly the counted records, legacy stats frames read
+// past along the way, and the surviving prefix re-walks to the
 // identical result.
 func FuzzLogScan(f *testing.F) {
 	for _, seed := range logScanSeeds(f) {
@@ -140,7 +159,7 @@ func FuzzLogScan(f *testing.F) {
 				t.Fatalf("record with %d edge weights for %d edges", len(ew), len(adj))
 			}
 			return nil
-		}, func(st oms.EstimatorState) error { return nil })
+		})
 		if err != nil {
 			t.Fatalf("walk of a readable log errored: %v", err)
 		}
@@ -156,7 +175,7 @@ func FuzzLogScan(f *testing.F) {
 
 		// Truncate-cleanly property: the valid prefix re-walks to the
 		// same verdict.
-		nodes2, sealed2, validEnd2, err := walkLog(bytes.NewReader(data[:validEnd]), nil, nil)
+		nodes2, sealed2, validEnd2, err := walkLog(bytes.NewReader(data[:validEnd]), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,8 +213,7 @@ func FuzzRecoverSession(f *testing.F) {
 		}
 		recs, _ := st.Recover()
 		for _, rec := range recs {
-			lg, _, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { return nil },
-				func(oms.EstimatorState) error { return nil })
+			lg, _, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { return nil })
 			if err != nil {
 				t.Fatalf("replay of recovered session failed: %v", err)
 			}

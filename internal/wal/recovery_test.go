@@ -653,7 +653,7 @@ func TestLegacyNodeLogRecoversAndContinues(t *testing.T) {
 	_, _, _, err = walkLog(f, func(_, _ int32, _, _ []int32, block int32) error {
 		shapes[block >= 0]++
 		return nil
-	}, nil)
+	})
 	f.Close()
 	if err != nil || shapes[false] != logged || shapes[true] != len(recs)-logged {
 		t.Fatalf("log holds %d per-node and %d group-frame nodes (err %v), want %d and %d",

@@ -40,7 +40,7 @@ func (st *Store) ReplaySource(id string) (oms.Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, _, end, err := walkLog(f, nil, nil)
+	_, _, end, err := walkLog(f, nil)
 	f.Close()
 	if err != nil {
 		return nil, err
@@ -88,7 +88,7 @@ func (r *ReplaySource) ForEach(fn stream.Visitor) error {
 			fn(u, w, adj, ew)
 		}
 		return nil
-	}, nil)
+	})
 	if err == nil && end != r.end {
 		err = fmt.Errorf("wal: log ends after %d of %d validated bytes", end, r.end)
 	}

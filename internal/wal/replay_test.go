@@ -196,7 +196,7 @@ func TestVersionRoundTripAndRecovery(t *testing.T) {
 	if vs[0].Parts != nil {
 		t.Fatalf("recovery materialized %d parts, want metadata only", len(vs[0].Parts))
 	}
-	lg, _, err = recovered[0].Replay(func(u, w int32, adj, ew []int32, block int32) error { return nil }, nil)
+	lg, _, err = recovered[0].Replay(func(u, w int32, adj, ew []int32, block int32) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func (st *Store) OpenReplica(id string, spec []byte) (*ReplicaLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, sealed, validEnd, err := openValidated(f, nil, nil)
+	_, sealed, validEnd, err := openValidated(f, nil)
 	if err != nil {
 		f.Close()
 		return nil, err

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"oms"
 	"oms/internal/store"
 	"oms/internal/wire"
 )
@@ -179,12 +178,12 @@ func (st *Store) RecoverSession(id string) (store.RecoveredSession, error) {
 	if _, err := os.Stat(logPath); err != nil {
 		return store.RecoveredSession{}, err
 	}
-	replay := func(fn visitNode, stats visitStats) (store.SessionLog, bool, error) {
+	replay := func(fn visitNode) (store.SessionLog, bool, error) {
 		f, err := os.OpenFile(logPath, os.O_RDWR, 0o644)
 		if err != nil {
 			return nil, false, err
 		}
-		nodes, sealed, validEnd, err := openValidated(f, fn, stats)
+		nodes, sealed, validEnd, err := openValidated(f, fn)
 		if err != nil {
 			f.Close()
 			return nil, false, err
@@ -210,15 +209,12 @@ func (st *Store) newLog(f *os.File, dir string, end int64) *Log {
 
 // visitNode receives one logged node with the block a batch record
 // carries (-1 for a per-node record); the slices are valid until it
-// returns. visitStats receives one stats record's estimator state.
-type (
-	visitNode  = func(u, w int32, adj, ew []int32, block int32) error
-	visitStats = func(oms.EstimatorState) error
-)
+// returns.
+type visitNode = func(u, w int32, adj, ew []int32, block int32) error
 
 // walkLog is the one reader of a log's records. It reads frames from r
 // in order, decodes each record in full, and only then hands its nodes
-// to fn and its estimator state to stats (either may be nil). It stops
+// to fn (which may be nil). It stops
 // cleanly at the first torn or invalid frame — its bytes are the
 // crash's, not an error — and after a seal, which nothing may follow.
 // It returns the node records walked, whether a seal ended the log, and
@@ -229,7 +225,7 @@ type (
 // Because a record is decoded whole before a visitor sees any of it, a
 // batch whose checksum holds but whose nodes do not decode applies none
 // of them and ends the valid prefix: the group stays all-or-nothing.
-func walkLog(r io.Reader, fn visitNode, stats visitStats) (nodes int64, sealed bool, validEnd int64, err error) {
+func walkLog(r io.Reader, fn visitNode) (nodes int64, sealed bool, validEnd int64, err error) {
 	rd := wire.NewReader(r)
 	var rec record
 	for {
@@ -243,9 +239,6 @@ func walkLog(r io.Reader, fn visitNode, stats visitStats) (nodes int64, sealed b
 		}
 		if !rec.decode(payload) {
 			return nodes, false, validEnd, nil
-		}
-		if rec.typ == wire.TypeStats && stats != nil {
-			err = stats(rec.stats)
 		}
 		for i := 0; err == nil && fn != nil && i < len(rec.nodes); i++ {
 			nd := &rec.nodes[i]
@@ -262,14 +255,14 @@ func walkLog(r io.Reader, fn visitNode, stats visitStats) (nodes int64, sealed b
 	}
 }
 
-// openValidated walks f from its start (walkLog, with the visitors),
+// openValidated walks f from its start (walkLog, with the visitor),
 // then truncates whatever follows the valid prefix — a torn tail or the
 // zero tail of a crashed live log — and leaves f positioned at the
 // validated end, ready for appends. After a visitor error or a read
 // fault f is left as it was. Recovery and a replica reopening its copy
 // share it, so both keep exactly the same whole-frame prefix.
-func openValidated(f *os.File, fn visitNode, stats visitStats) (nodes int64, sealed bool, validEnd int64, err error) {
-	if nodes, sealed, validEnd, err = walkLog(f, fn, stats); err != nil {
+func openValidated(f *os.File, fn visitNode) (nodes int64, sealed bool, validEnd int64, err error) {
+	if nodes, sealed, validEnd, err = walkLog(f, fn); err != nil {
 		return 0, false, 0, err
 	}
 	if fi, err := f.Stat(); err == nil && fi.Size() > validEnd {
@@ -287,13 +280,12 @@ func openValidated(f *os.File, fn visitNode, stats visitStats) (nodes int64, sea
 }
 
 // record is one fully decoded log record, reused from frame to frame:
-// the nodes of a node or batch record with their recorded blocks, or
-// the state of a stats record. The nodes' slices point into arena.
+// the nodes of a node or batch record with their recorded blocks. The
+// nodes' slices point into arena.
 type record struct {
 	typ    byte
 	nodes  []wire.Node
 	blocks []int32
-	stats  oms.EstimatorState
 	arena  wire.Arena
 }
 
@@ -318,9 +310,9 @@ func (r *record) decode(payload []byte) bool {
 			return nil
 		}) == nil
 	case wire.TypeStats:
-		var err error
-		r.stats, err = decodeStatsPayload(payload)
-		return err == nil
+		// A legacy stats frame is read past: replay rebuilds the
+		// estimator from the nodes. Any other size is torn.
+		return len(payload) == legacyStatsPayload
 	case wire.TypeSeal:
 		return len(payload) == 1
 	}

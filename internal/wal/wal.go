@@ -15,19 +15,22 @@
 //     (the acknowledged nodes plus the blocks the engine assigned them
 //     — recorded so recovery replays the acknowledged decisions and
 //     never depends on the engine version, and one CRC makes the group
-//     all-or-nothing), a TypeStats estimator revision whenever an
-//     adaptive session's projection advanced, and a terminal TypeSeal.
-//     Logs written before /nodes logged its blocks also hold one
-//     TypeNode frame per node, which recovery still reads and
-//     re-decides.
+//     all-or-nothing), and a terminal TypeSeal. An adaptive session's
+//     estimator is fed only by the nodes it observes, in order, so
+//     replaying the logged nodes rebuilds it bit for bit and the log
+//     keeps no second copy of it. Logs written before /nodes logged its
+//     blocks also hold one TypeNode frame per node, which recovery
+//     still reads and re-decides; adaptive logs written before
+//     recovery rebuilt the estimator from the nodes also hold TypeStats
+//     frames of one fixed size, which recovery reads past.
 //     The log frames bytes with wire's own reader and frame sealer; any
-//     other type byte ends a recovery walk like a torn tail. Appends
-//     are buffered; the service flushes to the OS once per acknowledged
-//     chunk, and fsync is batched on a configurable interval, so a
-//     process crash loses nothing acknowledged and an OS crash loses at
-//     most the sync window. A failed fsync is never retried: the log
-//     returns it from every later call, and the service kills the
-//     session.
+//     other type byte, or a stats frame of another size, ends a
+//     recovery walk like a torn tail. Appends are buffered; the service
+//     flushes to the OS once per acknowledged chunk, and fsync is
+//     batched on a configurable interval, so a process crash loses
+//     nothing acknowledged and an OS crash loses at most the sync
+//     window. A failed fsync is never retried: the log returns it from
+//     every later call, and the service kills the session.
 //   - a zero tail — the log file runs ahead of its last record with
 //     zeros: a flush that crosses the zero-filled extent writes zeros
 //     past the new end (as many bytes as the log holds, at least 64 KiB
@@ -55,14 +58,12 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"sync"
 	"time"
 
-	"oms"
 	"oms/internal/store"
 	"oms/internal/wire"
 )
@@ -204,54 +205,11 @@ func (l *Log) AppendBatch(nodes []store.PushNode, blocks []int32) error {
 	return nil
 }
 
-// appendStatsPayload encodes one stats-revision record: the type byte,
-// then the estimator state as ten little-endian int64 fields.
-func appendStatsPayload(buf []byte, st oms.EstimatorState) []byte {
-	buf = append(buf, wire.TypeStats)
-	for _, v := range []int64{
-		st.SeenNodes, st.SeenNodeWeight, st.SeenAdj, st.SeenEdgeWeight,
-		st.NextRatchet, st.Revision,
-		int64(st.Est.N), st.Est.M, st.Est.TotalNodeWeight, st.Est.TotalEdgeWeight,
-	} {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	return buf
-}
-
-// decodeStatsPayload is the inverse of appendStatsPayload (type byte
-// included); the ten fields must fill the payload exactly.
-func decodeStatsPayload(payload []byte) (oms.EstimatorState, error) {
-	var f [10]int64
-	if len(payload) != 1+8*len(f) {
-		return oms.EstimatorState{}, wire.ErrMalformed
-	}
-	for i := range f {
-		f[i] = int64(binary.LittleEndian.Uint64(payload[1+8*i:]))
-	}
-	st := oms.EstimatorState{
-		SeenNodes: f[0], SeenNodeWeight: f[1], SeenAdj: f[2], SeenEdgeWeight: f[3],
-		NextRatchet: f[4], Revision: f[5],
-	}
-	st.Est.N = int32(f[6])
-	st.Est.M, st.Est.TotalNodeWeight, st.Est.TotalEdgeWeight = f[7], f[8], f[9]
-	if st.SeenNodes < 0 || st.SeenNodeWeight < 0 || st.Revision < 0 || st.Est.N < 0 {
-		return oms.EstimatorState{}, wire.ErrMalformed
-	}
-	return st, nil
-}
-
-// AppendStats buffers one stats-revision record: the adaptive
-// estimator state in force after every record appended so far. The
-// service logs one whenever a chunk or batch advanced the revision.
-func (l *Log) AppendStats(st oms.EstimatorState) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.appendable(); err != nil {
-		return err
-	}
-	l.buf = appendStatsPayload(wire.BeginFrame(l.buf[:0]), st)
-	return l.writeRecord()
-}
+// legacyStatsPayload is the payload size of the stats-revision frames
+// (wire.TypeStats) that adaptive logs carried before the logged nodes
+// became the estimator's only record: the type byte and ten int64
+// estimator fields. Recovery reads past a frame of exactly this size.
+const legacyStatsPayload = 1 + 8*10
 
 // Flush writes buffered records through to the operating system and
 // fsyncs if the batched sync interval has elapsed (always, when the

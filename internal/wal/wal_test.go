@@ -123,7 +123,7 @@ func TestLogRoundTripSealed(t *testing.T) {
 		}
 		i++
 		return nil
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestLogRoundTripSealed(t *testing.T) {
 func replayAll(t *testing.T, rec store.RecoveredSession) (*Log, bool, int64) {
 	t.Helper()
 	n := int64(0)
-	lg, sealed, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { n++; return nil }, nil)
+	lg, sealed, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { n++; return nil })
 	if err != nil {
 		t.Fatalf("replay %s: %v", rec.ID, err)
 	}
@@ -164,7 +164,7 @@ func replayAll(t *testing.T, rec store.RecoveredSession) (*Log, bool, int64) {
 func TestCrashPointsKeepWholeFramePrefix(t *testing.T) {
 	const id = "s1-0000c4a5"
 	full, ends := seedLog(t)
-	nodesAt := []int64{1, 2, 4, 4, 4} // two nodes, a batch of two, stats, seal
+	nodesAt := []int64{1, 2, 4, 4, 4} // two nodes, a batch of two, legacy stats, seal
 	cuts := map[int64]bool{0: true}
 	prev := int64(0)
 	for _, e := range ends {
@@ -178,8 +178,10 @@ func TestCrashPointsKeepWholeFramePrefix(t *testing.T) {
 		{3, 0, 0, 0, 0},           // retired fixed-width batch record
 		{wire.TypeNode, 9},        // node record cut short
 		{wire.TypeStats, 1, 2, 3}, // stats record of the wrong size
-		{wire.TypeSeal, 0},        // seal with a body
-		{wire.TypeAssign, 0},      // a reply, not a log record
+		append([]byte{wire.TypeStats}, make([]byte, legacyStatsPayload-2)...), // one byte short
+		append([]byte{wire.TypeStats}, make([]byte, legacyStatsPayload)...),   // one byte long
+		{wire.TypeSeal, 0},   // seal with a body
+		{wire.TypeAssign, 0}, // a reply, not a log record
 	}
 
 	for _, zeroTail := range []bool{false, true} {
@@ -223,7 +225,7 @@ func TestCrashPointsKeepWholeFramePrefix(t *testing.T) {
 				t.Fatalf("%scut %d: recovery cut the log to %d bytes before its replay", variant, cut, fileSize(t, st, id))
 			}
 			replayed := int64(0)
-			slg, sealed, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { replayed++; return nil }, nil)
+			slg, sealed, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error { replayed++; return nil })
 			if err != nil {
 				t.Fatalf("%scut %d: replay: %v", variant, cut, err)
 			}
@@ -418,7 +420,7 @@ func TestUndecodableBatchAppliesNone(t *testing.T) {
 	slg, sealed, err := rec.Replay(func(u, w int32, adj, ew []int32, block int32) error {
 		us = append(us, u)
 		return nil
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -925,7 +927,7 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 		}
 		i++
 		return nil
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,9 +59,10 @@ const (
 	// TypeSeal is the WAL's terminal record: the session finished and
 	// nothing follows. The type byte is the whole payload.
 	TypeSeal = 2
-	// TypeStats is one WAL stats-revision record of an adaptive session:
-	// the estimator state in force after the records before it (the
-	// fixed-width body is the WAL's own encoding).
+	// TypeStats is the WAL stats-revision record that adaptive logs
+	// carried before replaying the logged nodes became the only way an
+	// estimator is rebuilt. Nothing writes it any more; it stays reserved
+	// so the recovery walk can read past it in older logs.
 	TypeStats = 4
 	// TypeNode is one node record: the ingest request unit, and the
 	// per-node WAL record of logs written before ingest logged group

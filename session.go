@@ -466,12 +466,6 @@ func (s *Session) RestreamFrom(src Source, passes int) (*Result, error) {
 	return &Result{Parts: append([]int32(nil), parts...), K: s.o.K(), Lmax: s.o.LmaxValue()}, nil
 }
 
-// EstimatorState is the exported estimator state of an adaptive
-// session: the observed running totals, the ratchet trigger, and the
-// projection in force. An alias, like StreamStats, so the WAL's
-// stats-revision encoder cannot drift from the estimator's own fields.
-type EstimatorState = core.EstimatorState
-
 // Adaptive reports whether the session estimates its stream stats
 // online.
 func (s *Session) Adaptive() bool { return s.adaptive }
@@ -510,16 +504,6 @@ func (s *Session) AdaptiveInfo() (info AdaptiveInfo, ok bool) {
 	}, true
 }
 
-// StatsRevision returns how many times an adaptive session's projection
-// has changed (0 forever on declared sessions). Durable stores log a
-// stats-revision frame whenever it advances.
-func (s *Session) StatsRevision() int64 {
-	if est := s.o.Estimator(); est != nil {
-		return est.Revision()
-	}
-	return 0
-}
-
 // Coverage returns how many leading entries of the assignment vector
 // are meaningful: the declared n, or — for adaptive sessions — one
 // past the highest node or neighbor id observed so far. It is the
@@ -527,25 +511,6 @@ func (s *Session) StatsRevision() int64 {
 // monitoring reads only between pushes (the omsd service reads it on
 // the owning worker).
 func (s *Session) Coverage() int32 { return s.o.Coverage() }
-
-// EstimatorSnapshot exports the estimator state of an adaptive
-// session (ok false on declared sessions) — the payload of a durable
-// stats-revision record.
-func (s *Session) EstimatorSnapshot() (EstimatorState, bool) {
-	if est, ok := s.o.ExportEstimator(); ok {
-		return est, true
-	}
-	return EstimatorState{}, false
-}
-
-// ApplyEstimator overwrites an adaptive session's estimator state and
-// re-derives the dependent thresholds — the replay entry for the
-// durable log's stats-revision frames, which resynchronize recovery
-// even if estimator internals drift between versions. Serialized with
-// pushes like every session call.
-func (s *Session) ApplyEstimator(st EstimatorState) error {
-	return s.o.ImportEstimator(st)
-}
 
 // ReconcileStats replaces an adaptive session's projection with the
 // exact observed totals and re-normalizes capacities, as Finish does
