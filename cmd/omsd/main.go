@@ -118,7 +118,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	refinePasses := fs.Int("refine-passes", 1, "default restream passes when POST .../refine omits \"passes\"")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this side address (empty = off; keep it off the public listener)")
 	logJSON := fs.Bool("log-json", false, "emit structured JSON event lines on stderr instead of prose logs")
-	traceRing := fs.Int("trace-ring", 2048, "recent traces retained for GET /v1/traces (plus a flight recorder for slow/error traces)")
+	traceRing := fs.Int("trace-ring", 2048, "how many of the newest traces GET /v1/traces retains (plus a flight recorder for slow/error traces)")
 	traceSample := fs.Int("trace-sample", 16, "head-sample 1 in N requests without a traceparent header (0 = only explicit sampled traceparents)")
 	traceSlow := fs.Duration("trace-slow", 250*time.Millisecond, "traces at least this long are pinned in the flight recorder (0 = errors only)")
 	nodeID := fs.String("node-id", "", "this node's id in cluster mode (requires -cluster-peers and -data-dir); empty runs single-node")

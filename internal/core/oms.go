@@ -50,9 +50,9 @@
 // A level still visits its a_i children, as Theorem 2 counts them, but
 // most of them cost little. gather and narrow choose their loop once per
 // node and per level, not per neighbour: weighted or not, power-of-two
-// child span or not. With Fennel at gamma 1.5, a block whose children
-// cover equal leaf counts scores only the children with gain; the
-// zero-gain ones are ranked by load, and only the least loaded is
+// child span or not. With Fennel at gamma 1.5 or LDG, a block whose
+// children cover equal leaf counts scores only the children with gain;
+// the zero-gain ones are ranked by load, and only the least loaded is
 // scored. At the 16- and 8-way levels of 4:16:8 most children have no
 // gain, so most of a level is a load compare. Both are exact rewrites
 // of the loops they replace: the oracle still agrees to the last bit.
@@ -597,28 +597,36 @@ func (sc *levelScratch) total() float64 {
 // configured objective and returns the best feasible one: the highest
 // score, ties to the lighter block, then to the lower index. The
 // objective is chosen once per call. The default, Fennel with gamma 1.5,
-// evaluates FennelScore's expression inline; LDG and other gammas call
-// LDGScore or FennelScore per child.
+// and LDG evaluate FennelScore's and LDGScore's expressions inline;
+// other gammas call FennelScore per child.
 //
-// When the children are even (one alpha, see block), the Fennel arm
-// ranks its zero-gain children instead of scoring them. A zero-gain
-// child scores -alpha*1.5*sqrt(load), which never rises as the load
-// rises, so among the feasible zero-gain children the least-loaded one
-// (the first on equal loads) is the best by the loop's own order. That
-// representative is the only zero-gain child whose score is computed,
-// with the loop's expression on the loop's operands, and it is merged
-// into the best of the gain children by the same order. The result is
-// the child the full loop picks, to the last bit; when no child has
-// gain, it is found without a sqrt.
+// When the children are even (one alpha and one cap, see block), the
+// Fennel 1.5 and LDG arms rank their zero-gain children instead of
+// scoring them. A zero-gain child scores -alpha*1.5*sqrt(load) under
+// Fennel, which never rises as the load rises, and 0*(1-load/cap) = +0
+// under LDG whatever its load (cap > 0; a cap of 0 takes the full loop,
+// whose 0/0 scores NaN). So among the feasible zero-gain children the
+// least-loaded one (the first on equal loads) is the best by the loop's
+// own order. That representative is the only zero-gain child whose
+// score is computed, with the loop's expression on the loop's operands,
+// and it is merged into the best of the gain children by the same
+// order. The result is the child the full loop picks, to the last bit;
+// when no child has gain, it is found without a sqrt or a division.
+//
+// Fennel at other gammas keeps the full loop: the same ranking would
+// need math.Pow(load, gamma-1) to never fall as the load rises, and
+// math.Pow does not promise monotone results.
 func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 {
 	kids := o.blk[first : first+int32(len(gain))]
 	gain = gain[:len(kids)] // one length: no bounds checks on gain[i]
 	best := -1
 	bestScore := 0.0
 	var bestLoad int64
-	if o.cfg.Scorer != ScorerLDG && o.gamma == 1.5 {
-		rep := -1 // the least-loaded feasible zero-gain child, when even
-		var repLoad int64
+	rep := -1 // the least-loaded feasible zero-gain child, when even
+	var repLoad int64
+	ldg := o.cfg.Scorer == ScorerLDG
+	switch {
+	case !ldg && o.gamma == 1.5:
 		for i := range kids {
 			c := &kids[i]
 			load := c.load
@@ -636,32 +644,47 @@ func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 
 				best, bestScore, bestLoad = i, score, load
 			}
 		}
-		if rep >= 0 && best < 0 {
-			best = rep
-		} else if rep >= 0 {
-			score := gain[rep] - float64(kids[rep].alpha*1.5*math.Sqrt(float64(repLoad)))
-			if score > bestScore || (score == bestScore && (repLoad < bestLoad || (repLoad == bestLoad && rep < best))) {
-				best = rep
-			}
-		}
-	} else {
-		ldg := o.cfg.Scorer == ScorerLDG
+	case ldg:
+		even = even && kids[0].cap > 0 // even children share one cap
 		for i := range kids {
 			c := &kids[i]
 			load := c.load
-			var score float64
-			var ok bool
-			if ldg {
-				score, ok = LDGScore(gain[i], load, w, c.cap)
-			} else {
-				score, ok = FennelScore(gain[i], load, w, c.cap, c.alpha, o.gamma)
+			if load+w > c.cap {
+				continue
 			}
+			if even && gain[i] == 0 {
+				if rep < 0 || load < repLoad {
+					rep, repLoad = i, load
+				}
+				continue
+			}
+			score := gain[i] * (1 - float64(load)/float64(c.cap))
+			if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
+				best, bestScore, bestLoad = i, score, load
+			}
+		}
+	default:
+		for i := range kids {
+			c := &kids[i]
+			load := c.load
+			score, ok := FennelScore(gain[i], load, w, c.cap, c.alpha, o.gamma)
 			if !ok {
 				continue
 			}
 			if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
 				best, bestScore, bestLoad = i, score, load
 			}
+		}
+	}
+	if rep >= 0 && best < 0 {
+		best = rep
+	} else if rep >= 0 {
+		score := 0.0 // LDG: a zero-gain child scores +0
+		if !ldg {
+			score = gain[rep] - float64(kids[rep].alpha*1.5*math.Sqrt(float64(repLoad)))
+		}
+		if score > bestScore || (score == bestScore && (repLoad < bestLoad || (repLoad == bestLoad && rep < best))) {
+			best = rep
 		}
 	}
 	if best < 0 {

@@ -16,23 +16,27 @@ func TestBlockRecordStays48Bytes(t *testing.T) {
 	}
 }
 
-// TestScoreChildRanksLikeOracle pins the ties of the zero-gain ranking
-// against the oracle's full scoring loop on hand-made child records:
-// loads, caps and alphas are written into the records, gains come from
-// neighbours placed on the children's first leaves, and both walks split
-// the same block. want is the child index the loop's order picks.
+// TestScoreChildRanksLikeOracle pins the ties of the zero-gain ranking,
+// under Fennel and LDG, against the oracle's full scoring loop on
+// hand-made child records: loads, caps and alphas are written into the
+// records, gains come from neighbours placed on the children's first
+// leaves, and both walks split the same block. want is the child index
+// the loop's order picks.
 func TestScoreChildRanksLikeOracle(t *testing.T) {
-	const huge = 1e17 // 1 - 1.5e17*sqrt(4) rounds to -3e17: a gain of 1 ties
+	const huge = 1e17    // 1 - 1.5e17*sqrt(4) rounds to -3e17: a gain of 1 ties
+	const full = 1 << 60 // 1 - (full-1)/full rounds to 0: a gain child at full-1 scores +0 under LDG
 	cases := []struct {
-		name  string
-		tree  *hierarchy.Tree
-		block func(*hierarchy.Tree) int32 // the block being split
-		even  bool
-		load  []int64
-		cap   []int64   // nil: applyStats' caps
-		alpha []float64 // nil: applyStats' alphas
-		gain  []int     // neighbours per child
-		want  int32
+		name       string
+		scorer     Scorer
+		tree       *hierarchy.Tree
+		block      func(*hierarchy.Tree) int32 // the block being split
+		even       bool
+		load       []int64
+		cap        []int64   // nil: applyStats' caps
+		alpha      []float64 // nil: applyStats' alphas
+		gain       []int     // neighbours per child
+		weightless bool      // the node weighs 0 (else 1)
+		want       int32
 	}{
 		{
 			name: "all zero gains, equal loads: the first index",
@@ -101,11 +105,49 @@ func TestScoreChildRanksLikeOracle(t *testing.T) {
 			load: []int64{13, 12, 12, 12}, gain: []int{0, 0, 0, 0},
 			want: 0,
 		},
+		{
+			name: "LDG, all zero gains: the least loaded", scorer: ScorerLDG,
+			tree: hierarchy.BuildArtificial(16, 4), block: rootBlock, even: true,
+			load: []int64{5, 4, 3, 3}, cap: []int64{100, 100, 100, 100}, gain: []int{0, 0, 0, 0},
+			want: 2,
+		},
+		{
+			name: "LDG, a gain child beats the representative", scorer: ScorerLDG,
+			tree: hierarchy.BuildArtificial(16, 4), block: rootBlock, even: true,
+			load: []int64{1, 8, 2, 99}, cap: []int64{100, 100, 100, 100}, gain: []int{0, 0, 0, 1},
+			want: 3,
+		},
+		{
+			name: "LDG, a gain child scores +0: the lighter representative", scorer: ScorerLDG,
+			tree: hierarchy.BuildArtificial(16, 4), block: rootBlock, even: true,
+			load: []int64{full - 1, 5, 9, 9}, cap: []int64{full, full, full, full}, gain: []int{1, 0, 0, 0},
+			want: 1,
+		},
+		{
+			name: "LDG, a gain child scores +0 at the representative's load: the lower index", scorer: ScorerLDG,
+			tree: hierarchy.BuildArtificial(16, 4), block: rootBlock, even: true,
+			load: []int64{full - 1, full - 1, full - 1, full - 1}, cap: []int64{full, full, full, full}, gain: []int{0, 1, 0, 0},
+			want: 0,
+		},
+		{
+			// 0/0 makes every score NaN, which no later score beats: the
+			// full loop keeps its first feasible child.
+			name: "LDG, cap 0 and a weightless node: the first feasible child", scorer: ScorerLDG,
+			tree: hierarchy.BuildArtificial(16, 4), block: rootBlock, even: true,
+			load: []int64{0, 0, 0, 0}, cap: []int64{0, 0, 0, 0}, gain: []int{0, 1, 0, 0},
+			weightless: true, want: 0,
+		},
+		{
+			name: "LDG, ragged block of BuildArtificial(100, 4) takes the full loop", scorer: ScorerLDG,
+			tree: hierarchy.BuildArtificial(100, 4), block: firstChildBlock, even: false,
+			load: []int64{13, 12, 12, 12}, gain: []int{0, 0, 2, 0},
+			want: 2,
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			st := stream.Stats{N: 64, M: 64, TotalNodeWeight: 1000, TotalEdgeWeight: 64}
-			o, err := New(c.tree, st, Config{Epsilon: 0.03})
+			o, err := New(c.tree, st, Config{Epsilon: 0.03, Scorer: c.scorer})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,8 +175,12 @@ func TestScoreChildRanksLikeOracle(t *testing.T) {
 			sc := &o.scratch
 			o.gather(sc, adj, nil)
 			o.narrow(sc, v)
-			got := o.scoreChild(sc.gain[:b.count], b.first, b.even, 1) - b.first
-			want := o.rescanScoreChild(make([]float64, c.tree.MaxFanout), v, b.first, b.count, 1, adj, nil) - b.first
+			w := int64(1)
+			if c.weightless {
+				w = 0
+			}
+			got := o.scoreChild(sc.gain[:b.count], b.first, b.even, w) - b.first
+			want := o.rescanScoreChild(make([]float64, c.tree.MaxFanout), v, b.first, b.count, w, adj, nil) - b.first
 			if want != c.want {
 				t.Fatalf("oracle picks child %d, the table says %d", want, c.want)
 			}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"math/rand/v2"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -23,40 +21,15 @@ const (
 	histoAllBuckets = histoBuckets + 1 // + the +Inf bucket
 )
 
-// histoShardsFor sizes the stripe count: the next power of two at or
-// above GOMAXPROCS, capped so an over-provisioned box does not pay
-// kilobytes per histogram. Power of two keeps shard selection a mask.
-func histoShardsFor() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 16 {
-		n = 16
-	}
-	s := 1
-	for s < n {
-		s <<= 1
-	}
-	return s
-}
-
-// histoShard is one stripe of a histogram: per-bucket counts plus the
-// running sum of observed nanoseconds. Padded to its own cache lines by
-// construction (the arrays dominate), written only with atomics.
-type histoShard struct {
+// Histogram is a lock-free latency histogram with fixed log-spaced
+// buckets. Observe is allocation-free and wait-free: one atomic add
+// into a bucket counter and one into the running sum of observed
+// nanoseconds.
+type Histogram struct {
+	name     string
+	help     string
 	counts   [histoAllBuckets]atomic.Uint64
 	sumNanos atomic.Int64
-}
-
-// Histogram is a lock-free latency histogram with fixed log-spaced
-// buckets. Observations stripe across per-P shards (selected by the
-// runtime's per-thread cheap RNG, so concurrent observers rarely share
-// a cache line) and are merged only at scrape time. Observe is
-// allocation-free and wait-free: one atomic add into a bucket counter
-// and one into the shard's sum.
-type Histogram struct {
-	name   string
-	help   string
-	shards []histoShard
-	mask   uint32
 	// exemplars holds one trace link per bucket (last writer wins),
 	// published with atomic pointers so attaching stays lock-free and
 	// the classic text exposition pays nothing for them.
@@ -72,8 +45,7 @@ type exemplar struct {
 }
 
 func newHistogram(name, help string) *Histogram {
-	n := histoShardsFor()
-	return &Histogram{name: name, help: help, shards: make([]histoShard, n), mask: uint32(n - 1)}
+	return &Histogram{name: name, help: help}
 }
 
 // bucketIndex maps an observed duration (nanoseconds) to its bucket:
@@ -98,9 +70,8 @@ func (h *Histogram) Observe(d time.Duration) {
 	if ns < 0 {
 		ns = 0
 	}
-	sh := &h.shards[rand.Uint32()&h.mask]
-	sh.counts[bucketIndex(ns)].Add(1)
-	sh.sumNanos.Add(ns)
+	h.counts[bucketIndex(ns)].Add(1)
+	h.sumNanos.Add(ns)
 }
 
 // ObserveExemplar records one duration and, when traceID is non-empty,
@@ -143,7 +114,7 @@ func (h *Histogram) BucketExemplar(b int) (traceID string, value float64, ts tim
 // Name returns the histogram's registered name.
 func (h *Histogram) Name() string { return h.name }
 
-// HistogramSnapshot is a merged point-in-time view of a histogram:
+// HistogramSnapshot is a point-in-time view of a histogram:
 // per-bucket (non-cumulative) counts aligned with BucketBounds(), the
 // total count, and the sum of observations in seconds.
 type HistogramSnapshot struct {
@@ -152,22 +123,16 @@ type HistogramSnapshot struct {
 	SumSec  float64
 }
 
-// Snapshot merges the shards. Shards are written concurrently, so the
-// merge is a racy-but-monotone view: every completed Observe before the
-// call is included, in-flight ones may or may not be.
+// Snapshot reads the counters. They are written concurrently, so the
+// snapshot is a racy-but-monotone view: every completed Observe before
+// the call is included, in-flight ones may or may not be.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
-	var nanos int64
-	for i := range h.shards {
-		sh := &h.shards[i]
-		for b := range sh.counts {
-			c := sh.counts[b].Load()
-			s.Buckets[b] += c
-			s.Count += c
-		}
-		nanos += sh.sumNanos.Load()
+	for b := range h.counts {
+		s.Buckets[b] = h.counts[b].Load()
+		s.Count += s.Buckets[b]
 	}
-	s.SumSec = float64(nanos) / 1e9
+	s.SumSec = float64(h.sumNanos.Load()) / 1e9
 	return s
 }
 
@@ -182,10 +147,10 @@ func BucketBounds() []float64 {
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) in seconds from the
-// merged buckets with the standard Prometheus linear interpolation
-// inside the target bucket. Observations beyond the last finite bound
-// report that bound (there is no upper edge to interpolate toward).
-// Returns 0 for an empty histogram.
+// buckets with the standard Prometheus linear interpolation inside the
+// target bucket. Observations beyond the last finite bound report that
+// bound (there is no upper edge to interpolate toward). Returns 0 for
+// an empty histogram.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 || q <= 0 {
 		return 0

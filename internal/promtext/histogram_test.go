@@ -39,9 +39,9 @@ func TestBucketIndexProperty(t *testing.T) {
 	}
 }
 
-// TestHistogramShardMergeEqualsSerial: observations striped across
-// shards by concurrent goroutines merge to exactly the serial fill —
-// no observation lost, none double-counted, the sum exact.
+// TestHistogramShardMergeEqualsSerial: observations from concurrent
+// goroutines add up to exactly the serial fill — no observation lost,
+// none double-counted, the sum exact.
 func TestHistogramShardMergeEqualsSerial(t *testing.T) {
 	concurrent := NewRegistry().Histogram("x_seconds", "")
 	serial := NewRegistry().Histogram("y_seconds", "")

@@ -128,7 +128,7 @@ func TestAdaptiveChargeAccountingRace(t *testing.T) {
 	}
 	wg.Wait()
 	mgr.mu.Lock()
-	live, sessions := mgr.liveNodes, mgr.nSessions
+	live, sessions := mgr.liveNodes, len(mgr.sessions)
 	mgr.mu.Unlock()
 	if sessions != 0 || live != 0 {
 		t.Fatalf("after deleting every session: nSessions=%d liveNodes=%d, want 0/0", sessions, live)

@@ -47,7 +47,7 @@ func (mg *Manager) AdmissionSnapshot() AdmissionInfo {
 	defer mg.mu.Unlock()
 	return AdmissionInfo{
 		MaxSessions:   mg.cfg.MaxSessions,
-		LiveSessions:  mg.nSessions,
+		LiveSessions:  len(mg.sessions),
 		MaxTotalNodes: mg.cfg.MaxTotalNodes,
 		LiveNodes:     mg.liveNodes,
 	}

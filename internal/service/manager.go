@@ -145,28 +145,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// sessionShards sizes the manager's sharded session index. A power of
-// two so the hash maps to a shard with a mask.
-const sessionShards = 32
-
-// sessionShard is one stripe of the live-session index.
-type sessionShard struct {
-	mu sync.RWMutex
-	m  map[string]*Session
-}
-
 // Manager owns the live sessions: creation against a session cap,
 // lookup, deletion, and TTL eviction of idle sessions via a janitor
 // goroutine. It also owns the job pool and the counter registry.
 //
-// The session index is sharded: Get — the hot path every ingest,
-// status, and finish request takes — locks only the id's stripe (read
-// lock at that), so lookup traffic from many concurrent sessions no
-// longer serializes on one manager-wide mutex. Admission accounting
-// (session count, aggregate node budget, id sequence) stays under mu.
-// Lock discipline: mu and shard locks are never held together except
-// in register (mu, then shard) — no path acquires mu while holding a
-// shard lock, so that order cannot deadlock.
+// One mutex, mu, guards the session index together with the admission
+// accounting (aggregate node budget, id sequence) and the tombstones, so
+// a lookup, an insertion or a removal sees all of them in one critical
+// section. Sections only touch maps and atomics; the one lock taken
+// under mu is the refine runner's, briefly, when EvictIdle asks whether
+// a session is still refining.
 type Manager struct {
 	cfg     Config
 	reg     *promtext.Registry
@@ -181,11 +169,9 @@ type Manager struct {
 	// not route traffic at a daemon still replaying logs).
 	ready atomic.Bool
 
-	shards [sessionShards]sessionShard
-
 	mu        sync.Mutex
-	nSessions int   // live sessions across all shards
-	liveNodes int64 // sum of charged node footprints over live sessions
+	sessions  map[string]*Session // the live sessions by id
+	liveNodes int64               // sum of charged node footprints over live sessions
 	seq       uint64
 	// tombs remembers recently dead session ids (deleted or evicted) so
 	// the HTTP layer can answer 410 Gone instead of 404 — a client that
@@ -222,36 +208,6 @@ func (mg *Manager) addTombstone(id string) {
 	mg.tombs[id] = struct{}{}
 }
 
-// tombstoned reports whether id belongs to a known-dead session.
-func (mg *Manager) tombstoned(id string) bool {
-	mg.mu.Lock()
-	_, ok := mg.tombs[id]
-	mg.mu.Unlock()
-	return ok
-}
-
-// shardFor maps a session id to its index stripe (FNV-1a).
-func (mg *Manager) shardFor(id string) *sessionShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return &mg.shards[h&(sessionShards-1)]
-}
-
-// eachSession snapshots the live sessions stripe by stripe.
-func (mg *Manager) eachSession(fn func(*Session)) {
-	for i := range mg.shards {
-		sh := &mg.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.m {
-			fn(s)
-		}
-		sh.mu.RUnlock()
-	}
-}
-
 // NewManager starts the subsystem: the job pool and the eviction
 // janitor. Close releases both.
 func NewManager(cfg Config) *Manager {
@@ -267,6 +223,7 @@ func NewManager(cfg Config) *Manager {
 		ev:          cfg.Events,
 		tracer:      cfg.Tracer,
 		pool:        NewPool(cfg.Workers),
+		sessions:    make(map[string]*Session),
 		tombs:       make(map[string]struct{}),
 		janitorQuit: make(chan struct{}),
 		janitorDone: make(chan struct{}),
@@ -287,9 +244,6 @@ func NewManager(cfg Config) *Manager {
 		}
 		mgr.ev.Emit(telemetry.EventRefineDone, fields)
 	})
-	for i := range mgr.shards {
-		mgr.shards[i].m = make(map[string]*Session)
-	}
 	// Backlog visibility, counted only by jobs that actually wait.
 	reg.GaugeFunc("omsd_queue_backlog", "ingest/finish jobs waiting for their session's turn or a pool slot", mgr.pool.backlog.Load)
 	reg.GaugeFunc("omsd_pool_runqueue", "ingest/finish jobs holding their session's turn and waiting for a pool slot", mgr.pool.runqueue.Load)
@@ -329,11 +283,13 @@ func (mg *Manager) close() {
 	// are already durable; unpublished passes are simply lost (a restart
 	// may re-request them).
 	mg.refiner.Close()
-	var victims []*Session
-	mg.eachSession(func(s *Session) {
+	mg.mu.Lock()
+	victims := make([]*Session, 0, len(mg.sessions))
+	for _, s := range mg.sessions {
 		s.closed.Store(true) // reject new jobs before the pool closes
 		victims = append(victims, s)
-	})
+	}
+	mg.mu.Unlock()
 	mg.pool.Close()
 	for _, s := range victims {
 		// Shutdown is not deletion: sync and release the log, keep the
@@ -344,7 +300,7 @@ func (mg *Manager) close() {
 
 // admit checks the admission caps; callers hold mg.mu.
 func (mg *Manager) admit(n int64) error {
-	if mg.nSessions >= mg.cfg.MaxSessions {
+	if len(mg.sessions) >= mg.cfg.MaxSessions {
 		return fmt.Errorf("%w (%d live)", ErrLimit, mg.cfg.MaxSessions)
 	}
 	if mg.liveNodes+n > mg.cfg.MaxTotalNodes {
@@ -513,14 +469,10 @@ func (mg *Manager) register(s *Session) error {
 	if err := mg.admit(charge); err != nil {
 		return err
 	}
-	sh := mg.shardFor(s.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, exists := sh.m[s.ID]; exists {
+	if _, exists := mg.sessions[s.ID]; exists {
 		return fmt.Errorf("duplicate session id")
 	}
-	sh.m[s.ID] = s
-	mg.nSessions++
+	mg.sessions[s.ID] = s
 	mg.liveNodes += charge
 	mg.m.sessionsActive.Inc()
 	return nil
@@ -636,10 +588,10 @@ func (mg *Manager) restoreSession(rec store.RecoveredSession) (err error) {
 // is not refreshed (a retrying client must not pin it against eviction)
 // and lookups fail like any other dead session.
 func (mg *Manager) Get(id string) (*Session, error) {
-	sh := mg.shardFor(id)
-	sh.mu.RLock()
-	s, ok := sh.m[id]
-	sh.mu.RUnlock()
+	mg.mu.Lock()
+	s, ok := mg.sessions[id]
+	_, gone := mg.tombs[id]
+	mg.mu.Unlock()
 	if ok && !s.closed.Load() {
 		s.touch(mg.cfg.Now())
 		return s, nil
@@ -647,25 +599,24 @@ func (mg *Manager) Get(id string) (*Session, error) {
 	// Distinguish "never existed" (404 — give up on the id) from "was
 	// here, now dead" (410 — stop retrying): a closed-but-not-yet-
 	// collected session and a tombstoned id are both Gone.
-	if ok || mg.tombstoned(id) {
+	if ok || gone {
 		return nil, errGone(id)
 	}
 	return nil, errNotFound(id)
 }
 
-// Delete closes and removes a session. Removal from the shard decides
-// the winner between racing deletes; the accounting follows under mu
-// (the locks are taken one after the other, never nested).
+// Delete closes and removes a session. Removal from the index decides
+// the winner between racing deletes.
 func (mg *Manager) Delete(id string) error {
-	sh := mg.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.m[id]
+	mg.mu.Lock()
+	s, ok := mg.sessions[id]
+	_, gone := mg.tombs[id]
 	if ok {
-		delete(sh.m, id)
+		mg.unlink(s)
 	}
-	sh.mu.Unlock()
+	mg.mu.Unlock()
 	if !ok {
-		if mg.tombstoned(id) {
+		if gone {
 			return errGone(id)
 		}
 		return errNotFound(id)
@@ -674,21 +625,23 @@ func (mg *Manager) Delete(id string) error {
 	return nil
 }
 
-// retire is the tail of a removal whose caller took the session out of
-// its shard: close it before the charge swap (the charged-nodes
-// protocol: an in-flight ingest job that charged concurrently re-checks
-// closed and releases its own addition, so the budget is returned
-// exactly once however the race lands), return its budget, tombstone its
-// id, cancel its refinement, garbage-collect its durable state (sealed
-// or not — deletion and eviction both mean the client is done with the
-// stream), then count and report the removal.
-func (mg *Manager) retire(s *Session, evicted bool) {
+// unlink takes s out of the index; callers hold mg.mu. It closes s
+// before the charge swap (the charged-nodes protocol: an in-flight
+// ingest job that charged concurrently re-checks closed and releases
+// its own addition, so the budget is returned exactly once however the
+// race lands), returns its budget and tombstones its id.
+func (mg *Manager) unlink(s *Session) {
+	delete(mg.sessions, s.ID)
 	s.closed.Store(true)
-	mg.mu.Lock()
-	mg.nSessions--
 	mg.liveNodes -= s.charged.Swap(0)
 	mg.addTombstone(s.ID)
-	mg.mu.Unlock()
+}
+
+// retire is the tail of a removal after unlink: it cancels the
+// session's refinement, garbage-collects its durable state (sealed or
+// not — deletion and eviction both mean the client is done with the
+// stream), then counts and reports the removal.
+func (mg *Manager) retire(s *Session, evicted bool) {
 	mg.refiner.Drop(s.ID)
 	mg.dropPersisted(s)
 	mg.m.sessionsActive.Add(-1)
@@ -722,7 +675,9 @@ type SessionInfo struct {
 func (mg *Manager) List() []SessionInfo {
 	now := mg.cfg.Now()
 	var out []SessionInfo
-	mg.eachSession(func(s *Session) {
+	mg.mu.Lock()
+	defer mg.mu.Unlock()
+	for _, s := range mg.sessions {
 		out = append(out, SessionInfo{
 			ID:       s.ID,
 			K:        s.K(),
@@ -732,7 +687,7 @@ func (mg *Manager) List() []SessionInfo {
 			Finished: s.Finished(),
 			IdleMS:   now.Sub(s.idleSince()).Milliseconds(),
 		})
-	})
+	}
 	return out
 }
 
@@ -755,26 +710,22 @@ func (mg *Manager) ttlOf(s *Session) time.Duration {
 func (mg *Manager) EvictIdle() int {
 	now := mg.cfg.Now()
 	var victims []*Session
-	for i := range mg.shards {
-		sh := &mg.shards[i]
-		sh.mu.Lock()
-		for id, s := range sh.m {
-			if now.Sub(s.idleSince()) <= mg.ttlOf(s) {
-				continue
-			}
-			// A session whose refinement job is still queued or running
-			// is not idle — evicting it would destroy the result (and
-			// its versions) the server is actively computing. Published
-			// passes also refresh the TTL, so the clock restarts once
-			// the job ends.
-			if mg.refiner.Active(id) {
-				continue
-			}
-			delete(sh.m, id)
-			victims = append(victims, s)
+	mg.mu.Lock()
+	for id, s := range mg.sessions {
+		if now.Sub(s.idleSince()) <= mg.ttlOf(s) {
+			continue
 		}
-		sh.mu.Unlock()
+		// A session whose refinement job is still queued or running is
+		// not idle — evicting it would destroy the result (and its
+		// versions) the server is actively computing. Published passes
+		// also refresh the TTL, so the clock restarts once the job ends.
+		if mg.refiner.Active(id) {
+			continue
+		}
+		mg.unlink(s)
+		victims = append(victims, s)
 	}
+	mg.mu.Unlock()
 	for _, s := range victims {
 		mg.retire(s, true)
 	}

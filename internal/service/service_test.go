@@ -509,7 +509,7 @@ func TestBatchAtomicRejection(t *testing.T) {
 }
 
 // TestShardedManagerConcurrentAccess hammers create/get/list/delete
-// from many goroutines; run under -race this exercises the sharded
+// from many goroutines; run under -race this exercises the session
 // index, and the final accounting must balance.
 func TestShardedManagerConcurrentAccess(t *testing.T) {
 	mgr := testManager(t, Config{})
@@ -551,7 +551,7 @@ func TestShardedManagerConcurrentAccess(t *testing.T) {
 		t.Fatalf("live sessions %d, want %d", got, want)
 	}
 	mgr.mu.Lock()
-	n, nodes := mgr.nSessions, mgr.liveNodes
+	n, nodes := len(mgr.sessions), mgr.liveNodes
 	mgr.mu.Unlock()
 	if n != want || nodes != int64(want*8) {
 		t.Fatalf("accounting n=%d nodes=%d, want %d and %d", n, nodes, want, want*8)

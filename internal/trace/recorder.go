@@ -2,8 +2,6 @@ package trace
 
 import (
 	"context"
-	"math/rand/v2"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,8 +49,8 @@ type Summary struct {
 
 // Options configures a Recorder. Zero values pick sane defaults.
 type Options struct {
-	// RingSize is the total main-ring capacity in traces (rounded up
-	// to a power of two per shard). Default 2048.
+	// RingSize is the main-ring capacity in traces: the ring keeps
+	// the newest RingSize. Default 2048.
 	RingSize int
 	// FlightSize is the flight-recorder capacity. The flight ring is
 	// written only by error/slow traces, so it wraps far slower than
@@ -80,59 +78,27 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ringShard is one stripe of a trace ring: a power-of-two slot array
-// written round-robin through an atomic position counter.
-type ringShard struct {
+// ring is a fixed slot array written round-robin through one atomic
+// position counter, so it holds exactly the newest len(slots) traces.
+// Writers never block; a reader sees each slot's latest published trace.
+type ring struct {
 	pos   atomic.Uint64
 	slots []atomic.Pointer[Trace]
-	mask  uint64
 }
 
-func (sh *ringShard) put(t *Trace) {
-	i := sh.pos.Add(1) - 1
-	sh.slots[i&sh.mask].Store(t)
-}
-
-// ring stripes publishes across shards (picked by the runtime's cheap
-// per-thread RNG, mirroring the service histograms) so concurrent
-// trace finishes rarely contend on a position counter cache line.
-type ring struct {
-	shards []ringShard
-	mask   uint32
-}
-
-func newRing(total int) *ring {
-	ns := runtime.GOMAXPROCS(0)
-	if ns > 8 {
-		ns = 8
-	}
-	shards := 1
-	for shards < ns {
-		shards <<= 1
-	}
-	per := 1
-	for per*shards < total {
-		per <<= 1
-	}
-	r := &ring{shards: make([]ringShard, shards), mask: uint32(shards - 1)}
-	for i := range r.shards {
-		r.shards[i].slots = make([]atomic.Pointer[Trace], per)
-		r.shards[i].mask = uint64(per - 1)
-	}
-	return r
+func newRing(size int) *ring {
+	return &ring{slots: make([]atomic.Pointer[Trace], size)}
 }
 
 func (r *ring) put(t *Trace) {
-	r.shards[rand.Uint32()&r.mask].put(t)
+	i := r.pos.Add(1) - 1
+	r.slots[i%uint64(len(r.slots))].Store(t)
 }
 
 func (r *ring) snapshot(out []*Trace) []*Trace {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		for j := range sh.slots {
-			if t := sh.slots[j].Load(); t != nil {
-				out = append(out, t)
-			}
+	for i := range r.slots {
+		if t := r.slots[i].Load(); t != nil {
+			out = append(out, t)
 		}
 	}
 	return out

@@ -1,10 +1,10 @@
 // Package trace is a dependency-free, allocation-conscious request
 // tracer for omsd. It speaks the W3C traceparent header (version 00),
-// records per-request span trees into a lock-free sharded ring buffer
-// with head sampling, and keeps a tail-based flight recorder that
-// always retains traces ending in error or breaching a latency
-// threshold — so "which request made p99 spike?" has an answer even
-// after the main ring has wrapped.
+// records per-request span trees into a lock-free ring buffer with
+// head sampling, and keeps a tail-based flight recorder that always
+// retains traces ending in error or breaching a latency threshold —
+// so "which request made p99 spike?" has an answer even after the
+// main ring has wrapped.
 //
 // The sampled-out fast path is a nil *Active: every method no-ops on
 // nil, so an unsampled request pays one pointer check and zero

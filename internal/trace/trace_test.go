@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"math/rand/v2"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -304,6 +305,74 @@ func TestFlightRetention(t *testing.T) {
 	}
 	if flight < len(wantIDs) {
 		t.Fatalf("index shows %d flight traces, want >= %d", flight, len(wantIDs))
+	}
+}
+
+// TestRingKeepsNewestTraces: each ring holds exactly its newest traces,
+// however many processors publish into it. Every 10th trace fails, so the
+// index is the main ring's newest 64 plus the flight ring's newest 16
+// failures, and nothing older.
+func TestRingKeepsNewestTraces(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const (
+		ringSize   = 64
+		flightSize = 16
+		total      = 1000
+	)
+	r := NewRecorder(Options{RingSize: ringSize, FlightSize: flightSize})
+	base := time.Now().Add(-time.Hour)
+	ids := make([]TraceID, total)
+	var failed []int
+	for i := range ids {
+		c := NewContext(true)
+		ids[i] = c.TraceID
+		a := r.Start(c, true, "http", base.Add(time.Duration(i)*time.Millisecond))
+		if i%10 == 0 {
+			a.Finish(500, "fault")
+			failed = append(failed, i)
+		} else {
+			a.Finish(200, "")
+		}
+	}
+	want := map[TraceID]bool{}
+	for i := total - ringSize; i < total; i++ {
+		want[ids[i]] = true
+	}
+	wantFlight := map[TraceID]bool{}
+	for _, i := range failed[len(failed)-flightSize:] {
+		want[ids[i]] = true
+		wantFlight[ids[i]] = true
+	}
+
+	index := r.Traces()
+	got := map[TraceID]bool{}
+	flight := 0
+	for _, s := range index {
+		got[s.ID] = true
+		if s.Flight {
+			flight++
+			if !wantFlight[s.ID] {
+				t.Errorf("flight trace %s is not among the newest %d failures", s.ID, flightSize)
+			}
+		}
+	}
+	if len(index) != len(want) || flight != flightSize {
+		t.Errorf("index holds %d traces (%d flight), want %d (%d flight)", len(index), flight, len(want), flightSize)
+	}
+	kept := 0
+	for i := total - ringSize; i < total; i++ {
+		if got[ids[i]] {
+			kept++
+		}
+	}
+	if kept != ringSize {
+		t.Errorf("index keeps %d of the newest %d traces", kept, ringSize)
+	}
+	for i, id := range ids {
+		_, ok := r.Get(id)
+		if ok != want[id] {
+			t.Errorf("trace %d of %d: retrievable %v, want %v", i, total, ok, want[id])
+		}
 	}
 }
 
