@@ -9,13 +9,19 @@
 //
 // Push and PushBatch run on pooled per-request state: the reply reader
 // and its arena, the decode scratch, the NDJSON line buffer and the
-// encode scratch are reused across requests, so a steady push allocates
-// its request, one exact-size copy of the encoded body (net/http may
-// read a body after Do returns and rewinds it to follow a redirect, so
-// it never gets the scratch) and the returned assignments. In NDJSON the
-// node lines are written and the assignment lines parsed by hand, with
-// the bytes encoding/json would write; a reply line outside that
-// canonical form is decoded by encoding/json.
+// encode scratch are reused across requests. A body of at most 32 KiB
+// (a 64-node push of a sparse graph) is encoded before the request goes
+// out, and net/http gets one exact-size copy of it, sent with a
+// Content-Length: it may read a body after Do returns and rewinds it to
+// follow a redirect, so it never gets the scratch. A larger body is
+// encoded while it is sent: the rest of its nodes go into the scratch
+// inside the body's Read, on the transport's writer goroutine, so the
+// server parses the first lines while the client encodes the last; a
+// fence ends every read of it before Push returns. So a steady push
+// allocates its request, at most that one copy and the returned
+// assignments. In NDJSON the node lines are written and the assignment
+// lines parsed by hand, with the bytes encoding/json would write; a
+// reply line outside that canonical form is decoded by encoding/json.
 package client
 
 import (

@@ -64,15 +64,15 @@ func TestReadWireAssignmentsAllocatesOnlyItsResult(t *testing.T) {
 	}
 }
 
-// steadyPushBytes is the heap a steady 64-node push round trip
-// allocates, client and in-process server together, averaged over 256
-// pushes after 16 warm-up pushes.
-func steadyPushBytes(t *testing.T, opts ...Option) float64 {
+// steadyPushBytes is the heap a steady push round trip of chunk nodes
+// allocates, client and in-process server together, averaged over at
+// least 64 pushes (256 of 64 nodes) after 16 warm-up pushes.
+func steadyPushBytes(t *testing.T, chunk int, opts ...Option) float64 {
 	t.Helper()
 	url := testServer(t)
 	ctx := context.Background()
 	c := New(url, opts...)
-	const chunk, warm, pushes = 64, 16, 256
+	warm, pushes := 16, max(64, 16384/chunk)
 	n := int32(chunk * (warm + pushes))
 	created, err := c.Create(ctx, Spec{N: n, M: int64(n - 1), K: 16})
 	if err != nil {
@@ -97,7 +97,7 @@ func steadyPushBytes(t *testing.T, opts ...Option) float64 {
 		push(i)
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / pushes
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(pushes)
 }
 
 // TestBinaryPushHeapFloor: a steady 64-node binary push round trip —
@@ -105,7 +105,7 @@ func steadyPushBytes(t *testing.T, opts ...Option) float64 {
 // reply reader built per push would alone cost 128 KiB: its 64 KiB
 // read-ahead buffer and 64 KiB arena.
 func TestBinaryPushHeapFloor(t *testing.T) {
-	perPush := steadyPushBytes(t, WithBinary(true))
+	perPush := steadyPushBytes(t, 64, WithBinary(true))
 	t.Logf("%.0f B allocated per 64-node binary push", perPush)
 	if perPush > 32<<10 {
 		t.Fatalf("%.0f B allocated per push, want <= %d", perPush, 32<<10)
@@ -118,9 +118,39 @@ func TestBinaryPushHeapFloor(t *testing.T) {
 // writing the request lines, decoding them on the server and decoding
 // the reply lines, a push allocated about 50 KiB.
 func TestNDJSONPushHeapFloor(t *testing.T) {
-	perPush := steadyPushBytes(t)
+	perPush := steadyPushBytes(t, 64)
 	t.Logf("%.0f B allocated per 64-node NDJSON push", perPush)
 	if perPush > 16<<10 {
 		t.Fatalf("%.0f B allocated per push, want <= %d", perPush, 16<<10)
+	}
+}
+
+// TestLargePushHeapFloor: large push round trips on a path graph, in
+// each format. A 1024-node push (about 28 KiB NDJSON, 16 KiB binary)
+// still goes out from memory, and stays within what it allocated before
+// large bodies streamed: 85–89 KB NDJSON and 52–56 KB binary over 20
+// runs (the high readings are windows in which pooled state was
+// rebuilt). A 4096-node push (about 115 KiB NDJSON, 65 KiB binary)
+// streams from the pooled scratch and allocates about 57 KB in either
+// format, against 235–238 KB and 163–170 KB while it went out as one
+// exact-size copy; a tail buffer allocated per push would exceed its
+// floor.
+func TestLargePushHeapFloor(t *testing.T) {
+	for _, tc := range []struct {
+		chunk  int
+		binary bool
+		floor  float64
+	}{
+		{1024, false, 92 << 10},
+		{1024, true, 58 << 10},
+		{4096, false, 80 << 10},
+		{4096, true, 80 << 10},
+	} {
+		perPush := steadyPushBytes(t, tc.chunk, WithBinary(tc.binary))
+		t.Logf("%.0f B allocated per %d-node push, binary=%v", perPush, tc.chunk, tc.binary)
+		if perPush > tc.floor {
+			t.Errorf("%d-node push, binary=%v: %.0f B allocated per push, want <= %.0f",
+				tc.chunk, tc.binary, perPush, tc.floor)
+		}
 	}
 }

@@ -1,9 +1,11 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -122,7 +124,7 @@ func TestReleaseDropsOversizedScratch(t *testing.T) {
 	}
 
 	small := pushState{rd: wire.NewReader(nil)}
-	body := small.encode(true, pathNodes())
+	body, _ := small.encode(true, pathNodes())
 	small.release()
 	if cap(small.body) < len(body) || small.rd == nil {
 		t.Fatalf("warm scratch dropped: body %d, reader %v", cap(small.body), small.rd != nil)
@@ -131,7 +133,10 @@ func TestReleaseDropsOversizedScratch(t *testing.T) {
 
 // TestPushFollowsRedirect: a 307 in front of the ingest route makes
 // net/http rewind the request body through GetBody and send it again;
-// the replayed body must be the encoded nodes, in either format.
+// the replayed body must be the encoded nodes, in either format, both
+// for a push sent from memory and for one larger than streamHead,
+// which is encoded while it is sent and must replay from its first
+// byte.
 func TestPushFollowsRedirect(t *testing.T) {
 	url := testServer(t)
 	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -139,21 +144,165 @@ func TestPushFollowsRedirect(t *testing.T) {
 	}))
 	t.Cleanup(front.Close)
 	ctx := context.Background()
+	for _, tc := range []struct {
+		spec  Spec
+		nodes []Node
+	}{
+		{Spec{N: 4, M: 3, K: 2}, pathNodes()},
+		{Spec{N: 4096, M: 2 * 4096, K: 8}, ringNodes(4096, 3)},
+	} {
+		for _, binary := range []bool{false, true} {
+			direct := New(url, WithBinary(binary))
+			redirected := New(front.URL, WithBinary(binary))
+			var replies [2][]Assignment
+			for i, c := range []*Client{direct, redirected} {
+				created, err := direct.Create(ctx, tc.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if replies[i], err = c.Push(ctx, created.ID, tc.nodes); err != nil {
+					t.Fatalf("%d nodes, binary=%v: %v", len(tc.nodes), binary, err)
+				}
+			}
+			if len(replies[1]) != len(tc.nodes) || !slices.Equal(replies[0], replies[1]) {
+				t.Fatalf("%d nodes, binary=%v: redirected push %v, direct push %v",
+					len(tc.nodes), binary, replies[1], replies[0])
+			}
+		}
+	}
+}
+
+// TestPushBodyBytes captures the raw request body of a push at the
+// server: in either format it is the nodes' wire.AppendNodeLine or
+// wire.AppendNodeFrame output, concatenated, byte for byte. A 64-node
+// push goes out from memory with a Content-Length; a 4096-node one,
+// larger than streamHead, is chunk-encoded as it is encoded.
+func TestPushBodyBytes(t *testing.T) {
+	var mu sync.Mutex
+	var got []byte
+	var length int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		mu.Lock()
+		got, length = body, r.ContentLength
+		mu.Unlock()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	ctx := context.Background()
+	for _, n := range []int32{64, 4096} {
+		nodes := ringNodes(n, 3)
+		nodes[1].W, nodes[1].EW = 5, []int32{1, 2, 3, 4}
+		for _, binary := range []bool{false, true} {
+			var want []byte
+			for _, nd := range nodes {
+				if binary {
+					want = wire.AppendNodeFrame(want, nd.U, nd.W, nd.Adj, nd.EW)
+				} else {
+					want = wire.AppendNodeLine(want, nd.U, nd.W, nd.Adj, nd.EW)
+				}
+			}
+			if _, err := New(srv.URL, WithBinary(binary)).Push(ctx, "s", nodes); err != nil {
+				t.Fatalf("%d nodes, binary=%v: %v", n, binary, err)
+			}
+			mu.Lock()
+			body, cl := got, length
+			mu.Unlock()
+			if !bytes.Equal(body, want) {
+				t.Fatalf("%d nodes, binary=%v: the server read %d bytes, want the %d encoded ones",
+					n, binary, len(body), len(want))
+			}
+			wantCL := int64(len(want))
+			if len(want) > streamHead {
+				wantCL = -1 // streamed: chunked, no Content-Length
+			}
+			if cl != wantCL {
+				t.Fatalf("%d nodes, binary=%v: Content-Length %d, want %d", n, binary, cl, wantCL)
+			}
+		}
+	}
+}
+
+// TestPushFencesEarlyAnswer pushes a body larger than streamHead into a
+// finished session, which answers 409 after its first chunk, while the
+// client is still encoding the rest. The transport may go on reading
+// the body after Push returns; overwriting every adjacency list at once
+// must not race with it (run under -race), and the push must fail with
+// ErrFinished. Each format gets a transport of its own: omsd may drop a
+// connection whose request body it left unread, and a pooled one would
+// fail the next test's request.
+func TestPushFencesEarlyAnswer(t *testing.T) {
+	url := testServer(t)
+	ctx := context.Background()
 	for _, binary := range []bool{false, true} {
-		direct := New(url, WithBinary(binary))
-		redirected := New(front.URL, WithBinary(binary))
-		var replies [2][]Assignment
-		for i, c := range []*Client{direct, redirected} {
-			created, err := direct.Create(ctx, Spec{N: 4, M: 3, K: 2})
+		tr := &http.Transport{}
+		t.Cleanup(tr.CloseIdleConnections)
+		c := New(url, WithBinary(binary), WithHTTPClient(&http.Client{Transport: tr}))
+		created, err := c.Create(ctx, Spec{N: 4096, M: 2 * 4096, K: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Finish(ctx, created.ID); err != nil {
+			t.Fatal(err)
+		}
+		nodes := ringNodes(4096, 3)
+		_, err = c.Push(ctx, created.ID, nodes)
+		for _, nd := range nodes {
+			for j := range nd.Adj {
+				nd.Adj[j] = -1
+			}
+		}
+		if !errors.Is(err, ErrFinished) {
+			t.Fatalf("binary=%v: push into a finished session: %v, want ErrFinished", binary, err)
+		}
+	}
+}
+
+// TestStreamBodyFence reads a streamed body directly: any read size
+// yields the whole encoded body, a reader opened later (GetBody) retires
+// the earlier one mid-body, and close retires the last.
+func TestStreamBodyFence(t *testing.T) {
+	nodes := ringNodes(4096, 3)
+	var want []byte
+	for i := range nodes {
+		want = appendNode(want, false, &nodes[i])
+	}
+	var s pushState
+	body, head := s.encode(false, nodes)
+	if body != nil {
+		t.Fatalf("a %d-byte body was not streamed", len(want))
+	}
+	b := &streamBody{s: &s, head: len(s.body), nodes: nodes[head:]}
+	old, _ := b.open()
+	if _, err := io.ReadFull(old, make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{1, 777, 32 << 10} {
+		r, _ := b.open()
+		if _, err := old.Read(make([]byte, 10)); err != errBodyClosed {
+			t.Fatalf("a retired reader read on: %v", err)
+		}
+		var got []byte
+		buf := make([]byte, size)
+		for {
+			n, err := r.Read(buf)
+			got = append(got, buf[:n]...)
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if replies[i], err = c.Push(ctx, created.ID, pathNodes()); err != nil {
-				t.Fatalf("binary=%v: %v", binary, err)
-			}
 		}
-		if len(replies[1]) != 4 || !slices.Equal(replies[0], replies[1]) {
-			t.Fatalf("binary=%v: redirected push %v, direct push %v", binary, replies[1], replies[0])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("reads of %d bytes: %d body bytes, want the %d encoded ones", size, len(got), len(want))
 		}
+		old = r
+	}
+	b.close()
+	if _, err := old.Read(make([]byte, 10)); err != errBodyClosed {
+		t.Fatalf("a read after close: %v", err)
 	}
 }

@@ -247,11 +247,13 @@ func (q *ingestReq) nextFrame() (store.PushNode, error) {
 // wire.AppendNodePayload) — so the log bytes are identical no matter
 // which format carried the stream. An empty edge-weight list becomes
 // none in the node handed to the engine too, which rejects an ew whose
-// length differs from adj's. A line of the
-// canonical subset (see wire.ParseNodeLine; every line this repo's
-// client writes) is parsed by hand into the arena, as a binary frame is
-// decoded; any other line goes through json.Unmarshal, which decides
-// what is accepted and what its error says.
+// length differs from adj's. A line of the canonical subset (see
+// wire.ParseNodeLine; every line this repo's client writes) is parsed
+// by hand into the arena in one pass over its bytes, as a binary frame
+// is decoded; any other line goes through json.Unmarshal, which decides
+// what is accepted and what its error says. The client streams a large
+// body, so the lines of its head are parsed here while its tail is
+// still being encoded.
 func (q *ingestReq) nextLine(sc *bufio.Scanner) (store.PushNode, error) {
 	a := &q.rd.Arena
 	for sc.Scan() {

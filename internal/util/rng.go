@@ -1,7 +1,7 @@
 // Package util provides small shared utilities for the OMS codebase:
-// a fast seeded random number generator, integer mixing/hashing, and a
-// chunked parallel-for helper. Everything here is allocation-free on the
-// hot path; streaming partitioners call into this package once per node.
+// a fast seeded random number generator and integer mixing/hashing.
+// Everything here is allocation-free on the hot path; streaming
+// partitioners call into this package once per node.
 package util
 
 import "math"
