@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"oms/internal/service"
 	"oms/internal/wire"
 )
 
@@ -230,15 +232,14 @@ func TestPushBodyBytes(t *testing.T) {
 // client is still encoding the rest. The transport may go on reading
 // the body after Push returns; overwriting every adjacency list at once
 // must not race with it (run under -race), and the push must fail with
-// ErrFinished. Each format gets a transport of its own: omsd may drop a
-// connection whose request body it left unread, and a pooled one would
-// fail the next test's request.
+// ErrFinished. Both formats share one transport: the early answer closes
+// its connection, so the next request opens a fresh one.
 func TestPushFencesEarlyAnswer(t *testing.T) {
 	url := testServer(t)
 	ctx := context.Background()
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
 	for _, binary := range []bool{false, true} {
-		tr := &http.Transport{}
-		t.Cleanup(tr.CloseIdleConnections)
 		c := New(url, WithBinary(binary), WithHTTPClient(&http.Client{Transport: tr}))
 		created, err := c.Create(ctx, Spec{N: 4096, M: 2 * 4096, K: 8})
 		if err != nil {
@@ -257,6 +258,64 @@ func TestPushFencesEarlyAnswer(t *testing.T) {
 		if !errors.Is(err, ErrFinished) {
 			t.Fatalf("binary=%v: push into a finished session: %v, want ErrFinished", binary, err)
 		}
+	}
+}
+
+// lockedBuffer is a bytes.Buffer the server's goroutines may write to.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestEarlyAnswerLeavesServerQuiet pushes 4096 nodes into a finished
+// session, then creates a session on the same transport, in both
+// formats, several times over. omsd answers the push before it has read
+// the body; with full duplex on, net/http would drain the rest while the
+// connection's next read starts, and log a recovered panic ("invalid
+// concurrent Body.Read call") and drop the connection. The answer closes
+// the connection instead, so the server's log stays free of panics and
+// every Create succeeds.
+func TestEarlyAnswerLeavesServerQuiet(t *testing.T) {
+	mgr := service.NewManager(service.Config{})
+	t.Cleanup(mgr.Close)
+	srv := httptest.NewUnstartedServer(service.NewServer(mgr))
+	var logged lockedBuffer
+	srv.Config.ErrorLog = log.New(&logged, "", 0)
+	srv.Start()
+	t.Cleanup(srv.Close)
+	ctx := context.Background()
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	for round := 0; round < 4; round++ {
+		for _, binary := range []bool{false, true} {
+			c := New(srv.URL, WithBinary(binary), WithHTTPClient(&http.Client{Transport: tr}))
+			created, err := c.Create(ctx, Spec{N: 4096, M: 2 * 4096, K: 8})
+			if err != nil {
+				t.Fatalf("round %d, binary=%v: create: %v; server log:\n%s", round, binary, err, logged.String())
+			}
+			if _, err := c.Finish(ctx, created.ID); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Push(ctx, created.ID, ringNodes(4096, 3)); !errors.Is(err, ErrFinished) {
+				t.Fatalf("round %d, binary=%v: push into a finished session: %v, want ErrFinished", round, binary, err)
+			}
+		}
+	}
+	srv.Close()
+	if out := logged.String(); strings.Contains(out, "panic") {
+		t.Fatalf("the server logged a panic:\n%s", out)
 	}
 }
 

@@ -13,11 +13,11 @@ import (
 )
 
 // The bounds test of narrow: a level whose neighbours all lie in one child
-// sets that child's gain in O(1), a level they all miss empties the list,
-// a level they split inside the block scans and keeps them all, and a
-// level that drops some scans and turns the bounds test off for the rest
-// of the node. These tests hold every transition between them to the
-// rescan oracle and to a reference narrow that knows nothing of bounds.
+// sets that child's gain in O(1) and reports the child, a level they all
+// miss empties the list, a level they split inside the block keeps them
+// all, and a level that drops some scans and keeps the survivors' bounds
+// exact. These tests hold every transition between them to the rescan
+// oracle and to a reference narrow that knows nothing of bounds.
 
 // refNarrow is narrow without bounds: it keeps, in order, the entries
 // inside v and sums them per child from 0 in list order, finding the
@@ -53,23 +53,35 @@ func narrowTrees() map[string]*hierarchy.Tree {
 	return trees
 }
 
-// boundsExactOrOff reports whether sc.lo and sc.hi are the least and
-// greatest leaf on a non-empty list, or widened so that no block lies
-// inside them: the two states narrow may leave them in.
-func boundsExactOrOff(sc *levelScratch) bool {
-	if len(sc.leaf) == 0 || sc.lo == math.MinInt32 && sc.hi == math.MaxInt32 {
-		return true
+// boundsExact reports whether sc.lo and sc.hi are the least and greatest
+// leaf on the list, or MaxInt32 and MinInt32 on an empty one.
+func boundsExact(sc *levelScratch) bool {
+	if len(sc.leaf) == 0 {
+		return sc.lo == math.MaxInt32 && sc.hi == math.MinInt32
 	}
 	return sc.lo == slices.Min(sc.leaf) && sc.hi == slices.Max(sc.leaf)
 }
 
+// childHolding is the index of v's child that holds every leaf on a non-empty
+// list, found by comparing leaf ranges, or -1.
+func childHolding(t *hierarchy.Tree, v int32, leaf []int32) int32 {
+	first, count := t.Children(v)
+	for c := first; c < first+count; c++ {
+		if len(leaf) > 0 && slices.IndexFunc(leaf, func(p int32) bool { return p < t.KL[c] || p > t.KR[c] }) < 0 {
+			return c - first
+		}
+	}
+	return -1
+}
+
 // TestNarrowMatchesReferenceAlongPaths walks random lists down random
 // root-to-leaf paths and compares every level's gains (to the bit), list
-// and weights with refNarrow, and checks the bounds after every level:
-// exact until a level drops some neighbours, off from then on. The
-// lists are drawn so that every kind of level occurs: all neighbours in
-// one child, none in the block, all in it but split, and some dropped;
-// weighted lists mix in operands whose float sum depends on its order.
+// and weights with refNarrow, checks that the bounds are the list's exact
+// least and greatest leaf after every level, and that narrow reports the
+// child holding the whole list exactly when there is one. The lists are
+// drawn so that every kind of level occurs: all neighbours in one child,
+// none in the block, all in it but split, and some dropped; weighted lists
+// mix in operands whose float sum depends on its order.
 func TestNarrowMatchesReferenceAlongPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	for name, tree := range narrowTrees() {
@@ -119,7 +131,6 @@ func TestNarrowMatchesReferenceAlongPaths(t *testing.T) {
 					sc.lo, sc.hi = min(sc.lo, p), max(sc.hi, p)
 				}
 				curLeaf, curWt := leaf, wt
-				off := false
 				for v := tree.Root; !tree.IsLeaf(v); v = tree.ChildContaining(v, target) {
 					wantGain, wantLeaf, wantWt := refNarrow(tree, v, curLeaf, curWt)
 					withGain := 0
@@ -134,13 +145,14 @@ func TestNarrowMatchesReferenceAlongPaths(t *testing.T) {
 						emptied++
 					case len(wantLeaf) < len(curLeaf):
 						dropped++
-						off = true
 					case withGain == 1:
 						oneChild++
 					default:
 						splitAll++
 					}
-					o.narrow(sc, v)
+					if c, want := o.narrow(sc, v), childHolding(tree, v, curLeaf); c != want {
+						t.Fatalf("trial %d, block %d: narrow reports child %d for list %v, want %d", trial, v, c, curLeaf, want)
+					}
 					for c := range wantGain {
 						if math.Float64bits(sc.gain[c]) != math.Float64bits(wantGain[c]) {
 							t.Fatalf("trial %d, block %d: gain[%d] = %v, reference %v", trial, v, c, sc.gain[c], wantGain[c])
@@ -152,8 +164,8 @@ func TestNarrowMatchesReferenceAlongPaths(t *testing.T) {
 					if wt != nil && !equalFloat64(sc.wt[:len(sc.leaf)], wantWt) {
 						t.Fatalf("trial %d, block %d: weights %v, reference %v", trial, v, sc.wt[:len(sc.leaf)], wantWt)
 					}
-					if len(sc.leaf) > 0 && off != (sc.lo == math.MinInt32 && sc.hi == math.MaxInt32) || !boundsExactOrOff(sc) {
-						t.Fatalf("trial %d, block %d: bounds [%d, %d] for list %v, off %v", trial, v, sc.lo, sc.hi, sc.leaf, off)
+					if !boundsExact(sc) {
+						t.Fatalf("trial %d, block %d: bounds [%d, %d] for list %v", trial, v, sc.lo, sc.hi, sc.leaf)
 					}
 					curLeaf, curWt = wantLeaf, wantWt
 				}
@@ -193,9 +205,9 @@ const (
 // the oracle, and requires the same state. It then replays the walk's
 // scored levels through refNarrow along the path the node took: the list
 // and the last level's gains left in the scratch must be the reference's,
-// and the bounds exact or off. A layout whose neighbours share one child
-// down the whole path must leave the list whole with exact bounds: the
-// walk settled every level on the bounds alone.
+// and the bounds exact. A layout whose neighbours share one child down
+// the whole path must leave the list whole: the walk settled every level
+// on the bounds alone.
 func TestWalkTransitionsMatchRescanOracle(t *testing.T) {
 	layouts := []struct {
 		name   string
@@ -287,7 +299,7 @@ func TestWalkTransitionsMatchRescanOracle(t *testing.T) {
 					if !equalFloat64(sc.gain[:len(lastGain)], lastGain) {
 						t.Fatalf("walk to leaf %d left gains %v, reference %v", o.parts[u], sc.gain[:len(lastGain)], lastGain)
 					}
-					if !boundsExactOrOff(sc) {
+					if !boundsExact(sc) {
 						t.Fatalf("bounds [%d, %d] for list %v", sc.lo, sc.hi, sc.leaf)
 					}
 					withGain := 0
@@ -296,7 +308,7 @@ func TestWalkTransitionsMatchRescanOracle(t *testing.T) {
 							withGain++
 						}
 					}
-					whole := len(sc.leaf) == len(nbrs) && sc.lo != math.MinInt32
+					whole := len(sc.leaf) == len(nbrs)
 					if split := withGain > 1; split != l.split || whole != l.whole || (len(sc.leaf) == 0) != l.empty {
 						t.Fatalf("walk to leaf %d: split %v, whole %v, list %v; want split %v, whole %v, empty %v",
 							o.parts[u], split, whole, sc.leaf, l.split, l.whole, l.empty)
@@ -312,7 +324,7 @@ func TestWalkTransitionsMatchRescanOracle(t *testing.T) {
 // its assignment vector and ratchets its capacities mid-stream, node by
 // node against the oracle, unweighted and weighted. Some walks must end
 // with every gathered neighbour still on the list, and the bounds must be
-// exact or off after every node.
+// exact after every node.
 func TestAdaptiveTransitionsMatchRescanOracle(t *testing.T) {
 	rgg := gen.RandomGeometric(3000, 0.55, 48)
 	for gname, g := range map[string]*graph.Graph{"unit": rgg, "weighted": weighted(rgg)} {
@@ -338,7 +350,7 @@ func TestAdaptiveTransitionsMatchRescanOracle(t *testing.T) {
 					o.AssignNode(u, vwgt, adj, ewgt)
 					ref.rescanAssign(u, vwgt, adj, ewgt)
 					sc := &o.scratch
-					if !boundsExactOrOff(sc) {
+					if !boundsExact(sc) {
 						t.Fatalf("node %d: bounds [%d, %d] for list %v", u, sc.lo, sc.hi, sc.leaf)
 					}
 					if assigned > 0 && len(sc.leaf) == assigned {

@@ -17,28 +17,29 @@
 // each leaf is scored with the root's alpha against the cap Lmax, and the
 // root hashes with the flat seed. It places every node where the flat scan
 // of internal/onepass (kept as reference code) does, except that a node
-// fitting no block overloads the least loaded one, not its hash. It still
-// visits all k children per node, as Theorem 2 counts them, but ranking
-// the zero-gain ones by load (below) makes it faster than the full scan.
+// fitting no block overloads the least loaded one, not its hash. Theorem
+// 2's k children per node is an upper bound (dominance, below), and
+// ranking the zero-gain ones by load makes the rest faster than the scan.
 // The scores (FennelScore, LDGScore), Lmax, Alpha and the open-ended
 // stream's Estimator live here for both.
 //
 // The walk reads u's adjacency once. The leaf ids of its assigned
 // neighbours go into a scratch list with their least and greatest id.
-// Leaf ranges nest, so while both ends lie in one child of the block
+// Leaf ranges nest, so when both ends lie in one child of the block
 // being split, every neighbour does, and the level costs O(1) however
 // long the list is: that child's gain is the list's count or weight, and
-// the list stands. A level the ends miss empties it in O(1).
-// Only a level whose ends lie in two children, and every level below it,
-// scans the list, narrowing it in place and in order to the neighbours
-// inside the block being split. The edge work is m for the gather plus
-// the survivors of the levels that scan, never more than the m*l of
-// Theorem 2: on a local graph, whose neighbours share a child down most
-// of the path, it is close to m. The scratch is O(max degree), the order
-// of the adjacency buffer every stream source holds already, so Theorem 1
-// stands. A run is bit-identical to one that rescans the adjacency at
-// every level (same gain sums in the same order, same tie-breaks; a test
-// oracle keeps that walk and checks it).
+// the list stands. A level the ends miss empties it in O(1). Only a level
+// whose ends lie in two children scans the list, narrowing it in place
+// and in order to the neighbours inside the block being split and taking
+// the least and greatest of them, so the ends stay exact for the levels
+// below. The edge work is m for the gather plus the survivors of the
+// levels that scan, never more than the m*l of Theorem 2: on a local
+// graph, whose neighbours share a child down most of the path, it is
+// close to m. The scratch is O(max degree), the order of the adjacency
+// buffer every stream source holds already, so Theorem 1 stands. A run
+// is bit-identical to one that rescans the adjacency at every level (same
+// gain sums in the same order, same tie-breaks; a test oracle keeps that
+// walk and checks it).
 //
 // Every pass assigns in stream order on one goroutine. The paper's §3.4
 // fans the node loop out over shared-memory workers with atomic block
@@ -47,15 +48,16 @@
 // slightly higher cut, so it is not reproduced here and loads and
 // assignments are plain fields.
 //
-// A level still visits its a_i children, as Theorem 2 counts them, but
-// most of them cost little. gather and narrow choose their loop once per
-// node and per level, not per neighbour: weighted or not, power-of-two
-// child span or not. With Fennel at gamma 1.5 or LDG, a block whose
-// children cover equal leaf counts scores only the children with gain;
-// the zero-gain ones are ranked by load, and only the least loaded is
-// scored. At the 16- and 8-way levels of 4:16:8 most children have no
-// gain, so most of a level is a load compare. Both are exact rewrites
-// of the loops they replace: the oracle still agrees to the last bit.
+// Theorem 2's n*sum a_i bounds the children the walk scores; most levels
+// score fewer. When one child holds every neighbour left, has room and
+// scores above 0, each sibling has gain 0 and so scores at most 0: the
+// level is settled without scoring them (dominance). With Fennel at gamma
+// 1.5 or LDG, a block whose children cover equal leaf counts scores only
+// the children with gain; the zero-gain ones are ranked by load, and only
+// the least loaded is scored. At the 16- and 8-way levels of 4:16:8 most
+// children have no gain, so most of a level is a load compare. Both are
+// exact rewrites of the loop they replace: the oracle still agrees to the
+// last bit.
 //
 // Every tree block has one 48-byte record (block): its load, capacity and
 // adapted alpha, plus the walk's read-only view of its children (first,
@@ -195,13 +197,10 @@ type block struct {
 // to the largest degree seen). Together with the child records of the
 // block being split it is all one level of the walk touches.
 //
-// lo and hi bound the leaf ids in leaf. gather sets them to the least and
-// greatest id it found (lo > hi when it found none), and they stay exact
-// until a scan drops neighbours, which widens them to [MinInt32,
-// MaxInt32], a bound no block lies inside, so from that level on the
-// node's walk scans. sum is the total of wt over leaf in order, valid iff
-// summed: narrow adds it up the first time it needs it, at most once per
-// node, and so never after a scan has shortened the list.
+// lo and hi are the least and greatest leaf id on the list (lo > hi when
+// it is empty): gather sets them and every narrow keeps them exact. sum
+// is the total of wt over the list in order, valid iff summed: total()
+// adds it up when it needs it, and a scan that drops neighbours clears it.
 type levelScratch struct {
 	gain     []float64
 	leaf     []int32
@@ -389,14 +388,15 @@ func (o *OMS) unassign(u int32, vwgt int32) {
 // the least relatively loaded one, which takes the overflow.
 //
 // gather reads the adjacency once; every scored level then calls narrow,
-// which settles the level in O(1) while the neighbours' bounds lie in one
+// which sums the gains in O(1) when the neighbours' bounds lie in one
 // child (or miss the block) and otherwise scans only the neighbours still
-// inside the parent block: edge work m + the survivors of the levels that
-// scan <= m*l, scratch O(max degree). The list keeps adjacency order, so
-// gains are summed in the order a rescan of adj would sum them and a run
-// is bit-identical to one. Hashed levels are the bottom ones of every
-// path and read no neighbours, so the list is neither built nor narrowed
-// there.
+// inside the parent block. When one child holds them all and dominates,
+// the level takes it without scoreChild. Edge work is m + the survivors
+// of the levels that scan <= m*l, scratch O(max degree). The list keeps
+// adjacency order, so gains are summed in the order a rescan of adj would
+// sum them and a run is bit-identical to one. Hashed levels are the
+// bottom ones of every path and read no neighbours, so the list is
+// neither built nor narrowed there.
 //
 // Each level reads the record of the block being split and the adjacent
 // records of its children; the chosen child's record then describes the
@@ -410,18 +410,37 @@ func (o *OMS) assign(u int32, vwgt int32, adj []int32, ewgt []int32) {
 		o.gather(sc, adj, ewgt)
 	}
 	for b.count > 0 {
-		if b.scored {
-			o.narrow(sc, v)
-		}
-		if b.scored {
-			v = o.scoreChild(sc.gain[:b.count], b.first, b.even, w)
-		} else {
+		if !b.scored {
 			v = o.hashChild(u, v, b.first, b.count, w)
+		} else if c := o.narrow(sc, v); c >= 0 && o.dominates(b.first+c, sc.gain[c], w) {
+			v = b.first + c
+		} else {
+			v = o.scoreChild(sc.gain[:b.count], b.first, b.even, w)
 		}
 		b = &o.blk[v]
 		b.load += w
 	}
 	o.parts[u] = b.kl
+}
+
+// dominates reports whether child c, holding every neighbour left with
+// gain g, has room for w and scores above 0. Its siblings, with gain 0,
+// score at most 0: -alpha*gamma*load^(gamma-1) under Fennel (alpha is
+// finite and >= 0), ±0 under LDG (caps are t*Lmax: all 0 or none). So c
+// is scoreChild's unique maximum. A score <= 0, or the NaN of a cap-0 LDG
+// block, is left to scoreChild.
+func (o *OMS) dominates(c int32, g float64, w int64) bool {
+	k := &o.blk[c]
+	switch {
+	case k.load+w > k.cap:
+		return false
+	case o.cfg.Scorer == ScorerLDG:
+		return ldg(g, k.load, k.cap) > 0
+	case o.gamma == 1.5:
+		return fennel15(g, k.load, k.alpha) > 0
+	}
+	s, _ := FennelScore(g, k.load, w, k.cap, k.alpha, o.gamma)
+	return s > 0
 }
 
 // gather fills the scratch with the leaf id of every assigned neighbour,
@@ -474,32 +493,30 @@ func (o *OMS) gather(sc *levelScratch, adj []int32, ewgt []int32) {
 	sc.lo, sc.hi = lo, hi
 }
 
-// narrow keeps, in order, the gathered neighbours inside tree block v and
-// sums their edge weights per child of v into sc.gain.
+// narrow keeps, in order, the gathered neighbours inside tree block v,
+// sums their edge weights per child of v into sc.gain, and returns the
+// index of the child holding every neighbour kept, when the bounds alone
+// show one, or -1.
 //
-// It first looks at the bounds alone. The children of v cover contiguous,
-// ordered leaf ranges, so when sc.lo and sc.hi both lie in one child c,
-// every neighbour does: all survive, the list stays as it is, and gain[c]
-// is sc.total(), their count or their weights added in the order the scan
-// adds them. When the bounds miss v, no neighbour survives. Both cost
-// O(1), whatever the list's length. When they lie in v but in different
-// children, every neighbour survives the scan, so the list, its bounds
-// and its sum stand.
-//
-// Otherwise the scan drops the neighbours outside v, and the bounds are
-// widened first, so the rest of the node's walk scans. Tracking the
-// survivors' bounds would cost a min and a max per survivor in every
-// dropping scan; the widened bounds cost nothing, keep sc.sum the
-// gathered list's, and give up the O(1) path only below a drop.
+// The children of v cover contiguous, ordered leaf ranges, so when sc.lo
+// and sc.hi both lie in one child c, every neighbour does: all survive,
+// the list stays as it is, and gain[c] is sc.total(), their count or
+// their weights added in the order the scan adds them. When the bounds
+// miss v, no neighbour survives. Both cost O(1), whatever the list's
+// length. When they lie in v but in two children, all survive, and a
+// power-of-two span only sums the gains. Otherwise the list is scanned,
+// and every scan loop takes the least and greatest leaf it keeps, so the
+// bounds stay exact for the levels below. A scan that drops neighbours
+// clears summed: total() then re-sums the survivors from 0 in list order,
+// as a rescan of adj would.
 //
 // The scan has three loops, chosen once per level by sc.weighted and the
-// block's shift. A power-of-two child span (every level of a base-4 tree
-// over a power-of-four k, and of 4:16:8) takes a loop of subtract,
-// compare, shift and add: counting for an unweighted stream, and for a
-// weighted one adding the edge weight and compacting the weights beside
-// the leaves. Other spans take the general loop, which looks the child up
-// through ChildContaining.
-func (o *OMS) narrow(sc *levelScratch, v int32) {
+// block's shift: for a power-of-two child span (every level of a base-4
+// tree over a power-of-four k, and of 4:16:8) a loop of subtract,
+// compare, shift and add, counting (scanCount) or adding and compacting
+// the edge weights beside the leaves (scanWeighted); for other spans the
+// general loop, which looks the child up through ChildContaining.
+func (o *OMS) narrow(sc *levelScratch, v int32) int32 {
 	b := &o.blk[v]
 	gain := sc.gain[:b.count]
 	for i := range gain {
@@ -516,69 +533,94 @@ func (o *OMS) narrow(sc *levelScratch, v int32) {
 		}
 		if cl == ch {
 			gain[cl] = sc.total()
-			return
+			return cl
 		}
-		// Every neighbour is inside v: the scan keeps them all, so the
-		// bounds and the sum stand.
-	} else if hi < kl || lo > kl+int32(width) {
-		sc.leaf = sc.leaf[:0]
-		return
-	} else {
-		sc.lo, sc.hi = math.MinInt32, math.MaxInt32
-	}
-	leaf := sc.leaf
-	n := 0
-	if b.shift >= 0 {
-		shift := uint8(b.shift) & 31 // < 32: the loops shift without a range fix-up
-		if !sc.weighted {
-			for _, p := range leaf {
-				off := uint32(p - kl)
-				if off > width {
-					continue
+		if b.shift >= 0 { // the list, its bounds and its sum stand
+			shift := uint8(b.shift) & 31
+			for i, p := range sc.leaf {
+				if sc.weighted {
+					gain[uint32(p-kl)>>shift] += sc.wt[i]
+				} else {
+					gain[uint32(p-kl)>>shift]++
 				}
-				gain[off>>shift]++
-				leaf[n] = p
-				n++
 			}
-			sc.leaf = leaf[:n]
-			return
+			return -1
 		}
-		wt := sc.wt[:len(leaf)]
-		for i, p := range leaf {
-			off := uint32(p - kl)
-			if off > width {
+	} else if hi < kl || lo > kl+int32(width) {
+		sc.leaf, sc.lo, sc.hi = sc.leaf[:0], math.MaxInt32, math.MinInt32
+		return -1
+	}
+	var n int
+	switch {
+	case b.shift < 0:
+		lo, hi = math.MaxInt32, math.MinInt32
+		for i, p := range sc.leaf {
+			if uint32(p-kl) > width {
 				continue
 			}
-			gain[off>>shift] += wt[i]
-			wt[n] = wt[i]
-			leaf[n] = p
+			c := o.Tree.ChildContaining(v, p) - b.first
+			if sc.weighted {
+				gain[c] += sc.wt[i]
+				sc.wt[n] = sc.wt[i]
+			} else {
+				gain[c]++
+			}
+			sc.leaf[n] = p
 			n++
+			lo, hi = min(lo, p), max(hi, p)
 		}
-		sc.leaf = leaf[:n]
-		return
+	case sc.weighted:
+		n, lo, hi = scanWeighted(sc.leaf, sc.wt, gain, kl, width, uint8(b.shift))
+	default:
+		n, lo, hi = scanCount(sc.leaf, gain, kl, width, uint8(b.shift))
 	}
-	wt := sc.wt
+	if n < len(sc.leaf) {
+		sc.summed = false
+	}
+	sc.leaf, sc.lo, sc.hi = sc.leaf[:n], lo, hi
+	return -1
+}
+
+// scanCount and scanWeighted are narrow's power-of-two loops: each keeps
+// the neighbours inside the block in order and returns their number and
+// bounds.
+func scanCount(leaf []int32, gain []float64, kl int32, width uint32, shift uint8) (n int, lo, hi int32) {
+	shift &= 31 // < 32: the loop shifts without a range fix-up
+	lo, hi = math.MaxInt32, math.MinInt32
+	for _, p := range leaf {
+		off := uint32(p - kl)
+		if off > width {
+			continue
+		}
+		leaf[n] = p
+		lo, hi = min(lo, p), max(hi, p)
+		gain[off>>shift]++
+		n++
+	}
+	return n, lo, hi
+}
+
+func scanWeighted(leaf []int32, wt, gain []float64, kl int32, width uint32, shift uint8) (n int, lo, hi int32) {
+	shift &= 31
+	wt = wt[:len(leaf)]
+	lo, hi = math.MaxInt32, math.MinInt32
 	for i, p := range leaf {
 		off := uint32(p - kl)
 		if off > width {
 			continue
 		}
-		c := o.Tree.ChildContaining(v, p) - b.first
-		if sc.weighted {
-			gain[c] += wt[i]
-			wt[n] = wt[i]
-		} else {
-			gain[c]++
-		}
 		leaf[n] = p
+		lo, hi = min(lo, p), max(hi, p)
+		gain[off>>shift] += wt[i]
+		wt[n] = wt[i]
 		n++
 	}
-	sc.leaf = leaf[:n]
+	return n, lo, hi
 }
 
 // total is what a scan would sum into the one child holding every
 // neighbour on the list: their count, or their edge weights added from 0
-// in list order. The weighted sum is taken once per node.
+// in list order. The weighted sum is taken once per list.
 func (sc *levelScratch) total() float64 {
 	if !sc.weighted {
 		return float64(len(sc.leaf))
@@ -624,9 +666,9 @@ func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 
 	var bestLoad int64
 	rep := -1 // the least-loaded feasible zero-gain child, when even
 	var repLoad int64
-	ldg := o.cfg.Scorer == ScorerLDG
+	isLDG := o.cfg.Scorer == ScorerLDG
 	switch {
-	case !ldg && o.gamma == 1.5:
+	case !isLDG && o.gamma == 1.5:
 		for i := range kids {
 			c := &kids[i]
 			load := c.load
@@ -644,7 +686,7 @@ func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 
 				best, bestScore, bestLoad = i, score, load
 			}
 		}
-	case ldg:
+	case isLDG:
 		even = even && kids[0].cap > 0 // even children share one cap
 		for i := range kids {
 			c := &kids[i]
@@ -680,8 +722,8 @@ func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 
 		best = rep
 	} else if rep >= 0 {
 		score := 0.0 // LDG: a zero-gain child scores +0
-		if !ldg {
-			score = gain[rep] - float64(kids[rep].alpha*1.5*math.Sqrt(float64(repLoad)))
+		if !isLDG {
+			score = fennel15(gain[rep], repLoad, kids[rep].alpha)
 		}
 		if score > bestScore || (score == bestScore && (repLoad < bestLoad || (repLoad == bestLoad && rep < best))) {
 			best = rep

@@ -305,11 +305,12 @@ func TestPropertyWalkMatchesRescanOracle(t *testing.T) {
 	}
 }
 
-// TestParallelWalkKeepsCapsAndOwnScratch: a run configured with four
-// threads, which Run ignores, still walks in stream order on the one
-// scratch, and every tree block, leaves included, stays within its
-// capacity through the pass and the restream passes after it.
-func TestParallelWalkKeepsCapsAndOwnScratch(t *testing.T) {
+// TestWalkKeepsCapsThroughRestream: every tree block, leaves included,
+// stays within its capacity through a pass over a skewed graph and the
+// restream passes after it, and every node lands on a leaf. The run is
+// configured with four threads, which Run ignores: it still walks in
+// stream order on the one scratch.
+func TestWalkKeepsCapsThroughRestream(t *testing.T) {
 	g := gen.RMAT(20000, 120000, gen.SocialRMAT, 44)
 	src := stream.NewMemory(g)
 	for tname, tree := range oracleTrees() {

@@ -194,3 +194,92 @@ func TestScoreChildRanksLikeOracle(t *testing.T) {
 func rootBlock(t *hierarchy.Tree) int32 { return t.Root }
 
 func firstChildBlock(t *hierarchy.Tree) int32 { return t.FirstChild[t.Root] }
+
+// TestDominanceEdgeFallsThrough pins the edge of the dominance rule on
+// hand-made child records of BuildArtificial(16, 4)'s root: every
+// neighbour lies on child c, so narrow reports c, and the walk takes c
+// without scoring its siblings only when c scores above 0. A score of
+// exactly 0, or below it, or the NaN of a cap-0 LDG block must fall
+// through to the loop's order (the highest score, then the lighter load,
+// then the lower index), under Fennel at gamma 1.5 and 2 and under LDG.
+// want is the root child the oracle's full loop picks.
+func TestDominanceEdgeFallsThrough(t *testing.T) {
+	const full = 1 << 60 // 1 - (full-1)/full rounds to 0
+	cases := []struct {
+		name       string
+		scorer     Scorer
+		gamma      float64
+		load       []int64
+		cap        []int64   // nil: applyStats' caps
+		alpha      float64   // every child's alpha; 0 keeps applyStats'
+		c          int       // the child holding every neighbour
+		wt         []float64 // the neighbours' edge weights; nil: 3 unweighted ones
+		weightless bool
+		dominates  bool
+		want       int32
+	}{
+		{name: "Fennel 1.5 scores above 0: c", load: []int64{5, 0, 4, 0}, alpha: 0.5, c: 2, dominates: true, want: 2},
+		{name: "Fennel 1.5 scores exactly 0: the lighter tie, then the lower index", load: []int64{5, 0, 4, 0}, alpha: 1, c: 2, want: 1},
+		{name: "Fennel 1.5, zero-weight edges: equal loads, the lower index", load: []int64{3, 3, 3, 3}, alpha: 0.1, c: 2, wt: []float64{0, 0}, want: 0},
+		{name: "Fennel 2 scores above 0: c", gamma: 2, load: []int64{3, 0, 2, 0}, alpha: 0.5, c: 2, dominates: true, want: 2},
+		{name: "Fennel 2 scores exactly 0: the lighter tie", gamma: 2, load: []int64{3, 0, 2, 0}, alpha: 0.5, c: 2, wt: []float64{1, 1}, want: 1},
+		{name: "LDG scores above 0: c", scorer: ScorerLDG, load: []int64{5, 1, 9, 7}, cap: []int64{100, 100, 100, 100}, c: 2, dominates: true, want: 2},
+		{name: "LDG scores +0: the lighter tie", scorer: ScorerLDG, load: []int64{full - 1, 5, full - 1, 9}, cap: []int64{full, full, full, full}, c: 2, want: 1},
+		{name: "LDG, cap 0 scores NaN: the first feasible child", scorer: ScorerLDG, load: []int64{0, 0, 0, 0}, cap: []int64{0, 0, 0, 0}, c: 2, weightless: true, want: 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := hierarchy.BuildArtificial(16, 4)
+			st := stream.Stats{N: 64, M: 64, TotalNodeWeight: 1000, TotalEdgeWeight: 64}
+			o, err := New(tree, st, Config{Epsilon: 0.03, Scorer: tc.scorer, Gamma: tc.gamma})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := &o.blk[tree.Root]
+			for i, l := range tc.load {
+				kid := &o.blk[b.first+int32(i)]
+				kid.load = l
+				if tc.cap != nil {
+					kid.cap = tc.cap[i]
+				}
+				if tc.alpha != 0 {
+					kid.alpha = tc.alpha
+				}
+			}
+			var adj, ewgt []int32
+			n := 3
+			if tc.wt != nil {
+				n = len(tc.wt)
+			}
+			for j := 0; j < n; j++ {
+				nb := int32(j + 1)
+				o.parts[nb] = o.blk[b.first+int32(tc.c)].kl
+				adj = append(adj, nb)
+				if tc.wt != nil {
+					ewgt = append(ewgt, int32(tc.wt[j]))
+				}
+			}
+			w := int64(1)
+			if tc.weightless {
+				w = 0
+			}
+			want := o.rescanScoreChild(make([]float64, tree.MaxFanout), tree.Root, b.first, b.count, w, adj, ewgt) - b.first
+			if want != tc.want {
+				t.Fatalf("oracle picks child %d, the table says %d", want, tc.want)
+			}
+			sc := &o.scratch
+			o.gather(sc, adj, ewgt)
+			c := o.narrow(sc, tree.Root)
+			if c != int32(tc.c) {
+				t.Fatalf("narrow reports child %d, want %d", c, tc.c)
+			}
+			if got := o.dominates(b.first+c, sc.gain[c], w); got != tc.dominates {
+				t.Fatalf("dominates = %v, want %v (gain %v)", got, tc.dominates, sc.gain[c])
+			}
+			o.AssignNode(0, int32(w), adj, ewgt)
+			if got := tree.ChildContaining(tree.Root, o.parts[0]) - b.first; got != want {
+				t.Fatalf("the walk takes child %d, the oracle %d", got, want)
+			}
+		})
+	}
+}

@@ -25,13 +25,10 @@ func FennelScore(gain float64, load, vwgt, capacity int64, alpha, gamma float64)
 	if load+vwgt > capacity {
 		return 0, false
 	}
-	var penalty float64
 	if gamma == 1.5 {
-		penalty = alpha * 1.5 * math.Sqrt(float64(load))
-	} else {
-		penalty = alpha * gamma * math.Pow(float64(load), gamma-1)
+		return fennel15(gain, load, alpha), true
 	}
-	return gain - penalty, true
+	return gain - float64(alpha*gamma*math.Pow(float64(load), gamma-1)), true
 }
 
 // LDGScore evaluates the LDG objective: gain * (1 - load/capacity),
@@ -40,5 +37,15 @@ func LDGScore(gain float64, load, vwgt, capacity int64) (score float64, feasible
 	if load+vwgt > capacity {
 		return 0, false
 	}
-	return gain * (1 - float64(load)/float64(capacity)), true
+	return ldg(gain, load, capacity), true
+}
+
+// fennel15 and ldg are the one expression per objective that the walk
+// and the scores above evaluate; float64 keeps arm64 from fusing.
+func fennel15(gain float64, load int64, alpha float64) float64 {
+	return gain - float64(alpha*1.5*math.Sqrt(float64(load)))
+}
+
+func ldg(gain float64, load, capacity int64) float64 {
+	return gain * (1 - float64(load)/float64(capacity))
 }

@@ -199,7 +199,7 @@ func (q *ingestReq) flush() bool {
 		// Nothing committed yet: report the rejection as a distinct
 		// status (finished -> 409, out-of-range -> 422, edge budget
 		// -> 413) instead of a 200 with an in-stream error record.
-		writeError(q.w, statusOf(err), err)
+		q.refuse(err)
 		return false
 	}
 	if len(blocks) > 0 {
@@ -220,10 +220,21 @@ func (q *ingestReq) flush() bool {
 // error status while nothing has been written, in-band afterwards.
 func (q *ingestReq) fail(err error) {
 	if !q.wrote {
-		writeError(q.w, statusOf(err), err)
+		q.refuse(err)
 		return
 	}
 	q.rep.errLine(err.Error())
+}
+
+// refuse answers err with its status before any reply was written, when
+// the body may be partly unread. With full duplex on, net/http would
+// drain the rest after the handler returns while the connection's next
+// read starts, log a recovered panic and drop the connection under the
+// client's next request; closing the connection after the answer
+// avoids both.
+func (q *ingestReq) refuse(err error) {
+	q.w.Header().Set("Connection", "close")
+	writeError(q.w, statusOf(err), err)
 }
 
 // nextFrame is the binary format's step: one frame, validated once (CRC

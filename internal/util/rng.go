@@ -4,8 +4,6 @@
 // partitioners call into this package once per node.
 package util
 
-import "math"
-
 // RNG is a splitmix64 pseudo-random generator. It is deterministic for a
 // given seed, has a full 2^64 period, and is much cheaper than math/rand
 // for the per-node decisions made by streaming partitioners. The zero
@@ -56,18 +54,6 @@ func (r *RNG) Int63n(n int64) int64 {
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// NormFloat64 returns a standard normal variate (Box-Muller, polar form).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*float64(r.Float64()) - 1
-		v := 2*float64(r.Float64()) - 1
-		s := float64(u*u) + float64(v*v)
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

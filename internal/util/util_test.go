@@ -87,25 +87,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRNG(11)
-	const trials = 50000
-	var sum, sumsq float64
-	for i := 0; i < trials; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / trials
-	variance := sumsq/trials - mean*mean
-	if math.Abs(mean) > 0.05 {
-		t.Fatalf("normal mean %v far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.1 {
-		t.Fatalf("normal variance %v far from 1", variance)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(3)
 	for _, n := range []int{0, 1, 2, 17, 256} {
