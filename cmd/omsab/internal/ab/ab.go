@@ -81,14 +81,27 @@ func median(x []float64) float64 {
 	return (y[len(y)/2-1] + y[len(y)/2]) / 2
 }
 
+// Options are the generated binary's flags. omsab registers the same
+// set, so it checks them before it builds and forwards them as given.
+type Options struct {
+	Rounds int
+	Scale  float64
+}
+
+// Register adds the options' flags to fs.
+func (o *Options) Register(fs *flag.FlagSet) {
+	fs.IntVar(&o.Rounds, "rounds", 15, "rounds per graph")
+	fs.Float64Var(&o.Scale, "scale", 1, "graph size relative to BenchmarkAssignWalk's")
+}
+
 // Main runs the A/B with the command line of omsab's generated binary
 // and exits non-zero when the copies disagree or a run fails.
 func Main(parent, change Variant) {
 	fs := flag.NewFlagSet("omsab", flag.ExitOnError)
-	rounds := fs.Int("rounds", 15, "rounds per case")
-	scale := fs.Float64("scale", 1, "graph size relative to BenchmarkAssignWalk's")
+	var opt Options
+	opt.Register(fs)
 	fs.Parse(os.Args[1:])
-	if err := run(os.Stdout, cases(), *rounds, *scale, parent, change); err != nil {
+	if err := run(os.Stdout, cases(), opt.Rounds, opt.Scale, parent, change); err != nil {
 		fmt.Fprintln(os.Stderr, "omsab:", err)
 		os.Exit(1)
 	}

@@ -33,8 +33,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
+
+	"oms/cmd/omsab/internal/ab"
 )
 
 func main() {
@@ -79,14 +80,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("omsab", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	parent := fs.String("parent", "", "git revision or directory holding the parent's internal/core")
-	rounds := fs.Int("rounds", 15, "rounds per graph")
-	scale := fs.Float64("scale", 1, "graph size relative to BenchmarkAssignWalk's")
+	var opt ab.Options
+	opt.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *parent == "" {
 		return errors.New("-parent is required")
 	}
+	var fwd []string // the binary's flags, as given
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != "parent" {
+			fwd = append(fwd, "-"+f.Name+"="+f.Value.String())
+		}
+	})
 	root, err := moduleRoot()
 	if err != nil {
 		return err
@@ -100,8 +107,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := build(root, *parent, exe, stderr); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "omsab: parent %s, %d rounds, scale %g\n", *parent, *rounds, *scale)
-	cmd := exec.Command(exe, "-rounds", strconv.Itoa(*rounds), "-scale", strconv.FormatFloat(*scale, 'g', -1, 64))
+	fmt.Fprintf(stdout, "omsab: parent %s, %d rounds, scale %g\n", *parent, opt.Rounds, opt.Scale)
+	cmd := exec.Command(exe, fwd...)
 	cmd.Stdout, cmd.Stderr = stdout, stderr
 	return cmd.Run()
 }

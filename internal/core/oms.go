@@ -503,12 +503,11 @@ func (o *OMS) gather(sc *levelScratch, adj []int32, ewgt []int32) {
 // the list stays as it is, and gain[c] is sc.total(), their count or
 // their weights added in the order the scan adds them. When the bounds
 // miss v, no neighbour survives. Both cost O(1), whatever the list's
-// length. When they lie in v but in two children, all survive, and a
-// power-of-two span only sums the gains. Otherwise the list is scanned,
-// and every scan loop takes the least and greatest leaf it keeps, so the
-// bounds stay exact for the levels below. A scan that drops neighbours
-// clears summed: total() then re-sums the survivors from 0 in list order,
-// as a rescan of adj would.
+// length. Otherwise the list is scanned (when the bounds lie in v but in
+// two children, every neighbour survives it), and every scan loop takes
+// the least and greatest leaf it keeps, so the bounds stay exact for the
+// levels below. A scan that drops neighbours clears summed: total() then
+// re-sums the survivors from 0 in list order, as a rescan of adj would.
 //
 // The scan has three loops, chosen once per level by sc.weighted and the
 // block's shift: for a power-of-two child span (every level of a base-4
@@ -535,17 +534,8 @@ func (o *OMS) narrow(sc *levelScratch, v int32) int32 {
 			gain[cl] = sc.total()
 			return cl
 		}
-		if b.shift >= 0 { // the list, its bounds and its sum stand
-			shift := uint8(b.shift) & 31
-			for i, p := range sc.leaf {
-				if sc.weighted {
-					gain[uint32(p-kl)>>shift] += sc.wt[i]
-				} else {
-					gain[uint32(p-kl)>>shift]++
-				}
-			}
-			return -1
-		}
+		// Every neighbour is inside v: the scan keeps them all, so the
+		// list, its bounds and its sum stand.
 	} else if hi < kl || lo > kl+int32(width) {
 		sc.leaf, sc.lo, sc.hi = sc.leaf[:0], math.MaxInt32, math.MinInt32
 		return -1
@@ -681,7 +671,7 @@ func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 
 				}
 				continue
 			}
-			score := gain[i] - float64(c.alpha*1.5*math.Sqrt(float64(load)))
+			score := fennel15(gain[i], load, c.alpha)
 			if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
 				best, bestScore, bestLoad = i, score, load
 			}
@@ -700,7 +690,7 @@ func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 
 				}
 				continue
 			}
-			score := gain[i] * (1 - float64(load)/float64(c.cap))
+			score := ldg(gain[i], load, c.cap)
 			if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
 				best, bestScore, bestLoad = i, score, load
 			}
