@@ -7,9 +7,29 @@
 // with errors.Is(err, client.ErrGone) instead of matching status codes
 // by hand.
 //
-// Push and PushBatch run on pooled per-request state: the reply reader
-// and its arena, the decode scratch, the NDJSON line buffer and the
-// encode scratch are reused across requests. A body of at most 32 KiB
+// In binary mode a Push rides the session's open stream: one
+// full-duplex POST /v1/sessions/{id}/nodes per session, whose io.Pipe
+// body each push writes its frames into and whose reply it reads its
+// own assignment frames from, instead of a request per push. A Client
+// streams only to a server whose /nodes replies carry X-OMS-Stream, so
+// its first push to a server is a plain request and an older omsd is
+// never streamed. NDJSON pushes, PushBatch, cluster mode, a context
+// carrying a traceparent and a body over 32 KiB go as plain requests,
+// as does a push that finds its session's stream busy or the Client
+// holding maxStreams streams. A stream closes on Finish or Delete of
+// its session from the same Client, before they send, when a push's
+// context ends mid-push, after streamIdle without a push, and on any
+// failure, after which the push is redone once as a plain request: the
+// server answers an already assigned node with its block, so Push
+// returns what a plain request returns, typed errors included. A
+// stream whose first reply does not come within streamIdle (a proxy
+// that reads whole requests before it forwards them holds it back)
+// makes the Client push per request from then on.
+//
+// A plain push (PushBatch, or a Push that does not ride a stream) runs
+// on pooled per-request state: the reply reader and its arena, the
+// decode scratch, the NDJSON line buffer and the encode scratch are
+// reused across requests. A body of at most 32 KiB
 // (a 64-node push of a sparse graph) is encoded before the request goes
 // out, and net/http gets one exact-size copy of it, sent with a
 // Content-Length: it may read a body after Do returns and rewinds it to
@@ -32,6 +52,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Client talks to one omsd server — or, with WithCluster, to a sharded
@@ -43,6 +65,16 @@ type Client struct {
 	hc     *http.Client
 	binary bool
 	router *router // nil outside cluster mode
+
+	// streamOK is whether the last binary /nodes reply said the server
+	// answers open streams (wire.OpenStreamHeader); streamHeld is set
+	// for good once a stream's first reply was held back (see
+	// ingestStream.push). streams holds the open ones by session id, at
+	// most maxStreams.
+	streamOK   atomic.Bool
+	streamHeld atomic.Bool
+	smu        sync.Mutex
+	streams    map[string]*ingestStream
 }
 
 // Option configures a Client.
@@ -149,8 +181,10 @@ func (c *Client) List(ctx context.Context) ([]Summary, error) {
 	return out, err
 }
 
-// Finish seals the session and returns its summary.
+// Finish seals the session and returns its summary. It first closes
+// the session's open stream, if this Client holds one.
 func (c *Client) Finish(ctx context.Context, id string) (Summary, error) {
+	c.closeStream(id)
 	var out Summary
 	err := c.doJSON(ctx, http.MethodPost, "/v1/sessions/"+id+"/finish", struct{}{}, &out)
 	return out, err
@@ -166,8 +200,10 @@ func (c *Client) Refine(ctx context.Context, id string, passes int) error {
 	return c.doJSON(ctx, http.MethodPost, "/v1/sessions/"+id+"/refine", body, nil)
 }
 
-// Delete drops the session.
+// Delete drops the session. It first closes the session's open
+// stream, if this Client holds one.
 func (c *Client) Delete(ctx context.Context, id string) error {
+	c.closeStream(id)
 	return c.doJSON(ctx, http.MethodDelete, "/v1/sessions/"+id, nil, nil)
 }
 

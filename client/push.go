@@ -33,7 +33,15 @@ type Assignment struct {
 // their assignments in push order. The transfer encoding follows
 // WithBinary. On a mid-stream rejection the accepted prefix's
 // assignments are returned alongside the error.
+//
+// In binary mode, once the server has said it answers open streams,
+// Push writes its frames into the session's open stream (see
+// ingestStream) instead of sending a request of its own; it returns
+// what a request of its own would return.
 func (c *Client) Push(ctx context.Context, id string, nodes []Node) ([]Assignment, error) {
+	if out, ok := c.pushStream(ctx, id, nodes); ok {
+		return out, nil
+	}
 	return c.ingest(ctx, id, "nodes", nodes)
 }
 
@@ -57,6 +65,9 @@ const maxPooledScratch = 1 << 20
 // 1024 RGG nodes) gains from the server parsing its head while the
 // client encodes its tail. The bound is by size, whatever the format:
 // a 1024-node binary push of the same graph, about 27 KiB, stays whole.
+// It also bounds what rides a session's open stream (ingestStream): a
+// binary push that fits is written into the stream's body whole, and a
+// larger one goes as a request of its own.
 const streamHead = 32 << 10
 
 // pushState is the pooled per-request state of a push, either format:
@@ -68,7 +79,9 @@ const streamHead = 32 << 10
 // bytes (a larger one streams from the scratch) and the []Assignment it
 // returns. Nothing handed to the caller or to net/http aliases the
 // state, except through a streamBody, which ingest closes before the
-// state goes back to the pool.
+// state goes back to the pool. A push over an open stream borrows only
+// the encode scratch: the pipe's Write returns once the transport has
+// read every byte.
 type pushState struct {
 	rd     *wire.Reader // nil until the first binary reply
 	us, bs []int32
@@ -114,15 +127,21 @@ func appendNode(buf []byte, binary bool, nd *Node) []byte {
 // GetBody. Otherwise body is nil, the scratch holds the body's head,
 // and a streamBody sends the rest.
 func (s *pushState) encode(binary bool, nodes []Node) (body []byte, head int) {
+	if head = s.fill(binary, nodes); head < len(nodes) {
+		return nil, head
+	}
+	return append(make([]byte, 0, len(s.body)), s.body...), head
+}
+
+// fill renders nodes in the request format into the scratch until it
+// holds streamHead bytes, and returns how many nodes it took.
+func (s *pushState) fill(binary bool, nodes []Node) (head int) {
 	s.body = s.body[:0]
 	for head < len(nodes) && len(s.body) < streamHead {
 		s.body = appendNode(s.body, binary, &nodes[head])
 		head++
 	}
-	if head < len(nodes) {
-		return nil, head
-	}
-	return append(make([]byte, 0, len(s.body)), s.body...), head
+	return head
 }
 
 // errBodyClosed ends a read of a push body that no request needs any
@@ -258,6 +277,10 @@ func (c *Client) ingest(ctx context.Context, id, route string, nodes []Node) ([]
 		if resp.StatusCode >= 300 {
 			return apiError(resp)
 		}
+		if c.binary && route == "nodes" && c.router == nil {
+			// A redirected reply speaks for another server.
+			c.streamOK.Store(resp.Header.Get(wire.OpenStreamHeader) != "" && resp.Request.URL.Host == req.URL.Host)
+		}
 		if c.binary {
 			out, err = s.readWireAssignments(resp.Body, len(nodes))
 		} else {
@@ -275,15 +298,26 @@ func (c *Client) ingest(ctx context.Context, id, route string, nodes []Node) ([]
 // built by value and the error message is a copy, so neither aliases
 // the state once it is recycled.
 func (s *pushState) readWireAssignments(r io.Reader, hint int) ([]Assignment, error) {
-	out := make([]Assignment, 0, hint)
 	if s.rd == nil {
 		s.rd = wire.NewReader(r)
 	} else {
 		s.rd.Reset(r)
 	}
-	for {
-		payload, _, err := s.rd.NextFrame()
+	return readAssignFrames(s.rd, &s.us, &s.bs, make([]Assignment, 0, hint), -1)
+}
+
+// readAssignFrames appends the assignments of rd's reply frames to out,
+// decoding each frame's pairs into the us/bs scratch, until the stream
+// ends or, when want >= 0, until out holds want of them: an open stream
+// never ends between pushes, so the push that reads it stops at its own
+// count, and a reply that runs past that count is an error.
+func readAssignFrames(rd *wire.Reader, us, bs *[]int32, out []Assignment, want int) ([]Assignment, error) {
+	for want < 0 || len(out) < want {
+		payload, _, err := rd.NextFrame()
 		if err == io.EOF {
+			if want >= 0 {
+				return out, io.ErrUnexpectedEOF
+			}
 			return out, nil
 		}
 		if err != nil {
@@ -291,12 +325,15 @@ func (s *pushState) readWireAssignments(r io.Reader, hint int) ([]Assignment, er
 		}
 		switch payload[0] {
 		case wire.TypeAssign:
-			s.us, s.bs, err = wire.DecodeAssignPayload(payload, s.us[:0], s.bs[:0])
+			*us, *bs, err = wire.DecodeAssignPayload(payload, (*us)[:0], (*bs)[:0])
 			if err != nil {
 				return out, err
 			}
-			for i, u := range s.us {
-				out = append(out, Assignment{U: u, B: s.bs[i]})
+			if want >= 0 && len(out)+len(*us) > want {
+				return out, fmt.Errorf("oms: %d assignments for a push of %d nodes", len(out)+len(*us), want)
+			}
+			for i, u := range *us {
+				out = append(out, Assignment{U: u, B: (*bs)[i]})
 			}
 		case wire.TypeError:
 			msg, err := wire.DecodeErrorPayload(payload)
@@ -307,8 +344,9 @@ func (s *pushState) readWireAssignments(r io.Reader, hint int) ([]Assignment, er
 		default:
 			return out, fmt.Errorf("oms: unexpected reply frame type %d", payload[0])
 		}
-		s.rd.Arena.Reset()
+		rd.Arena.Reset()
 	}
+	return out, nil
 }
 
 // readJSONAssignments drains an NDJSON reply stream; a line with an

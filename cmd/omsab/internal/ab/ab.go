@@ -1,7 +1,8 @@
 // Package ab is the round loop and the statistics of omsab, the
 // in-process A/B of two copies of internal/core. omsab generates a main
 // that imports both copies and hands one Variant per copy to Main, so
-// both walks run in one process over the same graphs, round after round.
+// both walks run in one process over the same graphs, round after round,
+// each pass between two readings of a calibration probe (see probe).
 package ab
 
 import (
@@ -108,22 +109,25 @@ func Main(parent, change Variant) {
 }
 
 // run times rounds passes of each variant per case, in CPU time (see
-// cpuTime). Round r runs the parent first when r is even and the change
-// first when it is odd, and fails unless both assign every node alike. It
-// prints one line per case.
+// cpuTime), with the probe run just before and just after each pass.
+// Round r runs the parent first when r is even and the change first when
+// it is odd, and fails unless both assign every node alike. It prints one
+// line per round with the probe's rates, and per case the medians, the
+// paired ratio of the probe-scaled costs, its wins and the verdict.
 func run(w io.Writer, cases []abCase, rounds int, scale float64, parent, change Variant) error {
 	if rounds < 1 {
 		return fmt.Errorf("rounds %d < 1", rounds)
 	}
-	fmt.Fprintf(w, "%-24s %15s %15s %13s %6s\n", "graph", "parent_ns/node", "change_ns/node", "ratio_median", "wins")
-	for _, c := range cases {
+	verdicts := make([]Verdict, len(cases))
+	for ci, c := range cases {
 		g := c.Graph(scale)
 		src := stream.NewMemory(g)
 		st, err := src.Stats()
 		if err != nil {
 			return err
 		}
-		ns := [2][]float64{}
+		fmt.Fprintf(w, "%s\n  %5s %15s %15s %7s   %s\n", c.Name, "round", "parent_ns/node", "change_ns/node", "ratio", "probe MiB/s before-after, parent | change")
+		win := [2][]Window{}
 		for r := 0; r < rounds; r++ {
 			var parts [2][]int32
 			for i := range 2 {
@@ -134,21 +138,30 @@ func run(w io.Writer, cases []abCase, rounds int, scale float64, parent, change 
 					return fmt.Errorf("%s: %w", c.Name, err)
 				}
 				runtime.GC()
+				before := probe()
 				t0 := cpuTime()
 				p, err := pass(src)
 				el := cpuTime() - t0
+				after := probe()
 				if err != nil {
 					return fmt.Errorf("%s: %w", c.Name, err)
 				}
 				parts[side] = p
-				ns[side] = append(ns[side], float64(el.Nanoseconds())/float64(g.NumNodes()))
+				win[side] = append(win[side], Window{float64(el.Nanoseconds()) / float64(g.NumNodes()), before, after})
 			}
 			if !slices.Equal(parts[0], parts[1]) {
 				return fmt.Errorf("%s, round %d: parent and change assign differently", c.Name, r)
 			}
+			pw, cw := win[0][r], win[1][r]
+			fmt.Fprintf(w, "  %5d %15.1f %15.1f %7.3f   %.0f-%.0f | %.0f-%.0f\n", r+1, pw.NsPerNode, cw.NsPerNode,
+				cw.scaled()/pw.scaled(), pw.Before, pw.After, cw.Before, cw.After)
 		}
-		s := Summarize(ns[0], ns[1])
-		fmt.Fprintf(w, "%-24s %15.1f %15.1f %13.3f %3d/%-2d\n", c.Name, s.ParentMedian, s.ChangeMedian, s.RatioMedian, s.Wins, s.Rounds)
+		verdicts[ci] = Judge(win[0], win[1])
+	}
+	fmt.Fprintf(w, "%-24s %15s %15s %13s %6s  %s\n", "graph", "parent_ns/node", "change_ns/node", "ratio_median", "wins", "verdict")
+	for ci, c := range cases {
+		v := verdicts[ci]
+		fmt.Fprintf(w, "%-24s %15.1f %15.1f %13.3f %3d/%-2d  %s\n", c.Name, v.ParentMedian, v.ChangeMedian, v.RatioMedian, v.Wins, v.Rounds, v)
 	}
 	fmt.Fprintln(w, "parts equal on every round")
 	return nil

@@ -16,11 +16,17 @@
 // copy imports the working tree's other packages, so a parent whose core
 // needs an older hierarchy or stream does not build. A pass is timed in
 // the process's CPU time, which other tenants of a shared host disturb
-// far less than the wall clock. Per graph omsab prints the median ns/node
-// of each side, the median over rounds of the ratio change/parent (below
-// 1 is faster) and the rounds the change won;
-// it fails if the two copies assign any node differently. It is
-// evidence for a change's notes, not a gate: no timing fails it.
+// far less than the wall clock. Just before and just after each pass a
+// fixed probe (SHA-256 of a fixed buffer, about 0.3 ms a pass) reads the
+// host's speed, and omsab prints each round's timings with the probe's
+// rates. Per graph it then prints the median ns/node of each side, the
+// median over rounds of the ratio change/parent of the passes' costs put
+// on the probe's scale (below 1 is faster), the rounds the change won
+// and a verdict: faster or slower by the ratio's distance from 1, or
+// "unresolved" when the probe moved that much within a pass, which it
+// names, or when too few rounds agree for a sign test at 5 %. It fails
+// if the two copies assign any node differently. It is evidence for a
+// change's notes, not a gate: no timing fails it.
 package main
 
 import (

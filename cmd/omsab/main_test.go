@@ -49,13 +49,21 @@ func TestABAgainstCopyOfTree(t *testing.T) {
 	if err := run([]string{"-parent", parent, "-rounds", "2", "-scale", "0.002"}, &out, &errb); err != nil {
 		t.Fatalf("%v\n%s", err, errb.String())
 	}
-	report := []string{
-		`^omsab: parent .+, 2 rounds, scale 0\.002$`,
-		`^graph +parent_ns/node +change_ns/node +ratio_median +wins$`,
-		`^rgg-2\^19-k4096 +[0-9.]+ +[0-9.]+ +[0-9.]+ +[0-2]/2 *$`,
-		`^rmat-2\^17-2\^21-4:16:8 +[0-9.]+ +[0-9.]+ +[0-9.]+ +[0-2]/2 *$`,
-		`^parts equal on every round$`,
+	rounds := []string{
+		`^  round +parent_ns/node +change_ns/node +ratio +probe MiB/s before-after, parent \| change$`,
+		`^ +1 +[0-9.]+ +[0-9.]+ +[0-9.]+ +[0-9]+-[0-9]+ \| [0-9]+-[0-9]+$`,
+		`^ +2 +[0-9.]+ +[0-9.]+ +[0-9.]+ +[0-9]+-[0-9]+ \| [0-9]+-[0-9]+$`,
 	}
+	report := append(append(append(append([]string{
+		`^omsab: parent .+, 2 rounds, scale 0\.002$`,
+		`^rgg-2\^19-k4096$`}, rounds...),
+		`^rmat-2\^17-2\^21-4:16:8$`), rounds...),
+		`^graph +parent_ns/node +change_ns/node +ratio_median +wins +verdict$`,
+		// Two rounds never pass the sign test.
+		`^rgg-2\^19-k4096 +[0-9.]+ +[0-9.]+ +[0-9.]+ +[0-2]/2 +unresolved: .+$`,
+		`^rmat-2\^17-2\^21-4:16:8 +[0-9.]+ +[0-9.]+ +[0-9.]+ +[0-2]/2 +unresolved: .+$`,
+		`^parts equal on every round$`,
+	)
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != len(report) {
 		t.Fatalf("report has %d lines, want %d:\n%s", len(lines), len(report), out.String())

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -71,7 +72,7 @@ func NewServer(mgr *Manager) http.Handler {
 			hist = reg.Histogram("omsd_http_"+rt.Name+"_seconds",
 				"request latency of "+rt.Method+" "+rt.Pattern)
 		}
-		mux.HandleFunc(rt.Method+" "+rt.Pattern, withTrace(mgr.Tracer(), rt.Method+" "+rt.Pattern, hist, h))
+		mux.HandleFunc(rt.Method+" "+rt.Pattern, withTrace(mgr.Tracer(), rt.Method+" "+rt.Pattern, hist, rt.Name == "push", h))
 	}
 	return mux
 }
@@ -107,10 +108,17 @@ func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter 
 // trace-id exemplar when sampled). The sampled-out path wraps nothing
 // and allocates nothing beyond the unavoidable clock reads — the
 // recorder's share of that is held at exactly zero by
-// TestSampledOutRequestAllocatesNothing in internal/trace.
-func withTrace(rec *trace.Recorder, name string, hist *promtext.Histogram, inner http.HandlerFunc) http.HandlerFunc {
+// TestSampledOutRequestAllocatesNothing in internal/trace. On a route
+// that takes streams (the push route), an open stream (openStream) is
+// observed by ingest once per answered chunk instead.
+func withTrace(rec *trace.Recorder, name string, hist *promtext.Histogram, streams bool, inner http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
+		hist := hist
+		if streams && hist != nil && openStream(r) {
+			r = r.WithContext(context.WithValue(r.Context(), chunkHistogram{}, hist))
+			hist = nil
+		}
 		var a *trace.Active
 		if rec != nil {
 			var parent trace.Context

@@ -8,10 +8,13 @@ import (
 	"io"
 	"mime"
 	"net/http"
-	"oms/internal/store"
 	"strings"
 	"sync"
+	"time"
 
+	"oms/internal/promtext"
+	"oms/internal/store"
+	"oms/internal/trace"
 	"oms/internal/wire"
 )
 
@@ -158,6 +161,13 @@ type ingestReq struct {
 	chunk      []store.PushNode
 	chunkBytes int
 	wrote      bool
+
+	// stream is set on an open-ended binary /nodes body (see
+	// openStream): each chunk is answered once the body holds no
+	// further byte, and observed in hist from t0, its first frame.
+	stream bool
+	hist   *promtext.Histogram
+	t0     time.Time
 }
 
 var ingestPool = sync.Pool{
@@ -214,6 +224,23 @@ func (q *ingestReq) flush() bool {
 	q.chunkBytes = 0
 	q.rd.Arena.Reset()
 	return true
+}
+
+// answer flushes the chunk and sends its reply at once; it reports
+// whether ingest may continue. A stream's chunk stands for one push:
+// it is counted and observed in the route's latency histogram.
+func (q *ingestReq) answer() bool {
+	ok := q.flush()
+	if ok {
+		_ = q.rc.Flush()
+	}
+	if q.stream {
+		q.mgr.m.streamChunks.Inc()
+		if q.hist != nil {
+			q.hist.ObserveExemplar(time.Since(q.t0), trace.FromContext(q.r.Context()).TraceIDString())
+		}
+	}
+	return ok
 }
 
 // fail reports an ingest-side (parse or read) failure: as a proper
@@ -309,6 +336,15 @@ func (q *ingestReq) nextLine(sc *bufio.Scanner) (store.PushNode, error) {
 // in a single POST must read the response concurrently, as curl and
 // browsers do.
 //
+// A binary /nodes body of unknown length is an open stream: a client
+// may keep one request open per session and write each push's frames
+// into it, waiting for their answer before it writes the next. Its
+// chunk is answered as soon as the frame reader holds no further byte
+// after a whole frame, not at 256 nodes or the body's end, so each push
+// gets its reply while the request stays open. Every /nodes response
+// carries wire.OpenStreamHeader to say so; a client streams only to a
+// server that sent it.
+//
 // With batch set (the /batch endpoint) the chunks are larger atomic
 // batches instead: each is admitted whole before it is assigned in
 // order, and a rejected batch applies none of its nodes. Either way a
@@ -324,6 +360,12 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 	q.mgr, q.s, q.batch = mgr, s, batch
 	q.w, q.rc, q.r = w, http.NewResponseController(w), r
 	_ = q.rc.EnableFullDuplex() // best effort; HTTP/2 is duplex already
+	if !batch {
+		w.Header().Set(wire.OpenStreamHeader, "1")
+		if q.stream = openStream(r); q.stream {
+			q.hist, _ = r.Context().Value(chunkHistogram{}).(*promtext.Histogram)
+		}
+	}
 
 	if acceptBinary(r, binReq) {
 		q.wrep.w = w
@@ -358,6 +400,7 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 	for {
 		nd, err := next()
 		if err == io.EOF {
+			// A stream's last frame emptied the reader: nothing is left.
 			q.flush()
 			return
 		}
@@ -365,13 +408,27 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 			q.fail(err)
 			return
 		}
+		if q.stream && len(q.chunk) == 0 {
+			q.t0 = time.Now()
+		}
 		q.chunk = append(q.chunk, nd)
 		q.chunkBytes += len(nd.Frame)
-		if len(q.chunk) >= chunkSize || q.chunkBytes >= chunkByteBudget {
-			if !q.flush() {
+		if len(q.chunk) >= chunkSize || q.chunkBytes >= chunkByteBudget || q.stream && q.rd.Buffered() == 0 {
+			if !q.answer() {
 				return
 			}
-			_ = q.rc.Flush()
 		}
 	}
+}
+
+// chunkHistogram keys the route latency histogram in the context of an
+// open stream, which ingest observes once per answered chunk instead of
+// withTrace once per request.
+type chunkHistogram struct{}
+
+// openStream reports whether r is an open stream: a binary body of
+// unknown length.
+func openStream(r *http.Request) bool {
+	bin, err := requestBinary(r)
+	return r.ContentLength < 0 && err == nil && bin
 }

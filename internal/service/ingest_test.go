@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"oms"
+	"oms/internal/promtext"
 	"oms/internal/wire"
 )
 
@@ -145,5 +146,76 @@ func TestIngestFullDuplexRepliesMidStream(t *testing.T) {
 		if b < 0 || b >= 4 {
 			t.Fatalf("node %d in block %d", u, b)
 		}
+	}
+}
+
+// TestOpenStreamAnswersEachPush: over one binary body of unknown length,
+// each push of a few frames is answered as soon as the server has read
+// it, while the body stays open, and adds exactly one observation to
+// the push route's latency histogram and one to the streamed-chunk
+// counter, whatever the stream's lifetime. The reply says the server
+// answers streams.
+func TestOpenStreamAnswersEachPush(t *testing.T) {
+	g := oms.GenGrid2D(16, 32, false)
+	n := g.NumNodes()
+	mgr, srv := newTestServer(t, Config{})
+	var created createReply
+	postJSON(t, srv.URL+"/v1/sessions", store.CreateSpec{N: n, M: g.NumEdges(), K: 4}, &created)
+	var hist *promtext.Histogram
+	for _, h := range mgr.Registry().Histograms() {
+		if h.Name() == "omsd_http_push_seconds" {
+			hist = h
+		}
+	}
+	before := hist.Snapshot().Count
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		fmt.Sprintf("%s/v1/sessions/%s/nodes", srv.URL, created.ID), pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", wire.MediaType)
+	type reply struct {
+		resp *http.Response
+		err  error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		done <- reply{resp, err}
+	}()
+
+	const pushes, size = 8, 64
+	parts := make([]int32, n)
+	var rd *wire.Reader
+	for i := range int32(pushes) {
+		if _, err := pw.Write(wireGraph(g, i*size, (i+1)*size)); err != nil {
+			t.Fatal(err)
+		}
+		if rd == nil {
+			r := <-done
+			if r.err != nil {
+				t.Fatalf("no reply to the first push: %v", r.err)
+			}
+			defer r.resp.Body.Close()
+			if r.resp.StatusCode != http.StatusOK || r.resp.Header.Get(wire.OpenStreamHeader) == "" {
+				t.Fatalf("status %d, %s %q", r.resp.StatusCode, wire.OpenStreamHeader, r.resp.Header.Get(wire.OpenStreamHeader))
+			}
+			rd = wire.NewReader(r.resp.Body)
+		}
+		readAssignFrames(t, rd, size, parts)
+	}
+	pw.Close()
+	if _, _, err := rd.NextFrame(); err != io.EOF {
+		t.Fatalf("after the body ended: %v, want EOF", err)
+	}
+	if got := hist.Snapshot().Count - before; got != pushes {
+		t.Fatalf("%d pushes over one stream observed %d times, want %d", pushes, got, pushes)
+	}
+	if got := mgr.Registry().Snapshot()["omsd_push_stream_chunks_total"]; got != pushes {
+		t.Fatalf("omsd_push_stream_chunks_total %d, want %d", got, pushes)
 	}
 }

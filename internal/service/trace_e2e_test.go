@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"oms/internal/telemetry"
 	"oms/internal/trace"
 	"oms/internal/wal"
+	"oms/internal/wire"
 )
 
 // traceTestServer is a WAL-backed daemon with an explicit-only trace
@@ -342,5 +344,81 @@ func TestTraceCorrelation(t *testing.T) {
 		if status.TraceID != refineTID {
 			t.Errorf("refine status trace_id = %q, want %s", status.TraceID, refineTID)
 		}
+	}
+}
+
+// TestSampledStreamStaysAtSpanCap: a sampled open stream of many pushes
+// records a few spans per push, but its trace keeps at most
+// trace.MaxSpans of them and counts the rest as dropped.
+func TestSampledStreamStaysAtSpanCap(t *testing.T) {
+	mgr, url := traceTestServer(t, nil)
+	const n, size = 1024, 8
+	nodes := make([]client.Node, n)
+	for u := range int32(n) {
+		nodes[u] = client.Node{U: u, Adj: []int32{(u + n - 1) % n, (u + 1) % n}}
+	}
+	created, err := client.New(url).Create(context.Background(), client.Spec{N: n, M: n, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/sessions/"+created.ID+"/nodes", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, tidStr := client.NewTraceparent(true)
+	req.Header.Set("Content-Type", wire.MediaType)
+	req.Header.Set(client.TraceparentHeader, tp)
+	done := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- resp
+	}()
+	var rd *wire.Reader
+	for lo := 0; lo < n; lo += size {
+		var body []byte
+		for _, nd := range nodes[lo : lo+size] {
+			body = wire.AppendNodeFrame(body, nd.U, 0, nd.Adj, nil)
+		}
+		if _, err := pw.Write(body); err != nil {
+			t.Fatal(err)
+		}
+		if rd == nil {
+			resp := <-done
+			if resp == nil {
+				t.FailNow()
+			}
+			defer resp.Body.Close()
+			rd = wire.NewReader(resp.Body)
+		}
+		for got := 0; got < size; rd.Arena.Reset() {
+			payload, _, err := rd.NextFrame()
+			if err != nil {
+				t.Fatalf("push at %d: %v", lo, err)
+			}
+			us, _, err := wire.DecodeAssignPayload(payload, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += len(us)
+		}
+	}
+	pw.Close()
+
+	tid, err := trace.ParseTraceID(tidStr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := waitTrace(t, mgr, tid, func(trace.Trace) bool { return true })
+	// Each push records at least its queue and assign spans.
+	if len(tr.Spans) != trace.MaxSpans || tr.Dropped < 2*n/size+1-trace.MaxSpans {
+		t.Fatalf("%d pushes kept %d spans and dropped %d; want %d kept and the rest dropped",
+			n/size, len(tr.Spans), tr.Dropped, trace.MaxSpans)
 	}
 }

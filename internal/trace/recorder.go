@@ -23,17 +23,25 @@ type Span struct {
 
 // Trace is one recorded span tree. Spans[0] is the root span; its
 // Parent is the remote caller's span id when the request arrived with
-// a traceparent, zero otherwise.
+// a traceparent, zero otherwise. Spans holds at most MaxSpans spans;
+// Dropped counts the ones recorded past that.
 type Trace struct {
-	ID     TraceID       `json:"trace_id"`
-	Root   string        `json:"root"`
-	Status int           `json:"status,omitempty"`
-	Start  time.Time     `json:"start"`
-	Dur    time.Duration `json:"dur_ns"`
-	Err    string        `json:"err,omitempty"`
-	Flight bool          `json:"flight,omitempty"`
-	Spans  []Span        `json:"spans"`
+	ID      TraceID       `json:"trace_id"`
+	Root    string        `json:"root"`
+	Status  int           `json:"status,omitempty"`
+	Start   time.Time     `json:"start"`
+	Dur     time.Duration `json:"dur_ns"`
+	Err     string        `json:"err,omitempty"`
+	Flight  bool          `json:"flight,omitempty"`
+	Spans   []Span        `json:"spans"`
+	Dropped int           `json:"dropped_spans,omitempty"`
 }
+
+// MaxSpans caps the spans one trace keeps, root included. A request
+// records a few spans per chunk it ingests, so an open ingest stream
+// that lives for thousands of pushes would otherwise hold them all in
+// the ring for as long as it is retained.
+const MaxSpans = 256
 
 // Summary is one GET /v1/traces index row.
 type Summary struct {
@@ -197,7 +205,8 @@ func (a *Active) TraceIDString() string {
 
 // Span records one completed stage span and returns its id (zero when
 // unsampled). Spans arriving after Finish are dropped: the trace is
-// already published and must stay immutable for ring readers.
+// already published and must stay immutable for ring readers. Spans
+// past MaxSpans are counted in Dropped instead of kept.
 func (a *Active) Span(name string, parent SpanID, start time.Time, d time.Duration) SpanID {
 	return a.span(name, parent, start, d, "")
 }
@@ -216,8 +225,12 @@ func (a *Active) span(name string, parent SpanID, start time.Time, d time.Durati
 	}
 	id := NewSpanID()
 	a.mu.Lock()
-	if !a.finished {
+	switch {
+	case a.finished:
+	case len(a.tr.Spans) < MaxSpans:
 		a.tr.Spans = append(a.tr.Spans, Span{Name: name, ID: id, Parent: parent, Start: start, Dur: d, Err: errMsg})
+	default:
+		a.tr.Dropped++
 	}
 	a.mu.Unlock()
 	return id
@@ -315,6 +328,7 @@ func (r *Recorder) Get(id TraceID) (Trace, bool) {
 		if pe := p.Start.Add(p.Dur); pe.After(end) {
 			end = pe
 		}
+		base.Dropped += p.Dropped
 		base.Flight = base.Flight || p.Flight
 		if base.Err == "" {
 			base.Err = p.Err

@@ -49,6 +49,11 @@ func (rd *Reader) Reset(r io.Reader) {
 	}
 }
 
+// Buffered reports how many read-ahead bytes no frame has consumed yet.
+// Zero right after a frame means the stream held nothing more when it
+// was last read: a sender waiting for an answer has sent all it will.
+func (rd *Reader) Buffered() int { return rd.hi - rd.lo }
+
 // fill ensures at least n unread bytes are buffered, compacting first.
 // Returns io.EOF only when zero bytes remain, io.ErrUnexpectedEOF when
 // the stream ends inside the span.

@@ -51,6 +51,12 @@ import (
 // MediaType is the HTTP content type of a v2 frame stream.
 const MediaType = "application/x-oms-frame"
 
+// OpenStreamHeader is the /nodes response header by which omsd says it
+// answers an open binary body chunk by chunk: each chunk as soon as the
+// body holds no further byte after a whole frame. A client streams
+// pushes only to a server that sent it.
+const OpenStreamHeader = "X-OMS-Stream"
+
 // Record types. 1 and 3 are retired and never reused: they were the
 // fixed-width node and batch records of a log format that was never
 // deployed, and a frame carrying either is not a record — a log scan
