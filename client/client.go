@@ -8,23 +8,28 @@
 // by hand.
 //
 // In binary mode a Push rides the session's open stream: one
-// full-duplex POST /v1/sessions/{id}/nodes per session, whose io.Pipe
-// body each push writes its frames into and whose reply it reads its
-// own assignment frames from, instead of a request per push. A Client
-// streams only to a server whose /nodes replies carry X-OMS-Stream, so
-// its first push to a server is a plain request and an older omsd is
-// never streamed. NDJSON pushes, PushBatch, cluster mode, a context
-// carrying a traceparent and a body over 32 KiB go as plain requests,
-// as does a push that finds its session's stream busy or the Client
-// holding maxStreams streams. A stream closes on Finish or Delete of
-// its session from the same Client, before they send, when a push's
-// context ends mid-push, after streamIdle without a push, and on any
+// full-duplex POST /v1/sessions/{id}/nodes per session, sent with
+// X-OMS-Stream, whose io.Pipe body each push writes its frames into and
+// whose reply it reads its own assignment frames from, instead of a
+// request per push. A Client streams only to a server whose /nodes
+// replies carry X-OMS-Stream, so its first push to a server is a plain
+// request and an older omsd is never streamed, and opens a session's
+// stream only when the session's previous push started within
+// streamIdle, so sparse pushes stay plain requests. NDJSON pushes,
+// PushBatch, cluster mode, a context carrying a traceparent and a body
+// over 32 KiB go as plain requests, as does a push that finds its
+// session's stream busy or the Client holding maxStreams streams. A
+// stream closes on Finish or Delete of its session from the same
+// Client, before they send, when a push's context ends mid-push, after
+// streamIdle without a push, when omsd refuses a push, and on any other
 // failure, after which the push is redone once as a plain request: the
 // server answers an already assigned node with its block, so Push
-// returns what a plain request returns, typed errors included. A
-// stream whose first reply does not come within streamIdle (a proxy
-// that reads whole requests before it forwards them holds it back)
-// makes the Client push per request from then on.
+// returns what a plain request returns. A refused push is not redone;
+// omsd's refusal frame carries the status and code, so it returns the
+// same typed error. omsd sends a stream's reply header before it reads
+// the body; a stream whose header does not come within streamIdle (a
+// proxy that reads whole requests before it forwards them holds it
+// back) makes the Client push per request from then on.
 //
 // A plain push (PushBatch, or a Push that does not ride a stream) runs
 // on pooled per-request state: the reply reader and its arena, the
@@ -54,6 +59,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Client talks to one omsd server — or, with WithCluster, to a sharded
@@ -70,11 +76,14 @@ type Client struct {
 	// answers open streams (wire.OpenStreamHeader); streamHeld is set
 	// for good once a stream's first reply was held back (see
 	// ingestStream.push). streams holds the open ones by session id, at
-	// most maxStreams.
-	streamOK   atomic.Bool
-	streamHeld atomic.Bool
-	smu        sync.Mutex
-	streams    map[string]*ingestStream
+	// most maxStreams; lastPush holds when each session's last binary
+	// push started (see notePush), pruned once it outgrows prunePushes.
+	streamOK    atomic.Bool
+	streamHeld  atomic.Bool
+	smu         sync.Mutex
+	streams     map[string]*ingestStream
+	lastPush    map[string]time.Time
+	prunePushes int
 }
 
 // Option configures a Client.

@@ -36,11 +36,12 @@ type Assignment struct {
 //
 // In binary mode, once the server has said it answers open streams,
 // Push writes its frames into the session's open stream (see
-// ingestStream) instead of sending a request of its own; it returns
+// ingestStream) instead of sending a request of its own, opening one if
+// the session's previous push started within streamIdle; it returns
 // what a request of its own would return.
 func (c *Client) Push(ctx context.Context, id string, nodes []Node) ([]Assignment, error) {
-	if out, ok := c.pushStream(ctx, id, nodes); ok {
-		return out, nil
+	if out, ok, err := c.pushStream(ctx, id, nodes); ok {
+		return out, err
 	}
 	return c.ingest(ctx, id, "nodes", nodes)
 }
@@ -311,6 +312,9 @@ func (s *pushState) readWireAssignments(r io.Reader, hint int) ([]Assignment, er
 // ends or, when want >= 0, until out holds want of them: an open stream
 // never ends between pushes, so the push that reads it stops at its own
 // count, and a reply that runs past that count is an error.
+// A refusal frame (open streams only) ends the push with the status and
+// code a request of its own would have got if out is still empty, and
+// as that request's in-band error otherwise.
 func readAssignFrames(rd *wire.Reader, us, bs *[]int32, out []Assignment, want int) ([]Assignment, error) {
 	for want < 0 || len(out) < want {
 		payload, _, err := rd.NextFrame()
@@ -341,6 +345,17 @@ func readAssignFrames(rd *wire.Reader, us, bs *[]int32, out []Assignment, want i
 				return out, err
 			}
 			return out, &Error{Message: msg}
+		case wire.TypeRefusal:
+			status, code, msg, err := wire.DecodeRefusalPayload(payload)
+			if err != nil {
+				return out, err
+			}
+			if len(out) > 0 {
+				// Part of the push was answered, so a request of its
+				// own would have ended as this reply does: in-band.
+				return out, &Error{Message: msg}
+			}
+			return out, &Error{Status: status, Code: code, Message: msg}
 		default:
 			return out, fmt.Errorf("oms: unexpected reply frame type %d", payload[0])
 		}

@@ -12,9 +12,17 @@ import (
 	"oms/internal/wire"
 )
 
-// Stream bounds. A stream that no push used for streamIdle is closed,
-// and a Client keeps at most maxStreams open; a push beyond that bound
-// goes as a request of its own.
+// Stream bounds. A session's push opens a stream only if its previous
+// push came within streamIdle, so a session pushed less often than that
+// sends a request per push as it would without streams; a stream that
+// no push used for streamIdle is closed. A Client keeps at most
+// maxStreams open; a push beyond that bound goes as a request of its
+// own. Each stream holds a connection, three goroutines and about
+// 330 KiB across client and server, mostly the two frame readers'
+// read-ahead buffers and arenas (64 streams to an in-process omsd held
+// 21 MiB more heap than none), so the bound caps what one Client pins
+// at about that; a workload's open streams number the sessions it
+// pushed within the last streamIdle.
 const (
 	streamIdle = time.Second
 	maxStreams = 64
@@ -25,14 +33,17 @@ const (
 // reply those pushes read their assignment frames from. One push uses
 // it at a time; a push that finds it busy sends a request of its own.
 //
-// The request runs under a context of its own, not a push's, so it
-// outlives the push that opened it. It ends on Finish or Delete of the
-// session from the same Client (before they send), after streamIdle
-// without a push, when a push's context is done mid-push, and on any
-// failure, which the push then redoes once as a request of its own:
-// the server answers a node it already assigned with the same block,
-// so the redo returns what the push would have returned without the
-// stream, typed errors included.
+// The request carries wire.OpenStreamHeader, so omsd answers its header
+// before it reads the body, each push's frames as soon as they are in,
+// and a refused push with a refusal frame that keeps the status and
+// code a request of its own would have got. It runs under a context of
+// its own, not a push's, so it outlives the push that opened it. It
+// ends on Finish or Delete of the session from the same Client (before
+// they send), after streamIdle without a push, when a push's context is
+// done mid-push, when omsd refuses a push, and on any other failure,
+// which the push then redoes once as a request of its own: the server
+// answers a node it already assigned with the same block, so the redo
+// returns what the push would have returned without the stream.
 type ingestStream struct {
 	c  *Client
 	id string
@@ -58,47 +69,84 @@ type streamReply struct {
 }
 
 // pushStream sends a binary push over the session's open stream,
-// opening one if need be, and reports whether it did. It does not for
-// an NDJSON or cluster Client, before a /nodes reply carried
-// wire.OpenStreamHeader, once a stream's first reply was held back (see
-// push), for a context carrying a traceparent (the server's trace of it
-// would be the stream's), for an empty push or one over streamHead
-// bytes, when the stream is busy, or when maxStreams are open. On a
-// failure it ends the stream and reports false, so the push goes again
-// as a request of its own.
-func (c *Client) pushStream(ctx context.Context, id string, nodes []Node) ([]Assignment, bool) {
-	if !c.binary || c.router != nil || len(nodes) == 0 || !c.streamOK.Load() || c.streamHeld.Load() || traceparentFrom(ctx) != "" {
-		return nil, false
+// opening one if need be, and reports whether it did; if so, it returns
+// what the push returns. It does not for an NDJSON or cluster Client,
+// before a /nodes reply carried wire.OpenStreamHeader, once a stream's
+// first reply was held back (see push), for a context carrying a
+// traceparent (the server's trace of it would be the stream's), for an
+// empty push or one over streamHead bytes, when the stream is busy, or
+// when it would open a stream and the session's previous push came
+// longer than streamIdle ago or maxStreams are open. A push omsd
+// refuses ends the stream and returns the refusal. On any other failure
+// it ends the stream and reports false, so the push goes again as a
+// request of its own.
+func (c *Client) pushStream(ctx context.Context, id string, nodes []Node) ([]Assignment, bool, error) {
+	if !c.binary || c.router != nil || len(nodes) == 0 {
+		return nil, false, nil
+	}
+	recent := c.notePush(id)
+	if !c.streamOK.Load() || c.streamHeld.Load() || traceparentFrom(ctx) != "" {
+		return nil, false, nil
 	}
 	s := pushPool.Get().(*pushState)
 	defer s.release()
 	if s.fill(true, nodes) < len(nodes) {
-		return nil, false
+		return nil, false, nil
 	}
-	st := c.takeStream(id)
+	st := c.takeStream(id, recent)
 	if st == nil {
-		return nil, false
+		return nil, false, nil
 	}
 	defer st.mu.Unlock()
 	out, err := st.push(ctx, s.body, len(nodes))
 	if err != nil {
 		c.dropStream(st)
+		var refused *Error
+		if errors.As(err, &refused) {
+			// omsd answered the push and ended the reply.
+			st.end(true)
+			return out, true, err
+		}
 		st.end(false)
-		return nil, false
+		return nil, false, nil
 	}
 	st.last = time.Now()
 	st.idle.Reset(streamIdle)
-	return out, true
+	return out, true, nil
 }
 
-// takeStream returns the session's stream, locked, and creates it if
-// the Client holds fewer than maxStreams. It returns nil when another
-// push holds the stream, or none may be created.
-func (c *Client) takeStream(id string) *ingestStream {
+// notePush records a binary push to session id and reports whether the
+// session's previous one came within streamIdle. It forgets the
+// sessions pushed longer ago than that whenever the record has doubled.
+func (c *Client) notePush(id string) bool {
+	now := time.Now()
+	c.smu.Lock()
+	defer c.smu.Unlock()
+	prev, seen := c.lastPush[id]
+	if c.lastPush == nil {
+		c.lastPush = make(map[string]time.Time)
+	}
+	c.lastPush[id] = now
+	if len(c.lastPush) > c.prunePushes {
+		for k, t := range c.lastPush {
+			if now.Sub(t) >= streamIdle {
+				delete(c.lastPush, k)
+			}
+		}
+		c.prunePushes = max(2*len(c.lastPush), maxStreams)
+	}
+	return seen && now.Sub(prev) < streamIdle
+}
+
+// takeStream returns the session's stream, locked. If it has none, it
+// creates one when recent is set and the Client holds fewer than
+// maxStreams. It returns nil when another push holds the stream, or
+// none may be created.
+func (c *Client) takeStream(id string, recent bool) *ingestStream {
 	c.smu.Lock()
 	st := c.streams[id]
 	if st == nil {
-		if len(c.streams) >= maxStreams {
+		if !recent || len(c.streams) >= maxStreams {
 			c.smu.Unlock()
 			return nil
 		}
@@ -129,11 +177,12 @@ func (c *Client) dropStream(st *ingestStream) {
 }
 
 // closeStream ends the session's stream, if any, once the push that
-// uses it has returned.
+// uses it has returned, and forgets the session's last push.
 func (c *Client) closeStream(id string) {
 	c.smu.Lock()
 	st := c.streams[id]
 	delete(c.streams, id)
+	delete(c.lastPush, id)
 	c.smu.Unlock()
 	if st != nil {
 		st.mu.Lock()
@@ -170,11 +219,12 @@ func (st *ingestStream) push(ctx context.Context, body []byte, n int) (out []Ass
 		return nil, err
 	}
 	if st.resp == nil {
-		// Something between the Client and omsd that reads a whole
-		// body before it answers, as a proxy that buffers requests
-		// does, holds the first reply back for as long as the stream
-		// is open. Past streamIdle without it, this Client stops
-		// streaming.
+		// omsd writes a stream's reply header before it reads the
+		// body, so only something between the Client and omsd that
+		// reads a whole body before it answers, as a proxy that
+		// buffers requests does, holds it back, and for as long as the
+		// stream is open. Past streamIdle without it, this Client
+		// stops streaming.
 		held := time.AfterFunc(streamIdle, func() {
 			st.c.streamHeld.Store(true)
 			st.abort()
@@ -208,6 +258,7 @@ func (st *ingestStream) open() error {
 	}
 	req.Header.Set("Content-Type", wire.MediaType)
 	req.Header.Set("Accept", wire.MediaType)
+	req.Header.Set(wire.OpenStreamHeader, "1")
 	hc := *st.c.hc
 	hc.Timeout = 0
 	st.pw, st.cancel, st.done = pw, cancel, make(chan streamReply, 1)

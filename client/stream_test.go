@@ -23,14 +23,17 @@ import (
 )
 
 // streamServer is an in-process omsd that counts its /nodes requests:
-// how many are being served, and how many had a body of unknown length
-// (a stream). With strip it answers as a server that never heard of
+// how many are being served, and how many asked for an open stream
+// (wire.OpenStreamHeader). With strip it answers as a server that never heard of
 // streams: no /nodes reply carries wire.OpenStreamHeader.
 type streamServer struct {
 	*httptest.Server
 	mgr     *service.Manager
 	serving atomic.Int32
 	streams atomic.Int32
+	// slow, when set, makes the first body read of each stream wait
+	// that long, as a session busy with other jobs would.
+	slow atomic.Int64
 	// held, while not nil, keeps each stream's next body read waiting
 	// until it is closed; the read then fails.
 	holdMu sync.Mutex
@@ -46,9 +49,9 @@ func newStreamServer(t *testing.T, strip bool) *streamServer {
 		if strings.HasSuffix(r.URL.Path, "/nodes") {
 			ss.serving.Add(1)
 			defer ss.serving.Add(-1)
-			if r.ContentLength < 0 {
+			if r.Header.Get(wire.OpenStreamHeader) != "" {
 				ss.streams.Add(1)
-				r.Body = &heldBody{ReadCloser: r.Body, ss: ss}
+				r.Body = &heldBody{ReadCloser: r.Body, ss: ss, slow: time.Duration(ss.slow.Load())}
 			}
 			if strip {
 				w = stripHeader{w}
@@ -63,6 +66,17 @@ func newStreamServer(t *testing.T, strip bool) *streamServer {
 // streamedChunks is the server's count of chunks answered on streams.
 func (ss *streamServer) streamedChunks() int64 {
 	return ss.mgr.Registry().Snapshot()["omsd_push_stream_chunks_total"]
+}
+
+// pushSamples is the number of observations in the server's push
+// latency histogram.
+func (ss *streamServer) pushSamples() uint64 {
+	for _, h := range ss.mgr.Registry().Histograms() {
+		if h.Name() == "omsd_http_push_seconds" {
+			return h.Snapshot().Count
+		}
+	}
+	return 0
 }
 
 // waitIdle waits until no /nodes request is being served.
@@ -95,10 +109,13 @@ func (ss *streamServer) hold() (release func()) {
 // the hold starts) waits for the release and fails.
 type heldBody struct {
 	io.ReadCloser
-	ss *streamServer
+	ss   *streamServer
+	slow time.Duration
 }
 
 func (b *heldBody) Read(p []byte) (int, error) {
+	time.Sleep(b.slow)
+	b.slow = 0
 	n, err := b.ReadCloser.Read(p)
 	b.ss.holdMu.Lock()
 	ch := b.ss.held
@@ -211,12 +228,11 @@ func TestStreamRepliesMatchRequests(t *testing.T) {
 			// Finish ended the stream, so its handler has counted every
 			// chunk it answered.
 			pushes := int64((len(nodes) + chunk - 1) / chunk)
-			// The server counts a large push's body among its streams. A
-			// push the server reads in two parts may be answered in two
-			// chunks.
-			if s, c := ss.streams.Load(), ss.streamedChunks(); s != 1+large || c < pushes-1 {
-				t.Fatalf("%d bodies of unknown length (%d large pushes) answered %d chunks; want 1 stream answering every push but the first (%d)",
-					s, large, c, pushes-1)
+			// A large push goes as a request of its own. A push the
+			// server reads in two parts may be answered in two chunks.
+			if s, c := ss.streams.Load(), ss.streamedChunks(); s != 1 || c < pushes-1-int64(large) {
+				t.Fatalf("%d streams (%d large pushes) answered %d chunks; want 1 stream answering every push but the first and the large ones (%d)",
+					s, large, c, pushes-1-int64(large))
 			}
 			t.Logf("%d pushes in each format, %d of them over %d bytes", pushes, large, streamHead)
 		})
@@ -468,8 +484,8 @@ func TestStreamSharedBySessionPushers(t *testing.T) {
 
 // TestStreamHeldByProxy: behind a proxy that answers only once it has
 // read the whole request (httputil.ReverseProxy on an HTTP/1 server),
-// the first streamed push gets no reply; after streamIdle it is redone
-// as a plain request, and the Client streams no more.
+// the first streamed push gets no reply header; after streamIdle it is
+// redone as a plain request, and the Client streams no more.
 func TestStreamHeldByProxy(t *testing.T) {
 	ctx := context.Background()
 	ss := newStreamServer(t, false)
@@ -501,4 +517,154 @@ func TestStreamHeldByProxy(t *testing.T) {
 	if err := c.Delete(ctx, cr.ID); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLargePushStaysPlain: a binary push over streamHead goes as a
+// request of its own while its session's stream stays open, and the
+// server observes it once in its push latency histogram, with no chunk
+// answered as streamed, though it answers the push in 256-node chunks.
+func TestLargePushStaysPlain(t *testing.T) {
+	ctx := context.Background()
+	ss := newStreamServer(t, false)
+	c := New(ss.URL, WithBinary(true))
+	nodes := ringNodes(4096, 3)
+	id := openStream(t, ss, c, nodes)
+	large := nodes[128:]
+	var st pushState
+	if st.fill(true, large) == len(large) {
+		t.Fatalf("%d nodes fit in %d bytes", len(large), streamHead)
+	}
+	samples, chunks := ss.pushSamples(), ss.streamedChunks()
+	as, err := c.Push(ctx, id, large)
+	if err != nil || len(as) != len(large) {
+		t.Fatalf("%d assignments, %v", len(as), err)
+	}
+	if ss.streams.Load() != 1 {
+		t.Fatalf("%d streams, want the one", ss.streams.Load())
+	}
+	// Once every handler has returned, the server has counted all.
+	if err := c.Delete(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	ss.waitIdle(t, time.Second)
+	if got := ss.pushSamples() - samples; got != 1 {
+		t.Fatalf("one large push observed %d times, want 1", got)
+	}
+	if got := ss.streamedChunks() - chunks; got != 0 {
+		t.Fatalf("%d chunks of the large push answered as streamed, want none", got)
+	}
+}
+
+// TestSparsePushesStayPlain: a session whose pushes come more than
+// streamIdle apart never gets a stream; two pushes close together open
+// one.
+func TestSparsePushesStayPlain(t *testing.T) {
+	ctx := context.Background()
+	ss := newStreamServer(t, false)
+	c := New(ss.URL, WithBinary(true))
+	nodes := ringNodes(512, 3)
+	cr, err := c.Create(ctx, Spec{N: 512, M: 1024, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 4 {
+		// Date the session's last push back past streamIdle.
+		c.smu.Lock()
+		if last, ok := c.lastPush[cr.ID]; ok {
+			c.lastPush[cr.ID] = last.Add(-streamIdle)
+		}
+		c.smu.Unlock()
+		if _, err := c.Push(ctx, cr.ID, nodes[64*i:64*(i+1)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := ss.streams.Load(); s != 0 {
+		t.Fatalf("%d streams opened for pushes streamIdle apart", s)
+	}
+	if _, err := c.Push(ctx, cr.ID, nodes[256:320]); err != nil {
+		t.Fatal(err)
+	}
+	if s := ss.streams.Load(); s != 1 {
+		t.Fatalf("%d streams after two pushes close together, want 1", s)
+	}
+	if err := c.Delete(ctx, cr.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSlowSessionKeepsStreaming: a stream whose first push is answered
+// only after more than streamIdle, as on a session busy with other jobs,
+// is not taken for one held back by a proxy: omsd's reply header came
+// before it read the push, so the Client goes on streaming.
+func TestSlowSessionKeepsStreaming(t *testing.T) {
+	ctx := context.Background()
+	ss := newStreamServer(t, false)
+	slow := streamIdle + streamIdle/2
+	ss.slow.Store(int64(slow))
+	c := New(ss.URL, WithBinary(true))
+	nodes := ringNodes(512, 3)
+	cr, err := c.Create(ctx, Spec{N: 512, M: 1024, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 4 {
+		t0 := time.Now()
+		as, err := c.Push(ctx, cr.ID, nodes[64*i:64*(i+1)])
+		if err != nil || len(as) != 64 {
+			t.Fatalf("push %d: %d assignments, %v", i, len(as), err)
+		}
+		if d := time.Since(t0); (i == 1) != (d >= slow) {
+			t.Fatalf("push %d took %v; want only the first streamed one to wait %v", i, d, slow)
+		}
+	}
+	// Delete ends the stream, so its handler has counted every chunk.
+	if err := c.Delete(ctx, cr.ID); err != nil {
+		t.Fatal(err)
+	}
+	if c.streamHeld.Load() || ss.streams.Load() != 1 || ss.streamedChunks() < 3 {
+		t.Fatalf("held %v, %d streams, %d streamed chunks; want one stream answering the last three pushes",
+			c.streamHeld.Load(), ss.streams.Load(), ss.streamedChunks())
+	}
+}
+
+// TestStreamedRefusalMatchesPlain: a push omsd refuses on a stream
+// returns what a plain push of the same nodes into a same-state session
+// returns, the typed error of a push refused whole and the answered head
+// with an in-band error of one refused part way, and is not sent again:
+// each refused node is counted once as a push error.
+func TestStreamedRefusalMatchesPlain(t *testing.T) {
+	ctx := context.Background()
+	ss := newStreamServer(t, false)
+	c, plain := New(ss.URL, WithBinary(true)), New(ss.URL)
+	c.streamOK.Store(true)
+	nodes := ringNodes(512, 3)
+	idS := openStream(t, ss, c, nodes)
+	cr, err := plain.Create(ctx, Spec{N: 512, M: 1024, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idP := cr.ID
+	if _, err := plain.Push(ctx, idP, nodes[:128]); err != nil {
+		t.Fatal(err)
+	}
+	errs := func() int64 { return ss.mgr.Registry().Snapshot()["omsd_push_errors_total"] }
+	before := errs()
+	for i, bad := range [][]Node{
+		{{U: 512}},
+		append(slices.Clone(nodes[128:160]), Node{U: 512}),
+	} {
+		gotS, errS := c.Push(ctx, idS, bad)
+		gotP, errP := plain.Push(ctx, idP, bad)
+		var se, pe *Error
+		if !errors.As(errS, &se) || !errors.As(errP, &pe) || *se != *pe || !slices.Equal(gotS, gotP) {
+			t.Fatalf("refused push %d: streamed %d assignments, %#v; plain %d, %#v", i, len(gotS), errS, len(gotP), errP)
+		}
+		if (i == 0) != errors.Is(errS, ErrOutOfRange) {
+			t.Fatalf("refused push %d: %#v", i, errS)
+		}
+	}
+	if got := errs() - before; got != 4 || ss.streams.Load() != 2 {
+		t.Fatalf("%d push errors counted, %d streams; want 2 per client and a new stream for the second refused push", got, ss.streams.Load())
+	}
+	ss.waitIdle(t, time.Second)
 }

@@ -134,6 +134,13 @@ func (rp *wireReplier) errLine(msg string) {
 	_, _ = rp.w.Write(rp.fr)
 }
 
+// refusal terminates an open stream with a TypeRefusal frame.
+func (rp *wireReplier) refusal(status int, code, msg string) {
+	rp.pay = wire.AppendRefusalPayload(rp.pay[:0], status, code, msg)
+	rp.fr = wire.AppendFrame(rp.fr[:0], rp.pay)
+	_, _ = rp.w.Write(rp.fr)
+}
+
 // ingestReq is the pooled per-request state of an ingest, either
 // format: the frame reader whose arena hosts every node's frame and
 // decoded adjacency (a binary request's verbatim, an NDJSON line's as
@@ -162,9 +169,9 @@ type ingestReq struct {
 	chunkBytes int
 	wrote      bool
 
-	// stream is set on an open-ended binary /nodes body (see
-	// openStream): each chunk is answered once the body holds no
-	// further byte, and observed in hist from t0, its first frame.
+	// stream is set on an open stream (see openStream): each chunk is
+	// answered once the body holds no further byte, and observed in
+	// hist from t0, its first frame.
 	stream bool
 	hist   *promtext.Histogram
 	t0     time.Time
@@ -217,7 +224,7 @@ func (q *ingestReq) flush() bool {
 		q.wrote = true
 	}
 	if err != nil {
-		q.rep.errLine(err.Error())
+		q.inband(err)
 		return false
 	}
 	q.chunk = q.chunk[:0]
@@ -248,6 +255,18 @@ func (q *ingestReq) answer() bool {
 func (q *ingestReq) fail(err error) {
 	if !q.wrote {
 		q.refuse(err)
+		return
+	}
+	q.inband(err)
+}
+
+// inband ends a reply already under way with err. An open stream's
+// client reads a push's whole answer from one reply, so it is told the
+// status and code err would have been refused with; whether that stands
+// for the push depends on how many of its nodes were answered before.
+func (q *ingestReq) inband(err error) {
+	if q.stream {
+		q.wrep.refusal(statusOf(err), errCode(err), err.Error())
 		return
 	}
 	q.rep.errLine(err.Error())
@@ -336,14 +355,17 @@ func (q *ingestReq) nextLine(sc *bufio.Scanner) (store.PushNode, error) {
 // in a single POST must read the response concurrently, as curl and
 // browsers do.
 //
-// A binary /nodes body of unknown length is an open stream: a client
-// may keep one request open per session and write each push's frames
-// into it, waiting for their answer before it writes the next. Its
-// chunk is answered as soon as the frame reader holds no further byte
-// after a whole frame, not at 256 nodes or the body's end, so each push
-// gets its reply while the request stays open. Every /nodes response
-// carries wire.OpenStreamHeader to say so; a client streams only to a
-// server that sent it.
+// A binary /nodes request that carries wire.OpenStreamHeader is an open
+// stream: a client keeps one request open per session and writes each
+// push's frames into it, waiting for their answer before it writes the
+// next. Its reply header goes out before the body is read, so a client
+// waiting for it waits on the network, not on the session. Its chunk is
+// answered as soon as the frame reader holds no further byte after a
+// whole frame, not at 256 nodes or the body's end, so each push gets its
+// reply while the request stays open; an error ends the reply with a
+// refusal frame (inband). Every /nodes response carries the header to
+// say so; a client streams only to a server that sent it. Any other
+// body, whatever its length, keeps the plain path.
 //
 // With batch set (the /batch endpoint) the chunks are larger atomic
 // batches instead: each is admitted whole before it is assigned in
@@ -375,6 +397,11 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 		q.jrep.w = w
 		q.rep = &q.jrep
 		w.Header().Set("Content-Type", "application/x-ndjson")
+	}
+	if q.stream {
+		w.WriteHeader(http.StatusOK)
+		_ = q.rc.Flush()
+		q.wrote = true
 	}
 
 	next := q.nextFrame
@@ -426,9 +453,12 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 // withTrace once per request.
 type chunkHistogram struct{}
 
-// openStream reports whether r is an open stream: a binary body of
-// unknown length.
+// openStream reports whether r is an open stream: binary both ways, and
+// asked for with wire.OpenStreamHeader.
 func openStream(r *http.Request) bool {
+	if r.Header.Get(wire.OpenStreamHeader) == "" {
+		return false
+	}
 	bin, err := requestBinary(r)
-	return r.ContentLength < 0 && err == nil && bin
+	return err == nil && bin && acceptBinary(r, true)
 }

@@ -149,73 +149,125 @@ func TestIngestFullDuplexRepliesMidStream(t *testing.T) {
 	}
 }
 
-// TestOpenStreamAnswersEachPush: over one binary body of unknown length,
-// each push of a few frames is answered as soon as the server has read
-// it, while the body stays open, and adds exactly one observation to
-// the push route's latency histogram and one to the streamed-chunk
-// counter, whatever the stream's lifetime. The reply says the server
-// answers streams.
+// TestOpenStreamAnswersEachPush: a binary /nodes request that asks for
+// an open stream gets its reply header before it has sent a byte of its
+// body. Each push of a few frames is then answered as soon as the
+// server has read it, while the body stays open, and adds exactly one
+// observation to the push route's latency histogram and one to the
+// streamed-chunk counter, whatever the stream's lifetime. A refused push
+// ends the reply with a refusal frame that keeps the status and code a
+// request of its own would get, and is counted once as a push error.
 func TestOpenStreamAnswersEachPush(t *testing.T) {
 	g := oms.GenGrid2D(16, 32, false)
 	n := g.NumNodes()
 	mgr, srv := newTestServer(t, Config{})
 	var created createReply
 	postJSON(t, srv.URL+"/v1/sessions", store.CreateSpec{N: n, M: g.NumEdges(), K: 4}, &created)
-	var hist *promtext.Histogram
-	for _, h := range mgr.Registry().Histograms() {
-		if h.Name() == "omsd_http_push_seconds" {
-			hist = h
-		}
-	}
+	hist := pushHistogram(mgr)
 	before := hist.Snapshot().Count
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	pr, pw := io.Pipe()
+	defer pw.Close()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		fmt.Sprintf("%s/v1/sessions/%s/nodes", srv.URL, created.ID), pr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", wire.MediaType)
-	type reply struct {
-		resp *http.Response
-		err  error
+	req.Header.Set(wire.OpenStreamHeader, "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("no reply header before the body: %v", err)
 	}
-	done := make(chan reply, 1)
-	go func() {
-		resp, err := http.DefaultClient.Do(req)
-		done <- reply{resp, err}
-	}()
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(wire.OpenStreamHeader) == "" {
+		t.Fatalf("status %d, %s %q", resp.StatusCode, wire.OpenStreamHeader, resp.Header.Get(wire.OpenStreamHeader))
+	}
+	rd := wire.NewReader(resp.Body)
 
 	const pushes, size = 8, 64
 	parts := make([]int32, n)
-	var rd *wire.Reader
 	for i := range int32(pushes) {
 		if _, err := pw.Write(wireGraph(g, i*size, (i+1)*size)); err != nil {
 			t.Fatal(err)
 		}
-		if rd == nil {
-			r := <-done
-			if r.err != nil {
-				t.Fatalf("no reply to the first push: %v", r.err)
-			}
-			defer r.resp.Body.Close()
-			if r.resp.StatusCode != http.StatusOK || r.resp.Header.Get(wire.OpenStreamHeader) == "" {
-				t.Fatalf("status %d, %s %q", r.resp.StatusCode, wire.OpenStreamHeader, r.resp.Header.Get(wire.OpenStreamHeader))
-			}
-			rd = wire.NewReader(r.resp.Body)
-		}
 		readAssignFrames(t, rd, size, parts)
 	}
-	pw.Close()
+	if _, err := pw.Write(wire.AppendNodeFrame(nil, n, 1, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := rd.NextFrame()
+	if err != nil {
+		t.Fatalf("reply to a refused push: %v", err)
+	}
+	status, code, msg, err := wire.DecodeRefusalPayload(payload)
+	if err != nil || status != http.StatusUnprocessableEntity || code != "node_out_of_range" {
+		t.Fatalf("refusal %d %q %q (%v), want 422 node_out_of_range", status, code, msg, err)
+	}
 	if _, _, err := rd.NextFrame(); err != io.EOF {
-		t.Fatalf("after the body ended: %v, want EOF", err)
+		t.Fatalf("after the refusal: %v, want EOF", err)
 	}
-	if got := hist.Snapshot().Count - before; got != pushes {
-		t.Fatalf("%d pushes over one stream observed %d times, want %d", pushes, got, pushes)
+	reg := mgr.Registry().Snapshot()
+	if got := hist.Snapshot().Count - before; got != pushes+1 {
+		t.Fatalf("%d pushes over one stream observed %d times, want %d", pushes+1, got, pushes+1)
 	}
-	if got := mgr.Registry().Snapshot()["omsd_push_stream_chunks_total"]; got != pushes {
-		t.Fatalf("omsd_push_stream_chunks_total %d, want %d", got, pushes)
+	if got := reg["omsd_push_stream_chunks_total"]; got != pushes+1 {
+		t.Fatalf("omsd_push_stream_chunks_total %d, want %d", got, pushes+1)
 	}
+	if got := reg["omsd_push_errors_total"]; got != 1 {
+		t.Fatalf("omsd_push_errors_total %d, want 1", got)
+	}
+}
+
+// TestUnsizedBodyStaysPlain: a binary /nodes body of unknown length that
+// did not ask for an open stream (a large push, chunk-encoded) keeps the
+// plain path: it is answered in 256-node chunks, observed once in the
+// push route's latency histogram, and no chunk counts as streamed, even
+// though the server reads it in many parts.
+func TestUnsizedBodyStaysPlain(t *testing.T) {
+	g := oms.GenGrid2D(64, 64, false)
+	n := g.NumNodes()
+	mgr, srv := newTestServer(t, Config{})
+	var created createReply
+	postJSON(t, srv.URL+"/v1/sessions", store.CreateSpec{N: n, M: g.NumEdges(), K: 4}, &created)
+	hist := pushHistogram(mgr)
+	before := hist.Snapshot().Count
+
+	pr, pw := io.Pipe()
+	go func() {
+		for lo := int32(0); lo < n; lo += 128 {
+			if _, err := pw.Write(wireGraph(g, lo, lo+128)); err != nil {
+				return
+			}
+		}
+		pw.Close()
+	}()
+	resp, err := http.Post(fmt.Sprintf("%s/v1/sessions/%s/nodes", srv.URL, created.ID), wire.MediaType, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	parts := make([]int32, n)
+	readAssignFrames(t, wire.NewReader(resp.Body), int(n), parts)
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if got := hist.Snapshot().Count - before; got != 1 {
+		t.Fatalf("one push of %d nodes observed %d times, want 1", n, got)
+	}
+	if got := mgr.Registry().Snapshot()["omsd_push_stream_chunks_total"]; got != 0 {
+		t.Fatalf("omsd_push_stream_chunks_total %d, want 0", got)
+	}
+}
+
+// pushHistogram is the push route's latency histogram.
+func pushHistogram(mgr *Manager) *promtext.Histogram {
+	for _, h := range mgr.Registry().Histograms() {
+		if h.Name() == "omsd_http_push_seconds" {
+			return h
+		}
+	}
+	return nil
 }

@@ -76,7 +76,7 @@ func newServiceMetrics(r *promtext.Registry) *serviceMetrics {
 		nodesIngested:    r.Counter("omsd_nodes_ingested_total", "nodes assigned across all sessions"),
 		edgesIngested:    r.Counter("omsd_edges_ingested_total", "adjacency entries ingested across all sessions"),
 		chunksIngested:   r.Counter("omsd_chunks_ingested_total", "ingest chunks processed across all sessions"),
-		streamChunks:     r.Counter("omsd_push_stream_chunks_total", "binary /nodes chunks answered on an open-ended body as soon as it held no further byte"),
+		streamChunks:     r.Counter("omsd_push_stream_chunks_total", "binary /nodes chunks answered on an open stream (a request with X-OMS-Stream) as soon as its body held no further byte"),
 		batchesIngested:  r.Counter("omsd_batches_ingested_total", "parallel ingest batches processed across all sessions"),
 		pushErrors:       r.Counter("omsd_push_errors_total", "rejected node pushes (range, weights, budget, after-finish)"),
 		backpressure:     r.Counter("omsd_backpressure_waits_total", "ingest/finish jobs that found their session busy and waited for its turn"),

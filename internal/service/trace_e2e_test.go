@@ -372,6 +372,7 @@ func TestSampledStreamStaysAtSpanCap(t *testing.T) {
 	tp, tidStr := client.NewTraceparent(true)
 	req.Header.Set("Content-Type", wire.MediaType)
 	req.Header.Set(client.TraceparentHeader, tp)
+	req.Header.Set(wire.OpenStreamHeader, "1")
 	done := make(chan *http.Response, 1)
 	go func() {
 		resp, err := http.DefaultClient.Do(req)

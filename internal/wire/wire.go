@@ -51,10 +51,13 @@ import (
 // MediaType is the HTTP content type of a v2 frame stream.
 const MediaType = "application/x-oms-frame"
 
-// OpenStreamHeader is the /nodes response header by which omsd says it
-// answers an open binary body chunk by chunk: each chunk as soon as the
-// body holds no further byte after a whole frame. A client streams
-// pushes only to a server that sent it.
+// OpenStreamHeader names an open ingest stream, both ways. On a /nodes
+// reply, omsd says it answers open streams; on a /nodes request that
+// sends and accepts frames, a client that saw that reply opens one. omsd then writes its reply
+// header before it reads the body, answers each chunk as soon as the
+// body holds no further byte after a whole frame, and ends a refused
+// push with a TypeRefusal frame. A request without it keeps the plain
+// path, whatever its length.
 const OpenStreamHeader = "X-OMS-Stream"
 
 // Record types. 1 and 3 are retired and never reused: they were the
@@ -89,6 +92,10 @@ const (
 	// TypeStreamHeader heads a wire stream file: the declared stream
 	// stats (n, m, total node/edge weight) of the node frames after it.
 	TypeStreamHeader = 10
+	// TypeRefusal is a terminal error reply on an open ingest stream
+	// (OpenStreamHeader): the status and error code a request of its
+	// own would have been answered with, then the message.
+	TypeRefusal = 11
 )
 
 // MaxFramePayload bounds one frame's payload; a larger declared length
@@ -478,6 +485,35 @@ func DecodeErrorPayload(payload []byte) (string, error) {
 		return "", ErrMalformed
 	}
 	return string(payload[1:]), nil
+}
+
+// AppendRefusalPayload appends an open stream's terminal refusal
+// record: uvarint status, uvarint code length, code, then the message.
+func AppendRefusalPayload(buf []byte, status int, code, msg string) []byte {
+	buf = append(buf, TypeRefusal)
+	buf = binary.AppendUvarint(buf, uint64(status))
+	buf = binary.AppendUvarint(buf, uint64(len(code)))
+	buf = append(buf, code...)
+	return append(buf, msg...)
+}
+
+// DecodeRefusalPayload decodes a refusal record.
+func DecodeRefusalPayload(payload []byte) (status int, code, msg string, err error) {
+	if len(payload) < 1 || payload[0] != TypeRefusal {
+		return 0, "", "", ErrMalformed
+	}
+	p := payload[1:]
+	st, n := binary.Uvarint(p)
+	if n <= 0 || st > 999 {
+		return 0, "", "", ErrMalformed
+	}
+	p = p[n:]
+	cl, n := binary.Uvarint(p)
+	if n <= 0 || cl > uint64(len(p)-n) {
+		return 0, "", "", ErrMalformed
+	}
+	p = p[n:]
+	return int(st), string(p[:cl]), string(p[cl:]), nil
 }
 
 // Result is the decoded binary result body.

@@ -239,6 +239,19 @@ func TestErrorRoundTrip(t *testing.T) {
 	}
 }
 
+func TestRefusalRoundTrip(t *testing.T) {
+	payload := AppendRefusalPayload(nil, 410, "session_gone", "session deleted")
+	st, code, msg, err := DecodeRefusalPayload(payload)
+	if err != nil || st != 410 || code != "session_gone" || msg != "session deleted" {
+		t.Fatalf("got (%d, %q, %q, %v)", st, code, msg, err)
+	}
+	for _, bad := range [][]byte{nil, AppendErrorPayload(nil, "x"), payload[:3], {TypeRefusal, 0x80}} {
+		if _, _, _, err := DecodeRefusalPayload(bad); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%x: err = %v", bad, err)
+		}
+	}
+}
+
 func TestResultRoundTrip(t *testing.T) {
 	cut := int64(42)
 	cases := []Result{
