@@ -7,29 +7,34 @@
 // with errors.Is(err, client.ErrGone) instead of matching status codes
 // by hand.
 //
-// In binary mode a Push rides the session's open stream: one
-// full-duplex POST /v1/sessions/{id}/nodes per session, sent with
-// X-OMS-Stream, whose io.Pipe body each push writes its frames into and
-// whose reply it reads its own assignment frames from, instead of a
-// request per push. A Client streams only to a server whose /nodes
-// replies carry X-OMS-Stream, so its first push to a server is a plain
-// request and an older omsd is never streamed, and opens a session's
-// stream only when the session's previous push started within
-// streamIdle, so sparse pushes stay plain requests. NDJSON pushes,
-// PushBatch, cluster mode, a context carrying a traceparent and a body
-// over 32 KiB go as plain requests, as does a push that finds its
-// session's stream busy or the Client holding maxStreams streams. A
+// In binary mode a Push rides the session's open stream instead of
+// sending a request of its own: a connection that one
+// POST /v1/sessions/{id}/nodes, sent without a body and with
+// "Connection: Upgrade" and "Upgrade: oms-stream", switched to frames
+// both ways (101 Switching Protocols). Each push writes its node frames
+// into the connection and reads its assignment frames back, on the
+// caller's goroutine. A Client streams only to a server whose HTTP/1.1
+// /nodes replies advertise the upgrade (an "Upgrade: oms-stream"
+// header), so its first push to a server is a plain request and a
+// server that does not advertise it is never asked, and opens a
+// session's stream only when the session's previous push started
+// within streamIdle, so sparse pushes stay plain requests. An upgrade
+// answered with anything but a 101 and a writable connection makes that
+// push a plain request, and a success that is not a 101 (something on
+// the way ignored the upgrade) keeps the Client on plain requests from
+// then on. HTTP/2 has no upgrade, so it gets plain requests too. NDJSON
+// pushes, PushBatch, cluster mode, a context carrying a traceparent and
+// a body over 32 KiB go as plain requests, as does a push that finds
+// its session's stream busy or the Client holding maxStreams streams. A
 // stream closes on Finish or Delete of its session from the same
 // Client, before they send, when a push's context ends mid-push, after
-// streamIdle without a push, when omsd refuses a push, and on any other
-// failure, after which the push is redone once as a plain request: the
-// server answers an already assigned node with its block, so Push
-// returns what a plain request returns. A refused push is not redone;
-// omsd's refusal frame carries the status and code, so it returns the
-// same typed error. omsd sends a stream's reply header before it reads
-// the body; a stream whose header does not come within streamIdle (a
-// proxy that reads whole requests before it forwards them holds it
-// back) makes the Client push per request from then on.
+// streamIdle without a push, when omsd refuses a push, when omsd ends
+// it (at a push boundary, as at shutdown), and on any other failure,
+// after which the push is redone once as a plain request: the server
+// answers an already assigned node with its block, so Push returns what
+// a plain request returns. A refused push is not redone; omsd's refusal
+// frame carries the status and code, so it returns the same typed
+// error.
 //
 // A plain push (PushBatch, or a Push that does not ride a stream) runs
 // on pooled per-request state: the reply reader and its arena, the
@@ -72,14 +77,14 @@ type Client struct {
 	binary bool
 	router *router // nil outside cluster mode
 
-	// streamOK is whether the last binary /nodes reply said the server
-	// answers open streams (wire.OpenStreamHeader); streamHeld is set
-	// for good once a stream's first reply was held back (see
-	// ingestStream.push). streams holds the open ones by session id, at
+	// streamOK is whether the last binary /nodes reply advertised open
+	// streams (wire.StreamProtocol); noUpgrade is set for good once an
+	// upgrade was answered with a success that is not a 101 (see
+	// ingestStream.open). streams holds the open ones by session id, at
 	// most maxStreams; lastPush holds when each session's last binary
 	// push started (see notePush), pruned once it outgrows prunePushes.
 	streamOK    atomic.Bool
-	streamHeld  atomic.Bool
+	noUpgrade   atomic.Bool
 	smu         sync.Mutex
 	streams     map[string]*ingestStream
 	lastPush    map[string]time.Time

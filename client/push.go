@@ -67,8 +67,8 @@ const maxPooledScratch = 1 << 20
 // client encodes its tail. The bound is by size, whatever the format:
 // a 1024-node binary push of the same graph, about 27 KiB, stays whole.
 // It also bounds what rides a session's open stream (ingestStream): a
-// binary push that fits is written into the stream's body whole, and a
-// larger one goes as a request of its own.
+// binary push that fits is written into the stream's connection whole,
+// and a larger one goes as a request of its own.
 const streamHead = 32 << 10
 
 // pushState is the pooled per-request state of a push, either format:
@@ -81,8 +81,8 @@ const streamHead = 32 << 10
 // returns. Nothing handed to the caller or to net/http aliases the
 // state, except through a streamBody, which ingest closes before the
 // state goes back to the pool. A push over an open stream borrows only
-// the encode scratch: the pipe's Write returns once the transport has
-// read every byte.
+// the encode scratch: the connection's Write returns once every byte is
+// written.
 type pushState struct {
 	rd     *wire.Reader // nil until the first binary reply
 	us, bs []int32
@@ -279,8 +279,9 @@ func (c *Client) ingest(ctx context.Context, id, route string, nodes []Node) ([]
 			return apiError(resp)
 		}
 		if c.binary && route == "nodes" && c.router == nil {
-			// A redirected reply speaks for another server.
-			c.streamOK.Store(resp.Header.Get(wire.OpenStreamHeader) != "" && resp.Request.URL.Host == req.URL.Host)
+			// A redirected reply speaks for another server, and HTTP/2
+			// has no upgrade.
+			c.streamOK.Store(resp.ProtoMajor == 1 && wire.HasToken(resp.Header.Get("Upgrade"), wire.StreamProtocol) && resp.Request.URL.Host == req.URL.Host)
 		}
 		if c.binary {
 			out, err = s.readWireAssignments(resp.Body, len(nodes))

@@ -319,6 +319,57 @@ func TestEarlyAnswerLeavesServerQuiet(t *testing.T) {
 	}
 }
 
+// TestInbandErrorAfterFlush pushes 800 nodes (a body sent whole, with a
+// Content-Length) and 4096 nodes (a body encoded while it is sent),
+// node 300 out of range, each as one plain request, then asks for the
+// session's status on the same keep-alive transport, in both formats,
+// several times over. omsd answers the
+// first 256 nodes mid-body, then ends the reply with the in-band error
+// while the last nodes are still unread; net/http must neither log a
+// recovered panic draining them nor hand the connection to the next
+// request broken. Each push returns the answered head and the in-band
+// error, and every Create succeeds.
+func TestInbandErrorAfterFlush(t *testing.T) {
+	mgr := service.NewManager(service.Config{})
+	t.Cleanup(mgr.Close)
+	srv := httptest.NewUnstartedServer(service.NewServer(mgr))
+	var logged lockedBuffer
+	srv.Config.ErrorLog = log.New(&logged, "", 0)
+	srv.Start()
+	t.Cleanup(srv.Close)
+	ctx := context.Background()
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	const n = 4096
+	all := ringNodes(n, 3)
+	all[300] = Node{U: n, Adj: []int32{0}}
+	for round := 0; round < 4; round++ {
+		nodes := all[:800]
+		if round%2 == 1 {
+			nodes = all
+		}
+		for _, binary := range []bool{false, true} {
+			c := New(srv.URL, WithBinary(binary), WithHTTPClient(&http.Client{Transport: tr}))
+			created, err := c.Create(ctx, Spec{N: n, M: 2 * n, K: 8})
+			if err != nil {
+				t.Fatalf("round %d, binary=%v: create: %v; server log:\n%s", round, binary, err, logged.String())
+			}
+			as, err := c.Push(ctx, created.ID, nodes)
+			var e *Error
+			if !errors.As(err, &e) || e.Status != 0 || len(as) != 300 || as[299].U != 299 {
+				t.Fatalf("round %d, binary=%v: %d assignments, %#v; want 300 and an in-band error", round, binary, len(as), err)
+			}
+			if _, err := c.Status(ctx, created.ID); err != nil {
+				t.Fatalf("round %d, binary=%v: status after the push: %v; server log:\n%s", round, binary, err, logged.String())
+			}
+		}
+	}
+	srv.Close()
+	if out := logged.String(); strings.Contains(out, "panic") {
+		t.Fatalf("the server logged a panic:\n%s", out)
+	}
+}
+
 // TestStreamBodyFence reads a streamed body directly: any read size
 // yields the whole encoded body, a reader opened later (GetBody) retires
 // the earlier one mid-body, and close retires the last.

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -17,33 +16,37 @@ import (
 // sends a request per push as it would without streams; a stream that
 // no push used for streamIdle is closed. A Client keeps at most
 // maxStreams open; a push beyond that bound goes as a request of its
-// own. Each stream holds a connection, three goroutines and about
-// 330 KiB across client and server, mostly the two frame readers'
-// read-ahead buffers and arenas (64 streams to an in-process omsd held
-// 21 MiB more heap than none), so the bound caps what one Client pins
-// at about that; a workload's open streams number the sessions it
-// pushed within the last streamIdle.
+// own. Each stream holds a connection and, on omsd's side, its handler
+// goroutine, its pooled ingest state (a 64 KiB frame reader and arena)
+// and no second buffer; the Client's side holds a reply reader sized to
+// replies (streamReplyBuffer), so the bound caps what one Client pins
+// at about 64 of those; a workload's open streams number the sessions
+// it pushed within the last streamIdle.
 const (
 	streamIdle = time.Second
 	maxStreams = 64
 )
 
-// ingestStream is one session's open POST /v1/sessions/{id}/nodes: an
-// io.Pipe body that each binary push writes its frames into, and the
-// reply those pushes read their assignment frames from. One push uses
+// streamReplyBuffer is the read-ahead of a stream's reply reader: a
+// 64-node push is answered with one frame of a few hundred bytes. The
+// reader grows for a larger frame.
+const streamReplyBuffer = 1 << 10
+
+// ingestStream is one session's open stream: a connection that a
+// POST /v1/sessions/{id}/nodes upgraded to wire.StreamProtocol. Each
+// binary push writes its frames into it from the caller's goroutine and
+// reads its assignment frames back on the same goroutine. One push uses
 // it at a time; a push that finds it busy sends a request of its own.
 //
-// The request carries wire.OpenStreamHeader, so omsd answers its header
-// before it reads the body, each push's frames as soon as they are in,
-// and a refused push with a refusal frame that keeps the status and
-// code a request of its own would have got. It runs under a context of
-// its own, not a push's, so it outlives the push that opened it. It
-// ends on Finish or Delete of the session from the same Client (before
-// they send), after streamIdle without a push, when a push's context is
-// done mid-push, when omsd refuses a push, and on any other failure,
-// which the push then redoes once as a request of its own: the server
-// answers a node it already assigned with the same block, so the redo
-// returns what the push would have returned without the stream.
+// omsd answers each push's frames as soon as they are in, and a refused
+// push with a refusal frame that keeps the status and code a request of
+// its own would have got. The connection outlives the push that opened
+// it. It ends on Finish or Delete of the session from the same Client
+// (before they send), after streamIdle without a push, when a push's
+// context is done mid-push, when omsd refuses a push, and on any other
+// failure, which the push then redoes once as a request of its own: the
+// server answers a node it already assigned with the same block, so the
+// redo returns what the push would have returned without the stream.
 type ingestStream struct {
 	c  *Client
 	id string
@@ -52,40 +55,35 @@ type ingestStream struct {
 	// it; everything below is guarded by it.
 	mu     sync.Mutex
 	closed bool
-	pw     *io.PipeWriter // nil until the first push opens the request
-	cancel context.CancelFunc
-	done   chan streamReply // the request's outcome, until resp is set
-	resp   *http.Response
+	conn   io.ReadWriteCloser // the upgraded connection; nil until the first push opens it
 	rd     *wire.Reader
 	us, bs []int32
 	last   time.Time
 	idle   *time.Timer
 }
 
-// streamReply is what the stream's http.Client.Do returned.
-type streamReply struct {
-	resp *http.Response
-	err  error
-}
+// errNoUpgrade reports an upgrade request answered with anything but a
+// 101 and a writable connection.
+var errNoUpgrade = errors.New("oms: stream upgrade refused")
 
 // pushStream sends a binary push over the session's open stream,
 // opening one if need be, and reports whether it did; if so, it returns
 // what the push returns. It does not for an NDJSON or cluster Client,
-// before a /nodes reply carried wire.OpenStreamHeader, once a stream's
-// first reply was held back (see push), for a context carrying a
-// traceparent (the server's trace of it would be the stream's), for an
-// empty push or one over streamHead bytes, when the stream is busy, or
-// when it would open a stream and the session's previous push came
-// longer than streamIdle ago or maxStreams are open. A push omsd
-// refuses ends the stream and returns the refusal. On any other failure
-// it ends the stream and reports false, so the push goes again as a
-// request of its own.
+// before an HTTP/1.1 /nodes reply advertised wire.StreamProtocol, once
+// an upgrade was answered with a success that is not a 101 (see open),
+// for a context carrying a traceparent (the server's trace of it would
+// be the stream's), for an empty push or one over streamHead bytes, when
+// the stream is busy, or when it would open a stream and the session's
+// previous push came longer than streamIdle ago or maxStreams are open.
+// A push omsd refuses ends the stream and returns the refusal. On any
+// other failure it ends the stream and reports false, so the push goes
+// again as a request of its own.
 func (c *Client) pushStream(ctx context.Context, id string, nodes []Node) ([]Assignment, bool, error) {
 	if !c.binary || c.router != nil || len(nodes) == 0 {
 		return nil, false, nil
 	}
 	recent := c.notePush(id)
-	if !c.streamOK.Load() || c.streamHeld.Load() || traceparentFrom(ctx) != "" {
+	if !c.streamOK.Load() || c.noUpgrade.Load() || traceparentFrom(ctx) != "" {
 		return nil, false, nil
 	}
 	s := pushPool.Get().(*pushState)
@@ -101,13 +99,12 @@ func (c *Client) pushStream(ctx context.Context, id string, nodes []Node) ([]Ass
 	out, err := st.push(ctx, s.body, len(nodes))
 	if err != nil {
 		c.dropStream(st)
+		st.end()
 		var refused *Error
 		if errors.As(err, &refused) {
-			// omsd answered the push and ended the reply.
-			st.end(true)
+			// omsd answered the push and ended the stream.
 			return out, true, err
 		}
-		st.end(false)
 		return nil, false, nil
 	}
 	st.last = time.Now()
@@ -186,18 +183,18 @@ func (c *Client) closeStream(id string) {
 	c.smu.Unlock()
 	if st != nil {
 		st.mu.Lock()
-		st.end(true)
+		st.end()
 		st.mu.Unlock()
 	}
 }
 
-// push writes one push's encoded frames into the stream, opening its
-// request first if this is the stream's first push, and reads back
-// exactly n assignments. A done ctx, or the http.Client's Timeout,
-// cancels the request.
+// push writes one push's encoded frames into the stream, opening it
+// first if this is the stream's first push, and reads back exactly n
+// assignments. A done ctx, or the http.Client's Timeout, closes the
+// connection.
 func (st *ingestStream) push(ctx context.Context, body []byte, n int) (out []Assignment, err error) {
-	if st.pw == nil {
-		if err := st.open(); err != nil {
+	if st.conn == nil {
+		if err := st.open(ctx); err != nil {
 			return nil, err
 		}
 	}
@@ -215,103 +212,70 @@ func (st *ingestStream) push(ctx context.Context, body []byte, n int) (out []Ass
 		t := time.AfterFunc(d, st.abort)
 		defer t.Stop()
 	}
-	if _, err := st.pw.Write(body); err != nil {
+	if _, err := st.conn.Write(body); err != nil {
 		return nil, err
-	}
-	if st.resp == nil {
-		// omsd writes a stream's reply header before it reads the
-		// body, so only something between the Client and omsd that
-		// reads a whole body before it answers, as a proxy that
-		// buffers requests does, holds it back, and for as long as the
-		// stream is open. Past streamIdle without it, this Client
-		// stops streaming.
-		held := time.AfterFunc(streamIdle, func() {
-			st.c.streamHeld.Store(true)
-			st.abort()
-		})
-		r := <-st.done
-		held.Stop()
-		st.done = nil
-		if r.err != nil {
-			return nil, r.err
-		}
-		st.resp = r.resp
-		if r.resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("oms: stream answered %s", r.resp.Status)
-		}
-		st.rd = wire.NewReader(r.resp.Body)
 	}
 	return readAssignFrames(st.rd, &st.us, &st.bs, make([]Assignment, 0, n), n)
 }
 
-// open starts the stream's request. Its body is the pipe the pushes
-// write into. The request goes without the http.Client's Timeout,
-// which would bound the stream's whole life; push applies it to each
-// push instead.
-func (st *ingestStream) open() error {
-	ctx, cancel := context.WithCancel(context.Background())
-	pr, pw := io.Pipe()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, st.c.base+"/v1/sessions/"+st.id+"/nodes", pr)
+// open upgrades a POST /v1/sessions/{id}/nodes without a body to
+// wire.StreamProtocol, under ctx and the http.Client's Timeout. The
+// request goes through a copy of the http.Client without its Timeout,
+// which would wrap the 101's body in a reader that cannot be written.
+// Anything but a 101 with a writable body fails; a success that is not
+// a 101 (a server or intermediary that ignored the upgrade) also stops
+// this Client from streaming.
+func (st *ingestStream) open(ctx context.Context) error {
+	hc := *st.c.hc
+	if hc.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
+		defer cancel()
+		hc.Timeout = 0
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, st.c.base+"/v1/sessions/"+st.id+"/nodes", nil)
 	if err != nil {
-		cancel()
 		return err
 	}
 	req.Header.Set("Content-Type", wire.MediaType)
 	req.Header.Set("Accept", wire.MediaType)
-	req.Header.Set(wire.OpenStreamHeader, "1")
-	hc := *st.c.hc
-	hc.Timeout = 0
-	st.pw, st.cancel, st.done = pw, cancel, make(chan streamReply, 1)
-	done := st.done
-	go func() {
-		resp, err := hc.Do(req)
-		done <- streamReply{resp, err}
-	}()
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", wire.StreamProtocol)
+	resp, err := hc.Do(req)
+	if err != nil {
+		return err
+	}
+	conn, ok := resp.Body.(io.ReadWriteCloser)
+	if resp.StatusCode != http.StatusSwitchingProtocols || !ok {
+		if resp.StatusCode < 300 {
+			st.c.noUpgrade.Store(true)
+		}
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+		resp.Body.Close()
+		return errNoUpgrade
+	}
+	st.conn = conn
+	st.rd = wire.NewReaderSize(conn, streamReplyBuffer)
 	st.idle = time.AfterFunc(streamIdle, st.idleEnd)
 	return nil
 }
 
-// abort cancels the request and ends its body, so a transport blocked
-// reading the pipe for the next push gives up too. It is safe to call
-// from any goroutine.
-func (st *ingestStream) abort() {
-	st.cancel()
-	st.pw.CloseWithError(errStreamAborted)
-}
+// abort closes the connection, so a push blocked writing into it or
+// reading from it gives up. It is safe to call from any goroutine.
+func (st *ingestStream) abort() { st.conn.Close() }
 
-// errStreamAborted ends the body of a stream that abort gave up on.
-var errStreamAborted = errors.New("oms: stream aborted")
-
-// end closes the stream. Gracefully, it ends the body and reads the
-// reply to its end, so the server's handler has returned and the
-// connection can serve the next request; a server that does not end the
-// reply within streamIdle is cut off. Otherwise it cancels the request
-// at once. Callers hold mu.
-func (st *ingestStream) end(graceful bool) {
+// end closes the stream. omsd's loop reads the connection's end at a
+// push boundary and ends cleanly. Callers hold mu.
+func (st *ingestStream) end() {
 	if st.closed {
 		return
 	}
 	st.closed = true
-	if st.pw == nil {
+	if st.conn == nil {
 		return
 	}
 	st.idle.Stop()
-	st.pw.Close()
-	if graceful && st.resp != nil {
-		t := time.AfterFunc(streamIdle, st.cancel)
-		_, _ = io.Copy(io.Discard, st.resp.Body)
-		t.Stop()
-	}
-	st.cancel()
-	if st.done != nil {
-		// The request never answered: wait for Do to give it up.
-		if r := <-st.done; r.resp != nil {
-			st.resp = r.resp
-		}
-	}
-	if st.resp != nil {
-		st.resp.Body.Close()
-	}
+	st.conn.Close()
 }
 
 // idleEnd ends a stream no push has used for streamIdle. A push that
@@ -329,5 +293,5 @@ func (st *ingestStream) idleEnd() {
 		return
 	}
 	st.c.dropStream(st)
-	st.end(true)
+	st.end()
 }

@@ -4,11 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -19,23 +20,25 @@ import (
 	"oms/internal/gen"
 	"oms/internal/graph"
 	"oms/internal/service"
-	"oms/internal/wire"
 )
 
 // streamServer is an in-process omsd that counts its /nodes requests:
-// how many are being served, and how many asked for an open stream
-// (wire.OpenStreamHeader). With strip it answers as a server that never heard of
-// streams: no /nodes reply carries wire.OpenStreamHeader.
+// how many are being served, and how many asked to upgrade to a stream
+// (wire.StreamProtocol). With strip it answers as a server that streams
+// over pipe bodies instead: no /nodes reply advertises the upgrade, each
+// says X-OMS-Stream: 1, and upgrade counts the requests that asked for
+// one anyway.
 type streamServer struct {
 	*httptest.Server
 	mgr     *service.Manager
 	serving atomic.Int32
 	streams atomic.Int32
-	// slow, when set, makes the first body read of each stream wait
-	// that long, as a session busy with other jobs would.
+	// slow, when set, makes the first read of each stream's connection
+	// after its upgrade wait that long, as a session busy with other
+	// jobs would.
 	slow atomic.Int64
-	// held, while not nil, keeps each stream's next body read waiting
-	// until it is closed; the read then fails.
+	// held, while not nil, keeps each stream connection's next read
+	// waiting until it is closed; the read then fails.
 	holdMu sync.Mutex
 	held   chan struct{}
 }
@@ -45,13 +48,15 @@ func newStreamServer(t *testing.T, strip bool) *streamServer {
 	ss := &streamServer{mgr: service.NewManager(service.Config{})}
 	t.Cleanup(ss.mgr.Close)
 	h := service.NewServer(ss.mgr)
-	ss.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ss.Server = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/nodes") {
 			ss.serving.Add(1)
 			defer ss.serving.Add(-1)
-			if r.Header.Get(wire.OpenStreamHeader) != "" {
+			if r.Header.Get("Upgrade") != "" {
 				ss.streams.Add(1)
-				r.Body = &heldBody{ReadCloser: r.Body, ss: ss, slow: time.Duration(ss.slow.Load())}
+				c := r.Context().Value(connKey{}).(*testConn)
+				c.slow.Store(ss.slow.Load())
+				c.stream.Store(true)
 			}
 			if strip {
 				w = stripHeader{w}
@@ -59,8 +64,57 @@ func newStreamServer(t *testing.T, strip bool) *streamServer {
 		}
 		h.ServeHTTP(w, r)
 	}))
+	ss.Listener = testListener{Listener: ss.Listener, ss: ss}
+	ss.Config.ConnContext = func(ctx context.Context, c net.Conn) context.Context {
+		return context.WithValue(ctx, connKey{}, c)
+	}
+	ss.Start()
 	t.Cleanup(ss.Close)
 	return ss
+}
+
+// connKey keys a request's connection in its context.
+type connKey struct{}
+
+// testListener hands out testConns.
+type testListener struct {
+	net.Listener
+	ss *streamServer
+}
+
+func (l testListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &testConn{Conn: c, ss: l.ss}, nil
+}
+
+// testConn is a server connection. Once it carries a stream, its reads
+// wait out the server's slow setting once, and a read that returns
+// while the server holds streams (a read may already be waiting for the
+// next push when the hold starts) waits for the release and fails.
+type testConn struct {
+	net.Conn
+	ss     *streamServer
+	stream atomic.Bool
+	slow   atomic.Int64
+}
+
+func (c *testConn) Read(p []byte) (int, error) {
+	if !c.stream.Load() {
+		return c.Conn.Read(p)
+	}
+	time.Sleep(time.Duration(c.slow.Swap(0)))
+	n, err := c.Conn.Read(p)
+	c.ss.holdMu.Lock()
+	ch := c.ss.held
+	c.ss.holdMu.Unlock()
+	if ch != nil {
+		<-ch
+		return 0, errors.New("held")
+	}
+	return n, err
 }
 
 // streamedChunks is the server's count of chunks answered on streams.
@@ -89,8 +143,8 @@ func (ss *streamServer) waitIdle(t *testing.T, within time.Duration) {
 	}
 }
 
-// hold makes streams' body reads wait from now on; the returned
-// function lets them fail.
+// hold makes streams' reads wait from now on; the returned function
+// lets them fail.
 func (ss *streamServer) hold() (release func()) {
 	ch := make(chan struct{})
 	ss.holdMu.Lock()
@@ -104,40 +158,26 @@ func (ss *streamServer) hold() (release func()) {
 	}
 }
 
-// heldBody is a stream's body: a read that returns while the server
-// holds streams (a read may already be waiting for the next push when
-// the hold starts) waits for the release and fails.
-type heldBody struct {
-	io.ReadCloser
-	ss   *streamServer
-	slow time.Duration
-}
-
-func (b *heldBody) Read(p []byte) (int, error) {
-	time.Sleep(b.slow)
-	b.slow = 0
-	n, err := b.ReadCloser.Read(p)
-	b.ss.holdMu.Lock()
-	ch := b.ss.held
-	b.ss.holdMu.Unlock()
-	if ch != nil {
-		<-ch
-		return 0, errors.New("held")
-	}
-	return n, err
-}
-
-// stripHeader drops wire.OpenStreamHeader from a reply; Unwrap keeps
-// the ingest handler's full duplex and flushes working through it.
+// stripHeader makes a /nodes reply look like one of a server that
+// streams over pipe bodies: X-OMS-Stream: 1, no upgrade advertised.
+// Unwrap keeps the ingest handler's full duplex, flushes and hijack
+// working through it.
 type stripHeader struct{ http.ResponseWriter }
 
+func (s stripHeader) strip() {
+	h := s.Header()
+	h.Del("Upgrade")
+	h.Del("Connection")
+	h.Set("X-OMS-Stream", "1")
+}
+
 func (s stripHeader) WriteHeader(code int) {
-	s.Header().Del(wire.OpenStreamHeader)
+	s.strip()
 	s.ResponseWriter.WriteHeader(code)
 }
 
 func (s stripHeader) Write(b []byte) (int, error) {
-	s.Header().Del(wire.OpenStreamHeader)
+	s.strip()
 	return s.ResponseWriter.Write(b)
 }
 
@@ -239,24 +279,89 @@ func TestStreamRepliesMatchRequests(t *testing.T) {
 	}
 }
 
-// TestNoStreamWithoutHeader: a Client never opens a stream to a server
-// whose /nodes replies lack wire.OpenStreamHeader.
+// TestNoStreamWithoutHeader: a Client never asks to upgrade a server
+// whose /nodes replies do not advertise wire.StreamProtocol, as a
+// server that streams over pipe bodies (X-OMS-Stream) does not, and
+// every push gets the reply an NDJSON Client gets from a same-seed
+// session.
 func TestNoStreamWithoutHeader(t *testing.T) {
 	ss := newStreamServer(t, true)
 	ctx := context.Background()
-	c := New(ss.URL, WithBinary(true))
+	c, plain := New(ss.URL, WithBinary(true)), New(ss.URL)
 	nodes := ringNodes(1024, 5)
-	cr, err := c.Create(ctx, Spec{N: 1024, M: 2048, K: 4})
-	if err != nil {
-		t.Fatal(err)
+	var ids [2]string
+	for i := range ids {
+		cr, err := c.Create(ctx, Spec{N: 1024, M: 2048, K: 4, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = cr.ID
 	}
 	for lo := 0; lo < len(nodes); lo += 64 {
-		if _, err := c.Push(ctx, cr.ID, nodes[lo:lo+64]); err != nil {
+		got, err := c.Push(ctx, ids[0], nodes[lo:lo+64])
+		if err != nil {
 			t.Fatal(err)
+		}
+		want, err := plain.Push(ctx, ids[1], nodes[lo:lo+64])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("push at %d: binary %v, NDJSON %v", lo, got, want)
 		}
 	}
 	if s := ss.streams.Load(); s != 0 {
-		t.Fatalf("%d streams opened to a server that never offered them", s)
+		t.Fatalf("%d upgrades asked of a server that never offered them", s)
+	}
+}
+
+// TestNonUpgradeAnswerKeepsPlain: behind something that drops the
+// upgrade request's Upgrade header, so omsd answers it as a plain push
+// of no nodes, the Client redoes that push as a request of its own,
+// asks for no other upgrade, and every push gets the reply an NDJSON
+// Client gets from a same-seed session.
+func TestNonUpgradeAnswerKeepsPlain(t *testing.T) {
+	ctx := context.Background()
+	mgr := service.NewManager(service.Config{})
+	t.Cleanup(mgr.Close)
+	h := service.NewServer(mgr)
+	var asked atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Upgrade") != "" {
+			asked.Add(1)
+			r.Header.Del("Upgrade")
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	c, plain := New(srv.URL, WithBinary(true)), New(srv.URL)
+	nodes := ringNodes(512, 3)
+	var ids [2]string
+	for i := range ids {
+		cr, err := c.Create(ctx, Spec{N: 512, M: 1024, K: 4, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = cr.ID
+	}
+	for lo := 0; lo < len(nodes); lo += 64 {
+		got, err := c.Push(ctx, ids[0], nodes[lo:lo+64])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.Push(ctx, ids[1], nodes[lo:lo+64])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("push at %d: binary %v, NDJSON %v", lo, got, want)
+		}
+	}
+	if a := asked.Load(); a != 1 || !c.noUpgrade.Load() {
+		t.Fatalf("%d upgrades asked, noUpgrade %v; want one, then plain pushes", a, c.noUpgrade.Load())
+	}
+	if s := mgr.Registry().Snapshot()["omsd_push_stream_chunks_total"]; s != 0 {
+		t.Fatalf("%d chunks streamed", s)
 	}
 }
 
@@ -282,9 +387,9 @@ func openStream(t *testing.T, ss *streamServer, c *Client, nodes []Node) string 
 }
 
 // TestStreamCloses: Finish and Delete close the session's stream before
-// they return, a context done mid-push closes it and the push fails as
-// a plain push with that context fails, and a stream left unused closes
-// within about streamIdle. Once the last session is deleted,
+// they send, and omsd's handler ends at once; a context done mid-push
+// closes it and the push fails as a plain push with that context fails;
+// and a stream left unused closes within about streamIdle.
 // httptest.Server.Close does not wait for a stream.
 func TestStreamCloses(t *testing.T) {
 	ctx := context.Background()
@@ -298,9 +403,7 @@ func TestStreamCloses(t *testing.T) {
 		if _, err := c.Finish(ctx, id); err != nil {
 			t.Fatal(err)
 		}
-		if n := ss.serving.Load(); n != 0 {
-			t.Fatalf("%d /nodes requests still served after Finish returned", n)
-		}
+		ss.waitIdle(t, streamIdle/4)
 	})
 	t.Run("delete", func(t *testing.T) {
 		ss := newStreamServer(t, false)
@@ -310,9 +413,7 @@ func TestStreamCloses(t *testing.T) {
 		if err := c.Delete(ctx, id); err != nil {
 			t.Fatal(err)
 		}
-		if n := ss.serving.Load(); n != 0 {
-			t.Fatalf("%d /nodes requests still served after Delete returned", n)
-		}
+		ss.waitIdle(t, streamIdle/4)
 		t0 := time.Now()
 		ss.Close()
 		if d := time.Since(t0); d > streamIdle/2 {
@@ -482,11 +583,12 @@ func TestStreamSharedBySessionPushers(t *testing.T) {
 	ss.waitIdle(t, time.Second)
 }
 
-// TestStreamHeldByProxy: behind a proxy that answers only once it has
-// read the whole request (httputil.ReverseProxy on an HTTP/1 server),
-// the first streamed push gets no reply header; after streamIdle it is
-// redone as a plain request, and the Client streams no more.
-func TestStreamHeldByProxy(t *testing.T) {
+// TestStreamThroughProxy: httputil.ReverseProxy drops the upgrade
+// advertisement from /nodes replies, as it drops every hop-by-hop
+// header, so a Client behind it pushes plain requests, none of which
+// waits. A Client that takes the server to stream anyway streams
+// through the same proxy, which carries the upgraded connection.
+func TestStreamThroughProxy(t *testing.T) {
 	ctx := context.Background()
 	ss := newStreamServer(t, false)
 	u, err := url.Parse(ss.URL)
@@ -495,28 +597,36 @@ func TestStreamHeldByProxy(t *testing.T) {
 	}
 	proxy := httptest.NewServer(httputil.NewSingleHostReverseProxy(u))
 	t.Cleanup(proxy.Close)
-	c := New(proxy.URL, WithBinary(true))
 	nodes := ringNodes(512, 3)
-	cr, err := c.Create(ctx, Spec{N: 512, M: 1024, K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range 4 {
-		t0 := time.Now()
-		as, err := c.Push(ctx, cr.ID, nodes[64*i:64*(i+1)])
-		if err != nil || len(as) != 64 {
-			t.Fatalf("push %d: %d assignments, %v", i, len(as), err)
+	for _, advertised := range []bool{false, true} {
+		c := New(proxy.URL, WithBinary(true))
+		cr, err := c.Create(ctx, Spec{N: 512, M: 1024, K: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d := time.Since(t0); (i == 1) != (d >= streamIdle) {
-			t.Fatalf("push %d took %v; want only the first streamed one to wait out streamIdle", i, d)
+		before := ss.streams.Load()
+		for i := range 4 {
+			if advertised {
+				// Each plain reply through the proxy says otherwise.
+				c.streamOK.Store(true)
+			}
+			t0 := time.Now()
+			as, err := c.Push(ctx, cr.ID, nodes[64*i:64*(i+1)])
+			if err != nil || len(as) != 64 {
+				t.Fatalf("push %d: %d assignments, %v", i, len(as), err)
+			}
+			if d := time.Since(t0); d >= streamIdle/2 {
+				t.Fatalf("push %d took %v", i, d)
+			}
+		}
+		if opened := ss.streams.Load() - before; opened != map[bool]int32{false: 0, true: 1}[advertised] {
+			t.Fatalf("advertised %v: %d streams reached the server", advertised, opened)
+		}
+		if err := c.Delete(ctx, cr.ID); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !c.streamHeld.Load() || ss.streams.Load() != 1 {
-		t.Fatalf("held %v, %d streams reached the server; want one, then none", c.streamHeld.Load(), ss.streams.Load())
-	}
-	if err := c.Delete(ctx, cr.ID); err != nil {
-		t.Fatal(err)
-	}
+	ss.waitIdle(t, time.Second)
 }
 
 // TestLargePushStaysPlain: a binary push over streamHead goes as a
@@ -594,8 +704,7 @@ func TestSparsePushesStayPlain(t *testing.T) {
 
 // TestSlowSessionKeepsStreaming: a stream whose first push is answered
 // only after more than streamIdle, as on a session busy with other jobs,
-// is not taken for one held back by a proxy: omsd's reply header came
-// before it read the push, so the Client goes on streaming.
+// is waited for, and the Client goes on streaming over it.
 func TestSlowSessionKeepsStreaming(t *testing.T) {
 	ctx := context.Background()
 	ss := newStreamServer(t, false)
@@ -621,9 +730,9 @@ func TestSlowSessionKeepsStreaming(t *testing.T) {
 	if err := c.Delete(ctx, cr.ID); err != nil {
 		t.Fatal(err)
 	}
-	if c.streamHeld.Load() || ss.streams.Load() != 1 || ss.streamedChunks() < 3 {
-		t.Fatalf("held %v, %d streams, %d streamed chunks; want one stream answering the last three pushes",
-			c.streamHeld.Load(), ss.streams.Load(), ss.streamedChunks())
+	if c.noUpgrade.Load() || ss.streams.Load() != 1 || ss.streamedChunks() < 3 {
+		t.Fatalf("noUpgrade %v, %d streams, %d streamed chunks; want one stream answering the last three pushes",
+			c.noUpgrade.Load(), ss.streams.Load(), ss.streamedChunks())
 	}
 }
 
@@ -665,6 +774,62 @@ func TestStreamedRefusalMatchesPlain(t *testing.T) {
 	}
 	if got := errs() - before; got != 4 || ss.streams.Load() != 2 {
 		t.Fatalf("%d push errors counted, %d streams; want 2 per client and a new stream for the second refused push", got, ss.streams.Load())
+	}
+	ss.waitIdle(t, time.Second)
+}
+
+// TestStreamFootprint opens maxStreams streams from one Client to an
+// in-process omsd and holds what they pin, client and server together,
+// to a bound: heap in use per stream, after a GC, and goroutines per
+// stream. Each session's first push is plain and its second opens the
+// stream, so the difference between the two counts is the streams'.
+func TestStreamFootprint(t *testing.T) {
+	ss := newStreamServer(t, false)
+	ctx := context.Background()
+	c := New(ss.URL, WithBinary(true))
+	nodes := ringNodes(1024, 3)
+	ids := make([]string, maxStreams)
+	for i := range ids {
+		cr, err := c.Create(ctx, Spec{N: 1024, M: 2048, K: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = cr.ID
+	}
+	measure := func() (heap uint64, goroutines int) {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second empties sync.Pool's victim cache
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc, runtime.NumGoroutine()
+	}
+	push := func(lo int) {
+		for _, id := range ids {
+			if _, err := c.Push(ctx, id, nodes[lo:lo+64]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	push(0)
+	heap0, g0 := measure()
+	push(64)
+	heap1, g1 := measure()
+	if s := ss.streams.Load(); s != maxStreams {
+		t.Fatalf("%d streams opened, want %d", s, maxStreams)
+	}
+	perHeap := (float64(heap1) - float64(heap0)) / maxStreams / 1024
+	perG := float64(g1-g0) / maxStreams
+	t.Logf("%d streams: %.1f KiB of heap and %.2f goroutines per stream", maxStreams, perHeap, perG)
+	// Bounds: the server's pooled ingest state (a 64 KiB frame reader,
+	// its 64 KiB arena, the chunk), net/http's per-connection buffers and
+	// one handler goroutine; the Client's reply reader is about 1 KiB.
+	if perHeap > 192 || perG > 1.05 {
+		t.Fatalf("%.1f KiB of heap and %.2f goroutines per stream, want at most 192 KiB and 1", perHeap, perG)
+	}
+	for _, id := range ids {
+		if err := c.Delete(ctx, id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ss.waitIdle(t, time.Second)
 }

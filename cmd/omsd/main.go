@@ -298,6 +298,11 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		return err
 	}
 	srv := &http.Server{Handler: service.NewServer(mgr)}
+	// Shutdown neither waits for nor closes the /nodes connections
+	// upgraded to open streams: it asks them to end at their next chunk
+	// boundary as it starts, and they are waited for within the same
+	// drain below, before any log closes.
+	srv.RegisterOnShutdown(mgr.EndStreams)
 
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -323,6 +328,9 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		return fmt.Errorf("omsd: drain: %w", err)
+	}
+	if err := mgr.WaitStreams(shutdownCtx); err != nil {
+		return fmt.Errorf("omsd: drain streams: %w", err)
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err

@@ -79,8 +79,8 @@ func NewServer(mgr *Manager) http.Handler {
 
 // statusWriter captures the response status code for the trace record.
 // Unwrap keeps http.ResponseController working through the wrapper —
-// the ingest handlers rely on Flush and EnableFullDuplex resolving to
-// the real writer.
+// the ingest handlers rely on Flush, EnableFullDuplex and Hijack
+// resolving to the real writer.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -109,13 +109,13 @@ func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter 
 // and allocates nothing beyond the unavoidable clock reads — the
 // recorder's share of that is held at exactly zero by
 // TestSampledOutRequestAllocatesNothing in internal/trace. On a route
-// that takes streams (the push route), an open stream (openStream) is
+// that takes streams (the push route), an open stream (streamUpgrade) is
 // observed by ingest once per answered chunk instead.
 func withTrace(rec *trace.Recorder, name string, hist *promtext.Histogram, streams bool, inner http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		hist := hist
-		if streams && hist != nil && openStream(r) {
+		if streams && hist != nil && streamUpgrade(r) {
 			r = r.WithContext(context.WithValue(r.Context(), chunkHistogram{}, hist))
 			hist = nil
 		}

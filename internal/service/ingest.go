@@ -169,10 +169,10 @@ type ingestReq struct {
 	chunkBytes int
 	wrote      bool
 
-	// stream is set on an open stream (see openStream): each chunk is
-	// answered once the body holds no further byte, and observed in
-	// hist from t0, its first frame.
-	stream bool
+	// stream is set on an open stream (see streamUpgrade): each chunk
+	// is answered once the connection holds no further byte, and
+	// observed in hist from t0, its first frame.
+	stream *nodeStream
 	hist   *promtext.Histogram
 	t0     time.Time
 }
@@ -235,19 +235,21 @@ func (q *ingestReq) flush() bool {
 
 // answer flushes the chunk and sends its reply at once; it reports
 // whether ingest may continue. A stream's chunk stands for one push:
-// it is counted and observed in the route's latency histogram.
+// it is counted and observed in the route's latency histogram before
+// its reply goes out in one write to the connection.
 func (q *ingestReq) answer() bool {
 	ok := q.flush()
-	if ok {
-		_ = q.rc.Flush()
-	}
-	if q.stream {
-		q.mgr.m.streamChunks.Inc()
-		if q.hist != nil {
-			q.hist.ObserveExemplar(time.Since(q.t0), trace.FromContext(q.r.Context()).TraceIDString())
+	if q.stream == nil {
+		if ok {
+			_ = q.rc.Flush()
 		}
+		return ok
 	}
-	return ok
+	q.mgr.m.streamChunks.Inc()
+	if q.hist != nil {
+		q.hist.ObserveExemplar(time.Since(q.t0), trace.FromContext(q.r.Context()).TraceIDString())
+	}
+	return q.stream.send() && ok
 }
 
 // fail reports an ingest-side (parse or read) failure: as a proper
@@ -264,12 +266,21 @@ func (q *ingestReq) fail(err error) {
 // client reads a push's whole answer from one reply, so it is told the
 // status and code err would have been refused with; whether that stands
 // for the push depends on how many of its nodes were answered before.
+//
+// A plain request's reply is under way, so it cannot say Connection:
+// close as refuse does. Left unread, the rest of its body would be read
+// by net/http after the handler returns, while the connection's next
+// read starts: a recovered panic ("invalid concurrent Body.Read call")
+// under the client's next request. So the error goes out first and the
+// rest of the body is read here.
 func (q *ingestReq) inband(err error) {
-	if q.stream {
+	if q.stream != nil {
 		q.wrep.refusal(statusOf(err), errCode(err), err.Error())
 		return
 	}
 	q.rep.errLine(err.Error())
+	_ = q.rc.Flush()
+	_, _ = io.Copy(io.Discard, q.r.Body)
 }
 
 // refuse answers err with its status before any reply was written, when
@@ -355,17 +366,20 @@ func (q *ingestReq) nextLine(sc *bufio.Scanner) (store.PushNode, error) {
 // in a single POST must read the response concurrently, as curl and
 // browsers do.
 //
-// A binary /nodes request that carries wire.OpenStreamHeader is an open
-// stream: a client keeps one request open per session and writes each
-// push's frames into it, waiting for their answer before it writes the
-// next. Its reply header goes out before the body is read, so a client
-// waiting for it waits on the network, not on the session. Its chunk is
-// answered as soon as the frame reader holds no further byte after a
-// whole frame, not at 256 nodes or the body's end, so each push gets its
-// reply while the request stays open; an error ends the reply with a
-// refusal frame (inband). Every /nodes response carries the header to
-// say so; a client streams only to a server that sent it. Any other
-// body, whatever its length, keeps the plain path.
+// A binary /nodes request that asks to upgrade to wire.StreamProtocol
+// is an open stream: omsd answers 101 Switching Protocols, takes the
+// connection over (http.ResponseController.Hijack) and reads frames
+// from it directly, while a client writes each push's frames and waits
+// for their answer before it writes the next. A chunk is answered as
+// soon as the frame reader holds no further byte after a whole frame,
+// not at 256 nodes, with its reply frames written straight to the
+// connection; an error ends the stream with a refusal frame (inband).
+// The stream ends when the client closes it, after streamIdleTimeout
+// without a byte, and at its next chunk boundary once the Manager ends
+// its streams (shutdown). Every /nodes reply advertises the upgrade
+// (RFC 9110 §7.8); a client streams only to a server that did. Any
+// other body, whatever its length, keeps the plain path, as does an
+// upgrade request whose writer cannot be hijacked.
 //
 // With batch set (the /batch endpoint) the chunks are larger atomic
 // batches instead: each is admitted whole before it is assigned in
@@ -381,16 +395,31 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 	defer q.release()
 	q.mgr, q.s, q.batch = mgr, s, batch
 	q.w, q.rc, q.r = w, http.NewResponseController(w), r
-	_ = q.rc.EnableFullDuplex() // best effort; HTTP/2 is duplex already
+	var body io.Reader = r.Body
 	if !batch {
-		w.Header().Set(wire.OpenStreamHeader, "1")
-		if q.stream = openStream(r); q.stream {
-			q.hist, _ = r.Context().Value(chunkHistogram{}).(*promtext.Histogram)
+		h := w.Header()
+		h.Set("Connection", "Upgrade")
+		h.Set("Upgrade", wire.StreamProtocol)
+		if streamUpgrade(r) {
+			st, hijacked := mgr.upgradeStream(w, q.rc)
+			if st != nil {
+				defer st.close()
+				q.stream, body, q.wrote = st, st, true
+				q.hist, _ = r.Context().Value(chunkHistogram{}).(*promtext.Histogram)
+			} else if hijacked {
+				return
+			}
 		}
+	}
+	if q.stream == nil {
+		_ = q.rc.EnableFullDuplex() // best effort; HTTP/2 is duplex already
 	}
 
 	if acceptBinary(r, binReq) {
 		q.wrep.w = w
+		if q.stream != nil {
+			q.wrep.w = q.stream
+		}
 		q.rep = &q.wrep
 		w.Header().Set("Content-Type", wire.MediaType)
 	} else {
@@ -398,15 +427,10 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 		q.rep = &q.jrep
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	if q.stream {
-		w.WriteHeader(http.StatusOK)
-		_ = q.rc.Flush()
-		q.wrote = true
-	}
 
 	next := q.nextFrame
 	if binReq {
-		q.rd.Reset(r.Body)
+		q.rd.Reset(body)
 		q.rd.MaxPayload = maxNodeLine
 	} else {
 		if q.line == nil {
@@ -425,6 +449,9 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 		q.chunk = make([]store.PushNode, 0, chunkSize)
 	}
 	for {
+		if q.stream != nil && len(q.chunk) == 0 && q.rd.Buffered() == 0 {
+			q.stream.between = true
+		}
 		nd, err := next()
 		if err == io.EOF {
 			// A stream's last frame emptied the reader: nothing is left.
@@ -435,12 +462,12 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 			q.fail(err)
 			return
 		}
-		if q.stream && len(q.chunk) == 0 {
+		if q.stream != nil && len(q.chunk) == 0 {
 			q.t0 = time.Now()
 		}
 		q.chunk = append(q.chunk, nd)
 		q.chunkBytes += len(nd.Frame)
-		if len(q.chunk) >= chunkSize || q.chunkBytes >= chunkByteBudget || q.stream && q.rd.Buffered() == 0 {
+		if len(q.chunk) >= chunkSize || q.chunkBytes >= chunkByteBudget || q.stream != nil && q.rd.Buffered() == 0 {
 			if !q.answer() {
 				return
 			}
@@ -452,13 +479,3 @@ func ingest(mgr *Manager, s *Session, w http.ResponseWriter, r *http.Request, ba
 // open stream, which ingest observes once per answered chunk instead of
 // withTrace once per request.
 type chunkHistogram struct{}
-
-// openStream reports whether r is an open stream: binary both ways, and
-// asked for with wire.OpenStreamHeader.
-func openStream(r *http.Request) bool {
-	if r.Header.Get(wire.OpenStreamHeader) == "" {
-		return false
-	}
-	bin, err := requestBinary(r)
-	return err == nil && bin && acceptBinary(r, true)
-}

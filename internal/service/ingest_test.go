@@ -149,14 +149,15 @@ func TestIngestFullDuplexRepliesMidStream(t *testing.T) {
 	}
 }
 
-// TestOpenStreamAnswersEachPush: a binary /nodes request that asks for
-// an open stream gets its reply header before it has sent a byte of its
-// body. Each push of a few frames is then answered as soon as the
-// server has read it, while the body stays open, and adds exactly one
-// observation to the push route's latency histogram and one to the
-// streamed-chunk counter, whatever the stream's lifetime. A refused push
-// ends the reply with a refusal frame that keeps the status and code a
-// request of its own would get, and is counted once as a push error.
+// TestOpenStreamAnswersEachPush: a binary /nodes request that asks to
+// upgrade to wire.StreamProtocol is answered 101 Switching Protocols
+// before it has sent a byte of a push. Each push of a few frames is
+// then answered as soon as the server has read it, over the same
+// connection, and adds exactly one observation to the push route's
+// latency histogram and one to the streamed-chunk counter, whatever the
+// stream's lifetime. A refused push ends the stream with a refusal frame
+// that keeps the status and code a request of its own would get, and is
+// counted once as a push error.
 func TestOpenStreamAnswersEachPush(t *testing.T) {
 	g := oms.GenGrid2D(16, 32, false)
 	n := g.NumNodes()
@@ -166,36 +167,16 @@ func TestOpenStreamAnswersEachPush(t *testing.T) {
 	hist := pushHistogram(mgr)
 	before := hist.Snapshot().Count
 
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	pr, pw := io.Pipe()
-	defer pw.Close()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		fmt.Sprintf("%s/v1/sessions/%s/nodes", srv.URL, created.ID), pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", wire.MediaType)
-	req.Header.Set(wire.OpenStreamHeader, "1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("no reply header before the body: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(wire.OpenStreamHeader) == "" {
-		t.Fatalf("status %d, %s %q", resp.StatusCode, wire.OpenStreamHeader, resp.Header.Get(wire.OpenStreamHeader))
-	}
-	rd := wire.NewReader(resp.Body)
-
+	conn, rd, _ := dialStream(t, srv.URL, created.ID, nil)
 	const pushes, size = 8, 64
 	parts := make([]int32, n)
 	for i := range int32(pushes) {
-		if _, err := pw.Write(wireGraph(g, i*size, (i+1)*size)); err != nil {
+		if _, err := conn.Write(wireGraph(g, i*size, (i+1)*size)); err != nil {
 			t.Fatal(err)
 		}
 		readAssignFrames(t, rd, size, parts)
 	}
-	if _, err := pw.Write(wire.AppendNodeFrame(nil, n, 1, nil, nil)); err != nil {
+	if _, err := conn.Write(wire.AppendNodeFrame(nil, n, 1, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
 	payload, _, err := rd.NextFrame()

@@ -182,6 +182,14 @@ type Manager struct {
 	tombRing []string
 	tombNext int
 
+	// streams are the open upgraded /nodes connections (see nodeStream);
+	// streamsEnding is set once EndStreams asked them to end. swg counts
+	// the open ones.
+	smu           sync.Mutex
+	streams       map[*nodeStream]struct{}
+	streamsEnding bool
+	swg           sync.WaitGroup
+
 	closeOnce   sync.Once
 	janitorQuit chan struct{}
 	janitorDone chan struct{}
@@ -269,13 +277,21 @@ func (mg *Manager) Tracer() *trace.Recorder { return mg.tracer }
 // Pool exposes the pool that bounds how many session jobs run at once.
 func (mg *Manager) Pool() *Pool { return mg.pool }
 
-// Close stops the janitor and the pool: a job still waiting for its
-// session's turn or a slot fails with ErrGone, and Close returns once the
-// running ones have finished. In-flight HTTP requests should be drained
-// first (http.Server.Shutdown does this in omsd). Close is idempotent.
+// Close ends the open streams, then stops the janitor and the pool: a
+// job still waiting for its session's turn or a slot fails with ErrGone,
+// and Close returns once the running ones have finished. Each stream
+// ends at its next chunk boundary, or is cut off after streamCloseWait.
+// In-flight HTTP requests should be drained first
+// (http.Server.Shutdown does this in omsd). Close is idempotent.
 func (mg *Manager) Close() { mg.closeOnce.Do(mg.close) }
 
 func (mg *Manager) close() {
+	// Streams first: their last chunks still need the pool and the logs.
+	// One still open after streamCloseWait is cut off; Close reports
+	// nothing.
+	ctx, cancel := context.WithTimeout(context.Background(), streamCloseWait)
+	_ = mg.WaitStreams(ctx)
+	cancel()
 	close(mg.janitorQuit)
 	<-mg.janitorDone
 	// Stop refinement before the logs close: running jobs end at their

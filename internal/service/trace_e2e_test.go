@@ -5,7 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -362,41 +362,37 @@ func TestSampledStreamStaysAtSpanCap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	pr, pw := io.Pipe()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/sessions/"+created.ID+"/nodes", pr)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(20 * time.Second))
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/sessions/"+created.ID+"/nodes", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tp, tidStr := client.NewTraceparent(true)
 	req.Header.Set("Content-Type", wire.MediaType)
 	req.Header.Set(client.TraceparentHeader, tp)
-	req.Header.Set(wire.OpenStreamHeader, "1")
-	done := make(chan *http.Response, 1)
-	go func() {
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Error(err)
-		}
-		done <- resp
-	}()
-	var rd *wire.Reader
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", wire.StreamProtocol)
+	if err := req.Write(conn); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, req)
+	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade: %v %v", resp, err)
+	}
+	rd := wire.NewReader(br)
 	for lo := 0; lo < n; lo += size {
 		var body []byte
 		for _, nd := range nodes[lo : lo+size] {
 			body = wire.AppendNodeFrame(body, nd.U, 0, nd.Adj, nil)
 		}
-		if _, err := pw.Write(body); err != nil {
+		if _, err := conn.Write(body); err != nil {
 			t.Fatal(err)
-		}
-		if rd == nil {
-			resp := <-done
-			if resp == nil {
-				t.FailNow()
-			}
-			defer resp.Body.Close()
-			rd = wire.NewReader(resp.Body)
 		}
 		for got := 0; got < size; rd.Arena.Reset() {
 			payload, _, err := rd.NextFrame()
@@ -410,7 +406,7 @@ func TestSampledStreamStaysAtSpanCap(t *testing.T) {
 			got += len(us)
 		}
 	}
-	pw.Close()
+	conn.Close()
 
 	tid, err := trace.ParseTraceID(tidStr)
 	if err != nil {

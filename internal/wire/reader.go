@@ -29,10 +29,19 @@ type Reader struct {
 	err    error // sticky read error (including io.EOF)
 }
 
-// NewReader returns a Reader over r. Call Reset to reuse it on another
-// stream (pooled readers keep their buffers).
+// NewReader returns a Reader over r with a 64 KiB read-ahead buffer.
+// Call Reset to reuse it on another stream (pooled readers keep their
+// buffers).
 func NewReader(r io.Reader) *Reader {
-	rd := &Reader{}
+	return NewReaderSize(r, 64<<10)
+}
+
+// NewReaderSize returns a Reader over r whose read-ahead buffer starts
+// at size bytes. The buffer and the arena grow past it only for a frame
+// that does not fit, so a reader of replies of a few hundred bytes
+// holds about that much, not the 128 KiB of NewReader's.
+func NewReaderSize(r io.Reader, size int) *Reader {
+	rd := &Reader{in: make([]byte, max(size, FrameHeaderSize))}
 	rd.Reset(r)
 	return rd
 }
@@ -127,7 +136,7 @@ func (rd *Reader) NextFrame() (payload, frame []byte, err error) {
 	// consumer resets it.
 	base := len(rd.Arena.Raw)
 	if cap(rd.Arena.Raw)-base < total {
-		grown := make([]byte, base, max(2*cap(rd.Arena.Raw), base+total, 64<<10))
+		grown := make([]byte, base, max(2*cap(rd.Arena.Raw), base+total, len(rd.in)))
 		copy(grown, rd.Arena.Raw)
 		rd.Arena.Raw = grown
 	}

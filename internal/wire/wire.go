@@ -46,19 +46,40 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"strings"
 )
 
 // MediaType is the HTTP content type of a v2 frame stream.
 const MediaType = "application/x-oms-frame"
 
-// OpenStreamHeader names an open ingest stream, both ways. On a /nodes
-// reply, omsd says it answers open streams; on a /nodes request that
-// sends and accepts frames, a client that saw that reply opens one. omsd then writes its reply
-// header before it reads the body, answers each chunk as soon as the
-// body holds no further byte after a whole frame, and ends a refused
-// push with a TypeRefusal frame. A request without it keeps the plain
-// path, whatever its length.
-const OpenStreamHeader = "X-OMS-Stream"
+// StreamProtocol is the HTTP/1.1 upgrade token of an open ingest
+// stream. Every /nodes reply carries it in an Upgrade header (with an
+// "upgrade" Connection option, RFC 9110 §7.8) to say omsd answers open
+// streams. A client that saw it sends POST /v1/sessions/{id}/nodes with
+// no body, frames both ways (Content-Type and Accept MediaType),
+// "Connection: Upgrade" and "Upgrade: oms-stream"; omsd answers
+// "101 Switching Protocols" and the connection carries frames both ways
+// from then on. Each push writes its node frames; omsd answers each
+// chunk with a TypeAssign frame as soon as it holds no further byte
+// after a whole frame, and ends a refused push with a TypeRefusal frame
+// and the connection. A push stays a plain request when the reply to
+// the upgrade is anything but a 101, over HTTP/2 (which has no Upgrade)
+// and on every request without the two headers, whatever its length.
+const StreamProtocol = "oms-stream"
+
+// HasToken reports whether the comma-separated header value v lists
+// token, case-insensitively, as a stream's Upgrade and Connection
+// headers list theirs.
+func HasToken(v, token string) bool {
+	for v != "" {
+		var f string
+		f, v, _ = strings.Cut(v, ",")
+		if strings.EqualFold(strings.TrimSpace(f), token) {
+			return true
+		}
+	}
+	return false
+}
 
 // Record types. 1 and 3 are retired and never reused: they were the
 // fixed-width node and batch records of a log format that was never
@@ -93,7 +114,7 @@ const (
 	// stats (n, m, total node/edge weight) of the node frames after it.
 	TypeStreamHeader = 10
 	// TypeRefusal is a terminal error reply on an open ingest stream
-	// (OpenStreamHeader): the status and error code a request of its
+	// (StreamProtocol): the status and error code a request of its
 	// own would have been answered with, then the message.
 	TypeRefusal = 11
 )
