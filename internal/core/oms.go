@@ -6,11 +6,12 @@
 // tree (Algorithm 2) it solves plain graph partitioning ("nh-OMS").
 //
 // Per arriving node u the algorithm walks the tree from the root: at each
-// internal block it scores the children with Fennel, LDG, or Hashing and
-// descends into the best feasible one, charging u's weight to every block
-// on the path. Complexity: O(m*l + n*sum a_i) time (Theorem 2), O(n + k)
-// memory (Theorem 1) — the only per-node state is the final leaf id, from
-// which all super-blocks follow (leaf ranges).
+// internal block it scores the children with Fennel (at the paper's
+// exponent 1.5), LDG, or Hashing and descends into the best feasible one,
+// charging u's weight to every block on the path. Complexity:
+// O(m*l + n*sum a_i) time (Theorem 2), O(n + k) memory (Theorem 1) — the
+// only per-node state is the final leaf id, from which all super-blocks
+// follow (leaf ranges).
 //
 // With base = k, Algorithm 2 builds a one-level tree of k leaves, and the
 // walk is flat one-pass Fennel, LDG or Hashing, the paper's baselines:
@@ -51,13 +52,12 @@
 // Theorem 2's n*sum a_i bounds the children the walk scores; most levels
 // score fewer. When one child holds every neighbour left, has room and
 // scores above 0, each sibling has gain 0 and so scores at most 0: the
-// level is settled without scoring them (dominance). With Fennel at gamma
-// 1.5 or LDG, a block whose children cover equal leaf counts scores only
-// the children with gain; the zero-gain ones are ranked by load, and only
-// the least loaded is scored. At the 16- and 8-way levels of 4:16:8 most
-// children have no gain, so most of a level is a load compare. Both are
-// exact rewrites of the loop they replace: the oracle still agrees to the
-// last bit.
+// level is settled without scoring them (dominance). A block whose
+// children cover equal leaf counts scores only the children with gain;
+// the zero-gain ones are ranked by load, and only the least loaded is
+// scored. At the 16- and 8-way levels of 4:16:8 most children have no
+// gain, so most of a level is a load compare. Both are exact rewrites of
+// the loop they replace: the oracle still agrees to the last bit.
 //
 // Every tree block has one 48-byte record (block): its load, capacity and
 // adapted alpha, plus the walk's read-only view of its children (first,
@@ -110,7 +110,6 @@ func (s Scorer) String() string {
 type Config struct {
 	Epsilon float64 // allowed imbalance
 	Scorer  Scorer  // objective for non-hashed layers
-	Gamma   float64 // Fennel exponent, finite and >= 1; 0 means 1.5
 	// VanillaAlpha disables the per-subproblem adapted alpha of §3.2 and
 	// scores every tree block with the flat k-way alpha. The paper's
 	// tuning found adapted alpha 3.1% faster with 9.7% better mappings,
@@ -149,7 +148,6 @@ type OMS struct {
 	// monitoring readers poll LmaxValue; declared runs set it once.
 	lmax  atomic.Int64
 	blk   []block // per tree node, indexed like the tree
-	gamma float64
 	parts []int32
 
 	// est estimates the stream stats of an open-ended run online; nil
@@ -214,8 +212,8 @@ type levelScratch struct {
 // New prepares an OMS run over the given multi-section tree for a stream
 // with the given global stats.
 func New(tree *hierarchy.Tree, st stream.Stats, cfg Config) (*OMS, error) {
-	if cfg.Epsilon < 0 {
-		return nil, fmt.Errorf("core: negative epsilon %v", cfg.Epsilon)
+	if !(cfg.Epsilon >= 0) || math.IsInf(cfg.Epsilon, 1) {
+		return nil, fmt.Errorf("core: epsilon %v not a finite value >= 0", cfg.Epsilon)
 	}
 	if cfg.Scorer < ScorerFennel || cfg.Scorer > ScorerHashing {
 		return nil, fmt.Errorf("core: unknown scorer %v", cfg.Scorer)
@@ -223,20 +221,9 @@ func New(tree *hierarchy.Tree, st stream.Stats, cfg Config) (*OMS, error) {
 	if cfg.HashLayers < 0 || cfg.HashLayers > int(tree.MaxDepth) {
 		return nil, fmt.Errorf("core: HashLayers %d outside [0,%d]", cfg.HashLayers, tree.MaxDepth)
 	}
-	gamma := cfg.Gamma
-	if gamma == 0 {
-		gamma = 1.5
-	}
-	// Fennel's load cost alpha*x^gamma is convex only for gamma >= 1;
-	// below it, or at NaN or an infinity, the penalty stops ranking
-	// blocks and the walk fills them in order.
-	if gamma < 1 || math.IsNaN(gamma) || math.IsInf(gamma, 1) {
-		return nil, fmt.Errorf("core: Fennel gamma %v not a finite value >= 1", cfg.Gamma)
-	}
 	o := &OMS{
 		Tree:  tree,
 		cfg:   cfg,
-		gamma: gamma,
 		blk:   make([]block, tree.NumNodes()),
 		parts: make([]int32, st.N),
 	}
@@ -425,7 +412,7 @@ func (o *OMS) assign(u int32, vwgt int32, adj []int32, ewgt []int32) {
 
 // dominates reports whether child c, holding every neighbour left with
 // gain g, has room for w and scores above 0. Its siblings, with gain 0,
-// score at most 0: -alpha*gamma*load^(gamma-1) under Fennel (alpha is
+// score at most 0: -alpha*1.5*sqrt(load) under Fennel (alpha is
 // finite and >= 0), ±0 under LDG (caps are t*Lmax: all 0 or none). So c
 // is scoreChild's unique maximum. A score <= 0, or the NaN of a cap-0 LDG
 // block, is left to scoreChild.
@@ -436,11 +423,8 @@ func (o *OMS) dominates(c int32, g float64, w int64) bool {
 		return false
 	case o.cfg.Scorer == ScorerLDG:
 		return ldg(g, k.load, k.cap) > 0
-	case o.gamma == 1.5:
-		return fennel15(g, k.load, k.alpha) > 0
 	}
-	s, _ := FennelScore(g, k.load, w, k.cap, k.alpha, o.gamma)
-	return s > 0
+	return fennel15(g, k.load, k.alpha) > 0
 }
 
 // gather fills the scratch with the leaf id of every assigned neighbour,
@@ -628,26 +612,21 @@ func (sc *levelScratch) total() float64 {
 // scoreChild scores the count = len(gain) children from first with the
 // configured objective and returns the best feasible one: the highest
 // score, ties to the lighter block, then to the lower index. The
-// objective is chosen once per call. The default, Fennel with gamma 1.5,
-// and LDG evaluate FennelScore's and LDGScore's expressions inline;
-// other gammas call FennelScore per child.
+// objective is chosen once per call: Fennel (the default) and LDG
+// evaluate FennelScore's and LDGScore's expressions inline.
 //
-// When the children are even (one alpha and one cap, see block), the
-// Fennel 1.5 and LDG arms rank their zero-gain children instead of
-// scoring them. A zero-gain child scores -alpha*1.5*sqrt(load) under
-// Fennel, which never rises as the load rises, and 0*(1-load/cap) = +0
-// under LDG whatever its load (cap > 0; a cap of 0 takes the full loop,
-// whose 0/0 scores NaN). So among the feasible zero-gain children the
-// least-loaded one (the first on equal loads) is the best by the loop's
-// own order. That representative is the only zero-gain child whose
-// score is computed, with the loop's expression on the loop's operands,
-// and it is merged into the best of the gain children by the same
-// order. The result is the child the full loop picks, to the last bit;
-// when no child has gain, it is found without a sqrt or a division.
-//
-// Fennel at other gammas keeps the full loop: the same ranking would
-// need math.Pow(load, gamma-1) to never fall as the load rises, and
-// math.Pow does not promise monotone results.
+// When the children are even (one alpha and one cap, see block), both
+// arms rank their zero-gain children instead of scoring them. A zero-gain
+// child scores -alpha*1.5*sqrt(load) under Fennel, which never rises as
+// the load rises, and 0*(1-load/cap) = +0 under LDG whatever its load
+// (cap > 0; a cap of 0 takes the full loop, whose 0/0 scores NaN). So
+// among the feasible zero-gain children the least-loaded one (the first
+// on equal loads) is the best by the loop's own order. That
+// representative is the only zero-gain child whose score is computed,
+// with the loop's expression on the loop's operands, and it is merged
+// into the best of the gain children by the same order. The result is
+// the child the full loop picks, to the last bit; when no child has
+// gain, it is found without a sqrt or a division.
 func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 {
 	kids := o.blk[first : first+int32(len(gain))]
 	gain = gain[:len(kids)] // one length: no bounds checks on gain[i]
@@ -657,8 +636,7 @@ func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 
 	rep := -1 // the least-loaded feasible zero-gain child, when even
 	var repLoad int64
 	isLDG := o.cfg.Scorer == ScorerLDG
-	switch {
-	case !isLDG && o.gamma == 1.5:
+	if !isLDG {
 		for i := range kids {
 			c := &kids[i]
 			load := c.load
@@ -676,7 +654,7 @@ func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 
 				best, bestScore, bestLoad = i, score, load
 			}
 		}
-	case isLDG:
+	} else {
 		even = even && kids[0].cap > 0 // even children share one cap
 		for i := range kids {
 			c := &kids[i]
@@ -691,18 +669,6 @@ func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 
 				continue
 			}
 			score := ldg(gain[i], load, c.cap)
-			if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
-				best, bestScore, bestLoad = i, score, load
-			}
-		}
-	default:
-		for i := range kids {
-			c := &kids[i]
-			load := c.load
-			score, ok := FennelScore(gain[i], load, w, c.cap, c.alpha, o.gamma)
-			if !ok {
-				continue
-			}
 			if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
 				best, bestScore, bestLoad = i, score, load
 			}

@@ -46,8 +46,10 @@ func restream(o *OMS, src stream.Source, extraPasses int) ([]int32, error) {
 func TestConfigValidation(t *testing.T) {
 	st := stream.Stats{N: 10, M: 20, TotalNodeWeight: 10, TotalEdgeWeight: 20}
 	tree := hierarchy.FromSpec(hierarchy.MustSpec("2:2"))
-	if _, err := New(tree, st, Config{Epsilon: -0.1}); err == nil {
-		t.Fatal("negative epsilon accepted")
+	for _, eps := range []float64{-0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(tree, st, Config{Epsilon: eps}); err == nil {
+			t.Fatalf("epsilon %v accepted", eps)
+		}
 	}
 	if _, err := New(tree, st, Config{Epsilon: 0.03, HashLayers: 5}); err == nil {
 		t.Fatal("HashLayers beyond depth accepted")
@@ -60,11 +62,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(tree, st, Config{Epsilon: 0.03, Scorer: Scorer(7)}); err == nil {
 		t.Fatal("unknown scorer accepted")
-	}
-	for _, g := range []float64{0.5, -1, math.NaN(), math.Inf(1)} {
-		if _, err := New(tree, st, Config{Epsilon: 0.03, Gamma: g}); err == nil {
-			t.Fatalf("gamma %v accepted", g)
-		}
 	}
 }
 
@@ -192,10 +189,6 @@ func TestLeafLoadsMatchPartition(t *testing.T) {
 // reproduce it exactly (the paper's Figure-1 equivalence argument).
 func multiPassReference(g *graph.Graph, tree *hierarchy.Tree, st stream.Stats, cfg Config) []int32 {
 	n := g.NumNodes()
-	gamma := cfg.Gamma
-	if gamma == 0 {
-		gamma = 1.5
-	}
 	lmax := Lmax(st.TotalNodeWeight, tree.K, cfg.Epsilon)
 	alphaRoot := Alpha(tree.K, st.TotalEdgeWeight, st.N)
 	caps := make([]int64, tree.NumNodes())
@@ -251,7 +244,7 @@ func multiPassReference(g *graph.Graph, tree *hierarchy.Tree, st stream.Stats, c
 				if cfg.Scorer == ScorerLDG {
 					score, ok = LDGScore(gains[i], loads[c], w, caps[c])
 				} else {
-					score, ok = FennelScore(gains[i], loads[c], w, caps[c], alphas[c], gamma)
+					score, ok = FennelScore(gains[i], loads[c], w, caps[c], alphas[c])
 				}
 				if !ok {
 					continue

@@ -109,7 +109,7 @@ func (o *OMS) rescanScoreChild(gain []float64, v, first, count int32, w int64, a
 		if o.cfg.Scorer == ScorerLDG {
 			score, ok = LDGScore(gain[i], load, w, o.blk[c].cap)
 		} else {
-			score, ok = FennelScore(gain[i], load, w, o.blk[c].cap, o.blk[c].alpha, o.gamma)
+			score, ok = FennelScore(gain[i], load, w, o.blk[c].cap, o.blk[c].alpha)
 		}
 		if !ok {
 			continue
@@ -234,7 +234,6 @@ func TestWalkMatchesRescanOracle(t *testing.T) {
 		{"hash2", rmat, Config{Epsilon: 0.03, HashLayers: 2, Seed: 6}, 0},
 		{"ldg", rgg, Config{Epsilon: 0.03, Scorer: ScorerLDG}, 0},
 		{"vanilla-alpha", rmat, Config{Epsilon: 0.03, VanillaAlpha: true}, 0},
-		{"gamma2", rgg, Config{Epsilon: 0.03, Gamma: 2}, 0},
 		{"weighted", heavy, Config{Epsilon: 0.10}, 0},
 		{"weighted-tight", heavy, Config{Epsilon: 0}, 0},          // failed reserves, forced placements
 		{"node-weighted-tight", nodeHeavy, Config{Epsilon: 0}, 0}, // the same through the unweighted narrow

@@ -201,14 +201,13 @@ func firstChildBlock(t *hierarchy.Tree) int32 { return t.FirstChild[t.Root] }
 // without scoring its siblings only when c scores above 0. A score of
 // exactly 0, or below it, or the NaN of a cap-0 LDG block must fall
 // through to the loop's order (the highest score, then the lighter load,
-// then the lower index), under Fennel at gamma 1.5 and 2 and under LDG.
+// then the lower index), under Fennel and under LDG.
 // want is the root child the oracle's full loop picks.
 func TestDominanceEdgeFallsThrough(t *testing.T) {
 	const full = 1 << 60 // 1 - (full-1)/full rounds to 0
 	cases := []struct {
 		name       string
 		scorer     Scorer
-		gamma      float64
 		load       []int64
 		cap        []int64   // nil: applyStats' caps
 		alpha      float64   // every child's alpha; 0 keeps applyStats'
@@ -221,8 +220,6 @@ func TestDominanceEdgeFallsThrough(t *testing.T) {
 		{name: "Fennel 1.5 scores above 0: c", load: []int64{5, 0, 4, 0}, alpha: 0.5, c: 2, dominates: true, want: 2},
 		{name: "Fennel 1.5 scores exactly 0: the lighter tie, then the lower index", load: []int64{5, 0, 4, 0}, alpha: 1, c: 2, want: 1},
 		{name: "Fennel 1.5, zero-weight edges: equal loads, the lower index", load: []int64{3, 3, 3, 3}, alpha: 0.1, c: 2, wt: []float64{0, 0}, want: 0},
-		{name: "Fennel 2 scores above 0: c", gamma: 2, load: []int64{3, 0, 2, 0}, alpha: 0.5, c: 2, dominates: true, want: 2},
-		{name: "Fennel 2 scores exactly 0: the lighter tie", gamma: 2, load: []int64{3, 0, 2, 0}, alpha: 0.5, c: 2, wt: []float64{1, 1}, want: 1},
 		{name: "LDG scores above 0: c", scorer: ScorerLDG, load: []int64{5, 1, 9, 7}, cap: []int64{100, 100, 100, 100}, c: 2, dominates: true, want: 2},
 		{name: "LDG scores +0: the lighter tie", scorer: ScorerLDG, load: []int64{full - 1, 5, full - 1, 9}, cap: []int64{full, full, full, full}, c: 2, want: 1},
 		{name: "LDG, cap 0 scores NaN: the first feasible child", scorer: ScorerLDG, load: []int64{0, 0, 0, 0}, cap: []int64{0, 0, 0, 0}, c: 2, weightless: true, want: 0},
@@ -231,7 +228,7 @@ func TestDominanceEdgeFallsThrough(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tree := hierarchy.BuildArtificial(16, 4)
 			st := stream.Stats{N: 64, M: 64, TotalNodeWeight: 1000, TotalEdgeWeight: 64}
-			o, err := New(tree, st, Config{Epsilon: 0.03, Scorer: tc.scorer, Gamma: tc.gamma})
+			o, err := New(tree, st, Config{Epsilon: 0.03, Scorer: tc.scorer})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,18 +17,15 @@ func Alpha(k int32, m int64, n int32) float64 {
 	return math.Sqrt(float64(k)) * float64(m) / (nf * math.Sqrt(nf))
 }
 
-// FennelScore evaluates the Fennel objective for placing a node with
-// weight vwgt and neighbor-gain gain into a block with the given load and
-// capacity: gain - alpha * gamma * load^(gamma-1). feasible is false when
-// the move violates the capacity.
-func FennelScore(gain float64, load, vwgt, capacity int64, alpha, gamma float64) (score float64, feasible bool) {
+// FennelScore evaluates the Fennel objective at the paper's exponent
+// 1.5 for placing a node with weight vwgt and neighbor-gain gain into a
+// block with the given load and capacity: gain - alpha * 1.5 * sqrt(load).
+// feasible is false when the move violates the capacity.
+func FennelScore(gain float64, load, vwgt, capacity int64, alpha float64) (score float64, feasible bool) {
 	if load+vwgt > capacity {
 		return 0, false
 	}
-	if gamma == 1.5 {
-		return fennel15(gain, load, alpha), true
-	}
-	return gain - float64(alpha*gamma*math.Pow(float64(load), gamma-1)), true
+	return fennel15(gain, load, alpha), true
 }
 
 // LDGScore evaluates the LDG objective: gain * (1 - load/capacity),

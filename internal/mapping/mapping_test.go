@@ -152,6 +152,15 @@ func TestGreedySwapFixesScrambledGrid(t *testing.T) {
 	}
 }
 
+func TestOfflineMapRejectsEpsilon(t *testing.T) {
+	g := gen.ErdosRenyi(100, 300, 1)
+	for _, eps := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := OfflineMap(g, topo443(), Options{Epsilon: eps}); err == nil {
+			t.Fatalf("eps %v accepted", eps)
+		}
+	}
+}
+
 func TestOfflineMapBalancedAndInRange(t *testing.T) {
 	g := gen.Delaunay(3000, 3)
 	top := topo443()

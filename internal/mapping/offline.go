@@ -32,8 +32,8 @@ type Options struct {
 // algorithm, following Schulz–Träff and Kirchbach et al.). The returned
 // slice assigns every node its PE in [0, k).
 func OfflineMap(g *graph.Graph, top *hierarchy.Topology, opt Options) ([]int32, error) {
-	if opt.Epsilon < 0 {
-		return nil, fmt.Errorf("mapping: negative epsilon")
+	if !(opt.Epsilon >= 0) || math.IsInf(opt.Epsilon, 1) {
+		return nil, fmt.Errorf("mapping: epsilon %v not a finite value >= 0", opt.Epsilon)
 	}
 	factors := top.Spec.Factors
 	l := len(factors)

@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"math"
 	"testing"
 
 	"oms/internal/core"
@@ -240,8 +241,10 @@ func TestPartitionErrors(t *testing.T) {
 	if _, err := Partition(g, 100, Options{Epsilon: 0.03}); err == nil {
 		t.Fatal("k>n accepted")
 	}
-	if _, err := Partition(g, 2, Options{Epsilon: -1}); err == nil {
-		t.Fatal("negative eps accepted")
+	for _, eps := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := Partition(g, 2, Options{Epsilon: eps}); err == nil {
+			t.Fatalf("eps %v accepted", eps)
+		}
 	}
 }
 

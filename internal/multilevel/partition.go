@@ -33,8 +33,8 @@ func Partition(g *graph.Graph, k int32, opt Options) ([]int32, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("multilevel: k=%d < 1", k)
 	}
-	if opt.Epsilon < 0 {
-		return nil, fmt.Errorf("multilevel: negative epsilon")
+	if !(opt.Epsilon >= 0) || math.IsInf(opt.Epsilon, 1) {
+		return nil, fmt.Errorf("multilevel: epsilon %v not a finite value >= 0", opt.Epsilon)
 	}
 	n := g.NumNodes()
 	parts := make([]int32, n)

@@ -39,37 +39,26 @@ func heavyEvery97(g *graph.Graph) *graph.Graph {
 	return &graph.Graph{Xadj: g.Xadj, Adjncy: g.Adjncy, AdjWgt: g.AdjWgt, VWgt: vw}
 }
 
-// flatArm is one flat partitioner of the table and the core scorer that
-// must reproduce it on a one-level tree.
-type flatArm struct {
-	name   string
-	scorer core.Scorer
-	gamma  float64
-}
-
-var flatArms = []flatArm{
-	{"fennel", core.ScorerFennel, 0},
-	{"fennel-gamma2", core.ScorerFennel, 2},
-	{"ldg", core.ScorerLDG, 0},
-	{"hashing", core.ScorerHashing, 0},
-}
+// flatArms are the scorers whose flat partitioner core must reproduce on
+// a one-level tree; each names its subtests.
+var flatArms = []core.Scorer{core.ScorerFennel, core.ScorerLDG, core.ScorerHashing}
 
 const (
 	flatSeed = 11
 	flatEps  = 0.03
 )
 
-// flatParts runs the reference flat partitioner of arm over g.
-func flatParts(t *testing.T, g *graph.Graph, k int32, arm flatArm) []int32 {
+// flatParts runs the reference flat partitioner of scorer over g.
+func flatParts(t *testing.T, g *graph.Graph, k int32, scorer core.Scorer) []int32 {
 	t.Helper()
 	src := stream.NewMemory(g)
 	st, err := src.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := onepass.Config{K: k, Epsilon: flatEps, Gamma: arm.gamma, Seed: flatSeed}
+	cfg := onepass.Config{K: k, Epsilon: flatEps, Seed: flatSeed}
 	var alg onepass.Algorithm
-	switch arm.scorer {
+	switch scorer {
 	case core.ScorerFennel:
 		alg, err = onepass.NewFennel(cfg, st, 1)
 	case core.ScorerLDG:
@@ -87,17 +76,17 @@ func flatParts(t *testing.T, g *graph.Graph, k int32, arm flatArm) []int32 {
 	return parts
 }
 
-// treeParts runs core's walk with arm's scorer over the one-level tree of
+// treeParts runs core's walk with scorer over the one-level tree of
 // k leaves (base max(k, 2), so k = 1 is a lone leaf) and returns the
 // partition with the run's Lmax.
-func treeParts(t *testing.T, g *graph.Graph, k int32, arm flatArm) ([]int32, int64) {
+func treeParts(t *testing.T, g *graph.Graph, k int32, scorer core.Scorer) ([]int32, int64) {
 	t.Helper()
 	src := stream.NewMemory(g)
 	st, err := src.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := core.NewGP(k, max(k, 2), st, core.Config{Epsilon: flatEps, Scorer: arm.scorer, Gamma: arm.gamma, Seed: flatSeed})
+	o, err := core.NewGP(k, max(k, 2), st, core.Config{Epsilon: flatEps, Scorer: scorer, Seed: flatSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +117,7 @@ func firstDiff(a, b []int32) int32 {
 // the flat scan's order, and hashes the root with the flat seed, so the
 // two agree to the last bit. The grid covers geometric, skewed, mesh and
 // road-like graphs, one with edge weights 1..20 and node weights 1..8,
-// every scorer, and Fennel at gamma 2.
+// and every scorer.
 func TestFlatIsOneLevelTree(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -143,7 +132,7 @@ func TestFlatIsOneLevelTree(t *testing.T) {
 	for _, gc := range graphs {
 		for _, k := range []int32{1, 2, 7, 64, 256, 1000} {
 			for _, arm := range flatArms {
-				t.Run(fmt.Sprintf("%s/k%d/%s", gc.name, k, arm.name), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/k%d/%s", gc.name, k, arm), func(t *testing.T) {
 					want := flatParts(t, gc.g, k, arm)
 					got, _ := treeParts(t, gc.g, k, arm)
 					if u := firstDiff(got, want); u >= 0 {
@@ -165,7 +154,7 @@ func TestFlatIsOneLevelTree(t *testing.T) {
 // the runs agree.
 func TestFlatHashingOverflowFallback(t *testing.T) {
 	g := heavyEvery97(gen.ErdosRenyi(2000, 8000, flatSeed))
-	arm := flatArms[3]
+	arm := core.ScorerHashing
 	got, _ := treeParts(t, g, 7, arm)
 	if u := firstDiff(got, flatParts(t, g, 7, arm)); u >= 0 {
 		t.Fatalf("k=7: node %d placed apart although every node fits", u)

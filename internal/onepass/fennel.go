@@ -6,15 +6,14 @@ import (
 )
 
 // Fennel (Tsourakakis et al.) assigns node v to the feasible block
-// maximizing |V_i ∩ N(v)| - alpha * gamma * |V_i|^(gamma-1) with the
-// authors' tuned gamma = 1.5 and alpha = sqrt(k) m / n^1.5. Like LDG, one
-// node costs O(|N(v)| + k): the additive penalty makes even zero-gain
-// blocks comparable, so all k are scanned, exactly as in the paper's
-// reference implementation.
+// maximizing |V_i ∩ N(v)| - alpha * 1.5 * |V_i|^0.5 (the authors' tuned
+// exponent 1.5) with alpha = sqrt(k) m / n^1.5. Like LDG, one node costs
+// O(|N(v)| + k): the additive penalty makes even zero-gain blocks
+// comparable, so all k are scanned, exactly as in the paper's reference
+// implementation.
 type Fennel struct {
 	*shared
 	alpha   float64
-	gamma   float64
 	scratch *gainScratch
 }
 
@@ -26,14 +25,9 @@ func NewFennel(cfg Config, st stream.Stats, threads int) (*Fennel, error) {
 	if err != nil {
 		return nil, err
 	}
-	gamma := cfg.Gamma
-	if gamma == 0 {
-		gamma = 1.5
-	}
 	return &Fennel{
 		shared:  s,
 		alpha:   core.Alpha(cfg.K, st.TotalEdgeWeight, st.N),
-		gamma:   gamma,
 		scratch: newGainScratch(cfg.K),
 	}, nil
 }
@@ -62,7 +56,7 @@ func (f *Fennel) Assign(_ int, u int32, vwgt int32, adj []int32, ewgt []int32) i
 	var bestLoad int64
 	for b := int32(0); b < f.k; b++ {
 		load := f.loads[b]
-		score, ok := core.FennelScore(sc.get(b), load, w, f.lmax, f.alpha, f.gamma)
+		score, ok := core.FennelScore(sc.get(b), load, w, f.lmax, f.alpha)
 		if !ok {
 			continue
 		}

@@ -21,6 +21,7 @@ package onepass
 
 import (
 	"fmt"
+	"math"
 
 	"oms/internal/core"
 	"oms/internal/stream"
@@ -30,7 +31,6 @@ import (
 type Config struct {
 	K       int32   // number of blocks
 	Epsilon float64 // allowed imbalance; the paper fixes 0.03
-	Gamma   float64 // Fennel exponent; 0 means the paper's 1.5
 	Seed    uint64  // randomizes Hashing and tie-breaking
 }
 
@@ -48,8 +48,8 @@ func newShared(cfg Config, st stream.Stats) (*shared, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("onepass: k=%d < 1", cfg.K)
 	}
-	if cfg.Epsilon < 0 {
-		return nil, fmt.Errorf("onepass: negative epsilon %v", cfg.Epsilon)
+	if !(cfg.Epsilon >= 0) || math.IsInf(cfg.Epsilon, 1) {
+		return nil, fmt.Errorf("onepass: epsilon %v not a finite value >= 0", cfg.Epsilon)
 	}
 	s := &shared{
 		k:     cfg.K,

@@ -81,19 +81,14 @@ func TestAlphaFormula(t *testing.T) {
 }
 
 func TestFennelScoreMath(t *testing.T) {
-	// gain 3, load 4, alpha 1, gamma 1.5: 3 - 1.5*sqrt(4) = 0.
-	s, ok := core.FennelScore(3, 4, 1, 100, 1, 1.5)
+	// gain 3, load 4, alpha 1: 3 - 1.5*sqrt(4) = 0.
+	s, ok := core.FennelScore(3, 4, 1, 100, 1)
 	if !ok || math.Abs(s) > 1e-12 {
 		t.Fatalf("score=%v ok=%v", s, ok)
 	}
 	// Infeasible when capacity exceeded.
-	if _, ok := core.FennelScore(3, 100, 1, 100, 1, 1.5); ok {
+	if _, ok := core.FennelScore(3, 100, 1, 100, 1); ok {
 		t.Fatal("over-capacity move marked feasible")
-	}
-	// Non-default gamma path.
-	s2, _ := core.FennelScore(0, 8, 1, 100, 1, 2)
-	if math.Abs(s2+16) > 1e-12 { // -alpha*gamma*load^1 = -16
-		t.Fatalf("gamma=2 score %v want -16", s2)
 	}
 }
 
@@ -112,8 +107,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewHashing(Config{K: 0}, st); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := NewFennel(Config{K: 2, Epsilon: -1}, st, 1); err == nil {
-		t.Fatal("negative eps accepted")
+	for _, eps := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := NewFennel(Config{K: 2, Epsilon: eps}, st, 1); err == nil {
+			t.Fatalf("eps %v accepted", eps)
+		}
 	}
 }
 

@@ -18,18 +18,18 @@ func TestPropertyFennelScoreMonotonicity(t *testing.T) {
 		capacity := int64(capRaw%100000) + 10
 		load := int64(loadRaw) % capacity
 		alpha := float64(alphaRaw)/100 + 0.01
-		s1, ok1 := core.FennelScore(gain, load, 1, capacity, alpha, 1.5)
+		s1, ok1 := core.FennelScore(gain, load, 1, capacity, alpha)
 		if !ok1 {
 			return true // infeasible: nothing to compare
 		}
 		if load+1 <= capacity-1 {
-			s2, ok2 := core.FennelScore(gain, load+1, 1, capacity, alpha, 1.5)
+			s2, ok2 := core.FennelScore(gain, load+1, 1, capacity, alpha)
 			if ok2 && s2 > s1+1e-9 {
 				t.Logf("heavier block scored higher: %v -> %v", s1, s2)
 				return false
 			}
 		}
-		s3, ok3 := core.FennelScore(gain+1, load, 1, capacity, alpha, 1.5)
+		s3, ok3 := core.FennelScore(gain+1, load, 1, capacity, alpha)
 		if !ok3 || s3 <= s1 {
 			t.Logf("more gain did not raise score: %v -> %v", s1, s3)
 			return false
@@ -74,7 +74,7 @@ func TestPropertyFeasibilityIsCapExact(t *testing.T) {
 		capacity := int64(capRaw) + 1
 		load := int64(loadRaw)
 		w := int64(wRaw) + 1
-		_, okF := core.FennelScore(1, load, w, capacity, 0.5, 1.5)
+		_, okF := core.FennelScore(1, load, w, capacity, 0.5)
 		_, okL := core.LDGScore(1, load, w, capacity)
 		want := load+w <= capacity
 		return okF == want && okL == want

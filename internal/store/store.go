@@ -70,8 +70,11 @@ type CreateSpec struct {
 	Base         int32   `json:"base,omitempty"`
 	HashLayers   int     `json:"hash_layers,omitempty"`
 	VanillaAlpha bool    `json:"vanilla_alpha,omitempty"`
-	Gamma        float64 `json:"gamma,omitempty"`
-	Seed         uint64  `json:"seed,omitempty"`
+	// Gamma is decoded only so that older specs that carry it still
+	// decode: Fennel scores at the paper's exponent 1.5, and any value
+	// other than 0 or 1.5 is refused.
+	Gamma float64 `json:"gamma,omitempty"`
+	Seed  uint64  `json:"seed,omitempty"`
 	// Record keeps the pushed stream server-side, enabling edge-cut and
 	// imbalance in the finish summary at O(n + m) extra memory.
 	Record bool `json:"record,omitempty"`
@@ -107,6 +110,9 @@ func (cs CreateSpec) SessionConfig() (oms.SessionConfig, error) {
 	if err != nil {
 		return oms.SessionConfig{}, err
 	}
+	if cs.Gamma != 0 && cs.Gamma != 1.5 {
+		return oms.SessionConfig{}, fmt.Errorf("service: Fennel gamma %v not supported (only 1.5)", cs.Gamma)
+	}
 	cfg := oms.SessionConfig{
 		Stats: oms.StreamStats{
 			N:               cs.N,
@@ -123,7 +129,6 @@ func (cs CreateSpec) SessionConfig() (oms.SessionConfig, error) {
 			Base:         cs.Base,
 			HashLayers:   cs.HashLayers,
 			VanillaAlpha: cs.VanillaAlpha,
-			Gamma:        cs.Gamma,
 			Seed:         cs.Seed,
 		},
 		Record: cs.Record,

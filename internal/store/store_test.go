@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // TestSessionConfig holds the translation of a create spec into an
 // engine config: scorer names, k or a topology, the default and
 // explicit distances, the options that pass through unchanged, and a
-// persisted spec.json that still carries "threads".
+// persisted spec.json that still carries "threads" or "gamma".
 func TestSessionConfig(t *testing.T) {
 	decode := func(js string) (cs CreateSpec) {
 		if err := json.Unmarshal([]byte(js), &cs); err != nil {
@@ -66,16 +67,23 @@ func TestSessionConfig(t *testing.T) {
 			check: func(c oms.SessionConfig) bool { return slices.Equal(c.Topology.Dist.D, []float64{1, 5, 25}) }},
 		{name: "explicit-distances/wrong-count", spec: CreateSpec{N: 10, Topology: "4:16:8", Distances: "1:5"},
 			wantErr: "hierarchy: 2 distances for 3 levels"},
-		{name: "pass-through", spec: CreateSpec{N: 10, K: 2, Adaptive: true, AdaptiveHeadroom: 0.25, Record: true, Gamma: 2, Seed: 42,
+		{name: "pass-through", spec: CreateSpec{N: 10, K: 2, Adaptive: true, AdaptiveHeadroom: 0.25, Record: true, Seed: 42,
 			TotalNodeWeight: 11, TotalEdgeWeight: 7, Epsilon: 0.1, Base: 4, HashLayers: 1, VanillaAlpha: true},
 			check: func(c oms.SessionConfig) bool {
 				o := c.Options
-				return c.Adaptive && c.AdaptiveHeadroom == 0.25 && c.Record && o.Gamma == 2 && o.Seed == 42 &&
+				return c.Adaptive && c.AdaptiveHeadroom == 0.25 && c.Record && o.Seed == 42 &&
 					c.Stats.TotalNodeWeight == 11 && c.Stats.TotalEdgeWeight == 7 &&
 					o.Epsilon == 0.1 && o.Base == 4 && o.HashLayers == 1 && o.VanillaAlpha
 			}},
 		{name: "spec.json-with-threads", spec: decode(`{"n":10,"m":5,"k":2,"threads":4}`),
 			check: func(c oms.SessionConfig) bool { return c.K == 2 && c.Stats == oms.StreamStats{N: 10, M: 5} }},
+		{name: "spec.json-with-gamma-1.5", spec: decode(`{"n":10,"m":5,"k":2,"gamma":1.5}`),
+			check: func(c oms.SessionConfig) bool {
+				want, err := decode(`{"n":10,"m":5,"k":2}`).SessionConfig()
+				return err == nil && reflect.DeepEqual(c, want)
+			}},
+		{name: "spec.json-with-gamma-2", spec: decode(`{"n":10,"m":5,"k":2,"gamma":2}`),
+			wantErr: "service: Fennel gamma 2 not supported"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := tc.spec.SessionConfig()

@@ -68,8 +68,9 @@ type Scorer = core.Scorer
 // Scorer values. Fennel is the paper's tuned default.
 const (
 	// ScorerFennel ranks blocks by neighbors-gained minus a load penalty
-	// alpha*gamma*load^(gamma-1) (Tsourakakis et al.), with alpha adapted
-	// per multi-section subproblem (§3.2 of the paper).
+	// alpha*1.5*sqrt(load) (Tsourakakis et al. at the paper's exponent
+	// 1.5), with alpha adapted per multi-section subproblem (§3.2 of the
+	// paper).
 	ScorerFennel = core.ScorerFennel
 	// ScorerLDG ranks blocks by neighbors-gained times the remaining
 	// relative capacity (Stanton & Kliot).
@@ -107,9 +108,6 @@ type Options struct {
 	// uses the flat k-way value everywhere (ablation; the adapted value
 	// is 3.1% faster and maps 9.7% better in the paper's tuning).
 	VanillaAlpha bool
-	// Gamma is the Fennel exponent, a finite value >= 1; 0 means the
-	// paper's 1.5.
-	Gamma float64
 	// Threads is accepted and ignored: every pass assigns in stream order
 	// on one worker, so results do not depend on it. The paper's §3.4
 	// shared-memory fan-out is not reproduced; Blocked 1A(h) removes the
@@ -133,7 +131,6 @@ func (o Options) coreConfig() core.Config {
 	return core.Config{
 		Epsilon:      o.Epsilon,
 		Scorer:       o.Scorer,
-		Gamma:        o.Gamma,
 		VanillaAlpha: o.VanillaAlpha,
 		HashLayers:   o.HashLayers,
 		Seed:         o.Seed,

@@ -1,6 +1,7 @@
 package oms_test
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -315,17 +316,16 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := oms.PartitionGraph(g, 0, oms.Options{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := oms.PartitionGraph(g, 4, oms.Options{Epsilon: -0.5}); err == nil {
-		t.Fatal("negative epsilon accepted")
+	for _, eps := range []float64{-0.5, math.NaN(), math.Inf(1)} {
+		if _, err := oms.PartitionGraph(g, 4, oms.Options{Epsilon: eps}); err == nil {
+			t.Fatalf("epsilon %v accepted", eps)
+		}
 	}
 	if _, err := oms.PartitionGraph(g, 4, oms.Options{Base: 1}); err == nil {
 		t.Fatal("base 1 accepted")
 	}
 	if _, err := oms.PartitionGraph(g, 8, oms.Options{Scorer: oms.Scorer(7)}); err == nil {
 		t.Fatal("unknown scorer accepted")
-	}
-	if _, err := oms.PartitionGraph(g, 8, oms.Options{Gamma: 0.5}); err == nil {
-		t.Fatal("Fennel gamma below 1 accepted")
 	}
 	if _, err := oms.Restream(oms.NewMemorySource(g), 4, nil, -1, oms.Options{}); err == nil {
 		t.Fatal("negative passes accepted")
