@@ -612,11 +612,12 @@ func (sc *levelScratch) total() float64 {
 // scoreChild scores the count = len(gain) children from first with the
 // configured objective and returns the best feasible one: the highest
 // score, ties to the lighter block, then to the lower index. The
-// objective is chosen once per call: Fennel (the default) and LDG
-// evaluate FennelScore's and LDGScore's expressions inline.
+// objective is chosen once per call: bestFennel and bestLDG evaluate
+// FennelScore's and LDGScore's expressions inline. Neither needs o or
+// first, so their loops keep every running value in a register.
 //
 // When the children are even (one alpha and one cap, see block), both
-// arms rank their zero-gain children instead of scoring them. A zero-gain
+// rank their zero-gain children instead of scoring them. A zero-gain
 // child scores -alpha*1.5*sqrt(load) under Fennel, which never rises as
 // the load rises, and 0*(1-load/cap) = +0 under LDG whatever its load
 // (cap > 0; a cap of 0 takes the full loop, whose 0/0 scores NaN). So
@@ -624,71 +625,94 @@ func (sc *levelScratch) total() float64 {
 // on equal loads) is the best by the loop's own order. That
 // representative is the only zero-gain child whose score is computed,
 // with the loop's expression on the loop's operands, and it is merged
-// into the best of the gain children by the same order. The result is
-// the child the full loop picks, to the last bit; when no child has
-// gain, it is found without a sqrt or a division.
+// into the best of the gain children by the same order (withRep). The
+// result is the child the full loop picks, to the last bit; when no
+// child has gain, it is found without a sqrt or a division.
 func (o *OMS) scoreChild(gain []float64, first int32, even bool, w int64) int32 {
 	kids := o.blk[first : first+int32(len(gain))]
+	var best int
+	if o.cfg.Scorer == ScorerLDG {
+		best = bestLDG(kids, gain, even, w)
+	} else {
+		best = bestFennel(kids, gain, even, w)
+	}
+	if best < 0 {
+		return o.leastRelativeLoad(first, int32(len(kids)))
+	}
+	return first + int32(best)
+}
+
+// bestFennel is scoreChild's Fennel arm: the index of the best feasible
+// child in kids, or -1 when none has room.
+func bestFennel(kids []block, gain []float64, even bool, w int64) int {
 	gain = gain[:len(kids)] // one length: no bounds checks on gain[i]
 	best := -1
 	bestScore := 0.0
 	var bestLoad int64
 	rep := -1 // the least-loaded feasible zero-gain child, when even
 	var repLoad int64
-	isLDG := o.cfg.Scorer == ScorerLDG
-	if !isLDG {
-		for i := range kids {
-			c := &kids[i]
-			load := c.load
-			if load+w > c.cap {
-				continue
-			}
-			if even && gain[i] == 0 {
-				if rep < 0 || load < repLoad {
-					rep, repLoad = i, load
-				}
-				continue
-			}
-			score := fennel15(gain[i], load, c.alpha)
-			if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
-				best, bestScore, bestLoad = i, score, load
-			}
+	for i := range kids {
+		c := &kids[i]
+		load := c.load
+		if load+w > c.cap {
+			continue
 		}
-	} else {
-		even = even && kids[0].cap > 0 // even children share one cap
-		for i := range kids {
-			c := &kids[i]
-			load := c.load
-			if load+w > c.cap {
-				continue
+		if even && gain[i] == 0 {
+			if rep < 0 || load < repLoad {
+				rep, repLoad = i, load
 			}
-			if even && gain[i] == 0 {
-				if rep < 0 || load < repLoad {
-					rep, repLoad = i, load
-				}
-				continue
-			}
-			score := ldg(gain[i], load, c.cap)
-			if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
-				best, bestScore, bestLoad = i, score, load
-			}
+			continue
+		}
+		score := fennel15(gain[i], load, c.alpha)
+		if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
+			best, bestScore, bestLoad = i, score, load
 		}
 	}
-	if rep >= 0 && best < 0 {
-		best = rep
-	} else if rep >= 0 {
-		score := 0.0 // LDG: a zero-gain child scores +0
-		if !isLDG {
-			score = fennel15(gain[rep], repLoad, kids[rep].alpha)
+	if best < 0 || rep < 0 {
+		return max(best, rep) // the one that exists, or -1
+	}
+	return withRep(best, bestScore, bestLoad, rep, repLoad, fennel15(gain[rep], repLoad, kids[rep].alpha))
+}
+
+// bestLDG is scoreChild's LDG arm, as bestFennel is its Fennel arm.
+func bestLDG(kids []block, gain []float64, even bool, w int64) int {
+	gain = gain[:len(kids)]
+	best := -1
+	bestScore := 0.0
+	var bestLoad int64
+	rep := -1
+	var repLoad int64
+	even = even && kids[0].cap > 0 // even children share one cap
+	for i := range kids {
+		c := &kids[i]
+		load := c.load
+		if load+w > c.cap {
+			continue
 		}
-		if score > bestScore || (score == bestScore && (repLoad < bestLoad || (repLoad == bestLoad && rep < best))) {
-			best = rep
+		if even && gain[i] == 0 {
+			if rep < 0 || load < repLoad {
+				rep, repLoad = i, load
+			}
+			continue
+		}
+		score := ldg(gain[i], load, c.cap)
+		if best < 0 || score > bestScore || (score == bestScore && load < bestLoad) {
+			best, bestScore, bestLoad = i, score, load
 		}
 	}
-	if best < 0 {
-		return o.leastRelativeLoad(first, int32(len(kids)))
+	if best < 0 || rep < 0 {
+		return max(best, rep)
 	}
-	return first + int32(best)
+	return withRep(best, bestScore, bestLoad, rep, repLoad, 0) // a zero-gain child scores +0
+}
+
+// withRep merges the zero-gain representative rep, scoring repScore, into
+// the best gain child by the loop's order.
+func withRep(best int, bestScore float64, bestLoad int64, rep int, repLoad int64, repScore float64) int {
+	if repScore > bestScore || (repScore == bestScore && (repLoad < bestLoad || (repLoad == bestLoad && rep < best))) {
+		return rep
+	}
+	return best
 }
 
 // hashChild places u by hashing, probing siblings when the target is at
